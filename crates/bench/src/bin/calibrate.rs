@@ -22,7 +22,11 @@ fn main() {
         "uplink" => println!("# d_cm  ber_csi30  ber_rssi30  pkts_per_bit"),
         _ => println!("# d_cm  ber20k  ber10k  ber5k"),
     }
-    for record in run_jobs(jobs, workers) {
+    let records = run_jobs(jobs, workers).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    for record in records {
         for line in &record.lines {
             println!("{line}");
         }

@@ -46,7 +46,10 @@ fn main() {
         }
     };
     let sections = plan.sections;
-    let records = run_jobs(plan.jobs, cli.jobs);
+    let records = run_jobs(plan.jobs, cli.jobs).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     print!("{}", render(&sections, &records));
 
     if let Some(dir) = cli.json_dir {

@@ -71,7 +71,7 @@ pub fn fleet_config(gateways: usize, tags_per_gateway: usize, seed: u64) -> Flee
 /// is independent of `jobs` by the fleet's determinism contract).
 pub fn fleet_point(gateways: usize, tags_per_gateway: usize, jobs: usize, seed: u64) -> FleetPoint {
     let run = run_fleet(&fleet_config(gateways, tags_per_gateway, seed), jobs)
-        .expect("sweep populations fit the address space");
+        .unwrap_or_else(|e| panic!("fleet point {gateways}x{tags_per_gateway} failed: {e}"));
     point_of(gateways, &run)
 }
 

@@ -1,7 +1,6 @@
 //! Stage-profiling runs: the `obs` figure.
 //!
-//! Not a paper figure — this arms a [`MemRecorder`](bs_dsp::obs::MemRecorder)
-//! on representative
+//! Not a paper figure — this arms a [`MemRecorder`] on representative
 //! uplink, downlink and session runs and reports where the simulated time
 //! and work went, stage by stage. It is the worked example for the
 //! observability layer (EXPERIMENTS.md §"Reading a stage profile") and the
@@ -12,9 +11,9 @@
 //! per-run seeds derive from the point coordinates alone and the output is
 //! byte-identical under any `--jobs`.
 
-use bs_dsp::obs::ObsReport;
+use bs_dsp::obs::{MemRecorder, ObsReport};
 use wifi_backscatter::link::{DownlinkConfig, LinkConfig, Measurement};
-use wifi_backscatter::phy::{run_downlink_ber_observed, run_uplink_observed};
+use wifi_backscatter::phy::{run_downlink_ber_with, run_uplink_with};
 use wifi_backscatter::session::{Reader, ReaderConfig};
 
 /// One profiled operating point: the merged observability report across
@@ -68,9 +67,10 @@ pub fn uplink_profile(d_m: f64, runs: u64, seed: u64) -> ObsPoint {
         let mut cfg = LinkConfig::fig10(d_m, 100, 10, run_seed(seed, r));
         cfg.measurement = Measurement::Csi;
         cfg.payload = (0..30).map(|i| (i * 3) % 7 < 3).collect();
-        let run = run_uplink_observed(&cfg);
+        let mut rec = MemRecorder::new();
+        let run = run_uplink_with(&cfg, &mut rec);
         ber.merge(&run.ber);
-        report.merge(run.obs.as_ref().expect("observed run must carry a report"));
+        report.merge(&rec.into_report());
     }
     ObsPoint {
         report,
@@ -86,9 +86,10 @@ pub fn downlink_profile(d_m: f64, rate_bps: u64, bits: usize, runs: u64, seed: u
     let mut ber = bs_dsp::bits::BerCounter::new();
     for r in 0..runs {
         let cfg = DownlinkConfig::fig17(d_m, rate_bps, run_seed(seed, r));
-        let run = run_downlink_ber_observed(&cfg, bits);
+        let mut rec = MemRecorder::new();
+        let run = run_downlink_ber_with(&cfg, bits, &mut rec);
         ber.merge(&run.ber);
-        report.merge(run.obs.as_ref().expect("observed run must carry a report"));
+        report.merge(&rec.into_report());
     }
     ObsPoint {
         report,
@@ -105,11 +106,12 @@ pub fn session_profile(runs: u64, seed: u64) -> ObsPoint {
     for r in 0..runs {
         let mut reader = Reader::new(ReaderConfig::default(), run_seed(seed, r));
         let payload: Vec<bool> = (0..16).map(|i| i % 3 != 1).collect();
-        let out = reader
-            .query_observed(0x2A, &payload)
+        let mut rec = MemRecorder::new();
+        reader
+            .query_with(0x2A, &payload, &mut rec)
             .expect("close-range session must complete");
         completed += 1;
-        report.merge(out.obs.as_ref().expect("observed query must carry a report"));
+        report.merge(&rec.into_report());
     }
     ObsPoint {
         report,

@@ -117,7 +117,7 @@ impl Plan {
         section: usize,
         label: impl Into<String>,
         seed: u64,
-        work: impl FnOnce() -> JobOutput + Send + 'static,
+        work: impl Fn() -> JobOutput + Send + Sync + 'static,
     ) {
         self.jobs.push(Job {
             fig: self.sections[section].fig.clone(),
@@ -721,7 +721,7 @@ fn obs_section(p: &mut Plan, seed: u64, e: &Effort) {
         ],
     );
     let runs = e.runs.min(3);
-    type ProfileFn = Box<dyn FnOnce() -> obs::ObsPoint + Send>;
+    type ProfileFn = Box<dyn Fn() -> obs::ObsPoint + Send + Sync>;
     let profiles: Vec<(&str, ProfileFn)> = vec![
         (
             "uplink d=10cm",

@@ -8,9 +8,9 @@
 //! ```text
 //! figure ids ──plan()──▶ Plan { sections, jobs }
 //!                              │
-//!                     run_jobs(jobs, workers)        (work-stealing pool)
+//!                     run_jobs(jobs, workers)        (bs_dsp::par runtime)
 //!                              │
-//!                       Vec<RunRecord>               (serial job order)
+//!               Result<Vec<RunRecord>, JobPanic>     (serial job order)
 //!                        │            │
 //!              render(sections, &recs)  RunRecord::to_json_line()
 //!                        │                      │
@@ -36,4 +36,4 @@ pub mod scheduler;
 
 pub use figures::{plan, render, Effort, Plan, Section, SectionFooter, ALL_FIGURES};
 pub use record::{JobOutput, RunRecord};
-pub use scheduler::{run_jobs, Job};
+pub use scheduler::{run_jobs, Job, JobPanic};

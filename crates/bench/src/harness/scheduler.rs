@@ -1,12 +1,11 @@
-//! The work-stealing job scheduler.
+//! The job scheduler.
 //!
 //! [`run_jobs`] executes a list of independent [`Job`]s on `workers`
-//! OS threads. Scheduling is a shared atomic cursor over the job list:
-//! each worker claims the next unclaimed index, runs it, and stores the
-//! result in that index's slot. Workers that finish early keep claiming
-//! until the cursor passes the end, so a slow job on one thread never
-//! idles the others — the same load-balancing property a work-stealing
-//! deque gives, without needing one for this fan-out-only workload.
+//! OS threads through [`bs_dsp::par::map_indexed`], the workspace's one
+//! parallel runtime: a shared atomic cursor over the job list, so a slow
+//! job on one thread never idles the others, with results returned in
+//! job order. This module only times each job and builds its
+//! [`RunRecord`].
 //!
 //! **Determinism contract.** A job must be a pure function of its
 //! captured configuration and seed: it derives every random number from
@@ -18,9 +17,9 @@
 //! byte-identical for `--jobs 1` and `--jobs 8`. A regression test pins
 //! this (`crates/bench/tests/determinism.rs`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
+
+use bs_dsp::par::map_indexed;
 
 use super::record::{JobOutput, RunRecord};
 
@@ -37,65 +36,62 @@ pub struct Job {
     pub seed: u64,
     /// The work itself. Must be pure given its captures (see the module
     /// docs for the determinism contract).
-    pub work: Box<dyn FnOnce() -> JobOutput + Send>,
+    pub work: Box<dyn Fn() -> JobOutput + Send + Sync>,
 }
 
-/// Runs `jobs` on `workers` threads and returns one [`RunRecord`] per
-/// job, sorted by job index (serial order). `workers` is clamped to
-/// `1..=jobs.len()`.
-pub fn run_jobs(jobs: Vec<Job>, workers: usize) -> Vec<RunRecord> {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
+/// A job panicked; the campaign was abandoned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobPanic {
+    /// Figure id of the job that panicked.
+    pub fig: String,
+    /// Label of the job that panicked.
+    pub label: String,
+    /// The panic message.
+    pub message: String,
+}
+
+impl std::fmt::Display for JobPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} job '{}' panicked: {}",
+            self.fig, self.label, self.message
+        )
     }
-    let workers = workers.clamp(1, n);
+}
 
-    // Each slot holds its pending job going in and its record coming out;
-    // the atomic cursor hands every index to exactly one worker.
-    let slots: Vec<Mutex<Option<Job>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<RunRecord>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
+impl std::error::Error for JobPanic {}
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = slots[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("job claimed twice");
-                let start = Instant::now();
-                let out = (job.work)();
-                let wall_s = start.elapsed().as_secs_f64();
-                *results[i].lock().expect("result slot poisoned") = Some(RunRecord {
-                    fig: job.fig,
-                    section: job.section,
-                    label: job.label,
-                    seed: job.seed,
-                    job_index: i,
-                    wall_s,
-                    work_items: out.work_items,
-                    metrics: out.metrics,
-                    lines: out.lines,
-                    degradation: out.degradation,
-                    obs: out.obs,
-                });
-            });
+/// Runs `jobs` on `workers` threads and returns one [`RunRecord`] per
+/// job, sorted by job index (serial order). `workers <= 1` runs the jobs
+/// inline.
+///
+/// # Errors
+/// [`JobPanic`] naming the first job (in job order) whose work panicked.
+pub fn run_jobs(jobs: Vec<Job>, workers: usize) -> Result<Vec<RunRecord>, JobPanic> {
+    map_indexed(workers, jobs.len(), |i| {
+        let job = &jobs[i];
+        let start = Instant::now();
+        let out = (job.work)();
+        RunRecord {
+            fig: job.fig.clone(),
+            section: job.section,
+            label: job.label.clone(),
+            seed: job.seed,
+            job_index: i,
+            wall_s: start.elapsed().as_secs_f64(),
+            work_items: out.work_items,
+            metrics: out.metrics,
+            lines: out.lines,
+            degradation: out.degradation,
+            obs: out.obs,
         }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker exited without storing a result")
-        })
-        .collect()
+    })
+    .map_err(|p| JobPanic {
+        fig: jobs[p.chunk].fig.clone(),
+        label: jobs[p.chunk].label.clone(),
+        message: p.message,
+    })
 }
 
 #[cfg(test)]
@@ -122,7 +118,7 @@ mod tests {
     #[test]
     fn results_come_back_in_job_order() {
         for workers in [1, 2, 8, 64] {
-            let records = run_jobs(counting_jobs(17), workers);
+            let records = run_jobs(counting_jobs(17), workers).unwrap();
             assert_eq!(records.len(), 17);
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.job_index, i);
@@ -133,8 +129,8 @@ mod tests {
 
     #[test]
     fn values_are_worker_count_invariant() {
-        let serial = run_jobs(counting_jobs(9), 1);
-        let parallel = run_jobs(counting_jobs(9), 4);
+        let serial = run_jobs(counting_jobs(9), 1).unwrap();
+        let parallel = run_jobs(counting_jobs(9), 4).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.lines, b.lines);
             assert_eq!(a.metrics, b.metrics);
@@ -144,6 +140,17 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(run_jobs(Vec::new(), 8).is_empty());
+        assert!(run_jobs(Vec::new(), 8).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_panicking_job_is_named_by_figure_and_label() {
+        for workers in [1, 4] {
+            let mut jobs = counting_jobs(6);
+            jobs[3].work = Box::new(|| panic!("bad point"));
+            let err = run_jobs(jobs, workers).unwrap_err();
+            assert_eq!(err.label, "job 3");
+            assert_eq!(err.to_string(), "test job 'job 3' panicked: bad point");
+        }
     }
 }

@@ -66,8 +66,8 @@ fn parallel_run_is_byte_identical_to_serial() {
     assert_eq!(jobs_a.len(), jobs_b.len());
     assert!(jobs_a.len() > 40, "expected a real fan-out, got {}", jobs_a.len());
 
-    let serial = run_jobs(jobs_a, 1);
-    let parallel = run_jobs(jobs_b, 8);
+    let serial = run_jobs(jobs_a, 1).expect("no job panics");
+    let parallel = run_jobs(jobs_b, 8).expect("no job panics");
 
     // Every computed value matches job-for-job...
     assert_eq!(serial.len(), parallel.len());
@@ -145,8 +145,8 @@ fn json_records_differ_only_in_wall_time() {
     jobs_a.retain(|j| keep(j) && j.fig == "fig17");
     jobs_b.retain(|j| keep(j) && j.fig == "fig17");
 
-    let serial = run_jobs(jobs_a, 1);
-    let parallel = run_jobs(jobs_b, 8);
+    let serial = run_jobs(jobs_a, 1).expect("no job panics");
+    let parallel = run_jobs(jobs_b, 8).expect("no job panics");
     for (s, p) in serial.iter().zip(&parallel) {
         // Zero out the one legitimately non-deterministic field; the
         // serialized records must then match exactly.

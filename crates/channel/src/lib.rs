@@ -25,8 +25,6 @@
 //! * [`noise`] — thermal noise floor and SNR bookkeeping.
 //! * [`scene`] — ties everything together: a [`scene::Scene`] yields
 //!   per-packet [`scene::ChannelSnapshot`]s.
-//! * [`multiscene`] — the N-tag superposition variant backing the
-//!   multi-tag inventory extension.
 //! * [`faults`] — deterministic seeded fault injection (outages, loss,
 //!   sensor degradation, clock drift, interference bursts) layered as
 //!   decorators over the traffic and scene generators.
@@ -42,7 +40,6 @@ pub mod fading;
 pub mod faults;
 pub mod geometry;
 pub mod multipath;
-pub mod multiscene;
 pub mod noise;
 pub mod pathloss;
 pub mod scene;

@@ -280,7 +280,6 @@ pub fn run_codeword_uplink_with(
         packets_used: frames_used,
         pkts_per_bit: frames_used as f64 / cfg.payload.len().max(1) as f64,
         degradation: report,
-        obs: None,
         elapsed_us,
     }
 }

@@ -12,13 +12,6 @@ use crate::error as err;
 use bs_tag::frame::DownlinkFrame;
 use bs_wifi::frame::{FrameKind, StationId, WifiFrame, MAX_NAV_US};
 
-/// Former home of the encode error type.
-#[deprecated(
-    since = "0.2.0",
-    note = "moved to wifi_backscatter::error::EncodeError as part of the unified error hierarchy"
-)]
-pub use crate::error::EncodeError;
-
 /// Downlink encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownlinkEncoderConfig {

@@ -1,9 +1,9 @@
 //! The unified error hierarchy for the crate.
 //!
-//! Earlier releases scattered error enums across modules
-//! (`trace::TraceError`, `session::SessionError`, `downlink::EncodeError`).
-//! They are now defined here, wrapped by one top-level [`Error`] with
-//! `From` impls, so applications can hold a single error type:
+//! Every leaf error enum ([`TraceError`], [`SessionError`],
+//! [`EncodeError`], [`ProtocolError`]) is defined here and only here,
+//! wrapped by one top-level [`Error`] with `From` impls, so applications
+//! can hold a single error type:
 //!
 //! ```
 //! use wifi_backscatter::error::Error;
@@ -13,9 +13,6 @@
 //! }
 //! assert!(load("not a capture").is_err());
 //! ```
-//!
-//! The old module paths still re-export these types, marked
-//! `#[deprecated]`, for one release.
 
 /// Errors from parsing a capture trace (see [`crate::trace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

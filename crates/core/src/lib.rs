@@ -58,10 +58,10 @@
 //! * [`obs`] (re-exported from `bs-dsp`) — the deterministic observability
 //!   layer: per-stage spans in simulated time, counters and gauges behind
 //!   the zero-cost [`obs::Recorder`] trait. Every `run_*` entry point has a
-//!   `*_with` variant taking a recorder and an `*_observed` convenience
-//!   returning the report attached to the run.
-//! * [`error`] — the unified [`Error`] hierarchy; the old per-module error
-//!   names are deprecated re-exports.
+//!   `*_with` variant taking a recorder; pass an [`obs::MemRecorder`] and
+//!   call `into_report()` to get the profile.
+//! * [`error`] — the unified [`Error`] hierarchy, the one home of every
+//!   error type.
 //! * [`report`] — the [`report::RunReport`] trait unifying
 //!   [`UplinkRun`], [`DownlinkRun`] and [`session::QueryOutcome`].
 

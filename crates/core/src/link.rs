@@ -24,7 +24,7 @@ use bs_channel::faults::{FaultEvents, FaultPlan};
 use bs_channel::scene::{Scene, SceneConfig};
 use bs_dsp::bits::BerCounter;
 use bs_dsp::codes::OrthogonalPair;
-use bs_dsp::obs::{NullRecorder, ObsReport, Recorder};
+use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
 use bs_tag::envelope::{EnvelopeConfig, EnvelopeModel};
 use bs_tag::frame::{DownlinkFrame, UplinkFrame};
@@ -356,10 +356,6 @@ pub struct UplinkRun {
     pub pkts_per_bit: f64,
     /// Which faults fired and which mitigations engaged.
     pub degradation: DegradationReport,
-    /// Observability report, populated only by
-    /// [`crate::phy::run_uplink_observed`]; `None` everywhere else so
-    /// existing records stay byte-stable.
-    pub obs: Option<ObsReport>,
     /// Simulated airtime of the (final) exchange (µs) — what goodput
     /// figures divide delivered bits by. For the presence PHY this is
     /// the capture window (conditioning lead + frame span + lead); for
@@ -645,41 +641,8 @@ fn decode_capture(
 /// so an undrifted capture keeps its baseline decode on ties.
 const DRIFT_CANDIDATES: [f64; 7] = [0.0, 0.005, -0.005, 0.01, -0.01, 0.02, -0.02];
 
-/// Runs one end-to-end uplink frame exchange, routed through the PHY
-/// mode configured in `cfg.phy`.
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_uplink — routed through the configured PhyMode"
-)]
-pub fn run_uplink(cfg: &LinkConfig) -> UplinkRun {
-    crate::phy::run_uplink(cfg)
-}
-
-/// [`run_uplink`] with an armed [`MemRecorder`](bs_dsp::obs::MemRecorder): the
-/// returned run carries
-/// `Some(ObsReport)` with the full span/counter/gauge profile of the
-/// exchange. The run itself (bits, BER, degradation) is bit-identical to
-/// [`run_uplink`].
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_uplink_observed — routed through the configured PhyMode"
-)]
-pub fn run_uplink_observed(cfg: &LinkConfig) -> UplinkRun {
-    crate::phy::run_uplink_observed(cfg)
-}
-
-/// [`run_uplink`] plus observability threading.
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_uplink_with — routed through the configured PhyMode"
-)]
-pub fn run_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkRun {
-    crate::phy::run_uplink_with(cfg, rec)
-}
-
 /// The presence/CSI uplink exchange — the body behind
-/// [`crate::phy::PresencePhy`]. This is the pre-trait `run_uplink_with`
-/// code path, moved verbatim: all capture and decode instrumentation,
+/// [`crate::phy::PresencePhy`]: all capture and decode instrumentation,
 /// plus the link-level counters `link.retries` and
 /// `link.mitigations-engaged`, engaging whatever armed mitigations the
 /// observed degradation calls for. Every RNG draw is identical whatever
@@ -787,7 +750,6 @@ pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> 
         packets_used: capture.bundle.packets(),
         pkts_per_bit: capture.pkts_per_chip * cfg.code_length as f64,
         degradation: report,
-        obs: None,
         elapsed_us: 2 * capture.start_us + frame_span_us,
     }
 }
@@ -876,44 +838,6 @@ pub struct DownlinkRun {
     pub bits_sent: usize,
     /// Which faults fired during the run.
     pub degradation: DegradationReport,
-    /// Observability report, populated only by
-    /// [`run_downlink_ber_observed`]; `None` everywhere else.
-    pub obs: Option<ObsReport>,
-}
-
-/// Measures raw downlink BER over `n_bits` random bits at the configured
-/// distance/rate (the Fig. 17 experiment).
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_downlink_ber — routed through the configured PhyMode"
-)]
-pub fn run_downlink_ber(cfg: &DownlinkConfig, n_bits: usize) -> DownlinkRun {
-    crate::phy::run_downlink_ber(cfg, n_bits)
-}
-
-/// [`run_downlink_ber`] with an armed [`MemRecorder`](bs_dsp::obs::MemRecorder):
-/// the returned run
-/// carries `Some(ObsReport)`. The BER itself is bit-identical to
-/// [`run_downlink_ber`].
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_downlink_ber_observed — routed through the configured PhyMode"
-)]
-pub fn run_downlink_ber_observed(cfg: &DownlinkConfig, n_bits: usize) -> DownlinkRun {
-    crate::phy::run_downlink_ber_observed(cfg, n_bits)
-}
-
-/// [`run_downlink_ber`] plus observability threading.
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_downlink_ber_with — routed through the configured PhyMode"
-)]
-pub fn run_downlink_ber_with(
-    cfg: &DownlinkConfig,
-    n_bits: usize,
-    rec: &mut dyn Recorder,
-) -> DownlinkRun {
-    crate::phy::run_downlink_ber_with(cfg, n_bits, rec)
 }
 
 /// The presence/envelope raw-BER downlink — the body behind
@@ -980,45 +904,7 @@ pub(crate) fn presence_downlink_ber_with(
         ber,
         bits_sent: bits.len(),
         degradation: report,
-        obs: None,
     }
-}
-
-/// Sends one framed downlink message end-to-end and reports whether the
-/// tag's full pipeline (preamble match + mid-bit slicing + CRC) recovered
-/// it.
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_downlink_frame — routed through the configured PhyMode"
-)]
-pub fn run_downlink_frame(cfg: &DownlinkConfig, frame: &DownlinkFrame) -> Option<DownlinkFrame> {
-    crate::phy::run_downlink_frame(cfg, frame)
-}
-
-/// [`run_downlink_frame`] plus a [`DegradationReport`] naming the faults
-/// that hit the exchange.
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_downlink_frame_with_report — routed through the configured PhyMode"
-)]
-pub fn run_downlink_frame_with_report(
-    cfg: &DownlinkConfig,
-    frame: &DownlinkFrame,
-) -> (Option<DownlinkFrame>, DegradationReport) {
-    crate::phy::run_downlink_frame_with_report(cfg, frame)
-}
-
-/// [`run_downlink_frame_with_report`] plus observability threading.
-#[deprecated(
-    since = "0.8.0",
-    note = "use wifi_backscatter::phy::run_downlink_frame_with — routed through the configured PhyMode"
-)]
-pub fn run_downlink_frame_with(
-    cfg: &DownlinkConfig,
-    frame: &DownlinkFrame,
-    rec: &mut dyn Recorder,
-) -> (Option<DownlinkFrame>, DegradationReport) {
-    crate::phy::run_downlink_frame_with(cfg, frame, rec)
 }
 
 /// The presence/envelope framed-downlink exchange — the body behind

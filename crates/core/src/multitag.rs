@@ -20,10 +20,13 @@
 //! 4. Between rounds the reader nudges Q up when collisions dominate and
 //!    down when idles dominate (the EPC Q-algorithm).
 //!
-//! The slot outcomes here are protocol-level: the physical justification
-//! (superposed two-tag modulation breaking the single-tag decoder) is
-//! exercised by the channel-level tests in `tests/protocol_integration.rs`
-//! and the uplink decoder's preamble threshold.
+//! The slot outcomes here are protocol-level: who collides is decided by
+//! hashing each tag's address with the round seed, not by superposing
+//! the tags' channels, because inventory only needs to know whether a
+//! slot held zero, one or several replies — a channel-level model would
+//! cost a full capture per slot and change no outcome the protocol acts
+//! on. The capture effect stands in for the one physical nuance (a much
+//! stronger tag surviving a collision).
 
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;

@@ -25,9 +25,8 @@
 //!
 //! Callers pick a mode with [`LinkConfig::with_phy`] (and the session /
 //! gateway equivalents); the [`run_uplink`] / `run_downlink_*` functions
-//! here route through the configured mode and are what the prelude now
-//! re-exports. The old direct functions in [`crate::link`] still exist
-//! as `#[deprecated]` forwards.
+//! here route through the configured mode and are what the prelude
+//! re-exports.
 //!
 //! ## Why capabilities gate rate adaptation
 //!
@@ -49,7 +48,7 @@ use crate::link::{
     DegradationReport, DownlinkConfig, DownlinkRun, LinkConfig, UplinkRun,
 };
 use crate::protocol::{select_bit_rate, SUPPORTED_RATES_BPS};
-use bs_dsp::obs::{MemRecorder, NullRecorder, Recorder};
+use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_tag::frame::{DownlinkFrame, UplinkFrame};
 use bs_wifi::rate_adapt::cadence_collapsed;
 
@@ -275,19 +274,12 @@ impl PhyConfig {
         }
     }
 
-    /// The configured mode's capabilities (without boxing).
+    /// The configured mode's capabilities (without boxing); its `name`
+    /// is the mode's stable identifier.
     pub fn capabilities(&self) -> PhyCapabilities {
         match self {
             PhyConfig::Presence => PhyCapabilities::presence(),
             PhyConfig::Codeword(p) => PhyCapabilities::codeword(p),
-        }
-    }
-
-    /// The configured mode's stable identifier.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PhyConfig::Presence => "presence",
-            PhyConfig::Codeword(_) => "codeword",
         }
     }
 }
@@ -349,11 +341,6 @@ impl CodewordPhy {
     pub fn new(params: CodewordParams) -> Self {
         CodewordPhy { params }
     }
-
-    /// The configured shape.
-    pub fn params(&self) -> &CodewordParams {
-        &self.params
-    }
 }
 
 impl PhyUplink for CodewordPhy {
@@ -393,23 +380,14 @@ impl PhyMode for CodewordPhy {
 }
 
 /// Runs one uplink frame exchange through the PHY mode configured in
-/// `cfg.phy`. This is the routed successor of
-/// [`crate::link::run_uplink`].
+/// `cfg.phy`.
 pub fn run_uplink(cfg: &LinkConfig) -> UplinkRun {
     run_uplink_with(cfg, &mut NullRecorder)
 }
 
-/// [`run_uplink`] with an armed [`MemRecorder`]: the returned run
-/// carries `Some(ObsReport)`. The run itself is bit-identical to
-/// [`run_uplink`].
-pub fn run_uplink_observed(cfg: &LinkConfig) -> UplinkRun {
-    let mut rec = MemRecorder::new();
-    let mut run = run_uplink_with(cfg, &mut rec);
-    run.obs = Some(rec.into_report());
-    run
-}
-
-/// [`run_uplink`] with observability threaded through `rec`.
+/// [`run_uplink`] with observability threaded through `rec`; pass a
+/// [`MemRecorder`](bs_dsp::obs::MemRecorder) and call `into_report()` to
+/// profile the exchange. The run is bit-identical whatever the recorder.
 pub fn run_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkRun {
     cfg.phy.mode().uplink_with(cfg, rec)
 }
@@ -418,14 +396,6 @@ pub fn run_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkRun {
 /// `cfg.phy` (both shipped modes share the envelope downlink).
 pub fn run_downlink_ber(cfg: &DownlinkConfig, n_bits: usize) -> DownlinkRun {
     run_downlink_ber_with(cfg, n_bits, &mut NullRecorder)
-}
-
-/// [`run_downlink_ber`] with an armed [`MemRecorder`].
-pub fn run_downlink_ber_observed(cfg: &DownlinkConfig, n_bits: usize) -> DownlinkRun {
-    let mut rec = MemRecorder::new();
-    let mut run = run_downlink_ber_with(cfg, n_bits, &mut rec);
-    run.obs = Some(rec.into_report());
-    run
 }
 
 /// [`run_downlink_ber`] with observability threaded through `rec`.
@@ -439,19 +409,12 @@ pub fn run_downlink_ber_with(
 
 /// Sends one framed downlink message through the configured PHY mode.
 pub fn run_downlink_frame(cfg: &DownlinkConfig, frame: &DownlinkFrame) -> Option<DownlinkFrame> {
-    run_downlink_frame_with_report(cfg, frame).0
+    run_downlink_frame_with(cfg, frame, &mut NullRecorder).0
 }
 
-/// [`run_downlink_frame`] plus the [`DegradationReport`].
-pub fn run_downlink_frame_with_report(
-    cfg: &DownlinkConfig,
-    frame: &DownlinkFrame,
-) -> (Option<DownlinkFrame>, DegradationReport) {
-    run_downlink_frame_with(cfg, frame, &mut NullRecorder)
-}
-
-/// [`run_downlink_frame_with_report`] with observability threaded
-/// through `rec`.
+/// [`run_downlink_frame`] with observability threaded through `rec`,
+/// plus the [`DegradationReport`] naming the faults that hit the
+/// exchange.
 pub fn run_downlink_frame_with(
     cfg: &DownlinkConfig,
     frame: &DownlinkFrame,

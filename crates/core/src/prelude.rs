@@ -5,11 +5,11 @@
 //! ```
 //!
 //! Everything an application or experiment normally touches is here: the
-//! end-to-end `run_*` entry points and their `*_observed` variants, the
-//! builder-style configs, the session [`Reader`], the unified [`Error`],
-//! the [`RunReport`] trait and the observability types. Lower-level
-//! mechanisms (modulators, channel scenes, MAC internals) stay behind
-//! their module paths on purpose.
+//! end-to-end `run_*` entry points and their recorder-threading `*_with`
+//! variants, the builder-style configs, the session [`Reader`], the
+//! unified [`Error`], the [`RunReport`] trait and the observability
+//! types. Lower-level mechanisms (modulators, channel scenes, MAC
+//! internals) stay behind their module paths on purpose.
 //!
 //! The re-export list is pinned by [`PRELUDE_MANIFEST`] and guarded by the
 //! `api_snapshot` test: adding or removing a name here is an API change
@@ -27,10 +27,9 @@ pub use crate::multitag::{
     run_inventory, run_inventory_with, InventoryConfig, InventoryResult, InventoryTag,
 };
 pub use crate::phy::{
-    run_downlink_ber, run_downlink_ber_observed, run_downlink_ber_with, run_downlink_frame,
-    run_downlink_frame_with, run_downlink_frame_with_report, run_uplink, run_uplink_observed,
-    run_uplink_with, CodewordPhy, PhyCapabilities, PhyConfig, PhyDownlink, PhyMode, PhyUplink,
-    PresencePhy,
+    run_downlink_ber, run_downlink_ber_with, run_downlink_frame, run_downlink_frame_with,
+    run_uplink, run_uplink_with, CodewordPhy, PhyCapabilities, PhyConfig, PhyDownlink, PhyMode,
+    PhyUplink, PresencePhy,
 };
 pub use crate::protocol::{
     select_bit_rate, Ack, Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS,
@@ -119,15 +118,12 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "capture_uplink",
     "capture_uplink_with",
     "run_downlink_ber",
-    "run_downlink_ber_observed",
     "run_downlink_ber_with",
     "run_downlink_frame",
     "run_downlink_frame_with",
-    "run_downlink_frame_with_report",
     "run_inventory",
     "run_inventory_with",
     "run_uplink",
-    "run_uplink_observed",
     "run_uplink_with",
     "select_bit_rate",
 ];

@@ -3,12 +3,12 @@
 //! [`UplinkRun`], [`DownlinkRun`] and [`QueryOutcome`] grew independently
 //! and expose their accounting in three shapes. [`RunReport`] is the
 //! common denominator the bench harness and downstream tooling read: how
-//! many bits, how many errors, what degraded, and the observability
-//! report if one was attached.
+//! many bits, how many errors, and what degraded. A stage profile is not
+//! part of the result: pass a [`MemRecorder`](bs_dsp::obs::MemRecorder)
+//! to the run's `_with` entry point and keep its `into_report()`.
 
 use crate::link::{DegradationReport, DownlinkRun, UplinkRun};
 use crate::session::QueryOutcome;
-use bs_dsp::obs::ObsReport;
 
 /// Common read-only view of a completed run.
 pub trait RunReport {
@@ -20,10 +20,6 @@ pub trait RunReport {
 
     /// Faults fired and mitigations engaged during the run.
     fn degradation(&self) -> &DegradationReport;
-
-    /// The observability report, if the run was produced by an
-    /// `*_observed` entry point.
-    fn obs(&self) -> Option<&ObsReport>;
 
     /// Bit error rate; 0 when no bits were accounted.
     fn ber(&self) -> f64 {
@@ -53,10 +49,6 @@ impl RunReport for UplinkRun {
     fn degradation(&self) -> &DegradationReport {
         &self.degradation
     }
-
-    fn obs(&self) -> Option<&ObsReport> {
-        self.obs.as_ref()
-    }
 }
 
 impl RunReport for DownlinkRun {
@@ -70,10 +62,6 @@ impl RunReport for DownlinkRun {
 
     fn degradation(&self) -> &DegradationReport {
         &self.degradation
-    }
-
-    fn obs(&self) -> Option<&ObsReport> {
-        self.obs.as_ref()
     }
 }
 
@@ -92,10 +80,6 @@ impl RunReport for QueryOutcome {
     fn degradation(&self) -> &DegradationReport {
         &self.degradation
     }
-
-    fn obs(&self) -> Option<&ObsReport> {
-        self.obs.as_ref()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +96,6 @@ mod tests {
         let r: &dyn RunReport = &run;
         assert_eq!(r.bits(), 20);
         assert_eq!(r.bit_errors(), run.ber.errors());
-        assert!(r.obs().is_none());
         assert_eq!(r.ber(), run.ber.raw_ber());
     }
 
@@ -136,9 +119,6 @@ mod tests {
             }
             fn degradation(&self) -> &DegradationReport {
                 &self.0
-            }
-            fn obs(&self) -> Option<&ObsReport> {
-                None
             }
         }
         let e = Empty(DegradationReport::default());

@@ -27,16 +27,9 @@ use crate::phy::{run_downlink_frame_with, run_uplink_with, PhyConfig};
 use crate::protocol::{Ack, Query, RetryPolicy};
 use crate::uplink::{UplinkDecoder, UplinkDecoderConfig, UplinkStream};
 use bs_channel::faults::FaultPlan;
-use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport, Recorder};
+use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
 use bs_tag::energy::{Capacitor, EnergyConfig, LISTEN_LOAD_UW, RESPOND_LOAD_UW};
-
-/// Former home of the session error type.
-#[deprecated(
-    since = "0.2.0",
-    note = "moved to wifi_backscatter::error::SessionError as part of the unified error hierarchy"
-)]
-pub use crate::error::SessionError;
 
 /// Session configuration.
 #[derive(Debug, Clone)]
@@ -171,9 +164,6 @@ pub struct QueryOutcome {
     /// Estimated time the session spent (airtime + backoff, µs) — what
     /// the [`RetryPolicy`] budget is charged against.
     pub waited_us: u64,
-    /// Observability report, populated only by [`Reader::query_observed`];
-    /// `None` everywhere else.
-    pub obs: Option<ObsReport>,
 }
 
 /// A reader session.
@@ -247,25 +237,11 @@ impl Reader {
         self.query_with(tag_address, tag_payload, &mut NullRecorder)
     }
 
-    /// [`Self::query`] with an armed [`MemRecorder`]: a successful outcome
-    /// carries `Some(ObsReport)` profiling every attempt of the exchange.
-    /// The session's decisions and RNG draws are bit-identical to
-    /// [`Self::query`].
-    pub fn query_observed(
-        &mut self,
-        tag_address: u8,
-        tag_payload: &[bool],
-    ) -> Result<QueryOutcome, err::SessionError> {
-        let mut rec = MemRecorder::new();
-        let mut out = self.query_with(tag_address, tag_payload, &mut rec)?;
-        out.obs = Some(rec.into_report());
-        Ok(out)
-    }
-
     /// [`Self::query`] plus observability threading through every downlink
     /// and uplink attempt, with session-level counters
     /// `session.query-attempts`, `session.response-attempts` and
-    /// `session.fallback-engaged`.
+    /// `session.fallback-engaged`. The session's decisions and RNG draws
+    /// are bit-identical whatever the recorder.
     pub fn query_with(
         &mut self,
         tag_address: u8,
@@ -334,7 +310,7 @@ impl Reader {
                 distance_m: self.cfg.tag_distance_m,
                 bit_rate_bps: self.cfg.downlink_bps,
                 tx_dbm: bs_channel::calib::READER_TX_DBM,
-                seed: self.rng.next_u64_seed(),
+                seed: self.rng.next_u64(),
                 faults: self.cfg.faults.clone(),
                 phy: self.cfg.phy.clone(),
             };
@@ -402,7 +378,6 @@ impl Reader {
                     used_fallback: false,
                     degradation: report,
                     waited_us,
-                    obs: None,
                 });
             }
             best_errors = best_errors.min(run.ber.errors());
@@ -441,7 +416,6 @@ impl Reader {
                     used_fallback: true,
                     degradation: report,
                     waited_us,
-                    obs: None,
                 });
             }
             best_errors = best_errors.min(run.ber.errors());
@@ -509,7 +483,7 @@ impl Reader {
             self.cfg.tag_distance_m,
             bit_rate,
             self.cfg.pkts_per_bit,
-            self.rng.next_u64_seed(),
+            self.rng.next_u64(),
         );
         cfg.helper_pps = self.cfg.helper_pps;
         cfg.measurement = self.cfg.measurement;
@@ -528,23 +502,12 @@ impl Reader {
             distance_m: self.cfg.tag_distance_m,
             bit_rate_bps: self.cfg.downlink_bps,
             tx_dbm: bs_channel::calib::READER_TX_DBM,
-            seed: self.rng.next_u64_seed(),
+            seed: self.rng.next_u64(),
             faults: self.cfg.faults.clone(),
             phy: self.cfg.phy.clone(),
         };
         let (_, report) = run_downlink_frame_with(&dl, &Ack { tag_address }.to_frame(), rec);
         report
-    }
-}
-
-/// Small extension so the session can mint per-attempt seeds.
-trait NextSeed {
-    fn next_u64_seed(&mut self) -> u64;
-}
-
-impl NextSeed for SimRng {
-    fn next_u64_seed(&mut self) -> u64 {
-        self.next_u64()
     }
 }
 
@@ -566,7 +529,6 @@ mod tests {
         assert_eq!(out.query_attempts, 1);
         assert!(!out.used_fallback);
         assert!(out.bit_rate_bps >= 100);
-        assert!(out.obs.is_none(), "plain query must not attach obs");
     }
 
     #[test]
@@ -659,16 +621,22 @@ mod tests {
 
     #[test]
     fn observed_query_matches_plain_and_profiles() {
+        use bs_dsp::obs::{MemRecorder, NullRecorder};
         let p = payload(24);
         let mut plain = Reader::new(ReaderConfig::default(), 1);
         let mut observed = Reader::new(ReaderConfig::default(), 1);
-        let a = plain.query(0x07, &p).expect("plain query failed");
-        let b = observed.query_observed(0x07, &p).expect("observed query failed");
+        let a = plain
+            .query_with(0x07, &p, &mut NullRecorder)
+            .expect("plain query failed");
+        let mut rec = MemRecorder::new();
+        let b = observed
+            .query_with(0x07, &p, &mut rec)
+            .expect("observed query failed");
         assert_eq!(a.payload, b.payload);
         assert_eq!(a.query_attempts, b.query_attempts);
         assert_eq!(a.waited_us, b.waited_us);
         assert_eq!(a.degradation, b.degradation);
-        let obs = b.obs.expect("observed query must attach obs");
+        let obs = rec.into_report();
         assert!(obs.counter("session.query-attempts") >= 1);
         assert!(obs.counter("session.response-attempts") >= 1);
         assert!(!obs.spans.is_empty(), "expected stage spans");

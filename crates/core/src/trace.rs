@@ -39,13 +39,6 @@ use crate::series::SeriesBundle;
 use bs_dsp::obs::{ObsReport, Span};
 use std::fmt::Write as _;
 
-/// Deprecated location of the trace error type.
-#[deprecated(
-    since = "0.2.0",
-    note = "moved to `wifi_backscatter::error::TraceError` as part of the unified error hierarchy"
-)]
-pub use crate::error::TraceError;
-
 /// The header magic of the v1 capture format.
 pub const MAGIC: &str = "# wifi-backscatter capture v1";
 

@@ -15,7 +15,6 @@
 //! * [`correlate`] — sliding correlation against known ±1 preambles and
 //!   codes; used for sub-channel selection (§3.2 step 2) and for the
 //!   long-range correlation decoder (§3.4).
-//! * [`fft`] — a radix-2 FFT backing `bs-wifi`'s OFDM waveform synthesis.
 //! * [`codes`] — Barker preambles (§6) and the orthogonal code pairs used by
 //!   the long-range uplink (§3.4).
 //! * [`slicer`] — hysteresis thresholding (µ ± σ/2, §3.2 step 3) and
@@ -34,6 +33,8 @@
 //!   [`obs::Recorder`] trait.
 //! * [`testkit`] — a deterministic property-testing driver used by every
 //!   crate's invariant tests (no external `proptest` dependency).
+//! * [`par`] — the workspace's one parallel runtime: an index-ordered
+//!   parallel map over scoped threads that contains worker panics.
 //!
 //! Everything here is plain, allocation-conscious synchronous Rust: the
 //! whole reproduction is a deterministic discrete-event simulation, so there
@@ -46,9 +47,9 @@ pub mod bits;
 pub mod codes;
 pub mod complex;
 pub mod correlate;
-pub mod fft;
 pub mod filter;
 pub mod obs;
+pub mod par;
 pub mod rng;
 pub mod slicer;
 pub mod slotstats;

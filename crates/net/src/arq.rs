@@ -24,7 +24,7 @@
 use crate::fec::{FecConfig, GroupCoder};
 use crate::linkmodel::{SegmentFate, SegmentLink};
 use crate::seg::{segment_message, Accept, Reassembler, Segment};
-use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport, Recorder};
+use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
 use wifi_backscatter::link::DegradationReport;
 use wifi_backscatter::protocol::{Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS};
@@ -172,9 +172,6 @@ pub struct Transfer {
     pub airtime_us: u64,
     /// Faults fired and mitigations engaged, link-reported.
     pub degradation: DegradationReport,
-    /// Observability report, populated only by the `*_observed` entry
-    /// point.
-    pub obs: Option<ObsReport>,
 }
 
 impl Transfer {
@@ -199,10 +196,6 @@ impl RunReport for Transfer {
 
     fn degradation(&self) -> &DegradationReport {
         &self.degradation
-    }
-
-    fn obs(&self) -> Option<&ObsReport> {
-        self.obs.as_ref()
     }
 }
 
@@ -528,14 +521,13 @@ impl TransportSession {
             fec_decode_fails: self.fec_decode_fails,
             airtime_us: link.now_us() - started,
             degradation,
-            obs: None,
         }
     }
 }
 
 /// Transfers `message` over `link`, running rounds until completion, the
-/// round cap, or the retry budget. Observe-enabled twin of
-/// [`run_transfer`].
+/// round cap, or the retry budget, with observability threaded through
+/// `rec`. The transfer is bit-identical whatever the recorder.
 pub fn run_transfer_with(
     message: &[u8],
     cfg: TransportConfig,
@@ -554,23 +546,12 @@ pub fn run_transfer(message: &[u8], cfg: TransportConfig, link: &mut dyn Segment
     run_transfer_with(message, cfg, link, &mut NullRecorder)
 }
 
-/// Like [`run_transfer`] but attaches the [`ObsReport`] to the result.
-pub fn run_transfer_observed(
-    message: &[u8],
-    cfg: TransportConfig,
-    link: &mut dyn SegmentLink,
-) -> Transfer {
-    let mut rec = MemRecorder::new();
-    let mut t = run_transfer_with(message, cfg, link, &mut rec);
-    t.obs = Some(rec.into_report());
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linkmodel::SimLink;
     use bs_channel::faults::FaultPlan;
+    use bs_dsp::obs::MemRecorder;
 
     fn msg(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 131 + 17) as u8).collect()
@@ -650,8 +631,9 @@ mod tests {
     fn observed_variant_records_spans_and_counters() {
         let plan = FaultPlan::preset("loss", 1.0, 5).unwrap();
         let mut link = SimLink::new(plan, 3);
-        let t = run_transfer_observed(&msg(128), TransportConfig::default(), &mut link);
-        let obs = t.obs.as_ref().expect("observed run must attach a report");
+        let mut rec = MemRecorder::new();
+        let t = run_transfer_with(&msg(128), TransportConfig::default(), &mut link, &mut rec);
+        let obs = rec.into_report();
         assert!(obs.spans_for("net.segment").count() == 1);
         assert!(obs.spans_for("net.window").count() >= 1);
         assert_eq!(obs.counter("net.polls"), t.polls_sent);
@@ -742,8 +724,9 @@ mod tests {
         let plan = FaultPlan::preset("loss", 1.0, 17).unwrap();
         let cfg = TransportConfig::default().with_fec(crate::fec::FecConfig::fixed(4, 2));
         let mut link = SimLink::new(plan, 3);
-        let t = run_transfer_observed(&msg(800), cfg, &mut link);
-        let obs = t.obs.as_ref().unwrap();
+        let mut rec = MemRecorder::new();
+        let t = run_transfer_with(&msg(800), cfg, &mut link, &mut rec);
+        let obs = rec.into_report();
         assert_eq!(obs.counter("net.fec.repair"), t.fec_repairs);
         assert_eq!(obs.counter("net.fec.decode_fail"), t.fec_decode_fails);
         assert!(t.fec_repairs > 0);

@@ -24,13 +24,14 @@
 //! # Sharding and determinism
 //!
 //! The flat per-entity control blocks (tag positions, associations,
-//! per-gateway rosters) are partitioned into contiguous **shards**.
-//! Workers claim shards through a single atomic cursor and report
-//! results over an `mpsc` channel tagged with the shard index — there
-//! are no mutexes or rwlocks anywhere on the hot path. Every random
-//! draw descends from a stream keyed by the *entity's* coordinates
-//! (tag id, gateway id, epoch), never by the worker or shard that
-//! happened to compute it, and every cross-shard merge is applied in
+//! per-gateway rosters) are partitioned into contiguous **shards**,
+//! spread over workers by [`bs_dsp::par::map_indexed`]: one atomic
+//! cursor, results back in shard order, no mutexes or rwlocks on the hot
+//! path, and a panicking shard surfaces as
+//! [`FleetError::ShardPanicked`] rather than tearing down the caller.
+//! Every random draw descends from a stream keyed by the *entity's*
+//! coordinates (tag id, gateway id, epoch), never by the worker or shard
+//! that happened to compute it, and every cross-shard merge is applied in
 //! global id order. Consequently a fleet run is a pure function of
 //! the [`FleetConfig`] alone: byte-identical for any `jobs` count, and
 //! per-tag outcomes are invariant under the shard-count choice (the
@@ -50,12 +51,11 @@ use crate::gateway::{
     jain_index, run_gateway, GatewayConfig, GatewayError, TagEnergyOutcome, TagProfile,
 };
 use bs_channel::geometry::coverage_overlap;
+use bs_dsp::par::{map_indexed, ChunkPanic};
 use bs_dsp::stats::percentile_many;
 use bs_dsp::SimRng;
 use bs_tag::energy::{Capacitor, CapacitorConfig, EnergyConfig, EnergyPolicy, LISTEN_LOAD_UW};
 use bs_tag::harvester::{harvested_uw, wifi_incident_dbm};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Hard per-gateway roster cap: the link-layer address is a `u8` and a
 /// handful of values are reserved, so one reader can serve at most this
@@ -80,6 +80,12 @@ pub enum FleetError {
     /// A per-gateway run was rejected (mirrors the single-gateway
     /// contract; unreachable when the fleet assigns addresses itself).
     Gateway(GatewayError),
+    /// A worker panicked while processing this shard; the run was
+    /// abandoned (the panic message went to the panic hook).
+    ShardPanicked {
+        /// Index of the lowest shard that panicked.
+        shard: usize,
+    },
 }
 
 impl std::fmt::Display for FleetError {
@@ -92,6 +98,7 @@ impl std::fmt::Display for FleetError {
                 "{requested} tags per gateway exceeds the {MAX_TAGS_PER_GATEWAY}-address link-layer space"
             ),
             FleetError::Gateway(e) => write!(f, "gateway run rejected: {e}"),
+            FleetError::ShardPanicked { shard } => write!(f, "fleet shard {shard} panicked"),
         }
     }
 }
@@ -101,6 +108,12 @@ impl std::error::Error for FleetError {}
 impl From<GatewayError> for FleetError {
     fn from(e: GatewayError) -> Self {
         FleetError::Gateway(e)
+    }
+}
+
+impl From<ChunkPanic> for FleetError {
+    fn from(p: ChunkPanic) -> Self {
+        FleetError::ShardPanicked { shard: p.chunk }
     }
 }
 
@@ -476,49 +489,8 @@ fn digest_records(records: &[TagRecord]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Sharded runner
+// Sharding
 // ---------------------------------------------------------------------
-
-/// Runs `chunk(i)` for every `i in 0..n`, spreading chunks over `jobs`
-/// workers claimed through one atomic cursor, and returns the results
-/// in chunk order. The per-chunk function sees only the chunk index, so
-/// the partitioning cannot leak into the results; the channel is the
-/// only cross-thread data path.
-fn run_sharded<T, F>(jobs: usize, n: usize, chunk: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(chunk).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let chunk = &chunk;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The receiver outlives the scope; a send can only fail
-                // if the main thread panicked, which propagates anyway.
-                let _ = tx.send((i, chunk(i)));
-            });
-        }
-        drop(tx);
-    });
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in rx {
-        out[i] = Some(v);
-    }
-    out.into_iter()
-        .map(|o| o.expect("every chunk reports exactly once"))
-        .collect()
-}
 
 /// Splits `0..n` into `shards` contiguous ranges (first remainder
 /// shards are one longer).
@@ -675,7 +647,7 @@ struct TagBlock {
     recoveries: u32,
 }
 
-/// One gateway's serviced epoch, reported back over the channel
+/// One gateway's serviced epoch, reported back by its shard's worker
 /// (gateway identity is implicit: shard results return in gateway-id
 /// order).
 struct GwEpochResult {
@@ -708,7 +680,8 @@ fn tag_message(tag: u32, epoch: u32, bytes: usize) -> Vec<u8> {
 ///
 /// # Errors
 /// [`FleetError`] on an impossible population (zero gateways/tags, or a
-/// nominal roster beyond the link-layer address space).
+/// nominal roster beyond the link-layer address space), or
+/// [`FleetError::ShardPanicked`] if a shard's work panicked.
 pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError> {
     if cfg.gateways == 0 {
         return Err(FleetError::NoGateways);
@@ -810,7 +783,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         if epoch > 0 {
             let epoch_stream = move_stream.substream(epoch as u64);
             let proposals: Vec<Vec<(usize, f64, f64, u32)>> =
-                run_sharded(jobs, tag_shards.len(), |s| {
+                map_indexed(jobs, tag_shards.len(), |s| {
                     let mut out = Vec::new();
                     for t in tag_shards[s].clone() {
                         let b = &blocks[t];
@@ -826,7 +799,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
                         }
                     }
                     out
-                });
+                })?;
             // Merge in shard order = global tag-id order; apply the
             // address-space cap deterministically.
             for shard in proposals {
@@ -880,7 +853,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         // cursor, each gateway running a full single-reader pass.
         let epoch_runs = run_stream.substream(epoch as u64);
         let shard_results: Vec<Result<Vec<GwEpochResult>, GatewayError>> =
-            run_sharded(jobs, gw_shards.len(), |s| {
+            map_indexed(jobs, gw_shards.len(), |s| {
                 let mut out = Vec::with_capacity(gw_shards[s].len());
                 for g in gw_shards[s].clone() {
                     let roster = &rosters[g];
@@ -960,7 +933,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
                     });
                 }
                 Ok(out)
-            });
+            })?;
 
         // Apply in shard order (= gateway-id order).
         let mut epoch_wall_us = 0u64;

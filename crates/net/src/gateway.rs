@@ -31,7 +31,7 @@
 use crate::arq::{nearest_supported_rate, Transfer, TransportConfig, TransportSession};
 use crate::linkmodel::{SegmentLink, SimLink};
 use bs_channel::faults::FaultPlan;
-use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport, Recorder};
+use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
 use bs_tag::energy::{Capacitor, EnergyConfig, LISTEN_LOAD_UW, RESPOND_LOAD_UW};
 use wifi_backscatter::link::DegradationReport;
@@ -292,9 +292,6 @@ pub struct GatewayRun {
     pub missed_polls: u64,
     /// Merged degradation accounting across every tag's link.
     pub degradation: DegradationReport,
-    /// Observability report, populated only by
-    /// [`run_gateway_observed`].
-    pub obs: Option<ObsReport>,
 }
 
 impl GatewayRun {
@@ -324,10 +321,6 @@ impl RunReport for GatewayRun {
 
     fn degradation(&self) -> &DegradationReport {
         &self.degradation
-    }
-
-    fn obs(&self) -> Option<&ObsReport> {
-        self.obs.as_ref()
     }
 }
 
@@ -630,7 +623,6 @@ pub fn run_gateway_with(
         missed_polls,
         inventory,
         degradation,
-        obs: None,
     })
 }
 
@@ -642,23 +634,20 @@ pub fn run_gateway(tags: &[TagProfile], cfg: &GatewayConfig) -> Result<GatewayRu
     run_gateway_with(tags, cfg, &mut NullRecorder)
 }
 
-/// Like [`run_gateway`] but attaches the [`ObsReport`] to the result.
-///
-/// # Errors
-/// [`GatewayError::DuplicateAddress`] if two profiles share an address.
-pub fn run_gateway_observed(
-    tags: &[TagProfile],
-    cfg: &GatewayConfig,
-) -> Result<GatewayRun, GatewayError> {
-    let mut rec = MemRecorder::new();
-    let mut run = run_gateway_with(tags, cfg, &mut rec)?;
-    run.obs = Some(rec.into_report());
-    Ok(run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bs_dsp::obs::{MemRecorder, ObsReport};
+
+    /// [`run_gateway_with`] under an armed recorder, returning its report.
+    fn observed(
+        tags: &[TagProfile],
+        cfg: &GatewayConfig,
+    ) -> Result<(GatewayRun, ObsReport), GatewayError> {
+        let mut rec = MemRecorder::new();
+        let run = run_gateway_with(tags, cfg, &mut rec)?;
+        Ok((run, rec.into_report()))
+    }
 
     fn fleet(n: usize, bytes: usize) -> Vec<TagProfile> {
         (0..n)
@@ -722,8 +711,7 @@ mod tests {
             seed: 11,
             ..GatewayConfig::default()
         };
-        let run = run_gateway_observed(&tags, &cfg).unwrap();
-        let obs = run.obs.as_ref().unwrap();
+        let (run, obs) = observed(&tags, &cfg).unwrap();
         assert!(
             obs.counter("net.rate-readapts") > 0,
             "collapsed cadence should trigger re-adaptation"
@@ -733,8 +721,7 @@ mod tests {
 
     #[test]
     fn scheduler_spans_and_counters_recorded() {
-        let run = run_gateway_observed(&fleet(3, 96), &GatewayConfig::default()).unwrap();
-        let obs = run.obs.as_ref().unwrap();
+        let (_, obs) = observed(&fleet(3, 96), &GatewayConfig::default()).unwrap();
         assert!(obs.spans_for("net.sched").count() >= 1);
         assert!(obs.counter("net.sched-cycles") >= 1);
         assert!(obs.counter("net.sched-serves") >= 3);
@@ -749,7 +736,7 @@ mod tests {
             .with_seed(3)
             .with_fec(crate::fec::FecConfig::fixed(8, 2));
         let tags = fleet(3, 160);
-        let run = run_gateway_observed(&tags, &cfg).unwrap();
+        let (run, obs) = observed(&tags, &cfg).unwrap();
         assert!(run.all_complete, "FEC gateway must deliver under loss");
         for t in &run.tags {
             let p = tags.iter().find(|p| p.address == t.address).unwrap();
@@ -758,7 +745,7 @@ mod tests {
         let repairs: u64 = run.tags.iter().map(|t| t.transfer.fec_repairs).sum();
         assert!(repairs > 0, "30% loss across 3 tags should repair something");
         assert_eq!(
-            run.obs.as_ref().unwrap().counter("net.fec.repair"),
+            obs.counter("net.fec.repair"),
             repairs,
             "per-tag counters and the shared recorder must agree"
         );
@@ -816,8 +803,8 @@ mod tests {
         let err = run_gateway(&tags, &GatewayConfig::default()).unwrap_err();
         assert_eq!(err, GatewayError::DuplicateAddress { address: 1 });
         assert!(err.to_string().contains("duplicate tag address 1"));
-        // The observed twin takes the same gate.
-        assert!(run_gateway_observed(&tags, &GatewayConfig::default()).is_err());
+        // An armed recorder takes the same gate.
+        assert!(observed(&tags, &GatewayConfig::default()).is_err());
     }
 
     #[test]
@@ -884,7 +871,7 @@ mod tests {
         let cfg = GatewayConfig::default()
             .with_faults(FaultPlan::preset("loss", 0.6, 7).unwrap())
             .with_seed(9);
-        let run = run_gateway_observed(&tags, &cfg).unwrap();
+        let (run, obs) = observed(&tags, &cfg).unwrap();
         assert!(run.missed_polls > 0, "starving tag should miss polls");
         let e = run
             .tags
@@ -894,10 +881,7 @@ mod tests {
             .expect("tag 1 discovered with a supply");
         assert!(e.brownouts >= 1, "brownouts: {}", e.brownouts);
         assert_eq!(u64::from(e.missed_polls), run.missed_polls);
-        assert_eq!(
-            run.obs.as_ref().unwrap().counter("net.energy-missed-polls"),
-            run.missed_polls
-        );
+        assert_eq!(obs.counter("net.energy-missed-polls"), run.missed_polls);
         // The immortal tags are unaffected.
         for t in run.tags.iter().filter(|t| t.address != 1) {
             assert!(t.transfer.complete, "tag {} incomplete", t.address);
@@ -913,13 +897,10 @@ mod tests {
             .with_faults(FaultPlan::preset("loss", 0.6, 7).unwrap())
             .with_seed(9);
         let naive = run_gateway(&tags, &base).unwrap();
-        let aware = run_gateway_observed(
-            &tags,
-            &base.clone().with_polling(PollingPolicy::EnergyAware),
-        )
-        .unwrap();
+        let (aware, obs) =
+            observed(&tags, &base.clone().with_polling(PollingPolicy::EnergyAware)).unwrap();
         assert!(
-            aware.obs.as_ref().unwrap().counter("net.energy-skips") > 0,
+            obs.counter("net.energy-skips") > 0,
             "the estimator should engage"
         );
         assert!(

@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Everything a gateway application or experiment normally touches:
-//! transfer/gateway entry points and their `*_observed` variants, the
-//! configs, the link models, the FEC layer, and the wire types.
+//! transfer/gateway entry points and their recorder-threading `*_with`
+//! variants, the fleet simulator, the configs, the link models, the FEC
+//! layer, and the wire types.
 //! Re-exports of the handful of core types a transport caller always
 //! needs ([`FaultPlan`], [`RetryPolicy`], [`RunReport`], [`WindowAck`])
 //! ride along, as do the traffic-measurement types the FEC rate rule
@@ -18,8 +19,8 @@
 //! `tests/golden/prelude_api.txt`, reblessed with `GOLDEN_BLESS=1`).
 
 pub use crate::arq::{
-    nearest_supported_rate, run_transfer, run_transfer_observed, run_transfer_with, RoundOutcome,
-    Transfer, TransportConfig, TransportSession,
+    nearest_supported_rate, run_transfer, run_transfer_with, RoundOutcome, Transfer,
+    TransportConfig, TransportSession,
 };
 pub use crate::fec::{FecConfig, FecError, GroupCoder, ReedSolomon, RepairOutcome};
 pub use crate::fleet::{
@@ -27,8 +28,8 @@ pub use crate::fleet::{
     MAX_TAGS_PER_GATEWAY,
 };
 pub use crate::gateway::{
-    run_gateway, run_gateway_observed, run_gateway_with, GatewayConfig, GatewayError, GatewayRun,
-    PollingPolicy, TagEnergyOutcome, TagOutcome, TagProfile,
+    run_gateway, run_gateway_with, GatewayConfig, GatewayError, GatewayRun, PollingPolicy,
+    TagEnergyOutcome, TagOutcome, TagProfile,
 };
 pub use crate::linkmodel::{PhyLink, SegmentFate, SegmentLink, SimLink, TrafficLink};
 pub use crate::seg::{scramble, segment_message, Accept, Reassembler, Segment, SegmentError};
@@ -83,10 +84,8 @@ pub const NET_PRELUDE_MANIFEST: &[&str] = &[
     "nearest_supported_rate",
     "run_fleet",
     "run_gateway",
-    "run_gateway_observed",
     "run_gateway_with",
     "run_transfer",
-    "run_transfer_observed",
     "run_transfer_with",
     "scramble",
     "segment_message",

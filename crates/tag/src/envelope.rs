@@ -25,9 +25,11 @@ pub struct EnvelopeConfig {
     /// Detector input-referred noise power (mW).
     pub noise_mw: f64,
     /// Gamma shape of the per-sample power fluctuation (shape 1 = raw
-    /// Rayleigh envelope; larger = smoother). `bs-wifi::waveform` shows an
-    /// *ideal* OFDM waveform averaged over 1 µs has shape ≈ 20–25; the
-    /// default of 3 is deliberately lumpier, standing in for
+    /// Rayleigh envelope; larger = smoother). The default of 3 is not an
+    /// OFDM prediction: synthesising an *ideal* 802.11 OFDM waveform
+    /// (random QAM subcarriers, IFFT, cyclic prefix) and averaging its
+    /// instantaneous power over 1 µs gives a Gamma shape of ≈ 20–25. The
+    /// default is deliberately lumpier, standing in for
     /// multipath-induced symbol-to-symbol variation and the diode
     /// detector's own noise near its sensitivity floor — the fluctuation
     /// budget that shapes Fig. 17's gradual BER slopes.

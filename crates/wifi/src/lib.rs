@@ -22,10 +22,6 @@
 //! * [`symbol`] — the sub-frame symbol model for codeword-translation
 //!   backscatter (FreeRider-style): symbol clock, phase-flip codeword
 //!   mapping and the residue-decision error model.
-//! * [`wire`] — byte-level 802.11 frame formats (CTS/ACK/data/beacon) with
-//!   FCS, smoltcp-style typed encode/parse.
-//! * [`waveform`] — symbol-level OFDM synthesis (QAM + IFFT + cyclic
-//!   prefix) validating the tag-side envelope model's PAPR statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +34,6 @@ pub mod rate_adapt;
 pub mod rssi;
 pub mod symbol;
 pub mod traffic;
-pub mod waveform;
-pub mod wire;
 
 pub use csi::{CsiExtractor, CsiMeasurement};
 pub use frame::{FrameKind, WifiFrame};

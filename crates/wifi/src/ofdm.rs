@@ -10,9 +10,6 @@
 /// Subcarrier spacing of 20 MHz 802.11 OFDM (Hz).
 pub const SUBCARRIER_SPACING_HZ: f64 = 312_500.0;
 
-/// Number of occupied (data + pilot) subcarriers in a 20 MHz channel.
-pub const OCCUPIED_SUBCARRIERS: usize = 52;
-
 /// Number of grouped sub-channels reported by the Intel 5300 CSI tool.
 pub const CSI_SUBCHANNELS: usize = 30;
 
@@ -41,16 +38,6 @@ pub fn csi_subchannel_bins() -> Vec<i32> {
 pub fn csi_subchannel_offsets() -> Vec<f64> {
     csi_subchannel_bins()
         .iter()
-        .map(|&b| f64::from(b) * SUBCARRIER_SPACING_HZ)
-        .collect()
-}
-
-/// Frequency offsets of all 52 occupied subcarriers (±1..±26).
-pub fn occupied_offsets() -> Vec<f64> {
-    let mut bins: Vec<i32> = (1..=26).map(|k| -k).collect();
-    bins.extend(1..=26);
-    bins.sort_unstable();
-    bins.iter()
         .map(|&b| f64::from(b) * SUBCARRIER_SPACING_HZ)
         .collect()
 }
@@ -91,13 +78,6 @@ mod tests {
     #[test]
     fn offsets_sorted_and_distinct() {
         let offs = csi_subchannel_offsets();
-        assert!(offs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn occupied_is_52() {
-        let offs = occupied_offsets();
-        assert_eq!(offs.len(), OCCUPIED_SUBCARRIERS);
         assert!(offs.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -15,6 +15,7 @@
 //!
 //! Run with: `cargo run --release -p bs-net --example energy`
 
+use bs_dsp::obs::MemRecorder;
 use bs_net::gateway::PollingPolicy;
 use bs_net::prelude::*;
 use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
@@ -79,18 +80,15 @@ fn main() {
         .with_faults(FaultPlan::preset("loss", 0.3, 7).expect("known preset"))
         .with_seed(3);
 
-    let naive = run_gateway_observed(&tags, &base).expect("unique tag addresses");
+    let naive = run_gateway(&tags, &base).expect("unique tag addresses");
     report("naive DRR (polls the dead)", &naive);
 
-    let aware = run_gateway_observed(&tags, &base.with_polling(PollingPolicy::EnergyAware))
+    let mut rec = MemRecorder::new();
+    let aware = run_gateway_with(&tags, &base.with_polling(PollingPolicy::EnergyAware), &mut rec)
         .expect("unique tag addresses");
     report("energy-aware DRR (silence-driven backoff)", &aware);
 
-    let skips = aware
-        .obs
-        .as_ref()
-        .expect("observed run carries a report")
-        .counter("net.energy-skips");
+    let skips = rec.into_report().counter("net.energy-skips");
     println!(
         "the estimator skipped {skips} poll slots it predicted would be silent;\n\
          wasted polls fell {} -> {} and goodput rose {:.1} -> {:.1} bps",

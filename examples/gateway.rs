@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release -p bs-net --example gateway`
 
+use bs_dsp::obs::MemRecorder;
 use bs_net::prelude::*;
 
 fn message(n: usize, salt: u8) -> Vec<u8> {
@@ -34,7 +35,8 @@ fn main() {
     let faults = FaultPlan::preset("loss", 0.5, 11).expect("known preset");
     let cfg = GatewayConfig::default().with_faults(faults).with_seed(11);
 
-    let run = run_gateway_observed(&tags, &cfg).expect("unique tag addresses");
+    let mut rec = MemRecorder::new();
+    let run = run_gateway_with(&tags, &cfg, &mut rec).expect("unique tag addresses");
 
     println!(
         "inventory: {} tags singulated in {} rounds ({} slots, {} collisions)\n",
@@ -69,7 +71,7 @@ fn main() {
         run.aggregate_goodput_bps()
     );
 
-    let obs = run.obs.as_ref().expect("observed run carries a report");
+    let obs = rec.into_report();
     println!("\nscheduler counters:");
     for key in [
         "net.sched-cycles",

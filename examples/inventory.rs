@@ -2,7 +2,7 @@
 //!
 //! Three tags sit near one reader. The reader cannot query "everyone" —
 //! simultaneous backscatter superposes on the channel and garbles the
-//! decoder (see `tests/multitag_integration.rs`). So it first runs the
+//! decoder. So it first runs the
 //! EPC-style slotted inventory (§2's pointer) at the protocol level, then
 //! queries each identified tag *individually over the simulated channel*.
 //!

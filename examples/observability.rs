@@ -1,12 +1,13 @@
 //! Reading a stage profile from an observed run.
 //!
-//! Every `run_*` entry point has an `*_observed` variant that arms a
-//! [`MemRecorder`] and attaches an [`ObsReport`] to the result: span-style
-//! timings per pipeline stage (in *simulated* microseconds — never wall
-//! clock, so the numbers are deterministic), counters of discrete work,
-//! and a few gauges. Recording is observe-only: the run's decoded bits and
-//! BER are bit-identical to the plain entry point
-//! (`tests/obs_conformance.rs` pins this).
+//! Every `run_*` entry point has a `*_with` variant that threads a
+//! recorder through the run. Pass a [`MemRecorder`] and call
+//! `into_report()` to get an [`ObsReport`]: span-style timings per
+//! pipeline stage (in *simulated* microseconds — never wall clock, so the
+//! numbers are deterministic), counters of discrete work, and a few
+//! gauges. Recording is observe-only: the run's decoded bits and BER are
+//! bit-identical to the plain entry point (`tests/obs_conformance.rs`
+//! pins this).
 //!
 //! Run with: `cargo run --release --example observability`
 
@@ -43,9 +44,9 @@ fn main() {
     // An uplink decode at 10 cm: where does the simulated time go?
     let cfg = LinkConfig::fig10(0.1, 100, 10, 42)
         .with_payload((0..24).map(|i| i % 3 == 0).collect());
-    let run = run_uplink_observed(&cfg);
-    let obs = run.obs.as_ref().expect("observed run carries a report");
-    print_report("uplink, 10 cm, CSI", obs);
+    let mut rec = MemRecorder::new();
+    let run = run_uplink_with(&cfg, &mut rec);
+    print_report("uplink, 10 cm, CSI", &rec.into_report());
     println!(
         "decode result unchanged by profiling: {} errors / {} bits\n",
         run.ber.errors(),
@@ -55,14 +56,16 @@ fn main() {
     // A full query/response session: counters across all three layers.
     let mut reader = Reader::new(ReaderConfig::default(), 7);
     let payload: Vec<bool> = (0..16).map(|i| i % 2 == 1).collect();
-    let out = reader
-        .query_observed(0x17, &payload)
+    let mut rec = MemRecorder::new();
+    reader
+        .query_with(0x17, &payload, &mut rec)
         .expect("close-range query completes");
-    print_report("query/response session, 30 cm", out.obs.as_ref().unwrap());
+    let report = rec.into_report();
+    print_report("query/response session, 30 cm", &report);
 
     // The same report travels with archived captures (trace format v2)
     // and into the bench harness's JSON records (the `obs` figure).
     println!("obs JSON (deterministic, byte-stable):");
-    let json = out.obs.as_ref().unwrap().to_json();
+    let json = report.to_json();
     println!("{}...", &json[..json.len().min(120)]);
 }

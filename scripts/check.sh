@@ -19,7 +19,7 @@
 #                  falls under 1.5x, or the adaptive rule fails to
 #                  disable itself on benign traffic; the phy bench if
 #                  the presence PHY is not bit-identical across the
-#                  routed/direct/deprecated decode paths, or codeword
+#                  routed and direct decode paths, or codeword
 #                  translation's goodput falls under 10x presence at
 #                  equal helper traffic in the benign regime; the fleet
 #                  bench if the 10^5-tag FleetRun JSON is not
@@ -85,8 +85,8 @@ cargo test --release -q -p wifi-backscatter --test obs_conformance
 
 echo "== phy mode conformance (presence identity, codeword round-trip, determinism) =="
 # The PhyMode redesign's contract: the presence PHY is bit-identical
-# across the routed, direct and deprecated entry points (faults
-# included), codeword translation round-trips random payloads in the
+# across the routed and direct entry points (faults included),
+# codeword translation round-trips random payloads in the
 # benign regime, and both modes are pure functions of the seed.
 cargo test --release -q -p wifi-backscatter --test phy_conformance
 

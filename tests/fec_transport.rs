@@ -23,6 +23,7 @@
 //! statistical.
 
 use bs_channel::faults::FaultPlan;
+use bs_dsp::obs::{MemRecorder, NullRecorder};
 use bs_net::prelude::*;
 use wifi_backscatter::protocol::RetryPolicy;
 
@@ -146,11 +147,13 @@ fn fec_transfer_is_deterministic_bit_for_bit() {
     let run = || {
         let fec = adaptive_fec(0.5, 5);
         let mut link = wild_link(0.5, 5);
-        run_transfer_observed(&msg, wild_config(5).with_fec(fec), &mut link)
+        let mut rec = MemRecorder::new();
+        let t = run_transfer_with(&msg, wild_config(5).with_fec(fec), &mut link, &mut rec);
+        (t, rec.into_report())
     };
     let a = run();
     let b = run();
-    assert!(a.fec_repairs > 0, "the pinned point must exercise repair");
+    assert!(a.0.fec_repairs > 0, "the pinned point must exercise repair");
     assert_eq!(a, b, "observed FEC transfer must reproduce bit for bit");
 }
 
@@ -159,19 +162,20 @@ fn fec_obs_counters_match_transfer_and_are_nontrivial() {
     let msg = message(1024, 7);
     let fec = adaptive_fec(0.5, 8);
     let mut link = wild_link(0.5, 8);
-    let t = run_transfer_observed(&msg, wild_config(8).with_fec(fec), &mut link);
-    let obs = t.obs.as_ref().expect("observed run must attach a report");
+    let mut rec = MemRecorder::new();
+    let t = run_transfer_with(&msg, wild_config(8).with_fec(fec), &mut link, &mut rec);
+    let obs = rec.into_report();
     assert!(
         t.fec_repairs > 0,
         "the pinned point must repair at least one segment"
     );
     assert_eq!(obs.counter("net.fec.repair"), t.fec_repairs);
     assert_eq!(obs.counter("net.fec.decode_fail"), t.fec_decode_fails);
-    // The unobserved twin returns the same outcome with no report.
+    // The unarmed run returns the same outcome.
     let mut link = wild_link(0.5, 8);
     let fec = adaptive_fec(0.5, 8);
-    let twin = run_transfer(&msg, wild_config(8).with_fec(fec), &mut link);
-    assert!(twin.obs.is_none());
+    let twin = run_transfer_with(&msg, wild_config(8).with_fec(fec), &mut link, &mut NullRecorder);
+    assert_eq!(twin, t);
     assert_eq!(twin.fec_repairs, t.fec_repairs);
     assert_eq!(twin.delivered, t.delivered);
 }

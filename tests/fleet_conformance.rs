@@ -12,7 +12,8 @@
 //!   rejected with a typed error at both the gateway and (by
 //!   construction) the fleet layer; `max_cycles` truncation surfaces on
 //!   `GatewayRun::truncated` and is mirrored per shard in the fleet
-//!   report.
+//!   report; a panic inside a shard comes back as
+//!   `FleetError::ShardPanicked` at any worker count.
 //! - **Physics sanity** — mobility produces handoffs that respect the
 //!   address-space cap, and crowding gateways raises interference
 //!   severity enough to cost goodput.
@@ -89,6 +90,24 @@ fn duplicate_addresses_error_at_the_gateway_seam() {
         .unwrap_err(),
         FleetError::TooManyTagsPerGateway { .. }
     ));
+}
+
+#[test]
+fn worker_panic_comes_back_as_a_typed_error_at_any_jobs() {
+    // Regression: a 1 MiB message needs more segments than the wire can
+    // number, which panics inside a shard's gateway run. At jobs = 2 that
+    // panic used to escape as "a scoped thread panicked"; now it is
+    // contained and named, inline and threaded alike.
+    let cfg = FleetConfig {
+        message_bytes: 1 << 20,
+        epochs: 1,
+        ..Default::default()
+    };
+    for jobs in [1, 2] {
+        let err = run_fleet(&cfg, jobs).unwrap_err();
+        assert_eq!(err, FleetError::ShardPanicked { shard: 0 }, "jobs {jobs}");
+        assert!(err.to_string().contains("shard 0"), "{err}");
+    }
 }
 
 #[test]

@@ -15,6 +15,7 @@
 //!   present.
 
 use bs_channel::faults::{Fault, FaultPlan};
+use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport};
 use bs_net::prelude::*;
 
 /// A deterministic test message that is not byte-repetitive.
@@ -139,29 +140,40 @@ fn sliding_window_beats_stop_and_wait_under_loss() {
     }
 }
 
+/// [`run_transfer_with`] under an armed recorder, returning its report.
+fn observed_transfer(
+    msg: &[u8],
+    cfg: TransportConfig,
+    link: &mut dyn SegmentLink,
+) -> (Transfer, ObsReport) {
+    let mut rec = MemRecorder::new();
+    let t = run_transfer_with(msg, cfg, link, &mut rec);
+    (t, rec.into_report())
+}
+
 #[test]
 fn transfer_is_bit_for_bit_deterministic() {
     let msg = message(256, 5);
     let run = || {
         let mut link = SimLink::new(lossy_plan(0.5, 23), 23);
-        run_transfer_observed(&msg, TransportConfig::default().with_seed(23), &mut link)
+        observed_transfer(&msg, TransportConfig::default().with_seed(23), &mut link)
     };
-    let a = run();
-    let b = run();
+    let (a, a_obs) = run();
+    let (b, b_obs) = run();
     // Whole-struct equality: payload, counters, degradation and the
     // observability report all reproduce.
     assert_eq!(a, b);
-    assert!(a.obs.is_some());
+    assert_eq!(a_obs, b_obs);
+    assert!(!a_obs.spans.is_empty());
 }
 
 #[test]
 fn obs_report_carries_retx_counters_and_spans() {
     let msg = message(1024, 29);
     let mut link = SimLink::new(lossy_plan(0.5, 31), 31);
-    let t = run_transfer_observed(&msg, TransportConfig::default().with_seed(31), &mut link);
+    let (t, obs) = observed_transfer(&msg, TransportConfig::default().with_seed(31), &mut link);
     assert!(t.complete);
     assert!(t.retransmissions > 0, "severity 0.5 must force retransmissions");
-    let obs = t.obs.as_ref().expect("observed run must attach a report");
     assert_eq!(obs.counter("net.retransmissions"), t.retransmissions);
     assert_eq!(obs.counter("net.duplicate-acks"), t.duplicate_acks);
     assert_eq!(obs.counter("net.polls"), t.polls_sent);
@@ -172,10 +184,15 @@ fn obs_report_carries_retx_counters_and_spans() {
             "span {span} missing from the observed transfer"
         );
     }
-    // The unobserved twin returns the same outcome with no report.
+    // The unarmed run returns the same outcome.
     let mut link2 = SimLink::new(lossy_plan(0.5, 31), 31);
-    let plain = run_transfer(&msg, TransportConfig::default().with_seed(31), &mut link2);
-    assert!(plain.obs.is_none());
+    let plain = run_transfer_with(
+        &msg,
+        TransportConfig::default().with_seed(31),
+        &mut link2,
+        &mut NullRecorder,
+    );
+    assert_eq!(plain, t);
     assert_eq!(plain.delivered, t.delivered);
     assert_eq!(plain.retransmissions, t.retransmissions);
 }
@@ -204,7 +221,12 @@ fn gateway_delivers_every_tag_exactly_and_reproduces() {
     let cfg = GatewayConfig::default()
         .with_faults(lossy_plan(0.5, 5))
         .with_seed(5);
-    let run = run_gateway_observed(&tags, &cfg).expect("unique addresses");
+    let observed = || {
+        let mut rec = MemRecorder::new();
+        let run = run_gateway_with(&tags, &cfg, &mut rec).expect("unique addresses");
+        (run, rec.into_report())
+    };
+    let (run, obs) = observed();
     assert!(run.all_complete, "every tag must finish under severity 0.5");
     for outcome in &run.tags {
         let profile = tags
@@ -223,9 +245,9 @@ fn gateway_delivers_every_tag_exactly_and_reproduces() {
         "deficit round-robin fairness {} collapsed",
         run.fairness
     );
-    let obs = run.obs.as_ref().expect("observed gateway must attach a report");
     assert!(obs.spans_for("net.sched").next().is_some());
     assert!(obs.counter("net.sched-cycles") > 0);
-    // Bit-for-bit reproducibility of the whole multi-tag run.
-    assert_eq!(run, run_gateway_observed(&tags, &cfg).expect("unique addresses"));
+    // Bit-for-bit reproducibility of the whole multi-tag run, report
+    // included.
+    assert_eq!((run, obs), observed());
 }

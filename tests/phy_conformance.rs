@@ -3,11 +3,9 @@
 //! Three contracts pin the `phy` redesign:
 //!
 //! 1. **Presence identity** — routing through [`PhyConfig::Presence`]
-//!    (the default), calling [`PresencePhy`] directly, and calling the
-//!    deprecated `link::run_*` entry points must all produce
+//!    (the default) and calling [`PresencePhy`] directly must produce
 //!    bit-identical results on the golden workloads, including under
-//!    every fault preset. The refactor moved the presence
-//!    implementation, it did not touch it.
+//!    every fault preset.
 //! 2. **Codeword round-trip** — [`CodewordPhy`] recovers random
 //!    payloads exactly in the benign regime (close range, healthy
 //!    helper, zero fault severity).
@@ -77,10 +75,7 @@ fn presence_phy_is_bit_identical_to_pre_trait_path() {
         let routed = uplink_fingerprint(&run_uplink(&cfg));
         let direct =
             uplink_fingerprint(&PresencePhy.uplink_with(&cfg, &mut NullRecorder));
-        #[allow(deprecated)]
-        let legacy = uplink_fingerprint(&wifi_backscatter::link::run_uplink(&cfg));
         assert_eq!(routed, direct, "workload {i}: routed vs direct PresencePhy");
-        assert_eq!(routed, legacy, "workload {i}: routed vs deprecated link path");
     }
 }
 
@@ -93,16 +88,9 @@ fn presence_downlink_is_bit_identical_to_pre_trait_path() {
         let cfg = DownlinkConfig::fig17(d, bps, seed);
         let routed = run_downlink_ber(&cfg, 400);
         let direct = PresencePhy.downlink_ber_with(&cfg, 400, &mut NullRecorder);
-        #[allow(deprecated)]
-        let legacy = wifi_backscatter::link::run_downlink_ber(&cfg, 400);
-        for (name, other) in [("direct", &direct), ("legacy", &legacy)] {
-            assert_eq!(routed.ber, other.ber, "point {i} vs {name}");
-            assert_eq!(routed.bits_sent, other.bits_sent, "point {i} vs {name}");
-            assert_eq!(
-                routed.degradation, other.degradation,
-                "point {i} vs {name}"
-            );
-        }
+        assert_eq!(routed.ber, direct.ber, "point {i}");
+        assert_eq!(routed.bits_sent, direct.bits_sent, "point {i}");
+        assert_eq!(routed.degradation, direct.degradation, "point {i}");
     }
 }
 
@@ -142,7 +130,7 @@ fn both_modes_deterministic_under_fault_seeds() {
                 cfg.phy = phy.clone();
                 uplink_fingerprint(&run_uplink(&cfg))
             };
-            assert_eq!(mk(), mk(), "{scenario}/{} not deterministic", phy.name());
+            assert_eq!(mk(), mk(), "{scenario}/{} not deterministic", phy.capabilities().name);
 
             // A different seed must actually change something somewhere;
             // check divergence on the benign clone to avoid asserting on
@@ -156,7 +144,7 @@ fn both_modes_deterministic_under_fault_seeds() {
                 uplink_fingerprint(&run_uplink(&a)),
                 uplink_fingerprint(&run_uplink(&b)),
                 "seed does not reach the {} noise process",
-                phy.name()
+                phy.capabilities().name
             );
         }
     }
