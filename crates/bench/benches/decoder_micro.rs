@@ -9,11 +9,14 @@
 //! bit-identical to the reference, measures both, verifies the
 //! alignment search is O(packets) rather than O(candidates × packets),
 //! and writes the evidence to `<path>` (see `scripts/check.sh
-//! --bench-smoke`). Exits non-zero if an O() gate fails.
+//! --bench-smoke`). Exits non-zero if a gate fails.
 
 use bs_bench::microbench::{measure_ns, Group};
+use bs_bench::object;
+use bs_bench::report::{json_path, BenchReport, Verdict};
 use bs_dsp::codes::BARKER13;
 use bs_dsp::SimRng;
+use std::process::ExitCode;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use wifi_backscatter::SeriesBundle;
 
@@ -45,10 +48,10 @@ fn synth_bundle(seed: u64) -> SeriesBundle {
     SeriesBundle { t_us, series }
 }
 
-/// The decode smoke bench behind `--json <path>` (satellite of the
-/// slot-index PR; wired into `scripts/check.sh --bench-smoke`).
+/// The decode smoke bench behind `--json <path>` (wired into
+/// `scripts/check.sh --bench-smoke`).
 ///
-/// Hard gates (exit non-zero on failure):
+/// Gates (a `Fail` exits non-zero):
 /// 1. identity — `decode_reference` and the indexed `decode` agree
 ///    bit for bit on the dense workload;
 /// 2. fewer passes — the indexed alignment search touches fewer
@@ -58,9 +61,9 @@ fn synth_bundle(seed: u64) -> SeriesBundle {
 ///    candidates) must not grow the align-span work by ≥ 1.5×, which
 ///    it would if the search still re-scanned per candidate.
 ///
-/// Wall-clock speedup is recorded in the JSON as evidence but is not a
-/// hard gate: it is machine-dependent, the pass counts are not.
-fn smoke(json_path: &str) {
+/// Wall-clock speedup is recorded as evidence against its 3× target
+/// but is not a gate: it is machine-dependent, the pass counts are not.
+fn smoke() -> BenchReport {
     use bs_dsp::obs::MemRecorder;
     use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 
@@ -86,10 +89,7 @@ fn smoke(json_path: &str) {
         reference.is_some(),
         "smoke workload must decode (reference path found no frame)"
     );
-    if reference != indexed {
-        eprintln!("BENCH_decode: FAIL — indexed decode differs from reference");
-        std::process::exit(1);
-    }
+    let gate_identical = reference == indexed;
 
     // Time both paths at both ends of the candidate range. At
     // search_bits = 2 the shared stages (conditioning, combining,
@@ -129,79 +129,47 @@ fn smoke(json_path: &str) {
     let gate_fewer = indexed_passes_sb2 < reference_passes_sb2
         && indexed_passes_sb8 < reference_passes_sb8;
     let gate_flat = (items_sb8 as f64) < 1.5 * (items_sb2 as f64);
-    let gate_speedup = speedup >= 3.0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"decode_alignment_search\",\n  \"workload\": {{\n    \
-         \"figure\": \"fig10-dense\",\n    \"tag_reader_m\": 0.5,\n    \
-         \"bit_rate_bps\": 100,\n    \"pkts_per_bit\": 30,\n    \"seed\": 4242,\n    \
-         \"packets\": {packets},\n    \"channels\": {channels},\n    \
-         \"payload_bits\": {payload_bits}\n  }},\n  \
-         \"identity\": \"reference == indexed (bit-for-bit)\",\n  \
-         \"speedup\": {speedup:.2},\n  \"speedup_note\": \"reference/indexed at \
-         search_bits=8, the alignment-search-dominated configuration\",\n  \
-         \"align_search\": {{\n    \"search_bits_2\": {{\"candidates\": {c2}, \
-         \"reference_ns\": {ref_ns_sb2:.0}, \"indexed_ns\": {idx_ns_sb2:.0}, \
-         \"speedup\": {speedup_sb2:.2}, \
-         \"align_items\": {items_sb2}, \"indexed_stream_passes\": {indexed_passes_sb2}, \
-         \"reference_stream_passes\": {reference_passes_sb2}}},\n    \
-         \"search_bits_8\": {{\"candidates\": {c8}, \
-         \"reference_ns\": {ref_ns_sb8:.0}, \"indexed_ns\": {idx_ns_sb8:.0}, \
-         \"speedup\": {speedup:.2}, \
-         \"align_items\": {items_sb8}, \
-         \"indexed_stream_passes\": {indexed_passes_sb8}, \
-         \"reference_stream_passes\": {reference_passes_sb8}}}\n  }},\n  \
-         \"gates\": {{\n    \"indexed_fewer_passes_than_reference\": {gate_fewer},\n    \
-         \"align_work_flat_in_candidates\": {gate_flat},\n    \
-         \"speedup_ge_3x\": {gate_speedup}\n  }}\n}}\n",
-        c2 = candidates(2),
-        c8 = candidates(8),
-    );
-    std::fs::write(json_path, &json)
-        .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
-    println!("BENCH_decode: wrote {json_path}");
+    let search = |sb: u64, ref_ns: f64, idx_ns: f64, items: u64, idx: u64, rf: u64| object! {
+        "candidates": candidates(sb), "reference_ns": ref_ns, "indexed_ns": idx_ns,
+        "speedup": ref_ns / idx_ns.max(1.0), "align_items": items,
+        "indexed_stream_passes": idx, "reference_stream_passes": rf,
+    };
+    let mut report = BenchReport::new("decode_alignment_search");
+    report.field("workload", object! {
+        "figure": "fig10-dense", "tag_reader_m": 0.5, "bit_rate_bps": 100u64, "pkts_per_bit": 30u64,
+        "seed": 4242u64, "packets": packets, "channels": channels, "payload_bits": payload_bits,
+    });
+    report.field("speedup", speedup);
+    report.field("speedup_target", 3.0);
+    report.field("speedup_note", "reference/indexed at search_bits=8; evidence, not a gate");
+    report.field("align_search", object! {
+        "search_bits_2":
+            search(2, ref_ns_sb2, idx_ns_sb2, items_sb2, indexed_passes_sb2, reference_passes_sb2),
+        "search_bits_8":
+            search(8, ref_ns_sb8, idx_ns_sb8, items_sb8, indexed_passes_sb8, reference_passes_sb8),
+    });
+    for (gate, ok, reason) in [
+        ("indexed_identical_to_reference", gate_identical, "indexed decode differs"),
+        ("indexed_fewer_passes_than_reference", gate_fewer, "passes not below the reference"),
+        ("align_work_flat_in_candidates", gate_flat, "align work grows with the candidate count"),
+    ] {
+        report.gate(gate, Verdict::check(ok, reason));
+    }
     println!(
         "BENCH_decode: sb=2 reference {:.1} ms vs indexed {:.1} ms ({speedup_sb2:.1}x); \
-         sb=8 reference {:.1} ms vs indexed {:.1} ms ({speedup:.1}x)",
+         sb=8 reference {:.1} ms vs indexed {:.1} ms ({speedup:.1}x, target 3x)",
         ref_ns_sb2 / 1e6,
         idx_ns_sb2 / 1e6,
         ref_ns_sb8 / 1e6,
         idx_ns_sb8 / 1e6
     );
-    println!(
-        "BENCH_decode: stream passes sb=2 {indexed_passes_sb2} vs {reference_passes_sb2} \
-         reference; sb=8 {indexed_passes_sb8} vs {reference_passes_sb8}"
-    );
-    if !gate_fewer {
-        eprintln!("BENCH_decode: FAIL — indexed path does not beat the reference pass count");
-        std::process::exit(1);
-    }
-    if !gate_flat {
-        eprintln!(
-            "BENCH_decode: FAIL — align work grew {:.2}x while candidates grew {c2} -> {c8} \
-             (search still scales with candidates)",
-            items_sb8 as f64 / items_sb2.max(1) as f64,
-            c2 = candidates(2),
-            c8 = candidates(8),
-        );
-        std::process::exit(1);
-    }
-    if !gate_speedup {
-        // Machine-dependent, so evidence only — recorded false in the
-        // JSON but not fatal.
-        eprintln!("BENCH_decode: note — speedup {speedup:.2}x below the 3x target on this host");
-    }
+    report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_decode.json".to_string());
-        smoke(&path);
-        return;
+fn main() -> ExitCode {
+    if let Some(path) = json_path("decode") {
+        return smoke().finish(&path);
     }
 
     let g = Group::new("decoder_micro");
@@ -260,4 +228,5 @@ fn main() {
             medium.simulate(&stations, 1_000_000)
         });
     }
+    ExitCode::SUCCESS
 }

@@ -22,10 +22,13 @@
 //!    the evidence file.
 
 use bs_bench::experiments::energy::{poll_waste, small_cap, starving_pair, STARVING_HARVEST_UW};
+use bs_bench::object;
+use bs_bench::report::{json_path, BenchReport, Value, Verdict};
 use bs_channel::faults::FaultPlan;
 use bs_net::fleet::{run_fleet, FleetConfig, FleetEnergyConfig, TagRecord};
 use bs_net::gateway::{run_gateway, GatewayConfig, PollingPolicy, TagProfile};
 use bs_tag::energy::{EnergyConfig, EnergyPolicy};
+use std::process::ExitCode;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -169,28 +172,27 @@ fn intermittent_fleet_cfg() -> FleetConfig {
     cfg
 }
 
-fn smoke(json_path: &str) {
+fn smoke() -> BenchReport {
     // Gate 1 — always-powered bit-identity against the pre-energy pins.
     let (clean_ok, lossy_ok, gw_ok) = golden_gate();
     let gate_golden = clean_ok && lossy_ok && gw_ok;
 
     // Gate 2 — aware ≥ naive on every paired wild-harvest run.
-    let mut wild_rows: Vec<String> = Vec::new();
+    let mut wild_rows: Vec<Value> = Vec::new();
     let mut gate_wild = true;
     for &harvest in &[2.0f64, 5.0, 8.0] {
         for seed in [1u64, 5, 9, 13, 17] {
             let (naive_bps, aware_bps) = wild_pair(harvest, seed);
             gate_wild &= aware_bps >= naive_bps;
-            wild_rows.push(format!(
-                "    {{\"harvest_uw\": {harvest:.1}, \"seed\": {seed}, \
-                 \"naive_bps\": {naive_bps:.1}, \"aware_bps\": {aware_bps:.1}}}"
-            ));
+            wild_rows.push(object! {
+                "harvest_uw": harvest, "seed": seed, "naive_bps": naive_bps, "aware_bps": aware_bps,
+            });
         }
     }
 
     // Gate 3 — starving scenario: naive wastes ≥30 % of its poll slots,
     // aware recovers ≥ half of the wasted slots.
-    let mut starving_rows: Vec<String> = Vec::new();
+    let mut starving_rows: Vec<Value> = Vec::new();
     let mut gate_starving = true;
     for seed in [1u64, 3, 5, 9, 13, 17] {
         let (naive, aware) = starving_pair(STARVING_HARVEST_UW, seed);
@@ -199,16 +201,12 @@ fn smoke(json_path: &str) {
             && aware.missed_polls * 2 <= naive.missed_polls
             && aware.aggregate_goodput_bps() >= naive.aggregate_goodput_bps();
         gate_starving &= ok;
-        starving_rows.push(format!(
-            "    {{\"seed\": {seed}, \"naive_polls\": {}, \"naive_missed\": {}, \
-             \"naive_waste\": {waste:.3}, \"aware_missed\": {}, \
-             \"naive_bps\": {:.1}, \"aware_bps\": {:.1}, \"ok\": {ok}}}",
-            naive.polls,
-            naive.missed_polls,
-            aware.missed_polls,
-            naive.aggregate_goodput_bps(),
-            aware.aggregate_goodput_bps()
-        ));
+        starving_rows.push(object! {
+            "seed": seed, "naive_polls": naive.polls, "naive_missed": naive.missed_polls,
+            "naive_waste": waste, "aware_missed": aware.missed_polls,
+            "naive_bps": naive.aggregate_goodput_bps(), "aware_bps": aware.aggregate_goodput_bps(),
+            "ok": ok,
+        });
     }
 
     // Gate 4 — 10⁵-tag intermittent fleet, byte-identical across jobs.
@@ -227,80 +225,41 @@ fn smoke(json_path: &str) {
     let gate_fleet_jobs = jsons.iter().all(|j| j == &jsons[0]);
     let gate_fleet_stress = fleet.brownouts > 0 && fleet.recoveries > 0;
 
-    let wall_rows: Vec<String> = walls_ms
+    let wall_rows: Vec<Value> = walls_ms
         .iter()
-        .map(|(jobs, ms)| format!("    {{\"jobs\": {jobs}, \"wall_ms\": {ms:.1}}}"))
+        .map(|&(jobs, ms)| object! { "jobs": jobs, "wall_ms": ms })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"energy\",\n  \
-         \"golden\": {{\n    \"fleet_clean_ok\": {clean_ok},\n    \
-         \"fleet_lossy_ok\": {lossy_ok},\n    \"gateway_ok\": {gw_ok}\n  }},\n  \
-         \"wild_pairs\": [\n{wild}\n  ],\n  \
-         \"starving\": [\n{starving}\n  ],\n  \
-         \"intermittent_fleet\": {{\n    \"gateways\": 500,\n    \"tags_per_gateway\": 200,\n    \
-         \"tags\": {tags},\n    \"epochs\": 1,\n    \"seed\": 31,\n    \
-         \"digest\": \"{digest:016x}\",\n    \"brownouts\": {brownouts},\n    \
-         \"recoveries\": {recoveries},\n    \"missed_polls\": {missed},\n    \
-         \"polls\": {polls},\n    \"wall\": [\n{walls}\n    ]\n  }},\n  \
-         \"gates\": {{\n    \"always_powered_bit_identical\": {gate_golden},\n    \
-         \"aware_ge_naive_on_all_wild_pairs\": {gate_wild},\n    \
-         \"starving_waste_recovered\": {gate_starving},\n    \
-         \"fleet_json_identical_across_jobs\": {gate_fleet_jobs},\n    \
-         \"fleet_actually_intermittent\": {gate_fleet_stress}\n  }}\n}}\n",
-        wild = wild_rows.join(",\n"),
-        starving = starving_rows.join(",\n"),
-        tags = fleet.tags,
-        digest = fleet.digest,
-        brownouts = fleet.brownouts,
-        recoveries = fleet.recoveries,
-        missed = fleet.missed_polls,
-        polls = fleet.polls,
-        walls = wall_rows.join(",\n"),
-    );
-    std::fs::write(json_path, &json).unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
-    println!("BENCH_energy: wrote {json_path}");
+    let mut report = BenchReport::new("energy");
+    report.field("golden", object! {
+        "fleet_clean_ok": clean_ok, "fleet_lossy_ok": lossy_ok, "gateway_ok": gw_ok,
+    });
+    report.field("wild_pairs", wild_rows);
+    report.field("starving", starving_rows);
+    report.field("intermittent_fleet", object! {
+        "gateways": 500u64, "tags_per_gateway": 200u64, "tags": fleet.tags, "epochs": 1u64,
+        "seed": 31u64, "digest": format!("{:016x}", fleet.digest), "brownouts": fleet.brownouts,
+        "recoveries": fleet.recoveries, "missed_polls": fleet.missed_polls, "polls": fleet.polls,
+        "wall": wall_rows,
+    });
+    for (gate, ok, reason) in [
+        ("always_powered_bit_identical", gate_golden, "drifted from the pre-energy pins"),
+        ("aware_ge_naive_on_all_wild_pairs", gate_wild, "aware trailed naive on a pair"),
+        ("starving_waste_recovered", gate_starving, "a seed missed its bounds"),
+        ("fleet_json_identical_across_jobs", gate_fleet_jobs, "JSON differs across worker counts"),
+        ("fleet_actually_intermittent", gate_fleet_stress, "no tag browned out"),
+    ] {
+        report.gate(gate, Verdict::check(ok, reason));
+    }
     println!(
         "BENCH_energy: fleet {} tags, {} brownouts / {} recoveries, digest {:016x}",
         fleet.tags, fleet.brownouts, fleet.recoveries, fleet.digest
     );
-    if !gate_golden {
-        eprintln!(
-            "BENCH_energy: FAIL — always-powered mode drifted from the pre-energy pins \
-             (clean {clean_ok}, lossy {lossy_ok}, gateway {gw_ok})"
-        );
-        std::process::exit(1);
-    }
-    if !gate_wild {
-        eprintln!("BENCH_energy: FAIL — energy-aware polling trailed naive on a wild-harvest pair");
-        std::process::exit(1);
-    }
-    if !gate_starving {
-        eprintln!("BENCH_energy: FAIL — starving scenario missed the waste/recovery gate");
-        std::process::exit(1);
-    }
-    if !gate_fleet_jobs {
-        eprintln!("BENCH_energy: FAIL — intermittent FleetRun JSON differs across worker counts");
-        std::process::exit(1);
-    }
-    if !gate_fleet_stress {
-        eprintln!(
-            "BENCH_energy: FAIL — the intermittent deployment browned out no tags \
-             ({} brownouts, {} recoveries); the gate would be vacuous",
-            fleet.brownouts, fleet.recoveries
-        );
-        std::process::exit(1);
-    }
+    report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_energy.json".to_string());
-        smoke(&path);
-        return;
+fn main() -> ExitCode {
+    if let Some(path) = json_path("energy") {
+        return smoke().finish(&path);
     }
 
     // Plain micro mode: time the intermittent acceptance point at a few
@@ -317,4 +276,5 @@ fn main() {
             run.brownouts
         );
     }
+    ExitCode::SUCCESS
 }

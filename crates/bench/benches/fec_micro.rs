@@ -22,8 +22,11 @@
 
 use bs_bench::experiments::fec::{fec_point, Coding, FIXED_GROUP_DATA, FIXED_GROUP_PARITY};
 use bs_bench::microbench::{measure_ns, Group};
+use bs_bench::object;
+use bs_bench::report::{json_path, BenchReport, Value, Verdict};
 use bs_dsp::SimRng;
 use bs_net::prelude::ReedSolomon;
+use std::process::ExitCode;
 
 /// Master seed of the smoke sweep. Pinned with the same contract as the
 /// figure: per-run seeds derive from it by golden-ratio increments, so
@@ -81,7 +84,7 @@ fn exactness_failures(trials: u64) -> u64 {
 
 /// The FEC smoke bench behind `--json <path>` (wired into
 /// `scripts/check.sh --bench-smoke`).
-fn smoke(json_path: &str) {
+fn smoke() -> BenchReport {
     // Gate 1: Reed–Solomon exactness at capacity.
     let exact_fail = exactness_failures(64);
     let gate_exact = exact_fail == 0;
@@ -90,7 +93,7 @@ fn smoke(json_path: &str) {
     let severities = [0.0f64, 0.25, 0.5, 0.75, 1.0];
     let mut paired_losses = 0u64;
     let mut paired_total = 0u64;
-    let mut sweep_lines: Vec<String> = Vec::new();
+    let mut sweep_rows: Vec<Value> = Vec::new();
     let mut wild_05_ratio = 0.0f64;
     let mut repairs_total = 0u64;
     let mut decode_fails_total = 0u64;
@@ -113,18 +116,12 @@ fn smoke(json_path: &str) {
         }
         repairs_total += ad.fec_repairs;
         decode_fails_total += ad.fec_decode_fails;
-        sweep_lines.push(format!(
-            "    {{\"severity\": {sev:.2}, \"arq_goodput_bps\": {:.1}, \
-             \"adaptive_goodput_bps\": {:.1}, \"ratio\": {ratio:.2}, \
-             \"arq_complete\": {}, \"adaptive_complete\": {}, \
-             \"repairs\": {}, \"decode_fails\": {}}}",
-            arq.goodput_bps,
-            ad.goodput_bps,
-            arq.complete_runs,
-            ad.complete_runs,
-            ad.fec_repairs,
-            ad.fec_decode_fails
-        ));
+        sweep_rows.push(object! {
+            "severity": sev, "arq_goodput_bps": arq.goodput_bps,
+            "adaptive_goodput_bps": ad.goodput_bps, "ratio": ratio,
+            "arq_complete": arq.complete_runs, "adaptive_complete": ad.complete_runs,
+            "repairs": ad.fec_repairs, "decode_fails": ad.fec_decode_fails,
+        });
     }
     let gate_paired = paired_losses == 0;
     let gate_speedup = wild_05_ratio >= 1.5;
@@ -136,67 +133,36 @@ fn smoke(json_path: &str) {
     let gate_benign =
         benign_arq.per_run_goodput == benign_ad.per_run_goodput && benign_ad.fec_repairs == 0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"fec_transport\",\n  \"workload\": {{\n    \
-         \"message_bytes\": 1024,\n    \"regime\": \"wild\",\n    \
-         \"window\": 48,\n    \"runs_per_cell\": {RUNS},\n    \"seed\": {SEED},\n    \
-         \"pairing\": \"per (severity, run): identical arrival trace and fault stream \
-         for every coding scheme\"\n  }},\n  \
-         \"exactness\": {{\"code\": \"RS({n}, {k})\", \"trials\": 64, \
-         \"failures\": {exact_fail}}},\n  \
-         \"wild_sweep\": [\n{sweep}\n  ],\n  \
-         \"wild_05_ratio\": {wild_05_ratio:.2},\n  \
-         \"paired_runs\": {paired_total},\n  \"paired_losses\": {paired_losses},\n  \
-         \"repairs_total\": {repairs_total},\n  \
-         \"decode_fails_total\": {decode_fails_total},\n  \
-         \"benign_tie\": {gate_benign},\n  \
-         \"gates\": {{\n    \"rs_exact_at_capacity\": {gate_exact},\n    \
-         \"adaptive_ge_arq_every_paired_run\": {gate_paired},\n    \
-         \"wild_05_speedup_ge_1_5x\": {gate_speedup},\n    \
-         \"adaptive_ties_arq_on_benign_traffic\": {gate_benign}\n  }}\n}}\n",
-        n = FIXED_GROUP_DATA + FIXED_GROUP_PARITY,
-        k = FIXED_GROUP_DATA,
-        sweep = sweep_lines.join(",\n"),
-    );
-    std::fs::write(json_path, &json)
-        .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
-    println!("BENCH_fec: wrote {json_path}");
-    println!(
-        "BENCH_fec: wild@0.5 adaptive/arq goodput ratio {wild_05_ratio:.2} \
-         (gate 1.5); {paired_losses}/{paired_total} paired losses; \
-         {repairs_total} repairs, {decode_fails_total} decode fails"
-    );
-    if !gate_exact {
-        eprintln!("BENCH_fec: FAIL — RS decode not exact at capacity ({exact_fail} trials)");
-        std::process::exit(1);
+    let mut report = BenchReport::new("fec_transport");
+    report.field("workload", object! {
+        "message_bytes": 1024u64, "regime": "wild", "window": 48u64, "runs_per_cell": RUNS,
+        "seed": SEED,
+        "pairing": "per (severity, run): same arrival trace and fault stream for every scheme",
+    });
+    report.field("exactness", object! {
+        "code": format!("RS({}, {FIXED_GROUP_DATA})", FIXED_GROUP_DATA + FIXED_GROUP_PARITY),
+        "trials": 64u64, "failures": exact_fail,
+    });
+    report.field("wild_sweep", sweep_rows);
+    report.field("wild_05_ratio", wild_05_ratio);
+    report.field("paired_runs", paired_total);
+    report.field("paired_losses", paired_losses);
+    report.field("repairs_total", repairs_total);
+    report.field("decode_fails_total", decode_fails_total);
+    for (gate, ok, reason) in [
+        ("rs_exact_at_capacity", gate_exact, "RS decode not exact at capacity"),
+        ("adaptive_ge_arq_every_paired_run", gate_paired, "adaptive lost a paired run"),
+        ("wild_05_speedup_ge_1_5x", gate_speedup, "wild@0.5 ratio below 1.5x"),
+        ("adaptive_ties_arq_on_benign_traffic", gate_benign, "adaptive differs from plain ARQ"),
+    ] {
+        report.gate(gate, Verdict::check(ok, reason));
     }
-    if !gate_paired {
-        eprintln!(
-            "BENCH_fec: FAIL — adaptive FEC lost {paired_losses} of {paired_total} paired runs"
-        );
-        std::process::exit(1);
-    }
-    if !gate_speedup {
-        eprintln!(
-            "BENCH_fec: FAIL — wild@0.5 ratio {wild_05_ratio:.2} below the 1.5x gate"
-        );
-        std::process::exit(1);
-    }
-    if !gate_benign {
-        eprintln!("BENCH_fec: FAIL — adaptive arm does not tie plain ARQ on benign traffic");
-        std::process::exit(1);
-    }
+    report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_fec.json".to_string());
-        smoke(&path);
-        return;
+fn main() -> ExitCode {
+    if let Some(path) = json_path("fec") {
+        return smoke().finish(&path);
     }
 
     let g = Group::new("fec_micro");
@@ -229,4 +195,5 @@ fn main() {
     // unit the fec figure measures per run.
     let ns = measure_ns(5, 1, || fec_point("wild", Coding::Adaptive, 0.5, 1, SEED));
     println!("fec_micro/transfer_wild_adaptive  {ns:.0} ns/iter (5 samples)");
+    ExitCode::SUCCESS
 }

@@ -11,12 +11,15 @@
 //!    control blocks are partitioned into 1, 4 or 7 shards;
 //! 3. core scaling — 4 workers finish the 10⁵-tag point ≥ 2× faster
 //!    than 1 worker. Wall-clock is the one host-dependent measurement
-//!    here, so this gate is fatal only when the host actually has ≥ 4
-//!    cores; on smaller hosts its verdict in `gates` reads
-//!    `"skipped: <reason>"`, never `true`.
+//!    here, so this gate runs only when the host actually has ≥ 4
+//!    cores; on smaller hosts its verdict reads `"skipped: <reason>"`,
+//!    never `"pass"`.
 
 use bs_bench::experiments::fleet::{fleet_config, point_of};
+use bs_bench::object;
+use bs_bench::report::{host_cores, json_path, BenchReport, Value, Verdict};
 use bs_net::fleet::run_fleet;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Master seed of the smoke runs; pinned so the digests in
@@ -35,7 +38,7 @@ fn acceptance_config() -> bs_net::fleet::FleetConfig {
     cfg
 }
 
-fn smoke(json_path: &str) {
+fn smoke() -> BenchReport {
     let cfg = acceptance_config();
 
     // Gate 1: byte-identical JSON across worker counts (and the wall
@@ -64,107 +67,57 @@ fn smoke(json_path: &str) {
     }
     let gate_shards = shard_digests.iter().all(|d| *d == shard_digests[0]);
 
-    // Gate 3: ≥2× at 4 workers vs 1 — fatal only on hosts that have
+    // Gate 3: ≥2× at 4 workers vs 1 — run only on hosts that have
     // the cores to show it.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = host_cores();
     let wall_1 = walls_ms.iter().find(|(j, _)| *j == 1).unwrap().1;
     let wall_4 = walls_ms.iter().find(|(j, _)| *j == 4).unwrap().1;
     let speedup_4 = wall_1 / wall_4.max(1e-9);
-    let scaling_enforced = cores >= 4;
-    let gate_scaling = !scaling_enforced || speedup_4 >= 2.0;
-    let reason = format!("host has {cores} core(s), gate needs 4");
-    // A gate that did not run is reported as skipped, never as a pass.
-    let scaling_verdict = if scaling_enforced {
-        gate_scaling.to_string()
+    let scaling = if cores >= 4 {
+        Verdict::check(speedup_4 >= 2.0, "4 workers under 2x the speed of 1")
     } else {
-        format!("\"skipped: {reason}\"")
+        Verdict::Skipped(format!("host has {cores} core(s), gate needs 4"))
     };
 
-    let scaling_rows: Vec<String> = walls_ms
+    let scaling_rows: Vec<Value> = walls_ms
         .iter()
-        .map(|(jobs, ms)| {
-            format!(
-                "    {{\"jobs\": {jobs}, \"wall_ms\": {ms:.1}, \"speedup\": {:.2}}}",
-                wall_1 / ms.max(1e-9)
-            )
+        .map(|&(jobs, ms)| {
+            object! { "jobs": jobs, "wall_ms": ms, "speedup": wall_1 / ms.max(1e-9) }
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"fleet\",\n  \"workload\": {{\n    \
-         \"gateways\": {GATEWAYS},\n    \"tags_per_gateway\": {TAGS_PER_GATEWAY},\n    \
-         \"tags\": {tags},\n    \"epochs\": 1,\n    \"seed\": {SEED}\n  }},\n  \
-         \"point\": {{\n    \"goodput_bps\": {goodput:.1},\n    \"fairness\": {fairness:.6},\n    \
-         \"p50_us\": {p50:.1},\n    \"p99_us\": {p99:.1},\n    \
-         \"all_complete\": {complete},\n    \"digest\": \"{digest:016x}\"\n  }},\n  \
-         \"core_scaling\": [\n{scaling}\n  ],\n  \
-         \"host_cores\": {cores},\n  \"speedup_at_4_jobs\": {speedup_4:.2},\n  \
-         \"scaling_gate_enforced\": {scaling_enforced},\n  \
-         \"scaling_gate_skip_reason\": {skip_reason},\n  \
-         \"shard_digests\": [{shard_digests}],\n  \
-         \"gates\": {{\n    \"json_identical_across_jobs\": {gate_jobs},\n    \
-         \"digest_invariant_across_shards\": {gate_shards},\n    \
-         \"speedup_4_jobs_ge_2x\": {scaling_verdict}\n  }}\n}}\n",
-        tags = GATEWAYS * TAGS_PER_GATEWAY,
-        goodput = point.goodput_bps,
-        fairness = point.fairness,
-        p50 = point.p50_us,
-        p99 = point.p99_us,
-        complete = point.all_complete,
-        digest = point.digest,
-        scaling = scaling_rows.join(",\n"),
-        skip_reason = if scaling_enforced {
-            "null".to_string()
-        } else {
-            format!("\"{reason}\"")
-        },
-        shard_digests = shard_digests
-            .iter()
-            .map(|d| format!("\"{d:016x}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    std::fs::write(json_path, &json).unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
-    println!("BENCH_fleet: wrote {json_path}");
+    let mut report = BenchReport::new("fleet");
+    report.field("workload", object! {
+        "gateways": GATEWAYS, "tags_per_gateway": TAGS_PER_GATEWAY,
+        "tags": GATEWAYS * TAGS_PER_GATEWAY, "epochs": 1u64, "seed": SEED,
+    });
+    report.field("point", object! {
+        "goodput_bps": point.goodput_bps, "fairness": point.fairness, "p50_us": point.p50_us,
+        "p99_us": point.p99_us, "all_complete": point.all_complete,
+        "digest": format!("{:016x}", point.digest),
+    });
+    report.field("core_scaling", scaling_rows);
+    report.field("speedup_at_4_jobs", speedup_4);
+    let shard_hex: Vec<String> = shard_digests.iter().map(|d| format!("{d:016x}")).collect();
+    report.field("shard_digests", shard_hex);
+    for (gate, ok, reason) in [
+        ("json_identical_across_jobs", gate_jobs, "FleetRun JSON differs across worker counts"),
+        ("digest_invariant_across_shards", gate_shards, "digest changed with shards"),
+    ] {
+        report.gate(gate, Verdict::check(ok, reason));
+    }
+    report.gate("speedup_4_jobs_ge_2x", scaling);
     println!(
         "BENCH_fleet: {} tags, wall 1j {wall_1:.0} ms / 4j {wall_4:.0} ms \
          (speedup {speedup_4:.2}, {cores} cores), digest {:016x}",
         GATEWAYS * TAGS_PER_GATEWAY,
         point.digest
     );
-    if !gate_jobs {
-        eprintln!("BENCH_fleet: FAIL — FleetRun JSON differs across worker counts");
-        std::process::exit(1);
-    }
-    if !gate_shards {
-        eprintln!(
-            "BENCH_fleet: FAIL — per-tag digest changed with shard count: {shard_digests:?}"
-        );
-        std::process::exit(1);
-    }
-    if !gate_scaling {
-        eprintln!(
-            "BENCH_fleet: FAIL — speedup {speedup_4:.2} at 4 workers below the 2x gate \
-             on a {cores}-core host"
-        );
-        std::process::exit(1);
-    }
-    if !scaling_enforced {
-        println!(
-            "BENCH_fleet: scaling gate skipped — {reason} \
-             (recorded in the JSON, not silently dropped)"
-        );
-    }
+    report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_fleet.json".to_string());
-        smoke(&path);
-        return;
+fn main() -> ExitCode {
+    if let Some(path) = json_path("fleet") {
+        return smoke().finish(&path);
     }
 
     // Plain micro mode: time the acceptance point at a few worker
@@ -179,4 +132,5 @@ fn main() {
             run.digest
         );
     }
+    ExitCode::SUCCESS
 }

@@ -20,6 +20,9 @@
 
 use bs_bench::experiments::phy::{phy_point, Mode};
 use bs_bench::microbench::{measure_ns, Group};
+use bs_bench::object;
+use bs_bench::report::{json_path, BenchReport, Verdict};
+use std::process::ExitCode;
 use wifi_backscatter::link::{LinkConfig, UplinkRun};
 use wifi_backscatter::phy::{run_uplink, PhyUplink, PresencePhy};
 use wifi_backscatter::prelude::{FaultPlan, NullRecorder};
@@ -76,7 +79,7 @@ fn identity_mismatches() -> (u64, u64) {
 
 /// The PHY smoke bench behind `--json <path>` (wired into
 /// `scripts/check.sh --bench-smoke`).
-fn smoke(json_path: &str) {
+fn smoke() -> BenchReport {
     // Gate 1: presence identity across the decode paths.
     let (identity_checked, identity_mismatched) = identity_mismatches();
     let gate_identity = identity_mismatched == 0;
@@ -88,54 +91,30 @@ fn smoke(json_path: &str) {
     let ratio = codeword.goodput_bps / presence.goodput_bps.max(1e-9);
     let gate_speedup = presence.goodput_bps > 0.0 && ratio >= 10.0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"phy_modes\",\n  \"workload\": {{\n    \
-         \"payload_bits\": 128,\n    \"distance_m\": 0.3,\n    \
-         \"helper_pps\": 3000,\n    \"runs_per_mode\": {RUNS},\n    \"seed\": {SEED},\n    \
-         \"pairing\": \"per run: same seed for both modes\"\n  }},\n  \
-         \"identity_checks\": {identity_checked},\n  \
-         \"identity_mismatches\": {identity_mismatched},\n  \
-         \"presence_goodput_bps\": {:.1},\n  \
-         \"presence_bit_rate_bps\": {},\n  \
-         \"codeword_goodput_bps\": {:.1},\n  \
-         \"codeword_bit_rate_bps\": {},\n  \
-         \"goodput_ratio\": {ratio:.1},\n  \
-         \"gates\": {{\n    \"presence_bit_identity\": {gate_identity},\n    \
-         \"codeword_goodput_ge_10x_presence\": {gate_speedup}\n  }}\n}}\n",
-        presence.goodput_bps, presence.bit_rate_bps, codeword.goodput_bps, codeword.bit_rate_bps,
-    );
-    std::fs::write(json_path, &json).unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
-    println!("BENCH_phy: wrote {json_path}");
-    println!(
-        "BENCH_phy: codeword/presence goodput ratio {ratio:.1} (gate 10); \
-         {identity_mismatched}/{identity_checked} identity mismatches"
-    );
-    if !gate_identity {
-        eprintln!(
-            "BENCH_phy: FAIL — presence PHY not bit-identical across decode paths \
-             ({identity_mismatched} of {identity_checked} checks)"
-        );
-        std::process::exit(1);
+    let mut report = BenchReport::new("phy_modes");
+    report.field("workload", object! {
+        "payload_bits": 128u64, "distance_m": 0.3, "helper_pps": 3000u64, "runs_per_mode": RUNS,
+        "seed": SEED, "pairing": "per run: same seed for both modes",
+    });
+    report.field("identity_checks", identity_checked);
+    report.field("identity_mismatches", identity_mismatched);
+    report.field("presence_goodput_bps", presence.goodput_bps);
+    report.field("presence_bit_rate_bps", presence.bit_rate_bps);
+    report.field("codeword_goodput_bps", codeword.goodput_bps);
+    report.field("codeword_bit_rate_bps", codeword.bit_rate_bps);
+    report.field("goodput_ratio", ratio);
+    for (gate, ok, reason) in [
+        ("presence_bit_identity", gate_identity, "decode paths differ"),
+        ("codeword_goodput_ge_10x_presence", gate_speedup, "goodput ratio below 10x"),
+    ] {
+        report.gate(gate, Verdict::check(ok, reason));
     }
-    if !gate_speedup {
-        eprintln!(
-            "BENCH_phy: FAIL — codeword/presence goodput ratio {ratio:.1} below the 10x gate \
-             (presence {:.1} bps, codeword {:.1} bps)",
-            presence.goodput_bps, codeword.goodput_bps
-        );
-        std::process::exit(1);
-    }
+    report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_phy.json".to_string());
-        smoke(&path);
-        return;
+fn main() -> ExitCode {
+    if let Some(path) = json_path("phy") {
+        return smoke().finish(&path);
     }
 
     let g = Group::new("phy_micro");
@@ -157,4 +136,5 @@ fn main() {
     // figure measures.
     let ns = measure_ns(3, 1, || phy_point(Mode::Codeword, 3_000.0, 1, SEED));
     println!("phy_micro/point_codeword_3000pps  {ns:.0} ns/iter (3 samples)");
+    ExitCode::SUCCESS
 }

@@ -13,7 +13,10 @@
 //! equivalence, residency, pass-count or throughput gate fails.
 
 use bs_bench::microbench::{measure_ns, Group};
+use bs_bench::object;
+use bs_bench::report::{json_path, BenchReport, Verdict};
 use bs_dsp::SimRng;
+use std::process::ExitCode;
 use wifi_backscatter::series::{SeriesAccumulator, SeriesBundle};
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig, UplinkStream};
 
@@ -51,7 +54,7 @@ fn feed_chunked(stream: &mut UplinkStream, bundle: &SeriesBundle, chunk: usize) 
 /// The stream smoke bench behind `--json <path>` (wired into
 /// `scripts/check.sh --bench-smoke`).
 ///
-/// Hard gates (exit non-zero on failure):
+/// Gates (a `Fail` exits non-zero):
 /// 1. identity — per-packet streaming, 64-packet-burst streaming, the
 ///    batch decoder and `decode_reference` all agree bit for bit at
 ///    search_bits 2 and 8;
@@ -67,7 +70,7 @@ fn feed_chunked(stream: &mut UplinkStream, bundle: &SeriesBundle, chunk: usize) 
 ///    alignment-search-dominated configuration. A ratio of two
 ///    same-process measurements, and the indexed decode underneath runs
 ///    ~5× here, so the 2× floor has wide margin on any host.
-fn smoke(json_path: &str) {
+fn smoke() -> BenchReport {
     use bs_dsp::obs::MemRecorder;
     use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 
@@ -86,6 +89,7 @@ fn smoke(json_path: &str) {
     // Gate 1: identity at both ends of the candidate range, for both
     // feeding granularities.
     let mut peak_resident = 0u64;
+    let mut gate_identical = true;
     for sb in [2u32, 8] {
         let dec = mk(sb);
         let reference = dec.decode_reference(&capture.bundle, capture.start_us);
@@ -107,10 +111,7 @@ fn smoke(json_path: &str) {
         feed_chunked(&mut by_burst, &capture.bundle, 64);
         let by_burst = by_burst.finish();
 
-        if by_packet != batch || by_burst != batch || batch != reference {
-            eprintln!("BENCH_stream: FAIL — streaming decode differs at search_bits={sb}");
-            std::process::exit(1);
-        }
+        gate_identical &= by_packet == batch && by_burst == batch && batch == reference;
     }
 
     // Gate 2: one-frame residency.
@@ -139,79 +140,46 @@ fn smoke(json_path: &str) {
     });
     let ref_ns_pkt = ref_ns / packets as f64;
     let stream_ns_pkt = stream_ns / packets as f64;
-    let ref_pkts_per_s = 1e9 / ref_ns_pkt.max(1e-9);
-    let stream_pkts_per_s = 1e9 / stream_ns_pkt.max(1e-9);
     let speedup = ref_ns / stream_ns.max(1.0);
     let gate_throughput = speedup >= 2.0;
 
-    let json = format!(
-        "{{\n  \"bench\": \"stream_decode\",\n  \"workload\": {{\n    \
-         \"figure\": \"fig10-dense\",\n    \"tag_reader_m\": 0.5,\n    \
-         \"bit_rate_bps\": 100,\n    \"pkts_per_bit\": 30,\n    \"seed\": 4242,\n    \
-         \"packets\": {packets},\n    \"channels\": {channels},\n    \
-         \"payload_bits\": {payload_bits}\n  }},\n  \
-         \"identity\": \"per-packet stream == 64-burst stream == batch == reference \
-         (bit-for-bit, search_bits 2 and 8)\",\n  \
-         \"peak_resident_packets\": {peak_resident},\n  \
-         \"resident_note\": \"a session buffers exactly one frame; capacity bounds \
-         via stream_bounded reject beyond it\",\n  \
-         \"per_packet\": {{\n    \"reference_ns\": {ref_ns_pkt:.1},\n    \
-         \"stream_ns\": {stream_ns_pkt:.1},\n    \
-         \"reference_pkts_per_s\": {ref_pkts_per_s:.0},\n    \
-         \"stream_pkts_per_s\": {stream_pkts_per_s:.0}\n  }},\n  \
-         \"speedup\": {speedup:.2},\n  \"speedup_note\": \"reference/stream feed+finish \
-         at search_bits=8, the alignment-search-dominated configuration\",\n  \
-         \"align_search\": {{\"stream_passes\": {stream_passes}, \
-         \"reference_passes\": {reference_passes}}},\n  \
-         \"gates\": {{\n    \"streaming_identical_to_batch_and_reference\": true,\n    \
-         \"peak_resident_is_one_frame\": {gate_resident},\n    \
-         \"stream_fewer_passes_than_reference\": {gate_passes},\n    \
-         \"throughput_ge_2x\": {gate_throughput}\n  }}\n}}\n"
-    );
-    std::fs::write(json_path, &json)
-        .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
-    println!("BENCH_stream: wrote {json_path}");
+    let mut report = BenchReport::new("stream_decode");
+    report.field("workload", object! {
+        "figure": "fig10-dense", "tag_reader_m": 0.5, "bit_rate_bps": 100u64, "pkts_per_bit": 30u64,
+        "seed": 4242u64, "packets": packets, "channels": channels, "payload_bits": payload_bits,
+    });
+    report.field("peak_resident_packets", peak_resident);
+    report.field("resident_note", "one frame per session; stream_bounded rejects beyond it");
+    report.field("per_packet", object! {
+        "reference_ns": ref_ns_pkt, "stream_ns": stream_ns_pkt,
+        "reference_pkts_per_s": 1e9 / ref_ns_pkt.max(1e-9),
+        "stream_pkts_per_s": 1e9 / stream_ns_pkt.max(1e-9),
+    });
+    report.field("speedup", speedup);
+    report.field("speedup_note", "reference/stream feed+finish at search_bits=8");
+    report.field("align_search", object! {
+        "stream_passes": stream_passes, "reference_passes": reference_passes,
+    });
+    for (gate, ok, reason) in [
+        ("streaming_identical_to_batch_and_reference", gate_identical, "a decode path differs"),
+        ("peak_resident_is_one_frame", gate_resident, "session holds more or less than one frame"),
+        ("stream_fewer_passes_than_reference", gate_passes, "passes not below the reference"),
+        ("throughput_ge_2x", gate_throughput, "under 2x the reference"),
+    ] {
+        report.gate(gate, Verdict::check(ok, reason));
+    }
     println!(
         "BENCH_stream: sb=8 reference {:.1} ms vs stream feed+finish {:.1} ms \
          ({speedup:.1}x; {stream_ns_pkt:.0} ns/pkt vs {ref_ns_pkt:.0} ns/pkt)",
         ref_ns / 1e6,
         stream_ns / 1e6,
     );
-    println!(
-        "BENCH_stream: peak resident {peak_resident} of {packets} packets; \
-         align passes {stream_passes} vs {reference_passes} reference"
-    );
-    if !gate_resident {
-        eprintln!(
-            "BENCH_stream: FAIL — peak resident {peak_resident} != one frame ({packets} packets)"
-        );
-        std::process::exit(1);
-    }
-    if !gate_passes {
-        eprintln!(
-            "BENCH_stream: FAIL — streaming finish() does not beat the reference pass count \
-             ({stream_passes} vs {reference_passes})"
-        );
-        std::process::exit(1);
-    }
-    if !gate_throughput {
-        eprintln!(
-            "BENCH_stream: FAIL — feed+finish only {speedup:.2}x the reference per-packet \
-             throughput (target 2x)"
-        );
-        std::process::exit(1);
-    }
+    report
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| "BENCH_stream.json".to_string());
-        smoke(&path);
-        return;
+fn main() -> ExitCode {
+    if let Some(path) = json_path("stream") {
+        return smoke().finish(&path);
     }
 
     let g = Group::new("stream_micro");
@@ -250,4 +218,5 @@ fn main() {
         s.finish()
     });
     g.bench("batch_decode_30ch_3000pkt", 10, 1, || dec.decode(&bundle, 0));
+    ExitCode::SUCCESS
 }

@@ -10,6 +10,8 @@
 //! dependency-free (see the workspace `Cargo.toml`), so there is no serde.
 //! The schema is flat and documented in EXPERIMENTS.md.
 
+use bs_dsp::obs::json_str;
+
 /// The result of one harness job, before scheduling metadata is attached.
 ///
 /// Jobs return their rendered table lines *and* their numeric metrics so
@@ -78,7 +80,7 @@ impl RunRecord {
             if i > 0 {
                 metrics.push(',');
             }
-            metrics.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
+            metrics.push_str(&format!("{}:{}", json_str(k), json_number(*v)));
         }
         metrics.push('}');
         // The degradation report is already JSON (built by the link
@@ -98,8 +100,8 @@ impl RunRecord {
         format!(
             "{{\"fig\":{},\"label\":{},\"seed\":{},\"job_index\":{},\
              \"wall_s\":{},\"work_items\":{},\"metrics\":{}{}{}}}",
-            json_string(&self.fig),
-            json_string(&self.label),
+            json_str(&self.fig),
+            json_str(&self.label),
             self.seed,
             self.job_index,
             json_number(self.wall_s),
@@ -111,29 +113,10 @@ impl RunRecord {
     }
 }
 
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats an `f64` as a JSON number. JSON has no NaN/Infinity; those
 /// (which never occur in practice — BERs and goodputs are finite) map to
 /// `null`.
-fn json_number(v: f64) -> String {
+pub(crate) fn json_number(v: f64) -> String {
     if v.is_finite() {
         // `{:?}` round-trips f64 exactly and always includes a decimal
         // point or exponent, which keeps the value a JSON number.
@@ -207,8 +190,8 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("tab\there"), "\"tab\\there\"");
     }
 
     #[test]

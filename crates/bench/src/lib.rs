@@ -12,6 +12,8 @@
 //!   report (byte-identical for any `--jobs` count).
 //! * [`microbench`] — a tiny self-contained timing loop used by the
 //!   `microbench` binary (no external benchmarking framework).
+//! * [`report`] — the one writer of the smoke benches' `BENCH_*.json`
+//!   evidence, with `pass | fail | skipped` gates.
 //!
 //! See DESIGN.md §4 for the full experiment index and EXPERIMENTS.md for
 //! recorded paper-vs-measured results.
@@ -43,3 +45,4 @@
 pub mod experiments;
 pub mod harness;
 pub mod microbench;
+pub mod report;

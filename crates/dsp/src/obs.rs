@@ -229,9 +229,10 @@ impl ObsReport {
     }
 }
 
-/// Minimal JSON string escaping; names here are dotted identifiers but the
-/// writer stays correct for arbitrary content.
-fn json_str(s: &str) -> String {
+/// Escapes `s` as a JSON string literal (quotes included). Names here are
+/// dotted identifiers, but the escaping is correct for arbitrary content;
+/// the bench harness's JSON writers use it too.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -6,8 +6,8 @@
 //! does*. This module closes the loop (ROADMAP item 5): a [`Capacitor`]
 //! integrates harvest minus load minus leakage over time and runs a
 //! Dead / Charging / Awake state machine with brownout hysteresis, and an
-//! [`EnergyPolicy`] tells the consuming layer (firmware, session,
-//! gateway, fleet) what the tag may do in each state.
+//! [`EnergyPolicy`] tells the consuming layer (session, gateway, fleet)
+//! what the tag may do in each state.
 //!
 //! # The capacitor state machine
 //!
@@ -277,7 +277,7 @@ impl Capacitor {
 }
 
 /// What the tag is allowed to do in each [`EnergyState`] — the
-/// duty-cycling decision the firmware/scheduler layers consult.
+/// duty-cycling decision the session and gateway schedulers consult.
 ///
 /// ```
 /// use bs_tag::energy::{EnergyPolicy, EnergyState};

@@ -118,8 +118,8 @@ impl DownlinkFrame {
     /// length byte's MSB is always 0: the preamble ends in a `1` bit, and
     /// the first body bit must differ from it or the preamble's final run
     /// would merge into the body and the tag's run-length matcher could
-    /// never anchor the frame end (found by the streaming-firmware
-    /// tests).
+    /// never anchor the frame end (pinned by the test
+    /// `max_payload_first_body_bit_is_zero`).
     pub const MAX_PAYLOAD: usize = 127;
 
     /// Creates a frame.

@@ -26,8 +26,6 @@
 //!   policy that gates what the tag may do in each power state.
 //! * [`power`] — the measured power budget of the prototype and an energy
 //!   accounting ledger.
-//! * [`firmware`] — the MCU firmware as a *streaming* state machine
-//!   (listen → decode → respond), with per-step energy accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +33,6 @@
 pub mod codeword;
 pub mod energy;
 pub mod envelope;
-pub mod firmware;
 pub mod frame;
 pub mod harvester;
 pub mod modulator;

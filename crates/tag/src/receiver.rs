@@ -431,20 +431,9 @@ impl DownlinkDecoder {
         frames
     }
 
-    /// Counts preamble matches in a comparator stream *without* requiring
-    /// a valid frame body — this is the false-positive metric of Fig. 18
-    /// (every match wakes the MCU to attempt decoding).
-    pub fn count_preamble_matches(&mut self, comparator: &[bool]) -> u64 {
-        let trans = debounce_transitions(
-            &transitions(comparator, self.sample_period_us),
-            (self.bit_us / 4.0) as u64,
-        );
-        self.count_preamble_matches_in_transitions(&trans)
-    }
-
-    /// Same as [`Self::count_preamble_matches`], but directly on a
-    /// transition list — the event-driven form used for hours-long ambient
-    /// traffic where a sample-level trace would be wasteful.
+    /// Counts preamble matches in a transition list *without* requiring a
+    /// valid frame body — Fig. 18's false-positive metric (every match
+    /// wakes the MCU), event-driven for hours-long ambient traffic.
     pub fn count_preamble_matches_in_transitions(
         &mut self,
         transitions: &[(u64, bool)],

@@ -2,38 +2,12 @@
 # Full local gate: everything CI would require, in dependency order.
 # Usage: scripts/check.sh [--bench-smoke]
 #   --bench-smoke  additionally run the decode, stream, fec, phy, fleet
-#                  and energy microbench smoke modes in release, writing
-#                  BENCH_decode.json, BENCH_stream.json, BENCH_fec.json,
-#                  BENCH_phy.json, BENCH_fleet.json and
-#                  BENCH_energy.json at the repo root. The decode bench
-#                  exits non-zero if the slot-indexed decode path
-#                  does more packet-stream passes than the reference
-#                  baseline or if its alignment-search work scales with
-#                  the candidate count; the stream bench if streaming
-#                  decode is not bit-identical to batch/reference, the
-#                  session buffers more than one frame, or feed+finish
-#                  falls under 2x the reference per-packet throughput;
-#                  the fec bench if Reed-Solomon decode is not exact at
-#                  capacity, adaptive FEC loses any paired run to plain
-#                  ARQ, the wild-regime severity-0.5 goodput ratio
-#                  falls under 1.5x, or the adaptive rule fails to
-#                  disable itself on benign traffic; the phy bench if
-#                  the presence PHY is not bit-identical across the
-#                  routed and direct decode paths, or codeword
-#                  translation's goodput falls under 10x presence at
-#                  equal helper traffic in the benign regime; the fleet
-#                  bench if the 10^5-tag FleetRun JSON is not
-#                  byte-identical across worker counts, the per-tag
-#                  digest changes with the shard count, or (on hosts
-#                  with >= 4 cores) 4 workers fail to beat 1 worker by
-#                  2x on wall clock; the energy bench if always-powered
-#                  mode is not bit-identical to the pre-energy engine on
-#                  the golden workloads, energy-aware polling trails
-#                  naive DRR on any paired wild-harvest run, the
-#                  starving scenario misses its waste/recovery bounds
-#                  (naive wastes >= 30% of poll slots, aware recovers
-#                  >= half of them), or the 10^5-tag intermittent fleet
-#                  is not byte-identical across worker counts.
+#                  and energy smoke benches in release, writing
+#                  BENCH_<name>.json at the repo root. Each bench's gates
+#                  are listed in the docs of its crates/bench/benches/
+#                  *_micro.rs; every gate reads "pass", "fail: <reason>"
+#                  or "skipped: <reason>", and any fail exits non-zero
+#                  after the file is written.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
