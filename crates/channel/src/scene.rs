@@ -15,6 +15,13 @@
 //! unit-power multipath responses, `g` are slow-fading gains and `s` is the
 //! tag's scatter amplitude. The `bs-wifi` crate layers measurement effects
 //! (CSI estimation noise, quantisation, RSSI integration) on top.
+//!
+//! The `M` terms never change after [`Scene::new`], so a scene tabulates
+//! them once per set of offsets (helper→tag once, not once per antenna)
+//! and a snapshot only multiplies and adds. The table holds each link's
+//! response on its own and the snapshot multiplies in the same order as
+//! evaluating the formula directly, so tabulating changes no bit of any
+//! output.
 
 use crate::backscatter::{RadarCrossSection, TagState};
 use crate::fading::{FadingConfig, SlowFading};
@@ -182,6 +189,30 @@ struct Link {
     mp: Multipath,
 }
 
+/// Every link's multipath response at one set of subcarrier offsets.
+#[derive(Debug, Clone)]
+struct Responses {
+    /// The offsets tabulated (Hz), matched bitwise.
+    offsets_hz: Vec<f64>,
+    /// `hr[antenna][subcarrier]`: helper → reader.
+    hr: Vec<Vec<Complex>>,
+    /// `ht[subcarrier]`: helper → tag, shared by every antenna.
+    ht: Vec<Complex>,
+    /// `tr[antenna][subcarrier]`: tag → reader.
+    tr: Vec<Vec<Complex>>,
+}
+
+impl Responses {
+    fn tabulates(&self, freq_offsets_hz: &[f64]) -> bool {
+        self.offsets_hz.len() == freq_offsets_hz.len()
+            && self
+                .offsets_hz
+                .iter()
+                .zip(freq_offsets_hz)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
 /// A composed propagation scene; see the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct Scene {
@@ -194,6 +225,9 @@ pub struct Scene {
     tr: Vec<Link>,
     fading_direct: SlowFading,
     fading_scatter: SlowFading,
+    /// The responses at the offsets of the last snapshot; built on the
+    /// first one and rebuilt whenever the offsets change.
+    table: Option<Responses>,
 }
 
 impl Scene {
@@ -238,6 +272,25 @@ impl Scene {
             tr,
             fading_direct,
             fading_scatter,
+            table: None,
+        }
+    }
+
+    /// Evaluates every link's multipath response at `freq_offsets_hz`.
+    fn responses(&self, freq_offsets_hz: &[f64]) -> Responses {
+        Responses {
+            offsets_hz: freq_offsets_hz.to_vec(),
+            hr: self
+                .hr
+                .iter()
+                .map(|l| l.mp.response_at(freq_offsets_hz))
+                .collect(),
+            ht: self.ht.mp.response_at(freq_offsets_hz),
+            tr: self
+                .tr
+                .iter()
+                .map(|l| l.mp.response_at(freq_offsets_hz))
+                .collect(),
         }
     }
 
@@ -264,18 +317,24 @@ impl Scene {
             .rcs
             .scatter_amplitude(tag_state, self.cfg.pathloss.freq_hz);
 
-        let h = (0..self.cfg.reader_antennas)
-            .map(|ant| {
-                let hr = &self.hr[ant];
-                let tr = &self.tr[ant];
-                freq_offsets_hz
-                    .iter()
-                    .map(|&f| {
-                        let direct = g_direct * hr.mp.response(f) * hr.amp;
-                        let scattered = g_scatter
-                            * self.ht.mp.response(f)
-                            * tr.mp.response(f)
-                            * (self.ht.amp * tr.amp * scatter_amp);
+        if !self
+            .table
+            .as_ref()
+            .is_some_and(|t| t.tabulates(freq_offsets_hz))
+        {
+            self.table = Some(self.responses(freq_offsets_hz));
+        }
+        let table = self.table.as_ref().expect("table built above");
+        let h = (table.hr.iter().zip(&table.tr))
+            .zip(self.hr.iter().zip(&self.tr))
+            .map(|((m_hr, m_tr), (hr, tr))| {
+                let scatter_gain = self.ht.amp * tr.amp * scatter_amp;
+                m_hr.iter()
+                    .zip(&table.ht)
+                    .zip(m_tr)
+                    .map(|((&m_hr, &m_ht), &m_tr)| {
+                        let direct = g_direct * m_hr * hr.amp;
+                        let scattered = g_scatter * m_ht * m_tr * scatter_gain;
                         direct + scattered
                     })
                     .collect()
@@ -303,16 +362,14 @@ impl Scene {
     /// state is not advanced.
     pub fn differential(&self, freq_offsets_hz: &[f64]) -> Vec<Vec<Complex>> {
         let d_amp = self.cfg.rcs.differential_amplitude(self.cfg.pathloss.freq_hz);
-        (0..self.cfg.reader_antennas)
-            .map(|ant| {
-                let tr = &self.tr[ant];
-                freq_offsets_hz
-                    .iter()
-                    .map(|&f| {
-                        self.ht.mp.response(f)
-                            * tr.mp.response(f)
-                            * (self.ht.amp * tr.amp * d_amp)
-                    })
+        let m = self.responses(freq_offsets_hz);
+        m.tr.iter()
+            .zip(&self.tr)
+            .map(|(m_tr, tr)| {
+                let gain = self.ht.amp * tr.amp * d_amp;
+                m.ht.iter()
+                    .zip(m_tr)
+                    .map(|(&m_ht, &m_tr)| m_ht * m_tr * gain)
                     .collect()
             })
             .collect()
@@ -347,6 +404,84 @@ mod tests {
         let mut cfg = SceneConfig::uplink(d_tag_reader);
         cfg.fading = FadingConfig::static_channel();
         Scene::new(cfg, &SimRng::new(seed))
+    }
+
+    /// The module-doc formula evaluated straight from the multipath taps,
+    /// advancing `s`'s fading processes as a snapshot would.
+    fn formula(s: &mut Scene, t_s: f64, state: TagState, f: &[f64]) -> Vec<Vec<Complex>> {
+        let g_direct = s.fading_direct.gain_at(t_s);
+        let g_scatter = s.fading_scatter.gain_at(t_s);
+        let amp = s.cfg.rcs.scatter_amplitude(state, s.cfg.pathloss.freq_hz);
+        (0..s.cfg.reader_antennas)
+            .map(|ant| {
+                let (hr, ht, tr) = (&s.hr[ant], &s.ht, &s.tr[ant]);
+                f.iter()
+                    .map(|&f| {
+                        g_direct * hr.mp.response(f) * hr.amp
+                            + g_scatter
+                                * ht.mp.response(f)
+                                * tr.mp.response(f)
+                                * (ht.amp * tr.amp * amp)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn bits(h: &[Vec<Complex>]) -> Vec<(u64, u64)> {
+        h.iter()
+            .flatten()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn tabulated_snapshot_is_bit_identical_to_the_formula() {
+        // Default (time-varying) fading, so the per-packet gains move.
+        let cfg = SceneConfig::uplink(0.4);
+        let mut tabulated = Scene::new(cfg.clone(), &SimRng::new(31));
+        let mut twin = Scene::new(cfg, &SimRng::new(31));
+        let a = offsets();
+        let b: Vec<f64> = a.iter().map(|f| f + 156_250.0).collect();
+        let plan = [
+            (&a, TagState::Reflect),
+            (&a, TagState::Absorb),
+            (&b, TagState::Absorb),
+            (&b, TagState::Reflect),
+            (&a, TagState::Reflect),
+            (&a, TagState::Absorb),
+        ];
+        let mut seen = Vec::new();
+        for (i, (f, state)) in plan.into_iter().enumerate() {
+            let t_s = i as f64 * 0.05;
+            let snap = tabulated.snapshot(t_s, state, f);
+            let table = tabulated.table.as_ref().expect("tabulated");
+            assert_eq!(&table.offsets_hz, f, "step {i}: stale table");
+            let got = bits(&snap.h);
+            assert_eq!(got, bits(&formula(&mut twin, t_s, state, f)), "step {i}");
+            seen.push(got);
+        }
+        // The fading moved between steps: A → B → A is not one repeated
+        // snapshot.
+        assert_ne!(seen[0], seen[4]);
+        assert_ne!(seen[1], seen[5]);
+
+        let d_amp = twin
+            .cfg
+            .rcs
+            .differential_amplitude(twin.cfg.pathloss.freq_hz);
+        let direct: Vec<Vec<Complex>> = twin
+            .tr
+            .iter()
+            .map(|tr| {
+                a.iter()
+                    .map(|&f| {
+                        twin.ht.mp.response(f) * tr.mp.response(f) * (twin.ht.amp * tr.amp * d_amp)
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(bits(&tabulated.differential(&a)), bits(&direct));
     }
 
     #[test]

@@ -518,7 +518,9 @@ pub fn capture_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkCa
                             return stale;
                         }
                     }
-                    last = Some(fresh.clone());
+                    if degrade {
+                        last = Some(fresh.clone());
+                    }
                     fresh
                 })
                 .collect();

@@ -39,9 +39,9 @@ impl SeriesBundle {
         let mut series = vec![Vec::with_capacity(measurements.len()); channels];
         let mut t_us = Vec::with_capacity(measurements.len());
         for m in measurements {
-            let flat = m.flat();
-            assert_eq!(flat.len(), channels, "inconsistent CSI shape");
-            for (c, v) in flat.into_iter().enumerate() {
+            let len: usize = m.amplitude.iter().map(Vec::len).sum();
+            assert_eq!(len, channels, "inconsistent CSI shape");
+            for (c, &v) in m.amplitude.iter().flatten().enumerate() {
                 series[c].push(v);
             }
             t_us.push(m.timestamp_us);

@@ -57,6 +57,13 @@ echo "== public-API drift gate + observability conformance =="
 cargo test --release -q -p wifi-backscatter --test api_snapshot
 cargo test --release -q -p wifi-backscatter --test obs_conformance
 
+echo "== golden / bit-identity (decode transcripts, raw-capture digests) =="
+# The decode chain's fixtures under tests/golden/ and the FNV-1a digests
+# of raw CSI/RSSI captures (fault-free and under the sensor preset). Any
+# performance work on the channel or measurement path must leave these
+# untouched, to the last bit.
+cargo test --release -q -p wifi-backscatter --test golden_decode
+
 echo "== phy mode conformance (presence identity, codeword round-trip, determinism) =="
 # The PhyMode redesign's contract: the presence PHY is bit-identical
 # across the routed and direct entry points (faults included),

@@ -13,6 +13,7 @@
 //!
 //! and review the fixture diff like any other code change.
 
+use bs_channel::faults::FaultPlan;
 use bs_dsp::correlate::{best_alignment, peak, sliding};
 use bs_dsp::slicer::{majority, sign_decision, vote_bit, Decision, HysteresisSlicer};
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
@@ -189,4 +190,68 @@ fn golden_uplink_decode_chain() {
         include_str!("golden/uplink_chain.txt"),
         &out,
     );
+}
+
+/// FNV-1a over the raw capture: every timestamp and the bits of every
+/// measured value, channel by channel. `uplink_chain.txt` prints scores
+/// to 7 significant digits; this digest catches a change to any measured
+/// value down to its last bit.
+fn capture_digest(bundle: &wifi_backscatter::SeriesBundle) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(bundle.t_us.len() as u64);
+    eat(bundle.series.len() as u64);
+    for &t in &bundle.t_us {
+        eat(t);
+    }
+    for ch in &bundle.series {
+        for v in ch {
+            eat(v.to_bits());
+        }
+    }
+    h
+}
+
+/// Bit-exact raw captures (the measured series before any decoding) at
+/// the canonical operating point with CSI and with RSSI, and with the
+/// `sensor` fault preset's frozen CSI packets. Any change here is a
+/// behaviour change, however small.
+#[test]
+fn golden_raw_capture_digests() {
+    let payload: Vec<bool> = (0..16).map(|i| (i * 5) % 3 == 0).collect();
+    let cases = [
+        ("csi", Measurement::Csi, None, 0x3d95_c278_6b98_90aa_u64),
+        ("rssi", Measurement::Rssi, None, 0xe34a_de02_48c6_322b),
+        (
+            "csi+sensor",
+            Measurement::Csi,
+            Some("sensor"),
+            0xeb3d_fa80_7846_7092,
+        ),
+    ];
+    for (name, measurement, preset, expected) in cases {
+        let mut cfg = LinkConfig::fig10(0.1, 100, 10, 77);
+        cfg.measurement = measurement;
+        cfg.payload = payload.clone();
+        if let Some(p) = preset {
+            cfg.faults = FaultPlan::preset(p, 1.0, 77).expect("known preset");
+        }
+        let capture = capture_uplink(&cfg);
+        if preset.is_some() {
+            assert!(
+                capture.fault_events.frozen_packets > 0,
+                "{name}: the preset froze no packets"
+            );
+        }
+        let actual = capture_digest(&capture.bundle);
+        assert_eq!(
+            actual, expected,
+            "{name}: raw capture digest {actual:#018x}, pinned {expected:#018x}"
+        );
+    }
 }
