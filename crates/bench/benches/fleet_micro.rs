@@ -14,10 +14,18 @@
 //!    here, so this gate runs only when the host actually has ≥ 4
 //!    cores; on smaller hosts its verdict reads `"skipped: <reason>"`,
 //!    never `"pass"`.
+//!
+//! The scaling rows are sampled, not single shots: after the
+//! determinism runs (which double as the warm-up), the worker counts
+//! 1, 4 and the host's core count run in [`ROUNDS`] interleaved rounds,
+//! ascending then descending (1, 2, 4, 4, 2, 1, … on a 2-core host),
+//! so no count always runs first or cold. Each row reports the median and min wall time;
+//! speedups and `parallel_efficiency_at_host_cores` use the medians.
 
 use bs_bench::experiments::fleet::{fleet_config, point_of};
 use bs_bench::object;
 use bs_bench::report::{host_cores, json_path, BenchReport, Value, Verdict};
+use bs_dsp::stats::median;
 use bs_net::fleet::run_fleet;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,9 +38,13 @@ const SEED: u64 = 29;
 const GATEWAYS: usize = 500;
 const TAGS_PER_GATEWAY: usize = 200;
 
+/// Interleaved sampling rounds behind each scaling row: an even count,
+/// so every worker count runs first in half of them.
+const ROUNDS: usize = 4;
+
 fn acceptance_config() -> bs_net::fleet::FleetConfig {
     let mut cfg = fleet_config(GATEWAYS, TAGS_PER_GATEWAY, SEED);
-    // One epoch keeps the four measured runs inside the smoke budget;
+    // One epoch keeps the measured runs inside the smoke budget;
     // the determinism contract is epoch-independent.
     cfg.epochs = 1;
     cfg
@@ -41,16 +53,12 @@ fn acceptance_config() -> bs_net::fleet::FleetConfig {
 fn smoke() -> BenchReport {
     let cfg = acceptance_config();
 
-    // Gate 1: byte-identical JSON across worker counts (and the wall
-    // times double as the scaling measurement).
-    let mut walls_ms: Vec<(usize, f64)> = Vec::new();
-    let mut jsons: Vec<String> = Vec::new();
-    for jobs in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let run = run_fleet(&cfg, jobs).expect("acceptance population fits");
-        walls_ms.push((jobs, t0.elapsed().as_secs_f64() * 1e3));
-        jsons.push(run.to_json());
-    }
+    // Gate 1: byte-identical JSON across worker counts. These runs
+    // also warm the caches and the allocator for the timed rounds.
+    let jsons: Vec<String> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&jobs| run_fleet(&cfg, jobs).expect("acceptance population fits").to_json())
+        .collect();
     let gate_jobs = jsons.iter().all(|j| j == &jsons[0]);
     let point = {
         let run = run_fleet(&cfg, 1).expect("acceptance population fits");
@@ -67,22 +75,52 @@ fn smoke() -> BenchReport {
     }
     let gate_shards = shard_digests.iter().all(|d| *d == shard_digests[0]);
 
+    // Scaling samples: worker counts 1, 4 and the host's cores, in
+    // rounds alternating ascending and descending order.
+    let cores = host_cores();
+    let mut counts = vec![1usize, 4, cores];
+    counts.sort_unstable();
+    counts.dedup();
+    let mut walls_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(ROUNDS); counts.len()];
+    for round in 0..ROUNDS {
+        let order: Vec<usize> = if round % 2 == 0 {
+            (0..counts.len()).collect()
+        } else {
+            (0..counts.len()).rev().collect()
+        };
+        for k in order {
+            let t0 = Instant::now();
+            run_fleet(&cfg, counts[k]).expect("acceptance population fits");
+            walls_ms[k].push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let median_ms = |jobs: usize| {
+        let k = counts.iter().position(|&c| c == jobs).expect("sampled count");
+        median(&walls_ms[k])
+    };
+    let wall_1 = median_ms(1);
+    let wall_4 = median_ms(4);
+    let speedup_4 = wall_1 / wall_4.max(1e-9);
+    let efficiency = wall_1 / median_ms(cores).max(1e-9) / cores as f64;
+
     // Gate 3: ≥2× at 4 workers vs 1 — run only on hosts that have
     // the cores to show it.
-    let cores = host_cores();
-    let wall_1 = walls_ms.iter().find(|(j, _)| *j == 1).unwrap().1;
-    let wall_4 = walls_ms.iter().find(|(j, _)| *j == 4).unwrap().1;
-    let speedup_4 = wall_1 / wall_4.max(1e-9);
     let scaling = if cores >= 4 {
         Verdict::check(speedup_4 >= 2.0, "4 workers under 2x the speed of 1")
     } else {
         Verdict::Skipped(format!("host has {cores} core(s), gate needs 4"))
     };
 
-    let scaling_rows: Vec<Value> = walls_ms
+    let scaling_rows: Vec<Value> = counts
         .iter()
-        .map(|&(jobs, ms)| {
-            object! { "jobs": jobs, "wall_ms": ms, "speedup": wall_1 / ms.max(1e-9) }
+        .zip(&walls_ms)
+        .map(|(&jobs, samples)| {
+            let med = median(samples);
+            let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+            object! {
+                "jobs": jobs, "samples": samples.len(), "wall_ms_median": med,
+                "wall_ms_min": min, "speedup": wall_1 / med.max(1e-9),
+            }
         })
         .collect();
     let mut report = BenchReport::new("fleet");
@@ -97,6 +135,7 @@ fn smoke() -> BenchReport {
     });
     report.field("core_scaling", scaling_rows);
     report.field("speedup_at_4_jobs", speedup_4);
+    report.field("parallel_efficiency_at_host_cores", efficiency);
     let shard_hex: Vec<String> = shard_digests.iter().map(|d| format!("{d:016x}")).collect();
     report.field("shard_digests", shard_hex);
     for (gate, ok, reason) in [
@@ -107,8 +146,9 @@ fn smoke() -> BenchReport {
     }
     report.gate("speedup_4_jobs_ge_2x", scaling);
     println!(
-        "BENCH_fleet: {} tags, wall 1j {wall_1:.0} ms / 4j {wall_4:.0} ms \
-         (speedup {speedup_4:.2}, {cores} cores), digest {:016x}",
+        "BENCH_fleet: {} tags, median wall 1j {wall_1:.0} ms / 4j {wall_4:.0} ms \
+         (speedup {speedup_4:.2}, efficiency {efficiency:.2} at {cores} cores), \
+         digest {:016x}",
         GATEWAYS * TAGS_PER_GATEWAY,
         point.digest
     );

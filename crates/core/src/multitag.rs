@@ -27,6 +27,12 @@
 //! cost a full capture per slot and change no outcome the protocol acts
 //! on. The capture effect stands in for the one physical nuance (a much
 //! stronger tag surviving a collision).
+//!
+//! Simulating a round costs O(pending · log pending), independent of the
+//! frame size: each powered tag is hashed once, the replies are sorted
+//! by slot, and only occupied slots are judged (idle slots are counted
+//! arithmetically). Q is capped at 15 — EPC Gen-2's Q field is 4 bits —
+//! whatever the config asks for.
 
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
@@ -178,43 +184,66 @@ pub fn run_inventory(
     run_inventory_with(tags, cfg, rng, &mut NullRecorder)
 }
 
+/// Largest Q the reader will use, whatever the config asks for: EPC
+/// Gen-2 carries Q in a 4-bit field, so a frame never exceeds 2^15 slots.
+const MAX_Q: u32 = 15;
+
 /// [`run_inventory`] plus observability: counters `multitag.slots`,
 /// `multitag.collisions` and `multitag.identified`. The inventory (slot
 /// choices, Q trajectory, RNG draws) is bit-identical to
 /// [`run_inventory`].
+///
+/// Q is capped at 15, and a round costs O(pending · log pending)
+/// whatever the frame size (see the module docs).
 pub fn run_inventory_with(
     tags: &[InventoryTag],
     cfg: InventoryConfig,
     rng: &mut SimRng,
     rec: &mut dyn Recorder,
 ) -> InventoryResult {
+    let max_q = cfg.max_q.min(MAX_Q);
     let mut pending: Vec<InventoryTag> = tags.to_vec();
     let mut identified = Vec::new();
-    let mut q = cfg.initial_q.min(cfg.max_q);
+    let mut q = cfg.initial_q.min(max_q);
     let mut slots = 0u64;
     let mut collisions = 0u64;
     let mut rounds = 0u32;
+    // Per-round scratch: (slot, pending index) for every powered tag,
+    // the tags of one slot, and the addresses identified so far.
+    let mut by_slot: Vec<(u64, usize)> = Vec::with_capacity(pending.len());
+    let mut in_slot: Vec<InventoryTag> = Vec::new();
+    let mut done = [false; 256];
 
     while !pending.is_empty() && rounds < cfg.max_rounds {
         rounds += 1;
         let frame_size = 1u64 << q;
         let round_seed = rng.next_u64();
         let mut round_collisions = 0u64;
-        let mut round_idles = 0u64;
+        let mut occupied = 0u64;
 
-        for slot in 0..frame_size {
-            slots += 1;
-            let in_slot: Vec<InventoryTag> = pending
+        by_slot.clear();
+        by_slot.extend(
+            pending
                 .iter()
-                .copied()
-                .filter(|t| t.powered && slot_of(t.address, round_seed, frame_size) == slot)
-                .collect();
-            let outcome = judge_slot(&in_slot, cfg.capture_ratio);
-            match outcome {
-                SlotOutcome::Idle => round_idles += 1,
+                .enumerate()
+                .filter(|(_, t)| t.powered)
+                .map(|(i, t)| (slot_of(t.address, round_seed, frame_size), i)),
+        );
+        // Ascending slot, then pending order within a slot — the order
+        // a slot-by-slot scan of the frame would visit them in. A tag
+        // identified in one slot sits in no later slot of the round (all
+        // tags sharing its address hash alike), so removals can wait
+        // until the round ends.
+        by_slot.sort_unstable();
+        for group in by_slot.chunk_by(|a, b| a.0 == b.0) {
+            occupied += 1;
+            in_slot.clear();
+            in_slot.extend(group.iter().map(|&(_, i)| pending[i]));
+            match judge_slot(&in_slot, cfg.capture_ratio) {
+                SlotOutcome::Idle => unreachable!("an occupied slot is never idle"),
                 SlotOutcome::Success { address } => {
                     identified.push(address);
-                    pending.retain(|t| t.address != address);
+                    done[address as usize] = true;
                 }
                 SlotOutcome::Collision => {
                     collisions += 1;
@@ -222,11 +251,14 @@ pub fn run_inventory_with(
                 }
             }
         }
+        pending.retain(|t| !done[t.address as usize]);
+        slots += frame_size;
+        let round_idles = frame_size - occupied;
 
         // EPC-style Q adjustment: grow on collision-heavy rounds, shrink
         // on idle-heavy ones.
         if round_collisions * 4 > frame_size {
-            q = (q + 1).min(cfg.max_q);
+            q = (q + 1).min(max_q);
         } else if round_idles * 2 > frame_size && q > 0 {
             q -= 1;
         }
@@ -282,6 +314,169 @@ mod tests {
 
     fn rng(seed: u64) -> SimRng {
         SimRng::new(seed).stream("inventory-test")
+    }
+
+    /// The per-slot scan `run_inventory_with` replaced, kept verbatim as
+    /// the oracle for the bucketed loop: every slot of every frame
+    /// re-hashes every pending tag, and each success leaves `pending` at
+    /// once.
+    fn reference_inventory(
+        tags: &[InventoryTag],
+        cfg: InventoryConfig,
+        rng: &mut SimRng,
+        rec: &mut dyn Recorder,
+    ) -> InventoryResult {
+        let mut pending: Vec<InventoryTag> = tags.to_vec();
+        let mut identified = Vec::new();
+        let mut q = cfg.initial_q.min(cfg.max_q);
+        let mut slots = 0u64;
+        let mut collisions = 0u64;
+        let mut rounds = 0u32;
+
+        while !pending.is_empty() && rounds < cfg.max_rounds {
+            rounds += 1;
+            let frame_size = 1u64 << q;
+            let round_seed = rng.next_u64();
+            let mut round_collisions = 0u64;
+            let mut round_idles = 0u64;
+
+            for slot in 0..frame_size {
+                slots += 1;
+                let in_slot: Vec<InventoryTag> = pending
+                    .iter()
+                    .copied()
+                    .filter(|t| t.powered && slot_of(t.address, round_seed, frame_size) == slot)
+                    .collect();
+                let outcome = judge_slot(&in_slot, cfg.capture_ratio);
+                match outcome {
+                    SlotOutcome::Idle => round_idles += 1,
+                    SlotOutcome::Success { address } => {
+                        identified.push(address);
+                        pending.retain(|t| t.address != address);
+                    }
+                    SlotOutcome::Collision => {
+                        collisions += 1;
+                        round_collisions += 1;
+                    }
+                }
+            }
+
+            // EPC-style Q adjustment: grow on collision-heavy rounds, shrink
+            // on idle-heavy ones.
+            if round_collisions * 4 > frame_size {
+                q = (q + 1).min(cfg.max_q);
+            } else if round_idles * 2 > frame_size && q > 0 {
+                q -= 1;
+            }
+        }
+
+        rec.add("multitag.slots", slots);
+        rec.add("multitag.collisions", collisions);
+        rec.add("multitag.identified", identified.len() as u64);
+        InventoryResult {
+            identified,
+            rounds,
+            slots,
+            collisions,
+            final_q: q,
+        }
+    }
+
+    #[test]
+    fn bucketed_rounds_match_the_per_slot_scan() {
+        use bs_dsp::obs::MemRecorder;
+        use bs_dsp::testkit::check;
+        check("inventory-bucketed-vs-scan", 200, |g| {
+            let n = g.usize_in(0, 257);
+            // Unique addresses, or random ones from a space small enough
+            // to force duplicates often.
+            let unique = g.bool();
+            let space = [256, 64, 8][g.usize_in(0, 3)];
+            let unpowered_share = [0.0, 0.1, 0.5][g.usize_in(0, 3)];
+            let strength_mode = g.usize_in(0, 3);
+            let tags: Vec<InventoryTag> = (0..n)
+                .map(|i| {
+                    let address = if unique {
+                        i as u8
+                    } else {
+                        g.usize_in(0, space) as u8
+                    };
+                    let mut t = InventoryTag::new(address);
+                    t.relative_strength = match strength_mode {
+                        0 => 1.0,
+                        1 => g.f64_in(0.01, 1.0),
+                        _ if g.bool() => f64::NAN,
+                        _ => g.f64_in(0.01, 1.0),
+                    };
+                    if g.f64_in(0.0, 1.0) < unpowered_share {
+                        t = t.unpowered();
+                    }
+                    t
+                })
+                .collect();
+            let cfg = InventoryConfig {
+                initial_q: g.usize_in(0, 11) as u32,
+                max_q: g.usize_in(0, 11) as u32,
+                max_rounds: g.usize_in(1, 33) as u32,
+                capture_ratio: [1.0, 4.0, f64::INFINITY][g.usize_in(0, 3)],
+            };
+            let seed = u64::from(g.u8());
+
+            let mut fast_rng = rng(seed);
+            let mut fast_rec = MemRecorder::new();
+            let fast = run_inventory_with(&tags, cfg, &mut fast_rng, &mut fast_rec);
+            let mut ref_rng = rng(seed);
+            let mut ref_rec = MemRecorder::new();
+            let oracle = reference_inventory(&tags, cfg, &mut ref_rng, &mut ref_rec);
+
+            let case = g.case();
+            assert_eq!(fast, oracle, "case {case}: {cfg:?}");
+            assert_eq!(
+                fast_rng.next_u64(),
+                ref_rng.next_u64(),
+                "case {case}: RNG draws diverged"
+            );
+            assert_eq!(fast_rec, ref_rec, "case {case}: counters diverged");
+        });
+    }
+
+    #[test]
+    fn oversize_q_is_capped_not_a_shift_overflow() {
+        // Regression: q = 64 overflowed `1 << q` (a panic in debug, a
+        // silently masked 1-slot frame in release). Q is now capped at
+        // the 4-bit EPC field's 15.
+        let t = tags(20);
+        let cfg = InventoryConfig {
+            initial_q: 64,
+            max_q: 64,
+            ..Default::default()
+        };
+        let r = run_inventory(&t, cfg, &mut rng(13));
+        assert!(r.complete(&t), "identified {:?}", r.identified);
+        assert_eq!(r.slots, u64::from(r.rounds) << MAX_Q);
+        assert!(r.final_q <= MAX_Q);
+    }
+
+    #[test]
+    fn large_q_returns_promptly() {
+        // Regression: max_q in 20..63 used to visit 2^q slots per round
+        // and never finish. A silent tag keeps the run going to
+        // max_rounds, starting from the capped 2^15-slot frame.
+        let t = vec![InventoryTag::new(1), InventoryTag::new(2).unpowered()];
+        let cfg = InventoryConfig {
+            initial_q: 40,
+            max_q: 40,
+            ..Default::default()
+        };
+        let start = std::time::Instant::now();
+        let r = run_inventory(&t, cfg, &mut rng(14));
+        assert_eq!(r.rounds, cfg.max_rounds);
+        assert_eq!(r.identified, vec![1]);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
@@ -481,6 +676,38 @@ mod tests {
         let a = run_inventory(&t, InventoryConfig::default(), &mut rng(12));
         let b = run_inventory(&t, InventoryConfig::default(), &mut rng(12));
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over every field of each result, in run order.
+    fn digest(results: &[InventoryResult]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for r in results {
+            eat(&(r.identified.len() as u64).to_le_bytes());
+            eat(&r.identified);
+            eat(&r.rounds.to_le_bytes());
+            eat(&r.slots.to_le_bytes());
+            eat(&r.collisions.to_le_bytes());
+            eat(&r.final_q.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn inventory_digest_is_pinned() {
+        // Pinned on the per-slot scan that preceded slot bucketing: 200
+        // tags (addresses 1..=200), default config, seeds 1..=8.
+        let t: Vec<InventoryTag> = (1..=200u8).map(InventoryTag::new).collect();
+        let results: Vec<InventoryResult> = (1..=8)
+            .map(|s| run_inventory(&t, InventoryConfig::default(), &mut rng(s)))
+            .collect();
+        assert!(results.iter().all(|r| r.complete(&t)));
+        assert_eq!(format!("{:016x}", digest(&results)), "12c2a85fc858dc63");
     }
 
     #[test]

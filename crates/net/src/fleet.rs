@@ -78,7 +78,8 @@ pub enum FleetError {
         requested: usize,
     },
     /// A per-gateway run was rejected (mirrors the single-gateway
-    /// contract; unreachable when the fleet assigns addresses itself).
+    /// contract). The fleet assigns addresses itself, so in practice
+    /// this is an invalid [`GatewayConfig::inventory`] template.
     Gateway(GatewayError),
     /// A worker panicked while processing this shard; the run was
     /// abandoned (the panic message went to the panic hook).

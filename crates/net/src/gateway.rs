@@ -200,6 +200,10 @@ impl GatewayConfig {
     }
 }
 
+/// Largest inventory Q a gateway accepts: EPC Gen-2 carries Q in a 4-bit
+/// field (the inventory itself caps Q there too).
+const MAX_INVENTORY_Q: u32 = 15;
+
 /// Why a gateway run could not start.
 ///
 /// The doc contract on [`TagProfile::address`] ("must be unique across
@@ -216,6 +220,12 @@ pub enum GatewayError {
         /// The address that appears more than once.
         address: u8,
     },
+    /// [`GatewayConfig::inventory`] asks for a Q beyond the 4-bit EPC
+    /// Gen-2 field (`initial_q` or `max_q` above 15).
+    InvalidInventory {
+        /// The larger of the config's `initial_q` and `max_q`.
+        max_q: u32,
+    },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -225,6 +235,11 @@ impl std::fmt::Display for GatewayError {
                 f,
                 "duplicate tag address {address}: TagProfile.address must be \
                  unique across the deployment"
+            ),
+            GatewayError::InvalidInventory { max_q } => write!(
+                f,
+                "inventory Q {max_q} exceeds {MAX_INVENTORY_Q}, the largest \
+                 the 4-bit EPC Gen-2 Q field carries"
             ),
         }
     }
@@ -390,19 +405,25 @@ impl ServedTag {
 /// on `rec`. Observe-enabled twin of [`run_gateway`].
 ///
 /// # Errors
-/// [`GatewayError::DuplicateAddress`] if two profiles share an address —
-/// the roster is rejected before any simulated time passes.
+/// [`GatewayError::DuplicateAddress`] if two profiles share an address,
+/// [`GatewayError::InvalidInventory`] if the inventory config's Q exceeds
+/// 15 — either way the run is rejected before any simulated time passes.
 pub fn run_gateway_with(
     tags: &[TagProfile],
     cfg: &GatewayConfig,
     rec: &mut dyn Recorder,
 ) -> Result<GatewayRun, GatewayError> {
+    let max_q = cfg.inventory.initial_q.max(cfg.inventory.max_q);
+    if max_q > MAX_INVENTORY_Q {
+        return Err(GatewayError::InvalidInventory { max_q });
+    }
     // Reject ambiguous rosters up front: with a duplicate address the
     // post-inventory profile lookup would silently serve the first
-    // matching profile for every identification of that address.
-    let mut seen = [false; 256];
-    for t in tags {
-        if std::mem::replace(&mut seen[t.address as usize], true) {
+    // matching profile for every identification of that address. The
+    // same pass builds that lookup: address -> roster index.
+    let mut index_of: [Option<usize>; 256] = [None; 256];
+    for (i, t) in tags.iter().enumerate() {
+        if index_of[t.address as usize].replace(i).is_some() {
             return Err(GatewayError::DuplicateAddress { address: t.address });
         }
     }
@@ -439,7 +460,7 @@ pub fn run_gateway_with(
     let mut served: Vec<ServedTag> = inventory
         .identified
         .iter()
-        .filter_map(|&addr| tags.iter().find(|t| t.address == addr))
+        .filter_map(|&addr| index_of[addr as usize].map(|i| &tags[i]))
         .enumerate()
         .map(|(i, profile)| {
             // Audit note: initial rate selection used to call the
@@ -805,6 +826,36 @@ mod tests {
         assert!(err.to_string().contains("duplicate tag address 1"));
         // An armed recorder takes the same gate.
         assert!(observed(&tags, &GatewayConfig::default()).is_err());
+    }
+
+    #[test]
+    fn oversize_inventory_q_is_rejected() {
+        // Regression: q = 64 used to overflow the inventory's frame-size
+        // shift (a panic in debug, a silent 1-slot frame in release).
+        for (initial_q, max_q) in [(4, 16), (64, 10), (64, 64)] {
+            let cfg = GatewayConfig {
+                inventory: InventoryConfig {
+                    initial_q,
+                    max_q,
+                    ..InventoryConfig::default()
+                },
+                ..GatewayConfig::default()
+            };
+            let want = GatewayError::InvalidInventory {
+                max_q: initial_q.max(max_q),
+            };
+            assert_eq!(run_gateway(&fleet(3, 64), &cfg).unwrap_err(), want);
+            assert!(observed(&fleet(3, 64), &cfg).is_err());
+        }
+        let edge = GatewayConfig {
+            inventory: InventoryConfig {
+                initial_q: 15,
+                max_q: 15,
+                ..InventoryConfig::default()
+            },
+            ..GatewayConfig::default()
+        };
+        assert!(run_gateway(&fleet(3, 64), &edge).unwrap().all_complete);
     }
 
     #[test]

@@ -57,12 +57,15 @@ echo "== public-API drift gate + observability conformance =="
 cargo test --release -q -p wifi-backscatter --test api_snapshot
 cargo test --release -q -p wifi-backscatter --test obs_conformance
 
-echo "== golden / bit-identity (decode transcripts, raw-capture digests) =="
+echo "== golden / bit-identity (decode transcripts, raw-capture digests, inventory oracle) =="
 # The decode chain's fixtures under tests/golden/ and the FNV-1a digests
 # of raw CSI/RSSI captures (fault-free and under the sensor preset). Any
 # performance work on the channel or measurement path must leave these
-# untouched, to the last bit.
+# untouched, to the last bit. The multitag unit tests hold the inventory
+# oracle (bucketed rounds vs the per-slot scan) and the pinned inventory
+# digest.
 cargo test --release -q -p wifi-backscatter --test golden_decode
+cargo test --release -q -p wifi-backscatter --lib multitag
 
 echo "== phy mode conformance (presence identity, codeword round-trip, determinism) =="
 # The PhyMode redesign's contract: the presence PHY is bit-identical

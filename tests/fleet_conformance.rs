@@ -10,7 +10,8 @@
 //!   test over random populations, seeds and shard counts).
 //! - **Satellite regressions** — duplicate `TagProfile` addresses are
 //!   rejected with a typed error at both the gateway and (by
-//!   construction) the fleet layer; `max_cycles` truncation surfaces on
+//!   construction) the fleet layer, and so is an inventory Q beyond the
+//!   4-bit EPC field; `max_cycles` truncation surfaces on
 //!   `GatewayRun::truncated` and is mirrored per shard in the fleet
 //!   report; a panic inside a shard comes back as
 //!   `FleetError::ShardPanicked` at any worker count.
@@ -90,6 +91,26 @@ fn duplicate_addresses_error_at_the_gateway_seam() {
         .unwrap_err(),
         FleetError::TooManyTagsPerGateway { .. }
     ));
+}
+
+#[test]
+fn oversize_inventory_q_errors_at_gateway_and_fleet() {
+    // Regression: an inventory Q of 64 overflowed the frame-size shift
+    // (a panic in debug builds, a silent 1-slot frame in release). Both
+    // layers now reject it with a typed error.
+    let mut gcfg = GatewayConfig::default();
+    gcfg.inventory.initial_q = 64;
+    gcfg.inventory.max_q = 64;
+    let err = run_gateway(&[TagProfile::new(1, vec![1, 2, 3])], &gcfg).unwrap_err();
+    assert_eq!(err, GatewayError::InvalidInventory { max_q: 64 });
+    let mut cfg = fleet_cfg(4, 3, 5);
+    cfg.gateway = gcfg;
+    for jobs in [1, 2] {
+        assert_eq!(
+            run_fleet(&cfg, jobs).unwrap_err(),
+            FleetError::Gateway(GatewayError::InvalidInventory { max_q: 64 })
+        );
+    }
 }
 
 #[test]
