@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the paper's core algorithms, isolated from the
 //! simulation substrate: signal conditioning, preamble correlation,
 //! majority slicing, the full MRC decoder (slot-indexed vs the
-//! straight-line reference) on a synthetic bundle, the analog receiver
+//! straight-line reference) on a synthetic bundle, the streaming
+//! kernels and `SeriesAccumulator` feed paths, the analog receiver
 //! circuit, and the DCF MAC.
 //!
 //! Run with `--json <path>` for the decode smoke bench instead: it
-//! builds a dense fig-10 workload, proves the slot-indexed decoder
-//! bit-identical to the reference, measures both, verifies the
-//! alignment search is O(packets) rather than O(candidates × packets),
-//! and writes the evidence to `<path>` (see `scripts/check.sh
+//! builds a dense fig-10 workload, proves the slot-indexed decoder and
+//! the streaming session bit-identical to the reference, measures both
+//! paths, verifies the alignment search is O(packets) rather than
+//! O(candidates × packets) and that a session holds one frame, and
+//! writes the evidence to `<path>` (see `scripts/check.sh
 //! --bench-smoke`). Exits non-zero if a gate fails.
 
 use bs_bench::microbench::{measure_ns, Group};
@@ -17,6 +19,7 @@ use bs_bench::report::{json_path, BenchReport, Verdict};
 use bs_dsp::codes::BARKER13;
 use bs_dsp::SimRng;
 use std::process::ExitCode;
+use wifi_backscatter::series::SeriesAccumulator;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use wifi_backscatter::SeriesBundle;
 
@@ -48,21 +51,34 @@ fn synth_bundle(seed: u64) -> SeriesBundle {
     SeriesBundle { t_us, series }
 }
 
+/// One packet of `bundle` as a cross-channel row, for `feed_packet`.
+fn packet_row(bundle: &SeriesBundle, i: usize) -> Vec<f64> {
+    bundle.series.iter().map(|s| s[i]).collect()
+}
+
 /// The decode smoke bench behind `--json <path>` (wired into
 /// `scripts/check.sh --bench-smoke`).
 ///
-/// Gates (a `Fail` exits non-zero):
-/// 1. identity — `decode_reference` and the indexed `decode` agree
-///    bit for bit on the dense workload;
-/// 2. fewer passes — the indexed alignment search touches fewer
-///    packet-stream-equivalents than the reference's
-///    candidates × channels full scans;
-/// 3. flat in candidates — growing `search_bits` 2 → 8 (9 → 33
-///    candidates) must not grow the align-span work by ≥ 1.5×, which
-///    it would if the search still re-scanned per candidate.
-///
-/// Wall-clock speedup is recorded as evidence against its 3× target
-/// but is not a gate: it is machine-dependent, the pass counts are not.
+/// `decode` is the streaming session fed in one bulk append and then
+/// finished, so one timing of it serves the indexed and stream gates.
+/// Gates (a `Fail` exits non-zero; EXPERIMENTS.md tables the schema):
+/// 1. `indexed_identical_to_reference` — bit for bit at search_bits 2;
+/// 2. `indexed_fewer_passes_than_reference` — fewer
+///    packet-stream-equivalents than the reference's candidates ×
+///    channels full scans, at search_bits 2 and 8;
+/// 3. `align_work_flat_in_candidates` — search_bits 2 → 8 (9 → 33
+///    candidates) grows align-span work by < 1.5×, as a search that
+///    re-scanned per candidate would not;
+/// 4. `streaming_identical_to_batch_and_reference` — per-packet and
+///    64-packet-burst streaming, batch and reference agree at
+///    search_bits 2 and 8;
+/// 5. `peak_resident_is_one_frame` — a session holds exactly the
+///    frame's packets;
+/// 6. `stream_fewer_passes_than_reference` — gate 2 at search_bits 8
+///    alone, the machine-independent backstop for gate 7;
+/// 7. `throughput_ge_2x` — reference ÷ `decode` wall time ≥ 2 at
+///    search_bits 8, a same-process ratio (≈4× measured), so the floor
+///    holds on any host. The 3× target is recorded, not gated.
 fn smoke() -> BenchReport {
     use bs_dsp::obs::MemRecorder;
     use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
@@ -80,22 +96,50 @@ fn smoke() -> BenchReport {
         UplinkDecoder::new(UplinkDecoderConfig::csi(100, payload_bits).with_search_bits(sb))
     };
 
-    // Gate 1: identity. The whole point of the index is that it is an
-    // output-preserving optimisation.
-    let dec = mk(2);
-    let reference = dec.decode_reference(&capture.bundle, capture.start_us);
-    let indexed = dec.decode(&capture.bundle, capture.start_us);
-    assert!(
-        reference.is_some(),
-        "smoke workload must decode (reference path found no frame)"
-    );
-    let gate_identical = reference == indexed;
+    // Identity at both ends of the candidate range, for the batch
+    // decoder and both feeding granularities of the stream.
+    let mut gate_identical = true;
+    let mut gate_streaming = true;
+    let mut peak_resident = 0u64;
+    for sb in [2u32, 8] {
+        let dec = mk(sb);
+        let reference = dec.decode_reference(&capture.bundle, capture.start_us);
+        let batch = dec.decode(&capture.bundle, capture.start_us);
+        assert!(reference.is_some(), "smoke workload must decode (reference found no frame)");
+        if sb == 2 {
+            gate_identical = reference == batch;
+        }
+
+        let mut by_packet = dec.stream(capture.bundle.channels(), capture.start_us);
+        for (i, &t) in capture.bundle.t_us.iter().enumerate() {
+            let consumed = by_packet.feed_packet(t, &packet_row(&capture.bundle, i));
+            assert!(consumed.any(), "unbounded session must accept packet {i}");
+        }
+        peak_resident = by_packet.peak_resident() as u64;
+        let by_packet = by_packet.finish();
+
+        let mut by_burst = dec.stream(capture.bundle.channels(), capture.start_us);
+        let (whole, n) = (&capture.bundle, capture.bundle.packets());
+        for at in (0..n).step_by(64) {
+            let end = (at + 64).min(n);
+            let burst = SeriesBundle {
+                t_us: whole.t_us[at..end].to_vec(),
+                series: whole.series.iter().map(|s| s[at..end].to_vec()).collect(),
+            };
+            let accepted = by_burst.feed(&burst).accepted;
+            assert_eq!(accepted, end - at, "unbounded session must accept");
+        }
+        let by_burst = by_burst.finish();
+
+        gate_streaming &= by_packet == batch && by_burst == batch && batch == reference;
+    }
+    let gate_resident = peak_resident == packets;
 
     // Time both paths at both ends of the candidate range. At
     // search_bits = 2 the shared stages (conditioning, combining,
     // slicing) dilute the search; search_bits = 8 is the
-    // alignment-search-dominated configuration the speedup target is
-    // about.
+    // alignment-search-dominated configuration the speedup target and
+    // the throughput gate are about.
     let time_pair = |sb: u32| {
         let d = mk(sb);
         let r = measure_ns(7, 1, || d.decode_reference(&capture.bundle, capture.start_us));
@@ -106,6 +150,7 @@ fn smoke() -> BenchReport {
     let (ref_ns_sb8, idx_ns_sb8) = time_pair(8);
     let speedup_sb2 = ref_ns_sb2 / idx_ns_sb2.max(1.0);
     let speedup = ref_ns_sb8 / idx_ns_sb8.max(1.0);
+    let gate_throughput = speedup >= 2.0;
 
     // Align-span items = packets scanned into slot statistics + slots
     // read back, straight from the decoder's own instrumentation.
@@ -126,8 +171,8 @@ fn smoke() -> BenchReport {
     let reference_passes_sb2 = candidates(2) * channels;
     let reference_passes_sb8 = candidates(8) * channels;
 
-    let gate_fewer = indexed_passes_sb2 < reference_passes_sb2
-        && indexed_passes_sb8 < reference_passes_sb8;
+    let gate_stream_fewer = indexed_passes_sb8 < reference_passes_sb8;
+    let gate_fewer = indexed_passes_sb2 < reference_passes_sb2 && gate_stream_fewer;
     let gate_flat = (items_sb8 as f64) < 1.5 * (items_sb2 as f64);
 
     let search = |sb: u64, ref_ns: f64, idx_ns: f64, items: u64, idx: u64, rf: u64| object! {
@@ -135,14 +180,16 @@ fn smoke() -> BenchReport {
         "speedup": ref_ns / idx_ns.max(1.0), "align_items": items,
         "indexed_stream_passes": idx, "reference_stream_passes": rf,
     };
-    let mut report = BenchReport::new("decode_alignment_search");
+    let mut report = BenchReport::new("decode");
     report.field("workload", object! {
         "figure": "fig10-dense", "tag_reader_m": 0.5, "bit_rate_bps": 100u64, "pkts_per_bit": 30u64,
         "seed": 4242u64, "packets": packets, "channels": channels, "payload_bits": payload_bits,
     });
     report.field("speedup", speedup);
     report.field("speedup_target", 3.0);
-    report.field("speedup_note", "reference/indexed at search_bits=8; evidence, not a gate");
+    report.field("speedup_note", "reference/indexed at search_bits=8; gated at 2x, 3x is evidence");
+    report.field("peak_resident_packets", peak_resident);
+    report.field("resident_note", "one frame per session; stream_bounded rejects beyond it");
     report.field("align_search", object! {
         "search_bits_2":
             search(2, ref_ns_sb2, idx_ns_sb2, items_sb2, indexed_passes_sb2, reference_passes_sb2),
@@ -153,12 +200,16 @@ fn smoke() -> BenchReport {
         ("indexed_identical_to_reference", gate_identical, "indexed decode differs"),
         ("indexed_fewer_passes_than_reference", gate_fewer, "passes not below the reference"),
         ("align_work_flat_in_candidates", gate_flat, "align work grows with the candidate count"),
+        ("streaming_identical_to_batch_and_reference", gate_streaming, "a decode path differs"),
+        ("peak_resident_is_one_frame", gate_resident, "session holds more or less than one frame"),
+        ("stream_fewer_passes_than_reference", gate_stream_fewer, "passes not below the reference"),
+        ("throughput_ge_2x", gate_throughput, "under 2x the reference"),
     ] {
         report.gate(gate, Verdict::check(ok, reason));
     }
     println!(
         "BENCH_decode: sb=2 reference {:.1} ms vs indexed {:.1} ms ({speedup_sb2:.1}x); \
-         sb=8 reference {:.1} ms vs indexed {:.1} ms ({speedup:.1}x, target 3x)",
+         sb=8 reference {:.1} ms vs indexed {:.1} ms ({speedup:.1}x, gate 2x, target 3x)",
         ref_ns_sb2 / 1e6,
         idx_ns_sb2 / 1e6,
         ref_ns_sb8 / 1e6,
@@ -185,11 +236,34 @@ fn main() -> ExitCode {
         bs_dsp::correlate::sliding(&signal, &BARKER13)
     });
 
+    let xs: Vec<f64> = (0..4096).map(|_| rng.gaussian(0.0, 1.0)).collect();
+    let ys: Vec<f64> = (0..4096).map(|_| rng.gaussian(0.0, 1.0)).collect();
+    let mut acc = vec![0.0f64; 4096];
+    g.bench("axpy_4096", 20, 50, || {
+        bs_dsp::stream::axpy(&mut acc, 0.37, &xs)
+    });
+    g.bench("subtract_scale_4096", 20, 50, || {
+        bs_dsp::stream::scale_div(&bs_dsp::stream::subtract(&xs, &ys), 7.0)
+    });
+
     let bundle = synth_bundle(3);
     let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
     g.bench("mrc_decode_90ch_3000pkt", 10, 2, || dec.decode(&bundle, 0));
     g.bench("reference_decode_90ch_3000pkt", 10, 2, || {
         dec.decode_reference(&bundle, 0)
+    });
+
+    g.bench("accumulator_feed_3000pkt_90ch", 20, 5, || {
+        let mut acc = SeriesAccumulator::new(bundle.channels());
+        acc.feed(&bundle);
+        acc.packets()
+    });
+    g.bench("accumulator_feed_packet_3000pkt_90ch", 10, 2, || {
+        let mut acc = SeriesAccumulator::new(bundle.channels());
+        for i in 0..bundle.packets() {
+            acc.feed_packet(bundle.t_us[i], &packet_row(&bundle, i));
+        }
+        acc.packets()
     });
 
     {

@@ -8,8 +8,8 @@
 //! identical together with the session's peak resident window. The
 //! comparison is pure decode output — no wall-clock numbers — so the
 //! figure stays byte-identical under any `--jobs` count (the wall-clock
-//! side of the streaming story lives in the `stream_micro` bench smoke,
-//! which writes `BENCH_stream.json`).
+//! side of the streaming story lives in the `decoder_micro` bench smoke,
+//! which writes `BENCH_decode.json`).
 
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 use wifi_backscatter::series::SeriesBundle;

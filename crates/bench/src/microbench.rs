@@ -1,4 +1,6 @@
-//! A minimal micro-benchmark runner for the `benches/` targets.
+//! A minimal micro-benchmark runner for the `benches/*_micro.rs`
+//! targets: their kernel timings without `--json`, and the wall-clock
+//! evidence their `--json` smoke runs write.
 //!
 //! The workspace builds offline with no external crates, so the bench
 //! targets (declared `harness = false`) drive this runner instead of
@@ -39,8 +41,8 @@ impl Group {
 
 /// Times `f` the same way [`Group::bench`] does — one untimed warm-up
 /// call, then `samples` timed batches of `iters_per_sample` calls — and
-/// returns the median ns/iter instead of printing. For benches that emit
-/// machine-readable output (e.g. the decode smoke bench's
+/// returns the median ns/iter instead of printing, for the `--json`
+/// smoke runs (e.g. the decode bench's reference-vs-indexed ratio in
 /// `BENCH_decode.json`).
 pub fn measure_ns<T>(samples: usize, iters_per_sample: u32, mut f: impl FnMut() -> T) -> f64 {
     std::hint::black_box(f());

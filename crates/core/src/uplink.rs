@@ -775,7 +775,7 @@ impl UplinkStream {
     }
 
     /// High-water mark of buffered packets — the session's resident-set
-    /// figure reported by the stream bench.
+    /// figure reported by the decode bench.
     pub fn peak_resident(&self) -> usize {
         self.acc.peak_resident()
     }

@@ -226,6 +226,13 @@ pub enum GatewayError {
         /// The larger of the config's `initial_q` and `max_q`.
         max_q: u32,
     },
+    /// A [`TagProfile::energy`] capacitor is outside the domain of
+    /// [`bs_tag::energy::CapacitorConfig::is_valid`] (no positive, finite
+    /// capacity, or thresholds not `0 <= brownout < wake <= 1`).
+    InvalidEnergy {
+        /// The address of the tag whose supply is invalid.
+        address: u8,
+    },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -240,6 +247,11 @@ impl std::fmt::Display for GatewayError {
                 f,
                 "inventory Q {max_q} exceeds {MAX_INVENTORY_Q}, the largest \
                  the 4-bit EPC Gen-2 Q field carries"
+            ),
+            GatewayError::InvalidEnergy { address } => write!(
+                f,
+                "tag {address}: the capacitor needs a positive, finite capacity \
+                 and 0 <= brownout < wake <= 1"
             ),
         }
     }
@@ -407,7 +419,8 @@ impl ServedTag {
 /// # Errors
 /// [`GatewayError::DuplicateAddress`] if two profiles share an address,
 /// [`GatewayError::InvalidInventory`] if the inventory config's Q exceeds
-/// 15 — either way the run is rejected before any simulated time passes.
+/// 15, [`GatewayError::InvalidEnergy`] if a profile's capacitor config is
+/// invalid — any way the run is rejected before any simulated time passes.
 pub fn run_gateway_with(
     tags: &[TagProfile],
     cfg: &GatewayConfig,
@@ -420,11 +433,15 @@ pub fn run_gateway_with(
     // Reject ambiguous rosters up front: with a duplicate address the
     // post-inventory profile lookup would silently serve the first
     // matching profile for every identification of that address. The
-    // same pass builds that lookup: address -> roster index.
+    // same pass builds that lookup: address -> roster index, and rejects
+    // a supply that `Capacitor::new` would panic on.
     let mut index_of: [Option<usize>; 256] = [None; 256];
     for (i, t) in tags.iter().enumerate() {
         if index_of[t.address as usize].replace(i).is_some() {
             return Err(GatewayError::DuplicateAddress { address: t.address });
+        }
+        if t.energy.is_some_and(|e| !e.capacitor.is_valid()) {
+            return Err(GatewayError::InvalidEnergy { address: t.address });
         }
     }
 
@@ -650,7 +667,7 @@ pub fn run_gateway_with(
 /// Runs the gateway with no observability overhead.
 ///
 /// # Errors
-/// [`GatewayError::DuplicateAddress`] if two profiles share an address.
+/// As [`run_gateway_with`].
 pub fn run_gateway(tags: &[TagProfile], cfg: &GatewayConfig) -> Result<GatewayRun, GatewayError> {
     run_gateway_with(tags, cfg, &mut NullRecorder)
 }
@@ -856,6 +873,35 @@ mod tests {
             ..GatewayConfig::default()
         };
         assert!(run_gateway(&fleet(3, 64), &edge).unwrap().all_complete);
+    }
+
+    #[test]
+    fn invalid_capacitor_config_is_rejected() {
+        // Regression: each (capacitance µF, voltage V, wake fraction)
+        // reached `Capacitor::new`'s assert and panicked the run. Against
+        // the default 0.1 brownout fraction, a 0.05 wake is inverted.
+        for (capacitance_uf, voltage, wake_fraction) in [
+            (0.0, 2.0, 0.6),
+            (f64::NAN, 2.0, 0.6),
+            (100.0, -2.0, 0.6),
+            (100.0, 2.0, 0.05),
+        ] {
+            let bad = bs_tag::energy::CapacitorConfig {
+                capacitance_uf,
+                voltage,
+                wake_fraction,
+                ..Default::default()
+            };
+            let mut tags = fleet(3, 64);
+            tags[1].energy = Some(EnergyConfig {
+                capacitor: bad,
+                ..EnergyConfig::harvesting(30.0)
+            });
+            let err = run_gateway(&tags, &GatewayConfig::default()).unwrap_err();
+            assert_eq!(err, GatewayError::InvalidEnergy { address: 2 }, "{bad:?}");
+            assert!(err.to_string().contains("tag 2"), "{err}");
+            assert!(observed(&tags, &GatewayConfig::default()).is_err());
+        }
     }
 
     #[test]

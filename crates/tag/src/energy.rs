@@ -1,10 +1,10 @@
 //! Energy co-simulation: harvest-store-spend closed into behaviour.
 //!
 //! [`crate::harvester`] computes steady-state harvest power and
-//! [`crate::power::EnergyLedger`] counts what firmware activity costs —
-//! but nothing in the seed repo ever let the balance *change what the tag
-//! does*. This module closes the loop (ROADMAP item 5): a [`Capacitor`]
-//! integrates harvest minus load minus leakage over time and runs a
+//! [`crate::power::EnergyLedger`] counts what firmware activity costs;
+//! this module lets the balance *change what the tag does*. A
+//! [`Capacitor`], the tag's one storage model, integrates harvest minus
+//! load minus leakage over time and runs a
 //! Dead / Charging / Awake state machine with brownout hysteresis, and an
 //! [`EnergyPolicy`] tells the consuming layer (session, gateway, fleet)
 //! what the tag may do in each state.
@@ -112,6 +112,22 @@ impl Default for CapacitorConfig {
     }
 }
 
+impl CapacitorConfig {
+    /// The domain [`Capacitor::new`] accepts: positive capacitance and
+    /// voltage with a finite full charge `½CV²`, and thresholds with
+    /// `0 <= brownout_fraction < wake_fraction <= 1`. `NaN` in any of
+    /// these fields is outside it.
+    pub fn is_valid(&self) -> bool {
+        let capacity = 0.5 * self.capacitance_uf * self.voltage * self.voltage;
+        self.capacitance_uf > 0.0
+            && self.voltage > 0.0
+            && capacity.is_finite()
+            && (0.0..=1.0).contains(&self.brownout_fraction)
+            && (0.0..=1.0).contains(&self.wake_fraction)
+            && self.brownout_fraction < self.wake_fraction
+    }
+}
+
 /// A storage capacitor with brownout/cold-start hysteresis — the heart of
 /// the energy co-simulation.
 ///
@@ -147,16 +163,13 @@ impl Capacitor {
     /// starting state follows the thresholds (cold-start rules — an
     /// initial charge inside the hysteresis band starts Charging, not
     /// Awake).
+    ///
+    /// # Panics
+    /// If `cfg` is outside [`CapacitorConfig::is_valid`]'s domain.
     pub fn new(cfg: CapacitorConfig) -> Self {
         assert!(
-            cfg.capacitance_uf > 0.0 && cfg.voltage > 0.0,
-            "capacitor must have positive capacity"
-        );
-        assert!(
-            (0.0..=1.0).contains(&cfg.brownout_fraction)
-                && (0.0..=1.0).contains(&cfg.wake_fraction)
-                && cfg.brownout_fraction < cfg.wake_fraction,
-            "thresholds must satisfy 0 <= brownout < wake <= 1"
+            cfg.is_valid(),
+            "capacitor needs a positive, finite capacity and 0 <= brownout < wake <= 1"
         );
         let capacity = 0.5 * cfg.capacitance_uf * cfg.voltage * cfg.voltage;
         let charge = (cfg.initial_fraction * capacity).clamp(0.0, capacity);
@@ -341,7 +354,7 @@ impl EnergyPolicy {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyConfig {
-    /// Storage capacitor and supervisor thresholds.
+    /// The storage capacitor and its supervisor thresholds.
     pub capacitor: CapacitorConfig,
     /// Steady-state harvested power, µW.
     pub harvest_uw: f64,

@@ -7,7 +7,8 @@
 //! ~50 % duty cycle 10 km from a TV broadcast tower. This module
 //! reproduces that arithmetic: an input-power-dependent RF-to-DC
 //! efficiency curve, incident-power computation for Wi-Fi and TV sources,
-//! and duty-cycle/storage bookkeeping.
+//! and the duty cycle a harvest sustains. Storing that energy and
+//! spending it over time is [`crate::energy::Capacitor`]'s job.
 
 use bs_channel::pathloss::{db_to_linear, dbm_to_mw, free_space_db};
 
@@ -138,118 +139,17 @@ impl TvTower {
 }
 
 /// The duty cycle at which a load of `load_uw` can run from a harvest of
-/// `harvest_uw` (capped at 1: continuous operation).
+/// `harvest_uw`: 1 is continuous operation, and the result is in `[0, 1]`
+/// for every input. A non-finite or negative harvest, or a `NaN` load,
+/// gives 0; a load of zero or less gives 1.
 pub fn duty_cycle(harvest_uw: f64, load_uw: f64) -> f64 {
+    if !harvest_uw.is_finite() || harvest_uw < 0.0 || load_uw.is_nan() {
+        return 0.0;
+    }
     if load_uw <= 0.0 {
         return 1.0;
     }
     (harvest_uw / load_uw).min(1.0)
-}
-
-/// A storage capacitor charged by the harvester and drained by the load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Storage {
-    /// Capacitance, µF.
-    pub capacitance_uf: f64,
-    /// Operating voltage, V.
-    pub voltage: f64,
-    /// Current stored energy, µJ.
-    energy_uj: f64,
-}
-
-impl Storage {
-    /// Creates an empty store.
-    pub fn new(capacitance_uf: f64, voltage: f64) -> Self {
-        assert!(capacitance_uf > 0.0 && voltage > 0.0);
-        Storage {
-            capacitance_uf,
-            voltage,
-            energy_uj: 0.0,
-        }
-    }
-
-    /// Maximum energy the capacitor holds, µJ (`½CV²`).
-    pub fn capacity_uj(&self) -> f64 {
-        0.5 * self.capacitance_uf * self.voltage * self.voltage
-    }
-
-    /// Current stored energy, µJ.
-    pub fn energy_uj(&self) -> f64 {
-        self.energy_uj
-    }
-
-    /// Advances by `duration_us` with the given harvest and load powers.
-    /// Returns `true` if the load was sustained for the whole interval
-    /// (energy never hit zero).
-    pub fn advance(&mut self, duration_us: f64, harvest_uw: f64, load_uw: f64) -> bool {
-        let net_uj = (harvest_uw - load_uw) * duration_us / 1e6;
-        self.energy_uj = (self.energy_uj + net_uj).min(self.capacity_uj());
-        if self.energy_uj < 0.0 {
-            self.energy_uj = 0.0;
-            false
-        } else {
-            true
-        }
-    }
-}
-
-/// Whether a harvest source can sustain one full query-response exchange
-/// from a storage capacitor, and the resulting energy margin.
-///
-/// The exchange model: the receive chain runs throughout (it must be
-/// listening for the query), the MCU decodes a `query_bits`-bit downlink
-/// frame with duty-cycled sampling, then the transmit circuit backscatters
-/// a `response_bits`-bit uplink frame at `uplink_bps`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeBudget {
-    /// Total energy the exchange consumes (µJ).
-    pub consumed_uj: f64,
-    /// Energy harvested over the exchange duration (µJ).
-    pub harvested_uj: f64,
-    /// Stored energy required at the start to cover any shortfall (µJ).
-    pub required_reserve_uj: f64,
-}
-
-impl ExchangeBudget {
-    /// Computes the budget for one exchange.
-    pub fn compute(
-        harvest_uw: f64,
-        query_bits: usize,
-        downlink_bps: u64,
-        response_bits: usize,
-        uplink_bps: u64,
-    ) -> ExchangeBudget {
-        use crate::power::EnergyLedger;
-        let dl_us = query_bits as f64 * 1e6 / downlink_bps.max(1) as f64;
-        let ul_us = response_bits as f64 * 1e6 / uplink_bps.max(1) as f64;
-
-        let mut ledger = EnergyLedger::new();
-        // Downlink: rx chain + duty-cycled MCU sampling.
-        ledger.analog(dl_us, true, false);
-        ledger.samples(query_bits as u64);
-        ledger.mcu_sleep(dl_us);
-        // Uplink: tx circuit + the bit-clock timer (sleep-mode MCU).
-        ledger.analog(ul_us, false, true);
-        ledger.mcu_sleep(ul_us);
-
-        let consumed = ledger.total_uj();
-        let harvested = harvest_uw * (dl_us + ul_us) / 1e6;
-        ExchangeBudget {
-            consumed_uj: consumed,
-            harvested_uj: harvested,
-            required_reserve_uj: (consumed - harvested).max(0.0),
-        }
-    }
-
-    /// True if the exchange runs without any stored reserve.
-    pub fn self_sufficient(&self) -> bool {
-        self.required_reserve_uj == 0.0
-    }
-
-    /// True if a given storage capacitor covers the shortfall.
-    pub fn sustained_by(&self, storage: &Storage) -> bool {
-        storage.energy_uj() >= self.required_reserve_uj
-    }
 }
 
 #[cfg(test)]
@@ -382,68 +282,5 @@ mod tests {
         assert_eq!(duty_cycle(10.0, 0.0), 1.0);
         assert_eq!(duty_cycle(20.0, 10.0), 1.0);
         assert!((duty_cycle(5.0, 10.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn storage_sustains_until_empty() {
-        let mut s = Storage::new(100.0, 2.0); // 200 µJ capacity
-        // Pre-charge fully.
-        assert!(s.advance(1e9, 100.0, 0.0));
-        assert!((s.energy_uj() - s.capacity_uj()).abs() < 1e-9);
-        // Drain at 10 µW net for 10 s = 100 µJ: survives.
-        assert!(s.advance(10e6, 0.0, 10.0));
-        // Another 15 s at 10 µW = 150 µJ: runs dry.
-        assert!(!s.advance(15e6, 0.0, 10.0));
-        assert_eq!(s.energy_uj(), 0.0);
-    }
-
-    #[test]
-    fn storage_clamps_at_capacity() {
-        let mut s = Storage::new(10.0, 1.0);
-        s.advance(1e9, 1000.0, 0.0);
-        assert!((s.energy_uj() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_storage_panics() {
-        Storage::new(0.0, 1.0);
-    }
-
-    #[test]
-    fn exchange_self_sufficient_at_one_foot() {
-        // At one foot from the reader the harvest (~96 µW) dwarfs the
-        // ~10 µW exchange draw.
-        let h = harvested_uw(wifi_incident_dbm(16.0, 0.3048));
-        let b = ExchangeBudget::compute(h, 96, 20_000, 90, 100);
-        assert!(b.self_sufficient(), "reserve {} µJ", b.required_reserve_uj);
-    }
-
-    #[test]
-    fn exchange_needs_reserve_at_two_meters() {
-        let h = harvested_uw(wifi_incident_dbm(16.0, 2.0));
-        let b = ExchangeBudget::compute(h, 96, 20_000, 90, 100);
-        assert!(!b.self_sufficient());
-        assert!(b.required_reserve_uj > 0.0);
-        // A modest 100 µF / 2 V store (200 µJ) covers it.
-        let mut store = Storage::new(100.0, 2.0);
-        store.advance(1e12, 1000.0, 0.0); // pre-charge
-        assert!(b.sustained_by(&store), "need {} µJ", b.required_reserve_uj);
-    }
-
-    #[test]
-    fn longer_responses_cost_more() {
-        let a = ExchangeBudget::compute(0.0, 96, 20_000, 30, 100);
-        let b = ExchangeBudget::compute(0.0, 96, 20_000, 300, 100);
-        assert!(b.consumed_uj > a.consumed_uj);
-    }
-
-    #[test]
-    fn faster_uplink_cuts_energy() {
-        // The §5 rate selection has an energy angle too: a faster uplink
-        // finishes sooner, so the analog circuits burn less.
-        let slow = ExchangeBudget::compute(0.0, 96, 20_000, 90, 100);
-        let fast = ExchangeBudget::compute(0.0, 96, 20_000, 90, 1000);
-        assert!(fast.consumed_uj < slow.consumed_uj);
     }
 }

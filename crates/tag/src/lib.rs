@@ -19,7 +19,7 @@
 //! * [`receiver`] — the analog receive chain of Fig. 8 (peak finder with
 //!   RC decay, half-peak set-threshold, comparator) and the MCU decode
 //!   logic with its two power modes (§4.2).
-//! * [`harvester`] — RF-to-DC harvesting from Wi-Fi and TV, storage and
+//! * [`harvester`] — RF-to-DC harvesting from Wi-Fi and TV and
 //!   duty-cycle arithmetic (§6).
 //! * [`energy`] — the harvest-store-spend co-simulation: a storage
 //!   capacitor with brownout/cold-start hysteresis and the duty-cycling

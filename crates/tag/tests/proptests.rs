@@ -1,11 +1,12 @@
 //! Property-based tests for the tag hardware model's invariants,
 //! driven by the deterministic in-repo [`bs_dsp::testkit`] generator.
 
-use bs_dsp::testkit::check;
+use bs_dsp::testkit::{check, Gen};
 use bs_dsp::SimRng;
+use bs_tag::energy::{Capacitor, CapacitorConfig};
 use bs_tag::envelope::{EnvelopeConfig, EnvelopeModel};
 use bs_tag::frame::{DownlinkFrame, FrameError, UplinkFrame};
-use bs_tag::harvester::{duty_cycle, rectifier_efficiency, Storage};
+use bs_tag::harvester::{duty_cycle, rectifier_efficiency};
 use bs_tag::modulator::{Modulator, UplinkMode};
 use bs_tag::receiver::{debounce_transitions, CircuitConfig, ReceiverCircuit};
 
@@ -186,8 +187,20 @@ fn efficiency_monotone_everywhere() {
 #[test]
 fn duty_cycle_in_unit_interval() {
     check("duty-cycle-unit", 256, |g| {
-        let d = duty_cycle(g.f64_in(0.0, 1000.0), g.f64_in(0.0, 1000.0));
-        assert!((0.0..=1.0).contains(&d));
+        // Ordinary powers mixed with NaN, ±∞ and negative ones.
+        let draw = |g: &mut Gen| match g.usize_in(0, 9) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => g.f64_in(-1000.0, 0.0),
+            _ => g.f64_in(0.0, 1000.0),
+        };
+        let (harvest, load) = (draw(g), draw(g));
+        let d = duty_cycle(harvest, load);
+        assert!((0.0..=1.0).contains(&d), "duty {d} at {harvest} / {load}");
+        if !harvest.is_finite() || harvest < 0.0 {
+            assert_eq!(d, 0.0, "a bad harvest {harvest} must fund nothing");
+        }
     });
 }
 
@@ -197,13 +210,18 @@ fn storage_energy_bounded() {
         let cap = g.f64_in(1.0, 1000.0);
         let v = g.f64_in(0.5, 5.0);
         let n = g.usize_in(1, 50);
-        let mut s = Storage::new(cap, v);
+        let mut s = Capacitor::new(CapacitorConfig {
+            capacitance_uf: cap,
+            voltage: v,
+            initial_fraction: 0.0,
+            ..CapacitorConfig::default()
+        });
         for _ in 0..n {
             let h = g.f64_in(0.0, 100.0);
             let l = g.f64_in(0.0, 100.0);
             s.advance(10_000.0, h, l);
-            assert!(s.energy_uj() >= 0.0);
-            assert!(s.energy_uj() <= s.capacity_uj() + 1e-9);
+            assert!(s.charge_uj() >= 0.0);
+            assert!(s.charge_uj() <= s.capacity_uj() + 1e-9);
         }
     });
 }

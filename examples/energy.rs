@@ -13,12 +13,18 @@
 //!   reads the capacitor — the reader can't) and backs a silent tag off
 //!   exponentially, spending the saved airtime on tags that can talk.
 //!
+//! It ends with the budget behind the brownouts: a query decode's energy
+//! with the MCU duty-cycled (§4.2) or awake, and a capacitor ride-through.
+//!
 //! Run with: `cargo run --release -p bs-net --example energy`
 
 use bs_dsp::obs::MemRecorder;
 use bs_net::gateway::PollingPolicy;
 use bs_net::prelude::*;
-use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
+use bs_tag::energy::{
+    Capacitor, CapacitorConfig, EnergyConfig, EnergyPolicy, EnergyState, LISTEN_LOAD_UW,
+};
+use bs_tag::{harvester, power::EnergyLedger};
 
 fn message(n: usize, salt: u8) -> Vec<u8> {
     (0..n)
@@ -107,5 +113,26 @@ fn main() {
         .map(|e| e.brownouts)
         .sum();
     assert!(browned > 0, "the starving tags must actually brown out");
+
+    // A 96-bit query (4.8 ms) decode, and a full capacitor at 1 m from +16 dBm.
+    let mut cycled = EnergyLedger::new();
+    cycled.analog(4_800.0, true, false);
+    cycled.wakeups(20); // preamble edges
+    cycled.samples(96); // one mid-bit sample per bit
+    cycled.mcu_sleep(4_800.0);
+    let mut awake = EnergyLedger::new();
+    awake.analog(4_800.0, true, false);
+    awake.mcu_active(4_800.0);
+    let (cycled, awake) = (cycled.total_uj(), awake.total_uj());
+    println!("\none query decode: {cycled:.3} µJ duty-cycled vs {awake:.3} µJ awake");
+    let harvest = harvester::harvested_uw(harvester::wifi_incident_dbm(16.0, 1.0));
+    let mut cap = Capacitor::new(CapacitorConfig::default());
+    let ms = (1..=1_000_000u32)
+        .find(|_| cap.advance(1_000.0, harvest, LISTEN_LOAD_UW) == EnergyState::Dead)
+        .expect("the 1 m harvest is below the listen load");
+    println!(
+        "at 1 m ({harvest:.2} µW in, {LISTEN_LOAD_UW} µW out) a full 100 µF store listens {:.1} s",
+        f64::from(ms) / 1e3
+    );
     println!("\nevery starving tag browned out and the backoff paid for itself — energy done.");
 }

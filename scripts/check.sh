@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: everything CI would require, in dependency order.
 # Usage: scripts/check.sh [--bench-smoke]
-#   --bench-smoke  additionally run the decode, stream, fec, phy, fleet
-#                  and energy smoke benches in release, writing
+#   --bench-smoke  additionally run the decode, fec, phy, fleet and
+#                  energy smoke benches in release, writing
 #                  BENCH_<name>.json at the repo root. Each bench's gates
 #                  are listed in the docs of its crates/bench/benches/
 #                  *_micro.rs; every gate reads "pass", "fail: <reason>"
@@ -29,6 +29,30 @@ if grep -rn --include='*.rs' -E '#\[ignore\]|#\[ignore[[:space:]]*\(' crates tes
     echo "error: bare #[ignore] found — use #[ignore = \"reason\"]" >&2
     exit 1
 fi
+
+# Every example and every bench is exercised, so none can regrow unrun:
+# each examples/*.rs must be in EXAMPLES (package:example), and each
+# [[bench]] of crates/bench/Cargo.toml in SMOKE_BENCHES (bench:BENCH name),
+# which --bench-smoke runs with --json.
+EXAMPLES="wifi-backscatter:quickstart wifi-backscatter:sensor_network
+    wifi-backscatter:ambient_traffic wifi-backscatter:long_range wifi-backscatter:inventory
+    wifi-backscatter:observability bs-net:gateway bs-net:fleet bs-net:energy"
+SMOKE_BENCHES="decoder_micro:decode fec_micro:fec phy_micro:phy fleet_micro:fleet
+    energy_micro:energy"
+
+echo "== every example runs, every bench is a --json smoke bench =="
+for f in examples/*.rs; do
+    if ! grep -qE -- ":$(basename "$f" .rs)(\s|$)" <<<"$EXAMPLES"; then
+        echo "error: $f is not run by the examples step; add it to EXAMPLES" >&2
+        exit 1
+    fi
+done
+for b in $(sed -n '/^\[\[bench\]\]/,/^name/s/^name *= *"\(.*\)"/\1/p' crates/bench/Cargo.toml); do
+    if ! grep -qE -- "(^|\s)$b:" <<<"$SMOKE_BENCHES"; then
+        echo "error: bench $b is not a --json smoke bench; add it to SMOKE_BENCHES" >&2
+        exit 1
+    fi
+done
 
 echo "== cargo build --release (all targets) =="
 cargo build --release --all-targets
@@ -102,16 +126,10 @@ echo "== energy conformance (always-powered bit-identity, brownout physics, awar
 cargo test --release -q -p bs-net --test energy_conformance
 
 echo "== examples run clean =="
-for ex in quickstart sensor_network ambient_traffic energy_budget long_range inventory observability; do
-    echo "-- example: $ex"
-    cargo run --release -q -p wifi-backscatter --example "$ex" > /dev/null
+for ex in $EXAMPLES; do
+    echo "-- example: ${ex#*:}"
+    cargo run --release -q -p "${ex%%:*}" --example "${ex#*:}" > /dev/null
 done
-echo "-- example: gateway"
-cargo run --release -q -p bs-net --example gateway > /dev/null
-echo "-- example: fleet"
-cargo run --release -q -p bs-net --example fleet > /dev/null
-echo "-- example: energy"
-cargo run --release -q -p bs-net --example energy > /dev/null
 
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
@@ -120,20 +138,12 @@ echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 if [ "$BENCH_SMOKE" -eq 1 ]; then
-    echo "== decode microbench smoke (slot-index pass-count gate) =="
-    # Absolute path: cargo runs bench binaries with CWD = the package
-    # dir, and the record belongs at the repo root.
-    cargo bench -q -p bs-bench --bench decoder_micro -- --json "$PWD/BENCH_decode.json"
-    echo "== stream microbench smoke (streaming == batch, residency, throughput) =="
-    cargo bench -q -p bs-bench --bench stream_micro -- --json "$PWD/BENCH_stream.json"
-    echo "== fec bench smoke (RS exactness, paired goodput, wild 1.5x gate) =="
-    cargo bench -q -p bs-bench --bench fec_micro -- --json "$PWD/BENCH_fec.json"
-    echo "== phy bench smoke (presence bit identity, codeword 10x goodput gate) =="
-    cargo bench -q -p bs-bench --bench phy_micro -- --json "$PWD/BENCH_phy.json"
-    echo "== fleet bench smoke (10^5-tag jobs determinism, shard invariance, core scaling) =="
-    cargo bench -q -p bs-bench --bench fleet_micro -- --json "$PWD/BENCH_fleet.json"
-    echo "== energy bench smoke (always-powered identity, aware >= naive, starving recovery, intermittent determinism) =="
-    cargo bench -q -p bs-bench --bench energy_micro -- --json "$PWD/BENCH_energy.json"
+    for b in $SMOKE_BENCHES; do
+        echo "== bench smoke: ${b%%:*} -> BENCH_${b#*:}.json =="
+        # Absolute path: cargo runs bench binaries with CWD = the package
+        # dir, and the record belongs at the repo root.
+        cargo bench -q -p bs-bench --bench "${b%%:*}" -- --json "$PWD/BENCH_${b#*:}.json"
+    done
 fi
 
 echo "== all checks passed =="

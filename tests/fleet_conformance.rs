@@ -10,8 +10,8 @@
 //!   test over random populations, seeds and shard counts).
 //! - **Satellite regressions** — duplicate `TagProfile` addresses are
 //!   rejected with a typed error at both the gateway and (by
-//!   construction) the fleet layer, and so is an inventory Q beyond the
-//!   4-bit EPC field; `max_cycles` truncation surfaces on
+//!   construction) the fleet layer, and so are an inventory Q beyond the
+//!   4-bit EPC field and a capacitor with no positive, finite capacity; `max_cycles` truncation surfaces on
 //!   `GatewayRun::truncated` and is mirrored per shard in the fleet
 //!   report; a panic inside a shard comes back as
 //!   `FleetError::ShardPanicked` at any worker count.
@@ -109,6 +109,22 @@ fn oversize_inventory_q_errors_at_gateway_and_fleet() {
         assert_eq!(
             run_fleet(&cfg, jobs).unwrap_err(),
             FleetError::Gateway(GatewayError::InvalidInventory { max_q: 64 })
+        );
+    }
+}
+
+#[test]
+fn invalid_capacitor_errors_at_gateway_and_fleet() {
+    // Regression: a zero-capacitance supply reached `Capacitor::new`'s
+    // assert inside a shard; now the gateway's typed error comes back.
+    let mut energy = FleetEnergyConfig::default();
+    energy.capacitor.capacitance_uf = 0.0;
+    let cfg = fleet_cfg(4, 3, 5).with_energy(energy);
+    for jobs in [1, 2] {
+        assert_eq!(
+            run_fleet(&cfg, jobs).unwrap_err(),
+            FleetError::Gateway(GatewayError::InvalidEnergy { address: 1 }),
+            "jobs {jobs}"
         );
     }
 }
