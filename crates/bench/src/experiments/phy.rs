@@ -2,8 +2,9 @@
 //! codeword translation.
 //!
 //! This backs the harness's `phy` figure (not a paper figure — the
-//! paper's tag only has the presence PHY; this measures the
-//! [`wifi_backscatter::phy`] mode family against it). Both modes run
+//! paper's tag only has the presence PHY; this measures codeword
+//! translation, [`wifi_backscatter::phy::PhyConfig::Codeword`], against
+//! it). Both modes run
 //! the *same* question at each operating point: how many correct
 //! payload bits per second of simulated air does one uplink exchange
 //! deliver, as the helper's packet cadence sweeps from a quiet network
@@ -38,38 +39,13 @@ pub const DISTANCE_M: f64 = 0.3;
 /// nominal busy channel, heavy, and saturated.
 pub const HELPER_PPS: &[f64] = &[500.0, 1_000.0, 3_000.0, 6_000.0, 12_000.0];
 
-/// PHY axis of the figure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// The paper's presence/CSI PHY.
-    Presence,
-    /// FreeRider-style codeword translation.
-    Codeword,
-}
-
-impl Mode {
-    /// Column label in the rendered table.
-    pub fn label(self) -> &'static str {
-        match self {
-            Mode::Presence => "presence",
-            Mode::Codeword => "codeword",
-        }
-    }
-
-    /// The link-config PHY selector for this mode.
-    pub fn phy_config(self) -> PhyConfig {
-        match self {
-            Mode::Presence => PhyConfig::Presence,
-            Mode::Codeword => PhyConfig::codeword(),
-        }
-    }
-}
-
 /// One measured `(mode, helper_pps)` point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhyPoint {
-    /// PHY mode of this point.
-    pub mode: Mode,
+    /// PHY mode of this point ([`PhyCapabilities::name`]).
+    ///
+    /// [`PhyCapabilities::name`]: wifi_backscatter::phy::PhyCapabilities::name
+    pub mode: &'static str,
     /// Helper cadence (packets/s).
     pub helper_pps: f64,
     /// Commanded uplink bit rate (bps) — the mode's own rate selection
@@ -107,11 +83,11 @@ fn run_goodput(run: &wifi_backscatter::link::UplinkRun) -> f64 {
 }
 
 /// Measures one point of the sweep over `runs` seeded exchanges.
-pub fn phy_point(mode: Mode, helper_pps: f64, runs: u64, seed: u64) -> PhyPoint {
-    let phy = mode.phy_config();
+pub fn phy_point(phy: &PhyConfig, helper_pps: f64, runs: u64, seed: u64) -> PhyPoint {
     // Each mode commands the rate its own capabilities would pick — the
     // same decision the session layer makes.
-    let bit_rate = phy.capabilities().select_rate_bps(helper_pps, 5, 0.8);
+    let caps = phy.capabilities();
+    let bit_rate = caps.select_rate_bps(helper_pps, 5, 0.8);
     let mut goodput_sum = 0.0;
     let mut detected_runs = 0;
     let mut bit_errors = 0;
@@ -132,7 +108,7 @@ pub fn phy_point(mode: Mode, helper_pps: f64, runs: u64, seed: u64) -> PhyPoint 
         bit_errors += run.ber.errors();
     }
     PhyPoint {
-        mode,
+        mode: caps.name,
         helper_pps,
         bit_rate_bps: bit_rate,
         goodput_bps: goodput_sum / runs.max(1) as f64,
@@ -148,15 +124,15 @@ mod tests {
 
     #[test]
     fn phy_point_is_deterministic() {
-        let a = phy_point(Mode::Codeword, 3_000.0, 2, 5);
-        let b = phy_point(Mode::Codeword, 3_000.0, 2, 5);
+        let a = phy_point(&PhyConfig::codeword(), 3_000.0, 2, 5);
+        let b = phy_point(&PhyConfig::codeword(), 3_000.0, 2, 5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn codeword_outpaces_presence_at_nominal_cadence() {
-        let p = phy_point(Mode::Presence, 3_000.0, 2, 7);
-        let c = phy_point(Mode::Codeword, 3_000.0, 2, 7);
+        let p = phy_point(&PhyConfig::Presence, 3_000.0, 2, 7);
+        let c = phy_point(&PhyConfig::codeword(), 3_000.0, 2, 7);
         assert_eq!(p.detected_runs, 2);
         assert_eq!(c.detected_runs, 2);
         assert!(
@@ -169,8 +145,8 @@ mod tests {
 
     #[test]
     fn codeword_rate_follows_helper_cadence() {
-        let slow = phy_point(Mode::Codeword, 500.0, 1, 9);
-        let fast = phy_point(Mode::Codeword, 12_000.0, 1, 9);
+        let slow = phy_point(&PhyConfig::codeword(), 500.0, 1, 9);
+        let fast = phy_point(&PhyConfig::codeword(), 12_000.0, 1, 9);
         assert!(fast.bit_rate_bps > slow.bit_rate_bps);
         assert!(fast.goodput_bps > slow.goodput_bps);
     }

@@ -13,6 +13,7 @@
 //! serial sweep bit for bit.
 
 use wifi_backscatter::link::Measurement;
+use wifi_backscatter::phy::PhyConfig;
 
 use super::record::{JobOutput, RunRecord};
 use super::scheduler::Job;
@@ -858,12 +859,12 @@ fn phy_section(p: &mut Plan, seed: u64, e: &Effort) {
     );
     let runs = e.runs.min(3);
     for &pps in phy::HELPER_PPS {
-        for mode in [phy::Mode::Presence, phy::Mode::Codeword] {
+        for mode in [PhyConfig::Presence, PhyConfig::codeword()] {
             p.job(
                 s,
-                format!("{} pps={pps:.0}", mode.label()),
+                format!("{} pps={pps:.0}", mode.capabilities().name),
                 seed,
-                move || phy_job(phy::phy_point(mode, pps, runs, seed)),
+                move || phy_job(phy::phy_point(&mode, pps, runs, seed)),
             );
         }
     }
@@ -874,7 +875,7 @@ fn phy_job(pt: phy::PhyPoint) -> JobOutput {
     JobOutput {
         lines: vec![format!(
             "{}  {:.0}  {}  {:9.1}  {}  {}",
-            pt.mode.label(),
+            pt.mode,
             pt.helper_pps,
             pt.bit_rate_bps,
             pt.goodput_bps,

@@ -1,5 +1,5 @@
 //! The codeword-translation uplink: decode plumbing for
-//! [`crate::phy::CodewordPhy`].
+//! [`crate::phy::PhyConfig::Codeword`].
 //!
 //! Where the presence uplink ([`crate::uplink`]) treats every helper
 //! packet as one CSI/RSSI sample of the tag's slow switch state, the

@@ -37,10 +37,10 @@
 //! * [`link`] — an end-to-end simulator wiring scene + MAC + tag + reader
 //!   together; this is the API the examples and every experiment harness
 //!   use.
-//! * [`phy`] — the PHY mode family: [`phy::PresencePhy`] (the paper's
-//!   PHY, above) and [`phy::CodewordPhy`] (FreeRider-style codeword
-//!   translation, [`codeword`]) behind object-safe traits; the routed
-//!   `phy::run_*` entry points are what the prelude exports.
+//! * [`phy`] — PHY mode selection: [`phy::PhyConfig`] picks the paper's
+//!   presence uplink (above) or FreeRider-style codeword translation
+//!   ([`codeword`]); the `phy::run_*` entry points dispatch on it and are
+//!   what the prelude exports.
 //!
 //! Beyond the paper's evaluation, two extensions it explicitly points at:
 //!
@@ -62,8 +62,6 @@
 //!   call `into_report()` to get the profile.
 //! * [`error`] — the unified [`Error`] hierarchy, the one home of every
 //!   error type.
-//! * [`report`] — the [`report::RunReport`] trait unifying
-//!   [`UplinkRun`], [`DownlinkRun`] and [`session::QueryOutcome`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,7 +75,6 @@ pub mod multitag;
 pub mod phy;
 pub mod prelude;
 pub mod protocol;
-pub mod report;
 pub mod series;
 pub mod session;
 pub mod trace;
@@ -88,8 +85,8 @@ pub mod uplink;
 /// one canonical path.
 pub use bs_dsp::obs;
 
-/// The streaming building blocks (`StreamBlock`, `Consumed`, bounded
-/// queues, chunked kernels), re-exported from `bs-dsp` so
+/// The streaming primitives (`Consumed`, `CountMedian`, chunked
+/// kernels), re-exported from `bs-dsp` so
 /// `wifi_backscatter::stream::Consumed` is the one canonical path.
 pub use bs_dsp::stream;
 

@@ -643,8 +643,8 @@ fn decode_capture(
 /// so an undrifted capture keeps its baseline decode on ties.
 const DRIFT_CANDIDATES: [f64; 7] = [0.0, 0.005, -0.005, 0.01, -0.01, 0.02, -0.02];
 
-/// The presence/CSI uplink exchange — the body behind
-/// [`crate::phy::PresencePhy`]: all capture and decode instrumentation,
+/// The presence/CSI uplink exchange — what [`crate::phy::run_uplink_with`]
+/// runs for [`PhyConfig::Presence`]: all capture and decode instrumentation,
 /// plus the link-level counters `link.retries` and
 /// `link.mitigations-engaged`, engaging whatever armed mitigations the
 /// observed degradation calls for. Every RNG draw is identical whatever
@@ -769,10 +769,6 @@ pub struct DownlinkConfig {
     pub seed: u64,
     /// Injected faults; [`FaultPlan::none`] leaves the run untouched.
     pub faults: FaultPlan,
-    /// Which PHY mode runs the exchange (default:
-    /// [`PhyConfig::Presence`]; both shipped modes share the envelope
-    /// downlink).
-    pub phy: PhyConfig,
 }
 
 impl DownlinkConfig {
@@ -784,7 +780,6 @@ impl DownlinkConfig {
             tx_dbm: bs_channel::calib::READER_TX_DBM,
             seed,
             faults: FaultPlan::none(),
-            phy: PhyConfig::Presence,
         }
     }
 
@@ -797,12 +792,6 @@ impl DownlinkConfig {
     /// Sets the injected fault plan (default: [`FaultPlan::none`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the PHY mode (default: [`PhyConfig::Presence`]).
-    pub fn with_phy(mut self, phy: PhyConfig) -> Self {
-        self.phy = phy;
         self
     }
 
@@ -842,10 +831,9 @@ pub struct DownlinkRun {
     pub degradation: DegradationReport,
 }
 
-/// The presence/envelope raw-BER downlink — the body behind
-/// [`crate::phy::PresencePhy`] (and, the downlink being shared, behind
-/// `CodewordPhy` too): a `downlink.envelope` span over the simulated
-/// trace, the tag comparator span and transition counter from
+/// The envelope raw-BER downlink both PHY modes share — the body behind
+/// [`crate::phy::run_downlink_ber_with`]: a `downlink.envelope` span over
+/// the simulated trace, the tag comparator span and transition counter from
 /// [`ReceiverCircuit::run_with`], counters `downlink.bits-sent` /
 /// `downlink.bit-errors`, and the tag's energy ledger gauges
 /// (`tag.energy-uj`, `tag.mean-uw`) for the receive window. Every RNG

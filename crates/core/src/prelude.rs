@@ -7,8 +7,7 @@
 //! Everything an application or experiment normally touches is here: the
 //! end-to-end `run_*` entry points and their recorder-threading `*_with`
 //! variants, the builder-style configs, the session [`Reader`], the
-//! unified [`Error`], the [`RunReport`] trait and the observability
-//! types. Lower-level mechanisms (modulators, channel scenes, MAC
+//! unified [`Error`] and the observability types. Lower-level mechanisms (modulators, channel scenes, MAC
 //! internals) stay behind their module paths on purpose.
 //!
 //! The re-export list is pinned by [`PRELUDE_MANIFEST`] and guarded by the
@@ -28,13 +27,11 @@ pub use crate::multitag::{
 };
 pub use crate::phy::{
     run_downlink_ber, run_downlink_ber_with, run_downlink_frame, run_downlink_frame_with,
-    run_uplink, run_uplink_with, CodewordPhy, PhyCapabilities, PhyConfig, PhyDownlink, PhyMode,
-    PhyUplink, PresencePhy,
+    run_uplink, run_uplink_with, PhyCapabilities, PhyConfig,
 };
 pub use crate::protocol::{
     select_bit_rate, Ack, Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS,
 };
-pub use crate::report::RunReport;
 pub use crate::series::{SeriesAccumulator, SeriesBundle};
 pub use crate::session::{QueryOutcome, Reader, ReaderConfig};
 pub use crate::trace::LoadedCapture;
@@ -58,7 +55,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "Capacitor",
     "CapacitorConfig",
     "CodewordParams",
-    "CodewordPhy",
     "Combining",
     "Consumed",
     "DecodeOutput",
@@ -89,10 +85,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "ObsReport",
     "PhyCapabilities",
     "PhyConfig",
-    "PhyDownlink",
-    "PhyMode",
-    "PhyUplink",
-    "PresencePhy",
     "ProtocolError",
     "Query",
     "QueryOutcome",
@@ -100,7 +92,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "ReaderConfig",
     "Recorder",
     "RetryPolicy",
-    "RunReport",
     "SUPPORTED_RATES_BPS",
     "SeriesAccumulator",
     "SeriesBundle",

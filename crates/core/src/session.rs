@@ -25,7 +25,7 @@ use crate::link::{
 };
 use crate::phy::{run_downlink_frame_with, run_uplink_with, PhyConfig};
 use crate::protocol::{Ack, Query, RetryPolicy};
-use crate::uplink::{UplinkDecoder, UplinkDecoderConfig, UplinkStream};
+use crate::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use bs_channel::faults::FaultPlan;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
@@ -312,7 +312,6 @@ impl Reader {
                 tx_dbm: bs_channel::calib::READER_TX_DBM,
                 seed: self.rng.next_u64(),
                 faults: self.cfg.faults.clone(),
-                phy: self.cfg.phy.clone(),
             };
             let (got, dl_report) = run_downlink_frame_with(&dl, &query_frame, rec);
             report.merge(&dl_report);
@@ -448,22 +447,6 @@ impl Reader {
         UplinkDecoder::new(dcfg)
     }
 
-    /// Opens a streaming decode session for an expected response —
-    /// [`Self::response_decoder`] composed with
-    /// [`UplinkDecoder::stream`]. On hardware this is the entry point
-    /// that consumes live per-packet CSI/RSSI as it arrives; packets are
-    /// pushed with [`UplinkStream::feed_packet`] and the frame decoded on
-    /// [`UplinkStream::finish`], bit-identical to batch-decoding the
-    /// same capture.
-    pub fn response_stream(
-        &self,
-        payload_bits: usize,
-        channels: usize,
-        start_hint_us: u64,
-    ) -> UplinkStream {
-        self.response_decoder(payload_bits).stream(channels, start_hint_us)
-    }
-
     /// One uplink exchange at the current deployment geometry.
     ///
     /// Every retry/fallback attempt is a *fresh* capture (new seed, new
@@ -504,7 +487,6 @@ impl Reader {
             tx_dbm: bs_channel::calib::READER_TX_DBM,
             seed: self.rng.next_u64(),
             faults: self.cfg.faults.clone(),
-            phy: self.cfg.phy.clone(),
         };
         let (_, report) = run_downlink_frame_with(&dl, &Ack { tag_address }.to_frame(), rec);
         report
@@ -655,14 +637,6 @@ mod tests {
         assert_eq!(csi.config().combining, Combining::Mrc);
         let rssi = Reader::new(cfg.with_measurement(Measurement::Rssi), 1).response_decoder(16);
         assert_eq!(rssi.config().combining, Combining::BestSingle);
-    }
-
-    #[test]
-    fn response_stream_feeds_and_finishes() {
-        let r = Reader::new(ReaderConfig::default(), 1);
-        let mut s = r.response_stream(8, 2, 0);
-        assert!(s.feed_packet(0, &[1.0, 2.0]).any());
-        assert!(s.finish().is_none()); // one packet: no detection
     }
 
     #[test]

@@ -5,12 +5,8 @@
 //! 400 ms window, then normalises the zero-mean residual by the mean of its
 //! absolute values so that the two tag states land near −1 and +1.
 //!
-//! Two flavours are provided:
-//!
-//! * [`condition`] — the offline (whole-record) version used when decoding a
-//!   captured trace, matching the paper's evaluation methodology.
-//! * [`SlidingConditioner`] — a streaming version with an explicit window in
-//!   *samples*, for online operation.
+//! [`condition`] is the whole-record version used when decoding a captured
+//! trace, matching the paper's evaluation methodology.
 
 /// Centred moving average with window `2·half + 1`, truncated at the edges.
 ///
@@ -78,66 +74,6 @@ pub fn condition(xs: &[f64], half: usize) -> Vec<f64> {
         return vec![0.0; xs.len()];
     }
     crate::stream::scale_div(&resid, scale)
-}
-
-/// Streaming signal conditioner.
-///
-/// Keeps a trailing window of `window` samples; each pushed sample is
-/// detrended by the current window mean and normalised by the window's mean
-/// absolute residual. The first few outputs (before the window fills) use
-/// the partial window, analogous to [`moving_average`]'s edge handling.
-#[derive(Debug, Clone)]
-pub struct SlidingConditioner {
-    window: usize,
-    buf: std::collections::VecDeque<f64>,
-    sum: f64,
-}
-
-impl SlidingConditioner {
-    /// Creates a conditioner with a trailing window of `window` samples.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "conditioner window must be positive");
-        SlidingConditioner {
-            window,
-            buf: std::collections::VecDeque::with_capacity(window),
-            sum: 0.0,
-        }
-    }
-
-    /// Pushes a raw sample, returning the conditioned (zero-mean,
-    /// unit-mean-abs) value.
-    pub fn push(&mut self, x: f64) -> f64 {
-        if self.buf.len() == self.window {
-            self.sum -= self.buf.pop_front().unwrap();
-        }
-        self.buf.push_back(x);
-        self.sum += x;
-        let mean = self.sum / self.buf.len() as f64;
-        let mean_abs_resid = self
-            .buf
-            .iter()
-            .map(|v| (v - mean).abs())
-            .sum::<f64>()
-            / self.buf.len() as f64;
-        if mean_abs_resid == 0.0 {
-            0.0
-        } else {
-            (x - mean) / mean_abs_resid
-        }
-    }
-
-    /// Number of samples currently buffered.
-    pub fn fill(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> usize {
-        self.window
-    }
 }
 
 #[cfg(test)]
@@ -242,56 +178,5 @@ mod tests {
         let y = condition(&xs, 25);
         let ma = crate::stats::mean_abs(&y);
         assert!((ma - 1.0).abs() < 1e-9, "mean abs {ma}");
-    }
-
-    #[test]
-    fn sliding_conditioner_tracks_square_wave() {
-        let mut c = SlidingConditioner::new(40);
-        let mut outputs = Vec::new();
-        for i in 0..400 {
-            let sq = if (i / 10) % 2 == 0 { 1.0 } else { -1.0 };
-            outputs.push(c.push(5.0 + 0.3 * sq));
-        }
-        // After warmup, output sign should track the square wave.
-        let mut agree = 0;
-        let mut total = 0;
-        for (i, &y) in outputs.iter().enumerate().skip(80) {
-            let sq = if (i / 10) % 2 == 0 { 1.0 } else { -1.0 };
-            // skip transition edges
-            if i % 10 >= 2 {
-                total += 1;
-                if y.signum() == sq {
-                    agree += 1;
-                }
-            }
-        }
-        assert!(
-            agree as f64 / total as f64 > 0.95,
-            "agree {agree}/{total}"
-        );
-    }
-
-    #[test]
-    fn sliding_conditioner_constant_is_zero() {
-        let mut c = SlidingConditioner::new(10);
-        for _ in 0..30 {
-            assert_eq!(c.push(2.5), 0.0);
-        }
-    }
-
-    #[test]
-    fn sliding_conditioner_window_caps_buffer() {
-        let mut c = SlidingConditioner::new(8);
-        for i in 0..100 {
-            c.push(i as f64);
-        }
-        assert_eq!(c.fill(), 8);
-        assert_eq!(c.window(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn sliding_conditioner_zero_window_panics() {
-        SlidingConditioner::new(0);
     }
 }

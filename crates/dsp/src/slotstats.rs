@@ -323,152 +323,6 @@ impl SlotStats {
     }
 }
 
-/// Sliding-window statistics over the last `capacity` samples, held in a
-/// ring buffer, with results **bitwise identical** to rebuilding the
-/// window's accumulators from scratch in arrival order.
-///
-/// Floating-point sums are left folds, so two regimes apply:
-///
-/// * **Filling** (no eviction yet): each [`WindowStats::push`] extends
-///   the cached fold in O(1) — `sum + x` is exactly what a fresh rebuild
-///   would compute last, so the cache stays bitwise equal to a rebuild.
-/// * **Wrapped** (ring at capacity): evicting the oldest sample breaks
-///   the prefix — f64 subtraction does *not* undo an addition bitwise —
-///   so a push that evicts refolds the ring in **logical order**, oldest
-///   to newest across the wrap point (the two storage slices
-///   `buf[head..]` then `buf[..head]`). Refolding in *storage* order
-///   would silently change the rounding the moment the window wraps;
-///   that distinction is pinned by a proptest against a fresh-rebuild
-///   model.
-///
-/// The O(window) refold per post-wrap push is the price of the
-/// bit-exactness contract; the window sizes the decoders use keep it
-/// cheap, and the filling phase (the common case for one tag session)
-/// stays O(1).
-///
-/// ```
-/// use bs_dsp::slotstats::WindowStats;
-///
-/// let mut w = WindowStats::new(3);
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     w.push(x);
-/// }
-/// // Window is now [2, 3, 4] — identical to folding those afresh.
-/// assert_eq!(w.len(), 3);
-/// assert_eq!(w.sum().to_bits(), (2.0 + 3.0 + 4.0f64).to_bits());
-/// assert_eq!(w.mean(), Some(3.0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct WindowStats {
-    buf: Vec<f64>,
-    capacity: usize,
-    /// Index of the oldest sample once the ring has wrapped; 0 before.
-    head: usize,
-    sum: f64,
-    sum_sq: f64,
-    welford: Running,
-}
-
-impl WindowStats {
-    /// An empty window holding at most `capacity` samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        WindowStats {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            welford: Running::new(),
-        }
-    }
-
-    /// Samples currently in the window.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The construction-time bound on resident samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether the next [`WindowStats::push`] will evict the oldest
-    /// sample.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.capacity
-    }
-
-    /// Pushes one sample; if the ring was full, evicts and returns the
-    /// oldest. O(1) while filling, O(window) once wrapped (see the type
-    /// docs for why the refold cannot be avoided bitwise).
-    pub fn push(&mut self, x: f64) -> Option<f64> {
-        if self.buf.len() < self.capacity {
-            self.buf.push(x);
-            // Left-fold extension: exactly the last step of a rebuild.
-            self.sum += x;
-            self.sum_sq += x * x;
-            self.welford.push(x);
-            None
-        } else {
-            let evicted = self.buf[self.head];
-            self.buf[self.head] = x;
-            self.head = (self.head + 1) % self.capacity;
-            self.refold();
-            Some(evicted)
-        }
-    }
-
-    /// Rebuilds the cached folds in logical (arrival) order: the slice
-    /// from `head` to the end holds the oldest run, the slice before
-    /// `head` the newest.
-    fn refold(&mut self) {
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.welford = Running::new();
-        let (newest, oldest) = self.buf.split_at(self.head);
-        for &x in oldest.iter().chain(newest) {
-            self.sum += x;
-            self.sum_sq += x * x;
-            self.welford.push(x);
-        }
-    }
-
-    /// Σx over the window, accumulated in arrival order.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Σx² over the window, accumulated in arrival order.
-    pub fn sum_sq(&self) -> f64 {
-        self.sum_sq
-    }
-
-    /// Mean of the window — `None` when empty.
-    ///
-    /// ```
-    /// # use bs_dsp::slotstats::WindowStats;
-    /// assert_eq!(WindowStats::new(4).mean(), None);
-    /// ```
-    pub fn mean(&self) -> Option<f64> {
-        (!self.buf.is_empty()).then(|| self.sum / self.buf.len() as f64)
-    }
-
-    /// Population variance of the window via the same Welford recurrence
-    /// as [`crate::stats::variance`], folded in arrival order.
-    pub fn population_variance(&self) -> f64 {
-        self.welford.population_variance()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,67 +510,5 @@ mod tests {
         // A zero-slot build saw no slots; rebuild everything from 0.
         stats.extend(&part, &xs, from);
         assert_eq!(stats, SlotStats::build(&part, &xs));
-    }
-
-    #[test]
-    fn window_stats_filling_phase_is_left_fold() {
-        let (_, xs) = synth(40, 100, 7);
-        let mut w = WindowStats::new(64);
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        let mut run = Running::new();
-        for &x in &xs {
-            assert_eq!(w.push(x), None, "no eviction while filling");
-            sum += x;
-            sum_sq += x * x;
-            run.push(x);
-            assert_eq!(w.sum().to_bits(), sum.to_bits());
-            assert_eq!(w.sum_sq().to_bits(), sum_sq.to_bits());
-            assert_eq!(
-                w.population_variance().to_bits(),
-                run.population_variance().to_bits()
-            );
-        }
-        assert!(!w.is_full());
-    }
-
-    #[test]
-    fn window_stats_wrap_matches_fresh_rebuild_bitwise() {
-        let (_, xs) = synth(100, 100, 8);
-        let cap = 7;
-        let mut w = WindowStats::new(cap);
-        for (i, &x) in xs.iter().enumerate() {
-            let evicted = w.push(x);
-            if i >= cap {
-                assert_eq!(evicted.map(f64::to_bits), Some(xs[i - cap].to_bits()));
-            } else {
-                assert_eq!(evicted, None);
-            }
-            // Fresh accumulators over the logical window contents.
-            let lo = (i + 1).saturating_sub(cap);
-            let mut sum = 0.0;
-            let mut run = Running::new();
-            for &y in &xs[lo..=i] {
-                sum += y;
-                run.push(y);
-            }
-            assert_eq!(w.len(), i + 1 - lo);
-            assert_eq!(w.sum().to_bits(), sum.to_bits(), "i={i}");
-            assert_eq!(
-                w.population_variance().to_bits(),
-                run.population_variance().to_bits(),
-                "i={i}"
-            );
-            assert_eq!(
-                w.mean().map(f64::to_bits),
-                Some((sum / (i + 1 - lo) as f64).to_bits())
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_window_panics() {
-        WindowStats::new(0);
     }
 }

@@ -1,17 +1,12 @@
-//! Composable streaming blocks over bounded buffers.
+//! Streaming primitives over bounded buffers.
 //!
 //! The paper's reader decodes a *continuous* packet process in real
 //! time; the batch decoders in `bs-core` consume a complete capture per
-//! call. This module provides the streaming substrate between the two:
-//! small blocks in the FutureSDR `Kernel` shape — bounded internal
-//! state, a [`StreamBlock::push`] that reports how much input it
-//! accepted (backpressure is the caller seeing `accepted < offered`),
-//! and a drain side for produced samples.
+//! call. Their streaming sessions (`SeriesAccumulator`, `UplinkStream`,
+//! `LongRangeStream`) are built from the pieces here:
 //!
-//! Three kinds of item live here:
-//!
-//! * the block protocol — [`Sample`], [`Consumed`], [`StreamBlock`] —
-//!   and two concrete blocks, [`BoundedQueue`] and [`MovingAvg`];
+//! * [`Consumed`], the backpressure report a bounded feeder returns
+//!   (the caller sees `accepted < offered`);
 //! * [`CountMedian`], an exact incremental median for the integer
 //!   inter-arrival statistics the decoders key their conditioning on;
 //! * the chunked vector kernels ([`axpy`], [`subtract`], [`scale_div`])
@@ -22,20 +17,11 @@
 //!   decode is bit-identical to the scalar reference (see DESIGN.md §5,
 //!   "Streaming decode", for the argument).
 
-use crate::slotstats::WindowStats;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
-/// The sample type flowing between streaming blocks.
+/// How much of an offered slice a bounded feeder accepted.
 ///
-/// `f64`, not `f32`: the decoders carry a bit-exactness contract against
-/// their straight-line references, and narrowing the stream would change
-/// every rounding step. The vector kernels lane `f64` instead.
-pub type Sample = f64;
-
-/// How much of an offered slice a block accepted.
-///
-/// Backpressure is explicit and cooperative: a block never buffers more
+/// Backpressure is explicit and cooperative: a feeder never buffers more
 /// than its bound, and the caller learns how far it got by comparing
 /// `accepted` against what it offered.
 ///
@@ -64,7 +50,7 @@ impl Consumed {
         Consumed { accepted: n }
     }
 
-    /// Nothing was accepted — the block is full (backpressure).
+    /// Nothing was accepted — the feeder is full (backpressure).
     ///
     /// ```
     /// # use bs_dsp::stream::Consumed;
@@ -83,160 +69,6 @@ impl Consumed {
     /// ```
     pub fn any(&self) -> bool {
         self.accepted > 0
-    }
-}
-
-/// A streaming block: push samples in, drain produced samples out.
-///
-/// The contract, in the shape of FutureSDR's `Kernel::work`:
-///
-/// * `push` accepts a **prefix** of the offered slice and says how long
-///   that prefix was; it never reorders, drops from the middle, or
-///   blocks. `accepted < offered` is backpressure — retry the remainder
-///   after draining.
-/// * `drain` removes and returns everything the block has produced so
-///   far; between drains the block's resident state stays within its
-///   construction-time bound.
-///
-/// ```
-/// use bs_dsp::stream::{MovingAvg, StreamBlock};
-///
-/// let mut ma = MovingAvg::new(2, 8);
-/// ma.push(&[1.0, 3.0, 5.0]);
-/// // Trailing window of 2: [1], [1,3], [3,5].
-/// assert_eq!(ma.drain(), vec![1.0, 2.0, 4.0]);
-/// ```
-pub trait StreamBlock {
-    /// Offers `samples`; returns how many were accepted from the front.
-    fn push(&mut self, samples: &[Sample]) -> Consumed;
-
-    /// Removes and returns the samples produced so far, in order.
-    fn drain(&mut self) -> Vec<Sample>;
-}
-
-/// A bounded FIFO of samples: the simplest block, useful as the elastic
-/// buffer between a fast producer and a slow consumer.
-///
-/// ```
-/// use bs_dsp::stream::{BoundedQueue, StreamBlock};
-///
-/// let mut q = BoundedQueue::new(2);
-/// assert_eq!(q.push(&[1.0, 2.0, 3.0]).accepted, 2); // backpressure
-/// assert_eq!(q.drain(), vec![1.0, 2.0]);
-/// assert_eq!(q.push(&[3.0]).accepted, 1); // space again after drain
-/// ```
-#[derive(Debug, Clone)]
-pub struct BoundedQueue {
-    buf: VecDeque<Sample>,
-    capacity: usize,
-}
-
-impl BoundedQueue {
-    /// A queue holding at most `capacity` samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    ///
-    /// ```
-    /// # use bs_dsp::stream::BoundedQueue;
-    /// assert_eq!(BoundedQueue::new(4).capacity(), 4);
-    /// ```
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Samples currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the queue holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The construction-time bound on resident samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl StreamBlock for BoundedQueue {
-    fn push(&mut self, samples: &[Sample]) -> Consumed {
-        let take = samples.len().min(self.capacity - self.buf.len());
-        self.buf.extend(&samples[..take]);
-        Consumed::all(take)
-    }
-
-    fn drain(&mut self) -> Vec<Sample> {
-        self.buf.drain(..).collect()
-    }
-}
-
-/// Streaming trailing moving average over the last `window` samples,
-/// built on [`WindowStats`] so its running sum follows the same
-/// left-fold accumulation order as a batch rebuild of the window.
-///
-/// Output sample `i` is the mean of input samples
-/// `[i.saturating_sub(window-1), i]` — the warm-up outputs average the
-/// partial window, matching how a ring fills. The output buffer is
-/// bounded by `out_capacity`; a full output buffer backpressures
-/// `push`.
-///
-/// ```
-/// use bs_dsp::stream::{MovingAvg, StreamBlock};
-///
-/// let mut ma = MovingAvg::new(3, 4);
-/// assert_eq!(ma.push(&[3.0, 3.0, 3.0, 9.0, 9.0]).accepted, 4); // out full
-/// assert_eq!(ma.drain(), vec![3.0, 3.0, 3.0, 5.0]);
-/// ma.push(&[9.0]);
-/// assert_eq!(ma.drain(), vec![7.0]); // window now [3, 9, 9]
-/// ```
-#[derive(Debug, Clone)]
-pub struct MovingAvg {
-    win: WindowStats,
-    out: Vec<Sample>,
-    out_capacity: usize,
-}
-
-impl MovingAvg {
-    /// A trailing average over `window` samples with an output buffer of
-    /// `out_capacity`.
-    ///
-    /// # Panics
-    /// Panics if `window == 0` or `out_capacity == 0`.
-    pub fn new(window: usize, out_capacity: usize) -> Self {
-        assert!(out_capacity > 0, "output capacity must be positive");
-        MovingAvg {
-            win: WindowStats::new(window),
-            out: Vec::with_capacity(out_capacity),
-            out_capacity,
-        }
-    }
-
-    /// The window length being averaged over.
-    pub fn window(&self) -> usize {
-        self.win.capacity()
-    }
-}
-
-impl StreamBlock for MovingAvg {
-    fn push(&mut self, samples: &[Sample]) -> Consumed {
-        let take = samples.len().min(self.out_capacity - self.out.len());
-        for &x in &samples[..take] {
-            self.win.push(x);
-            // The window is never empty here, so the mean exists.
-            self.out.push(self.win.mean().unwrap());
-        }
-        Consumed::all(take)
-    }
-
-    fn drain(&mut self) -> Vec<Sample> {
-        std::mem::take(&mut self.out)
     }
 }
 
@@ -415,51 +247,6 @@ pub fn scale_div(xs: &[f64], d: f64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::SimRng;
-
-    #[test]
-    fn bounded_queue_backpressures_and_drains() {
-        let mut q = BoundedQueue::new(3);
-        assert!(q.is_empty());
-        assert_eq!(q.push(&[1.0, 2.0]).accepted, 2);
-        assert_eq!(q.push(&[3.0, 4.0]).accepted, 1);
-        assert_eq!(q.push(&[4.0]), Consumed::none());
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.drain(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(q.push(&[4.0]).accepted, 1);
-        assert_eq!(q.drain(), vec![4.0]);
-    }
-
-    #[test]
-    fn moving_avg_matches_direct_windowed_mean() {
-        let mut rng = SimRng::new(7).stream("stream-ma");
-        let xs: Vec<f64> = (0..200).map(|_| rng.gaussian(0.0, 3.0)).collect();
-        let window = 13;
-        let mut ma = MovingAvg::new(window, xs.len());
-        assert_eq!(ma.push(&xs).accepted, xs.len());
-        let got = ma.drain();
-        for (i, &g) in got.iter().enumerate() {
-            let lo = (i + 1).saturating_sub(window);
-            let slice = &xs[lo..=i];
-            let want = slice.iter().sum::<f64>() / slice.len() as f64;
-            assert!((g - want).abs() < 1e-9, "i={i}: {g} vs {want}");
-        }
-    }
-
-    #[test]
-    fn moving_avg_backpressure_resumes_cleanly() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut ma = MovingAvg::new(2, 2);
-        let mut out = Vec::new();
-        let mut fed = 0;
-        while fed < xs.len() {
-            let c = ma.push(&xs[fed..]);
-            fed += c.accepted;
-            out.extend(ma.drain());
-            assert!(c.any() || !out.is_empty());
-        }
-        out.extend(ma.drain());
-        assert_eq!(out, vec![1.0, 1.5, 2.5, 3.5, 4.5]);
-    }
 
     #[test]
     fn count_median_matches_sort_then_index() {

@@ -7,11 +7,10 @@ use bs_dsp::complex::Complex;
 use bs_dsp::correlate;
 use bs_dsp::filter::{condition, moving_average};
 use bs_dsp::slicer::{majority, Decision};
-use bs_dsp::slotstats::{SlotPartition, SlotStats, WindowStats};
+use bs_dsp::slotstats::{SlotPartition, SlotStats};
 use bs_dsp::stats::{mean, mean_abs, percentile, Histogram, Running};
-use bs_dsp::stream::{axpy, BoundedQueue, CountMedian, MovingAvg, StreamBlock};
+use bs_dsp::stream::{axpy, CountMedian};
 use bs_dsp::testkit::check;
-use std::collections::VecDeque;
 
 // ---- complex arithmetic ----
 
@@ -248,53 +247,7 @@ fn majority_matches_naive_count() {
     });
 }
 
-// ---- streaming windows & slot statistics ----
-
-/// The ring-wrap pin (ISSUE 6 bugfix): however the window wraps, every
-/// statistic must equal a fresh-accumulator rebuild over the window's
-/// logical contents — to the bit. A storage-order refold fails this the
-/// moment the first eviction happens.
-#[test]
-fn window_stats_any_push_sequence_matches_fresh_rebuild() {
-    check("window-stats-rebuild", 256, |g| {
-        let cap = g.usize_in(1, 12) + 1;
-        let xs = g.vec_f64(-1e6, 1e6, 1, 60);
-        let mut win = WindowStats::new(cap);
-        let mut model: VecDeque<f64> = VecDeque::new();
-        for &x in &xs {
-            let evicted = win.push(x);
-            if model.len() == cap {
-                assert_eq!(
-                    evicted.map(f64::to_bits),
-                    model.pop_front().map(f64::to_bits)
-                );
-            } else {
-                assert_eq!(evicted, None);
-            }
-            model.push_back(x);
-            // Fresh accumulators over the logical window, arrival order.
-            let mut sum = 0.0;
-            let mut sum_sq = 0.0;
-            let mut run = Running::new();
-            for &y in &model {
-                sum += y;
-                sum_sq += y * y;
-                run.push(y);
-            }
-            assert_eq!(win.len(), model.len());
-            assert_eq!(win.sum().to_bits(), sum.to_bits());
-            assert_eq!(win.sum_sq().to_bits(), sum_sq.to_bits());
-            assert_eq!(
-                win.population_variance().to_bits(),
-                run.population_variance().to_bits()
-            );
-            assert_eq!(
-                win.mean().map(f64::to_bits),
-                Some((sum / model.len() as f64).to_bits())
-            );
-        }
-    });
-}
+// ---- slot statistics ----
 
 /// Growing a partition + stats incrementally in random steps lands on
 /// exactly the state a fresh batch build produces.
@@ -333,61 +286,7 @@ fn slot_extend_matches_fresh_build_bitwise() {
     });
 }
 
-// ---- streaming blocks ----
-
-/// Chunk boundaries are invisible: feeding a signal through a block in
-/// arbitrary pieces (riding out backpressure) yields the same output as
-/// one large push.
-#[test]
-fn moving_avg_chunking_is_invisible() {
-    check("moving-avg-chunking", 128, |g| {
-        let xs = g.vec_f64(-1e3, 1e3, 1, 80);
-        let window = g.usize_in(1, 16) + 1;
-        let out_cap = g.usize_in(1, 8) + 1;
-        let mut whole = MovingAvg::new(window, xs.len());
-        whole.push(&xs);
-        let want = whole.drain();
-        let mut chunked = MovingAvg::new(window, out_cap);
-        let mut got = Vec::new();
-        let mut fed = 0;
-        while fed < xs.len() {
-            let hi = (fed + 1 + g.usize_in(0, 10)).min(xs.len());
-            let c = chunked.push(&xs[fed..hi]);
-            fed += c.accepted;
-            got.extend(chunked.drain());
-        }
-        got.extend(chunked.drain());
-        assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    });
-}
-
-/// A bounded queue conserves samples: accepted prefix in, same samples
-/// out, never exceeding capacity.
-#[test]
-fn bounded_queue_conserves_samples() {
-    check("bounded-queue-conservation", 128, |g| {
-        let xs = g.vec_f64(-1e6, 1e6, 0, 60);
-        let cap = g.usize_in(1, 10) + 1;
-        let mut q = BoundedQueue::new(cap);
-        let mut out = Vec::new();
-        let mut fed = 0;
-        while fed < xs.len() {
-            let hi = (fed + 1 + g.usize_in(0, 7)).min(xs.len());
-            let c = q.push(&xs[fed..hi]);
-            assert!(q.len() <= cap);
-            assert_eq!(c.accepted, (hi - fed).min(cap - (q.len() - c.accepted)));
-            fed += c.accepted;
-            if g.usize_in(0, 2) == 0 {
-                out.extend(q.drain());
-            }
-        }
-        out.extend(q.drain());
-        assert_eq!(out, xs);
-    });
-}
+// ---- streaming primitives ----
 
 /// The incremental count-map median is the sort-then-index median.
 #[test]

@@ -28,7 +28,6 @@ use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
 use wifi_backscatter::link::DegradationReport;
 use wifi_backscatter::protocol::{Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS};
-use wifi_backscatter::report::RunReport;
 
 /// Transport knobs for one transfer.
 #[derive(Debug, Clone)]
@@ -102,8 +101,8 @@ impl TransportConfig {
     /// ARQ. With FEC enabled the segment payload is capped at 254 bytes
     /// (parity columns carry one extra length byte).
     ///
-    /// FEC operates on segments, above the PHY: it composes with any
-    /// [`wifi_backscatter::phy::PhyMode`] — presence captures and
+    /// FEC operates on segments, above the PHY: it composes with either
+    /// [`wifi_backscatter::phy::PhyConfig`] mode — presence captures and
     /// codeword-translation residue decoding alike — because the
     /// transport only sees segment fates, never how the bits crossed
     /// the air (see [`crate::linkmodel::PhyLink::with_phy`] and
@@ -134,8 +133,7 @@ pub struct RoundOutcome {
 }
 
 /// The completed-transfer report: what arrived, what it cost, what
-/// degraded. Implements [`RunReport`] so harness tooling reads it like
-/// any other run.
+/// degraded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transfer {
     /// The reassembled message; `None` if the transfer gave up.
@@ -182,20 +180,6 @@ impl Transfer {
             return 0.0;
         }
         self.message_bytes as f64 * 8.0 / (self.airtime_us as f64 / 1e6)
-    }
-}
-
-impl RunReport for Transfer {
-    fn bits(&self) -> u64 {
-        self.message_bytes * 8
-    }
-
-    fn bit_errors(&self) -> u64 {
-        (self.message_bytes - self.delivered_bytes.min(self.message_bytes)) * 8
-    }
-
-    fn degradation(&self) -> &DegradationReport {
-        &self.degradation
     }
 }
 
@@ -566,8 +550,8 @@ mod tests {
         assert_eq!(t.retransmissions, 0);
         assert_eq!(t.duplicate_segments, 0);
         assert_eq!(t.rounds, 1, "4 segments fit one window-8 round");
-        assert!(t.is_clean());
-        assert_eq!(t.ber(), 0.0);
+        assert_eq!(t.delivered_bytes, t.message_bytes);
+        assert!(t.degradation.is_clean());
     }
 
     #[test]
@@ -623,7 +607,7 @@ mod tests {
         let t = run_transfer(&msg(64), cfg, &mut link);
         assert!(!t.complete);
         assert!(t.delivered.is_none());
-        assert!(t.bit_errors() > 0, "undelivered bytes must count as errors");
+        assert!(t.delivered_bytes < t.message_bytes, "undelivered bytes must show");
         assert!(t.rounds < 4_096, "budget should stop it well before the cap");
     }
 

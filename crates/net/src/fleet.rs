@@ -71,6 +71,14 @@ pub enum FleetError {
     NoGateways,
     /// The config asked for zero tags per gateway.
     NoTags,
+    /// A geometry or mobility field is out of its domain: a spacing or
+    /// coverage radius that is not finite and positive, a movement step
+    /// or interference gain that is not finite and non-negative, or a
+    /// mobility outside `[0, 1]`.
+    InvalidConfig {
+        /// The [`FleetConfig`] field that was rejected.
+        field: &'static str,
+    },
     /// The nominal population per gateway exceeds the link-layer
     /// address space ([`MAX_TAGS_PER_GATEWAY`]).
     TooManyTagsPerGateway {
@@ -94,6 +102,9 @@ impl std::fmt::Display for FleetError {
         match self {
             FleetError::NoGateways => write!(f, "fleet config has zero gateways"),
             FleetError::NoTags => write!(f, "fleet config has zero tags per gateway"),
+            FleetError::InvalidConfig { field } => {
+                write!(f, "fleet config field {field} is out of its domain")
+            }
             FleetError::TooManyTagsPerGateway { requested } => write!(
                 f,
                 "{requested} tags per gateway exceeds the {MAX_TAGS_PER_GATEWAY}-address link-layer space"
@@ -681,7 +692,8 @@ fn tag_message(tag: u32, epoch: u32, bytes: usize) -> Vec<u8> {
 ///
 /// # Errors
 /// [`FleetError`] on an impossible population (zero gateways/tags, or a
-/// nominal roster beyond the link-layer address space), or
+/// nominal roster beyond the link-layer address space), on geometry or
+/// mobility out of its domain ([`FleetError::InvalidConfig`]), or
 /// [`FleetError::ShardPanicked`] if a shard's work panicked.
 pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError> {
     if cfg.gateways == 0 {
@@ -694,6 +706,22 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         return Err(FleetError::TooManyTagsPerGateway {
             requested: cfg.tags_per_gateway,
         });
+    }
+    // A zero spacing would make the interference-neighbour reach
+    // unbounded (an endless scan); the rest would yield a digest that
+    // only looks valid.
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+    for (field, ok) in [
+        ("gateway_spacing_m", positive(cfg.gateway_spacing_m)),
+        ("coverage_radius_m", positive(cfg.coverage_radius_m)),
+        ("mobility", (0.0..=1.0).contains(&cfg.mobility)),
+        ("move_sigma_m", non_negative(cfg.move_sigma_m)),
+        ("interference_gain", non_negative(cfg.interference_gain)),
+    ] {
+        if !ok {
+            return Err(FleetError::InvalidConfig { field });
+        }
     }
 
     let jobs = jobs.max(1);

@@ -38,7 +38,6 @@ use wifi_backscatter::link::DegradationReport;
 use wifi_backscatter::multitag::{run_inventory_with, InventoryConfig, InventoryResult, InventoryTag};
 use wifi_backscatter::phy::PhyConfig;
 use wifi_backscatter::protocol::Query;
-use wifi_backscatter::report::RunReport;
 
 /// One tag the gateway serves.
 #[derive(Debug, Clone)]
@@ -143,7 +142,7 @@ impl Default for GatewayConfig {
             transport: TransportConfig::default(),
             quantum_bytes: 64,
             inventory: InventoryConfig::default(),
-            slot_us: 2_500,
+            slot_us: PhyConfig::Presence.capabilities().inventory_slot_us,
             faults: FaultPlan::none(),
             pkts_per_bit: 5,
             rate_margin: 0.9,
@@ -233,6 +232,12 @@ pub enum GatewayError {
         /// The address of the tag whose supply is invalid.
         address: u8,
     },
+    /// [`GatewayConfig::transport`] asks for a segment payload outside
+    /// the wire format's `1..=255` bytes.
+    InvalidTransport {
+        /// The config's `seg_payload_bytes`.
+        seg_payload_bytes: usize,
+    },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -252,6 +257,11 @@ impl std::fmt::Display for GatewayError {
                 f,
                 "tag {address}: the capacitor needs a positive, finite capacity \
                  and 0 <= brownout < wake <= 1"
+            ),
+            GatewayError::InvalidTransport { seg_payload_bytes } => write!(
+                f,
+                "segment payload of {seg_payload_bytes} bytes is outside the \
+                 wire format's 1..=255"
             ),
         }
     }
@@ -337,20 +347,6 @@ impl GatewayRun {
     }
 }
 
-impl RunReport for GatewayRun {
-    fn bits(&self) -> u64 {
-        self.tags.iter().map(|t| t.transfer.bits()).sum()
-    }
-
-    fn bit_errors(&self) -> u64 {
-        self.tags.iter().map(|t| t.transfer.bit_errors()).sum()
-    }
-
-    fn degradation(&self) -> &DegradationReport {
-        &self.degradation
-    }
-}
-
 /// Jain's fairness index: `(Σx)² / (n·Σx²)`, 1.0 for equal shares.
 pub(crate) fn jain_index(shares: &[u64]) -> f64 {
     if shares.is_empty() {
@@ -419,8 +415,10 @@ impl ServedTag {
 /// # Errors
 /// [`GatewayError::DuplicateAddress`] if two profiles share an address,
 /// [`GatewayError::InvalidInventory`] if the inventory config's Q exceeds
-/// 15, [`GatewayError::InvalidEnergy`] if a profile's capacitor config is
-/// invalid — any way the run is rejected before any simulated time passes.
+/// 15, [`GatewayError::InvalidTransport`] if the transport's segment
+/// payload is outside `1..=255` bytes, [`GatewayError::InvalidEnergy`] if
+/// a profile's capacitor config is invalid — any way the run is rejected
+/// before any simulated time passes.
 pub fn run_gateway_with(
     tags: &[TagProfile],
     cfg: &GatewayConfig,
@@ -429,6 +427,10 @@ pub fn run_gateway_with(
     let max_q = cfg.inventory.initial_q.max(cfg.inventory.max_q);
     if max_q > MAX_INVENTORY_Q {
         return Err(GatewayError::InvalidInventory { max_q });
+    }
+    let seg_payload_bytes = cfg.transport.seg_payload_bytes;
+    if !(1..=255).contains(&seg_payload_bytes) {
+        return Err(GatewayError::InvalidTransport { seg_payload_bytes });
     }
     // Reject ambiguous rosters up front: with a duplicate address the
     // post-inventory profile lookup would silently serve the first
@@ -708,7 +710,7 @@ mod tests {
             assert_eq!(t.transfer.delivered_bytes, 128);
         }
         assert!(run.fairness > 0.99, "fairness {}", run.fairness);
-        assert!(run.is_clean());
+        assert!(run.degradation.is_clean());
     }
 
     #[test]
@@ -901,6 +903,24 @@ mod tests {
             assert_eq!(err, GatewayError::InvalidEnergy { address: 2 }, "{bad:?}");
             assert!(err.to_string().contains("tag 2"), "{err}");
             assert!(observed(&tags, &GatewayConfig::default()).is_err());
+        }
+    }
+
+    #[test]
+    fn out_of_range_segment_payload_is_rejected() {
+        // Regression: 0 or 256 reached `segment_message`'s assert and
+        // panicked the run.
+        for seg_payload_bytes in [0, 256, usize::MAX] {
+            let mut cfg = GatewayConfig::default();
+            cfg.transport.seg_payload_bytes = seg_payload_bytes;
+            let want = GatewayError::InvalidTransport { seg_payload_bytes };
+            assert_eq!(run_gateway(&fleet(3, 64), &cfg).unwrap_err(), want);
+            assert!(observed(&fleet(3, 64), &cfg).is_err());
+        }
+        let mut edge = GatewayConfig::default();
+        for seg_payload_bytes in [1, 255] {
+            edge.transport.seg_payload_bytes = seg_payload_bytes;
+            assert!(run_gateway(&fleet(2, 8), &edge).is_ok());
         }
     }
 

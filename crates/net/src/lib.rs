@@ -2,7 +2,7 @@
 //!
 //! The paper promises *internet connectivity* for RF-powered devices;
 //! the layers below this crate deliver one short frame per query. This
-//! crate closes the gap with three pieces:
+//! crate closes the gap with five pieces:
 //!
 //! * [`seg`] — segmentation/reassembly: arbitrary byte messages split
 //!   into CRC-protected, sequence-numbered [`seg::Segment`]s and

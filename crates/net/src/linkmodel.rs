@@ -530,8 +530,7 @@ impl SegmentLink for PhyLink {
 
     fn send_control(&mut self, frame: &DownlinkFrame, _rec: &mut dyn Recorder) -> bool {
         let cfg = DownlinkConfig::fig17(self.distance_m, self.downlink_bps, self.next_seed())
-            .with_faults(self.faults.clone())
-            .with_phy(self.phy.clone());
+            .with_faults(self.faults.clone());
         self.now_us += self.control_air_us(frame) + 200;
         let (got, report) = run_downlink_frame_with(&cfg, frame, &mut bs_dsp::obs::NullRecorder);
         self.report.merge(&report);

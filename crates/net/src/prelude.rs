@@ -9,7 +9,7 @@
 //! variants, the fleet simulator, the configs, the link models, the FEC
 //! layer, and the wire types.
 //! Re-exports of the handful of core types a transport caller always
-//! needs ([`FaultPlan`], [`RetryPolicy`], [`RunReport`], [`WindowAck`])
+//! needs ([`FaultPlan`], [`RetryPolicy`], [`WindowAck`])
 //! ride along, as do the traffic-measurement types the FEC rate rule
 //! consumes ([`WildTraffic`], [`RateEstimator`], [`TrafficStats`]), so
 //! one import line suffices.
@@ -36,7 +36,6 @@ pub use crate::seg::{scramble, segment_message, Accept, Reassembler, Segment, Se
 pub use bs_channel::faults::FaultPlan;
 pub use bs_wifi::traffic::{RateEstimator, TrafficStats, WildTraffic};
 pub use wifi_backscatter::protocol::{RetryPolicy, WindowAck};
-pub use wifi_backscatter::report::RunReport;
 
 /// The names this prelude exports, sorted — compared against the golden
 /// fixture by the `api_snapshot` drift gate. Keep in lockstep with the
@@ -63,7 +62,6 @@ pub const NET_PRELUDE_MANIFEST: &[&str] = &[
     "RepairOutcome",
     "RetryPolicy",
     "RoundOutcome",
-    "RunReport",
     "Segment",
     "SegmentError",
     "SegmentFate",

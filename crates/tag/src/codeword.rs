@@ -1,5 +1,5 @@
 //! Tag-side toggling for the codeword-translation uplink
-//! (`wifi_backscatter::phy::CodewordPhy`).
+//! (`wifi_backscatter::phy::PhyConfig::Codeword`).
 //!
 //! In codeword mode the tag does not free-run its bit clock against
 //! wall time the way [`crate::modulator::Modulator`] does. Instead it

@@ -1,6 +1,6 @@
 //! Symbol-level model of a helper frame for codeword-translation
 //! backscatter (the FreeRider-style PHY behind
-//! `wifi_backscatter::phy::CodewordPhy`).
+//! `wifi_backscatter::phy::PhyConfig::Codeword`).
 //!
 //! The presence/CSI PHY treats a Wi-Fi packet as one indivisible
 //! measurement. Codeword translation goes below the packet: an 802.11b

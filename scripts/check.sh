@@ -33,14 +33,16 @@ fi
 # Every example and every bench is exercised, so none can regrow unrun:
 # each examples/*.rs must be in EXAMPLES (package:example), and each
 # [[bench]] of crates/bench/Cargo.toml in SMOKE_BENCHES (bench:BENCH name),
-# which --bench-smoke runs with --json.
+# which --bench-smoke runs with --json. Committed evidence cannot go
+# stale either: each root BENCH_<name>.json must be written by a
+# SMOKE_BENCHES entry, and none may record a failing gate.
 EXAMPLES="wifi-backscatter:quickstart wifi-backscatter:sensor_network
     wifi-backscatter:ambient_traffic wifi-backscatter:long_range wifi-backscatter:inventory
     wifi-backscatter:observability bs-net:gateway bs-net:fleet bs-net:energy"
 SMOKE_BENCHES="decoder_micro:decode fec_micro:fec phy_micro:phy fleet_micro:fleet
     energy_micro:energy"
 
-echo "== every example runs, every bench is a --json smoke bench =="
+echo "== every example runs, every bench is a --json smoke bench, no stale BENCH file =="
 for f in examples/*.rs; do
     if ! grep -qE -- ":$(basename "$f" .rs)(\s|$)" <<<"$EXAMPLES"; then
         echo "error: $f is not run by the examples step; add it to EXAMPLES" >&2
@@ -50,6 +52,19 @@ done
 for b in $(sed -n '/^\[\[bench\]\]/,/^name/s/^name *= *"\(.*\)"/\1/p' crates/bench/Cargo.toml); do
     if ! grep -qE -- "(^|\s)$b:" <<<"$SMOKE_BENCHES"; then
         echo "error: bench $b is not a --json smoke bench; add it to SMOKE_BENCHES" >&2
+        exit 1
+    fi
+done
+for f in BENCH_*.json; do
+    [ -e "$f" ] || continue
+    name=${f#BENCH_}
+    name=${name%.json}
+    if ! grep -qE -- ":$name(\s|$)" <<<"$SMOKE_BENCHES"; then
+        echo "error: $f is written by no SMOKE_BENCHES entry; delete it or add its bench" >&2
+        exit 1
+    fi
+    if sed -n '/"gates": {/,/}/p' "$f" | grep -E '": "fail: '; then
+        echo "error: $f records a failing gate; fix it and rerun --bench-smoke" >&2
         exit 1
     fi
 done
@@ -91,11 +106,11 @@ echo "== golden / bit-identity (decode transcripts, raw-capture digests, invento
 cargo test --release -q -p wifi-backscatter --test golden_decode
 cargo test --release -q -p wifi-backscatter --lib multitag
 
-echo "== phy mode conformance (presence identity, codeword round-trip, determinism) =="
-# The PhyMode redesign's contract: the presence PHY is bit-identical
-# across the routed and direct entry points (faults included),
-# codeword translation round-trips random payloads in the
-# benign regime, and both modes are pure functions of the seed.
+echo "== phy mode conformance (codeword round-trip, determinism, rate tables) =="
+# The second PHY mode's contract (presence bits are pinned by the golden
+# step above): codeword translation round-trips random payloads in the
+# benign regime, both modes are pure functions of the seed (faults
+# included), and each selects its rate from its own table.
 cargo test --release -q -p wifi-backscatter --test phy_conformance
 
 echo "== net transport conformance =="

@@ -11,9 +11,11 @@
 //! - **Satellite regressions** — duplicate `TagProfile` addresses are
 //!   rejected with a typed error at both the gateway and (by
 //!   construction) the fleet layer, and so are an inventory Q beyond the
-//!   4-bit EPC field and a capacitor with no positive, finite capacity; `max_cycles` truncation surfaces on
-//!   `GatewayRun::truncated` and is mirrored per shard in the fleet
-//!   report; a panic inside a shard comes back as
+//!   4-bit EPC field, a capacitor with no positive, finite capacity and
+//!   a segment payload outside `1..=255` bytes; geometry or mobility out
+//!   of its domain is rejected before any work; `max_cycles` truncation
+//!   surfaces on `GatewayRun::truncated` and is mirrored per shard in
+//!   the fleet report; a panic inside a shard comes back as
 //!   `FleetError::ShardPanicked` at any worker count.
 //! - **Physics sanity** — mobility produces handoffs that respect the
 //!   address-space cap, and crowding gateways raises interference
@@ -126,6 +128,51 @@ fn invalid_capacitor_errors_at_gateway_and_fleet() {
             FleetError::Gateway(GatewayError::InvalidEnergy { address: 1 }),
             "jobs {jobs}"
         );
+    }
+}
+
+#[test]
+fn out_of_range_segment_payload_errors_at_the_fleet() {
+    // Regression: a zero segment payload hit `segment_message`'s assert
+    // inside a worker and came back as `ShardPanicked`.
+    let mut cfg = fleet_cfg(4, 3, 5);
+    cfg.gateway.transport.seg_payload_bytes = 0;
+    for jobs in [1, 2] {
+        assert_eq!(
+            run_fleet(&cfg, jobs).unwrap_err(),
+            FleetError::Gateway(GatewayError::InvalidTransport { seg_payload_bytes: 0 }),
+        );
+    }
+}
+
+#[test]
+fn bad_geometry_is_rejected_before_any_work() {
+    // Regression: a zero spacing made the interference-neighbour scan
+    // endless; the other values returned a digest that only looked valid.
+    type Set = fn(&mut FleetConfig);
+    let cases: [(&str, Set); 11] = [
+        ("gateway_spacing_m", |c| c.gateway_spacing_m = 0.0),
+        ("gateway_spacing_m", |c| c.gateway_spacing_m = f64::INFINITY),
+        ("gateway_spacing_m", |c| c.gateway_spacing_m = -30.0),
+        ("coverage_radius_m", |c| c.coverage_radius_m = f64::NAN),
+        ("coverage_radius_m", |c| c.coverage_radius_m = -5.0),
+        ("mobility", |c| c.mobility = f64::NAN),
+        ("mobility", |c| c.mobility = 1.5),
+        ("move_sigma_m", |c| c.move_sigma_m = f64::INFINITY),
+        ("move_sigma_m", |c| c.move_sigma_m = -1.0),
+        ("interference_gain", |c| c.interference_gain = -1.0),
+        ("interference_gain", |c| c.interference_gain = f64::NAN),
+    ];
+    for (field, set) in cases {
+        let mut cfg = fleet_cfg(4, 3, 5);
+        set(&mut cfg);
+        for jobs in [1, 2] {
+            assert_eq!(
+                run_fleet(&cfg, jobs).unwrap_err(),
+                FleetError::InvalidConfig { field },
+                "{field} at jobs {jobs}"
+            );
+        }
     }
 }
 
