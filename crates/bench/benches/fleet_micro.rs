@@ -9,7 +9,10 @@
 //!    included) is byte-identical across 1, 2 and 8 engine workers;
 //! 2. shard invariance — the per-tag digest is unchanged when the flat
 //!    control blocks are partitioned into 1, 4 or 7 shards;
-//! 3. core scaling — 4 workers finish the 10⁵-tag point ≥ 2× faster
+//! 3. pinned digest — the 10⁵-tag point's per-tag digest equals
+//!    [`PINNED_DIGEST`], so a change that moves any tag's outcome fails
+//!    here instead of only rewriting the committed JSON;
+//! 4. core scaling — 4 workers finish the 10⁵-tag point ≥ 2× faster
 //!    than 1 worker. Wall-clock is the one host-dependent measurement
 //!    here, so this gate runs only when the host actually has ≥ 4
 //!    cores; on smaller hosts its verdict reads `"skipped: <reason>"`,
@@ -33,6 +36,9 @@ use std::time::Instant;
 /// Master seed of the smoke runs; pinned so the digests in
 /// `BENCH_fleet.json` reproduce on any host.
 const SEED: u64 = 29;
+
+/// The acceptance point's per-tag digest at [`SEED`] on any host.
+const PINNED_DIGEST: u64 = 0xae68_04fc_8fcd_a43d;
 
 /// The acceptance deployment: 10⁵ tags behind 500 gateways.
 const GATEWAYS: usize = 500;
@@ -141,6 +147,11 @@ fn smoke() -> BenchReport {
     for (gate, ok, reason) in [
         ("json_identical_across_jobs", gate_jobs, "FleetRun JSON differs across worker counts"),
         ("digest_invariant_across_shards", gate_shards, "digest changed with shards"),
+        (
+            "digest_pinned",
+            point.digest == PINNED_DIGEST,
+            "acceptance digest differs from the pinned ae6804fc8fcda43d",
+        ),
     ] {
         report.gate(gate, Verdict::check(ok, reason));
     }

@@ -234,7 +234,7 @@ pub fn run_codeword_uplink_with(
 
     // Bit = majority over its chips, ignoring erasures.
     let cpb = params.chips_per_bit.max(1) as usize;
-    let n_bits = frame.to_bits().len();
+    let n_bits = UplinkFrame::on_air_len(frame.payload.len());
     let bits: Vec<Option<bool>> = (0..n_bits)
         .map(|i| {
             let (mut hi, mut lo) = (0u32, 0u32);

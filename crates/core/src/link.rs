@@ -409,7 +409,7 @@ pub fn capture_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkCa
     let root = SimRng::new(cfg.seed);
     let frame = UplinkFrame::new(cfg.payload.clone());
     let chip_us = 1_000_000 / cfg.chip_rate_cps.max(1);
-    let total_chips = frame.to_bits().len() * cfg.code_length;
+    let total_chips = UplinkFrame::on_air_len(frame.payload.len()) * cfg.code_length;
 
     // Lead-in/out so the conditioning moving average has context.
     let lead_us: u64 = 600_000;
@@ -742,8 +742,9 @@ pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> 
     let mut ber = BerCounter::new();
     ber.compare_with_erasures(&cfg.payload, &best.decoded);
     // The final capture's simulated window: lead + frame span + lead.
-    let frame_span_us =
-        capture.frame.to_bits().len() as u64 * eff.code_length as u64 * capture.chip_us;
+    let frame_span_us = UplinkFrame::on_air_len(capture.frame.payload.len()) as u64
+        * eff.code_length as u64
+        * capture.chip_us;
     UplinkRun {
         transmitted: cfg.payload.clone(),
         decoded: best.decoded,

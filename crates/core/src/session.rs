@@ -30,6 +30,7 @@ use bs_channel::faults::FaultPlan;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
 use bs_tag::energy::{Capacitor, EnergyConfig, LISTEN_LOAD_UW, RESPOND_LOAD_UW};
+use bs_tag::frame::DownlinkFrame;
 
 /// Session configuration.
 #[derive(Debug, Clone)]
@@ -278,8 +279,8 @@ impl Reader {
         let query_frame = query
             .to_frame()
             .expect("wire_rate_bps returns only supported rates");
-        let query_air_us =
-            query_frame.to_bits().len() as u64 * 1_000_000 / self.cfg.downlink_bps.max(1);
+        let query_air_us = DownlinkFrame::on_air_len(query_frame.payload.len()) as u64 * 1_000_000
+            / self.cfg.downlink_bps.max(1);
         let mut query_attempts = 0;
         let mut delivered = false;
         while query_attempts < self.cfg.max_query_attempts {

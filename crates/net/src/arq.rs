@@ -200,9 +200,8 @@ pub fn nearest_supported_rate(bps: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct TransportSession {
     cfg: TransportConfig,
-    message: Vec<u8>,
+    message_bytes: u64,
     segments: Vec<Segment>,
-    seg_bits: Vec<Vec<bool>>,
     sent_once: Vec<bool>,
     acked: Vec<bool>,
     rx: Reassembler,
@@ -239,15 +238,13 @@ impl TransportSession {
             )
         };
         let total = segments.len() as u16;
-        let seg_bits = segments.iter().map(Segment::to_bits).collect();
         let rng = SimRng::new(cfg.seed).stream("net-timeout");
         TransportSession {
             rx: Reassembler::new(cfg.msg_id, total),
             sent_once: vec![false; segments.len()],
             acked: vec![false; segments.len()],
-            message: message.to_vec(),
+            message_bytes: message.len() as u64,
             segments,
-            seg_bits,
             coder,
             rng,
             cfg,
@@ -337,7 +334,10 @@ impl TransportSession {
 
         // Poll: grant the tag a burst of up to `window` unacked segments.
         let window = self.unacked_window();
-        let burst_bits: u64 = window.iter().map(|&i| self.seg_bits[i].len() as u64).sum();
+        let burst_bits: u64 = window
+            .iter()
+            .map(|&i| Segment::on_air_len(self.segments[i].payload.len()) as u64)
+            .sum();
         let rate = nearest_supported_rate(link.chip_rate_bps());
         let poll = Query {
             tag_address: self.cfg.tag_address,
@@ -369,7 +369,7 @@ impl TransportSession {
                     self.sent_once[i] = true;
                 }
                 sent_bytes += self.segments[i].payload.len() as u64;
-                let fate = link.send_segment(&self.seg_bits[i], rec);
+                let fate = link.send_segment(&self.segments[i], rec);
                 if fate != SegmentFate::Lost {
                     if self.rx.accept(&self.segments[i]) == Accept::New {
                         if let Some(coder) = &self.coder {
@@ -489,7 +489,7 @@ impl TransportSession {
         // as `duplicate_segments`.
         let degradation = link.take_degradation();
         Transfer {
-            message_bytes: self.message.len() as u64,
+            message_bytes: self.message_bytes,
             delivered_bytes,
             segments_total: self.segments.len() as u16,
             complete,

@@ -238,6 +238,13 @@ pub enum GatewayError {
         /// The config's `seg_payload_bytes`.
         seg_payload_bytes: usize,
     },
+    /// A scheduler knob has no meaning at its value: a zero
+    /// [`GatewayConfig::quantum_bytes`] or `transport.window`, or a
+    /// [`GatewayConfig::rate_margin`] that is not finite and positive.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -263,6 +270,9 @@ impl std::fmt::Display for GatewayError {
                 "segment payload of {seg_payload_bytes} bytes is outside the \
                  wire format's 1..=255"
             ),
+            GatewayError::InvalidConfig { field } => {
+                write!(f, "gateway config field `{field}` is out of its domain")
+            }
         }
     }
 }
@@ -416,7 +426,9 @@ impl ServedTag {
 /// [`GatewayError::DuplicateAddress`] if two profiles share an address,
 /// [`GatewayError::InvalidInventory`] if the inventory config's Q exceeds
 /// 15, [`GatewayError::InvalidTransport`] if the transport's segment
-/// payload is outside `1..=255` bytes, [`GatewayError::InvalidEnergy`] if
+/// payload is outside `1..=255` bytes, [`GatewayError::InvalidConfig`] if
+/// the quantum or window is zero or the rate margin is not finite and
+/// positive, [`GatewayError::InvalidEnergy`] if
 /// a profile's capacitor config is invalid — any way the run is rejected
 /// before any simulated time passes.
 pub fn run_gateway_with(
@@ -431,6 +443,19 @@ pub fn run_gateway_with(
     let seg_payload_bytes = cfg.transport.seg_payload_bytes;
     if !(1..=255).contains(&seg_payload_bytes) {
         return Err(GatewayError::InvalidTransport { seg_payload_bytes });
+    }
+    // A zero quantum never funds a round, a zero window grants no
+    // segment per poll, and a margin that is not finite and positive
+    // scales no rate.
+    let margin = cfg.rate_margin;
+    for (field, ok) in [
+        ("quantum_bytes", cfg.quantum_bytes > 0),
+        ("transport.window", cfg.transport.window > 0),
+        ("rate_margin", margin.is_finite() && margin > 0.0),
+    ] {
+        if !ok {
+            return Err(GatewayError::InvalidConfig { field });
+        }
     }
     // Reject ambiguous rosters up front: with a duplicate address the
     // post-inventory profile lookup would silently serve the first
@@ -921,6 +946,30 @@ mod tests {
         for seg_payload_bytes in [1, 255] {
             edge.transport.seg_payload_bytes = seg_payload_bytes;
             assert!(run_gateway(&fleet(2, 8), &edge).is_ok());
+        }
+    }
+
+    #[test]
+    fn degenerate_scheduler_knobs_are_rejected() {
+        // Regression: each of these returned an `Ok` run that only
+        // looked valid — 10,000 truncated cycles with nothing delivered,
+        // a silent stop-and-wait, or every tag at the slowest rate.
+        type Set = fn(&mut GatewayConfig);
+        let cases: [(&str, Set); 6] = [
+            ("quantum_bytes", |c| c.quantum_bytes = 0),
+            ("transport.window", |c| c.transport.window = 0),
+            ("rate_margin", |c| c.rate_margin = f64::NAN),
+            ("rate_margin", |c| c.rate_margin = f64::INFINITY),
+            ("rate_margin", |c| c.rate_margin = 0.0),
+            ("rate_margin", |c| c.rate_margin = -0.5),
+        ];
+        for (field, set) in cases {
+            let mut cfg = GatewayConfig::default();
+            set(&mut cfg);
+            let err = run_gateway(&fleet(3, 64), &cfg).unwrap_err();
+            assert_eq!(err, GatewayError::InvalidConfig { field });
+            assert!(err.to_string().contains(field), "{err}");
+            assert!(observed(&fleet(3, 64), &cfg).is_err());
         }
     }
 

@@ -20,6 +20,7 @@
 //! `run_downlink_frame_with` and every segment through the actual
 //! uplink decode chain.
 
+use crate::seg::Segment;
 use bs_channel::faults::{Fault, FaultPlan};
 use bs_dsp::obs::Recorder;
 use bs_dsp::SimRng;
@@ -56,8 +57,10 @@ pub trait SegmentLink {
     /// end decoded it.
     fn send_control(&mut self, frame: &DownlinkFrame, rec: &mut dyn Recorder) -> bool;
 
-    /// Attempts one uplink segment given its on-air bits.
-    fn send_segment(&mut self, bits: &[bool], rec: &mut dyn Recorder) -> SegmentFate;
+    /// Attempts one uplink segment. Only a link that modulates the
+    /// segment's bits serialises it ([`Segment::to_bits`]); a link model
+    /// needs just its on-air length ([`Segment::on_air_len`]).
+    fn send_segment(&mut self, seg: &Segment, rec: &mut dyn Recorder) -> SegmentFate;
 
     /// On-air time of a downlink control frame (µs).
     fn control_air_us(&self, frame: &DownlinkFrame) -> u64;
@@ -197,8 +200,8 @@ impl SegmentLink for SimLink {
         true
     }
 
-    fn send_segment(&mut self, bits: &[bool], rec: &mut dyn Recorder) -> SegmentFate {
-        let air = self.segment_air_us(bits.len());
+    fn send_segment(&mut self, seg: &Segment, rec: &mut dyn Recorder) -> SegmentFate {
+        let air = self.segment_air_us(Segment::on_air_len(seg.payload.len()));
         let outage = self.faults.outage_at(self.now_us + air / 2);
         let lost = self.rng.chance(self.segment_loss_prob());
         let dup = self.rng.chance(self.dup_prob());
@@ -218,7 +221,7 @@ impl SegmentLink for SimLink {
     }
 
     fn control_air_us(&self, frame: &DownlinkFrame) -> u64 {
-        frame.to_bits().len() as u64 * 1_000_000 / self.downlink_bps.max(1)
+        DownlinkFrame::on_air_len(frame.payload.len()) as u64 * 1_000_000 / self.downlink_bps.max(1)
     }
 
     fn segment_air_us(&self, n_bits: usize) -> u64 {
@@ -408,9 +411,10 @@ impl SegmentLink for TrafficLink {
         true
     }
 
-    fn send_segment(&mut self, bits: &[bool], rec: &mut dyn Recorder) -> SegmentFate {
-        let air = self.segment_air_us(bits.len());
-        let need = (bits.len() as f64 * self.min_pkts_per_bit).ceil() as u64;
+    fn send_segment(&mut self, seg: &Segment, rec: &mut dyn Recorder) -> SegmentFate {
+        let n_bits = Segment::on_air_len(seg.payload.len());
+        let air = self.segment_air_us(n_bits);
+        let need = (n_bits as f64 * self.min_pkts_per_bit).ceil() as u64;
         let have = self.packets_within(self.now_us, air.max(1));
         let outage = self.faults.outage_at(self.now_us + air / 2);
         let lost = self.rng.chance(plan_segment_loss_prob(&self.faults));
@@ -437,7 +441,7 @@ impl SegmentLink for TrafficLink {
     }
 
     fn control_air_us(&self, frame: &DownlinkFrame) -> u64 {
-        frame.to_bits().len() as u64 * 1_000_000 / self.downlink_bps.max(1)
+        DownlinkFrame::on_air_len(frame.payload.len()) as u64 * 1_000_000 / self.downlink_bps.max(1)
     }
 
     fn segment_air_us(&self, n_bits: usize) -> u64 {
@@ -537,18 +541,20 @@ impl SegmentLink for PhyLink {
         got.as_ref() == Some(frame)
     }
 
-    fn send_segment(&mut self, bits: &[bool], _rec: &mut dyn Recorder) -> SegmentFate {
+    fn send_segment(&mut self, seg: &Segment, _rec: &mut dyn Recorder) -> SegmentFate {
+        let bits = seg.to_bits();
+        let air = self.segment_air_us(bits.len());
         let cfg = LinkConfig::fig10(
             self.distance_m,
             self.chip_rate_bps,
             self.pkts_per_bit,
             self.next_seed(),
         )
-        .with_payload(bits.to_vec())
+        .with_payload(bits)
         .with_faults(self.faults.clone())
         .with_mitigations(self.mitigations)
         .with_phy(self.phy.clone());
-        self.now_us += self.segment_air_us(bits.len()) + 200;
+        self.now_us += air + 200;
         let run = run_uplink_with(&cfg, &mut bs_dsp::obs::NullRecorder);
         self.report.merge(&run.degradation);
         if run.detected && run.ber.errors() == 0 {
@@ -559,7 +565,7 @@ impl SegmentLink for PhyLink {
     }
 
     fn control_air_us(&self, frame: &DownlinkFrame) -> u64 {
-        frame.to_bits().len() as u64 * 1_000_000 / self.downlink_bps.max(1)
+        DownlinkFrame::on_air_len(frame.payload.len()) as u64 * 1_000_000 / self.downlink_bps.max(1)
     }
 
     fn segment_air_us(&self, n_bits: usize) -> u64 {
@@ -588,16 +594,24 @@ mod tests {
         DownlinkFrame::new(vec![0x03, 1, 2, 3])
     }
 
+    /// A segment carrying `payload_len` bytes: `Segment::on_air_len`
+    /// bits on the air (56 for an empty payload, 64 for one byte).
+    fn seg(payload_len: usize) -> Segment {
+        Segment {
+            msg_id: 1,
+            seq: 0,
+            total: 1,
+            payload: (0..payload_len).map(|i| (i * 37 + 5) as u8).collect(),
+        }
+    }
+
     #[test]
     fn clean_simlink_never_loses() {
         let mut link = SimLink::new(FaultPlan::none(), 42);
         let mut rec = NullRecorder;
         for _ in 0..100 {
             assert!(link.send_control(&frame(), &mut rec));
-            assert_eq!(
-                link.send_segment(&[true; 64], &mut rec),
-                SegmentFate::Delivered
-            );
+            assert_eq!(link.send_segment(&seg(1), &mut rec), SegmentFate::Delivered);
         }
         assert!(link.take_degradation().is_clean());
     }
@@ -609,7 +623,7 @@ mod tests {
             let mut link = SimLink::new(plan.clone(), seed);
             let mut rec = NullRecorder;
             (0..200)
-                .map(|_| link.send_segment(&[false; 32], &mut rec))
+                .map(|_| link.send_segment(&seg(0), &mut rec))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
@@ -623,7 +637,7 @@ mod tests {
             let mut link = SimLink::new(plan, 3);
             let mut rec = NullRecorder;
             (0..2000)
-                .filter(|_| link.send_segment(&[true; 16], &mut rec) == SegmentFate::Lost)
+                .filter(|_| link.send_segment(&seg(0), &mut rec) == SegmentFate::Lost)
                 .count()
         };
         let (lo, hi) = (count(0.2), count(1.0));
@@ -682,16 +696,13 @@ mod tests {
         let dense: Vec<u64> = (0..10_000).map(|i| i * 100).collect();
         let mut link = TrafficLink::from_arrivals(dense, 1_000_000, FaultPlan::none(), 1);
         for _ in 0..50 {
-            assert_eq!(
-                link.send_segment(&[true; 64], &mut rec),
-                SegmentFate::Delivered
-            );
+            assert_eq!(link.send_segment(&seg(1), &mut rec), SegmentFate::Delivered);
         }
         assert!(link.take_degradation().is_clean());
 
         // An empty trace starves everything, and says why.
         let mut silent = TrafficLink::from_arrivals(vec![], 1_000_000, FaultPlan::none(), 1);
-        assert_eq!(silent.send_segment(&[true; 64], &mut rec), SegmentFate::Lost);
+        assert_eq!(silent.send_segment(&seg(1), &mut rec), SegmentFate::Lost);
         assert!(silent.take_degradation().fired("helper-idle"));
     }
 
@@ -705,7 +716,7 @@ mod tests {
             7,
         );
         let fates: Vec<SegmentFate> = (0..200)
-            .map(|_| link.send_segment(&[true; 64], &mut rec))
+            .map(|_| link.send_segment(&seg(1), &mut rec))
             .collect();
         let lost = fates.iter().filter(|f| **f == SegmentFate::Lost).count();
         assert!(lost > 0, "heavy-tailed helper never starved a segment");
@@ -723,7 +734,7 @@ mod tests {
             let mut link = TrafficLink::new(&WildTraffic::default(), 60_000_000, plan.clone(), seed);
             let mut rec = NullRecorder;
             (0..100)
-                .map(|_| link.send_segment(&[false; 48], &mut rec))
+                .map(|_| link.send_segment(&seg(0), &mut rec))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
@@ -733,7 +744,7 @@ mod tests {
         let mut link = TrafficLink::new(&WildTraffic::default(), 60_000_000, plan, 3);
         let mut rec = NullRecorder;
         for _ in 0..200 {
-            link.send_segment(&[false; 48], &mut rec);
+            link.send_segment(&seg(0), &mut rec);
         }
         assert!(link.take_degradation().fired("packet-loss"));
     }
@@ -745,13 +756,9 @@ mod tests {
         // control frames are delivered, and the run is deterministic in
         // the seed.
         let mut rec = NullRecorder;
-        let payload: Vec<bool> = (0..32).map(|i| (i * 7) % 3 == 0).collect();
         let mut link = PhyLink::new(0.3, FaultPlan::none(), 33).with_phy(PhyConfig::codeword());
         for _ in 0..3 {
-            assert_eq!(
-                link.send_segment(&payload, &mut rec),
-                SegmentFate::Delivered
-            );
+            assert_eq!(link.send_segment(&seg(0), &mut rec), SegmentFate::Delivered);
         }
         assert!(link.send_control(&frame(), &mut rec));
         assert!(link.take_degradation().is_clean());

@@ -130,6 +130,12 @@ impl Segment {
     pub fn wire_bytes(payload_len: usize) -> usize {
         SEGMENT_OVERHEAD_BYTES + payload_len
     }
+
+    /// On-air bits of a segment carrying `payload_len` bytes: the length
+    /// of [`Segment::to_bits`], without serialising anything.
+    pub fn on_air_len(payload_len: usize) -> usize {
+        Self::wire_bytes(payload_len) * 8
+    }
 }
 
 /// Whitens on-air bits with the 802.11 additive scrambler (LFSR
@@ -332,6 +338,25 @@ mod tests {
             assert_eq!(Segment::from_bytes(&seg.to_bytes()), Ok(seg.clone()));
             assert_eq!(Segment::from_bits(&seg.to_bits()), Ok(seg));
         }
+    }
+
+    #[test]
+    fn on_air_len_matches_the_serialised_bits_for_every_payload_length() {
+        // The link models charge airtime from this length without
+        // serialising; it must equal what a modulating link sends.
+        bs_dsp::testkit::check("segment-on-air-len", 4, |g| {
+            for n in 0..=255 {
+                let seg = Segment {
+                    msg_id: g.u8(),
+                    seq: 0,
+                    total: 1,
+                    payload: g.vec_u8(n, n + 1),
+                };
+                let bits = seg.to_bits().len();
+                assert_eq!(Segment::wire_bytes(n) * 8, bits, "payload {n}");
+                assert_eq!(Segment::on_air_len(n), bits, "payload {n}");
+            }
+        });
     }
 
     #[test]

@@ -36,6 +36,26 @@ fn downlink_frame_roundtrips() {
 }
 
 #[test]
+fn on_air_len_matches_the_serialised_bits_for_every_payload_length() {
+    // Airtime is charged from `on_air_len` without serialising the
+    // frame; it must equal the length of what the frame puts on the air.
+    check("frame-on-air-len", 4, |g| {
+        for n in 0..=DownlinkFrame::MAX_PAYLOAD {
+            let f = DownlinkFrame::new(g.vec_u8(n, n + 1));
+            assert_eq!(
+                DownlinkFrame::on_air_len(n),
+                f.to_bits().len(),
+                "downlink {n}"
+            );
+        }
+        for n in 0..=256 {
+            let f = UplinkFrame::new(g.vec_bool(n, n + 1));
+            assert_eq!(UplinkFrame::on_air_len(n), f.to_bits().len(), "uplink {n}");
+        }
+    });
+}
+
+#[test]
 fn downlink_single_bitflip_never_accepted_as_different_frame() {
     check("downlink-bitflip-rejected", 256, |g| {
         let payload = g.vec_u8(1, 24);

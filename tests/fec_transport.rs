@@ -212,3 +212,30 @@ fn adaptive_rule_disables_fec_on_benign_traffic_bit_for_bit() {
     );
     assert_eq!(coded.fec_repairs, 0);
 }
+
+/// FNV-1a 64 over the `Debug` rendering of a [`Transfer`]: every field,
+/// the delivered bytes and the degradation report included.
+fn transfer_digest(t: &Transfer) -> u64 {
+    format!("{t:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn wild_traffic_fec_transfer_is_pinned() {
+    // A whole TrafficLink transfer with a fixed code armed: starvation
+    // windows, parity repair and ARQ accounting all feed the digest.
+    let msg = message(1024, 7);
+    let mut link = wild_link(0.5, 5);
+    let cfg = wild_config(5).with_fec(FecConfig::fixed(4, 2));
+    let t = run_transfer(&msg, cfg, &mut link);
+    assert!(t.complete);
+    assert!(t.fec_repairs > 0, "the pinned point must exercise repair");
+    assert_eq!(
+        transfer_digest(&t),
+        0x5e33_b535_0b84_481d,
+        "transfer drifted"
+    );
+}

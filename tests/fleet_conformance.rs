@@ -11,12 +11,13 @@
 //! - **Satellite regressions** — duplicate `TagProfile` addresses are
 //!   rejected with a typed error at both the gateway and (by
 //!   construction) the fleet layer, and so are an inventory Q beyond the
-//!   4-bit EPC field, a capacitor with no positive, finite capacity and
-//!   a segment payload outside `1..=255` bytes; geometry or mobility out
-//!   of its domain is rejected before any work; `max_cycles` truncation
-//!   surfaces on `GatewayRun::truncated` and is mirrored per shard in
-//!   the fleet report; a panic inside a shard comes back as
-//!   `FleetError::ShardPanicked` at any worker count.
+//!   4-bit EPC field, a capacitor with no positive, finite capacity, a
+//!   segment payload outside `1..=255` bytes, a zero quantum or window
+//!   and a rate margin that is not finite and positive; geometry or
+//!   mobility out of its domain is rejected before any work;
+//!   `max_cycles` truncation surfaces on `GatewayRun::truncated` and is
+//!   mirrored per shard in the fleet report; a panic inside a shard
+//!   comes back as `FleetError::ShardPanicked` at any worker count.
 //! - **Physics sanity** — mobility produces handoffs that respect the
 //!   address-space cap, and crowding gateways raises interference
 //!   severity enough to cost goodput.
@@ -142,6 +143,30 @@ fn out_of_range_segment_payload_errors_at_the_fleet() {
             run_fleet(&cfg, jobs).unwrap_err(),
             FleetError::Gateway(GatewayError::InvalidTransport { seg_payload_bytes: 0 }),
         );
+    }
+}
+
+#[test]
+fn degenerate_scheduler_knobs_error_at_the_fleet() {
+    // Regression: a zero quantum, a zero window or a NaN rate margin
+    // returned `Ok` with a digest that only looked valid.
+    type Set = fn(&mut GatewayConfig);
+    let cases: [(&str, Set); 4] = [
+        ("quantum_bytes", |c| c.quantum_bytes = 0),
+        ("transport.window", |c| c.transport.window = 0),
+        ("rate_margin", |c| c.rate_margin = f64::NAN),
+        ("rate_margin", |c| c.rate_margin = -1.0),
+    ];
+    for (field, set) in cases {
+        let mut cfg = fleet_cfg(4, 3, 5);
+        set(&mut cfg.gateway);
+        for jobs in [1, 2] {
+            assert_eq!(
+                run_fleet(&cfg, jobs).unwrap_err(),
+                FleetError::Gateway(GatewayError::InvalidConfig { field }),
+                "{field} at jobs {jobs}"
+            );
+        }
     }
 }
 

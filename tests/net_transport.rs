@@ -197,6 +197,36 @@ fn obs_report_carries_retx_counters_and_spans() {
     assert_eq!(plain.retransmissions, t.retransmissions);
 }
 
+/// FNV-1a 64 over the `Debug` rendering of a [`Transfer`]: every field,
+/// the delivered bytes and the degradation report included.
+fn transfer_digest(t: &Transfer) -> u64 {
+    format!("{t:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn simlink_transfers_under_fault_presets_are_pinned() {
+    // The fleet digest reaches `run_transfer` only through the gateway's
+    // default loss plan; these pin whole transfers under each SimLink
+    // preset, so a change in segment airtime, RNG order or accounting
+    // shows up here.
+    let msg = message(1024, 11);
+    for (preset, want) in [
+        ("loss", 0x0e39_9ee4_7495_6632u64),
+        ("dup", 0x15cb_526a_0b7d_cbcf),
+        ("outage", 0x0e2c_5c7b_423e_37ed),
+    ] {
+        let plan = FaultPlan::preset(preset, 0.8, 19).expect("preset exists");
+        let mut link = SimLink::new(plan, 19);
+        let t = run_transfer(&msg, TransportConfig::default().with_seed(19), &mut link);
+        assert!(t.complete, "{preset}: transfer incomplete");
+        assert_eq!(transfer_digest(&t), want, "{preset}: transfer drifted");
+    }
+}
+
 #[test]
 fn full_phy_link_delivers_a_message_end_to_end() {
     // The slow path: every segment rides the real uplink DSP chain and
