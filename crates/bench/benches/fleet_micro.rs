@@ -16,7 +16,15 @@
 //!    than 1 worker. Wall-clock is the one host-dependent measurement
 //!    here, so this gate runs only when the host actually has ≥ 4
 //!    cores; on smaller hosts its verdict reads `"skipped: <reason>"`,
-//!    never `"pass"`.
+//!    never `"pass"`;
+//! 5. parallel efficiency — the jobs-1 over jobs-`cores` median speedup,
+//!    divided by the host's core count, stays at or above
+//!    [`MIN_PARALLEL_EFFICIENCY`]. It runs on any host with ≥ 2 cores;
+//!    on one core there is nothing to scale and it reads `"skipped"`;
+//! 6. heap allocations — one jobs-1 run of the acceptance point makes
+//!    at most [`MAX_ALLOCS_PER_TAG_EPOCH`] heap allocations per
+//!    tag-epoch, counted by this binary's own thread-local counting
+//!    allocator (the library's allocator is untouched).
 //!
 //! The scaling rows are sampled, not single shots: after the
 //! determinism runs (which double as the warm-up), the worker counts
@@ -30,8 +38,60 @@ use bs_bench::object;
 use bs_bench::report::{host_cores, json_path, BenchReport, Value, Verdict};
 use bs_dsp::stats::median;
 use bs_net::fleet::run_fleet;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::process::ExitCode;
 use std::time::Instant;
+
+thread_local! {
+    /// Heap allocations (alloc, alloc_zeroed, realloc) made by this
+    /// thread so far.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each allocation on the calling thread.
+/// A jobs-1 fleet run does all its work on the calling thread, so the
+/// difference of two [`thread_allocs`] readings around it is the run's
+/// whole allocation count.
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count() {
+        // `try_with`: the counter may already be gone while a thread
+        // exits; such allocations go uncounted rather than abort.
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
 
 /// Master seed of the smoke runs; pinned so the digests in
 /// `BENCH_fleet.json` reproduce on any host.
@@ -47,6 +107,14 @@ const TAGS_PER_GATEWAY: usize = 200;
 /// Interleaved sampling rounds behind each scaling row: an even count,
 /// so every worker count runs first in half of them.
 const ROUNDS: usize = 4;
+
+/// Floor of `parallel_efficiency_at_host_cores` on a host with ≥ 2
+/// cores: the lowest of ten smoke runs on a 2-core host (0.755) minus
+/// 0.1, rounded down.
+const MIN_PARALLEL_EFFICIENCY: f64 = 0.65;
+
+/// Ceiling on heap allocations per tag-epoch at jobs 1.
+const MAX_ALLOCS_PER_TAG_EPOCH: f64 = 14.0;
 
 fn acceptance_config() -> bs_net::fleet::FleetConfig {
     let mut cfg = fleet_config(GATEWAYS, TAGS_PER_GATEWAY, SEED);
@@ -66,10 +134,12 @@ fn smoke() -> BenchReport {
         .map(|&jobs| run_fleet(&cfg, jobs).expect("acceptance population fits").to_json())
         .collect();
     let gate_jobs = jsons.iter().all(|j| j == &jsons[0]);
-    let point = {
-        let run = run_fleet(&cfg, 1).expect("acceptance population fits");
-        point_of(GATEWAYS, &run)
-    };
+    let allocs_before = thread_allocs();
+    let run = run_fleet(&cfg, 1).expect("acceptance population fits");
+    let allocs = thread_allocs() - allocs_before;
+    let point = point_of(GATEWAYS, &run);
+    let tag_epochs = (GATEWAYS * TAGS_PER_GATEWAY) as f64 * f64::from(cfg.epochs);
+    let allocs_per_tag_epoch = allocs as f64 / tag_epochs;
 
     // Gate 2: shard count never changes per-tag outcomes (smaller
     // deployment: the contract is population-independent).
@@ -116,6 +186,16 @@ fn smoke() -> BenchReport {
     } else {
         Verdict::Skipped(format!("host has {cores} core(s), gate needs 4"))
     };
+    let efficiency_gate = if cores >= 2 {
+        Verdict::check(
+            efficiency >= MIN_PARALLEL_EFFICIENCY,
+            format!(
+                "efficiency {efficiency:.2} at {cores} cores is below {MIN_PARALLEL_EFFICIENCY}"
+            ),
+        )
+    } else {
+        Verdict::Skipped("host has 1 core, gate needs 2".into())
+    };
 
     let scaling_rows: Vec<Value> = counts
         .iter()
@@ -142,6 +222,7 @@ fn smoke() -> BenchReport {
     report.field("core_scaling", scaling_rows);
     report.field("speedup_at_4_jobs", speedup_4);
     report.field("parallel_efficiency_at_host_cores", efficiency);
+    report.field("allocs_per_tag_epoch", allocs_per_tag_epoch);
     let shard_hex: Vec<String> = shard_digests.iter().map(|d| format!("{d:016x}")).collect();
     report.field("shard_digests", shard_hex);
     for (gate, ok, reason) in [
@@ -156,10 +237,18 @@ fn smoke() -> BenchReport {
         report.gate(gate, Verdict::check(ok, reason));
     }
     report.gate("speedup_4_jobs_ge_2x", scaling);
+    report.gate("parallel_efficiency_at_host_cores", efficiency_gate);
+    report.gate(
+        "allocs_per_tag_epoch_le_14",
+        Verdict::check(
+            allocs_per_tag_epoch <= MAX_ALLOCS_PER_TAG_EPOCH,
+            format!("{allocs_per_tag_epoch:.2} heap allocations per tag-epoch at jobs 1"),
+        ),
+    );
     println!(
         "BENCH_fleet: {} tags, median wall 1j {wall_1:.0} ms / 4j {wall_4:.0} ms \
          (speedup {speedup_4:.2}, efficiency {efficiency:.2} at {cores} cores), \
-         digest {:016x}",
+         {allocs_per_tag_epoch:.2} allocations per tag-epoch, digest {:016x}",
         GATEWAYS * TAGS_PER_GATEWAY,
         point.digest
     );

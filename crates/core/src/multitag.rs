@@ -36,6 +36,7 @@
 
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
+use std::cmp::Ordering;
 
 /// A tag participating in inventory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -281,19 +282,30 @@ fn judge_slot(in_slot: &[InventoryTag], capture_ratio: f64) -> SlotOutcome {
     match in_slot {
         [] => SlotOutcome::Idle,
         [t] => SlotOutcome::Success { address: t.address },
-        many => {
+        [first, second, rest @ ..] => {
             // Capture: the strongest tag wins if it dominates all others.
-            // total_cmp keeps the sort total even if a caller feeds a
-            // NaN strength (a ratio against NaN then compares false, so
-            // such a slot degrades to a plain collision instead of a
-            // panic).
-            let mut sorted: Vec<&InventoryTag> = many.iter().collect();
-            sorted.sort_by(|a, b| b.relative_strength.total_cmp(&a.relative_strength));
-            let strongest = sorted[0];
-            let runner_up = sorted[1];
-            if runner_up.relative_strength > 0.0
-                && strongest.relative_strength / runner_up.relative_strength >= capture_ratio
-            {
+            // One pass keeps the top two under total_cmp, which stays
+            // total even if a caller feeds a NaN strength (a ratio
+            // against NaN then compares false, so such a slot degrades
+            // to a plain collision instead of a panic). Only a strict
+            // improvement displaces the leader, so the first maximum in
+            // roster order wins, as a stable descending sort would pick.
+            let beats = |a: f64, b: f64| a.total_cmp(&b) == Ordering::Greater;
+            let (mut strongest, mut runner_up) =
+                if beats(second.relative_strength, first.relative_strength) {
+                    (second, first.relative_strength)
+                } else {
+                    (first, second.relative_strength)
+                };
+            for t in rest {
+                if beats(t.relative_strength, strongest.relative_strength) {
+                    runner_up = strongest.relative_strength;
+                    strongest = t;
+                } else if beats(t.relative_strength, runner_up) {
+                    runner_up = t.relative_strength;
+                }
+            }
+            if runner_up > 0.0 && strongest.relative_strength / runner_up >= capture_ratio {
                 SlotOutcome::Success {
                     address: strongest.address,
                 }
@@ -708,6 +720,68 @@ mod tests {
             .collect();
         assert!(results.iter().all(|r| r.complete(&t)));
         assert_eq!(format!("{:016x}", digest(&results)), "12c2a85fc858dc63");
+    }
+
+    /// The capture rule `judge_slot` replaced, kept verbatim as the
+    /// oracle for its top-two scan: a stable descending sort under
+    /// total_cmp, strongest first.
+    fn judge_slot_by_sort(in_slot: &[InventoryTag], capture_ratio: f64) -> SlotOutcome {
+        match in_slot {
+            [] => SlotOutcome::Idle,
+            [t] => SlotOutcome::Success { address: t.address },
+            many => {
+                let mut sorted: Vec<&InventoryTag> = many.iter().collect();
+                sorted.sort_by(|a, b| b.relative_strength.total_cmp(&a.relative_strength));
+                let strongest = sorted[0];
+                let runner_up = sorted[1];
+                if runner_up.relative_strength > 0.0
+                    && strongest.relative_strength / runner_up.relative_strength >= capture_ratio
+                {
+                    SlotOutcome::Success {
+                        address: strongest.address,
+                    }
+                } else {
+                    SlotOutcome::Collision
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn judge_slot_matches_the_sort_based_rule() {
+        // Strengths from a small palette, so ties (including between
+        // signed zeros and NaNs of either sign) are common.
+        let palette = [
+            0.0,
+            -0.0,
+            0.25,
+            0.5,
+            1.0,
+            4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        bs_dsp::testkit::check("judge-slot-oracle", 400, |g| {
+            let n = g.usize_in(0, 9);
+            let slot: Vec<InventoryTag> = (0..n)
+                .map(|i| InventoryTag {
+                    relative_strength: if g.bool() {
+                        palette[g.usize_in(0, palette.len())]
+                    } else {
+                        g.f64_in(0.0, 2.0)
+                    },
+                    ..InventoryTag::new(i as u8 + 1)
+                })
+                .collect();
+            let ratio = [0.5, 1.0, 2.0, 4.0][g.usize_in(0, 4)];
+            assert_eq!(
+                judge_slot(&slot, ratio),
+                judge_slot_by_sort(&slot, ratio),
+                "ratio {ratio}, slot {slot:?}"
+            );
+        });
     }
 
     #[test]

@@ -47,13 +47,25 @@ impl Query {
     /// those four rates, and a transport probing rates must see an error,
     /// not a reader crash.
     pub fn to_frame(&self) -> Result<DownlinkFrame, Error> {
+        let mut frame = DownlinkFrame::new(Vec::with_capacity(7));
+        self.write_frame(&mut frame)?;
+        Ok(frame)
+    }
+
+    /// Serialises into `frame`, replacing its payload and reusing its
+    /// buffer — the form a transport that polls every round calls.
+    ///
+    /// # Errors
+    /// As [`Self::to_frame`]; `frame` is left unchanged.
+    pub fn write_frame(&self, frame: &mut DownlinkFrame) -> Result<(), Error> {
         let rate_idx = SUPPORTED_RATES_BPS
             .iter()
             .position(|&r| r == self.bit_rate_bps)
             .ok_or(ProtocolError::UnsupportedRate {
                 bps: self.bit_rate_bps,
             })? as u8;
-        Ok(DownlinkFrame::new(vec![
+        frame.payload.clear();
+        frame.payload.extend_from_slice(&[
             Opcode::Query as u8,
             self.tag_address,
             (self.payload_bits >> 8) as u8,
@@ -61,7 +73,8 @@ impl Query {
             rate_idx,
             (self.code_length >> 8) as u8,
             (self.code_length & 0xFF) as u8,
-        ]))
+        ]);
+        Ok(())
     }
 
     /// Parses a query from a downlink frame; `None` if the frame is not a
@@ -139,7 +152,16 @@ impl WindowAck {
     /// Serialises into a downlink frame (9 payload bytes; infallible —
     /// every field value has a wire encoding).
     pub fn to_frame(&self) -> DownlinkFrame {
-        DownlinkFrame::new(vec![
+        let mut frame = DownlinkFrame::new(Vec::with_capacity(9));
+        self.write_frame(&mut frame);
+        frame
+    }
+
+    /// Serialises into `frame`, replacing its payload and reusing its
+    /// buffer — the form a transport that acknowledges every round calls.
+    pub fn write_frame(&self, frame: &mut DownlinkFrame) {
+        frame.payload.clear();
+        frame.payload.extend_from_slice(&[
             Opcode::WindowAck as u8,
             self.tag_address,
             self.msg_id,
@@ -149,7 +171,7 @@ impl WindowAck {
             (self.sack >> 16) as u8,
             (self.sack >> 8) as u8,
             (self.sack & 0xFF) as u8,
-        ])
+        ]);
     }
 
     /// Parses a window ACK; `None` if the frame is not a well-formed
@@ -384,6 +406,35 @@ mod tests {
             sack: 0xDEAD_BEEF,
         };
         assert_eq!(WindowAck::from_frame(&w.to_frame()), Some(w));
+    }
+
+    #[test]
+    fn write_frame_overwrites_a_used_frame() {
+        // A reused frame keeps no trace of its previous contents, and a
+        // refused query leaves it untouched.
+        let mut frame = DownlinkFrame::new(vec![0xEE; 20]);
+        let w = WindowAck {
+            tag_address: 9,
+            msg_id: 200,
+            cumulative: 0x1234,
+            sack: 0xDEAD_BEEF,
+        };
+        w.write_frame(&mut frame);
+        assert_eq!(frame, w.to_frame());
+        let q = Query {
+            tag_address: 3,
+            payload_bits: 0x0102,
+            bit_rate_bps: 500,
+            code_length: 7,
+        };
+        q.write_frame(&mut frame).unwrap();
+        assert_eq!(frame, q.to_frame().unwrap());
+        let bad = Query {
+            bit_rate_bps: 300,
+            ..q.clone()
+        };
+        assert!(bad.write_frame(&mut frame).is_err());
+        assert_eq!(Query::from_frame(&frame), Some(q));
     }
 
     #[test]

@@ -178,7 +178,9 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// ```
 pub fn percentile_many(xs: &[f64], ps: &[f64]) -> Vec<f64> {
     let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-    v.sort_by(f64::total_cmp);
+    // Values equal under total_cmp have identical bits, so an unstable
+    // sort yields the same sequence as a stable one.
+    v.sort_unstable_by(f64::total_cmp);
     ps.iter().map(|&p| percentile_of_sorted(&v, p)).collect()
 }
 

@@ -26,6 +26,7 @@ use crate::linkmodel::{SegmentFate, SegmentLink};
 use crate::seg::{segment_message, Accept, Reassembler, Segment};
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
+use bs_tag::frame::DownlinkFrame;
 use wifi_backscatter::link::DegradationReport;
 use wifi_backscatter::protocol::{Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS};
 
@@ -114,6 +115,17 @@ impl TransportConfig {
         }
         self
     }
+
+    /// Wire segments a `message_len`-byte message takes under this
+    /// config, FEC parity included — what [`TransportSession::new`]
+    /// would number, counted without segmenting anything.
+    pub(crate) fn wire_segments(&self, message_len: usize) -> usize {
+        if !self.fec.is_enabled() {
+            return message_len.div_ceil(self.seg_payload_bytes).max(1);
+        }
+        let data = message_len.div_ceil(self.seg_payload_bytes.min(254)).max(1);
+        GroupCoder::wire_total_of(data, self.fec)
+    }
 }
 
 /// What one ARQ round accomplished — the unit the gateway scheduler
@@ -194,16 +206,30 @@ pub fn nearest_supported_rate(bps: u64) -> u64 {
         .expect("rate table is non-empty")
 }
 
+/// [`TransportSession`] per-segment flag: transmitted at least once.
+const SENT: u8 = 1;
+/// [`TransportSession`] per-segment flag: the sender has seen it acked.
+const ACKED: u8 = 2;
+
 /// Sender + receiver state of one in-progress transfer. The gateway
 /// steps many of these against one shared clock; [`run_transfer`] is the
 /// single-tag convenience loop.
+///
+/// Everything a round touches is owned by the session and refilled in
+/// place — the burst window, the FEC groups it touched, and the poll and
+/// ACK frames — so a round allocates nothing.
 #[derive(Debug, Clone)]
 pub struct TransportSession {
     cfg: TransportConfig,
     message_bytes: u64,
     segments: Vec<Segment>,
-    sent_once: Vec<bool>,
-    acked: Vec<bool>,
+    /// [`SENT`] and [`ACKED`] bits per segment.
+    flags: Vec<u8>,
+    /// This round's burst: segment indices in transmission order.
+    window: Vec<usize>,
+    touched_groups: Vec<usize>,
+    poll_frame: DownlinkFrame,
+    ack_frame: DownlinkFrame,
     rx: Reassembler,
     coder: Option<GroupCoder>,
     rng: SimRng,
@@ -241,8 +267,11 @@ impl TransportSession {
         let rng = SimRng::new(cfg.seed).stream("net-timeout");
         TransportSession {
             rx: Reassembler::new(cfg.msg_id, total),
-            sent_once: vec![false; segments.len()],
-            acked: vec![false; segments.len()],
+            flags: vec![0; segments.len()],
+            window: Vec::with_capacity(cfg.window.max(1).min(segments.len())),
+            touched_groups: Vec::new(),
+            poll_frame: DownlinkFrame::new(Vec::new()),
+            ack_frame: DownlinkFrame::new(Vec::new()),
             message_bytes: message.len() as u64,
             segments,
             coder,
@@ -284,30 +313,38 @@ impl TransportSession {
     /// Payload bytes the next round would put on the air — what the
     /// gateway charges against a tag's deficit before serving it.
     pub fn next_round_bytes(&self) -> u64 {
-        self.unacked_window()
-            .iter()
-            .map(|&i| self.segments[i].payload.len() as u64)
+        self.unacked()
+            .map(|i| self.segments[i].payload.len() as u64)
             .sum::<u64>()
             .max(1)
     }
 
-    fn unacked_window(&self) -> Vec<usize> {
-        let mut window: Vec<usize> = (0..self.segments.len())
-            .filter(|&i| !self.acked[i])
+    /// The next burst's segments in sequence order: the first `window`
+    /// the sender has not seen acked.
+    fn unacked(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.segments.len())
+            .filter(|&i| self.flags[i] & ACKED == 0)
             .take(self.cfg.window.max(1))
-            .collect();
+    }
+
+    /// Refills [`Self::window`] with the next burst in transmission order.
+    fn fill_window(&mut self) {
+        let mut window = std::mem::take(&mut self.window);
+        window.clear();
+        window.extend(self.unacked());
         // With FEC on, interleave the burst across code groups: helper
         // silence kills *consecutive transmissions*, and a window sent
         // in sequence order concentrates those holes in one group —
         // past its parity. Striping the order (position within group
         // first, group second) spreads a length-L outage over ~L/G
-        // groups, each within erasure reach. Stable on (pos, group, seq)
-        // so the order is deterministic and ARQ-alone is untouched.
+        // groups, each within erasure reach. The key (pos, group, seq) is
+        // unique per segment, so the order is deterministic and ARQ-alone
+        // is untouched.
         if let Some(coder) = &self.coder {
             let span = coder.group_size().max(1);
-            window.sort_by_key(|&i| (i % span, i / span, i));
+            window.sort_unstable_by_key(|&i| (i % span, i / span, i));
         }
-        window
+        self.window = window;
     }
 
     /// Runs one ARQ round over `link`, recording spans and counters on
@@ -333,8 +370,9 @@ impl TransportSession {
         }
 
         // Poll: grant the tag a burst of up to `window` unacked segments.
-        let window = self.unacked_window();
-        let burst_bits: u64 = window
+        self.fill_window();
+        let burst_bits: u64 = self
+            .window
             .iter()
             .map(|&i| Segment::on_air_len(self.segments[i].payload.len()) as u64)
             .sum();
@@ -345,35 +383,35 @@ impl TransportSession {
             bit_rate_bps: rate,
             code_length: 1,
         };
-        let poll_frame = poll
-            .to_frame()
+        poll.write_frame(&mut self.poll_frame)
             .expect("nearest_supported_rate returns encodable rates");
         self.polls_sent += 1;
         rec.add("net.polls", 1);
-        let poll_heard = link.send_control(&poll_frame, rec);
+        let poll_heard = link.send_control(&self.poll_frame, rec);
 
         let mut sent_bytes = 0u64;
         let mut retx_this_round = 0u64;
-        let mut touched_groups: Vec<usize> = Vec::new();
+        self.touched_groups.clear();
         if poll_heard {
             // The tag's burst, oldest unacked first.
             let burst_start = link.now_us();
-            for &i in &window {
+            for &i in &self.window {
                 self.segments_sent += 1;
                 rec.add("net.segments-sent", 1);
-                if self.sent_once[i] {
+                if self.flags[i] & SENT != 0 {
                     self.retransmissions += 1;
                     retx_this_round += 1;
                     rec.add("net.retransmissions", 1);
                 } else {
-                    self.sent_once[i] = true;
+                    self.flags[i] |= SENT;
                 }
                 sent_bytes += self.segments[i].payload.len() as u64;
                 let fate = link.send_segment(&self.segments[i], rec);
                 if fate != SegmentFate::Lost {
                     if self.rx.accept(&self.segments[i]) == Accept::New {
                         if let Some(coder) = &self.coder {
-                            touched_groups.push(coder.group_of(self.segments[i].seq));
+                            self.touched_groups
+                                .push(coder.group_of(self.segments[i].seq));
                         }
                     }
                     if fate == SegmentFate::DeliveredTwice {
@@ -392,8 +430,8 @@ impl TransportSession {
         // segments. A touched group that still has more holes than
         // parity is a decode failure — it waits for another round.
         if let Some(coder) = &self.coder {
-            touched_groups.sort_unstable();
-            touched_groups.dedup();
+            self.touched_groups.sort_unstable();
+            self.touched_groups.dedup();
             for g in 0..coder.groups() {
                 let (first, d, p) = coder.group_span(g);
                 let missing = (first..first + (d + p) as u16)
@@ -412,7 +450,7 @@ impl TransportSession {
                         self.fec_decode_fails += 1;
                         rec.add("net.fec.decode_fail", 1);
                     }
-                } else if touched_groups.binary_search(&g).is_ok() {
+                } else if self.touched_groups.binary_search(&g).is_ok() {
                     // New segments arrived but the group is still short:
                     // an attempted-and-failed repair.
                     self.fec_decode_fails += 1;
@@ -434,16 +472,17 @@ impl TransportSession {
             rec.add("net.duplicate-acks", 1);
         }
         self.last_ack = Some((ack.cumulative, ack.sack));
-        let ack_heard = link.send_control(&ack.to_frame(), rec);
+        ack.write_frame(&mut self.ack_frame);
+        let ack_heard = link.send_control(&self.ack_frame, rec);
 
         // The sender only learns what the ACK told it — a lost ACK means
         // next round retransmits segments the receiver already holds.
         let mut acked_bytes = 0u64;
         if ack_heard {
-            for i in 0..self.segments.len() {
-                if !self.acked[i] && ack.acks(self.segments[i].seq) {
-                    self.acked[i] = true;
-                    acked_bytes += self.segments[i].payload.len() as u64;
+            for (flags, seg) in self.flags.iter_mut().zip(&self.segments) {
+                if *flags & ACKED == 0 && ack.acks(seg.seq) {
+                    *flags |= ACKED;
+                    acked_bytes += seg.payload.len() as u64;
                 }
             }
         }
@@ -458,7 +497,12 @@ impl TransportSession {
             self.failed_rounds += 1;
         }
         self.waited_us += link.now_us() - round_start;
-        rec.span("net.window", round_start, link.now_us(), window.len() as u64);
+        rec.span(
+            "net.window",
+            round_start,
+            link.now_us(),
+            self.window.len() as u64,
+        );
 
         RoundOutcome {
             sent_bytes,
@@ -714,6 +758,45 @@ mod tests {
         assert_eq!(obs.counter("net.fec.repair"), t.fec_repairs);
         assert_eq!(obs.counter("net.fec.decode_fail"), t.fec_decode_fails);
         assert!(t.fec_repairs > 0);
+    }
+
+    #[test]
+    fn wire_segments_counts_what_the_session_numbers() {
+        bs_dsp::testkit::check("arq-wire-segments", 200, |g| {
+            let len = g.usize_in(0, 3_000);
+            let mut cfg = TransportConfig::default().with_seg_payload_bytes(g.usize_in(1, 256));
+            if g.bool() {
+                cfg = cfg.with_fec(crate::fec::FecConfig::fixed(
+                    g.usize_in(1, 65),
+                    g.usize_in(1, 5),
+                ));
+            }
+            let session = TransportSession::new(&vec![7u8; len], cfg.clone());
+            assert_eq!(
+                cfg.wire_segments(len),
+                session.segments.len(),
+                "{len} B, {cfg:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn session_frames_equal_the_standalone_encoders() {
+        // Each round rewrites the session-owned poll and ACK frames in
+        // place; after a round they must hold exactly what `to_frame`
+        // encodes from the same fields.
+        let plan = FaultPlan::preset("loss", 0.8, 3).unwrap();
+        let mut link = SimLink::new(plan, 5);
+        let mut s = TransportSession::new(&msg(300), TransportConfig::default());
+        while s.can_continue() {
+            s.step_round(&mut link, &mut NullRecorder);
+            let poll = Query::from_frame(&s.poll_frame).expect("a poll frame");
+            assert_eq!(poll.to_frame().unwrap(), s.poll_frame);
+            let ack = WindowAck::from_frame(&s.ack_frame).expect("an ACK frame");
+            assert_eq!(ack.to_frame(), s.ack_frame);
+            assert_eq!((ack.cumulative, ack.sack), (s.rx.cumulative(), s.rx.sack()));
+        }
+        assert!(s.complete());
     }
 
     #[test]

@@ -505,9 +505,15 @@ impl GroupCoder {
         c
     }
 
+    /// Wire segments (data + parity) of a message with `data_total`
+    /// data segments under `cfg`.
+    pub(crate) fn wire_total_of(data_total: usize, cfg: FecConfig) -> usize {
+        data_total + data_total.div_ceil(cfg.group_data).max(1) * cfg.group_parity
+    }
+
     fn from_data_total(data_total: usize, seg_payload: usize, cfg: FecConfig) -> Self {
         let groups = data_total.div_ceil(cfg.group_data).max(1);
-        let wire_total = data_total + groups * cfg.group_parity;
+        let wire_total = Self::wire_total_of(data_total, cfg);
         assert!(
             wire_total <= u16::MAX as usize,
             "message needs too many wire segments"

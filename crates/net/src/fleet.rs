@@ -526,9 +526,17 @@ fn shard_ranges(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
 
 struct Topology {
     gw_pos: Vec<(f64, f64)>,
-    /// Grid-cell buckets (cell edge = gateway spacing) for O(1)
-    /// nearest-gateway candidate lookup.
-    cells: std::collections::HashMap<(i64, i64), Vec<u32>>,
+    /// Lowest grid cell (cell edge = gateway spacing) any gateway sits
+    /// in; with `cols × rows` it bounds the dense cell grid. A cell
+    /// outside those bounds holds no gateway.
+    min_cell: (i64, i64),
+    cols: i64,
+    rows: i64,
+    /// CSR cell buckets: cell `k`'s gateways (ascending id) are
+    /// `cell_gw[cell_start[k]..cell_start[k + 1]]`, with `k` row-major
+    /// from `min_cell`.
+    cell_start: Vec<u32>,
+    cell_gw: Vec<u32>,
     cell_m: f64,
     side_m: f64,
 }
@@ -538,30 +546,74 @@ impl Topology {
         let side = (cfg.gateways as f64).sqrt().ceil() as usize;
         let pitch = cfg.gateway_spacing_m;
         let pos_stream = root.stream("fleet.gw-pos");
-        let mut gw_pos = Vec::with_capacity(cfg.gateways);
-        let mut cells: std::collections::HashMap<(i64, i64), Vec<u32>> =
-            std::collections::HashMap::new();
-        for g in 0..cfg.gateways {
-            let mut rng = pos_stream.substream(g as u64);
-            let jitter = 0.2 * pitch;
-            let x = ((g % side) as f64 + 0.5) * pitch + rng.uniform_range(-jitter, jitter);
-            let y = ((g / side) as f64 + 0.5) * pitch + rng.uniform_range(-jitter, jitter);
-            gw_pos.push((x, y));
-            cells
-                .entry(Self::cell_of(x, y, pitch))
-                .or_default()
-                .push(g as u32);
+        let gw_pos: Vec<(f64, f64)> = (0..cfg.gateways)
+            .map(|g| {
+                let mut rng = pos_stream.substream(g as u64);
+                let jitter = 0.2 * pitch;
+                let x = ((g % side) as f64 + 0.5) * pitch + rng.uniform_range(-jitter, jitter);
+                let y = ((g / side) as f64 + 0.5) * pitch + rng.uniform_range(-jitter, jitter);
+                (x, y)
+            })
+            .collect();
+        Self::from_positions(gw_pos, pitch, side as f64 * pitch)
+    }
+
+    /// Buckets gateways at `gw_pos` (id = index) into cells of edge
+    /// `cell_m`; tags live in `[0, side_m]²`.
+    fn from_positions(gw_pos: Vec<(f64, f64)>, cell_m: f64, side_m: f64) -> Topology {
+        let cells: Vec<(i64, i64)> = gw_pos
+            .iter()
+            .map(|&(x, y)| Self::cell_of(x, y, cell_m))
+            .collect();
+        let min_cell = cells
+            .iter()
+            .fold((i64::MAX, i64::MAX), |(a, b), &(x, y)| (a.min(x), b.min(y)));
+        let max_cell = cells
+            .iter()
+            .fold((i64::MIN, i64::MIN), |(a, b), &(x, y)| (a.max(x), b.max(y)));
+        let cols = max_cell.0 - min_cell.0 + 1;
+        let rows = max_cell.1 - min_cell.1 + 1;
+        // Counting sort by cell; filling in gateway-id order keeps each
+        // bucket ascending.
+        let index = |(x, y): (i64, i64)| ((y - min_cell.1) * cols + (x - min_cell.0)) as usize;
+        let mut cell_start = vec![0u32; (cols * rows) as usize + 1];
+        for &c in &cells {
+            cell_start[index(c) + 1] += 1;
+        }
+        for k in 1..cell_start.len() {
+            cell_start[k] += cell_start[k - 1];
+        }
+        let mut fill = cell_start.clone();
+        let mut cell_gw = vec![0u32; gw_pos.len()];
+        for (g, &c) in cells.iter().enumerate() {
+            let k = index(c);
+            cell_gw[fill[k] as usize] = g as u32;
+            fill[k] += 1;
         }
         Topology {
             gw_pos,
-            cells,
-            cell_m: pitch,
-            side_m: side as f64 * pitch,
+            min_cell,
+            cols,
+            rows,
+            cell_start,
+            cell_gw,
+            cell_m,
+            side_m,
         }
     }
 
     fn cell_of(x: f64, y: f64, cell_m: f64) -> (i64, i64) {
         ((x / cell_m).floor() as i64, (y / cell_m).floor() as i64)
+    }
+
+    /// The gateways in cell `(cx, cy)`, ascending by id.
+    fn bucket(&self, cx: i64, cy: i64) -> &[u32] {
+        let (x, y) = (cx - self.min_cell.0, cy - self.min_cell.1);
+        if !(0..self.cols).contains(&x) || !(0..self.rows).contains(&y) {
+            return &[];
+        }
+        let k = (y * self.cols + x) as usize;
+        &self.cell_gw[self.cell_start[k] as usize..self.cell_start[k + 1] as usize]
     }
 
     /// Nearest gateway to `(x, y)`: ring-by-ring grid search, one extra
@@ -581,14 +633,11 @@ impl Topology {
                 }
             }
             for dx in -ring..=ring {
-                for dy in -ring..=ring {
-                    if dx.abs() != ring && dy.abs() != ring {
-                        continue; // interior cells were scanned in earlier rings
-                    }
-                    let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &g in bucket {
+                // Only the ring's perimeter: interior cells were scanned
+                // in earlier rings.
+                let dy_step = if dx.abs() == ring { 1 } else { 2 * ring };
+                for dy in (-ring..=ring).step_by(dy_step as usize) {
+                    for &g in self.bucket(cx + dx, cy + dy) {
                         let (gx, gy) = self.gw_pos[g as usize];
                         let d = ((x - gx).powi(2) + (y - gy).powi(2)).sqrt();
                         let better = match best {
@@ -617,13 +666,16 @@ impl Topology {
         let (x, y) = self.gw_pos[g as usize];
         let (cx, cy) = Self::cell_of(x, y, self.cell_m);
         let reach = (2.0 * radius / self.cell_m).ceil() as i64;
+        // Cells past the grid's bounds are empty: clamp the scan to them.
+        let (x0, y0) = self.min_cell;
+        let xs =
+            cx.saturating_sub(reach).max(x0)..=cx.saturating_add(reach).min(x0 + self.cols - 1);
+        let ys =
+            cy.saturating_sub(reach).max(y0)..=cy.saturating_add(reach).min(y0 + self.rows - 1);
         let mut out = Vec::new();
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &n in bucket {
+        for dx in xs {
+            for dy in ys.clone() {
+                for &n in self.bucket(dx, dy) {
                     if n != g && self.distance(g, n) < 2.0 * radius {
                         out.push(n);
                     }
@@ -674,16 +726,16 @@ struct GwEpochResult {
     outcomes: Vec<(u32, u64, u64, bool, Option<TagEnergyOutcome>)>,
 }
 
-/// Deterministic per-tag upload payload for one epoch.
-fn tag_message(tag: u32, epoch: u32, bytes: usize) -> Vec<u8> {
-    (0..bytes)
-        .map(|i| {
-            (i as u64)
-                .wrapping_mul(131)
-                .wrapping_add((tag as u64).wrapping_mul(31))
-                .wrapping_add((epoch as u64).wrapping_mul(17)) as u8
-        })
-        .collect()
+/// Writes the deterministic per-tag upload payload for one epoch into
+/// `out`, reusing its buffer.
+fn tag_message(tag: u32, epoch: u32, bytes: usize, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend((0..bytes).map(|i| {
+        (i as u64)
+            .wrapping_mul(131)
+            .wrapping_add((tag as u64).wrapping_mul(31))
+            .wrapping_add((epoch as u64).wrapping_mul(17)) as u8
+    }));
 }
 
 /// Runs the fleet on `jobs` worker threads. The result is byte-identical
@@ -733,44 +785,58 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
     let root = SimRng::new(cfg.seed);
     let topo = Topology::build(cfg, &root);
     let n_tags = cfg.total_tags();
+    let tag_shards = shard_ranges(n_tags, shards);
+    let gw_shards = shard_ranges(cfg.gateways, shards);
 
-    // Seed the flat tag blocks: home placement + initial association.
-    // Cold-start charge diversity comes from a tag-keyed stream — drawn
-    // only when the energy model is on, so an energy-less fleet consumes
-    // exactly the pre-energy RNG sequence.
+    // Seed the flat tag blocks: home placement + initial association,
+    // sharded over tag ranges (every draw is tag-keyed, so the blocks do
+    // not depend on the partition). Cold-start charge diversity comes
+    // from a tag-keyed stream — drawn only when the energy model is on,
+    // so an energy-less fleet consumes exactly the pre-energy RNG
+    // sequence.
     let place = root.stream("fleet.tag-pos");
     let helper = root.stream("fleet.helper");
     let charge_stream = root.stream("fleet.energy");
     let cap_capacity_uj = cfg.energy.map(|e| {
         0.5 * e.capacitor.capacitance_uf * e.capacitor.voltage * e.capacitor.voltage
     });
-    let mut blocks: Vec<TagBlock> = (0..n_tags)
-        .map(|t| {
-            let home = (t % cfg.gateways) as u32;
-            let (hx, hy) = topo.gw_pos[home as usize];
-            let mut rng = place.substream(t as u64);
-            let x = (hx + rng.gaussian(0.0, 0.5 * cfg.coverage_radius_m)).clamp(0.0, topo.side_m);
-            let y = (hy + rng.gaussian(0.0, 0.5 * cfg.coverage_radius_m)).clamp(0.0, topo.side_m);
-            let charge_uj = match cap_capacity_uj {
-                Some(cap) => charge_stream.substream(t as u64).uniform_range(0.0, cap),
-                None => 0.0,
-            };
-            TagBlock {
-                x,
-                y,
-                gateway: topo.nearest_gateway(x, y),
-                helper_pps: helper.substream(t as u64).uniform_range(1_200.0, 3_600.0),
-                handoffs: 0,
-                delivered_bytes: 0,
-                complete_epochs: 0,
-                truncated_epochs: 0,
-                last_latency_us: 0,
-                charge_uj,
-                brownouts: 0,
-                recoveries: 0,
-            }
-        })
-        .collect();
+    let block_shards: Vec<Vec<TagBlock>> = map_indexed(jobs, tag_shards.len(), |s| {
+        tag_shards[s]
+            .clone()
+            .map(|t| {
+                let home = (t % cfg.gateways) as u32;
+                let (hx, hy) = topo.gw_pos[home as usize];
+                let mut rng = place.substream(t as u64);
+                let sigma = 0.5 * cfg.coverage_radius_m;
+                let x = (hx + rng.gaussian(0.0, sigma)).clamp(0.0, topo.side_m);
+                let y = (hy + rng.gaussian(0.0, sigma)).clamp(0.0, topo.side_m);
+                let charge_uj = match cap_capacity_uj {
+                    Some(cap) => charge_stream.substream(t as u64).uniform_range(0.0, cap),
+                    None => 0.0,
+                };
+                TagBlock {
+                    x,
+                    y,
+                    gateway: topo.nearest_gateway(x, y),
+                    helper_pps: helper.substream(t as u64).uniform_range(1_200.0, 3_600.0),
+                    handoffs: 0,
+                    delivered_bytes: 0,
+                    complete_epochs: 0,
+                    truncated_epochs: 0,
+                    last_latency_us: 0,
+                    charge_uj,
+                    brownouts: 0,
+                    recoveries: 0,
+                }
+            })
+            .collect()
+    })?;
+    // Move the shards in one at a time, freeing each as it goes, so the
+    // blocks are never held twice over.
+    let mut blocks: Vec<TagBlock> = Vec::with_capacity(n_tags);
+    for shard in block_shards {
+        blocks.extend(shard);
+    }
     // The initial association may overflow a gateway's address space;
     // spill the overflow to its next-nearest neighbour in tag-id order
     // (the same deterministic rule the handoff cap uses).
@@ -786,8 +852,6 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         }
     }
 
-    let tag_shards = shard_ranges(n_tags, shards);
-    let gw_shards = shard_ranges(cfg.gateways, shards);
     let move_stream = root.stream("fleet.move");
     let run_stream = root.stream("fleet.gw-run");
 
@@ -884,6 +948,10 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         let shard_results: Vec<Result<Vec<GwEpochResult>, GatewayError>> =
             map_indexed(jobs, gw_shards.len(), |s| {
                 let mut out = Vec::with_capacity(gw_shards[s].len());
+                // One profile buffer per worker, rewritten in place for
+                // each of its gateways: message buffers are reused, not
+                // reallocated per tag.
+                let mut profiles: Vec<TagProfile> = Vec::new();
                 for g in gw_shards[s].clone() {
                     let roster = &rosters[g];
                     if roster.is_empty() {
@@ -898,41 +966,37 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
                         continue;
                     }
                     let (gx, gy) = topo.gw_pos[g];
-                    let profiles: Vec<TagProfile> = roster
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &t)| {
-                            let b = &blocks[t as usize];
-                            // Energy is a pure function of the tag's
-                            // block: persisted charge in, harvest from
-                            // its current distance to this gateway.
-                            let energy = cfg.energy.map(|e| {
-                                let d = ((b.x - gx).powi(2) + (b.y - gy).powi(2)).sqrt();
-                                EnergyConfig {
-                                    capacitor: CapacitorConfig {
-                                        initial_fraction: (b.charge_uj
-                                            / cap_capacity_uj.expect("energy is on"))
-                                        .clamp(0.0, 1.0),
-                                        ..e.capacitor
-                                    },
-                                    harvest_uw: e.harvest_uw_at(d),
-                                    policy: e.policy,
-                                }
-                            });
-                            TagProfile {
-                                address: (i + 1) as u8,
-                                message: tag_message(t, epoch, cfg.message_bytes),
-                                helper_pps: b.helper_pps,
-                                energy,
+                    if profiles.len() < roster.len() {
+                        profiles.resize_with(roster.len(), || TagProfile::new(0, Vec::new()));
+                    }
+                    for (i, (&t, p)) in roster.iter().zip(profiles.iter_mut()).enumerate() {
+                        let b = &blocks[t as usize];
+                        // Energy is a pure function of the tag's block:
+                        // persisted charge in, harvest from its current
+                        // distance to this gateway.
+                        p.energy = cfg.energy.map(|e| {
+                            let d = ((b.x - gx).powi(2) + (b.y - gy).powi(2)).sqrt();
+                            EnergyConfig {
+                                capacitor: CapacitorConfig {
+                                    initial_fraction: (b.charge_uj
+                                        / cap_capacity_uj.expect("energy is on"))
+                                    .clamp(0.0, 1.0),
+                                    ..e.capacitor
+                                },
+                                harvest_uw: e.harvest_uw_at(d),
+                                policy: e.policy,
                             }
-                        })
-                        .collect();
+                        });
+                        p.address = (i + 1) as u8;
+                        p.helper_pps = b.helper_pps;
+                        tag_message(t, epoch, cfg.message_bytes, &mut p.message);
+                    }
                     let mut gcfg = cfg.gateway.clone();
                     gcfg.seed = epoch_runs.substream(g as u64).seed();
                     let mut faults = cfg.faults.clone().with_severity(severity[g]);
                     faults.seed = epoch_runs.substream(g as u64).stream("faults").seed();
                     gcfg.faults = faults;
-                    let run = run_gateway(&profiles, &gcfg)?;
+                    let run = run_gateway(&profiles[..roster.len()], &gcfg)?;
                     let inv_air = run.inventory.airtime_us(gcfg.slot_us);
                     let outcomes = run
                         .tags
@@ -986,13 +1050,18 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
                 // keeps charging toward the next epoch's inventory.
                 if let Some(e) = cfg.energy {
                     let capacity = cap_capacity_uj.expect("energy is on");
-                    let served: std::collections::HashSet<u32> =
-                        r.outcomes.iter().map(|o| o.0).collect();
+                    // Rosters are in tag-id order, so a served tag's
+                    // roster slot is a binary search away.
+                    let roster = &rosters[g];
+                    let mut served = vec![false; roster.len()];
+                    for o in &r.outcomes {
+                        let slot = roster
+                            .binary_search(&o.0)
+                            .expect("outcomes are roster tags");
+                        served[slot] = true;
+                    }
                     let (gx, gy) = topo.gw_pos[g];
-                    for &t in &rosters[g] {
-                        if served.contains(&t) {
-                            continue;
-                        }
+                    for (&t, _) in roster.iter().zip(&served).filter(|(_, &done)| !done) {
                         let b = &mut blocks[t as usize];
                         let mut cap = Capacitor::new(CapacitorConfig {
                             initial_fraction: (b.charge_uj / capacity).clamp(0.0, 1.0),
@@ -1271,6 +1340,81 @@ mod tests {
             !a.all_complete,
             "a browned-out population cannot deliver everything"
         );
+    }
+
+    /// The nearest gateway by exhaustive scan: least distance, then
+    /// lower id — the oracle for the grid's ring search.
+    fn brute_force_nearest(topo: &Topology, x: f64, y: f64) -> u32 {
+        let mut best: Option<(f64, u32)> = None;
+        for (g, &(gx, gy)) in topo.gw_pos.iter().enumerate() {
+            let d = ((x - gx).powi(2) + (y - gy).powi(2)).sqrt();
+            if best.is_none_or(|(bd, bg)| d < bd || (d == bd && (g as u32) < bg)) {
+                best = Some((d, g as u32));
+            }
+        }
+        best.expect("at least one gateway").1
+    }
+
+    #[test]
+    fn grid_nearest_gateway_matches_brute_force() {
+        bs_dsp::testkit::check("fleet-nearest-gateway", 24, |g| {
+            for gateways in [1, 7, 500] {
+                let cfg = FleetConfig {
+                    gateway_spacing_m: g.f64_in(5.0, 80.0),
+                    ..FleetConfig::default().with_population(gateways, 1)
+                };
+                let topo = Topology::build(&cfg, &SimRng::new(g.case()));
+                let side = topo.side_m;
+                let mut points = vec![(0.0, 0.0), (side, side), (0.0, side), (side, 0.0)];
+                points.extend((0..60).map(|_| (g.f64_in(0.0, side), g.f64_in(0.0, side))));
+                for (x, y) in points {
+                    assert_eq!(
+                        topo.nearest_gateway(x, y),
+                        brute_force_nearest(&topo, x, y),
+                        "{gateways} gateways, point ({x}, {y})"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn grid_nearest_gateway_ties_go_to_the_lower_id() {
+        // Four gateways on the corners of a square around (50, 50), one
+        // per cell, ids in reverse of the scan order, plus a fifth
+        // sharing gateway 3's position: every query at the centre is a
+        // four-way tie, and the lowest id must win.
+        let pos = vec![
+            (70.0, 70.0),
+            (30.0, 70.0),
+            (70.0, 30.0),
+            (30.0, 30.0),
+            (30.0, 30.0),
+        ];
+        let topo = Topology::from_positions(pos, 25.0, 100.0);
+        assert_eq!(topo.nearest_gateway(50.0, 50.0), 0);
+        assert_eq!(brute_force_nearest(&topo, 50.0, 50.0), 0);
+        // Co-located gateways 3 and 4 tie everywhere; 3 wins.
+        assert_eq!(topo.nearest_gateway(31.0, 29.0), 3);
+        assert_eq!(topo.nearest_gateway(50.0, 0.0), 2);
+        assert_eq!(topo.nearest_gateway(0.0, 50.0), 1);
+        bs_dsp::testkit::check("fleet-nearest-ties", 16, |g| {
+            for _ in 0..50 {
+                let (x, y) = (g.f64_in(0.0, 100.0), g.f64_in(0.0, 100.0));
+                assert_eq!(topo.nearest_gateway(x, y), brute_force_nearest(&topo, x, y));
+            }
+        });
+    }
+
+    #[test]
+    fn a_worker_panic_names_its_shard() {
+        let p = ChunkPanic {
+            chunk: 3,
+            message: "boom".into(),
+        };
+        let err = FleetError::from(p);
+        assert_eq!(err, FleetError::ShardPanicked { shard: 3 });
+        assert!(err.to_string().contains("shard 3"), "{err}");
     }
 
     #[test]

@@ -245,6 +245,12 @@ pub enum GatewayError {
         /// The offending field.
         field: &'static str,
     },
+    /// A [`TagProfile::message`] needs more wire segments (FEC parity
+    /// included) than the 16-bit sequence space numbers.
+    MessageTooLong {
+        /// The address of the tag whose message is too long.
+        address: u8,
+    },
 }
 
 impl std::fmt::Display for GatewayError {
@@ -273,6 +279,11 @@ impl std::fmt::Display for GatewayError {
             GatewayError::InvalidConfig { field } => {
                 write!(f, "gateway config field `{field}` is out of its domain")
             }
+            GatewayError::MessageTooLong { address } => write!(
+                f,
+                "tag {address}: the message needs more than {} wire segments",
+                u16::MAX
+            ),
         }
     }
 }
@@ -370,8 +381,8 @@ pub(crate) fn jain_index(shares: &[u64]) -> f64 {
     sum * sum / (shares.len() as f64 * sq)
 }
 
-struct ServedTag {
-    profile: TagProfile,
+struct ServedTag<'a> {
+    profile: &'a TagProfile,
     session: TransportSession,
     link: SimLink,
     deficit: u64,
@@ -389,7 +400,7 @@ struct ServedTag {
     skip_until_cycle: u32,
 }
 
-impl ServedTag {
+impl ServedTag<'_> {
     /// Integrates the tag's supply forward to `up_to_us` at `load_uw`.
     fn integrate_energy(&mut self, up_to_us: u64, load_uw: f64) {
         let span = up_to_us.saturating_sub(self.energy_at_us);
@@ -429,8 +440,10 @@ impl ServedTag {
 /// payload is outside `1..=255` bytes, [`GatewayError::InvalidConfig`] if
 /// the quantum or window is zero or the rate margin is not finite and
 /// positive, [`GatewayError::InvalidEnergy`] if
-/// a profile's capacitor config is invalid — any way the run is rejected
-/// before any simulated time passes.
+/// a profile's capacitor config is invalid,
+/// [`GatewayError::MessageTooLong`] if a profile's message needs more
+/// than `u16::MAX` wire segments — any way the run is rejected before
+/// any simulated time passes.
 pub fn run_gateway_with(
     tags: &[TagProfile],
     cfg: &GatewayConfig,
@@ -461,7 +474,8 @@ pub fn run_gateway_with(
     // post-inventory profile lookup would silently serve the first
     // matching profile for every identification of that address. The
     // same pass builds that lookup: address -> roster index, and rejects
-    // a supply that `Capacitor::new` would panic on.
+    // a supply that `Capacitor::new` would panic on or a message
+    // `segment_message` would.
     let mut index_of: [Option<usize>; 256] = [None; 256];
     for (i, t) in tags.iter().enumerate() {
         if index_of[t.address as usize].replace(i).is_some() {
@@ -469,6 +483,9 @@ pub fn run_gateway_with(
         }
         if t.energy.is_some_and(|e| !e.capacitor.is_valid()) {
             return Err(GatewayError::InvalidEnergy { address: t.address });
+        }
+        if cfg.transport.wire_segments(t.message.len()) > u16::MAX as usize {
+            return Err(GatewayError::MessageTooLong { address: t.address });
         }
     }
 
@@ -528,7 +545,7 @@ pub fn run_gateway_with(
             ServedTag {
                 session: TransportSession::new(&profile.message, tcfg),
                 capacitor: profile.energy.map(|e| Capacitor::new(e.capacitor)),
-                profile: profile.clone(),
+                profile,
                 link,
                 deficit: 0,
                 rounds_served: 0,
@@ -947,6 +964,29 @@ mod tests {
             edge.transport.seg_payload_bytes = seg_payload_bytes;
             assert!(run_gateway(&fleet(2, 8), &edge).is_ok());
         }
+    }
+
+    #[test]
+    fn message_past_the_sequence_space_is_rejected() {
+        // Regression: 70,000 B in 1 B segments reached
+        // `segment_message`'s "too many segments" assert and panicked
+        // the run. Parity counts too: 60,000 B fits plain ARQ's 65,535
+        // sequence numbers, but not with 2 parity per 8 data segments.
+        let mut cfg = GatewayConfig::default();
+        cfg.transport.seg_payload_bytes = 1;
+        let mut tags = fleet(3, 8);
+        tags[1].message = vec![0; 70_000];
+        let want = GatewayError::MessageTooLong { address: 2 };
+        assert_eq!(run_gateway(&tags, &cfg).unwrap_err(), want);
+        assert!(want.to_string().contains("tag 2"), "{want}");
+        assert!(observed(&tags, &cfg).is_err());
+        tags[1].message = vec![0; 60_000];
+        assert_eq!(cfg.transport.wire_segments(60_000), 60_000);
+        let fec = cfg.clone().with_fec(crate::fec::FecConfig::fixed(8, 2));
+        assert_eq!(run_gateway(&tags, &fec).unwrap_err(), want);
+        // The count is exact at the boundary.
+        assert_eq!(cfg.transport.wire_segments(usize::from(u16::MAX)), 65_535);
+        assert_eq!(cfg.transport.wire_segments(usize::from(u16::MAX) + 1), 65_536);
     }
 
     #[test]

@@ -191,11 +191,19 @@ pub enum Accept {
 /// Receiver-side state: collects segments of one message in any order,
 /// deduplicates, and exposes the cumulative + selective acknowledgement
 /// the transport puts on the wire.
+///
+/// Held payloads live back to back in one buffer, in arrival order; each
+/// sequence number owns a `(start, len)` span into it, so storing a
+/// segment copies its bytes once and allocates nothing per segment.
 #[derive(Debug, Clone)]
 pub struct Reassembler {
     msg_id: u8,
     total: u16,
-    slots: Vec<Option<Vec<u8>>>,
+    /// Every held payload, in arrival order.
+    buf: Vec<u8>,
+    /// `(start, len)` of each sequence number's payload in `buf`.
+    spans: Vec<Option<(usize, usize)>>,
+    received: usize,
     cumulative: u16,
     /// Duplicate segment arrivals dropped so far.
     pub duplicates: u64,
@@ -210,7 +218,9 @@ impl Reassembler {
         Reassembler {
             msg_id,
             total,
-            slots: vec![None; total as usize],
+            buf: Vec::new(),
+            spans: vec![None; total as usize],
+            received: 0,
             cumulative: 0,
             duplicates: 0,
             mismatches: 0,
@@ -223,18 +233,30 @@ impl Reassembler {
             self.mismatches += 1;
             return Accept::Mismatch;
         }
-        let slot = &mut self.slots[seg.seq as usize];
-        if slot.is_some() {
+        if self.spans[seg.seq as usize].is_some() {
             self.duplicates += 1;
             return Accept::Duplicate;
         }
-        *slot = Some(seg.payload.clone());
-        while (self.cumulative as usize) < self.slots.len()
-            && self.slots[self.cumulative as usize].is_some()
+        self.store(seg.seq, &seg.payload);
+        Accept::New
+    }
+
+    /// Copies `payload` into the buffer as `seq`'s (empty) slot and
+    /// advances the cumulative head.
+    fn store(&mut self, seq: u16, payload: &[u8]) {
+        if self.buf.capacity() == 0 {
+            // All segments of a message but its last carry the same
+            // payload size, so the first arrival sizes the buffer.
+            self.buf.reserve(payload.len() * self.total as usize);
+        }
+        self.spans[seq as usize] = Some((self.buf.len(), payload.len()));
+        self.buf.extend_from_slice(payload);
+        self.received += 1;
+        while (self.cumulative as usize) < self.spans.len()
+            && self.spans[self.cumulative as usize].is_some()
         {
             self.cumulative += 1;
         }
-        Accept::New
     }
 
     /// Segments with `seq < cumulative()` have all arrived.
@@ -248,7 +270,7 @@ impl Reassembler {
         let mut bits = 0u32;
         for i in 0..32u32 {
             let seq = self.cumulative as usize + 1 + i as usize;
-            if seq < self.slots.len() && self.slots[seq].is_some() {
+            if seq < self.spans.len() && self.spans[seq].is_some() {
                 bits |= 1 << i;
             }
         }
@@ -258,12 +280,13 @@ impl Reassembler {
     /// True when the segment with this sequence number has arrived (or
     /// been reconstructed).
     pub fn has(&self, seq: u16) -> bool {
-        (seq as usize) < self.slots.len() && self.slots[seq as usize].is_some()
+        (seq as usize) < self.spans.len() && self.spans[seq as usize].is_some()
     }
 
     /// The held payload for `seq`, if any.
     pub fn payload_of(&self, seq: u16) -> Option<&[u8]> {
-        self.slots.get(seq as usize)?.as_deref()
+        let (start, len) = (*self.spans.get(seq as usize)?)?;
+        Some(&self.buf[start..start + len])
     }
 
     /// Fills an empty slot with a payload reconstructed by the FEC layer
@@ -272,30 +295,21 @@ impl Reassembler {
     /// repair is not an on-air event. Returns false (and stores nothing)
     /// if the slot is already held or `seq` is out of range.
     pub fn insert_repaired(&mut self, seq: u16, payload: Vec<u8>) -> bool {
-        if seq >= self.total || self.slots[seq as usize].is_some() {
+        if seq >= self.total || self.spans[seq as usize].is_some() {
             return false;
         }
-        self.slots[seq as usize] = Some(payload);
-        while (self.cumulative as usize) < self.slots.len()
-            && self.slots[self.cumulative as usize].is_some()
-        {
-            self.cumulative += 1;
-        }
+        self.store(seq, &payload);
         true
     }
 
     /// Segments received so far (unique).
     pub fn received(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.received
     }
 
     /// Payload bytes received so far (unique).
     pub fn received_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|p| p.len() as u64)
-            .sum()
+        self.buf.len() as u64
     }
 
     /// True once every segment has arrived.
@@ -306,7 +320,10 @@ impl Reassembler {
     /// True while later segments are held but the window head is missing
     /// — the head-of-line stall the transport counts.
     pub fn head_of_line_blocked(&self) -> bool {
-        !self.complete() && self.slots[self.cumulative as usize..].iter().any(|s| s.is_some())
+        !self.complete()
+            && self.spans[self.cumulative as usize..]
+                .iter()
+                .any(|s| s.is_some())
     }
 
     /// The reassembled message once complete; `None` before that.
@@ -314,9 +331,9 @@ impl Reassembler {
         if !self.complete() {
             return None;
         }
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            out.extend_from_slice(slot.as_deref().unwrap_or_default());
+        let mut out = Vec::with_capacity(self.buf.len());
+        for seq in 0..self.total {
+            out.extend_from_slice(self.payload_of(seq).unwrap_or_default());
         }
         Some(out)
     }
@@ -487,6 +504,147 @@ mod tests {
         assert!(!rx.insert_repaired(9, vec![0]));
         assert_eq!(rx.payload_of(2), Some(&segs[2].payload[..]));
         assert_eq!(rx.payload_of(9), None);
+    }
+
+    /// The storage `Reassembler` replaced, kept as the oracle for its
+    /// flat buffer: one owned payload per slot.
+    struct SlotModel {
+        msg_id: u8,
+        slots: Vec<Option<Vec<u8>>>,
+        duplicates: u64,
+        mismatches: u64,
+    }
+
+    impl SlotModel {
+        fn accept(&mut self, seg: &Segment) -> Accept {
+            if seg.msg_id != self.msg_id
+                || seg.total as usize != self.slots.len()
+                || seg.seq as usize >= self.slots.len()
+            {
+                self.mismatches += 1;
+                return Accept::Mismatch;
+            }
+            let slot = &mut self.slots[seg.seq as usize];
+            if slot.is_some() {
+                self.duplicates += 1;
+                return Accept::Duplicate;
+            }
+            *slot = Some(seg.payload.clone());
+            Accept::New
+        }
+
+        fn insert_repaired(&mut self, seq: u16, payload: Vec<u8>) -> bool {
+            match self.slots.get_mut(seq as usize) {
+                Some(slot @ None) => {
+                    *slot = Some(payload);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn cumulative(&self) -> u16 {
+            self.slots.iter().take_while(|s| s.is_some()).count() as u16
+        }
+
+        fn sack(&self) -> u32 {
+            let head = self.cumulative() as usize;
+            (0..32)
+                .filter(|i| self.slots.get(head + 1 + i).is_some_and(|s| s.is_some()))
+                .fold(0, |b, i| b | 1 << i)
+        }
+
+        fn assemble(&self) -> Option<Vec<u8>> {
+            self.slots
+                .iter()
+                .map(|s| s.as_deref())
+                .collect::<Option<Vec<_>>>()
+                .map(|p| p.concat())
+        }
+    }
+
+    #[test]
+    fn reassembler_matches_the_owned_slot_model() {
+        bs_dsp::testkit::check("reassembler-oracle", 200, |g| {
+            let total = g.usize_in(1, 40) as u16;
+            let msg_id = g.u8();
+            let mut rx = Reassembler::new(msg_id, total);
+            let mut model = SlotModel {
+                msg_id,
+                slots: vec![None; total as usize],
+                duplicates: 0,
+                mismatches: 0,
+            };
+            for _ in 0..g.usize_in(1, 120) {
+                // Any seq below total (new or duplicate), or one past it.
+                let seq = g.usize_in(0, total as usize + 2) as u16;
+                let payload = g.vec_u8(0, 20);
+                match g.usize_in(0, 4) {
+                    0 | 1 => {
+                        let seg = Segment {
+                            msg_id,
+                            seq,
+                            total,
+                            payload,
+                        };
+                        assert_eq!(rx.accept(&seg), model.accept(&seg));
+                    }
+                    2 => {
+                        // A foreign message id or an inconsistent total.
+                        let seg = if g.bool() {
+                            Segment {
+                                msg_id: msg_id.wrapping_add(1),
+                                seq,
+                                total,
+                                payload,
+                            }
+                        } else {
+                            Segment {
+                                msg_id,
+                                seq,
+                                total: total + 1,
+                                payload,
+                            }
+                        };
+                        assert_eq!(rx.accept(&seg), model.accept(&seg));
+                    }
+                    _ => {
+                        assert_eq!(
+                            rx.insert_repaired(seq, payload.clone()),
+                            model.insert_repaired(seq, payload)
+                        );
+                    }
+                }
+                assert_eq!(rx.cumulative(), model.cumulative());
+                assert_eq!(rx.sack(), model.sack());
+                for s in 0..total + 2 {
+                    let want = model.slots.get(s as usize).and_then(|p| p.as_deref());
+                    assert_eq!(rx.has(s), want.is_some(), "has({s})");
+                    assert_eq!(rx.payload_of(s), want, "payload_of({s})");
+                }
+                assert_eq!(rx.received(), model.slots.iter().flatten().count());
+                assert_eq!(
+                    rx.received_bytes(),
+                    model
+                        .slots
+                        .iter()
+                        .flatten()
+                        .map(|p| p.len() as u64)
+                        .sum::<u64>()
+                );
+                let blocked = !rx.complete()
+                    && model.slots[model.cumulative() as usize..]
+                        .iter()
+                        .any(|s| s.is_some());
+                assert_eq!(rx.head_of_line_blocked(), blocked);
+                assert_eq!(rx.complete(), model.cumulative() == total);
+                assert_eq!(rx.assemble(), model.assemble());
+                assert_eq!(
+                    (rx.duplicates, rx.mismatches),
+                    (model.duplicates, model.mismatches)
+                );
+            }
+        });
     }
 
     #[test]

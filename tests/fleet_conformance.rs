@@ -16,8 +16,9 @@
 //!   and a rate margin that is not finite and positive; geometry or
 //!   mobility out of its domain is rejected before any work;
 //!   `max_cycles` truncation surfaces on `GatewayRun::truncated` and is
-//!   mirrored per shard in the fleet report; a panic inside a shard
-//!   comes back as `FleetError::ShardPanicked` at any worker count.
+//!   mirrored per shard in the fleet report; a message past the 16-bit
+//!   sequence space is a typed `GatewayError::MessageTooLong` at any
+//!   worker count, where it used to panic a shard.
 //! - **Physics sanity** — mobility produces handoffs that respect the
 //!   address-space cap, and crowding gateways raises interference
 //!   severity enough to cost goodput.
@@ -202,11 +203,13 @@ fn bad_geometry_is_rejected_before_any_work() {
 }
 
 #[test]
-fn worker_panic_comes_back_as_a_typed_error_at_any_jobs() {
+fn oversize_message_is_a_typed_gateway_error_at_any_jobs() {
     // Regression: a 1 MiB message needs more segments than the wire can
-    // number, which panics inside a shard's gateway run. At jobs = 2 that
-    // panic used to escape as "a scoped thread panicked"; now it is
-    // contained and named, inline and threaded alike.
+    // number. It used to panic inside a shard's gateway run, and the
+    // fleet could only name the shard (`ShardPanicked { shard: 0 }`).
+    // The gateway now rejects the profile with a typed error, which
+    // reaches the fleet unchanged, inline and threaded alike. (Worker
+    // panic containment itself is pinned by `bs_dsp::par`'s tests.)
     let cfg = FleetConfig {
         message_bytes: 1 << 20,
         epochs: 1,
@@ -214,8 +217,12 @@ fn worker_panic_comes_back_as_a_typed_error_at_any_jobs() {
     };
     for jobs in [1, 2] {
         let err = run_fleet(&cfg, jobs).unwrap_err();
-        assert_eq!(err, FleetError::ShardPanicked { shard: 0 }, "jobs {jobs}");
-        assert!(err.to_string().contains("shard 0"), "{err}");
+        assert_eq!(
+            err,
+            FleetError::Gateway(GatewayError::MessageTooLong { address: 1 }),
+            "jobs {jobs}"
+        );
+        assert!(err.to_string().contains("tag 1"), "{err}");
     }
 }
 
