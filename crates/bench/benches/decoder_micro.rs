@@ -7,9 +7,9 @@
 //!
 //! Run with `--json <path>` for the decode smoke bench instead: it
 //! builds a dense fig-10 workload, proves the slot-indexed decoder and
-//! the streaming session bit-identical to the reference, measures both
+//! accumulator-fed decodes bit-identical to the reference, measures both
 //! paths, verifies the alignment search is O(packets) rather than
-//! O(candidates × packets) and that a session holds one frame, and
+//! O(candidates × packets) and that an accumulator holds one frame, and
 //! writes the evidence to `<path>` (see `scripts/check.sh
 //! --bench-smoke`). Exits non-zero if a gate fails.
 
@@ -19,7 +19,7 @@ use bs_bench::report::{json_path, BenchReport, Verdict};
 use bs_dsp::codes::BARKER13;
 use bs_dsp::SimRng;
 use std::process::ExitCode;
-use wifi_backscatter::series::SeriesAccumulator;
+use wifi_backscatter::series::{SeriesAccumulator, SlotIndex};
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use wifi_backscatter::SeriesBundle;
 
@@ -59,8 +59,8 @@ fn packet_row(bundle: &SeriesBundle, i: usize) -> Vec<f64> {
 /// The decode smoke bench behind `--json <path>` (wired into
 /// `scripts/check.sh --bench-smoke`).
 ///
-/// `decode` is the streaming session fed in one bulk append and then
-/// finished, so one timing of it serves the indexed and stream gates.
+/// `decode` is the one-line wrapper over `decode_indexed` with a fresh
+/// slot index, so one timing of it serves the indexed and stream gates.
 /// Gates (a `Fail` exits non-zero; EXPERIMENTS.md tables the schema):
 /// 1. `indexed_identical_to_reference` — bit for bit at search_bits 2;
 /// 2. `indexed_fewer_passes_than_reference` — fewer
@@ -69,11 +69,11 @@ fn packet_row(bundle: &SeriesBundle, i: usize) -> Vec<f64> {
 /// 3. `align_work_flat_in_candidates` — search_bits 2 → 8 (9 → 33
 ///    candidates) grows align-span work by < 1.5×, as a search that
 ///    re-scanned per candidate would not;
-/// 4. `streaming_identical_to_batch_and_reference` — per-packet and
-///    64-packet-burst streaming, batch and reference agree at
-///    search_bits 2 and 8;
-/// 5. `peak_resident_is_one_frame` — a session holds exactly the
-///    frame's packets;
+/// 4. `streaming_identical_to_batch_and_reference` — `decode` of a
+///    `SeriesAccumulator` fed per packet and one fed in 64-packet
+///    bursts, batch and reference agree at search_bits 2 and 8;
+/// 5. `peak_resident_is_one_frame` — the per-packet accumulator's
+///    `packets()` is exactly the frame's packets;
 /// 6. `stream_fewer_passes_than_reference` — gate 2 at search_bits 8
 ///    alone, the machine-independent backstop for gate 7;
 /// 7. `throughput_ge_2x` — reference ÷ `decode` wall time ≥ 2 at
@@ -97,7 +97,7 @@ fn smoke() -> BenchReport {
     };
 
     // Identity at both ends of the candidate range, for the batch
-    // decoder and both feeding granularities of the stream.
+    // decoder and both feeding granularities of the accumulator.
     let mut gate_identical = true;
     let mut gate_streaming = true;
     let mut peak_resident = 0u64;
@@ -110,15 +110,15 @@ fn smoke() -> BenchReport {
             gate_identical = reference == batch;
         }
 
-        let mut by_packet = dec.stream(capture.bundle.channels(), capture.start_us);
+        let mut by_packet = SeriesAccumulator::new(capture.bundle.channels());
         for (i, &t) in capture.bundle.t_us.iter().enumerate() {
             let consumed = by_packet.feed_packet(t, &packet_row(&capture.bundle, i));
-            assert!(consumed.any(), "unbounded session must accept packet {i}");
+            assert!(consumed.any(), "unbounded accumulator must accept packet {i}");
         }
-        peak_resident = by_packet.peak_resident() as u64;
-        let by_packet = by_packet.finish();
+        peak_resident = by_packet.packets() as u64;
+        let by_packet = dec.decode(&by_packet.into_bundle(), capture.start_us);
 
-        let mut by_burst = dec.stream(capture.bundle.channels(), capture.start_us);
+        let mut by_burst = SeriesAccumulator::new(capture.bundle.channels());
         let (whole, n) = (&capture.bundle, capture.bundle.packets());
         for at in (0..n).step_by(64) {
             let end = (at + 64).min(n);
@@ -127,9 +127,9 @@ fn smoke() -> BenchReport {
                 series: whole.series.iter().map(|s| s[at..end].to_vec()).collect(),
             };
             let accepted = by_burst.feed(&burst).accepted;
-            assert_eq!(accepted, end - at, "unbounded session must accept");
+            assert_eq!(accepted, end - at, "unbounded accumulator must accept");
         }
-        let by_burst = by_burst.finish();
+        let by_burst = dec.decode(&by_burst.into_bundle(), capture.start_us);
 
         gate_streaming &= by_packet == batch && by_burst == batch && batch == reference;
     }
@@ -156,7 +156,8 @@ fn smoke() -> BenchReport {
     // read back, straight from the decoder's own instrumentation.
     let align_items = |sb: u32| -> u64 {
         let mut rec = MemRecorder::new();
-        mk(sb).decode_with(&capture.bundle, capture.start_us, &mut rec);
+        let mut index = SlotIndex::new(&capture.bundle);
+        mk(sb).decode_indexed(&mut index, capture.start_us, &mut rec);
         rec.report().spans_for("uplink.align").map(|s| s.items).sum()
     };
     let candidates = |sb: u64| 4 * sb + 1; // ±2·search_bits half-bit steps
@@ -189,7 +190,7 @@ fn smoke() -> BenchReport {
     report.field("speedup_target", 3.0);
     report.field("speedup_note", "reference/indexed at search_bits=8; gated at 2x, 3x is evidence");
     report.field("peak_resident_packets", peak_resident);
-    report.field("resident_note", "one frame per session; stream_bounded rejects beyond it");
+    report.field("resident_note", "one frame per accumulator; with_capacity rejects beyond it");
     report.field("align_search", object! {
         "search_bits_2":
             search(2, ref_ns_sb2, idx_ns_sb2, items_sb2, indexed_passes_sb2, reference_passes_sb2),
@@ -201,7 +202,7 @@ fn smoke() -> BenchReport {
         ("indexed_fewer_passes_than_reference", gate_fewer, "passes not below the reference"),
         ("align_work_flat_in_candidates", gate_flat, "align work grows with the candidate count"),
         ("streaming_identical_to_batch_and_reference", gate_streaming, "a decode path differs"),
-        ("peak_resident_is_one_frame", gate_resident, "session holds more or less than one frame"),
+        ("peak_resident_is_one_frame", gate_resident, "accumulator holds more or less than a frame"),
         ("stream_fewer_passes_than_reference", gate_stream_fewer, "passes not below the reference"),
         ("throughput_ge_2x", gate_throughput, "under 2x the reference"),
     ] {

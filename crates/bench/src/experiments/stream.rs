@@ -2,25 +2,26 @@
 //! evidence.
 //!
 //! Each point captures one fig-10 uplink frame, decodes it batch
-//! ([`UplinkDecoder::decode`]) and again through the streaming session
-//! ([`UplinkDecoder::stream`] → feed in `chunk`-packet bursts →
-//! `finish()`), and reports whether the two outputs are bit-for-bit
-//! identical together with the session's peak resident window. The
+//! ([`UplinkDecoder::decode`]) and again after streaming it through a
+//! [`SeriesAccumulator`] in `chunk`-packet bursts (`into_bundle()` →
+//! `decode`), and reports whether the two outputs are bit-for-bit
+//! identical together with the accumulator's resident packets. The
 //! comparison is pure decode output — no wall-clock numbers — so the
 //! figure stays byte-identical under any `--jobs` count (the wall-clock
 //! side of the streaming story lives in the `decoder_micro` bench smoke,
 //! which writes `BENCH_decode.json`).
 
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
-use wifi_backscatter::series::SeriesBundle;
+use wifi_backscatter::series::{SeriesAccumulator, SeriesBundle};
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 
 /// One measured point of the `stream` figure.
 pub struct StreamPoint {
-    /// Packets in the captured frame (also what the streaming session
-    /// buffers, so `peak_resident == packets` when nothing is rejected).
+    /// Packets in the captured frame (also what the accumulator buffers,
+    /// so `peak_resident == packets` when nothing is rejected).
     pub packets: u64,
-    /// High-water mark of the streaming session's buffered packets.
+    /// Packets resident in the accumulator when the frame closes; it
+    /// never evicts, so this is also its high-water mark.
     pub peak_resident: u64,
     /// Streaming and batch decode agreed bit for bit (the tentpole
     /// contract; a `false` here is a decoder bug).
@@ -33,7 +34,7 @@ pub struct StreamPoint {
 }
 
 /// Captures one close-range fig-10 frame and decodes it both ways,
-/// feeding the streaming session in `chunk`-packet bursts
+/// feeding the accumulator in `chunk`-packet bursts
 /// (`chunk = 0` means one call with the whole capture). The seed
 /// arithmetic is keyed on the measurement only — every chunk size of a
 /// measurement decodes the *same* capture, so the table rows differ only
@@ -55,7 +56,7 @@ pub fn stream_point(measurement: Measurement, chunk: usize, seed: u64) -> Stream
 
     let batch = dec.decode(&capture.bundle, capture.start_us);
 
-    let mut stream = dec.stream(capture.bundle.channels(), capture.start_us);
+    let mut acc = SeriesAccumulator::new(capture.bundle.channels());
     let packets = capture.bundle.packets();
     let step = if chunk == 0 { packets.max(1) } else { chunk };
     let mut at = 0usize;
@@ -70,12 +71,12 @@ pub fn stream_point(measurement: Measurement, chunk: usize, seed: u64) -> Stream
                 .map(|s| s[at..end].to_vec())
                 .collect(),
         };
-        let consumed = stream.feed(&burst);
-        assert_eq!(consumed.accepted, end - at, "unbounded session must accept");
+        let consumed = acc.feed(&burst);
+        assert_eq!(consumed.accepted, end - at, "unbounded accumulator must accept");
         at = end;
     }
-    let peak_resident = stream.peak_resident() as u64;
-    let streamed = stream.finish();
+    let peak_resident = acc.packets() as u64;
+    let streamed = dec.decode(&acc.into_bundle(), capture.start_us);
 
     let identical = streamed == batch;
     let detected = batch.is_some();

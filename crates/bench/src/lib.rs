@@ -46,3 +46,10 @@ pub mod experiments;
 pub mod harness;
 pub mod microbench;
 pub mod report;
+
+/// Builds and runs every Rust snippet in the workspace README as a
+/// doctest; this crate depends on every other one, so each snippet's
+/// imports resolve here.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

@@ -24,10 +24,10 @@
 //! * [`uplink`] — the reader's uplink decoder (§3.2/§3.3): signal
 //!   conditioning, good-sub-channel selection by preamble correlation,
 //!   maximum-ratio combining by 1/σ², hysteresis thresholding and
-//!   timestamp-binned majority voting. Decoding is available batch
-//!   ([`uplink::UplinkDecoder::decode`]) or streaming
-//!   ([`uplink::UplinkDecoder::stream`] → feed packets → `finish()`),
-//!   with the two guaranteed bit-identical.
+//!   timestamp-binned majority voting. One decode entry point,
+//!   [`uplink::UplinkDecoder::decode`]; packets that arrive live are
+//!   collected by a [`series::SeriesAccumulator`] and decoded the same
+//!   way, so streaming is bit-identical to batch by construction.
 //! * [`longrange`] — the coded long-range decoder (§3.4): the tag expands
 //!   each bit to an L-chip orthogonal code; the reader correlates.
 //! * [`downlink`] — the reader's downlink encoder (§4.1): bits as packet /
@@ -85,8 +85,7 @@ pub mod uplink;
 /// one canonical path.
 pub use bs_dsp::obs;
 
-/// The streaming primitives (`Consumed`, `CountMedian`, chunked
-/// kernels), re-exported from `bs-dsp` so
+/// The streaming primitives (`Consumed`, chunked kernels), re-exported from `bs-dsp` so
 /// `wifi_backscatter::stream::Consumed` is the one canonical path.
 pub use bs_dsp::stream;
 
@@ -94,4 +93,4 @@ pub use error::Error;
 pub use link::{DownlinkRun, LinkConfig, UplinkRun};
 pub use session::{Reader, ReaderConfig};
 pub use series::{SeriesAccumulator, SeriesBundle};
-pub use uplink::{UplinkDecoder, UplinkDecoderConfig, UplinkStream};
+pub use uplink::{UplinkDecoder, UplinkDecoderConfig};

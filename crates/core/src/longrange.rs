@@ -9,11 +9,10 @@
 //! L ≈ 150 (Fig. 20) without the tag doing anything more expensive than
 //! toggling its switch L× as often.
 
-use crate::series::{SeriesAccumulator, SeriesBundle, SlotIndex};
+use crate::series::{SeriesBundle, SlotIndex};
 use bs_dsp::codes::OrthogonalPair;
 use bs_dsp::filter::condition;
 use bs_dsp::obs::{NullRecorder, Recorder};
-use bs_dsp::stream::Consumed;
 use bs_tag::frame::UplinkFrame;
 
 /// Long-range decoder configuration.
@@ -117,66 +116,28 @@ impl LongRangeDecoder {
 
     /// Decodes one frame starting exactly at `start_us` (the reader timed
     /// the query, and chip-level alignment is maintained by the tag's bit
-    /// clock).
-    ///
-    /// Routed through the streaming path ([`Self::stream`]): feed the
-    /// whole bundle, then finish — so batch and streaming cannot diverge.
+    /// clock). Live packets are collected by a
+    /// [`crate::series::SeriesAccumulator`] and decoded here.
     pub fn decode(&self, bundle: &SeriesBundle, start_us: u64) -> Option<LongRangeOutput> {
-        let mut stream = self.stream(bundle.channels(), start_us);
-        stream.feed(bundle);
-        stream.finish()
+        self.decode_indexed(&mut SlotIndex::new(bundle), start_us, &mut NullRecorder)
     }
 
-    /// Opens a streaming long-range decode session; same contract as
-    /// [`crate::uplink::UplinkDecoder::stream`], with the frame decoded by
-    /// the chip-correlation pipeline on [`LongRangeStream::finish`].
-    pub fn stream(&self, channels: usize, start_us: u64) -> LongRangeStream {
-        LongRangeStream {
-            decoder: self.clone(),
-            acc: SeriesAccumulator::new(channels),
-            start_us,
-        }
-    }
-
-    /// [`Self::stream`] with a hard bound on buffered packets (explicit
-    /// backpressure past `max_packets`).
-    pub fn stream_bounded(
-        &self,
-        channels: usize,
-        start_us: u64,
-        max_packets: usize,
-    ) -> LongRangeStream {
-        LongRangeStream {
-            decoder: self.clone(),
-            acc: SeriesAccumulator::with_capacity(channels, max_packets),
-            start_us,
-        }
-    }
-
-    /// [`Self::decode`] plus observability: a `uplink.correlate` span over
-    /// the bundle's simulated-time extent (items = packets visited by the
-    /// chip correlations — linear in the frame's packets, not in
-    /// channels × bits × packets) and the selector counters
-    /// (`uplink.channels-kept`, `uplink.channels-dropped`). Decoding is
-    /// bit-identical to [`Self::decode`].
-    pub fn decode_with(
-        &self,
-        bundle: &SeriesBundle,
-        start_us: u64,
-        rec: &mut dyn Recorder,
-    ) -> Option<LongRangeOutput> {
-        let mut index = SlotIndex::new(bundle);
-        self.decode_indexed(&mut index, start_us, rec)
-    }
-
-    /// [`Self::decode_with`] against a caller-owned [`SlotIndex`], sharing
+    /// [`Self::decode`] against a caller-owned [`SlotIndex`], sharing
     /// the conditioned series (and window lookups) with other decode
     /// attempts on the same capture. Each bit window is a contiguous
     /// packet range on the ascending timestamp axis, so the per-chip
     /// correlations iterate exactly the window's packets — in packet
     /// order, keeping the accumulation bit-exact against
     /// [`Self::decode_reference`] — instead of scanning the whole stream
-    /// per (channel, bit, code).
+    /// per (channel, bit, code). `None` if the bundle is empty or
+    /// malformed (timestamps not non-decreasing, or a channel whose
+    /// length differs from the timestamp axis).
+    ///
+    /// The recorder only observes: a `uplink.correlate` span over the
+    /// bundle's simulated-time extent (items = packets visited by the
+    /// chip correlations — linear in the frame's packets, not in
+    /// channels × bits × packets) and the selector counters
+    /// (`uplink.channels-kept`, `uplink.channels-dropped`).
     pub fn decode_indexed(
         &self,
         index: &mut SlotIndex<'_>,
@@ -184,7 +145,7 @@ impl LongRangeDecoder {
         rec: &mut dyn Recorder,
     ) -> Option<LongRangeOutput> {
         let bundle = index.bundle();
-        if bundle.packets() == 0 || bundle.channels() == 0 {
+        if bundle.packets() == 0 || bundle.channels() == 0 || !bundle.is_well_formed() {
             return None;
         }
         let t_lo = *bundle.t_us.first().unwrap_or(&0);
@@ -363,61 +324,6 @@ impl LongRangeDecoder {
             c0 += channel[p] * f64::from(self.cfg.code.zero[c]);
         }
         c1 - c0
-    }
-}
-
-/// A streaming long-range decode session: push packets as they arrive,
-/// decode on [`Self::finish`]. Buffering and equivalence semantics are
-/// identical to [`crate::uplink::UplinkStream`] — the session retains one
-/// bounded frame of packets and hands the completed bundle to the batch
-/// correlator, so streaming is bit-identical to [`LongRangeDecoder::decode`]
-/// by construction.
-#[derive(Debug, Clone)]
-pub struct LongRangeStream {
-    decoder: LongRangeDecoder,
-    acc: SeriesAccumulator,
-    start_us: u64,
-}
-
-impl LongRangeStream {
-    /// Offers one packet; [`Consumed::none`] (nothing buffered) if at
-    /// capacity or the timestamp runs backwards.
-    ///
-    /// # Panics
-    /// Panics if `values` does not have one entry per channel.
-    pub fn feed_packet(&mut self, t_us: u64, values: &[f64]) -> Consumed {
-        self.acc.feed_packet(t_us, values)
-    }
-
-    /// Offers a burst of packets; accepts a prefix and reports how many.
-    ///
-    /// # Panics
-    /// Panics if a non-empty bundle's channel count differs.
-    pub fn feed(&mut self, bundle: &SeriesBundle) -> Consumed {
-        self.acc.feed(bundle)
-    }
-
-    /// Packets buffered so far.
-    pub fn packets(&self) -> usize {
-        self.acc.packets()
-    }
-
-    /// High-water mark of buffered packets.
-    pub fn peak_resident(&self) -> usize {
-        self.acc.peak_resident()
-    }
-
-    /// Completes the session and decodes the buffered packets —
-    /// bit-identical to [`LongRangeDecoder::decode`] on the same packets.
-    pub fn finish(self) -> Option<LongRangeOutput> {
-        self.finish_with(&mut NullRecorder)
-    }
-
-    /// [`Self::finish`] with observability (same recorder contract as
-    /// [`LongRangeDecoder::decode_with`]).
-    pub fn finish_with(self, rec: &mut dyn Recorder) -> Option<LongRangeOutput> {
-        let bundle = self.acc.into_bundle();
-        self.decoder.decode_with(&bundle, self.start_us, rec)
     }
 }
 
@@ -600,18 +506,19 @@ mod tests {
 
     #[test]
     fn stream_feed_matches_batch_decode_bit_for_bit() {
+        use crate::series::SeriesAccumulator;
         let payload: Vec<bool> = (0..10).map(|i| i % 3 != 0).collect();
         let bundle = synth(&payload, 40, 0.2, 0.6, 333, 1_000, 41);
         let dec = LongRangeDecoder::new(cfg(40, 1_000, 10));
         let batch = dec.decode(&bundle, 0);
         assert!(batch.is_some());
-        let mut session = dec.stream(bundle.channels(), 0);
+        let mut acc = SeriesAccumulator::new(bundle.channels());
         for p in 0..bundle.packets() {
             let values: Vec<f64> = bundle.series.iter().map(|s| s[p]).collect();
-            assert!(session.feed_packet(bundle.t_us[p], &values).any());
+            assert!(acc.feed_packet(bundle.t_us[p], &values).any());
         }
-        assert_eq!(session.packets(), bundle.packets());
-        assert_eq!(session.finish(), batch);
+        assert_eq!(acc.packets(), bundle.packets());
+        assert_eq!(dec.decode(&acc.into_bundle(), 0), batch);
     }
 
     #[test]
@@ -619,15 +526,14 @@ mod tests {
         let payload: Vec<bool> = (0..6).map(|i| i % 2 == 0).collect();
         let bundle = synth(&payload, 20, 0.3, 0.4, 333, 1_000, 42);
         let cap = bundle.packets() / 3;
-        let dec = LongRangeDecoder::new(cfg(20, 1_000, 6));
-        let mut session = dec.stream_bounded(bundle.channels(), 0, cap);
-        assert_eq!(session.feed(&bundle).accepted, cap);
-        assert!(!session.feed(&bundle).any());
+        let mut acc = crate::series::SeriesAccumulator::with_capacity(bundle.channels(), cap);
+        assert_eq!(acc.feed(&bundle).accepted, cap);
+        assert!(!acc.feed(&bundle).any());
         let prefix = SeriesBundle {
             t_us: bundle.t_us[..cap].to_vec(),
             series: bundle.series.iter().map(|s| s[..cap].to_vec()).collect(),
         };
-        assert_eq!(session.finish(), dec.decode(&prefix, 0));
+        assert_eq!(acc.into_bundle(), prefix);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub use crate::link::{
     capture_uplink, capture_uplink_with, DegradationReport, DownlinkConfig, DownlinkRun,
     LinkConfig, Measurement, MitigationPolicy, UplinkCapture, UplinkRun,
 };
-pub use crate::longrange::{LongRangeConfig, LongRangeDecoder, LongRangeOutput, LongRangeStream};
+pub use crate::longrange::{LongRangeConfig, LongRangeDecoder, LongRangeOutput};
 pub use crate::multitag::{
     run_inventory, run_inventory_with, InventoryConfig, InventoryResult, InventoryTag,
 };
@@ -35,9 +35,7 @@ pub use crate::protocol::{
 pub use crate::series::{SeriesAccumulator, SeriesBundle};
 pub use crate::session::{QueryOutcome, Reader, ReaderConfig};
 pub use crate::trace::LoadedCapture;
-pub use crate::uplink::{
-    Combining, DecodeOutput, UplinkDecoder, UplinkDecoderConfig, UplinkStream,
-};
+pub use crate::uplink::{Combining, DecodeOutput, UplinkDecoder, UplinkDecoderConfig};
 pub use bs_channel::faults::{FaultEvents, FaultPlan};
 pub use bs_dsp::bits::BerCounter;
 pub use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport, Recorder, Span};
@@ -77,7 +75,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "LongRangeConfig",
     "LongRangeDecoder",
     "LongRangeOutput",
-    "LongRangeStream",
     "Measurement",
     "MemRecorder",
     "MitigationPolicy",
@@ -104,7 +101,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "UplinkDecoderConfig",
     "UplinkFrame",
     "UplinkRun",
-    "UplinkStream",
     "WindowAck",
     "capture_uplink",
     "capture_uplink_with",

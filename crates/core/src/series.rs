@@ -9,7 +9,7 @@
 
 use bs_dsp::filter::condition;
 use bs_dsp::slotstats::{SlotPartition, SlotStats};
-use bs_dsp::stream::{Consumed, CountMedian};
+use bs_dsp::stream::Consumed;
 use bs_wifi::{CsiMeasurement, RssiMeasurement};
 use std::ops::Range;
 use std::rc::Rc;
@@ -83,13 +83,26 @@ impl SeriesBundle {
 
     /// Median inter-packet gap (µs); 0 if fewer than two packets. Used to
     /// convert the paper's 400 ms conditioning window into a packet count.
+    /// A backwards step counts as a zero gap.
     pub fn median_gap_us(&self) -> u64 {
         if self.t_us.len() < 2 {
             return 0;
         }
-        let mut gaps: Vec<u64> = self.t_us.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut gaps: Vec<u64> = self
+            .t_us
+            .windows(2)
+            .map(|w| w[1].saturating_sub(w[0]))
+            .collect();
         gaps.sort_unstable();
         gaps[gaps.len() / 2]
+    }
+
+    /// Whether the bundle has the shape the decoders index: timestamps
+    /// non-decreasing and one value per packet in every channel. The
+    /// fields are public, so a hand-built bundle may have neither.
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.t_us.windows(2).all(|w| w[0] <= w[1])
+            && self.series.iter().all(|s| s.len() == self.t_us.len())
     }
 }
 
@@ -97,25 +110,34 @@ impl SeriesBundle {
 /// time (or in bundle-sized bursts) as they arrive on the air, with
 /// explicit backpressure when a capacity bound is set.
 ///
-/// This is the buffering half of the streaming decode path
-/// (`UplinkDecoder::stream()` / `feed()` / `finish()`): a tag session is
+/// This is the one live-packet door into the decoders: feed, then
+/// [`Self::into_bundle`], then the decoder's `decode`. A tag session is
 /// one bounded frame, so the accumulator retains the session's packets —
-/// O(1) memory *per tag session* — and `finish()` hands the completed
-/// bundle to the batch decode chain, which is what makes streaming
-/// bit-identical to batch by construction (the decoder's normalisation
-/// scale and conditioning window are functions of the whole session; see
-/// DESIGN.md §5 "Streaming decode").
+/// O(1) memory *per tag session* — and never evicts. Decoding the
+/// completed bundle is what makes streaming bit-identical to batch by
+/// construction: the decoder's normalisation scale and conditioning
+/// window are functions of the whole session (DESIGN.md §5 "Streaming
+/// decode").
 ///
-/// The inter-arrival median the decoder derives its conditioning window
-/// from is maintained incrementally ([`CountMedian`]), and equals the
-/// batch [`SeriesBundle::median_gap_us`] exactly at every point.
+/// ```
+/// use wifi_backscatter::series::SeriesAccumulator;
+/// use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
+///
+/// let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 8));
+/// let mut acc = SeriesAccumulator::with_capacity(2, 2);
+/// assert_eq!(acc.feed_packet(100, &[1.0, 2.0]).accepted, 1);
+/// assert!(!acc.feed_packet(50, &[1.0, 2.0]).any()); // runs backwards
+/// assert_eq!(acc.feed_packet(200, &[1.5, 2.5]).accepted, 1);
+/// assert!(!acc.feed_packet(300, &[1.0, 2.0]).any()); // full: backpressure
+/// let bundle = acc.into_bundle();
+/// assert_eq!(bundle.t_us, vec![100, 200]);
+/// assert!(dec.decode(&bundle, 100).is_none()); // two packets: no frame
+/// ```
 #[derive(Debug, Clone)]
 pub struct SeriesAccumulator {
     t_us: Vec<u64>,
     series: Vec<Vec<f64>>,
     capacity: Option<usize>,
-    peak_resident: usize,
-    gaps: CountMedian,
 }
 
 impl SeriesAccumulator {
@@ -125,8 +147,6 @@ impl SeriesAccumulator {
             t_us: Vec::new(),
             series: vec![Vec::new(); channels],
             capacity: None,
-            peak_resident: 0,
-            gaps: CountMedian::new(),
         }
     }
 
@@ -145,7 +165,8 @@ impl SeriesAccumulator {
         self.series.len()
     }
 
-    /// Packets accepted so far.
+    /// Packets accepted so far — also the resident set, since the
+    /// accumulator never evicts.
     pub fn packets(&self) -> usize {
         self.t_us.len()
     }
@@ -153,24 +174,6 @@ impl SeriesAccumulator {
     /// The capacity bound, if one was set.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// High-water mark of resident packets. The accumulator never evicts
-    /// (a session is one frame), so this equals [`Self::packets`]; it is
-    /// reported separately so capacity planning reads the same metric a
-    /// windowed variant would expose.
-    pub fn peak_resident(&self) -> usize {
-        self.peak_resident
-    }
-
-    /// Median inter-packet gap (µs) of everything fed so far — exactly
-    /// [`SeriesBundle::median_gap_us`] of the equivalent batch bundle,
-    /// maintained incrementally.
-    pub fn median_gap_us(&self) -> u64 {
-        if self.t_us.len() < 2 {
-            return 0;
-        }
-        self.gaps.median().unwrap_or(0)
     }
 
     /// Offers one packet (its timestamp and one value per channel).
@@ -192,21 +195,17 @@ impl SeriesAccumulator {
         if self.t_us.last().is_some_and(|&last| t_us < last) {
             return Consumed::none();
         }
-        if let Some(&last) = self.t_us.last() {
-            self.gaps.push(t_us - last);
-        }
         self.t_us.push(t_us);
         for (s, &v) in self.series.iter_mut().zip(values) {
             s.push(v);
         }
-        self.peak_resident = self.peak_resident.max(self.t_us.len());
         Consumed::all(1)
     }
 
     /// Offers every packet of `bundle` in order; returns how many were
-    /// accepted (a prefix — feeding stops at the first rejection). The
-    /// bulk path appends whole column slices, which is what lets the
-    /// batch `decode()` route through feed/finish at memcpy cost.
+    /// accepted (a prefix — feeding stops at the first rejection, as if
+    /// each packet went through [`Self::feed_packet`]). The bulk path
+    /// appends whole column slices.
     ///
     /// # Panics
     /// Panics if a non-empty bundle's channel count differs.
@@ -222,26 +221,17 @@ impl SeriesAccumulator {
         let free = self
             .capacity
             .map_or(usize::MAX, |c| c.saturating_sub(self.t_us.len()));
-        let mut take = bundle.packets().min(free);
-        if let (Some(&last), Some(&first)) = (self.t_us.last(), bundle.t_us.first()) {
-            if first < last {
-                take = 0;
-            }
-        }
-        if take == 0 {
-            return Consumed::none();
-        }
-        if let (Some(&last), Some(&first)) = (self.t_us.last(), bundle.t_us.first()) {
-            self.gaps.push(first - last);
-        }
-        for w in bundle.t_us[..take].windows(2) {
-            self.gaps.push(w[1] - w[0]);
-        }
+        let seam_ok = self.t_us.last().is_none_or(|&last| bundle.t_us[0] >= last);
+        let ordered = if seam_ok {
+            1 + bundle.t_us.windows(2).take_while(|w| w[0] <= w[1]).count()
+        } else {
+            0
+        };
+        let take = ordered.min(free);
         self.t_us.extend_from_slice(&bundle.t_us[..take]);
         for (s, col) in self.series.iter_mut().zip(&bundle.series) {
             s.extend_from_slice(&col[..take]);
         }
-        self.peak_resident = self.peak_resident.max(self.t_us.len());
         Consumed::all(take)
     }
 
@@ -586,9 +576,15 @@ mod tests {
     #[test]
     fn median_gap() {
         let ms = vec![csi(0, 0.0), csi(10, 0.0), csi(30, 0.0), csi(35, 0.0), csi(100, 0.0)];
-        let b = SeriesBundle::from_csi(&ms);
+        let mut b = SeriesBundle::from_csi(&ms);
         // gaps: 10, 20, 5, 65 → sorted 5,10,20,65 → median idx 2 = 20.
         assert_eq!(b.median_gap_us(), 20);
+        assert!(b.is_well_formed());
+        // A backwards step is a zero gap, not an overflow: gaps 10, 0,
+        // 30, 65 → median idx 2 = 30.
+        b.t_us[2] = 5;
+        assert_eq!(b.median_gap_us(), 30);
+        assert!(!b.is_well_formed());
     }
 
     #[test]
@@ -599,15 +595,8 @@ mod tests {
         for p in 0..batch.packets() {
             let values: Vec<f64> = batch.series.iter().map(|s| s[p]).collect();
             assert_eq!(acc.feed_packet(batch.t_us[p], &values).accepted, 1);
-            assert_eq!(acc.median_gap_us(), {
-                let partial = SeriesBundle {
-                    t_us: batch.t_us[..=p].to_vec(),
-                    series: batch.series.iter().map(|s| s[..=p].to_vec()).collect(),
-                };
-                partial.median_gap_us()
-            });
+            assert_eq!(acc.packets(), p + 1);
         }
-        assert_eq!(acc.peak_resident(), batch.packets());
         assert_eq!(acc.into_bundle(), batch);
     }
 
@@ -639,6 +628,14 @@ mod tests {
         let got = acc.into_bundle();
         assert_eq!(got.t_us, vec![0, 10, 20]);
         assert_eq!(got.median_gap_us(), 10);
+
+        // A backwards step inside a burst ends the accepted prefix, as
+        // feeding the burst packet by packet would.
+        let ragged = [csi(0, 1.0), csi(20, 2.0), csi(10, 3.0), csi(30, 4.0)];
+        let ragged = SeriesBundle::from_csi(&ragged);
+        let mut acc = SeriesAccumulator::new(ragged.channels());
+        assert_eq!(acc.feed(&ragged).accepted, 2);
+        assert_eq!(acc.into_bundle().t_us, vec![0, 20]);
     }
 
     #[test]
@@ -656,7 +653,6 @@ mod tests {
         let mut acc = SeriesAccumulator::new(batch.channels());
         assert_eq!(acc.feed(&first).accepted, 2);
         assert_eq!(acc.feed(&rest).accepted, 3);
-        assert_eq!(acc.median_gap_us(), batch.median_gap_us());
         assert_eq!(acc.into_bundle(), batch);
     }
 

@@ -19,12 +19,11 @@
 //!    reject the Intel card's spurious jumps; a majority vote across the
 //!    packets of each timestamp-binned bit slot yields the bit.
 
-use crate::series::{SeriesAccumulator, SeriesBundle, SlotIndex};
+use crate::series::{SeriesBundle, SlotIndex};
 use bs_dsp::codes;
 use bs_dsp::filter::condition;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::slicer::{majority, Decision, HysteresisSlicer};
-use bs_dsp::stream::Consumed;
 use bs_tag::frame::UplinkFrame;
 
 /// How the decoder combines channels.
@@ -203,84 +202,32 @@ impl UplinkDecoder {
     /// Decodes one frame from the bundle. `start_hint_us` is the reader's
     /// estimate of when the tag's response begins (it sent the query, so it
     /// knows within a bit or two); the decoder refines the alignment by
-    /// preamble correlation within ±`search_bits`.
-    ///
-    /// This is literally "feed everything, then finish" on the streaming
-    /// path ([`Self::stream`]): the bundle is fed through a
-    /// [`SeriesAccumulator`] in one bulk append and decoded by
-    /// [`UplinkStream::finish`], so batch and streaming cannot diverge.
+    /// preamble correlation within ±`search_bits`. Packets that arrive
+    /// live are collected by a [`crate::series::SeriesAccumulator`] and
+    /// decoded here once the frame window closes.
     pub fn decode(&self, bundle: &SeriesBundle, start_hint_us: u64) -> Option<DecodeOutput> {
-        let mut stream = self.stream(bundle.channels(), start_hint_us);
-        stream.feed(bundle);
-        stream.finish()
+        self.decode_indexed(&mut SlotIndex::new(bundle), start_hint_us, &mut NullRecorder)
     }
 
-    /// Opens a streaming decode session: packets are pushed as they
-    /// arrive ([`UplinkStream::feed_packet`] / [`UplinkStream::feed`]) and
-    /// the frame is decoded on [`UplinkStream::finish`]. Bit-identical to
-    /// calling [`Self::decode`] on the equivalent batch bundle.
+    /// [`Self::decode`] against a caller-owned [`SlotIndex`], so
+    /// repeated decode attempts over the *same capture* (the drift
+    /// re-scan's stretch candidates, retry/fallback re-decodes) share the
+    /// conditioned series and every slot-statistics build instead of
+    /// re-scanning the packet stream per attempt. Output is bit-identical
+    /// to [`Self::decode_reference`]. `None` if the bundle is empty or
+    /// malformed (timestamps not non-decreasing, or a channel whose
+    /// length differs from the timestamp axis).
     ///
-    /// ```
-    /// use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
-    ///
-    /// let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 8));
-    /// let mut session = dec.stream(4, 0);
-    /// assert_eq!(session.feed_packet(0, &[1.0, 2.0, 3.0, 4.0]).accepted, 1);
-    /// assert!(session.finish().is_none()); // one packet: no detection
-    /// ```
-    pub fn stream(&self, channels: usize, start_hint_us: u64) -> UplinkStream {
-        UplinkStream {
-            decoder: self.clone(),
-            acc: SeriesAccumulator::new(channels),
-            start_hint_us,
-        }
-    }
-
-    /// [`Self::stream`] with a hard bound on buffered packets: feeds past
-    /// `max_packets` report zero accepted (explicit backpressure — see
-    /// [`bs_dsp::stream::Consumed`]) and `finish()` decodes what was
-    /// accepted.
-    pub fn stream_bounded(
-        &self,
-        channels: usize,
-        start_hint_us: u64,
-        max_packets: usize,
-    ) -> UplinkStream {
-        UplinkStream {
-            decoder: self.clone(),
-            acc: SeriesAccumulator::with_capacity(channels, max_packets),
-            start_hint_us,
-        }
-    }
-
-    /// [`Self::decode`] plus observability: stage spans
-    /// (`uplink.condition`, `uplink.align`, `uplink.combine`,
-    /// `uplink.slice` — bounded by the bundle's simulated-time extent),
-    /// selector counters (`uplink.channels-kept`, `uplink.channels-dropped`,
+    /// The recorder only observes: stage spans (`uplink.condition`,
+    /// `uplink.align`, `uplink.combine`, `uplink.slice` — bounded by the
+    /// bundle's simulated-time extent), selector counters
+    /// (`uplink.channels-kept`, `uplink.channels-dropped`,
     /// `uplink.packets-binned`, `uplink.hysteresis-holds`,
     /// `uplink.erasures`) and gauges (`uplink.preamble-score`,
     /// `uplink.mrc-weight-entropy`). The `uplink.align` span's items count
     /// the slot-index work the search consumed (packets scanned into
     /// per-slot statistics plus slots read back), which is how the benches
-    /// verify the search is O(packets), not O(candidates × packets). The
-    /// decode itself is bit-identical to [`Self::decode`]; the recorder
-    /// only observes.
-    pub fn decode_with(
-        &self,
-        bundle: &SeriesBundle,
-        start_hint_us: u64,
-        rec: &mut dyn Recorder,
-    ) -> Option<DecodeOutput> {
-        let mut index = SlotIndex::new(bundle);
-        self.decode_indexed(&mut index, start_hint_us, rec)
-    }
-
-    /// [`Self::decode_with`] against a caller-owned [`SlotIndex`], so
-    /// repeated decode attempts over the *same capture* (the drift
-    /// re-scan's stretch candidates, retry/fallback re-decodes) share the
-    /// conditioned series and every slot-statistics build instead of
-    /// re-scanning the packet stream per attempt. Output is bit-identical
-    /// to [`Self::decode`] / [`Self::decode_reference`].
+    /// verify the search is O(packets), not O(candidates × packets).
     pub fn decode_indexed(
         &self,
         index: &mut SlotIndex<'_>,
@@ -288,7 +235,7 @@ impl UplinkDecoder {
         rec: &mut dyn Recorder,
     ) -> Option<DecodeOutput> {
         let bundle = index.bundle();
-        if bundle.packets() == 0 || bundle.channels() == 0 {
+        if bundle.packets() == 0 || bundle.channels() == 0 || !bundle.is_well_formed() {
             return None;
         }
         let t_lo = *bundle.t_us.first().unwrap_or(&0);
@@ -729,76 +676,6 @@ impl UplinkDecoder {
     }
 }
 
-/// A streaming uplink decode session: push packets as they arrive, decode
-/// on [`Self::finish`].
-///
-/// The session buffers its packets in a [`SeriesAccumulator`] — one tag
-/// response is one bounded frame, so memory is O(1) *per tag session* —
-/// and `finish()` hands the completed bundle to the batch pipeline. That
-/// "retain, then decode" shape is deliberate: the decoder's normalisation
-/// scale and conditioning window are functions of the *whole* session
-/// (see DESIGN.md §5 "Streaming decode"), so a decoder that discarded
-/// early packets could not stay bit-identical to batch. With
-/// [`UplinkDecoder::stream_bounded`] the buffer is capped and overflow is
-/// surfaced as explicit backpressure ([`Consumed`]) instead of silent
-/// divergence.
-#[derive(Debug, Clone)]
-pub struct UplinkStream {
-    decoder: UplinkDecoder,
-    acc: SeriesAccumulator,
-    start_hint_us: u64,
-}
-
-impl UplinkStream {
-    /// Offers one packet (MAC timestamp + one value per channel).
-    /// Rejected — [`Consumed::none`], nothing buffered — if the session
-    /// is at capacity or the timestamp runs backwards.
-    ///
-    /// # Panics
-    /// Panics if `values` does not have one entry per channel.
-    pub fn feed_packet(&mut self, t_us: u64, values: &[f64]) -> Consumed {
-        self.acc.feed_packet(t_us, values)
-    }
-
-    /// Offers a burst of packets; accepts a prefix (all of it when
-    /// unbounded and in order) and reports how many.
-    ///
-    /// # Panics
-    /// Panics if a non-empty bundle's channel count differs.
-    pub fn feed(&mut self, bundle: &SeriesBundle) -> Consumed {
-        self.acc.feed(bundle)
-    }
-
-    /// Packets buffered so far.
-    pub fn packets(&self) -> usize {
-        self.acc.packets()
-    }
-
-    /// High-water mark of buffered packets — the session's resident-set
-    /// figure reported by the decode bench.
-    pub fn peak_resident(&self) -> usize {
-        self.acc.peak_resident()
-    }
-
-    /// The reader's frame-start hint this session was opened with.
-    pub fn start_hint_us(&self) -> u64 {
-        self.start_hint_us
-    }
-
-    /// Completes the session and decodes the buffered packets —
-    /// bit-identical to [`UplinkDecoder::decode`] on the same packets.
-    pub fn finish(self) -> Option<DecodeOutput> {
-        self.finish_with(&mut NullRecorder)
-    }
-
-    /// [`Self::finish`] with observability (same recorder contract as
-    /// [`UplinkDecoder::decode_with`]).
-    pub fn finish_with(self, rec: &mut dyn Recorder) -> Option<DecodeOutput> {
-        let bundle = self.acc.into_bundle();
-        self.decoder.decode_with(&bundle, self.start_hint_us, rec)
-    }
-}
-
 /// Per-slot means of a *derived* series (e.g. the combined MRC series)
 /// over contiguous packet ranges; `None` if any slot is empty. The
 /// per-slot accumulation runs in packet order from a fresh 0.0, so the
@@ -1092,7 +969,6 @@ mod tests {
         // One SlotIndex serving several decoders (the drift re-scan
         // pattern: same capture, different bit durations) must yield the
         // same outputs as fresh per-decode indexes.
-        use bs_dsp::obs::NullRecorder;
         let payload = payload_90();
         let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 21);
         let mut shared = crate::series::SlotIndex::new(&bundle);
@@ -1110,21 +986,22 @@ mod tests {
     fn stream_feed_matches_batch_decode_bit_for_bit() {
         // Packet-at-a-time, burst-at-a-time, and single-shot feeding must
         // all produce exactly the batch decode() output.
+        use crate::series::SeriesAccumulator;
         let payload = payload_90();
         let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 31);
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
         let batch = dec.decode(&bundle, 100_000);
         assert!(batch.is_some());
 
-        let mut one_by_one = dec.stream(bundle.channels(), 100_000);
+        let mut one_by_one = SeriesAccumulator::new(bundle.channels());
         for p in 0..bundle.packets() {
             let values: Vec<f64> = bundle.series.iter().map(|s| s[p]).collect();
             assert!(one_by_one.feed_packet(bundle.t_us[p], &values).any());
         }
-        assert_eq!(one_by_one.peak_resident(), bundle.packets());
-        assert_eq!(one_by_one.finish(), batch);
+        assert_eq!(one_by_one.packets(), bundle.packets());
+        assert_eq!(dec.decode(&one_by_one.into_bundle(), 100_000), batch);
 
-        let mut bursts = dec.stream(bundle.channels(), 100_000);
+        let mut bursts = SeriesAccumulator::new(bundle.channels());
         let mut at = 0usize;
         for size in [1usize, 7, 64, 500, usize::MAX] {
             let hi = bundle.packets().min(at.saturating_add(size));
@@ -1136,7 +1013,7 @@ mod tests {
             at = hi;
         }
         assert_eq!(at, bundle.packets());
-        assert_eq!(bursts.finish(), batch);
+        assert_eq!(dec.decode(&bursts.into_bundle(), 100_000), batch);
     }
 
     #[test]
@@ -1144,17 +1021,37 @@ mod tests {
         let payload = payload_90();
         let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 32);
         let cap = bundle.packets() / 2;
-        let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
-        let mut session = dec.stream_bounded(bundle.channels(), 100_000, cap);
-        assert_eq!(session.feed(&bundle).accepted, cap);
-        assert!(!session.feed(&bundle).any()); // full: explicit backpressure
-        assert_eq!(session.packets(), cap);
-        // The bounded session decodes exactly the prefix it accepted.
+        let mut acc = crate::series::SeriesAccumulator::with_capacity(bundle.channels(), cap);
+        assert_eq!(acc.feed(&bundle).accepted, cap);
+        assert!(!acc.feed(&bundle).any()); // full: explicit backpressure
+        assert_eq!(acc.packets(), cap);
+        // The bounded accumulator collects exactly the prefix it accepted,
+        // so decoding it is a batch decode of that prefix.
         let prefix = SeriesBundle {
             t_us: bundle.t_us[..cap].to_vec(),
             series: bundle.series.iter().map(|s| s[..cap].to_vec()).collect(),
         };
-        assert_eq!(session.finish(), dec.decode(&prefix, 100_000));
+        assert_eq!(acc.into_bundle(), prefix);
+    }
+
+    #[test]
+    fn malformed_bundle_is_none_not_a_panic() {
+        // Regression: `SeriesBundle`'s fields are public, and a backwards
+        // timestamp (gap-median overflow) or a short channel (slice index
+        // out of range) panicked inside both decoders.
+        use crate::longrange::{LongRangeConfig, LongRangeDecoder};
+        let (good, _) = synth_bundle(&payload_90(), 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 33);
+        let plain = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
+        let long = LongRangeDecoder::new(LongRangeConfig::new(8, 1_000, 6));
+        assert!(plain.decode(&good, 100_000).is_some());
+        let mut backwards = good.clone();
+        backwards.t_us[200] = backwards.t_us[198];
+        let mut short = good;
+        short.series[3].pop();
+        for bad in [backwards, short] {
+            assert_eq!(plain.decode(&bad, 100_000), None);
+            assert_eq!(long.decode(&bad, 100_000), None);
+        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Streaming primitives over bounded buffers.
 //!
 //! The paper's reader decodes a *continuous* packet process in real
-//! time; the batch decoders in `bs-core` consume a complete capture per
-//! call. Their streaming sessions (`SeriesAccumulator`, `UplinkStream`,
-//! `LongRangeStream`) are built from the pieces here:
+//! time; the decoders in `bs-core` consume a complete capture per call,
+//! and live packets reach them through `SeriesAccumulator`. The pieces
+//! here serve both:
 //!
 //! * [`Consumed`], the backpressure report a bounded feeder returns
 //!   (the caller sees `accepted < offered`);
-//! * [`CountMedian`], an exact incremental median for the integer
-//!   inter-arrival statistics the decoders key their conditioning on;
 //! * the chunked vector kernels ([`axpy`], [`subtract`], [`scale_div`])
 //!   the decode hot path is written in terms of. They restructure
 //!   per-element loops into flat fixed-width lanes the autovectorizer
@@ -16,8 +14,6 @@
 //!   operation on each element in the same order — so the vectorized
 //!   decode is bit-identical to the scalar reference (see DESIGN.md §5,
 //!   "Streaming decode", for the argument).
-
-use std::collections::BTreeMap;
 
 /// How much of an offered slice a bounded feeder accepted.
 ///
@@ -69,74 +65,6 @@ impl Consumed {
     /// ```
     pub fn any(&self) -> bool {
         self.accepted > 0
-    }
-}
-
-/// Exact incremental median of a `u64` multiset, via a count map.
-///
-/// The decoders derive their conditioning window from the **median
-/// inter-arrival gap** of the packet stream; the batch path computes it
-/// by sorting all gaps and taking index `len / 2`. This type maintains
-/// the same element online: `median()` walks the sorted count map to
-/// the item at index `len / 2`, which is *identical* (not just close)
-/// to the sort-then-index result, so a streaming accumulator derives
-/// the same conditioning window the batch decode would.
-///
-/// ```
-/// use bs_dsp::stream::CountMedian;
-///
-/// let mut m = CountMedian::new();
-/// for gap in [300, 100, 200, 100] {
-///     m.push(gap);
-/// }
-/// let mut sorted = vec![300, 100, 200, 100];
-/// sorted.sort_unstable();
-/// assert_eq!(m.median(), Some(sorted[sorted.len() / 2]));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CountMedian {
-    counts: BTreeMap<u64, u64>,
-    len: u64,
-}
-
-impl CountMedian {
-    /// An empty multiset.
-    pub fn new() -> Self {
-        CountMedian::default()
-    }
-
-    /// Inserts one value. O(log distinct-values).
-    pub fn push(&mut self, v: u64) {
-        *self.counts.entry(v).or_insert(0) += 1;
-        self.len += 1;
-    }
-
-    /// Number of values inserted so far.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether no values have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The element at index `len / 2` of the sorted multiset — the
-    /// upper median, matching `sorted[len / 2]` exactly. `None` when
-    /// empty.
-    pub fn median(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let target = self.len / 2;
-        let mut seen = 0u64;
-        for (&v, &c) in &self.counts {
-            seen += c;
-            if seen > target {
-                return Some(v);
-            }
-        }
-        unreachable!("count map totals disagree with len")
     }
 }
 
@@ -247,26 +175,6 @@ pub fn scale_div(xs: &[f64], d: f64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::SimRng;
-
-    #[test]
-    fn count_median_matches_sort_then_index() {
-        let mut rng = SimRng::new(9).stream("stream-median");
-        for round in 0..50 {
-            let n = 1 + (round * 7) % 40;
-            let mut m = CountMedian::new();
-            let mut vals = Vec::with_capacity(n);
-            for _ in 0..n {
-                let v = rng.gaussian(500.0, 200.0).abs() as u64 % 17;
-                m.push(v);
-                vals.push(v);
-                let mut sorted = vals.clone();
-                sorted.sort_unstable();
-                assert_eq!(m.median(), Some(sorted[sorted.len() / 2]));
-                assert_eq!(m.len(), vals.len() as u64);
-            }
-        }
-        assert_eq!(CountMedian::new().median(), None);
-    }
 
     #[test]
     fn axpy_bitwise_matches_scalar_fold() {

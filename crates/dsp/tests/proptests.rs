@@ -9,7 +9,7 @@ use bs_dsp::filter::{condition, moving_average};
 use bs_dsp::slicer::{majority, Decision};
 use bs_dsp::slotstats::{SlotPartition, SlotStats};
 use bs_dsp::stats::{mean, mean_abs, percentile, Histogram, Running};
-use bs_dsp::stream::{axpy, CountMedian};
+use bs_dsp::stream::axpy;
 use bs_dsp::testkit::check;
 
 // ---- complex arithmetic ----
@@ -287,24 +287,6 @@ fn slot_extend_matches_fresh_build_bitwise() {
 }
 
 // ---- streaming primitives ----
-
-/// The incremental count-map median is the sort-then-index median.
-#[test]
-fn count_median_matches_sorted_index() {
-    check("count-median-sorted", 256, |g| {
-        let n = g.usize_in(1, 200);
-        let mut m = CountMedian::new();
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = g.usize_in(0, 50) as u64;
-            m.push(v);
-            vals.push(v);
-        }
-        let mut sorted = vals;
-        sorted.sort_unstable();
-        assert_eq!(m.median(), Some(sorted[sorted.len() / 2]));
-    });
-}
 
 /// The chunked axpy kernel folds channels into the accumulator with the
 /// exact additions of the scalar per-element loop.

@@ -239,8 +239,10 @@ pub enum GatewayError {
         seg_payload_bytes: usize,
     },
     /// A scheduler knob has no meaning at its value: a zero
-    /// [`GatewayConfig::quantum_bytes`] or `transport.window`, or a
-    /// [`GatewayConfig::rate_margin`] that is not finite and positive.
+    /// [`GatewayConfig::quantum_bytes`] or `transport.window`, a
+    /// [`GatewayConfig::rate_margin`] that is not finite and positive, or
+    /// a `transport.fec` with parity whose group is outside
+    /// [`crate::fec::FecConfig::fixed`]'s `1..=64` data and `0..=64` parity.
     InvalidConfig {
         /// The offending field.
         field: &'static str,
@@ -438,8 +440,9 @@ impl ServedTag<'_> {
 /// [`GatewayError::InvalidInventory`] if the inventory config's Q exceeds
 /// 15, [`GatewayError::InvalidTransport`] if the transport's segment
 /// payload is outside `1..=255` bytes, [`GatewayError::InvalidConfig`] if
-/// the quantum or window is zero or the rate margin is not finite and
-/// positive, [`GatewayError::InvalidEnergy`] if
+/// the quantum or window is zero, the rate margin is not finite and
+/// positive or the FEC group is out of its domain,
+/// [`GatewayError::InvalidEnergy`] if
 /// a profile's capacitor config is invalid,
 /// [`GatewayError::MessageTooLong`] if a profile's message needs more
 /// than `u16::MAX` wire segments — any way the run is rejected before
@@ -458,13 +461,19 @@ pub fn run_gateway_with(
         return Err(GatewayError::InvalidTransport { seg_payload_bytes });
     }
     // A zero quantum never funds a round, a zero window grants no
-    // segment per poll, and a margin that is not finite and positive
-    // scales no rate.
+    // segment per poll, a margin that is not finite and positive scales
+    // no rate, and an FEC group outside `FecConfig::fixed`'s domain
+    // divides by zero or overruns the window.
     let margin = cfg.rate_margin;
+    let fec = cfg.transport.fec;
     for (field, ok) in [
         ("quantum_bytes", cfg.quantum_bytes > 0),
         ("transport.window", cfg.transport.window > 0),
         ("rate_margin", margin.is_finite() && margin > 0.0),
+        (
+            "transport.fec",
+            !fec.is_enabled() || ((1..=64).contains(&fec.group_data) && fec.group_parity <= 64),
+        ),
     ] {
         if !ok {
             return Err(GatewayError::InvalidConfig { field });
@@ -994,14 +1003,20 @@ mod tests {
         // Regression: each of these returned an `Ok` run that only
         // looked valid — 10,000 truncated cycles with nothing delivered,
         // a silent stop-and-wait, or every tag at the slowest rate.
+        // A hand-built FEC group with no data segments panicked with a
+        // division by zero.
+        use crate::fec::FecConfig;
         type Set = fn(&mut GatewayConfig);
-        let cases: [(&str, Set); 6] = [
+        let cases: [(&str, Set); 9] = [
             ("quantum_bytes", |c| c.quantum_bytes = 0),
             ("transport.window", |c| c.transport.window = 0),
             ("rate_margin", |c| c.rate_margin = f64::NAN),
             ("rate_margin", |c| c.rate_margin = f64::INFINITY),
             ("rate_margin", |c| c.rate_margin = 0.0),
             ("rate_margin", |c| c.rate_margin = -0.5),
+            ("transport.fec", |c| c.transport.fec = FecConfig { group_data: 0, group_parity: 2 }),
+            ("transport.fec", |c| c.transport.fec = FecConfig { group_data: 65, group_parity: 2 }),
+            ("transport.fec", |c| c.transport.fec = FecConfig { group_data: 8, group_parity: 65 }),
         ];
         for (field, set) in cases {
             let mut cfg = GatewayConfig::default();

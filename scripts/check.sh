@@ -77,8 +77,9 @@ cargo test -q
 
 echo "== cargo test --doc (runnable API examples) =="
 # Every public item in the bs-dsp streaming/stats modules and the
-# core streaming sessions carries a runnable doc-example; keep them
-# compiling and passing like any other test.
+# core SeriesAccumulator carries a runnable doc-example, and every Rust
+# snippet in README.md runs as a bs-bench doctest; keep them compiling
+# and passing like any other test.
 cargo test --doc -q
 
 echo "== fault-injection conformance + harness determinism =="

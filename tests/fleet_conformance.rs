@@ -150,13 +150,16 @@ fn out_of_range_segment_payload_errors_at_the_fleet() {
 #[test]
 fn degenerate_scheduler_knobs_error_at_the_fleet() {
     // Regression: a zero quantum, a zero window or a NaN rate margin
-    // returned `Ok` with a digest that only looked valid.
+    // returned `Ok` with a digest that only looked valid, and an FEC
+    // group with no data segments was an opaque `ShardPanicked`.
     type Set = fn(&mut GatewayConfig);
-    let cases: [(&str, Set); 4] = [
+    let cases: [(&str, Set); 6] = [
         ("quantum_bytes", |c| c.quantum_bytes = 0),
         ("transport.window", |c| c.transport.window = 0),
         ("rate_margin", |c| c.rate_margin = f64::NAN),
         ("rate_margin", |c| c.rate_margin = -1.0),
+        ("transport.fec", |c| c.transport.fec = FecConfig { group_data: 0, group_parity: 2 }),
+        ("transport.fec", |c| c.transport.fec = FecConfig { group_data: 8, group_parity: 65 }),
     ];
     for (field, set) in cases {
         let mut cfg = fleet_cfg(4, 3, 5);

@@ -1,19 +1,20 @@
 //! Streaming-vs-batch equivalence on the golden decode workloads.
 //!
-//! The streaming sessions ([`UplinkDecoder::stream`],
-//! [`LongRangeDecoder::stream`]) promise the exact batch output — not
-//! approximately, bit for bit and ulp for ulp — whatever the feeding
-//! granularity. The golden fixtures under `tests/golden/` pin the batch
-//! decoder's behaviour; this suite pins the streaming path to it on the
-//! same three operating points (CSI/MRC, RSSI/best-single, long-range
-//! coded), fed one packet at a time, in ragged bursts, and as one whole
-//! capture, plus the straight-line `decode_reference` as the third
-//! witness on the plain-mode points.
+//! Live packets reach the decoders through a [`SeriesAccumulator`]:
+//! feed, `into_bundle()`, then `decode`. That path promises the exact
+//! batch output — not approximately, bit for bit and ulp for ulp —
+//! whatever the feeding granularity. The golden fixtures under
+//! `tests/golden/` pin the batch decoder's behaviour; this suite pins
+//! the streaming path to it on the same three operating points
+//! (CSI/MRC, RSSI/best-single, long-range coded), fed one packet at a
+//! time, in ragged bursts, and as one whole capture, plus the
+//! straight-line `decode_reference` as the third witness on the
+//! plain-mode points.
 
 use bs_dsp::codes::OrthogonalPair;
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement, UplinkCapture};
 use wifi_backscatter::longrange::{LongRangeConfig, LongRangeDecoder};
-use wifi_backscatter::series::SeriesBundle;
+use wifi_backscatter::series::{SeriesAccumulator, SeriesBundle};
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 
 /// The golden 16-bit payload (`golden_decode.rs` uses the same one).
@@ -39,28 +40,21 @@ fn burst(bundle: &SeriesBundle, at: usize, end: usize) -> SeriesBundle {
     }
 }
 
-/// Feeds `bundle` into a fresh session from `open()` in bursts whose
-/// sizes cycle through `sizes`, then returns the finished output.
-fn decode_via_bursts<S, T>(
-    open: impl Fn() -> S,
-    bundle: &SeriesBundle,
-    sizes: &[usize],
-    feed: impl Fn(&mut S, &SeriesBundle) -> usize,
-    finish: impl Fn(S) -> T,
-) -> T {
-    let mut session = open();
+/// Feeds `bundle` into a fresh accumulator in bursts whose sizes cycle
+/// through `sizes`, then returns the bundle it collected.
+fn accumulate_in_bursts(bundle: &SeriesBundle, sizes: &[usize]) -> SeriesBundle {
+    let mut acc = SeriesAccumulator::new(bundle.channels());
     let mut at = 0usize;
-    let mut round = 0usize;
-    while at < bundle.packets() {
-        let end = at
-            .saturating_add(sizes[round % sizes.len()].max(1))
-            .min(bundle.packets());
-        let accepted = feed(&mut session, &burst(bundle, at, end));
-        assert_eq!(accepted, end - at, "unbounded session must accept the burst");
+    for &size in sizes.iter().cycle() {
+        if at == bundle.packets() {
+            break;
+        }
+        let end = at.saturating_add(size).min(bundle.packets());
+        let accepted = acc.feed(&burst(bundle, at, end)).accepted;
+        assert_eq!(accepted, end - at, "unbounded accumulator must accept the burst");
         at = end;
-        round += 1;
     }
-    finish(session)
+    acc.into_bundle()
 }
 
 /// CSI and RSSI: per-packet, ragged-burst and whole-capture streaming
@@ -84,23 +78,19 @@ fn plain_mode_streaming_matches_batch_and_reference_on_golden_workloads() {
         );
 
         // One packet at a time, through the narrow feed_packet door.
-        let mut by_packet = dec.stream(capture.bundle.channels(), capture.start_us);
+        let mut by_packet = SeriesAccumulator::new(capture.bundle.channels());
         for (i, &t) in capture.bundle.t_us.iter().enumerate() {
             let row: Vec<f64> = capture.bundle.series.iter().map(|s| s[i]).collect();
             assert!(by_packet.feed_packet(t, &row).any());
         }
-        assert_eq!(by_packet.peak_resident(), capture.bundle.packets());
-        assert_eq!(by_packet.finish(), batch, "per-packet streaming ({measurement:?})");
+        assert_eq!(by_packet.packets(), capture.bundle.packets());
+        let by_packet = dec.decode(&by_packet.into_bundle(), capture.start_us);
+        assert_eq!(by_packet, batch, "per-packet streaming ({measurement:?})");
 
         // Ragged bursts and the whole capture in one call.
         for sizes in [&[1usize, 7, 64][..], &[usize::MAX][..]] {
-            let streamed = decode_via_bursts(
-                || dec.stream(capture.bundle.channels(), capture.start_us),
-                &capture.bundle,
-                sizes,
-                |s, b| s.feed(b).accepted,
-                |s| s.finish(),
-            );
+            let streamed = accumulate_in_bursts(&capture.bundle, sizes);
+            let streamed = dec.decode(&streamed, capture.start_us);
             assert_eq!(streamed, batch, "burst sizes {sizes:?} ({measurement:?})");
         }
     }
@@ -127,35 +117,28 @@ fn long_range_streaming_matches_batch_on_golden_workload() {
     assert!(batch.is_some(), "golden long-range workload must decode");
 
     for sizes in [&[1usize][..], &[3, 17, 128][..], &[usize::MAX][..]] {
-        let streamed = decode_via_bursts(
-            || dec.stream(capture.bundle.channels(), capture.start_us),
-            &capture.bundle,
-            sizes,
-            |s, b| s.feed(b).accepted,
-            |s| s.finish(),
-        );
+        let streamed = dec.decode(&accumulate_in_bursts(&capture.bundle, sizes), capture.start_us);
         assert_eq!(streamed, batch, "long-range burst sizes {sizes:?}");
     }
 }
 
-/// Backpressure on the golden workload: a bounded session accepts
-/// exactly its capacity and decodes the same prefix a batch decode of
-/// that prefix would.
+/// Backpressure on the golden workload: a bounded accumulator accepts
+/// exactly its capacity and collects exactly that prefix, so decoding it
+/// is a batch decode of the prefix.
 #[test]
 fn bounded_streaming_decodes_the_accepted_prefix_exactly() {
-    let (cfg, capture) = golden_capture(Measurement::Csi);
-    let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, cfg.payload.len()));
+    let (_, capture) = golden_capture(Measurement::Csi);
     let cap = capture.bundle.packets() / 2;
 
-    let mut bounded = dec.stream_bounded(capture.bundle.channels(), capture.start_us, cap);
+    let mut bounded = SeriesAccumulator::with_capacity(capture.bundle.channels(), cap);
     let consumed = bounded.feed(&capture.bundle);
-    assert_eq!(consumed.accepted, cap, "session must stop at its capacity");
-    assert_eq!(bounded.peak_resident(), cap);
+    assert_eq!(consumed.accepted, cap, "accumulator must stop at its capacity");
+    assert!(!bounded.feed(&capture.bundle).any(), "full: explicit backpressure");
+    assert_eq!(bounded.packets(), cap);
 
-    let prefix = burst(&capture.bundle, 0, cap);
     assert_eq!(
-        bounded.finish(),
-        dec.decode(&prefix, capture.start_us),
-        "bounded session output != batch decode of the accepted prefix"
+        bounded.into_bundle(),
+        burst(&capture.bundle, 0, cap),
+        "bounded accumulator kept something other than the accepted prefix"
     );
 }
