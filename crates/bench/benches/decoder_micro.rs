@@ -2,15 +2,15 @@
 //! simulation substrate: signal conditioning, preamble correlation,
 //! majority slicing, the full MRC decoder (slot-indexed vs the
 //! straight-line reference) on a synthetic bundle, the streaming
-//! kernels and `SeriesAccumulator` feed paths, the analog receiver
+//! kernels and the live `SeriesBundle::push` path, the analog receiver
 //! circuit, and the DCF MAC.
 //!
 //! Run with `--json <path>` for the decode smoke bench instead: it
 //! builds a dense fig-10 workload, proves the slot-indexed decoder and
-//! accumulator-fed decodes bit-identical to the reference, measures both
-//! paths, verifies the alignment search is O(packets) rather than
-//! O(candidates × packets) and that an accumulator holds one frame, and
-//! writes the evidence to `<path>` (see `scripts/check.sh
+//! decodes of a live-pushed bundle bit-identical to the reference,
+//! measures both paths, verifies the alignment search is O(packets)
+//! rather than O(candidates × packets) and that a live bundle holds one
+//! frame, and writes the evidence to `<path>` (see `scripts/check.sh
 //! --bench-smoke`). Exits non-zero if a gate fails.
 
 use bs_bench::microbench::{measure_ns, Group};
@@ -19,7 +19,7 @@ use bs_bench::report::{json_path, BenchReport, Verdict};
 use bs_dsp::codes::BARKER13;
 use bs_dsp::SimRng;
 use std::process::ExitCode;
-use wifi_backscatter::series::{SeriesAccumulator, SlotIndex};
+use wifi_backscatter::series::SlotIndex;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use wifi_backscatter::SeriesBundle;
 
@@ -48,12 +48,20 @@ fn synth_bundle(seed: u64) -> SeriesBundle {
                 .collect()
         })
         .collect();
-    SeriesBundle { t_us, series }
+    SeriesBundle::from_columns(t_us, series).expect("synthetic columns are well formed")
 }
 
-/// One packet of `bundle` as a cross-channel row, for `feed_packet`.
-fn packet_row(bundle: &SeriesBundle, i: usize) -> Vec<f64> {
-    bundle.series.iter().map(|s| s[i]).collect()
+/// `bundle` rebuilt the live way: every packet pushed on arrival, in
+/// bursts of `burst` packets.
+fn pushed(bundle: &SeriesBundle, burst: usize) -> SeriesBundle {
+    let mut live = SeriesBundle::new(bundle.channels());
+    for at in (0..bundle.packets()).step_by(burst) {
+        for p in at..(at + burst).min(bundle.packets()) {
+            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            live.push(bundle.t_us()[p], &row).expect("packets ascend");
+        }
+    }
+    live
 }
 
 /// The decode smoke bench behind `--json <path>` (wired into
@@ -70,9 +78,9 @@ fn packet_row(bundle: &SeriesBundle, i: usize) -> Vec<f64> {
 ///    candidates) grows align-span work by < 1.5×, as a search that
 ///    re-scanned per candidate would not;
 /// 4. `streaming_identical_to_batch_and_reference` — `decode` of a
-///    `SeriesAccumulator` fed per packet and one fed in 64-packet
+///    bundle pushed packet by packet and one pushed in 64-packet
 ///    bursts, batch and reference agree at search_bits 2 and 8;
-/// 5. `peak_resident_is_one_frame` — the per-packet accumulator's
+/// 5. `peak_resident_is_one_frame` — the per-packet live bundle's
 ///    `packets()` is exactly the frame's packets;
 /// 6. `stream_fewer_passes_than_reference` — gate 2 at search_bits 8
 ///    alone, the machine-independent backstop for gate 7;
@@ -97,7 +105,7 @@ fn smoke() -> BenchReport {
     };
 
     // Identity at both ends of the candidate range, for the batch
-    // decoder and both feeding granularities of the accumulator.
+    // decoder and both arrival granularities of a live bundle.
     let mut gate_identical = true;
     let mut gate_streaming = true;
     let mut peak_resident = 0u64;
@@ -110,26 +118,10 @@ fn smoke() -> BenchReport {
             gate_identical = reference == batch;
         }
 
-        let mut by_packet = SeriesAccumulator::new(capture.bundle.channels());
-        for (i, &t) in capture.bundle.t_us.iter().enumerate() {
-            let consumed = by_packet.feed_packet(t, &packet_row(&capture.bundle, i));
-            assert!(consumed.any(), "unbounded accumulator must accept packet {i}");
-        }
+        let by_packet = pushed(&capture.bundle, 1);
         peak_resident = by_packet.packets() as u64;
-        let by_packet = dec.decode(&by_packet.into_bundle(), capture.start_us);
-
-        let mut by_burst = SeriesAccumulator::new(capture.bundle.channels());
-        let (whole, n) = (&capture.bundle, capture.bundle.packets());
-        for at in (0..n).step_by(64) {
-            let end = (at + 64).min(n);
-            let burst = SeriesBundle {
-                t_us: whole.t_us[at..end].to_vec(),
-                series: whole.series.iter().map(|s| s[at..end].to_vec()).collect(),
-            };
-            let accepted = by_burst.feed(&burst).accepted;
-            assert_eq!(accepted, end - at, "unbounded accumulator must accept");
-        }
-        let by_burst = dec.decode(&by_burst.into_bundle(), capture.start_us);
+        let by_packet = dec.decode(&by_packet, capture.start_us);
+        let by_burst = dec.decode(&pushed(&capture.bundle, 64), capture.start_us);
 
         gate_streaming &= by_packet == batch && by_burst == batch && batch == reference;
     }
@@ -190,7 +182,7 @@ fn smoke() -> BenchReport {
     report.field("speedup_target", 3.0);
     report.field("speedup_note", "reference/indexed at search_bits=8; gated at 2x, 3x is evidence");
     report.field("peak_resident_packets", peak_resident);
-    report.field("resident_note", "one frame per accumulator; with_capacity rejects beyond it");
+    report.field("resident_note", "one frame per live bundle; push never evicts");
     report.field("align_search", object! {
         "search_bits_2":
             search(2, ref_ns_sb2, idx_ns_sb2, items_sb2, indexed_passes_sb2, reference_passes_sb2),
@@ -202,7 +194,7 @@ fn smoke() -> BenchReport {
         ("indexed_fewer_passes_than_reference", gate_fewer, "passes not below the reference"),
         ("align_work_flat_in_candidates", gate_flat, "align work grows with the candidate count"),
         ("streaming_identical_to_batch_and_reference", gate_streaming, "a decode path differs"),
-        ("peak_resident_is_one_frame", gate_resident, "accumulator holds more or less than a frame"),
+        ("peak_resident_is_one_frame", gate_resident, "live bundle holds more or less than a frame"),
         ("stream_fewer_passes_than_reference", gate_stream_fewer, "passes not below the reference"),
         ("throughput_ge_2x", gate_throughput, "under 2x the reference"),
     ] {
@@ -228,7 +220,7 @@ fn main() -> ExitCode {
 
     let bundle = synth_bundle(1);
     g.bench("condition_3000_samples", 20, 10, || {
-        bs_dsp::filter::condition(&bundle.series[0], 600)
+        bs_dsp::filter::condition(bundle.channel(0), 600)
     });
 
     let mut rng = SimRng::new(2).stream("bench-corr");
@@ -254,18 +246,7 @@ fn main() -> ExitCode {
         dec.decode_reference(&bundle, 0)
     });
 
-    g.bench("accumulator_feed_3000pkt_90ch", 20, 5, || {
-        let mut acc = SeriesAccumulator::new(bundle.channels());
-        acc.feed(&bundle);
-        acc.packets()
-    });
-    g.bench("accumulator_feed_packet_3000pkt_90ch", 10, 2, || {
-        let mut acc = SeriesAccumulator::new(bundle.channels());
-        for i in 0..bundle.packets() {
-            acc.feed_packet(bundle.t_us[i], &packet_row(&bundle, i));
-        }
-        acc.packets()
-    });
+    g.bench("push_3000pkt_90ch", 10, 2, || pushed(&bundle, 1).packets());
 
     {
         use bs_tag::envelope::{EnvelopeConfig, EnvelopeModel};

@@ -21,8 +21,9 @@ pub struct OfficeSlot {
 }
 
 /// Fig. 15, one time slot: the achievable bit rate from the ambient
-/// office load at `hour`. Seeds depend only on `(r, hour)`, so per-slot
-/// jobs reproduce the [`ambient_office`] sweep exactly.
+/// office load at `hour`. No traffic is injected — the "helper" is the
+/// building AP carrying the diurnal office load, and the reader passively
+/// captures everything it sends. Seeds depend only on `(r, hour)`.
 pub fn office_slot(hour: f64, runs: u64, seed: u64) -> OfficeSlot {
     let profile = bs_wifi::traffic::OfficeLoadProfile;
     let load = profile.load_pps(hour);
@@ -59,30 +60,10 @@ pub fn office_hours(step_h: f64) -> Vec<f64> {
     hours
 }
 
-/// Fig. 15: achievable uplink bit rate using only the ambient office
-/// traffic, sampled every `step_h` hours from 12:00 to 20:00. No traffic
-/// is injected — the "helper" is the building AP carrying the diurnal
-/// office load, and the reader passively captures everything it sends.
-pub fn ambient_office(step_h: f64, runs: u64, seed: u64) -> Vec<OfficeSlot> {
-    office_hours(step_h)
-        .into_iter()
-        .map(|hour| office_slot(hour, runs, seed))
-        .collect()
-}
-
-/// Fig. 16: achievable uplink bit rate using only the AP's periodic
-/// beacons, decoded from RSSI (the Intel tool reports no CSI for beacons,
-/// §7.5). Returns `(beacons_per_second, achievable_bps)`.
-pub fn beacons_only(beacon_rates: &[u32], runs: u64, seed: u64) -> Vec<(u32, u64)> {
-    beacon_rates
-        .iter()
-        .map(|&bps_beacons| beacons_only_at(bps_beacons, runs, seed))
-        .collect()
-}
-
 /// Fig. 16, one beacon rate: the achievable tag bit rate from
-/// `bps_beacons` beacons per second. Seeds depend only on
-/// `(r, bps_beacons)`.
+/// `bps_beacons` beacons per second, decoded from RSSI (the Intel tool
+/// reports no CSI for beacons, §7.5). Returns `(beacons_per_second,
+/// achievable_bps)`; seeds depend only on `(r, bps_beacons)`.
 pub fn beacons_only_at(bps_beacons: u32, runs: u64, seed: u64) -> (u32, u64) {
     // Candidate tag rates: a few beacons per bit down to ~1.4.
     let candidates: Vec<u64> = [8u64, 5, 4, 3, 2]
@@ -136,7 +117,9 @@ mod tests {
 
     #[test]
     fn office_rate_tracks_load() {
-        let slots = ambient_office(4.0, 1, 21); // 12:00, 16:00, 20:00
+        // 12:00, 16:00, 20:00
+        let slots: Vec<OfficeSlot> =
+            office_hours(4.0).into_iter().map(|h| office_slot(h, 1, 21)).collect();
         assert_eq!(slots.len(), 3);
         let noon = slots[0];
         let peak = slots[1];
@@ -153,7 +136,7 @@ mod tests {
 
     #[test]
     fn beacon_rate_increases_with_beacon_frequency() {
-        let rows = beacons_only(&[10, 70], 1, 22);
+        let rows = [10, 70].map(|rate| beacons_only_at(rate, 1, 22));
         assert!(rows[1].1 >= rows[0].1, "{rows:?}");
         assert!(rows[1].1 > 0, "70 beacons/s should support some rate");
         // Fig. 16 tops out below ~50 bps.

@@ -41,25 +41,12 @@ pub struct ThroughputPoint {
     pub goodput_mbytes: f64,
 }
 
-/// Runs the Fig. 19 experiment: for each transmitter location and each tag
-/// activity, simulate `duration_s` of per-packet SNR observations (500
-/// observations/s, mirroring the paper's 500 ms logging granularity well
-/// oversampled) through the rate adapter and report mean goodput.
-pub fn throughput_with_tag(
-    tag_distance_cm: u32,
-    activities: &[TagActivity],
-    duration_s: f64,
-    seed: u64,
-) -> Vec<ThroughputPoint> {
-    (0..TestbedLocation::HELPER_LOCATIONS.len())
-        .flat_map(|i| throughput_at_location(tag_distance_cm, i, activities, duration_s, seed))
-        .collect()
-}
-
 /// Fig. 19, one transmitter location: the goodput points for every tag
-/// activity with the Wi-Fi transmitter at location `index + 2`. The scene
-/// seed depends only on `(seed, index)`, so per-location jobs reproduce
-/// the [`throughput_with_tag`] sweep exactly.
+/// activity with the Wi-Fi transmitter at location `index + 2`, from
+/// `duration_s` of per-packet SNR observations (500 observations/s,
+/// mirroring the paper's 500 ms logging granularity well oversampled)
+/// through the rate adapter. The scene seed depends only on
+/// `(seed, index)`.
 pub fn throughput_at_location(
     tag_distance_cm: u32,
     index: usize,
@@ -164,9 +151,16 @@ pub fn relative_impact(points: &[ThroughputPoint]) -> (Vec<(u32, f64)>, f64) {
 mod tests {
     use super::*;
 
+    /// Every Fig. 19 transmitter location, in order.
+    fn all_locations(activities: &[TagActivity], seed: u64) -> Vec<ThroughputPoint> {
+        (0..TestbedLocation::HELPER_LOCATIONS.len())
+            .flat_map(|i| throughput_at_location(5, i, activities, 10.0, seed))
+            .collect()
+    }
+
     #[test]
     fn tag_impact_is_negligible() {
-        let points = throughput_with_tag(5, &fig19_activities(), 10.0, 41);
+        let points = all_locations(&fig19_activities(), 41);
         assert_eq!(points.len(), 12);
         let (per_loc, mean) = relative_impact(&points);
         assert!(
@@ -178,7 +172,7 @@ mod tests {
 
     #[test]
     fn goodput_decreases_with_tx_distance() {
-        let points = throughput_with_tag(5, &[TagActivity::Absent], 10.0, 42);
+        let points = all_locations(&[TagActivity::Absent], 42);
         let g2 = points.iter().find(|p| p.location == 2).unwrap().goodput_mbytes;
         let g5 = points.iter().find(|p| p.location == 5).unwrap().goodput_mbytes;
         assert!(g2 > g5, "loc2 {g2} loc5 {g5} (NLOS location should drop a rate tier)");

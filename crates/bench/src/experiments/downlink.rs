@@ -19,31 +19,13 @@ pub struct DownlinkBerPoint {
     pub ber: f64,
 }
 
-/// Fig. 17: downlink BER vs distance for 20/10/5 kbps. `kbits_per_point`
-/// total bits per (distance, rate) point spread over `runs` placements
-/// (the paper transmits 200 kbit per point).
-pub fn downlink_ber_vs_distance(
-    distances_cm: &[u32],
-    rates_bps: &[u64],
-    kbits_per_point: usize,
-    runs: u64,
-    seed: u64,
-) -> Vec<DownlinkBerPoint> {
-    let mut out = Vec::new();
-    for &rate in rates_bps {
-        for &d_cm in distances_cm {
-            out.push(downlink_ber_point(d_cm, rate, kbits_per_point, runs, seed));
-        }
-    }
-    out
-}
-
 /// Fig. 17, one point: downlink BER at one `(distance, rate)` cell. The
 /// per-run seed depends only on `(r, d_cm)` — intentionally excluding the
 /// rate, so every rate sees the same multipath fade at a given placement
 /// (paired comparison, as moving a real tag between rate runs would not
-/// happen either). Computing a point in isolation is therefore
-/// bit-identical to the same point inside [`downlink_ber_vs_distance`].
+/// happen either), so any scheduling of the points is bit-identical.
+/// `kbits_per_point` total bits are spread over `runs` placements (the
+/// paper transmits 200 kbit per point).
 pub fn downlink_ber_point(
     d_cm: u32,
     rate: u64,
@@ -77,22 +59,12 @@ pub struct FalsePositiveSlot {
     pub per_hour: f64,
 }
 
-/// Fig. 18: false-positive preamble detections per hour while the tag sits
-/// 30 cm from the AP with a music stream plus office traffic on the
-/// network. Simulated event-driven: the MAC timeline's energy bursts are
-/// the tag's comparator transitions (the signal is far above the detector
-/// floor at 30 cm).
-pub fn downlink_false_positives(hours: &[f64], seed: u64) -> Vec<FalsePositiveSlot> {
-    hours
-        .iter()
-        .map(|&hour| false_positive_slot(hour, seed))
-        .collect()
-}
-
-/// Fig. 18, one time slot: false preamble matches in one simulated hour.
-/// All randomness is drawn from named substreams of `SimRng::new(seed)`
-/// keyed by the hour, so per-slot jobs reproduce the
-/// [`downlink_false_positives`] sweep exactly.
+/// Fig. 18, one time slot: false-positive preamble detections in one
+/// simulated hour while the tag sits 30 cm from the AP with a music
+/// stream plus office traffic on the network. Simulated event-driven: the
+/// MAC timeline's energy bursts are the tag's comparator transitions (the
+/// signal is far above the detector floor at 30 cm). All randomness is drawn from named substreams of `SimRng::new(seed)`
+/// keyed by the hour, so per-slot jobs are independent of scheduling.
 pub fn false_positive_slot(hour: f64, seed: u64) -> FalsePositiveSlot {
     let root = SimRng::new(seed);
     let duration_us = 3_600_000_000; // one hour
@@ -137,13 +109,7 @@ mod tests {
     fn fig17_shape_holds() {
         // Coarse, fast variant: BER grows with distance and slower rates
         // do no worse.
-        let rows = downlink_ber_vs_distance(&[100, 300], &[20_000, 5_000], 16, 8, 31);
-        let at = |d: u32, r: u64| {
-            rows.iter()
-                .find(|p| p.distance_cm == d && p.bit_rate_bps == r)
-                .unwrap()
-                .ber
-        };
+        let at = |d: u32, r: u64| downlink_ber_point(d, r, 16, 8, 31).ber;
         assert!(at(300, 20_000) > at(100, 20_000));
         // With paired fades the slower rate does no worse in the
         // transition zone.
@@ -152,13 +118,8 @@ mod tests {
 
     #[test]
     fn false_positives_are_rare() {
-        let slots = downlink_false_positives(&[14.0], 32);
-        assert_eq!(slots.len(), 1);
+        let slot = false_positive_slot(14.0, 32);
         // Paper: fewer than 30 per hour.
-        assert!(
-            slots[0].per_hour < 60.0,
-            "false positives {} / hour",
-            slots[0].per_hour
-        );
+        assert!(slot.per_hour < 60.0, "false positives {} / hour", slot.per_hour);
     }
 }

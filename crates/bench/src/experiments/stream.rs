@@ -2,25 +2,25 @@
 //! evidence.
 //!
 //! Each point captures one fig-10 uplink frame, decodes it batch
-//! ([`UplinkDecoder::decode`]) and again after streaming it through a
-//! [`SeriesAccumulator`] in `chunk`-packet bursts (`into_bundle()` →
-//! `decode`), and reports whether the two outputs are bit-for-bit
-//! identical together with the accumulator's resident packets. The
-//! comparison is pure decode output — no wall-clock numbers — so the
+//! ([`UplinkDecoder::decode`]) and again after pushing its packets into
+//! a fresh [`SeriesBundle`] in `chunk`-packet bursts (then `decode`), and
+//! reports whether the two outputs are bit-for-bit identical together
+//! with the live bundle's resident packets. The comparison is pure
+//! decode output — no wall-clock numbers — so the
 //! figure stays byte-identical under any `--jobs` count (the wall-clock
 //! side of the streaming story lives in the `decoder_micro` bench smoke,
 //! which writes `BENCH_decode.json`).
 
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
-use wifi_backscatter::series::{SeriesAccumulator, SeriesBundle};
+use wifi_backscatter::series::SeriesBundle;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 
 /// One measured point of the `stream` figure.
 pub struct StreamPoint {
-    /// Packets in the captured frame (also what the accumulator buffers,
+    /// Packets in the captured frame (also what the live bundle buffers,
     /// so `peak_resident == packets` when nothing is rejected).
     pub packets: u64,
-    /// Packets resident in the accumulator when the frame closes; it
+    /// Packets resident in the live bundle when the frame closes; it
     /// never evicts, so this is also its high-water mark.
     pub peak_resident: u64,
     /// Streaming and batch decode agreed bit for bit (the tentpole
@@ -34,8 +34,8 @@ pub struct StreamPoint {
 }
 
 /// Captures one close-range fig-10 frame and decodes it both ways,
-/// feeding the accumulator in `chunk`-packet bursts
-/// (`chunk = 0` means one call with the whole capture). The seed
+/// pushing the packets in `chunk`-packet bursts (`chunk = 0` means the
+/// whole capture arrives as one burst). The seed
 /// arithmetic is keyed on the measurement only — every chunk size of a
 /// measurement decodes the *same* capture, so the table rows differ only
 /// in burst size — and any scheduling of the points reproduces the
@@ -56,27 +56,18 @@ pub fn stream_point(measurement: Measurement, chunk: usize, seed: u64) -> Stream
 
     let batch = dec.decode(&capture.bundle, capture.start_us);
 
-    let mut acc = SeriesAccumulator::new(capture.bundle.channels());
-    let packets = capture.bundle.packets();
+    let whole = &capture.bundle;
+    let mut live = SeriesBundle::new(whole.channels());
+    let packets = whole.packets();
     let step = if chunk == 0 { packets.max(1) } else { chunk };
-    let mut at = 0usize;
-    while at < packets {
-        let end = (at + step).min(packets);
-        let burst = SeriesBundle {
-            t_us: capture.bundle.t_us[at..end].to_vec(),
-            series: capture
-                .bundle
-                .series
-                .iter()
-                .map(|s| s[at..end].to_vec())
-                .collect(),
-        };
-        let consumed = acc.feed(&burst);
-        assert_eq!(consumed.accepted, end - at, "unbounded accumulator must accept");
-        at = end;
+    for at in (0..packets).step_by(step) {
+        for p in at..(at + step).min(packets) {
+            let row: Vec<f64> = (0..whole.channels()).map(|c| whole.channel(c)[p]).collect();
+            live.push(whole.t_us()[p], &row).expect("a capture's packets ascend");
+        }
     }
-    let peak_resident = acc.packets() as u64;
-    let streamed = dec.decode(&acc.into_bundle(), capture.start_us);
+    let peak_resident = live.packets() as u64;
+    let streamed = dec.decode(&live, capture.start_us);
 
     let identical = streamed == batch;
     let detected = batch.is_some();

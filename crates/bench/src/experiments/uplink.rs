@@ -47,14 +47,14 @@ pub fn raw_csi_trace(tag_reader_m: f64, n_packets: usize, seed: u64) -> RawCsiTr
     for ch in 0..60.min(bundle.channels()) {
         let mut ones = Vec::new();
         let mut zeros = Vec::new();
-        for (p, &t) in bundle.t_us.iter().enumerate() {
+        for (p, &t) in bundle.t_us().iter().enumerate() {
             if t < cap.start_us {
                 continue;
             }
             let slot = ((t - cap.start_us) / bit_us) as usize;
             match chips.get(slot) {
-                Some(&true) => ones.push(bundle.series[ch][p]),
-                Some(&false) => zeros.push(bundle.series[ch][p]),
+                Some(&true) => ones.push(bundle.channel(ch)[p]),
+                Some(&false) => zeros.push(bundle.channel(ch)[p]),
                 None => {}
             }
         }
@@ -73,12 +73,12 @@ pub fn raw_csi_trace(tag_reader_m: f64, n_packets: usize, seed: u64) -> RawCsiTr
     let (subchannel, separation) = best.unwrap_or((0, 0.0));
     // Emit the frame-spanning portion of the trace.
     let amplitude: Vec<f64> = bundle
-        .t_us
+        .t_us()
         .iter()
         .enumerate()
         .filter(|&(_, &t)| t >= cap.start_us)
         .take(n_packets)
-        .map(|(p, _)| bundle.series[subchannel][p])
+        .map(|(p, _)| bundle.channel(subchannel)[p])
         .collect();
     RawCsiTrace {
         amplitude,
@@ -121,7 +121,7 @@ pub fn normalized_pdfs(tag_reader_m: f64, n_packets: usize, seed: u64) -> Vec<Su
     let frame_end = cap.start_us + cap.frame.to_bits().len() as u64 * cap.chip_us;
     let in_frame: Vec<usize> = cap
         .bundle
-        .t_us
+        .t_us()
         .iter()
         .enumerate()
         .filter(|&(_, &t)| t >= cap.start_us && t < frame_end)
@@ -130,7 +130,7 @@ pub fn normalized_pdfs(tag_reader_m: f64, n_packets: usize, seed: u64) -> Vec<Su
 
     (0..30.min(cap.bundle.channels()))
         .map(|ch| {
-            let cond = condition(&cap.bundle.series[ch], half);
+            let cond = condition(cap.bundle.channel(ch), half);
             let frame_vals: Vec<f64> = in_frame.iter().map(|&p| cond[p]).collect();
             // Re-normalise over the frame span so the two states sit at ±1.
             let scale = bs_dsp::stats::mean_abs(&frame_vals).max(1e-12);
@@ -174,20 +174,22 @@ pub fn normalized_pdfs(tag_reader_m: f64, n_packets: usize, seed: u64) -> Vec<Su
         .collect()
 }
 
+/// Channel `ch` of `bundle` alone, for the single-sub-channel baselines.
+fn single_channel(bundle: &SeriesBundle, ch: usize) -> SeriesBundle {
+    SeriesBundle::from_columns(bundle.t_us().to_vec(), vec![bundle.channel(ch).to_vec()])
+        .expect("a channel of a bundle is a bundle")
+}
+
 /// Fig. 5, one distance: which sub-channels decode with BER < 10⁻² at
-/// `d_cm`. The per-distance seed offset matches
-/// [`good_subchannels_vs_distance`], so sweeping distances job-by-job
-/// reproduces the sweep exactly.
+/// `d_cm`. Returns `(distance_cm, good sub-channel indices out of
+/// 0..30)`; the seed is offset by the distance alone.
 pub fn good_subchannels_at(d_cm: u32, seed: u64) -> (u32, Vec<usize>) {
     let mut cfg = LinkConfig::fig10(d_cm as f64 / 100.0, 100, 30, seed + u64::from(d_cm));
     cfg.payload = eval_payload();
     let cap = capture_uplink(&cfg);
     let mut good = Vec::new();
     for ch in 0..30.min(cap.bundle.channels()) {
-        let one = SeriesBundle {
-            t_us: cap.bundle.t_us.clone(),
-            series: vec![cap.bundle.series[ch].clone()],
-        };
+        let one = single_channel(&cap.bundle, ch);
         let mut dcfg = UplinkDecoderConfig::csi(100, cfg.payload.len());
         dcfg.top_channels = 1;
         dcfg.min_preamble_score = 0.0;
@@ -203,18 +205,6 @@ pub fn good_subchannels_at(d_cm: u32, seed: u64) -> (u32, Vec<usize>) {
     (d_cm, good)
 }
 
-/// Fig. 5: which sub-channels decode with BER < 10⁻² at each distance.
-/// Returns `(distance_cm, good sub-channel indices out of 0..30)`.
-pub fn good_subchannels_vs_distance(
-    distances_cm: &[u32],
-    seed: u64,
-) -> Vec<(u32, Vec<usize>)> {
-    distances_cm
-        .iter()
-        .map(|&d_cm| good_subchannels_at(d_cm, seed))
-        .collect()
-}
-
 /// One row of the Fig. 10 sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct BerPoint {
@@ -227,9 +217,9 @@ pub struct BerPoint {
 }
 
 /// Fig. 10, one point: uplink BER at one `(distance, packets-per-bit)`
-/// cell. The per-run seed arithmetic is keyed on `(r, d_cm, ppb)` only, so
-/// a point computed in isolation is bit-identical to the same point inside
-/// the [`uplink_ber_vs_distance`] sweep — the contract the parallel
+/// cell, with CSI or RSSI decoding and `runs` repetitions (paper: 20).
+/// The per-run seed arithmetic is keyed on `(r, d_cm, ppb)` only, so any
+/// scheduling of the points is bit-identical — the contract the parallel
 /// harness relies on.
 pub fn uplink_ber_point(
     measurement: Measurement,
@@ -257,27 +247,9 @@ pub fn uplink_ber_point(
     }
 }
 
-/// Fig. 10: uplink BER vs distance for several packets-per-bit levels,
-/// with CSI or RSSI decoding. `runs` repetitions per point (paper: 20).
-pub fn uplink_ber_vs_distance(
-    measurement: Measurement,
-    distances_cm: &[u32],
-    pkts_per_bit: &[u32],
-    runs: u64,
-    seed: u64,
-) -> Vec<BerPoint> {
-    let mut out = Vec::new();
-    for &ppb in pkts_per_bit {
-        for &d_cm in distances_cm {
-            out.push(uplink_ber_point(measurement, d_cm, ppb, runs, seed));
-        }
-    }
-    out
-}
-
 /// Fig. 11, one distance: the paper's full algorithm vs decoding a random
-/// sub-channel at 30 packets/bit. Seeds depend only on `(r, d_cm)`, so the
-/// point matches its place in the [`frequency_diversity`] sweep.
+/// sub-channel at 30 packets/bit. Returns `(distance_cm, ber_ours,
+/// ber_random)`; seeds depend only on `(r, d_cm)`.
 pub fn frequency_diversity_at(d_cm: u32, runs: u64, seed: u64) -> (u32, f64, f64) {
     let mut ours = BerCounter::new();
     let mut random = BerCounter::new();
@@ -291,10 +263,7 @@ pub fn frequency_diversity_at(d_cm: u32, runs: u64, seed: u64) -> (u32, f64, f64
         // arbitrary channel.
         let cap = capture_uplink(&cfg);
         let pick = ((seed + r * 13 + u64::from(d_cm)) % 30) as usize;
-        let one = SeriesBundle {
-            t_us: cap.bundle.t_us.clone(),
-            series: vec![cap.bundle.series[pick].clone()],
-        };
+        let one = single_channel(&cap.bundle, pick);
         let mut dcfg = UplinkDecoderConfig::csi(100, cfg.payload.len());
         dcfg.top_channels = 1;
         dcfg.min_preamble_score = 0.0;
@@ -306,21 +275,9 @@ pub fn frequency_diversity_at(d_cm: u32, runs: u64, seed: u64) -> (u32, f64, f64
     (d_cm, ours.ber(), random.ber())
 }
 
-/// Fig. 11: the paper's full algorithm vs decoding a random sub-channel,
-/// at 30 packets/bit. Returns `(distance_cm, ber_ours, ber_random)`.
-pub fn frequency_diversity(
-    distances_cm: &[u32],
-    runs: u64,
-    seed: u64,
-) -> Vec<(u32, f64, f64)> {
-    distances_cm
-        .iter()
-        .map(|&d_cm| frequency_diversity_at(d_cm, runs, seed))
-        .collect()
-}
-
 /// Fig. 12, one helper rate: the achievable uplink bit rate when the
-/// helper transmits `pps` packets/s. Seeds depend only on `(r, pps)`.
+/// helper transmits `pps` packets/s. Returns `(helper_pps,
+/// achievable_bps)`; seeds depend only on `(r, pps)`.
 pub fn bitrate_at_helper_rate(pps: u32, runs: u64, seed: u64) -> (u32, u64) {
     let rate = super::achievable_rate(&[100, 200, 500, 1000], 1e-2, |bps| {
         let mut ber = BerCounter::new();
@@ -335,18 +292,10 @@ pub fn bitrate_at_helper_rate(pps: u32, runs: u64, seed: u64) -> (u32, u64) {
     (pps, rate)
 }
 
-/// Fig. 12: achievable uplink bit rate vs the helper's transmission rate.
-/// Returns `(helper_pps, achievable_bps)`.
-pub fn bitrate_vs_helper_rate(helper_pps: &[u32], runs: u64, seed: u64) -> Vec<(u32, u64)> {
-    helper_pps
-        .iter()
-        .map(|&pps| bitrate_at_helper_rate(pps, runs, seed))
-        .collect()
-}
-
 /// Fig. 14, one helper location: packet delivery probability with the
-/// helper at location `index + 2` of the Fig. 13 testbed. Seeds depend
-/// only on `(f, index)`, so per-location jobs reproduce the sweep.
+/// helper at location `index + 2` of the Fig. 13 testbed. Returns
+/// `(location number, delivery probability)`; seeds depend only on
+/// `(f, index)`.
 pub fn delivery_at_location(index: usize, frames: u64, seed: u64) -> (u32, f64) {
     use bs_channel::geometry::{Testbed, TestbedLocation};
     let tb = Testbed::new();
@@ -366,17 +315,9 @@ pub fn delivery_at_location(index: usize, frames: u64, seed: u64) -> (u32, f64) 
     (index as u32 + 2, delivered as f64 / frames as f64)
 }
 
-/// Fig. 14: packet delivery probability vs helper location in the Fig. 13
-/// testbed. Returns `(location number, delivery probability)`.
-pub fn delivery_vs_helper_location(frames: u64, seed: u64) -> Vec<(u32, f64)> {
-    use bs_channel::geometry::TestbedLocation;
-    (0..TestbedLocation::HELPER_LOCATIONS.len())
-        .map(|i| delivery_at_location(i, frames, seed))
-        .collect()
-}
-
 /// Fig. 20, one distance: the correlation length needed to reach
-/// BER < 10⁻² at `d_cm`. Seeds depend only on `(r, d_cm)`.
+/// BER < 10⁻² at `d_cm`; `None` when even the longest tested code fails.
+/// Seeds depend only on `(r, d_cm)`.
 pub fn correlation_length_at(
     d_cm: u32,
     lengths: &[usize],
@@ -408,21 +349,6 @@ pub fn correlation_length_at(
         }
     }
     (d_cm, needed)
-}
-
-/// Fig. 20: the correlation length needed to reach BER < 10⁻² at each
-/// distance. Returns `(distance_cm, required L)`; `None` when even the
-/// longest tested code fails.
-pub fn correlation_length_vs_distance(
-    distances_cm: &[u32],
-    lengths: &[usize],
-    runs: u64,
-    seed: u64,
-) -> Vec<(u32, Option<usize>)> {
-    distances_cm
-        .iter()
-        .map(|&d_cm| correlation_length_at(d_cm, lengths, runs, seed))
-        .collect()
 }
 
 #[cfg(test)]
@@ -478,7 +404,7 @@ mod tests {
 
     #[test]
     fn good_subchannels_shrink_with_distance() {
-        let rows = good_subchannels_vs_distance(&[5, 65], 14);
+        let rows = [5, 65].map(|d_cm| good_subchannels_at(d_cm, 14));
         let near = rows[0].1.len();
         let far = rows[1].1.len();
         assert!(near > far, "near {near} far {far}");
@@ -487,7 +413,7 @@ mod tests {
 
     #[test]
     fn achievable_bitrate_scales_with_load() {
-        let rows = bitrate_vs_helper_rate(&[500, 3000], 1, 15);
+        let rows = [500, 3000].map(|pps| bitrate_at_helper_rate(pps, 1, 15));
         assert!(rows[0].1 <= rows[1].1, "{rows:?}");
         assert!(rows[1].1 >= 500, "{rows:?}");
     }

@@ -3,9 +3,9 @@
 //! Three layers:
 //!
 //! * [`experiments`] — pure per-figure runners. Each figure has a
-//!   *per-point* function (one distance/rate/location, one seed) plus an
-//!   aggregate sweep that delegates to it; all are deterministic given
-//!   their seed arguments and print nothing.
+//!   *per-point* function (one distance/rate/location, one seed) that the
+//!   harness schedules as one job; all are deterministic given their seed
+//!   arguments and print nothing.
 //! * [`harness`] — the parallel execution layer: expands a figure list
 //!   into independent [`harness::Job`]s, runs them on a work-stealing
 //!   pool, and reassembles [`harness::RunRecord`]s into the exact serial

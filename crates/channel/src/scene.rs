@@ -383,11 +383,6 @@ impl Scene {
         let wall_db = path_wall_loss_db(&self.cfg.walls, self.cfg.reader, self.cfg.tag);
         self.cfg.pathloss.power_gain(d) * db_to_linear(-wall_db)
     }
-
-    /// Power gain of the helper→reader path (mean over small-scale fading).
-    pub fn helper_to_reader_power_gain(&self) -> f64 {
-        self.hr[0].amp * self.hr[0].amp
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The unified error hierarchy for the crate.
 //!
-//! Every leaf error enum ([`TraceError`], [`SessionError`],
-//! [`EncodeError`], [`ProtocolError`]) is defined here and only here,
-//! wrapped by one top-level [`Error`] with `From` impls, so applications
-//! can hold a single error type:
+//! Every leaf error enum ([`SeriesError`], [`TraceError`],
+//! [`SessionError`], [`EncodeError`], [`ProtocolError`]) is defined here
+//! and only here, wrapped by one top-level [`Error`] with `From` impls, so
+//! applications can hold a single error type:
 //!
 //! ```
 //! use wifi_backscatter::error::Error;
@@ -13,6 +13,38 @@
 //! }
 //! assert!(load("not a capture").is_err());
 //! ```
+
+/// Why a [`crate::series::SeriesBundle`] refused a packet: the decoders
+/// bin packets by MAC timestamp, so the time axis must ascend and every
+/// packet must carry one value per channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeriesError {
+    /// The packet's timestamp is earlier than the one before it.
+    Backwards {
+        /// 0-based packet index.
+        packet: usize,
+    },
+    /// The packet does not carry exactly one value per channel.
+    Width {
+        /// 0-based packet index.
+        packet: usize,
+    },
+}
+
+impl std::fmt::Display for SeriesError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SeriesError::Backwards { packet } => {
+                write!(f, "timestamp runs backwards at packet {packet}")
+            }
+            SeriesError::Width { packet } => {
+                write!(f, "packet {packet} does not carry one value per channel")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SeriesError {}
 
 /// Errors from parsing a capture trace (see [`crate::trace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,6 +177,8 @@ impl std::error::Error for ProtocolError {}
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
+    /// A packet broke a series bundle's invariant.
+    Series(SeriesError),
     /// Capture trace parsing failed.
     Trace(TraceError),
     /// A reader session gave up.
@@ -158,6 +192,7 @@ pub enum Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Error::Series(e) => write!(f, "series: {e}"),
             Error::Trace(e) => write!(f, "trace: {e}"),
             Error::Session(e) => write!(f, "session: {e}"),
             Error::Encode(e) => write!(f, "encode: {e}"),
@@ -169,11 +204,18 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            Error::Series(e) => Some(e),
             Error::Trace(e) => Some(e),
             Error::Session(e) => Some(e),
             Error::Encode(e) => Some(e),
             Error::Protocol(e) => Some(e),
         }
+    }
+}
+
+impl From<SeriesError> for Error {
+    fn from(e: SeriesError) -> Self {
+        Error::Series(e)
     }
 }
 
@@ -207,6 +249,8 @@ mod tests {
 
     #[test]
     fn from_impls_wrap_each_leaf() {
+        let b: Error = SeriesError::Backwards { packet: 1 }.into();
+        assert_eq!(b, Error::Series(SeriesError::Backwards { packet: 1 }));
         let t: Error = TraceError::BadHeader.into();
         assert_eq!(t, Error::Trace(TraceError::BadHeader));
         let s: Error = SessionError::TagUnresponsive { attempts: 2 }.into();

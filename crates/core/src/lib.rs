@@ -26,8 +26,8 @@
 //!   maximum-ratio combining by 1/σ², hysteresis thresholding and
 //!   timestamp-binned majority voting. One decode entry point,
 //!   [`uplink::UplinkDecoder::decode`]; packets that arrive live are
-//!   collected by a [`series::SeriesAccumulator`] and decoded the same
-//!   way, so streaming is bit-identical to batch by construction.
+//!   pushed into a [`series::SeriesBundle`] and decoded the same way, so
+//!   streaming is bit-identical to batch by construction.
 //! * [`longrange`] — the coded long-range decoder (§3.4): the tag expands
 //!   each bit to an L-chip orthogonal code; the reader correlates.
 //! * [`downlink`] — the reader's downlink encoder (§4.1): bits as packet /
@@ -85,12 +85,8 @@ pub mod uplink;
 /// one canonical path.
 pub use bs_dsp::obs;
 
-/// The streaming primitives (`Consumed`, chunked kernels), re-exported from `bs-dsp` so
-/// `wifi_backscatter::stream::Consumed` is the one canonical path.
-pub use bs_dsp::stream;
-
 pub use error::Error;
 pub use link::{DownlinkRun, LinkConfig, UplinkRun};
 pub use session::{Reader, ReaderConfig};
-pub use series::{SeriesAccumulator, SeriesBundle};
+pub use series::SeriesBundle;
 pub use uplink::{UplinkDecoder, UplinkDecoderConfig};

@@ -79,24 +79,6 @@ impl MitigationPolicy {
     pub fn none() -> Self {
         MitigationPolicy::default()
     }
-
-    /// Arms or disarms the CSI→RSSI fallback (default: off).
-    pub fn with_csi_fallback(mut self, on: bool) -> Self {
-        self.csi_fallback = on;
-        self
-    }
-
-    /// Arms or disarms rate re-adaptation (default: off).
-    pub fn with_rate_readapt(mut self, on: bool) -> Self {
-        self.rate_readapt = on;
-        self
-    }
-
-    /// Arms or disarms the drift re-scan (default: off).
-    pub fn with_drift_rescan(mut self, on: bool) -> Self {
-        self.drift_rescan = on;
-        self
-    }
 }
 
 /// What went wrong during a run and what the link layer did about it.
@@ -302,20 +284,6 @@ impl LinkConfig {
     /// Sets the orthogonal code length (default: 1 = plain mode).
     pub fn with_code_length(mut self, code_length: usize) -> Self {
         self.code_length = code_length;
-        self
-    }
-
-    /// Adds contending background stations `(offered_pps, payload_bytes)`
-    /// (default: none).
-    pub fn with_background(mut self, background: Vec<(f64, usize)>) -> Self {
-        self.background = background;
-        self
-    }
-
-    /// Lets the reader use every delivered packet regardless of sender
-    /// (default: helper-only).
-    pub fn with_all_traffic(mut self, on: bool) -> Self {
-        self.use_all_traffic = on;
         self
     }
 
@@ -782,12 +750,6 @@ impl DownlinkConfig {
             seed,
             faults: FaultPlan::none(),
         }
-    }
-
-    /// Sets the reader transmit power (default: the paper's +16 dBm).
-    pub fn with_tx_dbm(mut self, tx_dbm: f64) -> Self {
-        self.tx_dbm = tx_dbm;
-        self
     }
 
     /// Sets the injected fault plan (default: [`FaultPlan::none`]).

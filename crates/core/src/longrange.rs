@@ -92,7 +92,7 @@ impl LongRangeDecoder {
         let chip = self.cfg.chip_duration_us;
         let end = bit_start_us + l * chip;
         let mut acc = 0.0;
-        for (p, &t) in bundle.t_us.iter().enumerate() {
+        for (p, &t) in bundle.t_us().iter().enumerate() {
             if t < bit_start_us || t >= end {
                 continue;
             }
@@ -116,8 +116,8 @@ impl LongRangeDecoder {
 
     /// Decodes one frame starting exactly at `start_us` (the reader timed
     /// the query, and chip-level alignment is maintained by the tag's bit
-    /// clock). Live packets are collected by a
-    /// [`crate::series::SeriesAccumulator`] and decoded here.
+    /// clock). Live packets are pushed into a [`SeriesBundle`] and
+    /// decoded here.
     pub fn decode(&self, bundle: &SeriesBundle, start_us: u64) -> Option<LongRangeOutput> {
         self.decode_indexed(&mut SlotIndex::new(bundle), start_us, &mut NullRecorder)
     }
@@ -129,9 +129,8 @@ impl LongRangeDecoder {
     /// correlations iterate exactly the window's packets — in packet
     /// order, keeping the accumulation bit-exact against
     /// [`Self::decode_reference`] — instead of scanning the whole stream
-    /// per (channel, bit, code). `None` if the bundle is empty or
-    /// malformed (timestamps not non-decreasing, or a channel whose
-    /// length differs from the timestamp axis).
+    /// per (channel, bit, code). `None` if the bundle has no packets or
+    /// no channels.
     ///
     /// The recorder only observes: a `uplink.correlate` span over the
     /// bundle's simulated-time extent (items = packets visited by the
@@ -145,11 +144,11 @@ impl LongRangeDecoder {
         rec: &mut dyn Recorder,
     ) -> Option<LongRangeOutput> {
         let bundle = index.bundle();
-        if bundle.packets() == 0 || bundle.channels() == 0 || !bundle.is_well_formed() {
+        if bundle.packets() == 0 || bundle.channels() == 0 {
             return None;
         }
-        let t_lo = *bundle.t_us.first().unwrap_or(&0);
-        let t_hi = *bundle.t_us.last().unwrap_or(&0);
+        let t_lo = *bundle.t_us().first().unwrap_or(&0);
+        let t_hi = *bundle.t_us().last().unwrap_or(&0);
         let gap = bundle.median_gap_us().max(1);
         let half = ((self.cfg.conditioning_window_us / 2) / gap).max(2) as usize;
         let conditioned = index.conditioned(half);
@@ -241,10 +240,8 @@ impl LongRangeDecoder {
         }
         let gap = bundle.median_gap_us().max(1);
         let half = ((self.cfg.conditioning_window_us / 2) / gap).max(2) as usize;
-        let conditioned: Vec<Vec<f64>> = bundle
-            .series
-            .iter()
-            .map(|s| condition(s, half))
+        let conditioned: Vec<Vec<f64>> = (0..bundle.channels())
+            .map(|c| condition(bundle.channel(c), half))
             .collect();
 
         let preamble = bs_tag::frame::uplink_preamble();
@@ -274,7 +271,7 @@ impl LongRangeDecoder {
             let bit_start = start_us + (pre_len + b) as u64 * bit_us;
             let end = bit_start.saturating_add(bit_us);
             let occupied = bundle
-                .t_us
+                .t_us()
                 .iter()
                 .any(|&t| t >= bit_start && t < end);
             if !occupied {
@@ -315,12 +312,12 @@ impl LongRangeDecoder {
         let chip = self.cfg.chip_duration_us;
         let mut c1 = 0.0;
         for p in range.clone() {
-            let c = ((bundle.t_us[p] - bit_start_us) / chip) as usize;
+            let c = ((bundle.t_us()[p] - bit_start_us) / chip) as usize;
             c1 += channel[p] * f64::from(self.cfg.code.one[c]);
         }
         let mut c0 = 0.0;
         for p in range {
-            let c = ((bundle.t_us[p] - bit_start_us) / chip) as usize;
+            let c = ((bundle.t_us()[p] - bit_start_us) / chip) as usize;
             c0 += channel[p] * f64::from(self.cfg.code.zero[c]);
         }
         c1 - c0
@@ -374,7 +371,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        SeriesBundle { t_us, series }
+        SeriesBundle::from_columns(t_us, series).unwrap()
     }
 
     fn cfg(l: usize, chip_us: u64, payload: usize) -> LongRangeConfig {
@@ -433,15 +430,7 @@ mod tests {
     #[test]
     fn empty_bundle_is_none() {
         let dec = LongRangeDecoder::new(cfg(20, 1_000, 8));
-        assert!(dec
-            .decode(
-                &SeriesBundle {
-                    t_us: vec![],
-                    series: vec![]
-                },
-                0
-            )
-            .is_none());
+        assert!(dec.decode(&SeriesBundle::new(0), 0).is_none());
     }
 
     #[test]
@@ -486,16 +475,15 @@ mod tests {
         let lo = (pre_len as u64 + 1) * bit_us;
         let hi = lo + bit_us;
         let keep: Vec<usize> = (0..bundle.packets())
-            .filter(|&p| bundle.t_us[p] < lo || bundle.t_us[p] >= hi)
+            .filter(|&p| bundle.t_us()[p] < lo || bundle.t_us()[p] >= hi)
             .collect();
-        let gapped = SeriesBundle {
-            t_us: keep.iter().map(|&p| bundle.t_us[p]).collect(),
-            series: bundle
-                .series
-                .iter()
-                .map(|s| keep.iter().map(|&p| s[p]).collect())
+        let gapped = SeriesBundle::from_columns(
+            keep.iter().map(|&p| bundle.t_us()[p]).collect(),
+            (0..bundle.channels())
+                .map(|c| keep.iter().map(|&p| bundle.channel(c)[p]).collect())
                 .collect(),
-        };
+        )
+        .unwrap();
         let dec = LongRangeDecoder::new(cfg(4, 1_000, 3));
         let out = dec.decode(&gapped, 0).expect("no detection");
         assert_eq!(out.bits[1], None, "empty window must erase");
@@ -506,34 +494,17 @@ mod tests {
 
     #[test]
     fn stream_feed_matches_batch_decode_bit_for_bit() {
-        use crate::series::SeriesAccumulator;
         let payload: Vec<bool> = (0..10).map(|i| i % 3 != 0).collect();
         let bundle = synth(&payload, 40, 0.2, 0.6, 333, 1_000, 41);
         let dec = LongRangeDecoder::new(cfg(40, 1_000, 10));
         let batch = dec.decode(&bundle, 0);
         assert!(batch.is_some());
-        let mut acc = SeriesAccumulator::new(bundle.channels());
-        for p in 0..bundle.packets() {
-            let values: Vec<f64> = bundle.series.iter().map(|s| s[p]).collect();
-            assert!(acc.feed_packet(bundle.t_us[p], &values).any());
+        let mut live = SeriesBundle::new(bundle.channels());
+        for (p, &t) in bundle.t_us().iter().enumerate() {
+            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            assert_eq!(live.push(t, &row), Ok(()));
         }
-        assert_eq!(acc.packets(), bundle.packets());
-        assert_eq!(dec.decode(&acc.into_bundle(), 0), batch);
-    }
-
-    #[test]
-    fn bounded_stream_backpressure() {
-        let payload: Vec<bool> = (0..6).map(|i| i % 2 == 0).collect();
-        let bundle = synth(&payload, 20, 0.3, 0.4, 333, 1_000, 42);
-        let cap = bundle.packets() / 3;
-        let mut acc = crate::series::SeriesAccumulator::with_capacity(bundle.channels(), cap);
-        assert_eq!(acc.feed(&bundle).accepted, cap);
-        assert!(!acc.feed(&bundle).any());
-        let prefix = SeriesBundle {
-            t_us: bundle.t_us[..cap].to_vec(),
-            series: bundle.series.iter().map(|s| s[..cap].to_vec()).collect(),
-        };
-        assert_eq!(acc.into_bundle(), prefix);
+        assert_eq!(dec.decode(&live, 0), batch);
     }
 
     #[test]

@@ -32,14 +32,13 @@ pub use crate::phy::{
 pub use crate::protocol::{
     select_bit_rate, Ack, Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS,
 };
-pub use crate::series::{SeriesAccumulator, SeriesBundle};
+pub use crate::series::SeriesBundle;
 pub use crate::session::{QueryOutcome, Reader, ReaderConfig};
 pub use crate::trace::LoadedCapture;
 pub use crate::uplink::{Combining, DecodeOutput, UplinkDecoder, UplinkDecoderConfig};
 pub use bs_channel::faults::{FaultEvents, FaultPlan};
 pub use bs_dsp::bits::BerCounter;
 pub use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport, Recorder, Span};
-pub use bs_dsp::stream::Consumed;
 pub use bs_dsp::SimRng;
 pub use bs_tag::energy::{Capacitor, CapacitorConfig, EnergyConfig, EnergyPolicy, EnergyState};
 pub use bs_tag::frame::{DownlinkFrame, UplinkFrame};
@@ -54,7 +53,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "CapacitorConfig",
     "CodewordParams",
     "Combining",
-    "Consumed",
     "DecodeOutput",
     "DegradationReport",
     "DownlinkConfig",
@@ -90,7 +88,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "Recorder",
     "RetryPolicy",
     "SUPPORTED_RATES_BPS",
-    "SeriesAccumulator",
     "SeriesBundle",
     "SessionError",
     "SimRng",

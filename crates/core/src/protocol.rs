@@ -234,24 +234,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Sets the wait before the first retry (default: 2 000 µs).
-    pub fn with_base_backoff_us(mut self, us: u64) -> Self {
-        self.base_backoff_us = us;
-        self
-    }
-
-    /// Sets the per-retry backoff multiplier (default: 2.0).
-    pub fn with_backoff_factor(mut self, factor: f64) -> Self {
-        self.backoff_factor = factor;
-        self
-    }
-
-    /// Sets the cap on any single backoff (default: 64 000 µs).
-    pub fn with_max_backoff_us(mut self, us: u64) -> Self {
-        self.max_backoff_us = us;
-        self
-    }
-
     /// Sets the total per-query budget (default: 60 s).
     pub fn with_budget_us(mut self, us: u64) -> Self {
         self.budget_us = us;

@@ -29,12 +29,18 @@
 //! <t_us> <ch0> <ch1> ... <chN-1>
 //! ```
 //!
+//! The `# channels=` line, when it precedes the data, fixes the row
+//! width; without it the first data row does. Every row goes through
+//! [`SeriesBundle::push`], so a row of another width is a
+//! [`BadLine`](crate::error::TraceError::BadLine) and a timestamp that runs
+//! backwards is [`UnsortedTimestamps`](crate::error::TraceError::UnsortedTimestamps).
+//!
 //! Because v1 parsers skip every `#` line, a v2 body is *forward
 //! compatible* with v1 tooling except for the header; [`load`] (and
 //! [`from_text`]) auto-detect both versions, so archived v1 captures keep
 //! parsing unchanged.
 
-use crate::error as err;
+use crate::error::{self as err, SeriesError};
 use crate::series::SeriesBundle;
 use bs_dsp::obs::{ObsReport, Span};
 use std::fmt::Write as _;
@@ -108,11 +114,11 @@ fn header(magic: &str, bundle: &SeriesBundle) -> String {
 
 /// Appends the numeric table shared by both versions.
 fn write_body(out: &mut String, bundle: &SeriesBundle) {
-    for (p, &t) in bundle.t_us.iter().enumerate() {
+    for (p, &t) in bundle.t_us().iter().enumerate() {
         let _ = write!(out, "{t}");
-        for ch in &bundle.series {
+        for c in 0..bundle.channels() {
             // 17 significant digits: f64 round-trips exactly.
-            let _ = write!(out, " {:.17e}", ch[p]);
+            let _ = write!(out, " {:.17e}", bundle.channel(c)[p]);
         }
         out.push('\n');
     }
@@ -135,8 +141,7 @@ pub fn load(text: &str) -> Result<LoadedCapture, err::TraceError> {
     };
 
     let mut obs: Option<ObsReport> = None;
-    let mut t_us: Vec<u64> = Vec::new();
-    let mut series: Vec<Vec<f64>> = Vec::new();
+    let mut bundle: Option<SeriesBundle> = None;
     for (i, line) in lines {
         let line = line.trim();
         if line.is_empty() {
@@ -149,36 +154,38 @@ pub fn load(text: &str) -> Result<LoadedCapture, err::TraceError> {
             }
             continue;
         }
+        if bundle.is_none() {
+            if let Some(channels) = declared_channels(line) {
+                bundle = Some(SeriesBundle::new(channels));
+                continue;
+            }
+        }
         if line.starts_with('#') {
             continue;
         }
+        let bad_line = err::TraceError::BadLine { line: i + 1 };
         let mut fields = line.split_whitespace();
-        let t: u64 = fields
-            .next()
-            .and_then(|f| f.parse().ok())
-            .ok_or(err::TraceError::BadLine { line: i + 1 })?;
-        if let Some(&last) = t_us.last() {
-            if t < last {
-                return Err(err::TraceError::UnsortedTimestamps { line: i + 1 });
-            }
-        }
-        let values: Result<Vec<f64>, _> = fields.map(str::parse::<f64>).collect();
-        let values = values.map_err(|_| err::TraceError::BadLine { line: i + 1 })?;
-        if series.is_empty() {
-            series = vec![Vec::new(); values.len()];
-        } else if values.len() != series.len() {
-            return Err(err::TraceError::BadLine { line: i + 1 });
-        }
-        t_us.push(t);
-        for (c, v) in values.into_iter().enumerate() {
-            series[c].push(v);
-        }
+        let t: u64 = fields.next().and_then(|f| f.parse().ok()).ok_or(bad_line.clone())?;
+        let values: Vec<f64> = fields
+            .map(str::parse::<f64>)
+            .collect::<Result<_, _>>()
+            .map_err(|_| bad_line.clone())?;
+        let bundle = bundle.get_or_insert_with(|| SeriesBundle::new(values.len()));
+        bundle.push(t, &values).map_err(|e| match e {
+            SeriesError::Backwards { .. } => err::TraceError::UnsortedTimestamps { line: i + 1 },
+            SeriesError::Width { .. } => bad_line,
+        })?;
     }
     Ok(LoadedCapture {
-        bundle: SeriesBundle { t_us, series },
+        bundle: bundle.unwrap_or_else(|| SeriesBundle::new(0)),
         obs,
         version,
     })
+}
+
+/// The channel count a `# channels=<n> packets=<m>` header line declares.
+fn declared_channels(line: &str) -> Option<usize> {
+    line.strip_prefix("# channels=")?.split_whitespace().next()?.parse().ok()
 }
 
 /// Parses one `#obs` sidecar payload (the part after the `#obs ` prefix).
@@ -228,13 +235,14 @@ mod tests {
     use crate::error::TraceError;
 
     fn bundle() -> SeriesBundle {
-        SeriesBundle {
-            t_us: vec![0, 333, 666, 1000],
-            series: vec![
+        SeriesBundle::from_columns(
+            vec![0, 333, 666, 1000],
+            vec![
                 vec![1.0, 2.5, -0.125, 1e-9],
                 vec![9.75, 9.5, 10.0, std::f64::consts::PI],
             ],
-        }
+        )
+        .unwrap()
     }
 
     fn report() -> ObsReport {
@@ -307,11 +315,10 @@ mod tests {
 
     #[test]
     fn empty_bundle_roundtrips() {
-        let b = SeriesBundle {
-            t_us: vec![],
-            series: vec![],
-        };
-        assert_eq!(from_text(&to_text(&b)).unwrap(), b);
+        for channels in [0, 3] {
+            let b = SeriesBundle::new(channels);
+            assert_eq!(from_text(&to_text(&b)).unwrap(), b);
+        }
     }
 
     #[test]
@@ -330,6 +337,18 @@ mod tests {
     fn inconsistent_width_rejected() {
         let text = format!("{MAGIC}\n0 1.0 2.0\n10 1.0\n");
         assert_eq!(from_text(&text), Err(TraceError::BadLine { line: 3 }));
+        // The header's declared width binds the first row too.
+        let text = format!("{MAGIC}\n# channels=2 packets=1\n0 1.0\n");
+        assert_eq!(from_text(&text), Err(TraceError::BadLine { line: 3 }));
+    }
+
+    #[test]
+    fn empty_first_row_fixes_zero_width() {
+        // Regression: a first row with no values used to leave the width
+        // open, so a wider second row loaded as a ragged bundle whose
+        // `to_text` panicked.
+        let text = format!("{MAGIC}\n0\n10 1.0 2.0\n");
+        assert_eq!(from_text(&text), Err(TraceError::BadLine { line: 3 }));
     }
 
     #[test]
@@ -346,7 +365,7 @@ mod tests {
         let text = format!("{MAGIC}\n# a comment\n\n0 1.0\n# more\n10 2.0\n");
         let b = from_text(&text).unwrap();
         assert_eq!(b.packets(), 2);
-        assert_eq!(b.series[0], vec![1.0, 2.0]);
+        assert_eq!(b.channel(0), &[1.0, 2.0]);
     }
 
     #[test]

@@ -89,30 +89,9 @@ impl UplinkDecoderConfig {
         }
     }
 
-    /// Sets the conditioning moving-average window (default: 400 000 µs,
-    /// the paper's 400 ms).
-    pub fn with_conditioning_window_us(mut self, window_us: u64) -> Self {
-        self.conditioning_window_us = window_us;
-        self
-    }
-
-    /// Sets the number of channels the selector keeps (default: 10 for
-    /// CSI, 1 for RSSI).
-    pub fn with_top_channels(mut self, n: usize) -> Self {
-        self.top_channels = n;
-        self
-    }
-
     /// Sets the alignment search span in bit durations (default: 2).
     pub fn with_search_bits(mut self, bits: u32) -> Self {
         self.search_bits = bits;
-        self
-    }
-
-    /// Sets the minimum normalised preamble correlation for a detection
-    /// (default: 0.5).
-    pub fn with_min_preamble_score(mut self, score: f64) -> Self {
-        self.min_preamble_score = score;
         self
     }
 
@@ -203,8 +182,8 @@ impl UplinkDecoder {
     /// estimate of when the tag's response begins (it sent the query, so it
     /// knows within a bit or two); the decoder refines the alignment by
     /// preamble correlation within ±`search_bits`. Packets that arrive
-    /// live are collected by a [`crate::series::SeriesAccumulator`] and
-    /// decoded here once the frame window closes.
+    /// live are pushed into a [`SeriesBundle`] and decoded here once the
+    /// frame window closes.
     pub fn decode(&self, bundle: &SeriesBundle, start_hint_us: u64) -> Option<DecodeOutput> {
         self.decode_indexed(&mut SlotIndex::new(bundle), start_hint_us, &mut NullRecorder)
     }
@@ -214,9 +193,8 @@ impl UplinkDecoder {
     /// re-scan's stretch candidates, retry/fallback re-decodes) share the
     /// conditioned series and every slot-statistics build instead of
     /// re-scanning the packet stream per attempt. Output is bit-identical
-    /// to [`Self::decode_reference`]. `None` if the bundle is empty or
-    /// malformed (timestamps not non-decreasing, or a channel whose
-    /// length differs from the timestamp axis).
+    /// to [`Self::decode_reference`]. `None` if the bundle has no packets
+    /// or no channels.
     ///
     /// The recorder only observes: stage spans (`uplink.condition`,
     /// `uplink.align`, `uplink.combine`, `uplink.slice` — bounded by the
@@ -235,11 +213,11 @@ impl UplinkDecoder {
         rec: &mut dyn Recorder,
     ) -> Option<DecodeOutput> {
         let bundle = index.bundle();
-        if bundle.packets() == 0 || bundle.channels() == 0 || !bundle.is_well_formed() {
+        if bundle.packets() == 0 || bundle.channels() == 0 {
             return None;
         }
-        let t_lo = *bundle.t_us.first().unwrap_or(&0);
-        let t_hi = *bundle.t_us.last().unwrap_or(&0);
+        let t_lo = *bundle.t_us().first().unwrap_or(&0);
+        let t_hi = *bundle.t_us().last().unwrap_or(&0);
         let preamble: Vec<i8> = codes::BARKER13.to_vec();
         let total_bits = UplinkFrame::on_air_len(self.cfg.payload_bits);
 
@@ -406,10 +384,8 @@ impl UplinkDecoder {
 
         // 1. Signal conditioning.
         let half = self.conditioning_half_window(bundle);
-        let conditioned: Vec<Vec<f64>> = bundle
-            .series
-            .iter()
-            .map(|s| condition(s, half))
+        let conditioned: Vec<Vec<f64>> = (0..bundle.channels())
+            .map(|c| condition(bundle.channel(c), half))
             .collect();
 
         // 2. Alignment search + channel selection.
@@ -445,7 +421,7 @@ impl UplinkDecoder {
         // packets of the whole frame.
         let frame_packets: Vec<usize> = (0..bundle.packets())
             .filter(|&p| {
-                let t = bundle.t_us[p];
+                let t = bundle.t_us()[p];
                 t >= start_us && t < start_us + total_bits as u64 * bit
             })
             .collect();
@@ -459,7 +435,7 @@ impl UplinkDecoder {
             let hi = lo + bit;
             let decisions: Vec<Decision> = frame_packets
                 .iter()
-                .filter(|&&p| bundle.t_us[p] >= lo && bundle.t_us[p] < hi)
+                .filter(|&&p| bundle.t_us()[p] >= lo && bundle.t_us()[p] < hi)
                 .map(|&p| {
                     if self.cfg.use_hysteresis {
                         slicer.decide(combined[p])
@@ -565,7 +541,7 @@ impl UplinkDecoder {
         let bit = self.cfg.bit_duration_us;
         let mut sums = vec![0.0; n_slots];
         let mut counts = vec![0u32; n_slots];
-        for (p, &t) in bundle.t_us.iter().enumerate() {
+        for (p, &t) in bundle.t_us().iter().enumerate() {
             if t < start_us {
                 continue;
             }
@@ -653,7 +629,7 @@ impl UplinkDecoder {
     ) -> f64 {
         let bit = self.cfg.bit_duration_us;
         let mut per_slot: Vec<Vec<f64>> = vec![Vec::new(); n_slots];
-        for (p, &t) in bundle.t_us.iter().enumerate() {
+        for (p, &t) in bundle.t_us().iter().enumerate() {
             if t < start_us {
                 continue;
             }
@@ -755,7 +731,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        (SeriesBundle { t_us, series }, polarities)
+        (SeriesBundle::from_columns(t_us, series).unwrap(), polarities)
     }
 
     fn payload_90() -> Vec<bool> {
@@ -831,10 +807,9 @@ mod tests {
             cfg.top_channels = 1;
             cfg.min_preamble_score = 0.0;
             let dec1 = UplinkDecoder::new(cfg);
-            let one = SeriesBundle {
-                t_us: bundle.t_us.clone(),
-                series: vec![bundle.series[17].clone()],
-            };
+            let one =
+                SeriesBundle::from_columns(bundle.t_us().to_vec(), vec![bundle.channel(17).to_vec()])
+                    .unwrap();
             if let Some(out) = dec1.decode(&one, 0) {
                 for (b, &want) in out.bits.iter().zip(&payload) {
                     if *b != Some(want) {
@@ -878,7 +853,7 @@ mod tests {
         let series: Vec<Vec<f64>> = (0..30)
             .map(|_| t_us.iter().map(|_| 10.0 + rng.gaussian(0.0, 0.3)).collect())
             .collect();
-        let bundle = SeriesBundle { t_us, series };
+        let bundle = SeriesBundle::from_columns(t_us, series).unwrap();
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
         assert!(dec.decode(&bundle, 200_000).is_none());
     }
@@ -896,11 +871,7 @@ mod tests {
     #[test]
     fn empty_bundle_is_none() {
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 8));
-        let bundle = SeriesBundle {
-            t_us: vec![],
-            series: vec![],
-        };
-        assert!(dec.decode(&bundle, 0).is_none());
+        assert!(dec.decode(&SeriesBundle::new(0), 0).is_none());
     }
 
     #[test]
@@ -930,10 +901,10 @@ mod tests {
         // panic in the sort, not keep it — and still decode the clean
         // channels.
         let payload = payload_90();
-        let (mut bundle, _) = synth_bundle(&payload, 10, 8, 0.5, 0.1, 333, 10_000, 100_000, 7);
-        for v in &mut bundle.series[9] {
-            *v = f64::NAN;
-        }
+        let (bundle, _) = synth_bundle(&payload, 10, 8, 0.5, 0.1, 333, 10_000, 100_000, 7);
+        let mut series: Vec<Vec<f64>> = (0..10).map(|c| bundle.channel(c).to_vec()).collect();
+        series[9] = vec![f64::NAN; bundle.packets()];
+        let bundle = SeriesBundle::from_columns(bundle.t_us().to_vec(), series).unwrap();
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
         let out = dec.decode(&bundle, 100_000).expect("no detection");
         assert!(out.channels.iter().all(|c| c.index != 9), "kept NaN channel");
@@ -984,74 +955,20 @@ mod tests {
 
     #[test]
     fn stream_feed_matches_batch_decode_bit_for_bit() {
-        // Packet-at-a-time, burst-at-a-time, and single-shot feeding must
-        // all produce exactly the batch decode() output.
-        use crate::series::SeriesAccumulator;
+        // Pushing the packets one at a time as they arrive must produce
+        // exactly the batch decode() output.
         let payload = payload_90();
         let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 31);
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
         let batch = dec.decode(&bundle, 100_000);
         assert!(batch.is_some());
 
-        let mut one_by_one = SeriesAccumulator::new(bundle.channels());
-        for p in 0..bundle.packets() {
-            let values: Vec<f64> = bundle.series.iter().map(|s| s[p]).collect();
-            assert!(one_by_one.feed_packet(bundle.t_us[p], &values).any());
+        let mut live = SeriesBundle::new(bundle.channels());
+        for (p, &t) in bundle.t_us().iter().enumerate() {
+            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            assert_eq!(live.push(t, &row), Ok(()));
         }
-        assert_eq!(one_by_one.packets(), bundle.packets());
-        assert_eq!(dec.decode(&one_by_one.into_bundle(), 100_000), batch);
-
-        let mut bursts = SeriesAccumulator::new(bundle.channels());
-        let mut at = 0usize;
-        for size in [1usize, 7, 64, 500, usize::MAX] {
-            let hi = bundle.packets().min(at.saturating_add(size));
-            let chunk = SeriesBundle {
-                t_us: bundle.t_us[at..hi].to_vec(),
-                series: bundle.series.iter().map(|s| s[at..hi].to_vec()).collect(),
-            };
-            assert_eq!(bursts.feed(&chunk).accepted, hi - at);
-            at = hi;
-        }
-        assert_eq!(at, bundle.packets());
-        assert_eq!(dec.decode(&bursts.into_bundle(), 100_000), batch);
-    }
-
-    #[test]
-    fn bounded_stream_applies_backpressure_and_decodes_prefix() {
-        let payload = payload_90();
-        let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 32);
-        let cap = bundle.packets() / 2;
-        let mut acc = crate::series::SeriesAccumulator::with_capacity(bundle.channels(), cap);
-        assert_eq!(acc.feed(&bundle).accepted, cap);
-        assert!(!acc.feed(&bundle).any()); // full: explicit backpressure
-        assert_eq!(acc.packets(), cap);
-        // The bounded accumulator collects exactly the prefix it accepted,
-        // so decoding it is a batch decode of that prefix.
-        let prefix = SeriesBundle {
-            t_us: bundle.t_us[..cap].to_vec(),
-            series: bundle.series.iter().map(|s| s[..cap].to_vec()).collect(),
-        };
-        assert_eq!(acc.into_bundle(), prefix);
-    }
-
-    #[test]
-    fn malformed_bundle_is_none_not_a_panic() {
-        // Regression: `SeriesBundle`'s fields are public, and a backwards
-        // timestamp (gap-median overflow) or a short channel (slice index
-        // out of range) panicked inside both decoders.
-        use crate::longrange::{LongRangeConfig, LongRangeDecoder};
-        let (good, _) = synth_bundle(&payload_90(), 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 33);
-        let plain = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
-        let long = LongRangeDecoder::new(LongRangeConfig::new(8, 1_000, 6));
-        assert!(plain.decode(&good, 100_000).is_some());
-        let mut backwards = good.clone();
-        backwards.t_us[200] = backwards.t_us[198];
-        let mut short = good;
-        short.series[3].pop();
-        for bad in [backwards, short] {
-            assert_eq!(plain.decode(&bad, 100_000), None);
-            assert_eq!(long.decode(&bad, 100_000), None);
-        }
+        assert_eq!(dec.decode(&live, 100_000), batch);
     }
 
     #[test]

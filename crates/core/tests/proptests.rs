@@ -3,6 +3,7 @@
 
 use bs_dsp::testkit::check;
 use bs_tag::frame::UplinkFrame;
+use wifi_backscatter::error::SeriesError;
 use wifi_backscatter::longrange::{LongRangeConfig, LongRangeDecoder};
 use wifi_backscatter::multitag::{run_inventory, InventoryConfig, InventoryTag};
 use wifi_backscatter::protocol::{select_bit_rate, Query, SUPPORTED_RATES_BPS};
@@ -36,7 +37,7 @@ fn clean_bundle(payload: &[bool], channels: usize, amp: f64) -> SeriesBundle {
                 .collect()
         })
         .collect();
-    SeriesBundle { t_us, series }
+    SeriesBundle::from_columns(t_us, series).unwrap()
 }
 
 /// Any payload decodes from a clean bundle — the decoder pipeline is
@@ -207,7 +208,7 @@ fn degenerate_bundle(g: &mut bs_dsp::testkit::Gen) -> SeriesBundle {
                 .collect()
         })
         .collect();
-    SeriesBundle { t_us, series }
+    SeriesBundle::from_columns(t_us, series).unwrap()
 }
 
 /// Neither decoder panics on degenerate input: empty and single-packet
@@ -224,18 +225,9 @@ fn decoders_never_panic_on_degenerate_bundles() {
     // Pinned edge cases first: zero packets, zero channels, one
     // NaN-valued packet.
     for bundle in [
-        SeriesBundle {
-            t_us: vec![],
-            series: vec![],
-        },
-        SeriesBundle {
-            t_us: vec![0, 10],
-            series: vec![],
-        },
-        SeriesBundle {
-            t_us: vec![0],
-            series: vec![vec![f64::NAN]],
-        },
+        SeriesBundle::new(0),
+        SeriesBundle::from_columns(vec![0, 10], vec![]).unwrap(),
+        SeriesBundle::from_columns(vec![0], vec![vec![f64::NAN]]).unwrap(),
     ] {
         let _ = uplink(4).decode(&bundle, 0);
         let _ = longrange(4).decode(&bundle, 0);
@@ -245,6 +237,71 @@ fn decoders_never_panic_on_degenerate_bundles() {
         let hint = g.usize_in(0, 200_000) as u64;
         let _ = uplink(g.usize_in(1, 12)).decode(&bundle, hint);
         let _ = longrange(g.usize_in(1, 6)).decode(&bundle, hint);
+    });
+}
+
+/// A malformed bundle cannot be built. Over random timestamps and
+/// columns with injected backwards steps, short or long columns and zero
+/// channels: `from_columns` is rejected exactly when the input is
+/// malformed; pushing the rows one at a time refuses the same packet with
+/// the same error and stores nothing, or builds the same bundle; and
+/// every bundle that is built survives a trace round trip.
+#[test]
+fn series_bundle_rejects_exactly_the_malformed_inputs() {
+    check("series-bundle-invariant", 256, |g| {
+        let channels = g.usize_in(0, 4);
+        let packets = g.usize_in(0, 12);
+        let mut t = 100u64;
+        let mut t_us: Vec<u64> = (0..packets)
+            .map(|_| {
+                t += g.usize_in(0, 3) as u64 * 10; // ties included
+                t
+            })
+            .collect();
+        let mut series: Vec<Vec<f64>> =
+            (0..channels).map(|_| g.vec_f64(-1e3, 1e3, packets, packets + 1)).collect();
+        if packets >= 2 && g.usize_in(0, 3) == 0 {
+            let p = g.usize_in(1, packets);
+            t_us[p] = t_us[p - 1] - 1;
+        }
+        if channels > 0 && g.usize_in(0, 3) == 0 {
+            let c = g.usize_in(0, channels);
+            if g.bool() {
+                series[c].pop();
+            } else {
+                series[c].push(0.5);
+            }
+        }
+        let malformed = t_us.windows(2).any(|w| w[1] < w[0])
+            || series.iter().any(|s| s.len() != packets);
+
+        let by_columns = SeriesBundle::from_columns(t_us.clone(), series.clone());
+        assert_eq!(by_columns.is_err(), malformed, "case {}", g.case());
+
+        let mut by_rows = SeriesBundle::new(channels);
+        let mut refused = None;
+        for (p, &t) in t_us.iter().enumerate() {
+            let row: Vec<f64> = series.iter().filter_map(|s| s.get(p).copied()).collect();
+            let before = by_rows.clone();
+            if let Err(e) = by_rows.push(t, &row) {
+                assert_eq!(by_rows, before, "a refused packet is not stored");
+                refused = Some(e);
+                break;
+            }
+        }
+        match (by_columns, refused) {
+            (Ok(bundle), None) => {
+                assert_eq!(bundle, by_rows);
+                assert_eq!(trace::from_text(&trace::to_text(&bundle)), Ok(bundle));
+            }
+            (Err(e), Some(r)) => assert_eq!(e, r),
+            // No row can carry a value past the end of the time axis.
+            (Err(SeriesError::Width { packet }), None) => {
+                assert_eq!(packet, packets);
+                assert!(series.iter().any(|s| s.len() > packets));
+            }
+            (columns, rows) => panic!("doors disagree: {columns:?} vs {rows:?}"),
+        }
     });
 }
 
@@ -266,7 +323,7 @@ fn indexed_decode_matches_reference_on_random_bundles() {
         let series: Vec<Vec<f64>> = (0..channels)
             .map(|_| (0..packets).map(|_| 9.0 + g.f64_in(-5.0, 5.0)).collect())
             .collect();
-        let bundle = SeriesBundle { t_us, series };
+        let bundle = SeriesBundle::from_columns(t_us, series).unwrap();
         let hint = g.usize_in(0, 50_000) as u64;
 
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(1_000, g.usize_in(1, 8)));

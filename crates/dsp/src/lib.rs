@@ -23,9 +23,8 @@
 //!   stream: the O(packets)-build, O(slots)-query index behind the
 //!   decoders' alignment search and MRC weighting, with incremental
 //!   extension and ring-buffer window statistics for streaming use.
-//! * [`stream`] — composable streaming blocks (`push → Consumed`
-//!   backpressure protocol over bounded buffers) and the chunked vector
-//!   kernels the decode hot path is written in terms of.
+//! * [`stream`] — the chunked vector kernels the decode hot path is
+//!   written in terms of.
 //! * [`bits`] — bit/byte packing, CRC-8 framing checks and bit-error-rate
 //!   accounting used throughout the evaluation.
 //! * [`obs`] — the deterministic observability layer: stage spans in

@@ -1,74 +1,11 @@
-//! Streaming primitives over bounded buffers.
+//! Chunked vector kernels.
 //!
-//! The paper's reader decodes a *continuous* packet process in real
-//! time; the decoders in `bs-core` consume a complete capture per call,
-//! and live packets reach them through `SeriesAccumulator`. The pieces
-//! here serve both:
-//!
-//! * [`Consumed`], the backpressure report a bounded feeder returns
-//!   (the caller sees `accepted < offered`);
-//! * the chunked vector kernels ([`axpy`], [`subtract`], [`scale_div`])
-//!   the decode hot path is written in terms of. They restructure
-//!   per-element loops into flat fixed-width lanes the autovectorizer
-//!   can pack, while performing **exactly** the same floating-point
-//!   operation on each element in the same order — so the vectorized
-//!   decode is bit-identical to the scalar reference (see DESIGN.md §5,
-//!   "Streaming decode", for the argument).
-
-/// How much of an offered slice a bounded feeder accepted.
-///
-/// Backpressure is explicit and cooperative: a feeder never buffers more
-/// than its bound, and the caller learns how far it got by comparing
-/// `accepted` against what it offered.
-///
-/// ```
-/// use bs_dsp::stream::Consumed;
-///
-/// let c = Consumed::all(3);
-/// assert_eq!(c.accepted, 3);
-/// assert!(!Consumed::none().any());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Consumed {
-    /// Number of samples (or packets, for packet-granular feeders)
-    /// accepted from the front of the offered slice.
-    pub accepted: usize,
-}
-
-impl Consumed {
-    /// Everything offered was accepted.
-    ///
-    /// ```
-    /// # use bs_dsp::stream::Consumed;
-    /// assert_eq!(Consumed::all(5).accepted, 5);
-    /// ```
-    pub fn all(n: usize) -> Self {
-        Consumed { accepted: n }
-    }
-
-    /// Nothing was accepted — the feeder is full (backpressure).
-    ///
-    /// ```
-    /// # use bs_dsp::stream::Consumed;
-    /// assert_eq!(Consumed::none().accepted, 0);
-    /// ```
-    pub fn none() -> Self {
-        Consumed { accepted: 0 }
-    }
-
-    /// Whether any samples were accepted.
-    ///
-    /// ```
-    /// # use bs_dsp::stream::Consumed;
-    /// assert!(Consumed::all(1).any());
-    /// assert!(!Consumed::none().any());
-    /// ```
-    pub fn any(&self) -> bool {
-        self.accepted > 0
-    }
-}
-
-// ---- chunked vector kernels ----
+//! The decode hot path ([`axpy`], [`subtract`], [`scale_div`]) is written
+//! in terms of these. They restructure per-element loops into flat
+//! fixed-width lanes the autovectorizer can pack, while performing
+//! **exactly** the same floating-point operation on each element in the
+//! same order — so the vectorized decode is bit-identical to the scalar
+//! reference (see DESIGN.md §5, "Streaming decode", for the argument).
 
 /// Lane width of the chunked kernels. 8 × f64 = one cache line; wide
 /// enough for any SIMD unit the autovectorizer targets, and the

@@ -167,12 +167,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Sets the DRR quantum (builder style).
-    pub fn with_quantum_bytes(mut self, quantum: u64) -> Self {
-        self.quantum_bytes = quantum.max(1);
-        self
-    }
-
     /// Arms forward error correction on every tag's transport (builder
     /// style): the template's segment payload is capped and the group
     /// code applied exactly as in

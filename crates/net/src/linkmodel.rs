@@ -350,13 +350,6 @@ impl TrafficLink {
         self
     }
 
-    /// Overrides the decoder's helper-packet demand.
-    pub fn with_min_pkts_per_bit(mut self, pkts: f64) -> Self {
-        assert!(pkts >= 0.0, "demand must be non-negative");
-        self.min_pkts_per_bit = pkts;
-        self
-    }
-
     /// The helper-packet arrival trace this link replays.
     pub fn arrivals(&self) -> &[u64] {
         &self.arrivals

@@ -3,7 +3,8 @@
 # Usage: scripts/check.sh [--bench-smoke]
 #   --bench-smoke  additionally run the decode, fec, phy, fleet and
 #                  energy smoke benches in release, writing
-#                  BENCH_<name>.json at the repo root. Each bench's gates
+#                  BENCH_<name>.json at the repo root, and perfbench's
+#                  --self-test. Each bench's gates
 #                  are listed in the docs of its crates/bench/benches/
 #                  *_micro.rs; every gate reads "pass", "fail: <reason>"
 #                  or "skipped: <reason>", and any fail exits non-zero
@@ -77,7 +78,7 @@ cargo test -q
 
 echo "== cargo test --doc (runnable API examples) =="
 # Every public item in the bs-dsp streaming/stats modules and the
-# core SeriesAccumulator carries a runnable doc-example, and every Rust
+# core SeriesBundle carries a runnable doc-example, and every Rust
 # snippet in README.md runs as a bs-bench doctest; keep them compiling
 # and passing like any other test.
 cargo test --doc -q
@@ -153,6 +154,15 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
+echo "== perfbench builds against the current API =="
+# perfbench/ is its own workspace, so nothing above compiles it; build it
+# here (in a throwaway target dir) so an API change it depends on breaks
+# this gate, not the benchmark pipeline.
+PERFBENCH_TARGET=$(mktemp -d)
+trap 'rm -rf "$PERFBENCH_TARGET"' EXIT
+CARGO_TARGET_DIR="$PERFBENCH_TARGET" cargo build --release --offline \
+    --manifest-path perfbench/Cargo.toml
+
 if [ "$BENCH_SMOKE" -eq 1 ]; then
     for b in $SMOKE_BENCHES; do
         echo "== bench smoke: ${b%%:*} -> BENCH_${b#*:}.json =="
@@ -160,6 +170,8 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
         # dir, and the record belongs at the repo root.
         cargo bench -q -p bs-bench --bench "${b%%:*}" -- --json "$PWD/BENCH_${b#*:}.json"
     done
+    echo "== perfbench self-test (pinned digests, replay identity) =="
+    CARGO_TARGET_DIR="$PERFBENCH_TARGET" python3 perfbench/run.py --self-test
 fi
 
 echo "== all checks passed =="

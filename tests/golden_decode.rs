@@ -204,13 +204,13 @@ fn capture_digest(bundle: &wifi_backscatter::SeriesBundle) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    eat(bundle.t_us.len() as u64);
-    eat(bundle.series.len() as u64);
-    for &t in &bundle.t_us {
+    eat(bundle.packets() as u64);
+    eat(bundle.channels() as u64);
+    for &t in bundle.t_us() {
         eat(t);
     }
-    for ch in &bundle.series {
-        for v in ch {
+    for c in 0..bundle.channels() {
+        for v in bundle.channel(c) {
             eat(v.to_bits());
         }
     }

@@ -1,9 +1,9 @@
 //! Streaming-vs-batch equivalence on the golden decode workloads.
 //!
-//! Live packets reach the decoders through a [`SeriesAccumulator`]:
-//! feed, `into_bundle()`, then `decode`. That path promises the exact
-//! batch output — not approximately, bit for bit and ulp for ulp —
-//! whatever the feeding granularity. The golden fixtures under
+//! Live packets reach the decoders through [`SeriesBundle::push`]: push
+//! each packet as it arrives, then `decode`. That path promises the
+//! exact batch output — not approximately, bit for bit and ulp for ulp —
+//! whatever the arrival granularity. The golden fixtures under
 //! `tests/golden/` pin the batch decoder's behaviour; this suite pins
 //! the streaming path to it on the same three operating points
 //! (CSI/MRC, RSSI/best-single, long-range coded), fed one packet at a
@@ -14,7 +14,7 @@
 use bs_dsp::codes::OrthogonalPair;
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement, UplinkCapture};
 use wifi_backscatter::longrange::{LongRangeConfig, LongRangeDecoder};
-use wifi_backscatter::series::{SeriesAccumulator, SeriesBundle};
+use wifi_backscatter::series::SeriesBundle;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 
 /// The golden 16-bit payload (`golden_decode.rs` uses the same one).
@@ -32,29 +32,23 @@ fn golden_capture(measurement: Measurement) -> (LinkConfig, UplinkCapture) {
     (cfg, capture)
 }
 
-/// A sub-bundle of packets `[at, end)`, the shape a burst arrives in.
-fn burst(bundle: &SeriesBundle, at: usize, end: usize) -> SeriesBundle {
-    SeriesBundle {
-        t_us: bundle.t_us[at..end].to_vec(),
-        series: bundle.series.iter().map(|s| s[at..end].to_vec()).collect(),
-    }
-}
-
-/// Feeds `bundle` into a fresh accumulator in bursts whose sizes cycle
-/// through `sizes`, then returns the bundle it collected.
+/// Pushes `bundle`'s packets into a fresh live bundle in bursts whose
+/// sizes cycle through `sizes`, then returns the bundle it collected.
 fn accumulate_in_bursts(bundle: &SeriesBundle, sizes: &[usize]) -> SeriesBundle {
-    let mut acc = SeriesAccumulator::new(bundle.channels());
+    let mut live = SeriesBundle::new(bundle.channels());
     let mut at = 0usize;
     for &size in sizes.iter().cycle() {
         if at == bundle.packets() {
             break;
         }
         let end = at.saturating_add(size).min(bundle.packets());
-        let accepted = acc.feed(&burst(bundle, at, end)).accepted;
-        assert_eq!(accepted, end - at, "unbounded accumulator must accept the burst");
+        for p in at..end {
+            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            live.push(bundle.t_us()[p], &row).expect("a capture's packets ascend");
+        }
         at = end;
     }
-    acc.into_bundle()
+    live
 }
 
 /// CSI and RSSI: per-packet, ragged-burst and whole-capture streaming
@@ -77,19 +71,11 @@ fn plain_mode_streaming_matches_batch_and_reference_on_golden_workloads() {
             "batch decode drifted from the reference ({measurement:?})"
         );
 
-        // One packet at a time, through the narrow feed_packet door.
-        let mut by_packet = SeriesAccumulator::new(capture.bundle.channels());
-        for (i, &t) in capture.bundle.t_us.iter().enumerate() {
-            let row: Vec<f64> = capture.bundle.series.iter().map(|s| s[i]).collect();
-            assert!(by_packet.feed_packet(t, &row).any());
-        }
-        assert_eq!(by_packet.packets(), capture.bundle.packets());
-        let by_packet = dec.decode(&by_packet.into_bundle(), capture.start_us);
-        assert_eq!(by_packet, batch, "per-packet streaming ({measurement:?})");
-
-        // Ragged bursts and the whole capture in one call.
-        for sizes in [&[1usize, 7, 64][..], &[usize::MAX][..]] {
+        // One packet at a time, ragged bursts, and the whole capture as
+        // one burst.
+        for sizes in [&[1usize][..], &[1, 7, 64][..], &[usize::MAX][..]] {
             let streamed = accumulate_in_bursts(&capture.bundle, sizes);
+            assert_eq!(streamed, capture.bundle, "burst sizes {sizes:?} ({measurement:?})");
             let streamed = dec.decode(&streamed, capture.start_us);
             assert_eq!(streamed, batch, "burst sizes {sizes:?} ({measurement:?})");
         }
@@ -120,25 +106,4 @@ fn long_range_streaming_matches_batch_on_golden_workload() {
         let streamed = dec.decode(&accumulate_in_bursts(&capture.bundle, sizes), capture.start_us);
         assert_eq!(streamed, batch, "long-range burst sizes {sizes:?}");
     }
-}
-
-/// Backpressure on the golden workload: a bounded accumulator accepts
-/// exactly its capacity and collects exactly that prefix, so decoding it
-/// is a batch decode of the prefix.
-#[test]
-fn bounded_streaming_decodes_the_accepted_prefix_exactly() {
-    let (_, capture) = golden_capture(Measurement::Csi);
-    let cap = capture.bundle.packets() / 2;
-
-    let mut bounded = SeriesAccumulator::with_capacity(capture.bundle.channels(), cap);
-    let consumed = bounded.feed(&capture.bundle);
-    assert_eq!(consumed.accepted, cap, "accumulator must stop at its capacity");
-    assert!(!bounded.feed(&capture.bundle).any(), "full: explicit backpressure");
-    assert_eq!(bounded.packets(), cap);
-
-    assert_eq!(
-        bounded.into_bundle(),
-        burst(&capture.bundle, 0, cap),
-        "bounded accumulator kept something other than the accepted prefix"
-    );
 }
