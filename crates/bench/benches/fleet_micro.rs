@@ -35,7 +35,8 @@
 
 use bs_bench::experiments::fleet::{fleet_config, point_of};
 use bs_bench::object;
-use bs_bench::report::{host_cores, json_path, BenchReport, Value, Verdict};
+use bs_bench::report::{json_path, BenchReport, Value, Verdict};
+use bs_dsp::par::available_jobs;
 use bs_dsp::stats::median;
 use bs_net::fleet::run_fleet;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -153,7 +154,7 @@ fn smoke() -> BenchReport {
 
     // Scaling samples: worker counts 1, 4 and the host's cores, in
     // rounds alternating ascending and descending order.
-    let cores = host_cores();
+    let cores = available_jobs();
     let mut counts = vec![1usize, 4, cores];
     counts.sort_unstable();
     counts.dedup();

@@ -17,7 +17,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers = bs_dsp::par::available_jobs();
     match which {
         "uplink" => println!("# d_cm  ber_csi30  ber_rssi30  pkts_per_bit"),
         _ => println!("# d_cm  ber20k  ber10k  ber5k"),

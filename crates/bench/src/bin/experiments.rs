@@ -125,9 +125,7 @@ fn parse(args: Vec<String>) -> Result<Cli, String> {
         figs: figs.unwrap_or_else(|| ALL_FIGURES.iter().map(|f| f.to_string()).collect()),
         effort: effort.unwrap_or_else(Effort::quick),
         seed: seed.unwrap_or(20140817), // SIGCOMM'14 began August 17, 2014
-        jobs: jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }),
+        jobs: jobs.unwrap_or_else(bs_dsp::par::available_jobs),
         json_dir,
     })
 }

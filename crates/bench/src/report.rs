@@ -7,6 +7,7 @@
 
 use crate::harness::record::json_number;
 use bs_dsp::obs::json_str;
+use bs_dsp::par::available_jobs;
 use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
@@ -114,7 +115,7 @@ impl BenchReport {
         BenchReport {
             fields: vec![
                 ("bench".into(), bench.into()),
-                ("host_cores".into(), host_cores().into()),
+                ("host_cores".into(), available_jobs().into()),
             ],
             gates: Vec::new(),
         }
@@ -157,11 +158,6 @@ impl BenchReport {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The host's available parallelism (1 if it cannot be read).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The evidence path of a smoke run: `Some` when the bench was started
@@ -294,6 +290,6 @@ mod tests {
   "gates": {}
 }
 "#;
-        assert_eq!(report.to_json(), expected.replace("CORES", &host_cores().to_string()));
+        assert_eq!(report.to_json(), expected.replace("CORES", &available_jobs().to_string()));
     }
 }

@@ -186,15 +186,27 @@ impl SimRng {
 
     /// Gaussian with the given mean and standard deviation (Box–Muller).
     pub fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
-        // Box–Muller; one value per call keeps the stream stateless w.r.t.
-        // cached spares, which keeps substream derivation order-insensitive.
+        Self::box_muller(self.box_muller_uniforms(), mean, std_dev)
+    }
+
+    /// The draws of one [`Self::gaussian`]: `u1` in `(0, 1)` (zeros are
+    /// redrawn) and `u2` in `[0, 1)`. A caller that only needs to move
+    /// the stream past a Gaussian draws these and skips the math.
+    pub fn box_muller_uniforms(&mut self) -> (f64, f64) {
+        // One value per call keeps the stream stateless w.r.t. cached
+        // spares, which keeps substream derivation order-insensitive.
         let u1: f64 = loop {
             let u = self.uniform();
             if u > 0.0 {
                 break u;
             }
         };
-        let u2 = self.uniform();
+        (u1, self.uniform())
+    }
+
+    /// The Gaussian that [`Self::gaussian`] makes of its uniforms: a pure
+    /// function, so it can run anywhere once the draws are taken.
+    pub fn box_muller((u1, u2): (f64, f64), mean: f64, std_dev: f64) -> f64 {
         let mag = (-2.0 * u1.ln()).sqrt();
         mean + std_dev * mag * (2.0 * std::f64::consts::PI * u2).cos()
     }
@@ -349,6 +361,19 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.03, "mean {mean}");
         assert!((var - 4.0).abs() < 0.1, "var {var}");
+    }
+
+    #[test]
+    fn gaussian_is_box_muller_of_its_uniforms() {
+        let mut a = SimRng::new(55).stream("bm");
+        let mut b = a.clone();
+        for _ in 0..1000 {
+            let g = a.gaussian(0.5, 2.0);
+            let u = b.box_muller_uniforms();
+            assert!(u.0 > 0.0 && u.1 < 1.0);
+            assert_eq!(g.to_bits(), SimRng::box_muller(u, 0.5, 2.0).to_bits());
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

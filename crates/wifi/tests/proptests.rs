@@ -1,8 +1,12 @@
 //! Property-based tests for the Wi-Fi substrate's invariants,
 //! driven by the deterministic in-repo [`bs_dsp::testkit`] generator.
 
+use bs_channel::scene::ChannelSnapshot;
+use bs_channel::TagState;
+use bs_dsp::obs::MemRecorder;
 use bs_dsp::testkit::check;
-use bs_dsp::SimRng;
+use bs_dsp::{Complex, SimRng};
+use bs_wifi::csi::{estimation_noise_std, CsiConfig, CsiExtractor};
 use bs_wifi::frame::{airtime_us, FrameKind, WifiFrame, MAX_NAV_US};
 use bs_wifi::mac::{all_delivered, MacConfig, Medium, Station};
 use bs_wifi::rate_adapt::{best_rate, mac_efficiency, RateAdapter, RATE_TABLE};
@@ -221,5 +225,68 @@ fn mac_efficiency_in_unit_interval() {
     check("mac-efficiency-unit", 256, |g| {
         let e = mac_efficiency(g.usize_in(60, 540) as f64 / 10.0);
         assert!(e > 0.0 && e < 1.0);
+    });
+}
+
+// ---- CSI ----
+
+/// The draw-only pass and the in-place writer agree with `measure_with`:
+/// the same stream position after every packet, the same counters, and
+/// the same amplitudes to the last bit, over random artifact configs and
+/// shapes. A capture splits its sweep between the two on the strength
+/// of this.
+#[test]
+fn csi_skip_and_in_place_measure_agree_with_measure() {
+    check("csi-skip-measure", 96, |g| {
+        let mut cfg = if g.bool() {
+            CsiConfig::default()
+        } else {
+            CsiConfig::ideal()
+        };
+        cfg.spurious_jump_prob = [0.0, 0.5, 1.0][g.usize_in(0, 3)];
+        cfg.spurious_jump_scale = g.f64_in(0.0, 0.9);
+        if g.bool() {
+            cfg.gain_jitter = 0.0;
+            cfg.subchannel_jitter = 0.0;
+        }
+        if g.bool() {
+            cfg.quant_step = 0.0;
+        }
+        let antennas = g.usize_in(1, 5);
+        let subchannels = g.usize_in(1, 31);
+        cfg.weak_antenna = g.bool().then(|| g.usize_in(0, antennas));
+        let seed = g.case() ^ 0xc51;
+        let mut measured = CsiExtractor::new(cfg, SimRng::new(seed));
+        let mut skipped = measured.clone();
+        let (mut rec_measured, mut rec_skipped) = (MemRecorder::new(), MemRecorder::new());
+        for p in 0..g.usize_in(1, 51) {
+            let h: Vec<Complex> = (0..antennas * subchannels)
+                .map(|_| Complex::new(g.f64_in(-1e-2, 1e-2), g.f64_in(-1e-2, 1e-2)))
+                .collect();
+            let snap = ChannelSnapshot {
+                h: h.chunks(subchannels).map(<[Complex]>::to_vec).collect(),
+                tx_mw_per_subcarrier: g.f64_in(1e-3, 1.0),
+                noise_mw_per_subcarrier: g.f64_in(1e-12, 1e-6),
+                tag_state: TagState::Absorb,
+                time_s: 0.0,
+            };
+            let mut in_place = vec![f64::NAN; h.len()];
+            let mut written = skipped.clone();
+            written.measure_into(&h, antennas, estimation_noise_std(&snap), &mut in_place);
+            skipped.skip_with(&snap, &mut rec_skipped);
+            let m = measured.measure_with(&snap, p as u64, &mut rec_measured);
+            let want: Vec<u64> = m.amplitude.iter().flatten().map(|a| a.to_bits()).collect();
+            let got: Vec<u64> = in_place.iter().map(|a| a.to_bits()).collect();
+            assert_eq!(got, want, "case {} packet {p}", g.case());
+            let next = |ex: &CsiExtractor| ex.rng().clone().next_u64();
+            assert_eq!(next(&skipped), next(&measured), "case {} packet {p}: skip", g.case());
+            assert_eq!(next(&written), next(&measured), "case {} packet {p}: in place", g.case());
+        }
+        assert_eq!(
+            rec_skipped.report().to_json(),
+            rec_measured.report().to_json(),
+            "case {}",
+            g.case()
+        );
     });
 }

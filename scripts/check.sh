@@ -107,6 +107,13 @@ echo "== golden / bit-identity (decode transcripts, raw-capture digests, invento
 # digest.
 cargo test --release -q -p wifi-backscatter --test golden_decode
 cargo test --release -q -p wifi-backscatter --lib multitag
+# The threaded CSI capture with optimisations on: whole captures at
+# jobs 1, 2, 3 and 8 against the serial per-packet reference, the
+# skip/measure/in-place agreement property, and the runtime's nesting
+# and chunk contracts.
+cargo test --release -q -p wifi-backscatter --lib bit_identical_at_any_worker_count
+cargo test --release -q -p bs-wifi --test proptests csi_skip_and_in_place
+cargo test --release -q -p bs-dsp --lib par::
 
 echo "== phy mode conformance (codeword round-trip, determinism, rate tables) =="
 # The second PHY mode's contract (presence bits are pinned by the golden
