@@ -57,7 +57,9 @@ fn pushed(bundle: &SeriesBundle, burst: usize) -> SeriesBundle {
     let mut live = SeriesBundle::new(bundle.channels());
     for at in (0..bundle.packets()).step_by(burst) {
         for p in at..(at + burst).min(bundle.packets()) {
-            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            let row: Vec<f64> = (0..bundle.channels())
+                .map(|c| bundle.channel(c)[p])
+                .collect();
             live.push(bundle.t_us()[p], &row).expect("packets ascend");
         }
     }
@@ -113,7 +115,10 @@ fn smoke() -> BenchReport {
         let dec = mk(sb);
         let reference = dec.decode_reference(&capture.bundle, capture.start_us);
         let batch = dec.decode(&capture.bundle, capture.start_us);
-        assert!(reference.is_some(), "smoke workload must decode (reference found no frame)");
+        assert!(
+            reference.is_some(),
+            "smoke workload must decode (reference found no frame)"
+        );
         if sb == 2 {
             gate_identical = reference == batch;
         }
@@ -134,7 +139,9 @@ fn smoke() -> BenchReport {
     // the throughput gate are about.
     let time_pair = |sb: u32| {
         let d = mk(sb);
-        let r = measure_ns(7, 1, || d.decode_reference(&capture.bundle, capture.start_us));
+        let r = measure_ns(7, 1, || {
+            d.decode_reference(&capture.bundle, capture.start_us)
+        });
         let i = measure_ns(7, 1, || d.decode(&capture.bundle, capture.start_us));
         (r, i)
     };
@@ -150,7 +157,10 @@ fn smoke() -> BenchReport {
         let mut rec = MemRecorder::new();
         let mut index = SlotIndex::new(&capture.bundle);
         mk(sb).decode_indexed(&mut index, capture.start_us, &mut rec);
-        rec.report().spans_for("uplink.align").map(|s| s.items).sum()
+        rec.report()
+            .spans_for("uplink.align")
+            .map(|s| s.items)
+            .sum()
     };
     let candidates = |sb: u64| 4 * sb + 1; // ±2·search_bits half-bit steps
     let items_sb2 = align_items(2);
@@ -168,10 +178,12 @@ fn smoke() -> BenchReport {
     let gate_fewer = indexed_passes_sb2 < reference_passes_sb2 && gate_stream_fewer;
     let gate_flat = (items_sb8 as f64) < 1.5 * (items_sb2 as f64);
 
-    let search = |sb: u64, ref_ns: f64, idx_ns: f64, items: u64, idx: u64, rf: u64| object! {
-        "candidates": candidates(sb), "reference_ns": ref_ns, "indexed_ns": idx_ns,
-        "speedup": ref_ns / idx_ns.max(1.0), "align_items": items,
-        "indexed_stream_passes": idx, "reference_stream_passes": rf,
+    let search = |sb: u64, ref_ns: f64, idx_ns: f64, items: u64, idx: u64, rf: u64| {
+        object! {
+            "candidates": candidates(sb), "reference_ns": ref_ns, "indexed_ns": idx_ns,
+            "speedup": ref_ns / idx_ns.max(1.0), "align_items": items,
+            "indexed_stream_passes": idx, "reference_stream_passes": rf,
+        }
     };
     let mut report = BenchReport::new("decode");
     report.field("workload", object! {
@@ -180,9 +192,15 @@ fn smoke() -> BenchReport {
     });
     report.field("speedup", speedup);
     report.field("speedup_target", 3.0);
-    report.field("speedup_note", "reference/indexed at search_bits=8; gated at 2x, 3x is evidence");
+    report.field(
+        "speedup_note",
+        "reference/indexed at search_bits=8; gated at 2x, 3x is evidence",
+    );
     report.field("peak_resident_packets", peak_resident);
-    report.field("resident_note", "one frame per live bundle; push never evicts");
+    report.field(
+        "resident_note",
+        "one frame per live bundle; push never evicts",
+    );
     report.field("align_search", object! {
         "search_bits_2":
             search(2, ref_ns_sb2, idx_ns_sb2, items_sb2, indexed_passes_sb2, reference_passes_sb2),
@@ -190,13 +208,41 @@ fn smoke() -> BenchReport {
             search(8, ref_ns_sb8, idx_ns_sb8, items_sb8, indexed_passes_sb8, reference_passes_sb8),
     });
     for (gate, ok, reason) in [
-        ("indexed_identical_to_reference", gate_identical, "indexed decode differs"),
-        ("indexed_fewer_passes_than_reference", gate_fewer, "passes not below the reference"),
-        ("align_work_flat_in_candidates", gate_flat, "align work grows with the candidate count"),
-        ("streaming_identical_to_batch_and_reference", gate_streaming, "a decode path differs"),
-        ("peak_resident_is_one_frame", gate_resident, "live bundle holds more or less than a frame"),
-        ("stream_fewer_passes_than_reference", gate_stream_fewer, "passes not below the reference"),
-        ("throughput_ge_2x", gate_throughput, "under 2x the reference"),
+        (
+            "indexed_identical_to_reference",
+            gate_identical,
+            "indexed decode differs",
+        ),
+        (
+            "indexed_fewer_passes_than_reference",
+            gate_fewer,
+            "passes not below the reference",
+        ),
+        (
+            "align_work_flat_in_candidates",
+            gate_flat,
+            "align work grows with the candidate count",
+        ),
+        (
+            "streaming_identical_to_batch_and_reference",
+            gate_streaming,
+            "a decode path differs",
+        ),
+        (
+            "peak_resident_is_one_frame",
+            gate_resident,
+            "live bundle holds more or less than a frame",
+        ),
+        (
+            "stream_fewer_passes_than_reference",
+            gate_stream_fewer,
+            "passes not below the reference",
+        ),
+        (
+            "throughput_ge_2x",
+            gate_throughput,
+            "under 2x the reference",
+        ),
     ] {
         report.gate(gate, Verdict::check(ok, reason));
     }

@@ -120,7 +120,8 @@ fn golden_gate() -> (bool, bool, bool) {
     )
     .expect("distinct addresses");
     let gw_ok = gw.airtime_us == GATEWAY_AIRTIME
-        && gw.tags
+        && gw
+            .tags
             .iter()
             .map(|t| t.transfer.delivered_bytes)
             .sum::<u64>()
@@ -146,10 +147,7 @@ fn wild_pair(harvest_uw: f64, seed: u64) -> (f64, f64) {
     let naive = run_gateway(&tags, &base).expect("distinct addresses");
     let aware = run_gateway(&tags, &base.with_polling(PollingPolicy::EnergyAware))
         .expect("distinct addresses");
-    (
-        naive.aggregate_goodput_bps(),
-        aware.aggregate_goodput_bps(),
-    )
+    (naive.aggregate_goodput_bps(), aware.aggregate_goodput_bps())
 }
 
 /// Gate 4's deployment: 10⁵ tags on small reservoirs under an ambient
@@ -230,9 +228,12 @@ fn smoke() -> BenchReport {
         .map(|&(jobs, ms)| object! { "jobs": jobs, "wall_ms": ms })
         .collect();
     let mut report = BenchReport::new("energy");
-    report.field("golden", object! {
-        "fleet_clean_ok": clean_ok, "fleet_lossy_ok": lossy_ok, "gateway_ok": gw_ok,
-    });
+    report.field(
+        "golden",
+        object! {
+            "fleet_clean_ok": clean_ok, "fleet_lossy_ok": lossy_ok, "gateway_ok": gw_ok,
+        },
+    );
     report.field("wild_pairs", wild_rows);
     report.field("starving", starving_rows);
     report.field("intermittent_fleet", object! {
@@ -242,11 +243,31 @@ fn smoke() -> BenchReport {
         "wall": wall_rows,
     });
     for (gate, ok, reason) in [
-        ("always_powered_bit_identical", gate_golden, "drifted from the pre-energy pins"),
-        ("aware_ge_naive_on_all_wild_pairs", gate_wild, "aware trailed naive on a pair"),
-        ("starving_waste_recovered", gate_starving, "a seed missed its bounds"),
-        ("fleet_json_identical_across_jobs", gate_fleet_jobs, "JSON differs across worker counts"),
-        ("fleet_actually_intermittent", gate_fleet_stress, "no tag browned out"),
+        (
+            "always_powered_bit_identical",
+            gate_golden,
+            "drifted from the pre-energy pins",
+        ),
+        (
+            "aware_ge_naive_on_all_wild_pairs",
+            gate_wild,
+            "aware trailed naive on a pair",
+        ),
+        (
+            "starving_waste_recovered",
+            gate_starving,
+            "a seed missed its bounds",
+        ),
+        (
+            "fleet_json_identical_across_jobs",
+            gate_fleet_jobs,
+            "JSON differs across worker counts",
+        ),
+        (
+            "fleet_actually_intermittent",
+            gate_fleet_stress,
+            "no tag browned out",
+        ),
     ] {
         report.gate(gate, Verdict::check(ok, reason));
     }

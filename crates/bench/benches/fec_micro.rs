@@ -39,10 +39,7 @@ const RUNS: u64 = 4;
 /// Deterministic exactness trials: encode, corrupt at capacity, decode,
 /// compare bit for bit. Returns the number of failing trials.
 fn exactness_failures(trials: u64) -> u64 {
-    let rs = ReedSolomon::new(
-        FIXED_GROUP_DATA + FIXED_GROUP_PARITY,
-        FIXED_GROUP_DATA,
-    );
+    let rs = ReedSolomon::new(FIXED_GROUP_DATA + FIXED_GROUP_PARITY, FIXED_GROUP_DATA);
     let mut rng = SimRng::new(SEED).stream("fec-bench-exactness");
     let mut failures = 0;
     for _ in 0..trials {
@@ -134,15 +131,21 @@ fn smoke() -> BenchReport {
         benign_arq.per_run_goodput == benign_ad.per_run_goodput && benign_ad.fec_repairs == 0;
 
     let mut report = BenchReport::new("fec_transport");
-    report.field("workload", object! {
-        "message_bytes": 1024u64, "regime": "wild", "window": 48u64, "runs_per_cell": RUNS,
-        "seed": SEED,
-        "pairing": "per (severity, run): same arrival trace and fault stream for every scheme",
-    });
-    report.field("exactness", object! {
-        "code": format!("RS({}, {FIXED_GROUP_DATA})", FIXED_GROUP_DATA + FIXED_GROUP_PARITY),
-        "trials": 64u64, "failures": exact_fail,
-    });
+    report.field(
+        "workload",
+        object! {
+            "message_bytes": 1024u64, "regime": "wild", "window": 48u64, "runs_per_cell": RUNS,
+            "seed": SEED,
+            "pairing": "per (severity, run): same arrival trace and fault stream for every scheme",
+        },
+    );
+    report.field(
+        "exactness",
+        object! {
+            "code": format!("RS({}, {FIXED_GROUP_DATA})", FIXED_GROUP_DATA + FIXED_GROUP_PARITY),
+            "trials": 64u64, "failures": exact_fail,
+        },
+    );
     report.field("wild_sweep", sweep_rows);
     report.field("wild_05_ratio", wild_05_ratio);
     report.field("paired_runs", paired_total);
@@ -150,10 +153,26 @@ fn smoke() -> BenchReport {
     report.field("repairs_total", repairs_total);
     report.field("decode_fails_total", decode_fails_total);
     for (gate, ok, reason) in [
-        ("rs_exact_at_capacity", gate_exact, "RS decode not exact at capacity"),
-        ("adaptive_ge_arq_every_paired_run", gate_paired, "adaptive lost a paired run"),
-        ("wild_05_speedup_ge_1_5x", gate_speedup, "wild@0.5 ratio below 1.5x"),
-        ("adaptive_ties_arq_on_benign_traffic", gate_benign, "adaptive differs from plain ARQ"),
+        (
+            "rs_exact_at_capacity",
+            gate_exact,
+            "RS decode not exact at capacity",
+        ),
+        (
+            "adaptive_ge_arq_every_paired_run",
+            gate_paired,
+            "adaptive lost a paired run",
+        ),
+        (
+            "wild_05_speedup_ge_1_5x",
+            gate_speedup,
+            "wild@0.5 ratio below 1.5x",
+        ),
+        (
+            "adaptive_ties_arq_on_benign_traffic",
+            gate_benign,
+            "adaptive differs from plain ARQ",
+        ),
     ] {
         report.gate(gate, Verdict::check(ok, reason));
     }

@@ -132,7 +132,11 @@ fn smoke() -> BenchReport {
     // also warm the caches and the allocator for the timed rounds.
     let jsons: Vec<String> = [1usize, 2, 4, 8]
         .iter()
-        .map(|&jobs| run_fleet(&cfg, jobs).expect("acceptance population fits").to_json())
+        .map(|&jobs| {
+            run_fleet(&cfg, jobs)
+                .expect("acceptance population fits")
+                .to_json()
+        })
         .collect();
     let gate_jobs = jsons.iter().all(|j| j == &jsons[0]);
     let allocs_before = thread_allocs();
@@ -172,7 +176,10 @@ fn smoke() -> BenchReport {
         }
     }
     let median_ms = |jobs: usize| {
-        let k = counts.iter().position(|&c| c == jobs).expect("sampled count");
+        let k = counts
+            .iter()
+            .position(|&c| c == jobs)
+            .expect("sampled count");
         median(&walls_ms[k])
     };
     let wall_1 = median_ms(1);
@@ -211,15 +218,21 @@ fn smoke() -> BenchReport {
         })
         .collect();
     let mut report = BenchReport::new("fleet");
-    report.field("workload", object! {
-        "gateways": GATEWAYS, "tags_per_gateway": TAGS_PER_GATEWAY,
-        "tags": GATEWAYS * TAGS_PER_GATEWAY, "epochs": 1u64, "seed": SEED,
-    });
-    report.field("point", object! {
-        "goodput_bps": point.goodput_bps, "fairness": point.fairness, "p50_us": point.p50_us,
-        "p99_us": point.p99_us, "all_complete": point.all_complete,
-        "digest": format!("{:016x}", point.digest),
-    });
+    report.field(
+        "workload",
+        object! {
+            "gateways": GATEWAYS, "tags_per_gateway": TAGS_PER_GATEWAY,
+            "tags": GATEWAYS * TAGS_PER_GATEWAY, "epochs": 1u64, "seed": SEED,
+        },
+    );
+    report.field(
+        "point",
+        object! {
+            "goodput_bps": point.goodput_bps, "fairness": point.fairness, "p50_us": point.p50_us,
+            "p99_us": point.p99_us, "all_complete": point.all_complete,
+            "digest": format!("{:016x}", point.digest),
+        },
+    );
     report.field("core_scaling", scaling_rows);
     report.field("speedup_at_4_jobs", speedup_4);
     report.field("parallel_efficiency_at_host_cores", efficiency);
@@ -227,8 +240,16 @@ fn smoke() -> BenchReport {
     let shard_hex: Vec<String> = shard_digests.iter().map(|d| format!("{d:016x}")).collect();
     report.field("shard_digests", shard_hex);
     for (gate, ok, reason) in [
-        ("json_identical_across_jobs", gate_jobs, "FleetRun JSON differs across worker counts"),
-        ("digest_invariant_across_shards", gate_shards, "digest changed with shards"),
+        (
+            "json_identical_across_jobs",
+            gate_jobs,
+            "FleetRun JSON differs across worker counts",
+        ),
+        (
+            "digest_invariant_across_shards",
+            gate_shards,
+            "digest changed with shards",
+        ),
         (
             "digest_pinned",
             point.digest == PINNED_DIGEST,

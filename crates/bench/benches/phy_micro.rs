@@ -37,10 +37,13 @@ fn smoke() -> BenchReport {
     let gate_speedup = presence.goodput_bps > 0.0 && ratio >= 10.0;
 
     let mut report = BenchReport::new("phy_modes");
-    report.field("workload", object! {
-        "payload_bits": 128u64, "distance_m": 0.3, "helper_pps": 3000u64, "runs_per_mode": RUNS,
-        "seed": SEED, "pairing": "per run: same seed for both modes",
-    });
+    report.field(
+        "workload",
+        object! {
+            "payload_bits": 128u64, "distance_m": 0.3, "helper_pps": 3000u64, "runs_per_mode": RUNS,
+            "seed": SEED, "pairing": "per run: same seed for both modes",
+        },
+    );
     report.field("presence_goodput_bps", presence.goodput_bps);
     report.field("presence_bit_rate_bps", presence.bit_rate_bps);
     report.field("codeword_goodput_bps", codeword.goodput_bps);

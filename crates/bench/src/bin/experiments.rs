@@ -32,8 +32,10 @@ fn main() {
         Ok(cli) => cli,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("usage: experiments [all|quick|<fig>] [seed] \
-                       [--figs a,b] [--jobs N] [--seed S] [--json DIR]");
+            eprintln!(
+                "usage: experiments [all|quick|<fig>] [seed] \
+                       [--figs a,b] [--jobs N] [--seed S] [--json DIR]"
+            );
             std::process::exit(2);
         }
     };
@@ -78,12 +80,15 @@ fn parse(args: Vec<String>) -> Result<Cli, String> {
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut flag_value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut flag_value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
             "--figs" => {
-                figs = Some(flag_value("--figs")?.split(',').map(str::to_string).collect());
+                figs = Some(
+                    flag_value("--figs")?
+                        .split(',')
+                        .map(str::to_string)
+                        .collect(),
+                );
             }
             "--jobs" => {
                 let v = flag_value("--jobs")?;

@@ -167,9 +167,7 @@ pub fn conditioning_ablation(runs: u64, seed: u64) -> Vec<AblationRow> {
                     dcfg.conditioning_window_us = window_us;
                     match UplinkDecoder::new(dcfg).decode(&cap.bundle, cap.start_us) {
                         Some(out) => ber.compare_with_erasures(&cfg.payload, &out.bits),
-                        None => {
-                            ber.record(cfg.payload.len() as u64, cfg.payload.len() as u64)
-                        }
+                        None => ber.record(cfg.payload.len() as u64, cfg.payload.len() as u64),
                     }
                 }
                 ber.raw_ber()
@@ -203,10 +201,7 @@ mod tests {
         let rows = artifact_ablation(0.65, 12, 72);
         let intel = rows[0].ber;
         let ideal = rows[1].ber;
-        assert!(
-            ideal <= intel + 1e-2,
-            "ideal {ideal} vs intel {intel}"
-        );
+        assert!(ideal <= intel + 1e-2, "ideal {ideal} vs intel {intel}");
     }
 
     #[test]
@@ -226,7 +221,11 @@ mod tests {
     #[test]
     fn conditioning_window_matters_under_fading() {
         let rows = conditioning_ablation(2, 73);
-        let paper = rows.iter().find(|r| r.variant.starts_with("400")).unwrap().ber;
+        let paper = rows
+            .iter()
+            .find(|r| r.variant.starts_with("400"))
+            .unwrap()
+            .ber;
         let worst = rows.iter().map(|r| r.ber).fold(0.0f64, f64::max);
         // The paper's window should be at or near the best of the sweep.
         assert!(paper <= worst, "paper {paper} worst {worst}");

@@ -4,8 +4,8 @@
 use bs_dsp::bits::BerCounter;
 use bs_dsp::SimRng;
 use wifi_backscatter::link::LinkConfig;
-use wifi_backscatter::phy::run_uplink;
 use wifi_backscatter::link::Measurement;
+use wifi_backscatter::phy::run_uplink;
 
 use super::uplink::eval_payload;
 
@@ -118,8 +118,10 @@ mod tests {
     #[test]
     fn office_rate_tracks_load() {
         // 12:00, 16:00, 20:00
-        let slots: Vec<OfficeSlot> =
-            office_hours(4.0).into_iter().map(|h| office_slot(h, 1, 21)).collect();
+        let slots: Vec<OfficeSlot> = office_hours(4.0)
+            .into_iter()
+            .map(|h| office_slot(h, 1, 21))
+            .collect();
         assert_eq!(slots.len(), 3);
         let noon = slots[0];
         let peak = slots[1];

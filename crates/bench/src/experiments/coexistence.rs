@@ -68,10 +68,8 @@ pub fn throughput_at_location(
             let mut cfg = SceneConfig::uplink(tag_distance_cm as f64 / 100.0);
             cfg.helper = tb.position(loc);
             cfg.reader = tb.position(TestbedLocation::Loc1);
-            cfg.tag = bs_channel::Point::new(
-                cfg.reader.x + tag_distance_cm as f64 / 100.0,
-                cfg.reader.y,
-            );
+            cfg.tag =
+                bs_channel::Point::new(cfg.reader.x + tag_distance_cm as f64 / 100.0, cfg.reader.y);
             cfg.helper_tx_dbm = 7.0;
             cfg.pathloss.exponent = 3.0;
             cfg.walls = tb
@@ -173,9 +171,20 @@ mod tests {
     #[test]
     fn goodput_decreases_with_tx_distance() {
         let points = all_locations(&[TagActivity::Absent], 42);
-        let g2 = points.iter().find(|p| p.location == 2).unwrap().goodput_mbytes;
-        let g5 = points.iter().find(|p| p.location == 5).unwrap().goodput_mbytes;
-        assert!(g2 > g5, "loc2 {g2} loc5 {g5} (NLOS location should drop a rate tier)");
+        let g2 = points
+            .iter()
+            .find(|p| p.location == 2)
+            .unwrap()
+            .goodput_mbytes;
+        let g5 = points
+            .iter()
+            .find(|p| p.location == 5)
+            .unwrap()
+            .goodput_mbytes;
+        assert!(
+            g2 > g5,
+            "loc2 {g2} loc5 {g5} (NLOS location should drop a rate tier)"
+        );
         // Fig. 19's axis: up to ~4 MB/s.
         assert!(g2 <= 4.5 && g2 > 1.0, "g2 {g2}");
     }

@@ -120,6 +120,10 @@ mod tests {
     fn false_positives_are_rare() {
         let slot = false_positive_slot(14.0, 32);
         // Paper: fewer than 30 per hour.
-        assert!(slot.per_hour < 60.0, "false positives {} / hour", slot.per_hour);
+        assert!(
+            slot.per_hour < 60.0,
+            "false positives {} / hour",
+            slot.per_hour
+        );
     }
 }

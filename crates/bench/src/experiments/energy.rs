@@ -109,8 +109,11 @@ pub fn energy_point(
     policy: PollingPolicy,
     seed: u64,
 ) -> EnergyPoint {
-    let run = run_fleet(&energy_fleet_config(tx_power_dbm, ambient_uw, policy, seed), 1)
-        .expect("sweep population fits the address space");
+    let run = run_fleet(
+        &energy_fleet_config(tx_power_dbm, ambient_uw, policy, seed),
+        1,
+    )
+    .expect("sweep population fits the address space");
     point_of(regime, policy, &run)
 }
 
@@ -210,8 +213,20 @@ mod tests {
 
     #[test]
     fn famine_wastes_polls_where_strong_does_not() {
-        let strong = energy_point("strong", REGIMES[0].1, REGIMES[0].2, PollingPolicy::Naive, 9);
-        let famine = energy_point("famine", REGIMES[2].1, REGIMES[2].2, PollingPolicy::Naive, 9);
+        let strong = energy_point(
+            "strong",
+            REGIMES[0].1,
+            REGIMES[0].2,
+            PollingPolicy::Naive,
+            9,
+        );
+        let famine = energy_point(
+            "famine",
+            REGIMES[2].1,
+            REGIMES[2].2,
+            PollingPolicy::Naive,
+            9,
+        );
         assert!(
             famine.poll_waste > strong.poll_waste,
             "famine {:.3} vs strong {:.3} poll waste",

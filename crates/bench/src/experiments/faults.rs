@@ -34,12 +34,7 @@ pub struct FaultPoint {
 /// The shared operating point of the fault sweep: close range and a
 /// modest rate, so that without faults the link is comfortably clean and
 /// any degradation measured is attributable to the injected fault.
-pub fn fault_link_config(
-    scenario: &str,
-    severity: f64,
-    mitigated: bool,
-    seed: u64,
-) -> LinkConfig {
+pub fn fault_link_config(scenario: &str, severity: f64, mitigated: bool, seed: u64) -> LinkConfig {
     let mut cfg = LinkConfig::fig10(0.1, 100, 10, seed);
     cfg.measurement = Measurement::Csi;
     cfg.payload = (0..30).map(|i| (i * 7) % 5 < 2).collect();

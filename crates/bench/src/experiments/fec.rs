@@ -118,7 +118,9 @@ pub fn fec_fault_plan(severity: f64, seed: u64) -> FaultPlan {
 
 /// The deterministic message every run transfers.
 pub fn fec_message() -> Vec<u8> {
-    (0..MESSAGE_BYTES).map(|i| ((i * 131 + 17) % 251) as u8).collect()
+    (0..MESSAGE_BYTES)
+        .map(|i| ((i * 131 + 17) % 251) as u8)
+        .collect()
 }
 
 /// One measured `(regime, coding, severity)` point.

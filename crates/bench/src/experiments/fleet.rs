@@ -61,9 +61,7 @@ pub fn fleet_config(gateways: usize, tags_per_gateway: usize, seed: u64) -> Flee
     FleetConfig::default()
         .with_population(gateways, tags_per_gateway)
         .with_epochs(EPOCHS)
-        .with_faults(
-            FaultPlan::preset("loss", 0.2, seed ^ 0xF1EE_7000).expect("known preset"),
-        )
+        .with_faults(FaultPlan::preset("loss", 0.2, seed ^ 0xF1EE_7000).expect("known preset"))
         .with_seed(seed)
 }
 

@@ -47,7 +47,9 @@ pub fn net_fault_plan(severity: f64, seed: u64) -> FaultPlan {
 
 /// The deterministic message every run transfers.
 pub fn net_message() -> Vec<u8> {
-    (0..MESSAGE_BYTES).map(|i| ((i * 131 + 17) % 251) as u8).collect()
+    (0..MESSAGE_BYTES)
+        .map(|i| ((i * 131 + 17) % 251) as u8)
+        .collect()
 }
 
 /// Measures one point of the sweep over `runs` independent link

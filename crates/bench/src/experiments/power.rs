@@ -25,7 +25,11 @@ pub fn power_table() -> Vec<PowerRow> {
     let analog = TX_CIRCUIT_UW + RX_CIRCUIT_UW;
     let full_system = analog + 5.0; // + duty-cycled MCU average
     let mut rows = Vec::new();
-    for (label, d) in [("Wi-Fi @ 1 ft", 0.3048), ("Wi-Fi @ 1 m", 1.0), ("Wi-Fi @ 3 m", 3.0)] {
+    for (label, d) in [
+        ("Wi-Fi @ 1 ft", 0.3048),
+        ("Wi-Fi @ 1 m", 1.0),
+        ("Wi-Fi @ 3 m", 3.0),
+    ] {
         let h = harvested_uw(wifi_incident_dbm(16.0, d));
         rows.push(PowerRow {
             scenario: format!("{label} vs tx+rx circuits"),
@@ -35,8 +39,11 @@ pub fn power_table() -> Vec<PowerRow> {
         });
     }
     let tv = TvTower::default();
-    for (label, d) in [("TV @ 5 km", 5_000.0), ("TV @ 10 km", 10_000.0), ("TV @ 20 km", 20_000.0)]
-    {
+    for (label, d) in [
+        ("TV @ 5 km", 5_000.0),
+        ("TV @ 10 km", 10_000.0),
+        ("TV @ 20 km", 20_000.0),
+    ] {
         let h = tv.harvested_uw(d);
         rows.push(PowerRow {
             scenario: format!("{label} vs full system"),

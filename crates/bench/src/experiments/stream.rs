@@ -63,7 +63,8 @@ pub fn stream_point(measurement: Measurement, chunk: usize, seed: u64) -> Stream
     for at in (0..packets).step_by(step) {
         for p in at..(at + step).min(packets) {
             let row: Vec<f64> = (0..whole.channels()).map(|c| whole.channel(c)[p]).collect();
-            live.push(whole.t_us()[p], &row).expect("a capture's packets ascend");
+            live.push(whole.t_us()[p], &row)
+                .expect("a capture's packets ascend");
         }
     }
     let peak_resident = live.packets() as u64;

@@ -254,8 +254,12 @@ pub fn frequency_diversity_at(d_cm: u32, runs: u64, seed: u64) -> (u32, f64, f64
     let mut ours = BerCounter::new();
     let mut random = BerCounter::new();
     for r in 0..runs {
-        let mut cfg =
-            LinkConfig::fig10(d_cm as f64 / 100.0, 100, 30, seed + r * 31 + u64::from(d_cm));
+        let mut cfg = LinkConfig::fig10(
+            d_cm as f64 / 100.0,
+            100,
+            30,
+            seed + r * 31 + u64::from(d_cm),
+        );
         cfg.payload = eval_payload();
         ours.merge(&run_uplink(&cfg).ber);
 

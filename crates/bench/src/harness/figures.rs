@@ -65,9 +65,9 @@ impl Effort {
 
 /// Every figure id the harness knows, in canonical output order.
 pub const ALL_FIGURES: &[&str] = &[
-    "fig3", "fig4", "fig5", "fig6", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "fig19", "fig20", "power", "ablation", "faults", "obs", "net", "fec",
-    "phy", "stream", "fleet", "energy",
+    "fig3", "fig4", "fig5", "fig6", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17",
+    "fig18", "fig19", "fig20", "power", "ablation", "faults", "obs", "net", "fec", "phy", "stream",
+    "fleet", "energy",
 ];
 
 /// Lines computed from a section's finished records (Fig. 19's impact
@@ -203,28 +203,33 @@ pub fn render(sections: &[Section], records: &[RunRecord]) -> String {
 
 /// Shared Figs 3/6 body: the raw CSI trace for one tag distance.
 fn raw_trace_job(p: &mut Plan, section: usize, d_m: f64, seed: u64) {
-    p.job(section, format!("raw-trace d={}cm", (d_m * 100.0) as u32), seed, move || {
-        let t = uplink::raw_csi_trace(d_m, 3000, seed);
-        let mut lines = vec![
-            format!(
-                "# sub-channel {} | separation (gap/std) = {:.2}",
-                t.subchannel, t.separation
-            ),
-            "# packet  csi_amplitude".to_string(),
-        ];
-        for (i, a) in t.amplitude.iter().enumerate().step_by(10) {
-            lines.push(format!("{i}  {a:.3}"));
-        }
-        JobOutput {
-            lines,
-            metrics: vec![
-                ("separation".into(), t.separation),
-                ("subchannel".into(), t.subchannel as f64),
-            ],
-            work_items: 3000,
-            ..JobOutput::default()
-        }
-    });
+    p.job(
+        section,
+        format!("raw-trace d={}cm", (d_m * 100.0) as u32),
+        seed,
+        move || {
+            let t = uplink::raw_csi_trace(d_m, 3000, seed);
+            let mut lines = vec![
+                format!(
+                    "# sub-channel {} | separation (gap/std) = {:.2}",
+                    t.subchannel, t.separation
+                ),
+                "# packet  csi_amplitude".to_string(),
+            ];
+            for (i, a) in t.amplitude.iter().enumerate().step_by(10) {
+                lines.push(format!("{i}  {a:.3}"));
+            }
+            JobOutput {
+                lines,
+                metrics: vec![
+                    ("separation".into(), t.separation),
+                    ("subchannel".into(), t.subchannel as f64),
+                ],
+                work_items: 3000,
+                ..JobOutput::default()
+            }
+        },
+    );
 }
 
 fn fig3(p: &mut Plan, seed: u64) {
@@ -456,18 +461,23 @@ fn fig17(p: &mut Plan, seed: u64, e: &Effort) {
     let (kbits, runs) = (e.dl_kbits, e.runs);
     for rate in [20_000u64, 10_000, 5_000] {
         for d_cm in [50u32, 100, 150, 200, 213, 250, 290, 320, 350] {
-            p.job(s, format!("downlink d={d_cm}cm rate={rate}bps"), seed, move || {
-                let pt = downlink::downlink_ber_point(d_cm, rate, kbits, runs, seed);
-                JobOutput {
-                    lines: vec![format!(
-                        "{}  {}  {:.2e}",
-                        pt.distance_cm, pt.bit_rate_bps, pt.ber
-                    )],
-                    metrics: vec![("ber".into(), pt.ber)],
-                    work_items: (kbits as u64) * 1000,
-                    ..JobOutput::default()
-                }
-            });
+            p.job(
+                s,
+                format!("downlink d={d_cm}cm rate={rate}bps"),
+                seed,
+                move || {
+                    let pt = downlink::downlink_ber_point(d_cm, rate, kbits, runs, seed);
+                    JobOutput {
+                        lines: vec![format!(
+                            "{}  {}  {:.2e}",
+                            pt.distance_cm, pt.bit_rate_bps, pt.ber
+                        )],
+                        metrics: vec![("ber".into(), pt.ber)],
+                        work_items: (kbits as u64) * 1000,
+                        ..JobOutput::default()
+                    }
+                },
+            );
         }
     }
 }
@@ -504,33 +514,41 @@ fn fig19(p: &mut Plan, seed: u64, e: &Effort) {
             ],
         );
         for i in 0..4usize {
-            p.job(s, format!("coexistence d={d_cm}cm loc={}", i + 2), seed, move || {
-                let points = coexistence::throughput_at_location(
-                    d_cm,
-                    i,
-                    &coexistence::fig19_activities(),
-                    duration_s,
-                    seed,
-                );
-                let mut lines = Vec::new();
-                let mut metrics = vec![("location".into(), (i + 2) as f64)];
-                for pt in &points {
-                    let label = match pt.activity {
-                        coexistence::TagActivity::Absent => "none".to_string(),
-                        coexistence::TagActivity::Modulating { bit_rate_bps } => {
-                            format!("{bit_rate_bps}bps")
-                        }
-                    };
-                    lines.push(format!("{}  {}  {:.2}", pt.location, label, pt.goodput_mbytes));
-                    metrics.push((format!("goodput:{label}"), pt.goodput_mbytes));
-                }
-                JobOutput {
-                    lines,
-                    metrics,
-                    work_items: (duration_s * 500.0) as u64 * 3, // SNR snapshots
-                    ..JobOutput::default()
-                }
-            });
+            p.job(
+                s,
+                format!("coexistence d={d_cm}cm loc={}", i + 2),
+                seed,
+                move || {
+                    let points = coexistence::throughput_at_location(
+                        d_cm,
+                        i,
+                        &coexistence::fig19_activities(),
+                        duration_s,
+                        seed,
+                    );
+                    let mut lines = Vec::new();
+                    let mut metrics = vec![("location".into(), (i + 2) as f64)];
+                    for pt in &points {
+                        let label = match pt.activity {
+                            coexistence::TagActivity::Absent => "none".to_string(),
+                            coexistence::TagActivity::Modulating { bit_rate_bps } => {
+                                format!("{bit_rate_bps}bps")
+                            }
+                        };
+                        lines.push(format!(
+                            "{}  {}  {:.2}",
+                            pt.location, label, pt.goodput_mbytes
+                        ));
+                        metrics.push((format!("goodput:{label}"), pt.goodput_mbytes));
+                    }
+                    JobOutput {
+                        lines,
+                        metrics,
+                        work_items: (duration_s * 500.0) as u64 * 3, // SNR snapshots
+                        ..JobOutput::default()
+                    }
+                },
+            );
         }
         // The impact summary needs every location of this section, so it
         // is a section footer over the collected records, not job output.
@@ -545,12 +563,7 @@ fn attach_fig19_footer(p: &mut Plan, section: usize) {
     p.sections[section].footer = Some(Box::new(|recs: &[&RunRecord]| {
         let mut per_loc: Vec<(u32, f64)> = Vec::new();
         for r in recs {
-            let get = |name: &str| {
-                r.metrics
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|&(_, v)| v)
-            };
+            let get = |name: &str| r.metrics.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
             let (Some(loc), Some(base)) = (get("location"), get("goodput:none")) else {
                 continue;
             };
@@ -593,10 +606,7 @@ fn fig20(p: &mut Plan, seed: u64, e: &Effort) {
                     None => format!("{d}  >150"),
                 }],
                 // -1 encodes "even L=150 failed" (JSON has no None).
-                metrics: vec![(
-                    "correlation_length".into(),
-                    l.map_or(-1.0, |l| l as f64),
-                )],
+                metrics: vec![("correlation_length".into(), l.map_or(-1.0, |l| l as f64))],
                 work_items: 0, // early-exits once a length passes
                 ..JobOutput::default()
             }
@@ -649,10 +659,16 @@ fn ablation_section(p: &mut Plan, seed: u64, e: &Effort) {
         ("combining", "# -- combining at 55 cm --", |r, s| {
             ablation::combining_ablation(0.55, r, s)
         }),
-        ("slicer", "# -- slicer at 45 cm --", ablation::hysteresis_ablation),
-        ("artifacts", "# -- measurement artifacts at 65 cm --", |r, s| {
-            ablation::artifact_ablation(0.65, r, s)
-        }),
+        (
+            "slicer",
+            "# -- slicer at 45 cm --",
+            ablation::hysteresis_ablation,
+        ),
+        (
+            "artifacts",
+            "# -- measurement artifacts at 65 cm --",
+            |r, s| ablation::artifact_ablation(0.65, r, s),
+        ),
         (
             "conditioning",
             "# -- conditioning window under strong fading, 35 cm --",
@@ -692,22 +708,27 @@ fn faults_section(p: &mut Plan, seed: u64, e: &Effort) {
         for severity in [0.5f64, 1.0] {
             for mitigated in [false, true] {
                 let mit = if mitigated { "on" } else { "off" };
-                p.job(s, format!("{scenario} s={severity:.2} {mit}"), seed, move || {
-                    let pt = faults::fault_point(scenario, severity, mitigated, runs, seed);
-                    JobOutput {
-                        lines: vec![format!(
-                            "{scenario}  {severity:.2}  {mit}  {:.2e}  {}",
-                            pt.ber, pt.detected_runs
-                        )],
-                        metrics: vec![
-                            ("ber".into(), pt.ber),
-                            ("detected_runs".into(), pt.detected_runs as f64),
-                        ],
-                        work_items: runs * 30 * 10, // 30-bit payload × 10 packets/bit
-                        degradation: Some(pt.report.to_json()),
-                        ..JobOutput::default()
-                    }
-                });
+                p.job(
+                    s,
+                    format!("{scenario} s={severity:.2} {mit}"),
+                    seed,
+                    move || {
+                        let pt = faults::fault_point(scenario, severity, mitigated, runs, seed);
+                        JobOutput {
+                            lines: vec![format!(
+                                "{scenario}  {severity:.2}  {mit}  {:.2e}  {}",
+                                pt.ber, pt.detected_runs
+                            )],
+                            metrics: vec![
+                                ("ber".into(), pt.ber),
+                                ("detected_runs".into(), pt.detected_runs as f64),
+                            ],
+                            work_items: runs * 30 * 10, // 30-bit payload × 10 packets/bit
+                            degradation: Some(pt.report.to_json()),
+                            ..JobOutput::default()
+                        }
+                    },
+                );
             }
         }
     }
@@ -801,7 +822,11 @@ fn fec_section(p: &mut Plan, seed: u64, e: &Effort) {
         ],
     );
     let runs = e.runs.min(3);
-    let codings = [fec::Coding::ArqOnly, fec::Coding::Fixed, fec::Coding::Adaptive];
+    let codings = [
+        fec::Coding::ArqOnly,
+        fec::Coding::Fixed,
+        fec::Coding::Adaptive,
+    ];
     // Regime × coding grid at the acceptance severity.
     for regime in fec::REGIMES {
         for coding in codings {
@@ -1070,9 +1095,7 @@ mod tests {
             Section {
                 fig: "b".into(),
                 header: vec!["# === B ===".into()],
-                footer: Some(Box::new(|recs| {
-                    vec![format!("# {} rows", recs.len())]
-                })),
+                footer: Some(Box::new(|recs| vec![format!("# {} rows", recs.len())])),
             },
         ];
         let rec = |section: usize, job_index: usize, line: &str| RunRecord {

@@ -35,7 +35,10 @@ impl Group {
         f: impl FnMut() -> T,
     ) {
         let median = measure_ns(samples, iters_per_sample, f);
-        println!("{}/{name}  {median:.0} ns/iter ({samples} samples)", self.name);
+        println!(
+            "{}/{name}  {median:.0} ns/iter ({samples} samples)",
+            self.name
+        );
     }
 }
 

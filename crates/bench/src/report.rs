@@ -134,7 +134,10 @@ impl BenchReport {
     /// The report as pretty-printed JSON: fields in insertion order,
     /// then a `gates` object mapping each gate to its verdict string.
     pub fn to_json(&self) -> String {
-        let gates = self.gates.iter().map(|(name, v)| (name.clone(), v.to_string().into()));
+        let gates = self
+            .gates
+            .iter()
+            .map(|(name, v)| (name.clone(), v.to_string().into()));
         let mut members = self.fields.clone();
         members.push(("gates".into(), Value::Object(gates.collect())));
         render(&Value::Object(members), 0, false) + "\n"
@@ -143,7 +146,9 @@ impl BenchReport {
     /// Writes the report to `path`, then prints one line per gate.
     /// Returns failure if the write failed or any gate is `Fail`.
     pub fn finish(&self, path: &str) -> ExitCode {
-        let label = Path::new(path).file_stem().map_or(path.into(), |s| s.to_string_lossy());
+        let label = Path::new(path)
+            .file_stem()
+            .map_or(path.into(), |s| s.to_string_lossy());
         let written = std::fs::write(path, self.to_json());
         match &written {
             Ok(()) => println!("{label}: wrote {path}"),
@@ -152,7 +157,12 @@ impl BenchReport {
         for (name, verdict) in &self.gates {
             println!("{label}: {name}: {verdict}");
         }
-        if written.is_ok() && !self.gates.iter().any(|(_, v)| matches!(v, Verdict::Fail(_))) {
+        if written.is_ok()
+            && !self
+                .gates
+                .iter()
+                .any(|(_, v)| matches!(v, Verdict::Fail(_)))
+        {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -166,7 +176,11 @@ impl BenchReport {
 pub fn json_path(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     let i = args.iter().position(|a| a == "--json")?;
-    Some(args.get(i + 1).cloned().unwrap_or_else(|| format!("BENCH_{name}.json")))
+    Some(
+        args.get(i + 1)
+            .cloned()
+            .unwrap_or_else(|| format!("BENCH_{name}.json")),
+    )
 }
 
 /// Renders `v` at nesting depth `indent`. Objects and arrays put one
@@ -180,12 +194,16 @@ fn render(v: &Value, indent: usize, in_list: bool) -> String {
         Value::Num(x) => return json_number(*x),
         Value::Str(s) => return json_str(s),
         Value::List(items) => ('[', ']', items.iter().map(|m| (None, m)).collect()),
-        Value::Object(fields) => {
-            ('{', '}', fields.iter().map(|(k, m)| (Some(k.as_str()), m)).collect())
-        }
+        Value::Object(fields) => (
+            '{',
+            '}',
+            fields.iter().map(|(k, m)| (Some(k.as_str()), m)).collect(),
+        ),
     };
     let is_list = open == '[';
-    let flat = members.iter().all(|(_, m)| !matches!(m, Value::List(_) | Value::Object(_)));
+    let flat = members
+        .iter()
+        .all(|(_, m)| !matches!(m, Value::List(_) | Value::Object(_)));
     let items: Vec<String> = members
         .iter()
         .map(|(name, m)| {
@@ -197,7 +215,10 @@ fn render(v: &Value, indent: usize, in_list: bool) -> String {
         format!("{open}{}{close}", items.join(", "))
     } else {
         let pad = "  ".repeat(indent);
-        format!("{open}\n{pad}  {}\n{pad}{close}", items.join(&format!(",\n{pad}  ")))
+        format!(
+            "{open}\n{pad}  {}\n{pad}{close}",
+            items.join(&format!(",\n{pad}  "))
+        )
     }
 }
 
@@ -223,19 +244,28 @@ mod tests {
         report.gate("breaks", Verdict::Fail("3 of 10 mismatched".into()));
         let (status, written) = finish_to_file(&report, "fail");
         assert_eq!(status, ExitCode::FAILURE);
-        assert!(written.contains("\"breaks\": \"fail: 3 of 10 mismatched\""), "{written}");
+        assert!(
+            written.contains("\"breaks\": \"fail: 3 of 10 mismatched\""),
+            "{written}"
+        );
         assert!(written.contains("\"holds\": \"pass\""), "{written}");
     }
 
     #[test]
     fn skipped_gate_passes_the_run_but_never_serialises_as_a_pass() {
         let mut report = BenchReport::new("unit");
-        report.gate("scaling", Verdict::Skipped("host has 2 core(s), gate needs 4".into()));
+        report.gate(
+            "scaling",
+            Verdict::Skipped("host has 2 core(s), gate needs 4".into()),
+        );
         let (status, written) = finish_to_file(&report, "skipped");
         assert_eq!(status, ExitCode::SUCCESS);
         let gates = &written[written.find("\"gates\"").expect("gates object")..];
         assert!(gates.contains("\"scaling\": \"skipped: host has 2 core(s), gate needs 4\""));
-        assert!(!gates.contains("pass") && !gates.contains("true"), "{gates}");
+        assert!(
+            !gates.contains("pass") && !gates.contains("true"),
+            "{gates}"
+        );
     }
 
     #[test]
@@ -244,8 +274,14 @@ mod tests {
         report.field("note", "a \"quoted\" C:\\path");
         report.gate("g", Verdict::Fail("line one\nsaid \"no\" \\ twice".into()));
         let json = report.to_json();
-        assert!(json.contains(r#""note": "a \"quoted\" C:\\path""#), "{json}");
-        assert!(json.contains(r#""g": "fail: line one\nsaid \"no\" \\ twice""#), "{json}");
+        assert!(
+            json.contains(r#""note": "a \"quoted\" C:\\path""#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""g": "fail: line one\nsaid \"no\" \\ twice""#),
+            "{json}"
+        );
     }
 
     #[test]
@@ -257,7 +293,17 @@ mod tests {
         report.field("mid", crate::object! { "z": 1u64, "a": 2u64 });
         let json = report.to_json();
         let at = |key: &str| json.find(&format!("\"{key}\"")).expect(key);
-        let order = ["bench", "host_cores", "zeta", "alpha", "mid", "z", "a", "gates", "g"];
+        let order = [
+            "bench",
+            "host_cores",
+            "zeta",
+            "alpha",
+            "mid",
+            "z",
+            "a",
+            "gates",
+            "g",
+        ];
         assert!(order.windows(2).all(|w| at(w[0]) < at(w[1])), "{json}");
     }
 
@@ -268,7 +314,10 @@ mod tests {
         report.field("inf", f64::NEG_INFINITY);
         report.field("ratio", 1.5);
         let json = report.to_json();
-        assert!(json.contains("\"nan\": null,\n  \"inf\": null,\n  \"ratio\": 1.5"), "{json}");
+        assert!(
+            json.contains("\"nan\": null,\n  \"inf\": null,\n  \"ratio\": 1.5"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -290,6 +339,9 @@ mod tests {
   "gates": {}
 }
 "#;
-        assert_eq!(report.to_json(), expected.replace("CORES", &available_jobs().to_string()));
+        assert_eq!(
+            report.to_json(),
+            expected.replace("CORES", &available_jobs().to_string())
+        );
     }
 }

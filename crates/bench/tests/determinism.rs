@@ -64,7 +64,11 @@ fn parallel_run_is_byte_identical_to_serial() {
     let (sections_a, jobs_a) = build();
     let (sections_b, jobs_b) = build();
     assert_eq!(jobs_a.len(), jobs_b.len());
-    assert!(jobs_a.len() > 40, "expected a real fan-out, got {}", jobs_a.len());
+    assert!(
+        jobs_a.len() > 40,
+        "expected a real fan-out, got {}",
+        jobs_a.len()
+    );
 
     let serial = run_jobs(jobs_a, 1).expect("no job panics");
     let parallel = run_jobs(jobs_b, 8).expect("no job panics");
@@ -115,7 +119,11 @@ fn parallel_run_is_byte_identical_to_serial() {
         "net record without a degradation report"
     );
     for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.degradation, p.degradation, "degradation diverged at {}", s.label);
+        assert_eq!(
+            s.degradation, p.degradation,
+            "degradation diverged at {}",
+            s.label
+        );
     }
 
     // Armed-recorder records carry byte-identical observability JSON: the
@@ -124,12 +132,20 @@ fn parallel_run_is_byte_identical_to_serial() {
     let observed: Vec<_> = serial.iter().filter(|r| r.fig == "obs").collect();
     assert!(!observed.is_empty(), "no obs jobs ran");
     for r in &observed {
-        assert!(r.obs.is_some(), "obs record without a report at {}", r.label);
+        assert!(
+            r.obs.is_some(),
+            "obs record without a report at {}",
+            r.label
+        );
     }
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.obs, p.obs, "obs report diverged at {}", s.label);
         if s.fig != "obs" {
-            assert!(s.obs.is_none(), "unprofiled figure {} grew an obs report", s.fig);
+            assert!(
+                s.obs.is_none(),
+                "unprofiled figure {} grew an obs report",
+                s.fig
+            );
         }
     }
 }

@@ -83,9 +83,7 @@ impl SlowFading {
         let dt = t_s - self.last_time_s;
         if dt > 0.0 {
             let rho = (-dt / self.cfg.tau_s).exp();
-            let innov = self
-                .rng
-                .complex_gaussian(self.cfg.sigma / (2.0f64).sqrt());
+            let innov = self.rng.complex_gaussian(self.cfg.sigma / (2.0f64).sqrt());
             // AR(1) around the mean gain 1.
             let centered = self.gain - Complex::ONE;
             self.gain = Complex::ONE + centered.scale(rho) + innov.scale((1.0 - rho * rho).sqrt());

@@ -249,7 +249,9 @@ impl FaultPlan {
         if self.is_empty() {
             return arrivals.to_vec();
         }
-        let mut rng = SimRng::new(self.seed).stream("fault-arrivals").stream(stream);
+        let mut rng = SimRng::new(self.seed)
+            .stream("fault-arrivals")
+            .stream(stream);
         let mut out = Vec::with_capacity(arrivals.len());
         let mut dup_count = 0u64;
         for &t in arrivals {
@@ -504,7 +506,11 @@ mod tests {
     fn sensor_freeze_and_drift_scale_with_severity() {
         let full = FaultPlan::preset("sensor", 1.0, 1).unwrap();
         let half = FaultPlan::preset("sensor", 0.5, 1).unwrap();
-        let frozen = |p: &FaultPlan| (0..400u64).filter(|&i| p.sensor_frozen_at(i * 1000)).count();
+        let frozen = |p: &FaultPlan| {
+            (0..400u64)
+                .filter(|&i| p.sensor_frozen_at(i * 1000))
+                .count()
+        };
         assert!(frozen(&full) > frozen(&half));
         assert!(frozen(&half) > 0);
         assert!(full.degrades_sensor());
@@ -520,8 +526,14 @@ mod tests {
 
     #[test]
     fn interference_duty_scales() {
-        let full = FaultPlan::preset("burst", 1.0, 1).unwrap().interference().unwrap();
-        let half = FaultPlan::preset("burst", 0.5, 1).unwrap().interference().unwrap();
+        let full = FaultPlan::preset("burst", 1.0, 1)
+            .unwrap()
+            .interference()
+            .unwrap();
+        let half = FaultPlan::preset("burst", 0.5, 1)
+            .unwrap()
+            .interference()
+            .unwrap();
         assert!((full.on_fraction - 0.4).abs() < 1e-12);
         assert!((half.on_fraction - 0.2).abs() < 1e-12);
         assert!(FaultPlan::none().interference().is_none());
@@ -555,7 +567,10 @@ mod tests {
             ..Default::default()
         };
         a.merge(&b);
-        assert_eq!(a.fired, vec!["packet-loss".to_string(), "clock-drift".to_string()]);
+        assert_eq!(
+            a.fired,
+            vec!["packet-loss".to_string(), "clock-drift".to_string()]
+        );
         assert_eq!(a.packets_dropped, 5);
         assert_eq!(a.drift_fraction, 0.01);
     }

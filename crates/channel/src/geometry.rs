@@ -176,11 +176,7 @@ impl Testbed {
         // Interior wall at x = 8.0 m separating the lab from the adjacent
         // room, with a doorway gap between y = 4.5 and y = 6.0 that the
         // location-5 path does not pass through.
-        let walls = vec![Wall::new(
-            Point::new(8.0, 0.0),
-            Point::new(8.0, 4.5),
-            8.0,
-        )];
+        let walls = vec![Wall::new(Point::new(8.0, 0.0), Point::new(8.0, 4.5), 8.0)];
         Testbed { walls }
     }
 
@@ -262,9 +258,21 @@ mod tests {
     #[test]
     fn line_of_sight_basics() {
         let walls = vec![Wall::new(Point::new(1.0, -1.0), Point::new(1.0, 1.0), 3.0)];
-        assert!(!line_of_sight(&walls, Point::new(0.0, 0.0), Point::new(2.0, 0.0)));
-        assert!(line_of_sight(&walls, Point::new(0.0, 0.0), Point::new(0.5, 0.0)));
-        assert!(line_of_sight(&[], Point::new(0.0, 0.0), Point::new(2.0, 0.0)));
+        assert!(!line_of_sight(
+            &walls,
+            Point::new(0.0, 0.0),
+            Point::new(2.0, 0.0)
+        ));
+        assert!(line_of_sight(
+            &walls,
+            Point::new(0.0, 0.0),
+            Point::new(0.5, 0.0)
+        ));
+        assert!(line_of_sight(
+            &[],
+            Point::new(0.0, 0.0),
+            Point::new(2.0, 0.0)
+        ));
     }
 
     #[test]
@@ -289,7 +297,10 @@ mod tests {
         assert!(tb.is_los(TestbedLocation::Loc2));
         assert!(tb.is_los(TestbedLocation::Loc3));
         assert!(tb.is_los(TestbedLocation::Loc4));
-        assert!(!tb.is_los(TestbedLocation::Loc5), "loc 5 must be in the adjacent room");
+        assert!(
+            !tb.is_los(TestbedLocation::Loc5),
+            "loc 5 must be in the adjacent room"
+        );
     }
 
     #[test]
@@ -302,7 +313,11 @@ mod tests {
         let f: Vec<f64> = (0..=10)
             .map(|i| coverage_overlap(i as f64 * 2.0 * r / 10.0, r))
             .collect();
-        assert!(f.windows(2).all(|w| w[0] > w[1] || (w[0] == 0.0 && w[1] == 0.0)), "{f:?}");
+        assert!(
+            f.windows(2)
+                .all(|w| w[0] > w[1] || (w[0] == 0.0 && w[1] == 0.0)),
+            "{f:?}"
+        );
         // Scale invariance: the fraction depends only on d/r.
         assert!((coverage_overlap(10.0, 25.0) - coverage_overlap(4.0, 10.0)).abs() < 1e-12);
     }

@@ -137,10 +137,7 @@ impl Multipath {
 
     /// Frequency response sampled at several offsets at once.
     pub fn response_at(&self, freq_offsets_hz: &[f64]) -> Vec<Complex> {
-        freq_offsets_hz
-            .iter()
-            .map(|&f| self.response(f))
-            .collect()
+        freq_offsets_hz.iter().map(|&f| self.response(f)).collect()
     }
 }
 
@@ -157,7 +154,11 @@ mod tests {
         let r = rng();
         for i in 0..20 {
             let mp = Multipath::generate(&MultipathConfig::default(), &mut r.substream(i));
-            assert!((mp.total_power() - 1.0).abs() < 1e-9, "power {}", mp.total_power());
+            assert!(
+                (mp.total_power() - 1.0).abs() < 1e-9,
+                "power {}",
+                mp.total_power()
+            );
         }
     }
 

@@ -127,7 +127,10 @@ mod tests {
 
     #[test]
     fn free_space_clamps_tiny_distance() {
-        assert_eq!(free_space_db(0.0, WIFI_CH6_HZ), free_space_db(0.01, WIFI_CH6_HZ));
+        assert_eq!(
+            free_space_db(0.0, WIFI_CH6_HZ),
+            free_space_db(0.01, WIFI_CH6_HZ)
+        );
     }
 
     #[test]

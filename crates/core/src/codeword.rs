@@ -178,9 +178,7 @@ pub fn run_codeword_uplink_with(
         }
         let usable = cfg.use_all_traffic || t.frame.src == 0;
         let p_err = match &intf {
-            Some(ic) if ic.active_at(t.frame.timestamp_us as f64 / 1e6) => {
-                (p_base + 0.25).min(0.5)
-            }
+            Some(ic) if ic.active_at(t.frame.timestamp_us as f64 / 1e6) => (p_base + 0.25).min(0.5),
             _ => p_base,
         };
         let mut consumed = false;
@@ -297,9 +295,15 @@ mod tests {
     #[test]
     fn roundtrips_in_the_benign_regime() {
         for seed in [3, 17, 91] {
-            let run = run_codeword_uplink_with(&cfg(seed), &CodewordParams::default(), &mut NullRecorder);
+            let run =
+                run_codeword_uplink_with(&cfg(seed), &CodewordParams::default(), &mut NullRecorder);
             assert!(run.detected, "no detection at seed {seed}");
-            assert_eq!(run.ber.errors(), 0, "errors at seed {seed}: {:?}", run.decoded);
+            assert_eq!(
+                run.ber.errors(),
+                0,
+                "errors at seed {seed}: {:?}",
+                run.decoded
+            );
         }
     }
 

@@ -73,9 +73,7 @@ impl DownlinkTransmission {
     pub fn on_air(&self, t_us: u64) -> bool {
         // Frames are in time order; linear scan is fine for tests, but the
         // envelope loop calls this per microsecond — binary search on start.
-        let idx = self
-            .frames
-            .partition_point(|f| f.timestamp_us <= t_us);
+        let idx = self.frames.partition_point(|f| f.timestamp_us <= t_us);
         if idx == 0 {
             return false;
         }
@@ -182,9 +180,18 @@ mod tests {
 
     #[test]
     fn rates_map_to_paper_bit_durations() {
-        assert_eq!(DownlinkEncoderConfig::at_rate(20_000, 0).bit_duration_us, 50);
-        assert_eq!(DownlinkEncoderConfig::at_rate(10_000, 0).bit_duration_us, 100);
-        assert_eq!(DownlinkEncoderConfig::at_rate(5_000, 0).bit_duration_us, 200);
+        assert_eq!(
+            DownlinkEncoderConfig::at_rate(20_000, 0).bit_duration_us,
+            50
+        );
+        assert_eq!(
+            DownlinkEncoderConfig::at_rate(10_000, 0).bit_duration_us,
+            100
+        );
+        assert_eq!(
+            DownlinkEncoderConfig::at_rate(5_000, 0).bit_duration_us,
+            200
+        );
     }
 
     #[test]
@@ -263,10 +270,7 @@ mod tests {
 
     #[test]
     fn encode_multi_spaces_reservations() {
-        let frames = vec![
-            DownlinkFrame::new(vec![1]),
-            DownlinkFrame::new(vec![2]),
-        ];
+        let frames = vec![DownlinkFrame::new(vec![1]), DownlinkFrame::new(vec![2])];
         let txs = encoder(20_000).encode_multi(&frames, 0, 5_000).unwrap();
         assert_eq!(txs.len(), 2);
         assert_eq!(txs[1].frames[0].timestamp_us, txs[0].end_us + 5_000);

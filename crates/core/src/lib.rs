@@ -87,6 +87,6 @@ pub use bs_dsp::obs;
 
 pub use error::Error;
 pub use link::{DownlinkRun, LinkConfig, UplinkRun};
-pub use session::{Reader, ReaderConfig};
 pub use series::SeriesBundle;
+pub use session::{Reader, ReaderConfig};
 pub use uplink::{UplinkDecoder, UplinkDecoderConfig};

@@ -103,12 +103,7 @@ impl LongRangeDecoder {
     }
 
     /// Per-bit signed margin `corr(one) − corr(zero)` for one channel.
-    fn bit_margin(
-        &self,
-        bundle: &SeriesBundle,
-        channel: &[f64],
-        bit_start_us: u64,
-    ) -> f64 {
+    fn bit_margin(&self, bundle: &SeriesBundle, channel: &[f64], bit_start_us: u64) -> f64 {
         let c1 = self.correlate_bit(bundle, channel, bit_start_us, &self.cfg.code.one);
         let c0 = self.correlate_bit(bundle, channel, bit_start_us, &self.cfg.code.zero);
         c1 - c0
@@ -210,16 +205,16 @@ impl LongRangeDecoder {
             let combined: f64 = ranked
                 .iter()
                 .map(|&(i, quality, pol)| {
-                    quality * pol * self.margin_in_range(bundle, &conditioned[i], range.clone(), bit_start)
+                    quality
+                        * pol
+                        * self.margin_in_range(bundle, &conditioned[i], range.clone(), bit_start)
                 })
                 .sum();
             bits.push(Some(combined > 0.0));
         }
         rec.span("uplink.correlate", t_lo, t_hi, visited);
         let frame = if bits.iter().all(Option::is_some) {
-            Some(UplinkFrame::new(
-                bits.iter().map(|b| b.unwrap()).collect(),
-            ))
+            Some(UplinkFrame::new(bits.iter().map(|b| b.unwrap()).collect()))
         } else {
             None
         };
@@ -234,7 +229,11 @@ impl LongRangeDecoder {
     /// outputs as [`Self::decode`], but every chip correlation is a full
     /// pass over the packet stream. Kept as the ground truth the indexed
     /// path must match bit for bit.
-    pub fn decode_reference(&self, bundle: &SeriesBundle, start_us: u64) -> Option<LongRangeOutput> {
+    pub fn decode_reference(
+        &self,
+        bundle: &SeriesBundle,
+        start_us: u64,
+    ) -> Option<LongRangeOutput> {
         if bundle.packets() == 0 || bundle.channels() == 0 {
             return None;
         }
@@ -270,24 +269,21 @@ impl LongRangeDecoder {
         for b in 0..self.cfg.payload_bits {
             let bit_start = start_us + (pre_len + b) as u64 * bit_us;
             let end = bit_start.saturating_add(bit_us);
-            let occupied = bundle
-                .t_us()
-                .iter()
-                .any(|&t| t >= bit_start && t < end);
+            let occupied = bundle.t_us().iter().any(|&t| t >= bit_start && t < end);
             if !occupied {
                 bits.push(None);
                 continue;
             }
             let combined: f64 = ranked
                 .iter()
-                .map(|&(i, quality, pol)| quality * pol * self.bit_margin(bundle, &conditioned[i], bit_start))
+                .map(|&(i, quality, pol)| {
+                    quality * pol * self.bit_margin(bundle, &conditioned[i], bit_start)
+                })
                 .sum();
             bits.push(Some(combined > 0.0));
         }
         let frame = if bits.iter().all(Option::is_some) {
-            Some(UplinkFrame::new(
-                bits.iter().map(|b| b.unwrap()).collect(),
-            ))
+            Some(UplinkFrame::new(bits.iter().map(|b| b.unwrap()).collect()))
         } else {
             None
         };
@@ -347,14 +343,16 @@ mod tests {
             .flat_map(|&b| pair.code_for(b).iter().map(|&c| c > 0).collect::<Vec<_>>())
             .collect();
         let total_us = chips.len() as u64 * chip_us + 100_000;
-        let t_us: Vec<u64> = (0..).map(|i| i * gap_us).take_while(|&t| t < total_us).collect();
+        let t_us: Vec<u64> = (0..)
+            .map(|i| i * gap_us)
+            .take_while(|&t| t < total_us)
+            .collect();
         let mut rng = SimRng::new(seed).stream("lr-synth");
         let series: Vec<Vec<f64>> = (0..12)
             .map(|c| {
                 let good = c < 6;
                 let polarity = if c % 2 == 0 { 1.0 } else { -1.0 };
-                t_us
-                    .iter()
+                t_us.iter()
                     .map(|&t| {
                         let level = if good {
                             let chip = (t / chip_us) as usize;
@@ -501,7 +499,9 @@ mod tests {
         assert!(batch.is_some());
         let mut live = SeriesBundle::new(bundle.channels());
         for (p, &t) in bundle.t_us().iter().enumerate() {
-            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            let row: Vec<f64> = (0..bundle.channels())
+                .map(|c| bundle.channel(c)[p])
+                .collect();
             assert_eq!(live.push(t, &row), Ok(()));
         }
         assert_eq!(dec.decode(&live, 0), batch);

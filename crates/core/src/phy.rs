@@ -79,8 +79,8 @@ impl PhyCapabilities {
         match &self.phy {
             PhyConfig::Presence => select_bit_rate(helper_pps, pkts_per_bit, margin),
             PhyConfig::Codeword(p) => {
-                let max_rate = margin * helper_pps * helper_frame_symbols() as f64
-                    / p.syms_per_bit() as f64;
+                let max_rate =
+                    margin * helper_pps * helper_frame_symbols() as f64 / p.syms_per_bit() as f64;
                 self.rate_steps_bps
                     .iter()
                     .rev()
@@ -97,7 +97,12 @@ impl PhyCapabilities {
     /// the floor. Presence delegates to the §5 chip-halving rule
     /// ([`bs_wifi::rate_adapt::readapt_chip_rate`], floor 25 cps);
     /// codeword steps down its own table.
-    pub fn readapt_rate(&self, current_bps: u64, measured_pps: f64, target_ppb: f64) -> Option<u64> {
+    pub fn readapt_rate(
+        &self,
+        current_bps: u64,
+        measured_pps: f64,
+        target_ppb: f64,
+    ) -> Option<u64> {
         match &self.phy {
             PhyConfig::Presence => {
                 bs_wifi::rate_adapt::readapt_chip_rate(current_bps, measured_pps, target_ppb)
@@ -121,12 +126,16 @@ impl PhyCapabilities {
     /// `payload_bits` at `bit_rate_bps` (µs): the on-air frame plus this
     /// mode's conditioning lead. `code_length` spreads presence bits
     /// only (the codeword mode has no coded fallback).
-    pub fn response_air_us(&self, payload_bits: usize, bit_rate_bps: u64, code_length: usize) -> u64 {
+    pub fn response_air_us(
+        &self,
+        payload_bits: usize,
+        bit_rate_bps: u64,
+        code_length: usize,
+    ) -> u64 {
         match &self.phy {
             PhyConfig::Presence => {
                 PRESENCE_RESPONSE_LEAD_US
-                    + ((payload_bits + 13) * code_length) as u64 * 1_000_000
-                        / bit_rate_bps.max(1)
+                    + ((payload_bits + 13) * code_length) as u64 * 1_000_000 / bit_rate_bps.max(1)
             }
             PhyConfig::Codeword(_) => {
                 UplinkFrame::on_air_len(payload_bits) as u64 * 1_000_000 / bit_rate_bps.max(1)

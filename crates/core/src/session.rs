@@ -255,8 +255,11 @@ impl Reader {
         // used to call `select_bit_rate` directly, baking the presence
         // step table into the session.
         let caps = self.cfg.phy.capabilities();
-        let bit_rate =
-            caps.select_rate_bps(self.cfg.helper_pps, self.cfg.pkts_per_bit, self.cfg.rate_margin);
+        let bit_rate = caps.select_rate_bps(
+            self.cfg.helper_pps,
+            self.cfg.pkts_per_bit,
+            self.cfg.rate_margin,
+        );
 
         // §4.1: retransmit the query until the tag decodes it — with
         // exponential backoff between attempts and a hard time budget so
@@ -302,7 +305,10 @@ impl Reader {
             // simulated, and the retry loop above supplies the reader's
             // reaction (backoff, budget, eventual TagUnresponsive).
             let tag_listening = self.tag_can_listen();
-            self.advance_tag(query_air_us, if tag_listening { LISTEN_LOAD_UW } else { 0.0 });
+            self.advance_tag(
+                query_air_us,
+                if tag_listening { LISTEN_LOAD_UW } else { 0.0 },
+            );
             if !tag_listening {
                 rec.add("session.energy-missed-polls", 1);
                 continue;
@@ -397,11 +403,8 @@ impl Reader {
             response_attempts += 1;
             rec.add("session.response-attempts", 1);
             rec.add("session.fallback-engaged", 1);
-            let fallback_air_us = caps.response_air_us(
-                tag_payload.len(),
-                bit_rate,
-                self.cfg.fallback_code_length,
-            );
+            let fallback_air_us =
+                caps.response_air_us(tag_payload.len(), bit_rate, self.cfg.fallback_code_length);
             waited_us += fallback_air_us;
             self.advance_tag(fallback_air_us, RESPOND_LOAD_UW);
             let run = self.run_response(tag_payload, bit_rate, self.cfg.fallback_code_length, rec);
@@ -533,7 +536,12 @@ mod tests {
         let p = payload(16);
         let a = slow.query(1, &p).unwrap();
         let b = fast.query(1, &p).unwrap();
-        assert!(b.bit_rate_bps > a.bit_rate_bps, "{} vs {}", b.bit_rate_bps, a.bit_rate_bps);
+        assert!(
+            b.bit_rate_bps > a.bit_rate_bps,
+            "{} vs {}",
+            b.bit_rate_bps,
+            a.bit_rate_bps
+        );
     }
 
     #[test]
@@ -716,7 +724,9 @@ mod tests {
         // ~3 s at ~59 µW net fills well past the 120 µJ wake threshold.
         r.idle_us(3_000_000);
         assert_eq!(r.tag_capacitor().unwrap().state(), EnergyState::Awake);
-        let out = r.query(0x07, &payload(8)).expect("recovered tag must answer");
+        let out = r
+            .query(0x07, &payload(8))
+            .expect("recovered tag must answer");
         assert_eq!(out.payload, payload(8));
     }
 

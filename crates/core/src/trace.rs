@@ -165,7 +165,10 @@ pub fn load(text: &str) -> Result<LoadedCapture, err::TraceError> {
         }
         let bad_line = err::TraceError::BadLine { line: i + 1 };
         let mut fields = line.split_whitespace();
-        let t: u64 = fields.next().and_then(|f| f.parse().ok()).ok_or(bad_line.clone())?;
+        let t: u64 = fields
+            .next()
+            .and_then(|f| f.parse().ok())
+            .ok_or(bad_line.clone())?;
         let values: Vec<f64> = fields
             .map(str::parse::<f64>)
             .collect::<Result<_, _>>()
@@ -185,7 +188,11 @@ pub fn load(text: &str) -> Result<LoadedCapture, err::TraceError> {
 
 /// The channel count a `# channels=<n> packets=<m>` header line declares.
 fn declared_channels(line: &str) -> Option<usize> {
-    line.strip_prefix("# channels=")?.split_whitespace().next()?.parse().ok()
+    line.strip_prefix("# channels=")?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
 }
 
 /// Parses one `#obs` sidecar payload (the part after the `#obs ` prefix).

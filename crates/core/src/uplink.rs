@@ -185,7 +185,11 @@ impl UplinkDecoder {
     /// live are pushed into a [`SeriesBundle`] and decoded here once the
     /// frame window closes.
     pub fn decode(&self, bundle: &SeriesBundle, start_hint_us: u64) -> Option<DecodeOutput> {
-        self.decode_indexed(&mut SlotIndex::new(bundle), start_hint_us, &mut NullRecorder)
+        self.decode_indexed(
+            &mut SlotIndex::new(bundle),
+            start_hint_us,
+            &mut NullRecorder,
+        )
     }
 
     /// [`Self::decode`] against a caller-owned [`SlotIndex`], so
@@ -262,8 +266,7 @@ impl UplinkDecoder {
         }
         let mut best: Option<(u64, Vec<SelectedChannel>, f64)> = None;
         for &cand in &cands {
-            let Some((channels, score)) =
-                self.rank_channels_indexed(index, half, cand, &preamble)
+            let Some((channels, score)) = self.rank_channels_indexed(index, half, cand, &preamble)
             else {
                 continue;
             };
@@ -350,10 +353,9 @@ impl UplinkDecoder {
         // discriminates bit-clock candidates the preamble cannot.
         let postamble: Vec<i8> = preamble.iter().rev().copied().collect();
         let post_start = start_us + (pre_len + self.cfg.payload_bits) as u64 * bit;
-        let postamble_score =
-            series_slot_means(index, &combined, post_start, bit, postamble.len())
-                .map(|means| bs_dsp::correlate::normalized(&means, &postamble))
-                .unwrap_or(0.0);
+        let postamble_score = series_slot_means(index, &combined, post_start, bit, postamble.len())
+            .map(|means| bs_dsp::correlate::normalized(&means, &postamble))
+            .unwrap_or(0.0);
 
         Some(DecodeOutput {
             bits,
@@ -414,7 +416,12 @@ impl UplinkDecoder {
 
         // 3. Combining.
         let combined: Vec<f64> = (0..bundle.packets())
-            .map(|p| channels.iter().map(|c| c.weight * conditioned[c.index][p]).sum())
+            .map(|p| {
+                channels
+                    .iter()
+                    .map(|c| c.weight * conditioned[c.index][p])
+                    .sum()
+            })
             .collect();
 
         // 4. Hysteresis + timestamp-binned majority voting, over the
@@ -705,15 +712,17 @@ mod tests {
         let bits = frame.to_bits();
         let mut rng = SimRng::new(seed).stream("uplink-synth");
         let total_us = start_us + bits.len() as u64 * bit_us + 50_000;
-        let t_us: Vec<u64> = (0..).map(|i| i * gap_us).take_while(|&t| t < total_us).collect();
+        let t_us: Vec<u64> = (0..)
+            .map(|i| i * gap_us)
+            .take_while(|&t| t < total_us)
+            .collect();
         let mut polarities = Vec::new();
         let series: Vec<Vec<f64>> = (0..n_channels)
             .map(|c| {
                 let is_good = c < good;
                 let polarity = if rng.chance(0.5) { 1.0 } else { -1.0 };
                 polarities.push(polarity > 0.0);
-                t_us
-                    .iter()
+                t_us.iter()
                     .map(|&t| {
                         let level = if is_good && t >= start_us {
                             let slot = ((t - start_us) / bit_us) as usize;
@@ -731,7 +740,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        (SeriesBundle::from_columns(t_us, series).unwrap(), polarities)
+        (
+            SeriesBundle::from_columns(t_us, series).unwrap(),
+            polarities,
+        )
     }
 
     fn payload_90() -> Vec<bool> {
@@ -758,7 +770,11 @@ mod tests {
         // Hint off by 1.5 bits.
         let out = dec.decode(&bundle, 115_000).expect("no detection");
         assert_eq!(out.frame.expect("erasures").payload, payload);
-        assert!((out.start_us as i64 - 100_000i64).abs() <= 5_000, "start {}", out.start_us);
+        assert!(
+            (out.start_us as i64 - 100_000i64).abs() <= 5_000,
+            "start {}",
+            out.start_us
+        );
     }
 
     #[test]
@@ -778,7 +794,8 @@ mod tests {
         // must agree with the transmitted payload, not the inverse.
         let payload = payload_90();
         for seed in 0..5 {
-            let (bundle, _) = synth_bundle(&payload, 10, 10, 0.5, 0.15, 500, 10_000, 30_000, 100 + seed);
+            let (bundle, _) =
+                synth_bundle(&payload, 10, 10, 0.5, 0.15, 500, 10_000, 30_000, 100 + seed);
             let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
             let out = dec.decode(&bundle, 30_000).expect("no detection");
             assert_eq!(out.frame.expect("erasures").payload, payload, "seed {seed}");
@@ -807,9 +824,11 @@ mod tests {
             cfg.top_channels = 1;
             cfg.min_preamble_score = 0.0;
             let dec1 = UplinkDecoder::new(cfg);
-            let one =
-                SeriesBundle::from_columns(bundle.t_us().to_vec(), vec![bundle.channel(17).to_vec()])
-                    .unwrap();
+            let one = SeriesBundle::from_columns(
+                bundle.t_us().to_vec(),
+                vec![bundle.channel(17).to_vec()],
+            )
+            .unwrap();
             if let Some(out) = dec1.decode(&one, 0) {
                 for (b, &want) in out.bits.iter().zip(&payload) {
                     if *b != Some(want) {
@@ -907,18 +926,27 @@ mod tests {
         let bundle = SeriesBundle::from_columns(bundle.t_us().to_vec(), series).unwrap();
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
         let out = dec.decode(&bundle, 100_000).expect("no detection");
-        assert!(out.channels.iter().all(|c| c.index != 9), "kept NaN channel");
+        assert!(
+            out.channels.iter().all(|c| c.index != 9),
+            "kept NaN channel"
+        );
         assert!(out.channels.iter().all(|c| c.score.is_finite()));
         assert_eq!(out.frame.as_ref().expect("erasures").payload, payload);
         // The reference path applies the same skip.
-        let reference = dec.decode_reference(&bundle, 100_000).expect("no detection");
+        let reference = dec
+            .decode_reference(&bundle, 100_000)
+            .expect("no detection");
         assert_eq!(reference, out);
     }
 
     #[test]
     fn indexed_decode_matches_reference_bit_for_bit() {
         let payload = payload_90();
-        for (seed, gap, hint) in [(11u64, 333u64, 100_000u64), (12, 1_100, 104_500), (13, 3_300, 95_000)] {
+        for (seed, gap, hint) in [
+            (11u64, 333u64, 100_000u64),
+            (12, 1_100, 104_500),
+            (13, 3_300, 95_000),
+        ] {
             let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.4, gap, 10_000, 100_000, seed);
             for cfg in [
                 UplinkDecoderConfig::csi(100, 90),
@@ -965,7 +993,9 @@ mod tests {
 
         let mut live = SeriesBundle::new(bundle.channels());
         for (p, &t) in bundle.t_us().iter().enumerate() {
-            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
+            let row: Vec<f64> = (0..bundle.channels())
+                .map(|c| bundle.channel(c)[p])
+                .collect();
             assert_eq!(live.push(t, &row), Ok(()));
         }
         assert_eq!(dec.decode(&live, 100_000), batch);

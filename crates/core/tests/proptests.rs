@@ -109,7 +109,12 @@ fn v2_trace_roundtrip_exact() {
             let start = g.usize_in(0, 1_000_000) as u64;
             let dur = g.usize_in(0, 500_000) as u64;
             let items = g.usize_in(0, 10_000) as u64;
-            rec.span(STAGES[g.usize_in(0, STAGES.len() - 1)], start, start + dur, items);
+            rec.span(
+                STAGES[g.usize_in(0, STAGES.len() - 1)],
+                start,
+                start + dur,
+                items,
+            );
         }
         for _ in 0..g.usize_in(0, 6) {
             rec.add(
@@ -217,9 +222,8 @@ fn degenerate_bundle(g: &mut bs_dsp::testkit::Gen) -> SeriesBundle {
 /// must never unwind.
 #[test]
 fn decoders_never_panic_on_degenerate_bundles() {
-    let uplink = |payload_bits: usize| {
-        UplinkDecoder::new(UplinkDecoderConfig::csi(100, payload_bits))
-    };
+    let uplink =
+        |payload_bits: usize| UplinkDecoder::new(UplinkDecoderConfig::csi(100, payload_bits));
     let longrange =
         |payload_bits: usize| LongRangeDecoder::new(LongRangeConfig::new(4, 1_000, payload_bits));
     // Pinned edge cases first: zero packets, zero channels, one
@@ -258,8 +262,9 @@ fn series_bundle_rejects_exactly_the_malformed_inputs() {
                 t
             })
             .collect();
-        let mut series: Vec<Vec<f64>> =
-            (0..channels).map(|_| g.vec_f64(-1e3, 1e3, packets, packets + 1)).collect();
+        let mut series: Vec<Vec<f64>> = (0..channels)
+            .map(|_| g.vec_f64(-1e3, 1e3, packets, packets + 1))
+            .collect();
         if packets >= 2 && g.usize_in(0, 3) == 0 {
             let p = g.usize_in(1, packets);
             t_us[p] = t_us[p - 1] - 1;
@@ -272,8 +277,8 @@ fn series_bundle_rejects_exactly_the_malformed_inputs() {
                 series[c].push(0.5);
             }
         }
-        let malformed = t_us.windows(2).any(|w| w[1] < w[0])
-            || series.iter().any(|s| s.len() != packets);
+        let malformed =
+            t_us.windows(2).any(|w| w[1] < w[0]) || series.iter().any(|s| s.len() != packets);
 
         let by_columns = SeriesBundle::from_columns(t_us.clone(), series.clone());
         assert_eq!(by_columns.is_err(), malformed, "case {}", g.case());
@@ -327,7 +332,10 @@ fn indexed_decode_matches_reference_on_random_bundles() {
         let hint = g.usize_in(0, 50_000) as u64;
 
         let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(1_000, g.usize_in(1, 8)));
-        assert_eq!(dec.decode_reference(&bundle, hint), dec.decode(&bundle, hint));
+        assert_eq!(
+            dec.decode_reference(&bundle, hint),
+            dec.decode(&bundle, hint)
+        );
 
         let lr = LongRangeDecoder::new(LongRangeConfig::new(4, 10_000, g.usize_in(1, 4)));
         assert_eq!(lr.decode_reference(&bundle, hint), lr.decode(&bundle, hint));
@@ -359,7 +367,9 @@ fn inventory_is_complete_and_sound() {
 fn ack_and_window_ack_roundtrip() {
     use wifi_backscatter::protocol::{Ack, WindowAck};
     check("ack-window-ack-roundtrip", 256, |g| {
-        let ack = Ack { tag_address: g.u8() };
+        let ack = Ack {
+            tag_address: g.u8(),
+        };
         let wa = WindowAck {
             tag_address: g.u8(),
             msg_id: g.u8(),
@@ -384,7 +394,14 @@ fn query_to_frame_is_total_over_rates() {
     use wifi_backscatter::error::{Error, ProtocolError};
     check("query-to-frame-total", 256, |g| {
         let bps = u64::from_be_bytes([
-            g.u8(), g.u8(), g.u8(), g.u8(), g.u8(), g.u8(), g.u8(), g.u8(),
+            g.u8(),
+            g.u8(),
+            g.u8(),
+            g.u8(),
+            g.u8(),
+            g.u8(),
+            g.u8(),
+            g.u8(),
         ]);
         let q = Query {
             tag_address: g.u8(),
@@ -464,7 +481,10 @@ fn segment_header_roundtrip_and_corruption() {
         let mut flipped = bits;
         let i = g.usize_in(0, flipped.len());
         flipped[i] = !flipped[i];
-        assert!(Segment::from_bits(&flipped).is_err(), "flip at {i} accepted");
+        assert!(
+            Segment::from_bits(&flipped).is_err(),
+            "flip at {i} accepted"
+        );
 
         // Arbitrary byte soup never panics either.
         let _ = Segment::from_bytes(&g.vec_u8(0, 64));

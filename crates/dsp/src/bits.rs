@@ -253,10 +253,7 @@ mod tests {
     #[test]
     fn compare_with_erasures() {
         let mut c = BerCounter::new();
-        c.compare_with_erasures(
-            &[true, false, true],
-            &[Some(true), None, Some(false)],
-        );
+        c.compare_with_erasures(&[true, false, true], &[Some(true), None, Some(false)]);
         assert_eq!(c.errors(), 2); // erasure + wrong bit
         assert_eq!(c.bits(), 3);
     }

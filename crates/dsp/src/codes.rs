@@ -58,7 +58,10 @@ impl OrthogonalPair {
     /// # Panics
     /// Panics if `len < 2` or `len` is odd.
     pub fn new(len: usize) -> Self {
-        assert!(len >= 2 && len % 2 == 0, "code length must be even and >= 2");
+        assert!(
+            len >= 2 && len % 2 == 0,
+            "code length must be even and >= 2"
+        );
         let one: Vec<i8> = (0..len).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
         let mut zero: Vec<i8> = (0..len)
             .map(|i| if (i / 2) % 2 == 0 { 1 } else { -1 })

@@ -37,7 +37,11 @@ pub fn moving_average(xs: &[f64], half: usize) -> Vec<f64> {
         let hi = (i + half + 1).min(len);
         out.push((prefix[hi] - prefix[lo]) / (hi - lo) as f64);
     };
-    let (int_lo, int_hi) = if len > 2 * half { (half, len - half) } else { (0, 0) };
+    let (int_lo, int_hi) = if len > 2 * half {
+        (half, len - half)
+    } else {
+        (0, 0)
+    };
     let mut out = Vec::with_capacity(len);
     for i in 0..int_lo {
         edge(&mut out, i);
@@ -130,11 +134,7 @@ mod tests {
                     let lo = i.saturating_sub(half);
                     let hi = (i + half + 1).min(len);
                     let want = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
-                    assert_eq!(
-                        g.to_bits(),
-                        want.to_bits(),
-                        "len={len} half={half} i={i}"
-                    );
+                    assert_eq!(g.to_bits(), want.to_bits(), "len={len} half={half} i={i}");
                 }
             }
         }
@@ -174,7 +174,9 @@ mod tests {
 
     #[test]
     fn condition_output_mean_abs_is_one() {
-        let xs: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.7).sin() * 4.0 + 10.0).collect();
+        let xs: Vec<f64> = (0..200)
+            .map(|i| ((i as f64) * 0.7).sin() * 4.0 + 10.0)
+            .collect();
         let y = condition(&xs, 25);
         let ma = crate::stats::mean_abs(&y);
         assert!((ma - 1.0).abs() < 1e-9, "mean abs {ma}");

@@ -162,7 +162,12 @@ where
     // only hands the one `&mut` across to whichever worker claims it.
     let chunks: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk_len).map(Mutex::new).collect();
     map_indexed(jobs, chunks.len(), |i| {
-        f(i, &mut chunks[i].lock().expect("a chunk is claimed once, so never poisoned"));
+        f(
+            i,
+            &mut chunks[i]
+                .lock()
+                .expect("a chunk is claimed once, so never poisoned"),
+        );
     })
     .map(drop)
 }
@@ -217,7 +222,9 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline_with_the_same_contract() {
-        let want: Vec<Vec<usize>> = (0..6).map(|i| (0..9).map(|j| i * 10 + j).collect()).collect();
+        let want: Vec<Vec<usize>> = (0..6)
+            .map(|i| (0..9).map(|j| i * 10 + j).collect())
+            .collect();
         let outer = map_indexed(2, 6, |i| {
             let nested_threads: Vec<_> = map_indexed(4, 9, |_| std::thread::current().id())
                 .unwrap()
@@ -264,7 +271,11 @@ mod tests {
                 chunk.fill(1);
             })
             .unwrap_err();
-            assert_eq!((err.chunk, err.message.as_str()), (7, "chunk 7 refused"), "jobs {jobs}");
+            assert_eq!(
+                (err.chunk, err.message.as_str()),
+                (7, "chunk 7 refused"),
+                "jobs {jobs}"
+            );
             assert!(data[..14].iter().all(|&v| v == 1), "jobs {jobs}");
         }
     }

@@ -251,7 +251,10 @@ impl SimRng {
     /// # Panics
     /// Panics if `alpha <= 0` or `xmin <= 0`.
     pub fn pareto(&mut self, alpha: f64, xmin: f64) -> f64 {
-        assert!(alpha > 0.0 && xmin > 0.0, "pareto needs alpha > 0, xmin > 0");
+        assert!(
+            alpha > 0.0 && xmin > 0.0,
+            "pareto needs alpha > 0, xmin > 0"
+        );
         let u: f64 = loop {
             let u = self.uniform();
             if u > 0.0 {

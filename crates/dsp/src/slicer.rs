@@ -184,7 +184,9 @@ mod tests {
     #[test]
     fn from_samples_matches_from_stats() {
         // ±1 population: µ=0, σ=1 → thresholds ±0.5.
-        let samples: Vec<f64> = (0..100).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let samples: Vec<f64> = (0..100)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let s = HysteresisSlicer::from_samples(&samples);
         assert!((s.thresh1() - 0.5).abs() < 1e-12);
         assert!((s.thresh0() + 0.5).abs() < 1e-12);
@@ -265,8 +267,7 @@ mod tests {
         for t in 0..trials {
             let bit = t % 2 == 0;
             let level = if bit { 1.0 } else { -1.0 };
-            let samples: Vec<f64> =
-                (0..30).map(|_| level + rng.gaussian(0.0, 1.5)).collect();
+            let samples: Vec<f64> = (0..30).map(|_| level + rng.gaussian(0.0, 1.5)).collect();
             if matches!(
                 (slicer.decide(samples[0]), bit),
                 (Decision::One, false) | (Decision::Zero, true)
@@ -278,7 +279,10 @@ mod tests {
                 _ => voted_errors += 1,
             }
         }
-        assert!(voted_errors < single_errors, "{voted_errors} vs {single_errors}");
+        assert!(
+            voted_errors < single_errors,
+            "{voted_errors} vs {single_errors}"
+        );
         assert!(voted_errors <= 3, "voted errors {voted_errors}");
     }
 }

@@ -275,7 +275,8 @@ impl SlotStats {
             self.count.push(slice.len() as u32);
             self.sum.push(s);
             self.var.push(w.population_variance());
-            self.prefix_count.push(self.prefix_count[k] + slice.len() as u64);
+            self.prefix_count
+                .push(self.prefix_count[k] + slice.len() as u64);
             self.prefix_sum.push(self.prefix_sum[k] + s);
             self.prefix_sum_sq.push(self.prefix_sum_sq[k] + sq);
         }
@@ -400,7 +401,11 @@ mod tests {
         for k in 0..n_slots {
             assert_eq!(stats.count(k), counts[k], "count slot {k}");
             assert_eq!(stats.sum(k).to_bits(), sums[k].to_bits(), "sum slot {k}");
-            assert_eq!(stats.variance(k).to_bits(), vars[k].to_bits(), "var slot {k}");
+            assert_eq!(
+                stats.variance(k).to_bits(),
+                vars[k].to_bits(),
+                "var slot {k}"
+            );
             let want_mean = (counts[k] > 0).then(|| sums[k] / f64::from(counts[k]));
             assert_eq!(
                 stats.mean(k).map(f64::to_bits),

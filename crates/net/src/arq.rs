@@ -251,11 +251,8 @@ impl TransportSession {
     /// Prepares a transfer of `message` under `cfg`.
     pub fn new(message: &[u8], cfg: TransportConfig) -> Self {
         let (segments, coder) = if cfg.fec.is_enabled() {
-            let coder = GroupCoder::for_message(
-                message.len(),
-                cfg.seg_payload_bytes.min(254),
-                cfg.fec,
-            );
+            let coder =
+                GroupCoder::for_message(message.len(), cfg.seg_payload_bytes.min(254), cfg.fec);
             (coder.encode_message(cfg.msg_id, message), Some(coder))
         } else {
             (
@@ -349,7 +346,11 @@ impl TransportSession {
 
     /// Runs one ARQ round over `link`, recording spans and counters on
     /// `rec`.
-    pub fn step_round(&mut self, link: &mut dyn SegmentLink, rec: &mut dyn Recorder) -> RoundOutcome {
+    pub fn step_round(
+        &mut self,
+        link: &mut dyn SegmentLink,
+        rec: &mut dyn Recorder,
+    ) -> RoundOutcome {
         if self.started_us.is_none() {
             self.started_us = Some(link.now_us());
             // The segmentation span: zero simulated duration (it is
@@ -588,7 +589,11 @@ mod tests {
     #[test]
     fn clean_link_single_round_per_window() {
         let mut link = SimLink::new(FaultPlan::none(), 1);
-        let t = run_transfer(&msg(64), TransportConfig::default().with_window(8), &mut link);
+        let t = run_transfer(
+            &msg(64),
+            TransportConfig::default().with_window(8),
+            &mut link,
+        );
         assert!(t.complete);
         assert_eq!(t.delivered.as_deref(), Some(&msg(64)[..]));
         assert_eq!(t.retransmissions, 0);
@@ -623,7 +628,11 @@ mod tests {
     #[test]
     fn stop_and_wait_needs_at_least_one_round_per_segment() {
         let mut link = SimLink::new(FaultPlan::none(), 1);
-        let t = run_transfer(&msg(64), TransportConfig::default().with_window(1), &mut link);
+        let t = run_transfer(
+            &msg(64),
+            TransportConfig::default().with_window(1),
+            &mut link,
+        );
         assert!(t.complete);
         assert_eq!(t.rounds, 4, "one segment per stop-and-wait round");
     }
@@ -651,8 +660,14 @@ mod tests {
         let t = run_transfer(&msg(64), cfg, &mut link);
         assert!(!t.complete);
         assert!(t.delivered.is_none());
-        assert!(t.delivered_bytes < t.message_bytes, "undelivered bytes must show");
-        assert!(t.rounds < 4_096, "budget should stop it well before the cap");
+        assert!(
+            t.delivered_bytes < t.message_bytes,
+            "undelivered bytes must show"
+        );
+        assert!(
+            t.rounds < 4_096,
+            "budget should stop it well before the cap"
+        );
     }
 
     #[test]

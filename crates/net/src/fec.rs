@@ -671,7 +671,13 @@ impl GroupCoder {
         // Codeword positions: 0..k data (shortened tail = known zeros),
         // k..n parity. Wire slot s maps to position s for data slots and
         // k + (s - data) for parity slots.
-        let pos_of = |s: usize| if s < data { s } else { self.cfg.group_data + (s - data) };
+        let pos_of = |s: usize| {
+            if s < data {
+                s
+            } else {
+                self.cfg.group_data + (s - data)
+            }
+        };
         let erasures: Vec<usize> = missing.iter().map(|&s| pos_of(s)).collect();
 
         // One codeword per byte row, columns gathered from held slots.

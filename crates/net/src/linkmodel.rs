@@ -193,7 +193,11 @@ impl SegmentLink for SimLink {
         self.now_us += self.ctrl_overhead_us + air + self.gap_us;
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage { "helper-outage" } else { "packet-loss" });
+            self.record_fault(if outage {
+                "helper-outage"
+            } else {
+                "packet-loss"
+            });
             rec.add("net.control-lost", 1);
             return false;
         }
@@ -208,7 +212,11 @@ impl SegmentLink for SimLink {
         self.now_us += air + self.gap_us;
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage { "helper-outage" } else { "packet-loss" });
+            self.record_fault(if outage {
+                "helper-outage"
+            } else {
+                "packet-loss"
+            });
             rec.add("net.segments-lost", 1);
             return SegmentFate::Lost;
         }
@@ -397,7 +405,11 @@ impl SegmentLink for TrafficLink {
         self.now_us += self.ctrl_overhead_us + air + self.gap_us;
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage { "helper-outage" } else { "packet-loss" });
+            self.record_fault(if outage {
+                "helper-outage"
+            } else {
+                "packet-loss"
+            });
             rec.add("net.control-lost", 1);
             return false;
         }
@@ -421,7 +433,11 @@ impl SegmentLink for TrafficLink {
         }
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage { "helper-outage" } else { "packet-loss" });
+            self.record_fault(if outage {
+                "helper-outage"
+            } else {
+                "packet-loss"
+            });
             rec.add("net.segments-lost", 1);
             return SegmentFate::Lost;
         }
@@ -668,8 +684,7 @@ mod tests {
     #[test]
     fn trafficlink_window_count_wraps_cyclically() {
         // Horizon 1000 µs, packets at 100/300/900.
-        let link =
-            TrafficLink::from_arrivals(vec![100, 300, 900], 1_000, FaultPlan::none(), 0);
+        let link = TrafficLink::from_arrivals(vec![100, 300, 900], 1_000, FaultPlan::none(), 0);
         assert_eq!(link.packets_within(0, 1_000), 3);
         assert_eq!(link.packets_within(0, 200), 1);
         assert_eq!(link.packets_within(100, 200), 1); // [100, 300) half-open: excludes 300
@@ -702,12 +717,7 @@ mod tests {
     #[test]
     fn wild_traffic_starves_some_segments() {
         let mut rec = NullRecorder;
-        let mut link = TrafficLink::new(
-            &WildTraffic::wild(),
-            600_000_000,
-            FaultPlan::none(),
-            7,
-        );
+        let mut link = TrafficLink::new(&WildTraffic::wild(), 600_000_000, FaultPlan::none(), 7);
         let fates: Vec<SegmentFate> = (0..200)
             .map(|_| link.send_segment(&seg(1), &mut rec))
             .collect();
@@ -724,7 +734,8 @@ mod tests {
     fn trafficlink_is_deterministic_and_composes_faults() {
         let plan = FaultPlan::preset("loss", 0.6, 21).unwrap();
         let run = |seed| {
-            let mut link = TrafficLink::new(&WildTraffic::default(), 60_000_000, plan.clone(), seed);
+            let mut link =
+                TrafficLink::new(&WildTraffic::default(), 60_000_000, plan.clone(), seed);
             let mut rec = NullRecorder;
             (0..100)
                 .map(|_| link.send_segment(&seg(0), &mut rec))

@@ -165,7 +165,10 @@ pub fn segment_message(msg_id: u8, message: &[u8], max_payload: usize) -> Vec<Se
         "segment payload must be 1..=255 bytes"
     );
     let total = message.len().div_ceil(max_payload).max(1);
-    assert!(total <= u16::MAX as usize, "message needs too many segments");
+    assert!(
+        total <= u16::MAX as usize,
+        "message needs too many segments"
+    );
     (0..total)
         .map(|i| Segment {
             msg_id,
@@ -436,7 +439,10 @@ mod tests {
             total: 5,
             payload: vec![],
         };
-        assert_eq!(Segment::from_bytes(&bad.to_bytes()), Err(SegmentError::BadSequence));
+        assert_eq!(
+            Segment::from_bytes(&bad.to_bytes()),
+            Err(SegmentError::BadSequence)
+        );
     }
 
     #[test]

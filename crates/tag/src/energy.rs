@@ -226,8 +226,16 @@ impl Capacitor {
     /// nothing (the harvester already guards, but a second fence keeps
     /// the integrator finite).
     pub fn advance(&mut self, duration_us: f64, harvest_uw: f64, load_uw: f64) -> EnergyState {
-        let harvest = if harvest_uw.is_finite() { harvest_uw } else { 0.0 };
-        let load = if load_uw.is_finite() { load_uw.max(0.0) } else { 0.0 };
+        let harvest = if harvest_uw.is_finite() {
+            harvest_uw
+        } else {
+            0.0
+        };
+        let load = if load_uw.is_finite() {
+            load_uw.max(0.0)
+        } else {
+            0.0
+        };
         let dt = if duration_us.is_finite() {
             duration_us.max(0.0)
         } else {

@@ -137,7 +137,10 @@ mod tests {
         let trace = m.trace(5000, |_| 0.0);
         let tail = &trace[1000..];
         let mean = bs_dsp::stats::mean(tail);
-        assert!((mean - noise).abs() < 0.2 * noise, "mean {mean} noise {noise}");
+        assert!(
+            (mean - noise).abs() < 0.2 * noise,
+            "mean {mean} noise {noise}"
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@ use bs_dsp::codes::BARKER13;
 /// reason as the uplink preamble: low autocorrelation sidelobes make false
 /// matches against ambient traffic unlikely (Fig. 18).
 pub const DOWNLINK_PREAMBLE: [bool; 16] = [
-    true, true, true, true, true, false, false, true, true, false, true, false, true, // Barker-13
+    true, true, true, true, true, false, false, true, true, false, true, false,
+    true, // Barker-13
     true, false, true, // pad
 ];
 
@@ -57,7 +58,10 @@ impl std::fmt::Display for FrameError {
             FrameError::Truncated => write!(f, "frame truncated"),
             FrameError::BadLength => write!(f, "length field exceeds frame"),
             FrameError::BadCrc { computed, received } => {
-                write!(f, "CRC mismatch: computed {computed:#04x}, received {received:#04x}")
+                write!(
+                    f,
+                    "CRC mismatch: computed {computed:#04x}, received {received:#04x}"
+                )
             }
         }
     }

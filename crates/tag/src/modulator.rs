@@ -207,11 +207,7 @@ mod tests {
         let f = UplinkFrame::new(vec![true, true, false]);
         let m = Modulator::new(&f, 100, UplinkMode::Plain, 0);
         // Count directly from the chip stream.
-        let expect = m
-            .chips()
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count();
+        let expect = m.chips().windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(m.transitions(), expect);
         assert!(expect > 0);
     }

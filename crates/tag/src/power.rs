@@ -84,8 +84,7 @@ impl EnergyLedger {
 
     /// Accounts for `n` mid-bit samples (wakeup + brief active window).
     pub fn samples(&mut self, n: u64) {
-        self.total_uj +=
-            n as f64 * (WAKEUP_COST_UJ + MCU_ACTIVE_UW * SAMPLE_AWAKE_US / 1e6);
+        self.total_uj += n as f64 * (WAKEUP_COST_UJ + MCU_ACTIVE_UW * SAMPLE_AWAKE_US / 1e6);
         self.mcu_us += n as f64 * (WAKEUP_AWAKE_US + SAMPLE_AWAKE_US);
     }
 

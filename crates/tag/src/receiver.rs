@@ -56,9 +56,7 @@ impl Default for CircuitConfig {
             threshold_fraction: 0.5,
             comparator_hysteresis: 0.15,
             min_threshold_mw: 3.0
-                * bs_channel::pathloss::dbm_to_mw(
-                    bs_channel::calib::ENVELOPE_DETECTOR_NOISE_DBM,
-                ),
+                * bs_channel::pathloss::dbm_to_mw(bs_channel::calib::ENVELOPE_DETECTOR_NOISE_DBM),
         }
     }
 }
@@ -358,12 +356,7 @@ impl DownlinkDecoder {
     /// `start_us`, integrating a mid-bit window (the middle half of each
     /// bit) by majority. Used directly by the BER evaluation (Fig. 17) and
     /// by frame decoding.
-    pub fn slice_bits(
-        &mut self,
-        comparator: &[bool],
-        start_us: f64,
-        n_bits: usize,
-    ) -> Vec<bool> {
+    pub fn slice_bits(&mut self, comparator: &[bool], start_us: f64, n_bits: usize) -> Vec<bool> {
         let spb = self.bit_us / self.sample_period_us; // samples per bit
         let mut bits = Vec::with_capacity(n_bits);
         for b in 0..n_bits {
@@ -407,16 +400,14 @@ impl DownlinkDecoder {
                 continue;
             }
             if let Some(m) = self.matcher.on_transition(t, level) {
-                let body_start =
-                    m.start_us as f64 + DOWNLINK_PREAMBLE.len() as f64 * self.bit_us;
+                let body_start = m.start_us as f64 + DOWNLINK_PREAMBLE.len() as f64 * self.bit_us;
                 let body_bits = 8 + max_payload_hint * 8 + 8;
                 let bits = self.slice_bits(comparator, body_start, body_bits);
                 match DownlinkFrame::from_body_bits(&bits) {
                     Ok(f) => {
                         self.stats.frames_ok += 1;
                         // Skip past this frame before searching again.
-                        let frame_bits =
-                            DownlinkFrame::on_air_len(f.payload.len()) as f64;
+                        let frame_bits = DownlinkFrame::on_air_len(f.payload.len()) as f64;
                         skip_until_us = (m.start_us as f64 + frame_bits * self.bit_us) as u64;
                         self.matcher.reset();
                         frames.push(f);
@@ -434,10 +425,7 @@ impl DownlinkDecoder {
     /// Counts preamble matches in a transition list *without* requiring a
     /// valid frame body — Fig. 18's false-positive metric (every match
     /// wakes the MCU), event-driven for hours-long ambient traffic.
-    pub fn count_preamble_matches_in_transitions(
-        &mut self,
-        transitions: &[(u64, bool)],
-    ) -> u64 {
+    pub fn count_preamble_matches_in_transitions(&mut self, transitions: &[(u64, bool)]) -> u64 {
         self.matcher.reset();
         let mut matches = 0;
         for &(t, level) in transitions {
@@ -675,11 +663,7 @@ mod tests {
                 let comp = comparator_for_bits(&bits, bit_samples, snr, 100 + s);
                 let mut dec = DownlinkDecoder::new(bit_samples as f64, 1.0);
                 let out = dec.slice_bits(&comp, 0.0, bits.len());
-                errors += out
-                    .iter()
-                    .zip(&bits)
-                    .filter(|(a, b)| a != b)
-                    .count();
+                errors += out.iter().zip(&bits).filter(|(a, b)| a != b).count();
             }
             errors as f64 / (trials * bits.len()) as f64
         };

@@ -120,7 +120,11 @@ impl Medium {
 
     /// Runs DCF until `until_us`, returning the transmission timeline in
     /// time order plus aggregate statistics.
-    pub fn simulate(&mut self, stations: &[Station], until_us: u64) -> (Vec<Transmission>, MacStats) {
+    pub fn simulate(
+        &mut self,
+        stations: &[Station],
+        until_us: u64,
+    ) -> (Vec<Transmission>, MacStats) {
         let n = stations.len();
         let mut next_idx = vec![0usize; n];
         let mut retries = vec![0u32; n];
@@ -261,7 +265,8 @@ mod tests {
 
     #[test]
     fn two_saturated_stations_share_the_medium() {
-        let mk = |offset: u64| Station::data((0..1000).map(|i| offset + i * 200).collect(), 1500, 54.0);
+        let mk =
+            |offset: u64| Station::data((0..1000).map(|i| offset + i * 200).collect(), 1500, 54.0);
         let (timeline, stats) = medium(3).simulate(&[mk(0), mk(50)], 300_000);
         let from0 = delivered_from(&timeline, 0).len();
         let from1 = delivered_from(&timeline, 1).len();
@@ -269,7 +274,10 @@ mod tests {
         // Rough fairness: within a factor of 2.
         let ratio = from0 as f64 / from1 as f64;
         assert!((0.5..=2.0).contains(&ratio), "ratio {ratio}");
-        assert!(stats.collisions > 0, "saturated stations should collide sometimes");
+        assert!(
+            stats.collisions > 0,
+            "saturated stations should collide sometimes"
+        );
     }
 
     #[test]
@@ -280,10 +288,7 @@ mod tests {
         assert_eq!(collided, stats.collisions);
         assert!(collided > 0);
         // all_delivered excludes them.
-        assert_eq!(
-            all_delivered(&timeline).len() as u64,
-            stats.delivered
-        );
+        assert_eq!(all_delivered(&timeline).len() as u64, stats.delivered);
     }
 
     #[test]
@@ -307,7 +312,8 @@ mod tests {
         for t in &timeline {
             if t.frame.src == 1 {
                 assert!(
-                    t.frame.timestamp_us >= nav_end || t.frame.end_us() <= cts_frame.frame.timestamp_us,
+                    t.frame.timestamp_us >= nav_end
+                        || t.frame.end_us() <= cts_frame.frame.timestamp_us,
                     "data frame at {} violates NAV ending {nav_end}",
                     t.frame.timestamp_us
                 );
@@ -322,7 +328,8 @@ mod tests {
         let rng = SimRng::new(6);
         let duration = 1_000_000; // 1 s
         let rate_of = |pps: f64| -> usize {
-            let arr = traffic::poisson(pps, duration, &mut rng.stream("load").substream(pps as u64));
+            let arr =
+                traffic::poisson(pps, duration, &mut rng.stream("load").substream(pps as u64));
             let st = Station::data(arr, 1500, 54.0);
             let (timeline, _) = medium(7).simulate(&[st], duration);
             timeline.len()

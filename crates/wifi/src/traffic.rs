@@ -200,7 +200,10 @@ pub fn apply_faults_with(
     let out = apply_faults(arrivals, plan, stream, events);
     rec.add("traffic.arrivals-offered", offered);
     rec.add("traffic.arrivals-delivered", out.len() as u64);
-    rec.add("traffic.packets-dropped", events.packets_dropped - dropped_before);
+    rec.add(
+        "traffic.packets-dropped",
+        events.packets_dropped - dropped_before,
+    );
     rec.add(
         "traffic.packets-duplicated",
         events.packets_duplicated - duplicated_before,
@@ -388,13 +391,9 @@ impl RateEstimator {
         // index of a Pareto sample.
         let mut sorted = gaps.clone();
         sorted.sort_by(|a, b| b.total_cmp(a));
-        let m = ((sorted.len() as f64 * self.tail_fraction) as usize)
-            .clamp(2, sorted.len() - 1);
+        let m = ((sorted.len() as f64 * self.tail_fraction) as usize).clamp(2, sorted.len() - 1);
         let floor = sorted[m].max(1.0);
-        let sum_log: f64 = sorted[..m]
-            .iter()
-            .map(|&g| (g.max(1.0) / floor).ln())
-            .sum();
+        let sum_log: f64 = sorted[..m].iter().map(|&g| (g.max(1.0) / floor).ln()).sum();
         let tail_index = if sum_log > 0.0 {
             m as f64 / sum_log
         } else {
@@ -577,7 +576,9 @@ mod tests {
                 diurnal: false,
                 ..WildTraffic::wild()
             };
-            let mut r = SimRng::new(11).stream("wild-tail").substream(alpha.to_bits());
+            let mut r = SimRng::new(11)
+                .stream("wild-tail")
+                .substream(alpha.to_bits());
             let arr = w.arrivals(600_000_000, &mut r);
             let stats = RateEstimator::new().measure(&arr, 600_000_000);
             assert!(
@@ -585,7 +586,11 @@ mod tests {
                 "alpha {alpha}: hill {} outside [{lo}, {hi}]",
                 stats.tail_index
             );
-            assert!(stats.gap_cv > 1.5, "wild cv {} should be bursty", stats.gap_cv);
+            assert!(
+                stats.gap_cv > 1.5,
+                "wild cv {} should be bursty",
+                stats.gap_cv
+            );
         }
     }
 

@@ -90,8 +90,12 @@ fn main() {
     report("naive DRR (polls the dead)", &naive);
 
     let mut rec = MemRecorder::new();
-    let aware = run_gateway_with(&tags, &base.with_polling(PollingPolicy::EnergyAware), &mut rec)
-        .expect("unique tag addresses");
+    let aware = run_gateway_with(
+        &tags,
+        &base.with_polling(PollingPolicy::EnergyAware),
+        &mut rec,
+    )
+    .expect("unique tag addresses");
     report("energy-aware DRR (silence-driven backoff)", &aware);
 
     let skips = rec.into_report().counter("net.energy-skips");

@@ -44,7 +44,11 @@ fn main() {
         "latency:    p50 {:.0} us, p90 {:.0} us, p99 {:.0} us",
         run.latency_us_p50, run.latency_us_p90, run.latency_us_p99
     );
-    println!("digest:     {:016x}  ({} ms wall)", run.digest, wall.as_millis());
+    println!(
+        "digest:     {:016x}  ({} ms wall)",
+        run.digest,
+        wall.as_millis()
+    );
 
     // The determinism contract, demonstrated: a single-worker rerun
     // reproduces the sharded run byte for byte.

@@ -58,7 +58,11 @@ fn main() {
         println!(
             "tag 0x{addr:02X}: query {} | response {} (reading 0x{reading:04X})",
             if delivered { "delivered" } else { "LOST" },
-            if run.perfect() { "decoded ✓" } else { "errors" },
+            if run.perfect() {
+                "decoded ✓"
+            } else {
+                "errors"
+            },
         );
     }
 

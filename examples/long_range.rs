@@ -31,11 +31,14 @@ fn main() {
                 bits += run.ber.bits();
             }
             let ber = errors as f64 / bits as f64;
-            row.push_str(&format!("  {:>9}", if ber == 0.0 {
-                "clean".to_string()
-            } else {
-                format!("{ber:.0e}")
-            }));
+            row.push_str(&format!(
+                "  {:>9}",
+                if ber == 0.0 {
+                    "clean".to_string()
+                } else {
+                    format!("{ber:.0e}")
+                }
+            ));
         }
         println!("{row}");
     }

@@ -15,7 +15,10 @@ use wifi_backscatter::prelude::*;
 
 fn print_report(title: &str, r: &ObsReport) {
     println!("--- {title} ---");
-    println!("{:<22} {:>6} {:>9} {:>10}", "stage", "spans", "items", "sim_us");
+    println!(
+        "{:<22} {:>6} {:>9} {:>10}",
+        "stage", "spans", "items", "sim_us"
+    );
     let mut stages: Vec<&str> = r.spans.iter().map(|s| s.stage.as_str()).collect();
     stages.sort_unstable();
     stages.dedup();
@@ -42,8 +45,8 @@ fn main() {
     println!("=== deterministic stage profiling ===\n");
 
     // An uplink decode at 10 cm: where does the simulated time go?
-    let cfg = LinkConfig::fig10(0.1, 100, 10, 42)
-        .with_payload((0..24).map(|i| i % 3 == 0).collect());
+    let cfg =
+        LinkConfig::fig10(0.1, 100, 10, 42).with_payload((0..24).map(|i| i % 3 == 0).collect());
     let mut rec = MemRecorder::new();
     let run = run_uplink_with(&cfg, &mut rec);
     print_report("uplink, 10 cm, CSI", &rec.into_report());

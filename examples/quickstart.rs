@@ -44,15 +44,19 @@ fn main() {
     let payload: Vec<bool> = (0..16).map(|i| (reading >> (15 - i)) & 1 == 1).collect();
     println!("tag:    backscattering reading 0x{reading:04X} by toggling its RF switch");
 
-    let ul = LinkConfig::fig10(0.20, decoded_query.bit_rate_bps, 30, 42)
-        .with_payload(payload.clone());
+    let ul =
+        LinkConfig::fig10(0.20, decoded_query.bit_rate_bps, 30, 42).with_payload(payload.clone());
     let run = run_uplink(&ul);
 
     println!(
         "reader: observed {} helper packets ({:.0} per tag bit), preamble {}",
         run.packets_used,
         run.pkts_per_bit,
-        if run.detected { "detected" } else { "NOT detected" }
+        if run.detected {
+            "detected"
+        } else {
+            "NOT detected"
+        }
     );
     let bits: Option<Vec<bool>> = run.decoded.iter().copied().collect();
     match bits {
@@ -69,5 +73,9 @@ fn main() {
         }
         None => println!("reader: decode had erasures"),
     }
-    println!("\nuplink BER counter: {} errors / {} bits", run.ber.errors(), run.ber.bits());
+    println!(
+        "\nuplink BER counter: {} errors / {} bits",
+        run.ber.errors(),
+        run.ber.bits()
+    );
 }

@@ -1,10 +1,10 @@
 //! Coexistence integration (§4.1, §5, §9): the tag and normal Wi-Fi
 //! traffic sharing one medium without hurting each other.
 
-use bs_tag::modulator::{Modulator, UplinkMode};
-use bs_tag::frame::UplinkFrame;
 use bs_channel::TagState;
 use bs_dsp::bits::BerCounter;
+use bs_tag::frame::UplinkFrame;
+use bs_tag::modulator::{Modulator, UplinkMode};
 use bs_wifi::frame::FrameKind;
 use bs_wifi::mac::{Medium, Station};
 use wifi_backscatter::downlink::{DownlinkEncoder, DownlinkEncoderConfig};
@@ -22,7 +22,11 @@ fn uplink_survives_contending_background_traffic() {
         cfg.payload = (0..30).map(|i| i % 4 < 2).collect();
         ber.merge(&run_uplink(&cfg).ber);
     }
-    assert!(ber.raw_ber() < 1e-2, "ber with background: {}", ber.raw_ber());
+    assert!(
+        ber.raw_ber() < 1e-2,
+        "ber with background: {}",
+        ber.raw_ber()
+    );
 }
 
 /// Using *all* delivered traffic (helper + background) gives at least as

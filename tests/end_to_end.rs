@@ -17,7 +17,8 @@ fn full_query_response_ack_roundtrip() {
         code_length: 1,
     };
     let dl = DownlinkConfig::fig17(1.0, 20_000, 1001);
-    let received = run_downlink_frame(&dl, &query.to_frame().unwrap()).expect("query lost on downlink");
+    let received =
+        run_downlink_frame(&dl, &query.to_frame().unwrap()).expect("query lost on downlink");
     let parsed = Query::from_frame(&received).expect("tag failed to parse query");
     assert_eq!(parsed, query);
 

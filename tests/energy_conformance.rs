@@ -146,7 +146,10 @@ fn always_powered_fleet_is_bit_identical_to_pre_energy_engine() {
         let run = run_fleet(&cfg.with_energy(FleetEnergyConfig::always_powered()), 2).unwrap();
         assert_fleet_pin(&run, digest, delivered, airtime, label);
         assert_eq!(run.brownouts, 0, "{label}: immortal tags cannot brown out");
-        assert_eq!(run.missed_polls, 0, "{label}: immortal tags answer every poll");
+        assert_eq!(
+            run.missed_polls, 0,
+            "{label}: immortal tags answer every poll"
+        );
     }
 }
 
@@ -179,7 +182,11 @@ fn energy_off_and_always_powered_gateway_match_pre_energy_pins() {
     }
     // The per-tag transfers are identical byte for byte.
     for (a, b) in plain.tags.iter().zip(powered.tags.iter()) {
-        assert_eq!(a.transfer, b.transfer, "tag {} transfer diverged", a.address);
+        assert_eq!(
+            a.transfer, b.transfer,
+            "tag {} transfer diverged",
+            a.address
+        );
     }
 }
 
@@ -267,8 +274,11 @@ fn energy_aware_polling_never_lowers_goodput_on_paired_seeds() {
             .with_faults(FaultPlan::preset("loss", 0.6, 7).unwrap())
             .with_seed(seed);
         let naive = run_gateway(&tags, &base).unwrap();
-        let aware =
-            run_gateway(&tags, &base.clone().with_polling(PollingPolicy::EnergyAware)).unwrap();
+        let aware = run_gateway(
+            &tags,
+            &base.clone().with_polling(PollingPolicy::EnergyAware),
+        )
+        .unwrap();
         assert!(
             aware.aggregate_goodput_bps() >= naive.aggregate_goodput_bps(),
             "seed {seed}: aware {} bps must not trail naive {} bps",

@@ -17,11 +17,11 @@
 
 use bs_channel::faults::{FaultPlan, PRESET_SCENARIOS};
 use bs_dsp::bits::BerCounter;
+use wifi_backscatter::error::SessionError;
 use wifi_backscatter::link::{
     DegradationReport, LinkConfig, Measurement, MitigationPolicy, UplinkRun,
 };
 use wifi_backscatter::phy::run_uplink;
-use wifi_backscatter::error::SessionError;
 use wifi_backscatter::protocol::RetryPolicy;
 use wifi_backscatter::session::{Reader, ReaderConfig};
 
@@ -146,31 +146,54 @@ fn every_armed_fault_appears_in_the_report() {
     assert!(d.outage_us > 0, "no outage time accounted");
     assert!(d.frozen_packets > 0, "no frozen CSI reports");
     assert!(d.drift_applied != 0.0, "no drift applied");
-    assert!(d.mitigations_engaged.is_empty(), "bare run engaged {:?}", d.mitigations_engaged);
+    assert!(
+        d.mitigations_engaged.is_empty(),
+        "bare run engaged {:?}",
+        d.mitigations_engaged
+    );
 }
 
 #[test]
 fn engaged_mitigations_are_named_in_the_report() {
     // Sensor wedge → the reader abandons CSI before capturing.
     let sensor = run_uplink(&faulted_cfg("sensor", 1.0, true, 37));
-    assert!(sensor.degradation.engaged("csi-fallback"), "{:?}", sensor.degradation);
-    assert!(sensor.degradation.fired("sensor-degradation"), "{:?}", sensor.degradation);
+    assert!(
+        sensor.degradation.engaged("csi-fallback"),
+        "{:?}",
+        sensor.degradation
+    );
+    assert!(
+        sensor.degradation.fired("sensor-degradation"),
+        "{:?}",
+        sensor.degradation
+    );
 
     // Cadence collapse → proactive chip-rate re-adaptation.
     let collapse = run_uplink(&faulted_cfg("collapse", 1.0, true, 37));
-    assert!(collapse.degradation.engaged("rate-readapt"), "{:?}", collapse.degradation);
+    assert!(
+        collapse.degradation.engaged("rate-readapt"),
+        "{:?}",
+        collapse.degradation
+    );
     let readapted = collapse
         .degradation
         .readapted_rate_bps
         .expect("collapse must re-adapt the rate");
-    assert!(readapted < 100, "re-adapted rate {readapted} not below nominal");
+    assert!(
+        readapted < 100,
+        "re-adapted rate {readapted} not below nominal"
+    );
 
     // Clock drift → the decoder re-scans stretch candidates, judged by
     // both timing anchors (preamble + postamble); the winner must stretch
     // in the true drift's direction, since only that keeps the postamble
     // aligned at the end of the frame.
     let drift = run_uplink(&faulted_cfg("drift", 1.0, true, 37));
-    assert!(drift.degradation.engaged("drift-rescan"), "{:?}", drift.degradation);
+    assert!(
+        drift.degradation.engaged("drift-rescan"),
+        "{:?}",
+        drift.degradation
+    );
     assert!(
         drift.degradation.drift_compensation > 0.0,
         "rescan picked no (or backwards) compensation: {:?}",
@@ -257,7 +280,10 @@ fn session_budget_exhaustion_fails_cleanly_not_slowly() {
     let mut reader = Reader::new(cfg, 9);
     match reader.query(0x01, &[true; 8]) {
         Err(SessionError::TagUnresponsive { attempts }) => {
-            assert!(attempts <= 2, "budget did not bound retries: {attempts} attempts");
+            assert!(
+                attempts <= 2,
+                "budget did not bound retries: {attempts} attempts"
+            );
         }
         other => panic!("expected TagUnresponsive, got {other:?}"),
     }
@@ -271,7 +297,10 @@ fn backoff_schedule_is_exponential_and_capped() {
     for attempt in 1..12 {
         let b = retry.backoff_us(attempt);
         assert!(b >= prev, "backoff shrank at attempt {attempt}");
-        assert!(b <= retry.max_backoff_us, "backoff over cap at attempt {attempt}");
+        assert!(
+            b <= retry.max_backoff_us,
+            "backoff over cap at attempt {attempt}"
+        );
         prev = b;
     }
     assert_eq!(prev, retry.max_backoff_us, "cap never reached");

@@ -55,7 +55,12 @@ fn wild_plan(severity: f64, seed: u64) -> FaultPlan {
 /// severity-scaled fault plan. Rebuilt identically for every arm of a
 /// comparison — pairing is what makes the goodput gates exact.
 fn wild_link(severity: f64, seed: u64) -> TrafficLink {
-    TrafficLink::new(&WildTraffic::wild(), HORIZON_US, wild_plan(severity, seed), seed)
+    TrafficLink::new(
+        &WildTraffic::wild(),
+        HORIZON_US,
+        wild_plan(severity, seed),
+        seed,
+    )
 }
 
 /// The transport config both arms share: a wide window (the RF-powered
@@ -174,7 +179,12 @@ fn fec_obs_counters_match_transfer_and_are_nontrivial() {
     // The unarmed run returns the same outcome.
     let mut link = wild_link(0.5, 8);
     let fec = adaptive_fec(0.5, 8);
-    let twin = run_transfer_with(&msg, wild_config(8).with_fec(fec), &mut link, &mut NullRecorder);
+    let twin = run_transfer_with(
+        &msg,
+        wild_config(8).with_fec(fec),
+        &mut link,
+        &mut NullRecorder,
+    );
     assert_eq!(twin, t);
     assert_eq!(twin.fec_repairs, t.fec_repairs);
     assert_eq!(twin.delivered, t.delivered);

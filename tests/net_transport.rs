@@ -126,7 +126,9 @@ fn sliding_window_beats_stop_and_wait_under_loss() {
             let mut b = SimLink::new(lossy_plan(0.5, seed), seed);
             let tw = run_transfer(
                 &msg,
-                TransportConfig::default().with_window(window).with_seed(seed),
+                TransportConfig::default()
+                    .with_window(window)
+                    .with_seed(seed),
                 &mut b,
             );
             assert!(t1.complete && tw.complete);
@@ -173,7 +175,10 @@ fn obs_report_carries_retx_counters_and_spans() {
     let mut link = SimLink::new(lossy_plan(0.5, 31), 31);
     let (t, obs) = observed_transfer(&msg, TransportConfig::default().with_seed(31), &mut link);
     assert!(t.complete);
-    assert!(t.retransmissions > 0, "severity 0.5 must force retransmissions");
+    assert!(
+        t.retransmissions > 0,
+        "severity 0.5 must force retransmissions"
+    );
     assert_eq!(obs.counter("net.retransmissions"), t.retransmissions);
     assert_eq!(obs.counter("net.duplicate-acks"), t.duplicate_acks);
     assert_eq!(obs.counter("net.polls"), t.polls_sent);
@@ -239,7 +244,10 @@ fn full_phy_link_delivers_a_message_end_to_end() {
     // Not `degradation.is_clean()`: a marginal PHY distance legitimately
     // engages the decoder's own mitigations; what the transport owes is
     // exact bytes.
-    assert_eq!(t.delivered_bytes, t.message_bytes, "complete transfer must deliver every byte");
+    assert_eq!(
+        t.delivered_bytes, t.message_bytes,
+        "complete transfer must deliver every byte"
+    );
 }
 
 #[test]

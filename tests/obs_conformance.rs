@@ -17,8 +17,7 @@
 use wifi_backscatter::prelude::*;
 
 fn uplink_cfg(seed: u64) -> LinkConfig {
-    LinkConfig::fig10(0.1, 100, 10, seed)
-        .with_payload((0..24).map(|i| (i * 11) % 5 < 2).collect())
+    LinkConfig::fig10(0.1, 100, 10, seed).with_payload((0..24).map(|i| (i * 11) % 5 < 2).collect())
 }
 
 /// Runs the uplink under an armed recorder and returns the run with its
@@ -44,7 +43,10 @@ fn observed_uplink_is_bit_identical_to_plain() {
     assert_eq!(plain.packets_used, observed.packets_used);
     assert_eq!(plain.pkts_per_bit, observed.pkts_per_bit);
     assert_eq!(plain.degradation, observed.degradation);
-    assert!(!report.spans.is_empty(), "armed recorder must collect a report");
+    assert!(
+        !report.spans.is_empty(),
+        "armed recorder must collect a report"
+    );
 }
 
 #[test]

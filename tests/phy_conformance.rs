@@ -67,7 +67,12 @@ fn both_modes_deterministic_under_fault_seeds() {
                 cfg.phy = phy.clone();
                 uplink_fingerprint(&run_uplink(&cfg))
             };
-            assert_eq!(mk(), mk(), "{scenario}/{} not deterministic", phy.capabilities().name);
+            assert_eq!(
+                mk(),
+                mk(),
+                "{scenario}/{} not deterministic",
+                phy.capabilities().name
+            );
 
             // A different seed must actually change something somewhere;
             // check divergence on the benign clone to avoid asserting on
@@ -92,8 +97,6 @@ fn every_mode_selects_a_rate_from_its_own_table() {
     for phy in [PhyConfig::Presence, PhyConfig::codeword()] {
         let caps = phy.capabilities();
         assert!(!caps.rate_steps_bps.is_empty());
-        assert!(
-            caps.select_rate_bps(3_000.0, 5, 0.8) >= *caps.rate_steps_bps.first().unwrap()
-        );
+        assert!(caps.select_rate_bps(3_000.0, 5, 0.8) >= *caps.rate_steps_bps.first().unwrap());
     }
 }

@@ -168,7 +168,10 @@ fn window_ack_roundtrips_on_downlink() {
     let got = run_downlink_frame(&cfg, &wa.to_frame()).expect("window ack lost");
     let parsed = WindowAck::from_frame(&got).expect("window ack failed to parse");
     assert_eq!(parsed, wa);
-    assert!(parsed.acks(0) && parsed.acks(36), "below the cumulative edge");
+    assert!(
+        parsed.acks(0) && parsed.acks(36),
+        "below the cumulative edge"
+    );
     assert!(parsed.acks(38) && parsed.acks(41), "selective bits");
     assert!(!parsed.acks(37) && !parsed.acks(39), "unacked holes");
 

@@ -43,8 +43,11 @@ fn accumulate_in_bursts(bundle: &SeriesBundle, sizes: &[usize]) -> SeriesBundle 
         }
         let end = at.saturating_add(size).min(bundle.packets());
         for p in at..end {
-            let row: Vec<f64> = (0..bundle.channels()).map(|c| bundle.channel(c)[p]).collect();
-            live.push(bundle.t_us()[p], &row).expect("a capture's packets ascend");
+            let row: Vec<f64> = (0..bundle.channels())
+                .map(|c| bundle.channel(c)[p])
+                .collect();
+            live.push(bundle.t_us()[p], &row)
+                .expect("a capture's packets ascend");
         }
         at = end;
     }
@@ -64,7 +67,10 @@ fn plain_mode_streaming_matches_batch_and_reference_on_golden_workloads() {
         let dec = UplinkDecoder::new(dcfg);
 
         let batch = dec.decode(&capture.bundle, capture.start_us);
-        assert!(batch.is_some(), "golden workload must decode ({measurement:?})");
+        assert!(
+            batch.is_some(),
+            "golden workload must decode ({measurement:?})"
+        );
         assert_eq!(
             batch,
             dec.decode_reference(&capture.bundle, capture.start_us),
@@ -75,7 +81,10 @@ fn plain_mode_streaming_matches_batch_and_reference_on_golden_workloads() {
         // one burst.
         for sizes in [&[1usize][..], &[1, 7, 64][..], &[usize::MAX][..]] {
             let streamed = accumulate_in_bursts(&capture.bundle, sizes);
-            assert_eq!(streamed, capture.bundle, "burst sizes {sizes:?} ({measurement:?})");
+            assert_eq!(
+                streamed, capture.bundle,
+                "burst sizes {sizes:?} ({measurement:?})"
+            );
             let streamed = dec.decode(&streamed, capture.start_us);
             assert_eq!(streamed, batch, "burst sizes {sizes:?} ({measurement:?})");
         }
@@ -103,7 +112,10 @@ fn long_range_streaming_matches_batch_on_golden_workload() {
     assert!(batch.is_some(), "golden long-range workload must decode");
 
     for sizes in [&[1usize][..], &[3, 17, 128][..], &[usize::MAX][..]] {
-        let streamed = dec.decode(&accumulate_in_bursts(&capture.bundle, sizes), capture.start_us);
+        let streamed = dec.decode(
+            &accumulate_in_bursts(&capture.bundle, sizes),
+            capture.start_us,
+        );
         assert_eq!(streamed, batch, "long-range burst sizes {sizes:?}");
     }
 }

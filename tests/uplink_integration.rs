@@ -9,7 +9,12 @@ fn payload() -> Vec<bool> {
     (0..45).map(|i| (i * 13) % 7 < 3).collect()
 }
 
-fn ber_at(d_m: f64, measurement: Measurement, pkts_per_bit: u32, seeds: std::ops::Range<u64>) -> f64 {
+fn ber_at(
+    d_m: f64,
+    measurement: Measurement,
+    pkts_per_bit: u32,
+    seeds: std::ops::Range<u64>,
+) -> f64 {
     let mut ber = BerCounter::new();
     for seed in seeds {
         let mut cfg = LinkConfig::fig10(d_m, 100, pkts_per_bit, seed);
@@ -66,7 +71,11 @@ fn coding_extends_range_beyond_plain() {
         coded.raw_ber(),
         plain.raw_ber()
     );
-    assert!(coded.raw_ber() < 5e-2, "coded at 1.6 m: {}", coded.raw_ber());
+    assert!(
+        coded.raw_ber() < 5e-2,
+        "coded at 1.6 m: {}",
+        coded.raw_ber()
+    );
 }
 
 /// Longer codes reach farther (the Fig. 20 monotonicity).
