@@ -70,6 +70,9 @@ for f in BENCH_*.json; do
     fi
 done
 
+echo "== cargo fmt --check =="
+cargo fmt --all -- --check
+
 echo "== cargo build --release (all targets) =="
 cargo build --release --all-targets
 
@@ -114,6 +117,9 @@ cargo test --release -q -p wifi-backscatter --lib multitag
 cargo test --release -q -p wifi-backscatter --lib bit_identical_at_any_worker_count
 cargo test --release -q -p bs-wifi --test proptests csi_skip_and_in_place
 cargo test --release -q -p bs-dsp --lib par::
+# The scene's snapshot layout and its tabulated responses: the
+# tabulated-snapshot-vs-formula bit test and the row-stride tests.
+cargo test --release -q -p bs-channel --lib scene::
 
 echo "== phy mode conformance (codeword round-trip, determinism, rate tables) =="
 # The second PHY mode's contract (presence bits are pinned by the golden
