@@ -22,7 +22,7 @@
 //!   mobility; this is what the 400 ms moving-average conditioning removes.
 //! * [`backscatter`] — the tag's two-state radar-cross-section model and the
 //!   cascaded helper→tag→reader scattered path.
-//! * [`noise`] — thermal noise floor and SNR bookkeeping.
+//! * [`noise`] — thermal noise floor.
 //! * [`scene`] — ties everything together: a [`scene::Scene`] yields
 //!   per-packet [`scene::ChannelSnapshot`]s.
 //! * [`faults`] — deterministic seeded fault injection (outages, loss,

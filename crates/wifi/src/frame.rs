@@ -73,12 +73,6 @@ pub fn airtime_us(bytes: usize, rate_mbps: f64) -> u64 {
     PHY_OVERHEAD_US + (bits / rate_mbps).ceil() as u64
 }
 
-/// The smallest packet a commodity card can send: ~40 µs at 54 Mbps
-/// (§4.1). Used as the downlink marker duration floor.
-pub fn min_packet_us() -> u64 {
-    airtime_us(136, 54.0) // ≈ 20 µs PHY + ~20 µs payload
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,12 +98,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn airtime_zero_rate_panics() {
         airtime_us(100, 0.0);
-    }
-
-    #[test]
-    fn min_packet_is_about_40us() {
-        let t = min_packet_us();
-        assert!((38..=42).contains(&t), "{t}");
     }
 
     #[test]

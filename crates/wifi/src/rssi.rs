@@ -77,12 +77,11 @@ impl RssiExtractor {
         rec: &mut dyn Recorder,
     ) -> RssiMeasurement {
         rec.add("wifi.rssi-measurements", 1);
-        let n_sc = snap.h.first().map_or(0, Vec::len) as f64;
-        let rssi_dbm = (0..snap.h.len())
-            .map(|ant| {
+        let rssi_dbm = (snap.rows().enumerate())
+            .map(|(ant, row)| {
                 // Total signal power across the band plus in-band noise.
                 let sig_mw = snap.rx_power_mw(ant);
-                let noise_mw = snap.noise_mw_per_subcarrier * n_sc;
+                let noise_mw = snap.noise_mw_per_subcarrier * row.len() as f64;
                 let raw_dbm = bs_channel::pathloss::mw_to_dbm(sig_mw + noise_mw);
                 let jittered = raw_dbm + self.rng.gaussian(0.0, self.jitter_db);
                 if self.quant_db > 0.0 {
