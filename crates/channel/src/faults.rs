@@ -101,8 +101,9 @@ impl Fault {
 /// sensor freeze, interference — if it was armed with nonzero severity).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultEvents {
-    /// Names of faults that fired, in first-fired order, deduplicated.
-    pub fired: Vec<String>,
+    /// Names of faults that fired ([`Fault::name`]s), in first-fired
+    /// order, deduplicated.
+    pub fired: Vec<&'static str>,
     /// Packets removed by outage/collapse/loss.
     pub packets_dropped: u64,
     /// Packets injected by duplication.
@@ -117,21 +118,21 @@ pub struct FaultEvents {
 
 impl FaultEvents {
     /// Records that `name` fired (idempotent).
-    pub fn fire(&mut self, name: &str) {
-        if !self.fired.iter().any(|f| f == name) {
-            self.fired.push(name.to_string());
+    pub fn fire(&mut self, name: &'static str) {
+        if !self.fired(name) {
+            self.fired.push(name);
         }
     }
 
     /// True if `name` fired.
     pub fn fired(&self, name: &str) -> bool {
-        self.fired.iter().any(|f| f == name)
+        self.fired.contains(&name)
     }
 
     /// Folds another events record into this one (counters add, names
     /// union, drift keeps the larger magnitude).
     pub fn merge(&mut self, other: &FaultEvents) {
-        for name in &other.fired {
+        for &name in &other.fired {
             self.fire(name);
         }
         self.packets_dropped += other.packets_dropped;
@@ -302,7 +303,7 @@ impl FaultPlan {
         }
         events.packets_duplicated += dup_count;
         if let Some(&last) = arrivals.last() {
-            if let Some(per_period) = self.scaled_outage_us() {
+            if let Some(per_period) = self.outage_window_us() {
                 let (period, outage) = per_period;
                 events.outage_us += (last / period + 1) * outage;
             }
@@ -313,7 +314,7 @@ impl FaultPlan {
 
     /// True if an armed [`Fault::HelperOutage`] silences time `t_us`.
     pub fn outage_at(&self, t_us: u64) -> bool {
-        match self.scaled_outage_us() {
+        match self.outage_window_us() {
             Some((period, outage)) => t_us % period < outage,
             None => false,
         }
@@ -399,8 +400,9 @@ impl FaultPlan {
         1.0 - keep
     }
 
-    /// Severity-scaled `(period_us, outage_us)` of an armed outage.
-    fn scaled_outage_us(&self) -> Option<(u64, u64)> {
+    /// Severity-scaled `(period_us, outage_us)` of an armed outage:
+    /// [`Self::outage_at`] is true where `t_us % period_us < outage_us`.
+    pub fn outage_window_us(&self) -> Option<(u64, u64)> {
         if self.severity <= 0.0 {
             return None;
         }
@@ -556,21 +558,18 @@ mod tests {
     #[test]
     fn events_merge_unions_and_adds() {
         let mut a = FaultEvents {
-            fired: vec!["packet-loss".into()],
+            fired: vec!["packet-loss"],
             packets_dropped: 3,
             ..Default::default()
         };
         let b = FaultEvents {
-            fired: vec!["packet-loss".into(), "clock-drift".into()],
+            fired: vec!["packet-loss", "clock-drift"],
             packets_dropped: 2,
             drift_fraction: 0.01,
             ..Default::default()
         };
         a.merge(&b);
-        assert_eq!(
-            a.fired,
-            vec!["packet-loss".to_string(), "clock-drift".to_string()]
-        );
+        assert_eq!(a.fired, vec!["packet-loss", "clock-drift"]);
         assert_eq!(a.packets_dropped, 5);
         assert_eq!(a.drift_fraction, 0.01);
     }

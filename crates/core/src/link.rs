@@ -91,9 +91,9 @@ impl MitigationPolicy {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DegradationReport {
     /// Faults that observably fired, in first-fired order.
-    pub faults_fired: Vec<String>,
+    pub faults_fired: Vec<&'static str>,
     /// Mitigations that engaged, in first-engaged order.
-    pub mitigations_engaged: Vec<String>,
+    pub mitigations_engaged: Vec<&'static str>,
     /// Packets removed by outage/collapse/loss, across all captures.
     pub packets_dropped: u64,
     /// Packets injected by duplication, across all captures.
@@ -115,27 +115,32 @@ pub struct DegradationReport {
 impl DegradationReport {
     /// True if `name` appears in [`DegradationReport::faults_fired`].
     pub fn fired(&self, name: &str) -> bool {
-        self.faults_fired.iter().any(|f| f == name)
+        self.faults_fired.contains(&name)
     }
 
     /// True if `name` appears in [`DegradationReport::mitigations_engaged`].
     pub fn engaged(&self, name: &str) -> bool {
-        self.mitigations_engaged.iter().any(|m| m == name)
+        self.mitigations_engaged.contains(&name)
     }
 
     /// Records a mitigation engagement (idempotent).
-    pub fn engage(&mut self, name: &str) {
+    pub fn engage(&mut self, name: &'static str) {
         if !self.engaged(name) {
-            self.mitigations_engaged.push(name.to_string());
+            self.mitigations_engaged.push(name);
+        }
+    }
+
+    /// Records that fault `name` fired (idempotent).
+    pub fn fire(&mut self, name: &'static str) {
+        if !self.fired(name) {
+            self.faults_fired.push(name);
         }
     }
 
     /// Folds one capture's fault events into the report.
     pub fn absorb(&mut self, events: &FaultEvents) {
-        for name in &events.fired {
-            if !self.fired(name) {
-                self.faults_fired.push(name.clone());
-            }
+        for &name in &events.fired {
+            self.fire(name);
         }
         self.packets_dropped += events.packets_dropped;
         self.packets_duplicated += events.packets_duplicated;
@@ -149,12 +154,10 @@ impl DegradationReport {
     /// Folds another report into this one (names union, counters add) —
     /// used by the session to aggregate over its attempts.
     pub fn merge(&mut self, other: &DegradationReport) {
-        for name in &other.faults_fired {
-            if !self.fired(name) {
-                self.faults_fired.push(name.clone());
-            }
+        for &name in &other.faults_fired {
+            self.fire(name);
         }
-        for name in &other.mitigations_engaged {
+        for &name in &other.mitigations_engaged {
             self.engage(name);
         }
         self.packets_dropped += other.packets_dropped;
@@ -182,7 +185,7 @@ impl DegradationReport {
     /// newline) for the bench `RunRecord` stream. Names are fixed
     /// kebab-case identifiers, so no string escaping is needed.
     pub fn to_json(&self) -> String {
-        let names = |v: &[String]| {
+        let names = |v: &[&str]| {
             let quoted: Vec<String> = v.iter().map(|n| format!("\"{n}\"")).collect();
             format!("[{}]", quoted.join(","))
         };
@@ -921,7 +924,7 @@ pub(crate) fn presence_downlink_ber_with(
     let intf = cfg.faults.interference();
     let intf_mw = intf.map_or(0.0, |i| bs_channel::pathloss::dbm_to_mw(i.power_dbm));
     if intf.is_some() {
-        report.faults_fired.push("interference-burst".to_string());
+        report.faults_fired.push("interference-burst");
     }
 
     let env_cfg = EnvelopeConfig::default();
@@ -990,7 +993,7 @@ pub(crate) fn presence_downlink_frame_with(
     if loss > 0.0 {
         let mut rng = SimRng::new(cfg.seed ^ cfg.faults.seed).stream("dl-frame-loss");
         if rng.chance(loss) {
-            report.faults_fired.push("packet-loss".to_string());
+            report.faults_fired.push("packet-loss");
             report.packets_dropped += 1;
             rec.add("downlink.frames-lost", 1);
             return (None, report);
@@ -999,7 +1002,7 @@ pub(crate) fn presence_downlink_frame_with(
     let intf = cfg.faults.interference();
     let intf_mw = intf.map_or(0.0, |i| bs_channel::pathloss::dbm_to_mw(i.power_dbm));
     if intf.is_some() {
-        report.faults_fired.push("interference-burst".to_string());
+        report.faults_fired.push("interference-burst");
     }
 
     let root = SimRng::new(cfg.seed);

@@ -459,20 +459,39 @@ fn protocol_parsers_never_panic_on_corrupt_frames() {
     });
 }
 
-/// Segment headers round-trip for arbitrary fields; truncations and
+/// Segment headers round-trip for arbitrary fields, whether the payload
+/// borrows (a sender's view of its message) or owns; truncations and
 /// single-bit flips are always rejected without panicking.
 #[test]
 fn segment_header_roundtrip_and_corruption() {
     use bs_net::prelude::Segment;
+    use std::borrow::Cow;
     check("segment-roundtrip-fuzz", 256, |g| {
         let total = g.usize_in(1, 600) as u16;
+        let message = g.vec_u8(0, 32);
         let seg = Segment {
             msg_id: g.u8(),
             seq: g.usize_in(0, total as usize) as u16,
             total,
-            payload: g.vec_u8(0, 32),
+            payload: if g.bool() {
+                Cow::Borrowed(&message[..])
+            } else {
+                Cow::Owned(message.clone())
+            },
         };
-        assert_eq!(Segment::from_bytes(&seg.to_bytes()), Ok(seg.clone()));
+        let bytes = seg.to_bytes();
+        let parsed = Segment::from_bytes(&bytes);
+        assert_eq!(parsed, Ok(seg.clone()));
+        assert!(
+            matches!(
+                parsed,
+                Ok(Segment {
+                    payload: Cow::Borrowed(_),
+                    ..
+                })
+            ),
+            "from_bytes borrows the received bytes"
+        );
         assert_eq!(Segment::from_bits(&seg.to_bits()), Ok(seg.clone()));
 
         let bits = seg.to_bits();

@@ -159,16 +159,20 @@ pub fn mean_abs(xs: &[f64]) -> f64 {
 /// assert_eq!(percentile(&[2.0, f64::NAN, 4.0], 50.0), 3.0);
 /// ```
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-    v.sort_by(f64::total_cmp);
-    percentile_of_sorted(&v, p)
+    percentile_many(xs, &[p])[0]
 }
 
-/// Several percentiles of the same data with one sort — what the fleet
-/// report uses for its p50/p90/p99 latency columns over 10⁵-tag inputs,
-/// where re-sorting per quantile would triple the dominant cost.
-/// Returns one value per entry of `ps`, with the same non-finite policy
-/// as [`percentile`].
+/// Several percentiles of the same data — what the fleet report uses for
+/// its p50/p90/p99 latency columns over 10⁵-tag inputs. Returns one
+/// value per entry of `ps`, with the same non-finite policy as
+/// [`percentile`].
+///
+/// Nothing is sorted: each requested rank is found by selection
+/// (`select_nth_unstable_by` under `total_cmp`, lowest rank first, each
+/// selection confined to the values above the previous one), and an
+/// interpolated rank's upper neighbour is the least value above it.
+/// Values equal under `total_cmp` have identical bits, so every result
+/// is bit-identical to indexing the fully sorted data.
 ///
 /// ```
 /// use bs_dsp::stats::percentile_many;
@@ -178,30 +182,48 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// ```
 pub fn percentile_many(xs: &[f64], ps: &[f64]) -> Vec<f64> {
     let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-    // Values equal under total_cmp have identical bits, so an unstable
-    // sort yields the same sequence as a stable one.
-    v.sort_unstable_by(f64::total_cmp);
-    ps.iter().map(|&p| percentile_of_sorted(&v, p)).collect()
+    let Some(last) = v.len().checked_sub(1) else {
+        return vec![0.0; ps.len()];
+    };
+    // Fractional rank of each `p` in the sorted order (a NaN `p` lands
+    // on rank 0, as `floor`/`ceil` of NaN cast to 0).
+    let ranks: Vec<f64> = ps
+        .iter()
+        .map(|&p| (p.clamp(0.0, 100.0) / 100.0) * last as f64)
+        .collect();
+    let mut order: Vec<usize> = (0..ps.len()).collect();
+    order.sort_by_key(|&i| ranks[i].floor() as usize);
+    let mut out = vec![0.0; ps.len()];
+    // `v[..start]` holds no value above `v[start]`, which is in its
+    // sorted place.
+    let mut start = 0;
+    for i in order {
+        let (lo, hi) = (ranks[i].floor() as usize, ranks[i].ceil() as usize);
+        v[start..].select_nth_unstable_by(lo - start, f64::total_cmp);
+        start = lo;
+        out[i] = if lo == hi {
+            v[lo]
+        } else {
+            let above = v[lo + 1..]
+                .iter()
+                .copied()
+                .min_by(f64::total_cmp)
+                .expect("hi <= last");
+            interpolate(v[lo], above, ranks[i] - lo as f64)
+        };
+    }
+    out
 }
 
-/// Rank interpolation over already-sorted, NaN-free data.
-fn percentile_of_sorted(v: &[f64], p: f64) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        return v[lo];
-    }
-    let frac = rank - lo as f64;
-    if v[lo].is_infinite() || v[hi].is_infinite() {
+/// The value a fraction `frac` of the way from sorted neighbours `lo` to
+/// `hi`.
+fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    if lo.is_infinite() || hi.is_infinite() {
         // Nearest rank, ties toward the lower: interpolating with an
         // infinity either saturates or (for -∞‥+∞) yields NaN.
-        return if frac <= 0.5 { v[lo] } else { v[hi] };
+        return if frac <= 0.5 { lo } else { hi };
     }
-    v[lo] * (1.0 - frac) + v[hi] * frac
+    lo * (1.0 - frac) + hi * frac
 }
 
 /// Median of unsorted data (the 50th [`percentile`], interpolated).
@@ -471,6 +493,78 @@ mod tests {
         let mix = [1.0, f64::INFINITY];
         assert_eq!(percentile(&mix, 25.0), 1.0);
         assert_eq!(percentile(&mix, 75.0), f64::INFINITY);
+    }
+
+    /// The sort-based percentiles the selection replaced: sort the
+    /// NaN-free values, then interpolate at each rank.
+    fn sorted_percentiles(xs: &[f64], ps: &[f64]) -> Vec<f64> {
+        let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+        v.sort_by(f64::total_cmp);
+        ps.iter()
+            .map(|&p| {
+                if v.is_empty() {
+                    return 0.0;
+                }
+                let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
+                let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+                if lo == hi {
+                    v[lo]
+                } else {
+                    interpolate(v[lo], v[hi], rank - lo as f64)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selected_percentiles_equal_the_sorted_ones_bit_for_bit() {
+        crate::testkit::check("percentile-selection", 500, |g| {
+            // Few distinct values, so duplicates are common, plus NaN,
+            // both infinities and both zeros; sometimes nothing at all.
+            let pool = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                1.5,
+                -2.25,
+                g.f64_in(-1e6, 1e6),
+                g.f64_in(0.0, 1.0),
+            ];
+            let n = if g.bool() {
+                g.usize_in(0, 12)
+            } else {
+                g.usize_in(0, 400)
+            };
+            let xs: Vec<f64> = (0..n)
+                .map(|_| {
+                    if g.bool() {
+                        pool[g.usize_in(0, pool.len())]
+                    } else {
+                        g.f64_in(-1e3, 1e3)
+                    }
+                })
+                .collect();
+            let ps: Vec<f64> = (0..g.usize_in(0, 6))
+                .map(|_| match g.usize_in(0, 6) {
+                    0 => 0.0,
+                    1 => 100.0,
+                    2 => f64::NAN,
+                    3 => g.f64_in(-20.0, 120.0),
+                    _ => g.f64_in(0.0, 100.0),
+                })
+                .collect();
+            let got: Vec<u64> = percentile_many(&xs, &ps)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let want: Vec<u64> = sorted_percentiles(&xs, &ps)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, want, "xs {xs:?} ps {ps:?}");
+        });
     }
 
     #[test]

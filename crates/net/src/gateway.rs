@@ -28,7 +28,9 @@
 //! the run seed — so a gateway run is a pure function of
 //! `(tags, config)`.
 
-use crate::arq::{nearest_supported_rate, Transfer, TransportConfig, TransportSession};
+use crate::arq::{
+    nearest_supported_rate, Transfer, TransportConfig, TransportError, TransportSession,
+};
 use crate::linkmodel::{SegmentLink, SimLink};
 use bs_channel::faults::FaultPlan;
 use bs_dsp::obs::{NullRecorder, Recorder};
@@ -383,7 +385,7 @@ pub(crate) fn jain_index(shares: &[u64]) -> f64 {
 
 struct ServedTag<'a> {
     profile: &'a TagProfile,
-    session: TransportSession,
+    session: TransportSession<'a>,
     link: SimLink,
     deficit: u64,
     rounds_served: u32,
@@ -454,8 +456,10 @@ pub fn run_gateway_with(
     if max_q > MAX_INVENTORY_Q {
         return Err(GatewayError::InvalidInventory { max_q });
     }
-    let seg_payload_bytes = cfg.transport.seg_payload_bytes;
-    if !(1..=255).contains(&seg_payload_bytes) {
+    // The transport's own check, on the shortest message: the segment
+    // payload and the FEC group. Message lengths are checked per tag.
+    let transport = cfg.transport.check(0);
+    if let Err(TransportError::SegPayload { seg_payload_bytes }) = transport {
         return Err(GatewayError::InvalidTransport { seg_payload_bytes });
     }
     // A zero quantum never funds a round, a zero window grants no
@@ -463,15 +467,11 @@ pub fn run_gateway_with(
     // no rate, and an FEC group outside `FecConfig::fixed`'s domain
     // divides by zero or overruns the window.
     let margin = cfg.rate_margin;
-    let fec = cfg.transport.fec;
     for (field, ok) in [
         ("quantum_bytes", cfg.quantum_bytes > 0),
         ("transport.window", cfg.transport.window > 0),
         ("rate_margin", margin.is_finite() && margin > 0.0),
-        (
-            "transport.fec",
-            !fec.is_enabled() || ((1..=64).contains(&fec.group_data) && fec.group_parity <= 64),
-        ),
+        ("transport.fec", transport.is_ok()),
     ] {
         if !ok {
             return Err(GatewayError::InvalidConfig { field });
@@ -482,8 +482,8 @@ pub fn run_gateway_with(
     // matching profile for every identification of that address. The
     // same pass builds that lookup: address -> roster index, and rejects
     // a supply that `Capacitor::new` would panic on, a harvest that is
-    // not a finite, non-negative power, or a message `segment_message`
-    // would panic on.
+    // not a finite, non-negative power, or a message the transport's
+    // check rejects.
     let mut index_of: [Option<usize>; 256] = [None; 256];
     let valid_harvest = |uw: f64| uw.is_finite() && uw >= 0.0;
     for (i, t) in tags.iter().enumerate() {
@@ -495,7 +495,7 @@ pub fn run_gateway_with(
         {
             return Err(GatewayError::InvalidEnergy { address: t.address });
         }
-        if cfg.transport.wire_segments(t.message.len()) > u16::MAX as usize {
+        if cfg.transport.check(t.message.len()).is_err() {
             return Err(GatewayError::MessageTooLong { address: t.address });
         }
     }
@@ -541,7 +541,7 @@ pub fn run_gateway_with(
             let chip_rate =
                 caps.select_rate_bps(profile.helper_pps, cfg.pkts_per_bit, cfg.rate_margin);
             let link_seed = root.stream("gateway-link").substream(i as u64).seed();
-            let mut link = SimLink::new(cfg.faults.clone(), link_seed);
+            let mut link = SimLink::new(&cfg.faults, link_seed);
             link.set_chip_rate_bps(chip_rate);
             link.advance_us(clock_us);
             let tcfg = TransportConfig {

@@ -26,6 +26,7 @@ use bs_dsp::obs::Recorder;
 use bs_dsp::SimRng;
 use bs_tag::frame::DownlinkFrame;
 use bs_wifi::traffic::WildTraffic;
+use std::borrow::Borrow;
 use wifi_backscatter::link::{DegradationReport, DownlinkConfig, LinkConfig, MitigationPolicy};
 use wifi_backscatter::phy::{run_downlink_frame_with, run_uplink_with, PhyConfig};
 
@@ -78,13 +79,70 @@ pub trait SegmentLink {
     fn take_degradation(&mut self) -> DegradationReport;
 }
 
+/// The numbers a link model reads from its [`FaultPlan`], derived once
+/// when the link is built: the severity-scaled outage window and the
+/// frame-loss, segment-loss and duplication probabilities.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FaultRates {
+    /// Severity-scaled `(period_us, silent_us)` of an armed outage.
+    outage_us: Option<(u64, u64)>,
+    /// Per-control-frame loss probability.
+    frame_loss: f64,
+    /// Per-segment loss probability: frame loss composed with
+    /// rate-collapse starvation (a collapsed helper cadence starves the
+    /// decoder of measurements for the whole segment).
+    segment_loss: f64,
+    /// Whole-segment duplication probability (a MAC retransmission whose
+    /// ACK was lost).
+    dup: f64,
+}
+
+impl FaultRates {
+    fn of(faults: &FaultPlan) -> Self {
+        let sev = faults.severity.clamp(0.0, 1.0);
+        let segment_loss = if sev <= 0.0 {
+            0.0
+        } else {
+            let mut keep = 1.0 - faults.frame_loss_prob();
+            for f in &faults.faults {
+                if let Fault::RateCollapse { keep: k } = *f {
+                    keep *= 1.0 - (sev * (1.0 - k.clamp(0.0, 1.0))).clamp(0.0, 1.0);
+                }
+            }
+            (1.0 - keep).clamp(0.0, 1.0)
+        };
+        let dup = faults
+            .faults
+            .iter()
+            .map(|f| match *f {
+                Fault::PacketDuplication { prob } => (prob * sev).clamp(0.0, 1.0),
+                _ => 0.0,
+            })
+            .fold(0.0, f64::max);
+        FaultRates {
+            outage_us: faults.outage_window_us(),
+            frame_loss: faults.frame_loss_prob(),
+            segment_loss,
+            dup,
+        }
+    }
+
+    /// True if the outage silences time `t_us` (as
+    /// [`FaultPlan::outage_at`]).
+    fn outage_at(&self, t_us: u64) -> bool {
+        self.outage_us
+            .is_some_and(|(period, silent)| t_us % period < silent)
+    }
+}
+
 /// Fast seeded link model: Bernoulli frame outcomes whose probabilities
 /// scale with [`FaultPlan`] severity, plus deterministic outage windows
-/// on the shared simulated clock.
+/// on the shared simulated clock. The link keeps only the numbers it
+/// reads from the plan, so building one allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SimLink {
-    /// The armed fault plan; severity scales every probability.
-    pub faults: FaultPlan,
+    /// What the armed fault plan does to this link.
+    rates: FaultRates,
     /// Downlink (reader→tag) bit rate, bits/s.
     pub downlink_bps: u64,
     /// Uplink chip rate, bits/s in plain mode.
@@ -104,12 +162,14 @@ pub struct SimLink {
 
 impl SimLink {
     /// A link with the paper's nominal rates: 20 kbps downlink, 500 bps
-    /// uplink, 200 µs turnaround. All randomness derives from `seed`
-    /// (kept independent of the fault plan's own seed).
-    pub fn new(faults: FaultPlan, seed: u64) -> Self {
+    /// uplink, 200 µs turnaround, under the fault plan `faults` (owned or
+    /// borrowed; the link reads it once). All randomness derives from
+    /// `seed` (kept independent of the fault plan's own seed).
+    pub fn new(faults: impl Borrow<FaultPlan>, seed: u64) -> Self {
+        let faults = faults.borrow();
         SimLink {
             rng: SimRng::new(seed ^ faults.seed.rotate_left(17)).stream("net-simlink"),
-            faults,
+            rates: FaultRates::of(faults),
             downlink_bps: 20_000,
             chip_rate_bps: 500,
             gap_us: 200,
@@ -125,56 +185,6 @@ impl SimLink {
         self.chip_rate_bps = chip_rate_bps.max(1);
         self
     }
-
-    /// Per-segment uplink failure probability: downlink-style frame loss
-    /// composed with rate-collapse starvation (a collapsed helper
-    /// cadence starves the decoder of measurements for the whole
-    /// segment).
-    fn segment_loss_prob(&self) -> f64 {
-        plan_segment_loss_prob(&self.faults)
-    }
-
-    /// Whole-segment duplication probability (MAC retransmission whose
-    /// ACK was lost).
-    fn dup_prob(&self) -> f64 {
-        plan_dup_prob(&self.faults)
-    }
-
-    fn record_fault(&mut self, name: &str) {
-        if !self.report.fired(name) {
-            self.report.faults_fired.push(name.to_string());
-        }
-    }
-}
-
-/// Severity-scaled per-segment loss probability of a fault plan: frame
-/// loss composed with rate-collapse starvation (a collapsed helper
-/// cadence starves the decoder of measurements for the whole segment).
-fn plan_segment_loss_prob(faults: &FaultPlan) -> f64 {
-    let sev = faults.severity.clamp(0.0, 1.0);
-    if sev <= 0.0 {
-        return 0.0;
-    }
-    let mut keep = 1.0 - faults.frame_loss_prob();
-    for f in &faults.faults {
-        if let Fault::RateCollapse { keep: k } = *f {
-            keep *= 1.0 - (sev * (1.0 - k.clamp(0.0, 1.0))).clamp(0.0, 1.0);
-        }
-    }
-    (1.0 - keep).clamp(0.0, 1.0)
-}
-
-/// Severity-scaled whole-segment duplication probability of a fault plan.
-fn plan_dup_prob(faults: &FaultPlan) -> f64 {
-    let sev = faults.severity.clamp(0.0, 1.0);
-    faults
-        .faults
-        .iter()
-        .map(|f| match *f {
-            Fault::PacketDuplication { prob } => (prob * sev).clamp(0.0, 1.0),
-            _ => 0.0,
-        })
-        .fold(0.0, f64::max)
 }
 
 impl SegmentLink for SimLink {
@@ -188,12 +198,12 @@ impl SegmentLink for SimLink {
 
     fn send_control(&mut self, frame: &DownlinkFrame, rec: &mut dyn Recorder) -> bool {
         let air = self.control_air_us(frame);
-        let outage = self.faults.outage_at(self.now_us + air / 2);
-        let lost = self.rng.chance(self.faults.frame_loss_prob());
+        let outage = self.rates.outage_at(self.now_us + air / 2);
+        let lost = self.rng.chance(self.rates.frame_loss);
         self.now_us += self.ctrl_overhead_us + air + self.gap_us;
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage {
+            self.report.fire(if outage {
                 "helper-outage"
             } else {
                 "packet-loss"
@@ -206,13 +216,13 @@ impl SegmentLink for SimLink {
 
     fn send_segment(&mut self, seg: &Segment, rec: &mut dyn Recorder) -> SegmentFate {
         let air = self.segment_air_us(Segment::on_air_len(seg.payload.len()));
-        let outage = self.faults.outage_at(self.now_us + air / 2);
-        let lost = self.rng.chance(self.segment_loss_prob());
-        let dup = self.rng.chance(self.dup_prob());
+        let outage = self.rates.outage_at(self.now_us + air / 2);
+        let lost = self.rng.chance(self.rates.segment_loss);
+        let dup = self.rng.chance(self.rates.dup);
         self.now_us += air + self.gap_us;
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage {
+            self.report.fire(if outage {
                 "helper-outage"
             } else {
                 "packet-loss"
@@ -222,7 +232,7 @@ impl SegmentLink for SimLink {
         }
         if dup {
             self.report.packets_duplicated += 1;
-            self.record_fault("packet-duplication");
+            self.report.fire("packet-duplication");
             return SegmentFate::DeliveredTwice;
         }
         SegmentFate::Delivered
@@ -274,8 +284,9 @@ impl SegmentLink for SimLink {
 /// they see only the fault plan, as in [`SimLink`].
 #[derive(Debug, Clone)]
 pub struct TrafficLink {
-    /// The armed fault plan, composed on top of helper starvation.
-    pub faults: FaultPlan,
+    /// What the armed fault plan does to this link, composed on top of
+    /// helper starvation.
+    rates: FaultRates,
     /// Downlink (reader→tag) bit rate, bits/s.
     pub downlink_bps: u64,
     /// Uplink chip rate, bits/s in plain mode.
@@ -338,7 +349,7 @@ impl TrafficLink {
         );
         TrafficLink {
             rng: SimRng::new(seed ^ faults.seed.rotate_left(17)).stream("net-trafficlink"),
-            faults,
+            rates: FaultRates::of(&faults),
             downlink_bps: 20_000,
             chip_rate_bps: 500,
             gap_us: 200,
@@ -381,12 +392,6 @@ impl TrafficLink {
         };
         full_cycles * n + partial
     }
-
-    fn record_fault(&mut self, name: &str) {
-        if !self.report.fired(name) {
-            self.report.faults_fired.push(name.to_string());
-        }
-    }
 }
 
 impl SegmentLink for TrafficLink {
@@ -400,12 +405,12 @@ impl SegmentLink for TrafficLink {
 
     fn send_control(&mut self, frame: &DownlinkFrame, rec: &mut dyn Recorder) -> bool {
         let air = self.control_air_us(frame);
-        let outage = self.faults.outage_at(self.now_us + air / 2);
-        let lost = self.rng.chance(self.faults.frame_loss_prob());
+        let outage = self.rates.outage_at(self.now_us + air / 2);
+        let lost = self.rng.chance(self.rates.frame_loss);
         self.now_us += self.ctrl_overhead_us + air + self.gap_us;
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage {
+            self.report.fire(if outage {
                 "helper-outage"
             } else {
                 "packet-loss"
@@ -421,19 +426,19 @@ impl SegmentLink for TrafficLink {
         let air = self.segment_air_us(n_bits);
         let need = (n_bits as f64 * self.min_pkts_per_bit).ceil() as u64;
         let have = self.packets_within(self.now_us, air.max(1));
-        let outage = self.faults.outage_at(self.now_us + air / 2);
-        let lost = self.rng.chance(plan_segment_loss_prob(&self.faults));
-        let dup = self.rng.chance(plan_dup_prob(&self.faults));
+        let outage = self.rates.outage_at(self.now_us + air / 2);
+        let lost = self.rng.chance(self.rates.segment_loss);
+        let dup = self.rng.chance(self.rates.dup);
         self.now_us += air + self.gap_us;
         if have < need {
             self.report.packets_dropped += 1;
-            self.record_fault("helper-idle");
+            self.report.fire("helper-idle");
             rec.add("net.segments-starved", 1);
             return SegmentFate::Lost;
         }
         if outage || lost {
             self.report.packets_dropped += 1;
-            self.record_fault(if outage {
+            self.report.fire(if outage {
                 "helper-outage"
             } else {
                 "packet-loss"
@@ -443,7 +448,7 @@ impl SegmentLink for TrafficLink {
         }
         if dup {
             self.report.packets_duplicated += 1;
-            self.record_fault("packet-duplication");
+            self.report.fire("packet-duplication");
             return SegmentFate::DeliveredTwice;
         }
         SegmentFate::Delivered
@@ -605,7 +610,7 @@ mod tests {
 
     /// A segment carrying `payload_len` bytes: `Segment::on_air_len`
     /// bits on the air (56 for an empty payload, 64 for one byte).
-    fn seg(payload_len: usize) -> Segment {
+    fn seg(payload_len: usize) -> Segment<'static> {
         Segment {
             msg_id: 1,
             seq: 0,
@@ -658,9 +663,9 @@ mod tests {
     fn collapse_composes_into_segment_loss() {
         let plan = FaultPlan::new(1).with(Fault::RateCollapse { keep: 0.25 });
         let link = SimLink::new(plan.clone().with_severity(1.0), 0);
-        assert!(link.segment_loss_prob() > 0.5);
+        assert!(link.rates.segment_loss > 0.5);
         let mild = SimLink::new(plan.with_severity(0.1), 0);
-        assert!(mild.segment_loss_prob() < link.segment_loss_prob());
+        assert!(mild.rates.segment_loss < link.rates.segment_loss);
     }
 
     #[test]

@@ -140,12 +140,17 @@ echo "== fec conformance (cross-layer: dsp GF(256) -> net coder -> wild traffic)
 # the coder on, and the rate rule disables itself on benign traffic.
 cargo test --release -q -p bs-net --test fec_transport
 
-echo "== fleet conformance (jobs determinism, shard invariance, truncation/duplicate regressions) =="
+echo "== fleet conformance (jobs determinism, shard invariance, truncation/duplicate regressions, allocation budget, percentiles) =="
 # The sharded fleet engine's contract: byte-identical FleetRun JSON
 # under any worker count, per-tag outcomes invariant under the shard
 # count (property test), duplicate addresses rejected with a typed
-# error, and max_cycles truncation mirrored per shard.
+# error, and max_cycles truncation mirrored per shard. With optimisations
+# on: a gateway run stays within its per-tag heap-allocation budget
+# (plain ARQ under loss, and FEC), and the fleet report's latency
+# percentiles, found by selection, equal the sorted ones bit for bit.
 cargo test --release -q -p bs-net --test fleet_conformance
+cargo test --release -q -p bs-net --test alloc_budget
+cargo test --release -q -p bs-dsp --lib stats::tests::selected_percentiles_equal_the_sorted_ones_bit_for_bit
 
 echo "== energy conformance (always-powered bit-identity, brownout physics, aware >= naive, jobs determinism) =="
 # The energy co-simulation's contract: energy off and always-powered
