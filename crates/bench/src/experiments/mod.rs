@@ -10,7 +10,7 @@
 //! | [`ablation`] | design-choice ablations (combining, hysteresis, artifacts, conditioning) |
 //! | [`faults`] | fault-injection sweep: degradation with mitigations off vs on |
 //! | [`net`] | transport sweep: goodput vs loss severity × ARQ window over `bs-net` |
-//! | [`fec`] | FEC sweep: goodput vs traffic regime × coding scheme over `TrafficLink` |
+//! | [`fec`] | FEC sweep: goodput vs traffic regime × coding scheme over a traffic-driven `SimLink` |
 //! | [`fleet`] | fleet sweep: aggregate goodput, fairness and tail latency vs deployment population over `bs_net::fleet` |
 //! | [`phy`] | PHY mode sweep: tag goodput vs helper-traffic rate, presence vs codeword translation |
 //! | [`obs`] | stage profiling: per-stage spans/counters from armed-recorder runs |

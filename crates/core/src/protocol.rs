@@ -39,6 +39,9 @@ pub struct Query {
 }
 
 impl Query {
+    /// Payload bytes of every serialised query.
+    pub const PAYLOAD_BYTES: usize = 7;
+
     /// Serialises into a downlink frame payload.
     ///
     /// Fails with [`ProtocolError::UnsupportedRate`] (wrapped in the
@@ -47,7 +50,7 @@ impl Query {
     /// those four rates, and a transport probing rates must see an error,
     /// not a reader crash.
     pub fn to_frame(&self) -> Result<DownlinkFrame, Error> {
-        let mut frame = DownlinkFrame::new(Vec::with_capacity(7));
+        let mut frame = DownlinkFrame::new(Vec::with_capacity(Self::PAYLOAD_BYTES));
         self.write_frame(&mut frame)?;
         Ok(frame)
     }
@@ -81,7 +84,7 @@ impl Query {
     /// well-formed query.
     pub fn from_frame(frame: &DownlinkFrame) -> Option<Query> {
         let p = &frame.payload;
-        if p.len() != 7 || p[0] != Opcode::Query as u8 {
+        if p.len() != Self::PAYLOAD_BYTES || p[0] != Opcode::Query as u8 {
             return None;
         }
         let rate = *SUPPORTED_RATES_BPS.get(p[4] as usize)?;

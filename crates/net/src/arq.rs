@@ -1005,12 +1005,6 @@ mod tests {
         fn send_segment(&mut self, seg: &Segment, rec: &mut dyn Recorder) -> SegmentFate {
             self.link.send_segment(seg, rec)
         }
-        fn control_air_us(&self, frame: &DownlinkFrame) -> u64 {
-            self.link.control_air_us(frame)
-        }
-        fn segment_air_us(&self, n_bits: usize) -> u64 {
-            self.link.segment_air_us(n_bits)
-        }
         fn chip_rate_bps(&self) -> u64 {
             self.link.chip_rate_bps()
         }

@@ -505,25 +505,6 @@ impl GroupCoder {
         Self::from_data_total(data_total, seg_payload, cfg)
     }
 
-    /// Layout reconstructed from a received `total` field — the
-    /// receiver-side constructor (derives `data_total` from the wire
-    /// count, which is unambiguous for any k, p).
-    ///
-    /// # Panics
-    /// Panics on a `wire_total` no message under this `cfg` could
-    /// produce.
-    pub fn for_wire(wire_total: u16, seg_payload: usize, cfg: FecConfig) -> Self {
-        assert!(cfg.is_enabled(), "GroupCoder needs an enabled FecConfig");
-        let span = cfg.group_data + cfg.group_parity;
-        let groups = (wire_total as usize).div_ceil(span);
-        let data_total = (wire_total as usize)
-            .checked_sub(groups * cfg.group_parity)
-            .expect("wire_total too small for the configured parity");
-        let c = Self::from_data_total(data_total, seg_payload, cfg);
-        assert_eq!(c.wire_total, wire_total, "wire_total inconsistent with cfg");
-        c
-    }
-
     /// Wire segments (data + parity) of a message with `data_total`
     /// data segments under `cfg`.
     pub(crate) fn wire_total_of(data_total: usize, cfg: FecConfig) -> usize {
@@ -569,7 +550,7 @@ impl GroupCoder {
     }
 
     /// The group a wire sequence number belongs to.
-    pub fn group_of(&self, seq: u16) -> usize {
+    fn group_of(&self, seq: u16) -> usize {
         let span = self.cfg.group_data + self.cfg.group_parity;
         ((seq as usize) / span).min(self.groups - 1)
     }
@@ -587,22 +568,10 @@ impl GroupCoder {
     }
 
     /// True when `seq` is a parity slot.
-    pub fn is_parity(&self, seq: u16) -> bool {
+    fn is_parity(&self, seq: u16) -> bool {
         let g = self.group_of(seq);
         let (first, data, _) = self.group_span(g);
         seq >= first + data as u16
-    }
-
-    /// The 0-based data index of a data slot (`None` for parity).
-    pub fn data_index(&self, seq: u16) -> Option<usize> {
-        let g = self.group_of(seq);
-        let (first, data, _) = self.group_span(g);
-        let off = (seq - first) as usize;
-        if off < data {
-            Some(g * self.cfg.group_data + off)
-        } else {
-            None
-        }
     }
 
     /// The `L+1`-byte column a data payload contributes to its group's
@@ -793,7 +762,7 @@ impl GroupCoder {
 
     /// True once every *data* slot is held (parity may still be
     /// missing).
-    pub fn data_complete(&self, rx: &Reassembler) -> bool {
+    fn data_complete(&self, rx: &Reassembler) -> bool {
         (0..self.wire_total)
             .filter(|&s| !self.is_parity(s))
             .all(|s| rx.has(s))
@@ -810,7 +779,7 @@ impl GroupCoder {
     }
 
     /// The reassembled message from the data slots alone; `None` until
-    /// [`Self::data_complete`].
+    /// every data slot is held.
     pub fn assemble_data(&self, rx: &Reassembler) -> Option<Vec<u8>> {
         if !self.data_complete(rx) {
             return None;
@@ -973,8 +942,6 @@ mod tests {
         assert_eq!(c.data_total(), 13);
         assert_eq!(c.groups(), 4);
         assert_eq!(c.wire_total(), 13 + 4 * 2);
-        let via_wire = GroupCoder::for_wire(c.wire_total(), 8, cfg);
-        assert_eq!(via_wire.data_total(), 13);
         // Span accounting covers every seq exactly once.
         let mut covered = vec![false; c.wire_total() as usize];
         for g in 0..c.groups() {
@@ -986,11 +953,6 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&x| x));
-        // Data indices enumerate 0..data_total in seq order.
-        let idx: Vec<usize> = (0..c.wire_total())
-            .filter_map(|s| c.data_index(s))
-            .collect();
-        assert_eq!(idx, (0..13).collect::<Vec<_>>());
     }
 
     #[test]

@@ -28,10 +28,8 @@
 //! the run seed — so a gateway run is a pure function of
 //! `(tags, config)`.
 
-use crate::arq::{
-    nearest_supported_rate, Transfer, TransportConfig, TransportError, TransportSession,
-};
-use crate::linkmodel::{SegmentLink, SimLink};
+use crate::arq::{Transfer, TransportConfig, TransportError, TransportSession};
+use crate::linkmodel::{control_air_us, segment_air_us, SegmentLink, SimLink};
 use bs_channel::faults::FaultPlan;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
@@ -602,15 +600,9 @@ pub fn run_gateway_with(
                 // the medium for one segment's worth of response window
                 // before concluding silence. That airtime burns either
                 // way — this is the cost the energy-aware policy avoids.
-                let poll = Query {
-                    tag_address: tag.profile.address,
-                    payload_bits: 0,
-                    bit_rate_bps: nearest_supported_rate(tag.link.chip_rate_bps()),
-                    code_length: 1,
-                };
-                let frame = poll.to_frame().expect("supported rate is encodable");
                 let window_bits = cfg.transport.seg_payload_bytes * 8;
-                clock_us += tag.link.control_air_us(&frame) + tag.link.segment_air_us(window_bits);
+                clock_us += control_air_us(Query::PAYLOAD_BYTES)
+                    + segment_air_us(window_bits, tag.link.chip_rate_bps());
                 polls += 1;
                 missed_polls += 1;
                 tag.missed_polls += 1;

@@ -30,7 +30,9 @@
 //!
 //! The transport runs over any [`linkmodel::SegmentLink`]; use
 //! [`linkmodel::SimLink`] for fast seeded sweeps (the `net` bench
-//! figure) and [`linkmodel::PhyLink`] to drive the full PHY simulation.
+//! figure, and with [`linkmodel::SimLink::from_traffic`] the wild
+//! helper traffic of the `fec` figure) and [`linkmodel::PhyLink`] to
+//! drive the full PHY simulation.
 //!
 //! ```
 //! use bs_net::prelude::*;

@@ -31,7 +31,7 @@ pub use crate::gateway::{
     run_gateway, run_gateway_with, GatewayConfig, GatewayError, GatewayRun, PollingPolicy,
     TagEnergyOutcome, TagOutcome, TagProfile,
 };
-pub use crate::linkmodel::{PhyLink, SegmentFate, SegmentLink, SimLink, TrafficLink};
+pub use crate::linkmodel::{PhyLink, SegmentFate, SegmentLink, SimLink};
 pub use crate::seg::{scramble, segment_message, Accept, Reassembler, Segment, SegmentError};
 pub use bs_channel::faults::FaultPlan;
 pub use bs_wifi::traffic::{RateEstimator, TrafficStats, WildTraffic};
@@ -72,7 +72,6 @@ pub const NET_PRELUDE_MANIFEST: &[&str] = &[
     "TagOutcome",
     "TagProfile",
     "TagRecord",
-    "TrafficLink",
     "TrafficStats",
     "Transfer",
     "TransportConfig",

@@ -131,8 +131,11 @@ cargo test --release -q -p wifi-backscatter --test phy_conformance
 echo "== net transport conformance =="
 # The connectivity layer's contract: exact bytes at every tested
 # severity/seed, monotone goodput, window > stop-and-wait, and
-# bit-for-bit reproducible transfers and gateway runs.
+# bit-for-bit reproducible transfers and gateway runs. The link
+# model's own tests (helper-trace window arithmetic, starvation, one
+# airtime across every link) run with optimisations on too.
 cargo test --release -q -p bs-net --test net_transport
+cargo test --release -q -p bs-net --lib linkmodel::
 
 echo "== fec conformance (cross-layer: dsp GF(256) -> net coder -> wild traffic) =="
 # The FEC path's contract: adaptive FEC never lowers goodput on paired

@@ -10,7 +10,8 @@
 
 use bs_channel::faults::FaultPlan;
 use bs_net::fec::FecConfig;
-use bs_net::gateway::{run_gateway, GatewayConfig, GatewayRun, TagProfile};
+use bs_net::gateway::{run_gateway, GatewayConfig, GatewayRun, PollingPolicy, TagProfile};
+use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -120,5 +121,40 @@ fn an_fec_gateway_allocates_a_handful_per_tag() {
     assert!(
         allocs <= budget,
         "{allocs} allocations for {identified} tags, over {per_tag}/tag + {PER_GATEWAY}"
+    );
+}
+
+#[test]
+fn a_browning_out_gateway_allocates_nothing_per_missed_poll() {
+    // A 10 µF reservoir harvesting 5 µW against an 11 µW listen draw:
+    // every tag browns out while it waits its turn, and naive polling
+    // keeps polling it. A missed poll charges airtime and builds nothing.
+    let supply = EnergyConfig {
+        capacitor: CapacitorConfig {
+            capacitance_uf: 10.0,
+            ..CapacitorConfig::default()
+        },
+        harvest_uw: 5.0,
+        policy: EnergyPolicy::SleepUntilCharged,
+    };
+    let tags: Vec<TagProfile> = roster(200)
+        .into_iter()
+        .map(|t| t.with_energy(supply))
+        .collect();
+    let cfg = GatewayConfig::default()
+        .with_seed(5)
+        .with_polling(PollingPolicy::Naive);
+    let (allocs, run) = counted(&tags, &cfg);
+    let identified = run.tags.len() as u64;
+    assert!(identified > 150, "only {identified} of 200 tags identified");
+    assert!(run.missed_polls > 0, "no tag browned out during service");
+    let budget = PER_TAG * identified + PER_GATEWAY;
+    println!(
+        "energy roster: {allocs} allocations, {identified} tags, {} missed polls, budget {budget}",
+        run.missed_polls
+    );
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {identified} tags, over {PER_TAG}/tag + {PER_GATEWAY}"
     );
 }

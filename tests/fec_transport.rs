@@ -1,7 +1,7 @@
 //! Cross-layer conformance suite for the FEC path: `bs_dsp` GF(256)
 //! arithmetic under `bs_net::fec`'s Reed–Solomon coder, applied by the
 //! ARQ transport over `bs_wifi`'s wild-traffic process replayed through
-//! [`TrafficLink`].
+//! [`SimLink::from_traffic`].
 //!
 //! The contract under test:
 //!
@@ -54,8 +54,8 @@ fn wild_plan(severity: f64, seed: u64) -> FaultPlan {
 /// A wild-regime link for `seed`: heavy-tailed helper traffic plus the
 /// severity-scaled fault plan. Rebuilt identically for every arm of a
 /// comparison — pairing is what makes the goodput gates exact.
-fn wild_link(severity: f64, seed: u64) -> TrafficLink {
-    TrafficLink::new(
+fn wild_link(severity: f64, seed: u64) -> SimLink {
+    SimLink::from_traffic(
         &WildTraffic::wild(),
         HORIZON_US,
         wild_plan(severity, seed),
@@ -203,7 +203,7 @@ fn adaptive_rule_disables_fec_on_benign_traffic_bit_for_bit() {
         ..WildTraffic::default()
     };
     let seed = 11u64;
-    let probe = TrafficLink::new(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
+    let probe = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
     let stats = RateEstimator::new().measure(probe.arrivals(), HORIZON_US);
     let fec = FecConfig::for_traffic(&stats);
     assert!(
@@ -212,9 +212,9 @@ fn adaptive_rule_disables_fec_on_benign_traffic_bit_for_bit() {
     );
 
     let msg = message(1024, 7);
-    let mut plain_link = TrafficLink::new(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
+    let mut plain_link = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
     let plain = run_transfer(&msg, wild_config(seed), &mut plain_link);
-    let mut fec_link = TrafficLink::new(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
+    let mut fec_link = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
     let coded = run_transfer(&msg, wild_config(seed).with_fec(fec), &mut fec_link);
     assert_eq!(
         plain, coded,
@@ -235,7 +235,7 @@ fn transfer_digest(t: &Transfer) -> u64 {
 
 #[test]
 fn wild_traffic_fec_transfer_is_pinned() {
-    // A whole TrafficLink transfer with a fixed code armed: starvation
+    // A whole traffic-driven SimLink transfer with a fixed code armed: starvation
     // windows, parity repair and ARQ accounting all feed the digest.
     let msg = message(1024, 7);
     let mut link = wild_link(0.5, 5);
