@@ -25,6 +25,7 @@ use bs_bench::experiments::energy::{poll_waste, small_cap, starving_pair, STARVI
 use bs_bench::object;
 use bs_bench::report::{json_path, BenchReport, Value, Verdict};
 use bs_channel::faults::FaultPlan;
+use bs_dsp::rng::Fnv1a64;
 use bs_net::fleet::{run_fleet, FleetConfig, FleetEnergyConfig, TagRecord};
 use bs_net::gateway::{run_gateway, GatewayConfig, PollingPolicy, TagProfile};
 use bs_tag::energy::{EnergyConfig, EnergyPolicy};
@@ -45,25 +46,21 @@ const GATEWAY_DELIVERED: u64 = 512;
 
 /// The legacy FNV-1a 64 digest over the pre-energy `TagRecord` fields.
 fn legacy_digest(records: &[TagRecord]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a64::new();
     for t in records {
-        eat(t.tag as u64);
-        eat(t.gateway as u64);
-        eat(t.handoffs as u64);
-        eat(t.delivered_bytes);
-        eat(t.complete_epochs as u64);
-        eat(t.truncated_epochs as u64);
-        eat(t.last_latency_us);
+        for v in [
+            t.tag as u64,
+            t.gateway as u64,
+            t.handoffs as u64,
+            t.delivered_bytes,
+            t.complete_epochs as u64,
+            t.truncated_epochs as u64,
+            t.last_latency_us,
+        ] {
+            h.write_u64(v);
+        }
     }
-    h
+    h.finish()
 }
 
 fn golden_fleet_cfg() -> FleetConfig {

@@ -2,7 +2,6 @@
 //! only).
 
 use bs_dsp::bits::BerCounter;
-use bs_dsp::SimRng;
 use wifi_backscatter::link::LinkConfig;
 use wifi_backscatter::link::Measurement;
 use wifi_backscatter::phy::run_uplink;
@@ -102,18 +101,10 @@ fn run_uplink_with_beacons(
     run_uplink(&c)
 }
 
-/// Sanity statistic for Fig. 15: mean packets/s seen over a slot of
-/// simulated ambient traffic (what the paper plots on the right axis).
-pub fn observed_load(hour: f64, duration_s: f64, seed: u64) -> f64 {
-    let profile = bs_wifi::traffic::OfficeLoadProfile;
-    let mut rng = SimRng::new(seed).stream("load-probe");
-    let arrivals = profile.arrivals(hour, (duration_s * 1e6) as u64, &mut rng);
-    arrivals.len() as f64 / duration_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bs_dsp::SimRng;
 
     #[test]
     fn office_rate_tracks_load() {
@@ -147,8 +138,12 @@ mod tests {
 
     #[test]
     fn observed_load_matches_profile() {
-        let l = observed_load(16.0, 5.0, 23);
-        let expect = bs_wifi::traffic::OfficeLoadProfile.load_pps(16.0);
+        // Mean packets/s over 5 s of simulated 16:00 office traffic (what
+        // Fig. 15 plots on its right axis).
+        let profile = bs_wifi::traffic::OfficeLoadProfile;
+        let mut rng = SimRng::new(23).stream("load-probe");
+        let l = profile.arrivals(16.0, 5_000_000, &mut rng).len() as f64 / 5.0;
+        let expect = profile.load_pps(16.0);
         assert!((l - expect).abs() < 0.2 * expect, "{l} vs {expect}");
     }
 }

@@ -79,7 +79,7 @@ pub struct EnergyPoint {
 
 /// The sweep's deployment for one `(regime, policy)` cell: the standard
 /// fleet with the energy model armed and a small storage element.
-pub fn energy_fleet_config(
+fn energy_fleet_config(
     tx_power_dbm: f64,
     ambient_uw: f64,
     polling: PollingPolicy,
@@ -145,7 +145,7 @@ pub fn point_of(regime: &'static str, policy: PollingPolicy, run: &FleetRun) -> 
 /// naive scheduler keeps burning query-plus-window airtime on their
 /// silence every cycle; the energy-aware backoff converts most of those
 /// slots into service for the tag that can still talk.
-pub fn starving_tags(harvest_uw: f64) -> Vec<TagProfile> {
+fn starving_tags(harvest_uw: f64) -> Vec<TagProfile> {
     (0..4u8)
         .map(|i| {
             let bytes = if i == 0 { 2048 } else { 256 };

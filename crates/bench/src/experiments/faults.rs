@@ -11,6 +11,7 @@
 
 use bs_channel::faults::FaultPlan;
 use bs_dsp::bits::BerCounter;
+use bs_dsp::SimRng;
 use wifi_backscatter::link::{DegradationReport, LinkConfig, Measurement, MitigationPolicy};
 use wifi_backscatter::phy::run_uplink;
 
@@ -34,7 +35,7 @@ pub struct FaultPoint {
 /// The shared operating point of the fault sweep: close range and a
 /// modest rate, so that without faults the link is comfortably clean and
 /// any degradation measured is attributable to the injected fault.
-pub fn fault_link_config(scenario: &str, severity: f64, mitigated: bool, seed: u64) -> LinkConfig {
+fn fault_link_config(scenario: &str, severity: f64, mitigated: bool, seed: u64) -> LinkConfig {
     let mut cfg = LinkConfig::fig10(0.1, 100, 10, seed);
     cfg.measurement = Measurement::Csi;
     cfg.payload = (0..30).map(|i| (i * 7) % 5 < 2).collect();
@@ -63,7 +64,7 @@ pub fn fault_point(
     for r in 0..runs {
         // Same per-run seed for mitigated and unmitigated: the comparison
         // is paired on identical channel + fault realisations.
-        let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let run_seed = SimRng::run_seed(seed, r);
         let run = run_uplink(&fault_link_config(scenario, severity, mitigated, run_seed));
         ber.merge(&run.ber);
         if run.detected {

@@ -21,6 +21,7 @@
 //! is byte-deterministic under any `--jobs`.
 
 use bs_channel::faults::FaultPlan;
+use bs_dsp::SimRng;
 use bs_net::prelude::{
     run_transfer, FecConfig, RateEstimator, SimLink, TransportConfig, WildTraffic,
 };
@@ -75,7 +76,7 @@ impl Coding {
     }
 }
 
-/// Every regime name [`fec_regime`] accepts, in render order.
+/// Every regime name [`fec_point`] accepts, in render order.
 pub const REGIMES: &[&str] = &["poisson", "bursty", "wild"];
 
 /// The helper-traffic process behind a named regime.
@@ -88,7 +89,7 @@ pub const REGIMES: &[&str] = &["poisson", "bursty", "wild"];
 ///   enough that ARQ usually recovers inside its budget.
 /// * `wild` — the [`WildTraffic::wild`] preset (α = 1.2, diurnal):
 ///   Pareto silences erase whole bursts at once.
-pub fn fec_regime(name: &str) -> WildTraffic {
+fn fec_regime(name: &str) -> WildTraffic {
     match name {
         "poisson" => WildTraffic {
             gap_alpha: 3.5,
@@ -112,12 +113,12 @@ pub fn fec_regime(name: &str) -> WildTraffic {
 /// The sweep's fault plan: the `loss` preset scaled by `severity`,
 /// composed on top of the traffic-starvation process the link itself
 /// models. Severity 0 still starves — it just adds no extra loss.
-pub fn fec_fault_plan(severity: f64, seed: u64) -> FaultPlan {
+fn fec_fault_plan(severity: f64, seed: u64) -> FaultPlan {
     FaultPlan::preset("loss", severity, seed ^ 0x0bad_cafe).expect("loss preset exists")
 }
 
 /// The deterministic message every run transfers.
-pub fn fec_message() -> Vec<u8> {
+fn fec_message() -> Vec<u8> {
     (0..MESSAGE_BYTES)
         .map(|i| ((i * 131 + 17) % 251) as u8)
         .collect()
@@ -146,18 +147,6 @@ pub struct FecPoint {
     pub per_run_goodput: Vec<f64>,
 }
 
-/// Builds the link for run `r`: arrival trace and fault stream derive
-/// from `(seed, r)` alone, identically for every coding scheme.
-fn run_link(regime: &'static str, severity: f64, seed: u64, r: u64) -> SimLink {
-    let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    SimLink::from_traffic(
-        &fec_regime(regime),
-        HORIZON_US,
-        fec_fault_plan(severity, run_seed),
-        run_seed,
-    )
-}
-
 /// Measures one point of the sweep over `runs` paired link realisations.
 pub fn fec_point(
     regime: &'static str,
@@ -173,8 +162,16 @@ pub fn fec_point(
     let mut fec_decode_fails = 0;
     let mut per_run_goodput = Vec::with_capacity(runs as usize);
     for r in 0..runs {
-        let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut link = run_link(regime, severity, seed, r);
+        // The arrival trace and fault stream derive from `(seed, r)`
+        // alone, identically for every coding scheme.
+        let run_seed = SimRng::run_seed(seed, r);
+        let mut link = SimLink::from_traffic(
+            &fec_regime(regime),
+            HORIZON_US,
+            fec_fault_plan(severity, run_seed),
+            run_seed,
+        )
+        .expect("valid traffic");
         let fec = match coding {
             Coding::ArqOnly => FecConfig::none(),
             Coding::Fixed => FecConfig::fixed(FIXED_GROUP_DATA, FIXED_GROUP_PARITY),

@@ -11,6 +11,7 @@
 //! `--jobs`.
 
 use bs_channel::faults::{Fault, FaultPlan};
+use bs_dsp::SimRng;
 use bs_net::prelude::{run_transfer, SimLink, TransportConfig};
 use wifi_backscatter::link::DegradationReport;
 
@@ -38,7 +39,7 @@ pub struct NetPoint {
 
 /// The sweep's fault plan: independent segment loss plus MAC duplication,
 /// both scaled by `severity` — the two impairments ARQ exists to absorb.
-pub fn net_fault_plan(severity: f64, seed: u64) -> FaultPlan {
+fn net_fault_plan(severity: f64, seed: u64) -> FaultPlan {
     FaultPlan::new(seed ^ 0x4E45_54F0)
         .with(Fault::PacketLoss { prob: 0.3 })
         .with(Fault::PacketDuplication { prob: 0.15 })
@@ -46,7 +47,7 @@ pub fn net_fault_plan(severity: f64, seed: u64) -> FaultPlan {
 }
 
 /// The deterministic message every run transfers.
-pub fn net_message() -> Vec<u8> {
+fn net_message() -> Vec<u8> {
     (0..MESSAGE_BYTES)
         .map(|i| ((i * 131 + 17) % 251) as u8)
         .collect()
@@ -64,7 +65,7 @@ pub fn net_point(severity: f64, window: usize, runs: u64, seed: u64) -> NetPoint
     for r in 0..runs {
         // Same per-run seed across windows: the window comparison is
         // paired on identical loss/duplication realisations.
-        let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let run_seed = SimRng::run_seed(seed, r);
         let mut link = SimLink::new(net_fault_plan(severity, run_seed), run_seed);
         let cfg = TransportConfig::default()
             .with_window(window)

@@ -12,6 +12,7 @@
 //! byte-identical under any `--jobs`.
 
 use bs_dsp::obs::{MemRecorder, ObsReport};
+use bs_dsp::SimRng;
 use wifi_backscatter::link::{DownlinkConfig, LinkConfig, Measurement};
 use wifi_backscatter::phy::{run_downlink_ber_with, run_uplink_with};
 use wifi_backscatter::session::{Reader, ReaderConfig};
@@ -52,19 +53,13 @@ impl ObsPoint {
     }
 }
 
-/// Per-run seed derivation shared by all profiles (same golden-ratio
-/// stride as the fault sweep, so profiles pair with it when needed).
-fn run_seed(seed: u64, r: u64) -> u64 {
-    seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Profiles the CSI uplink pipeline at `d_m` metres over `runs` channel
 /// realisations.
 pub fn uplink_profile(d_m: f64, runs: u64, seed: u64) -> ObsPoint {
     let mut report = ObsReport::new();
     let mut ber = bs_dsp::bits::BerCounter::new();
     for r in 0..runs {
-        let mut cfg = LinkConfig::fig10(d_m, 100, 10, run_seed(seed, r));
+        let mut cfg = LinkConfig::fig10(d_m, 100, 10, SimRng::run_seed(seed, r));
         cfg.measurement = Measurement::Csi;
         cfg.payload = (0..30).map(|i| (i * 3) % 7 < 3).collect();
         let mut rec = MemRecorder::new();
@@ -85,7 +80,7 @@ pub fn downlink_profile(d_m: f64, rate_bps: u64, bits: usize, runs: u64, seed: u
     let mut report = ObsReport::new();
     let mut ber = bs_dsp::bits::BerCounter::new();
     for r in 0..runs {
-        let cfg = DownlinkConfig::fig17(d_m, rate_bps, run_seed(seed, r));
+        let cfg = DownlinkConfig::fig17(d_m, rate_bps, SimRng::run_seed(seed, r));
         let mut rec = MemRecorder::new();
         let run = run_downlink_ber_with(&cfg, bits, &mut rec);
         ber.merge(&run.ber);
@@ -104,7 +99,7 @@ pub fn session_profile(runs: u64, seed: u64) -> ObsPoint {
     let mut report = ObsReport::new();
     let mut completed = 0u64;
     for r in 0..runs {
-        let mut reader = Reader::new(ReaderConfig::default(), run_seed(seed, r));
+        let mut reader = Reader::new(ReaderConfig::default(), SimRng::run_seed(seed, r));
         let payload: Vec<bool> = (0..16).map(|i| i % 3 != 1).collect();
         let mut rec = MemRecorder::new();
         reader

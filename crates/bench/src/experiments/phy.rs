@@ -25,6 +25,7 @@
 //! paired ratio the `phy_micro` gate checks is a pure function of the
 //! master seed.
 
+use bs_dsp::SimRng;
 use wifi_backscatter::link::LinkConfig;
 use wifi_backscatter::phy::{run_uplink, PhyConfig};
 
@@ -64,7 +65,7 @@ pub struct PhyPoint {
 }
 
 /// The deterministic payload every run transmits.
-pub fn phy_payload() -> Vec<bool> {
+fn phy_payload() -> Vec<bool> {
     (0..PAYLOAD_BITS).map(|i| (i * 29 + 3) % 5 < 2).collect()
 }
 
@@ -93,7 +94,7 @@ pub fn phy_point(phy: &PhyConfig, helper_pps: f64, runs: u64, seed: u64) -> PhyP
     let mut bit_errors = 0;
     let mut per_run_goodput = Vec::with_capacity(runs as usize);
     for r in 0..runs {
-        let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let run_seed = SimRng::run_seed(seed, r);
         let mut cfg = LinkConfig::fig10(DISTANCE_M, bit_rate, 5, run_seed);
         cfg.helper_pps = helper_pps;
         cfg.payload = phy_payload();

@@ -99,7 +99,7 @@ pub fn line_of_sight(walls: &[Wall], p: Point, q: Point) -> bool {
 /// through [`coverage_overlap`] to scale inter-gateway interference.
 /// Degenerate inputs are total: `r ≤ 0` or `d ≥ 2r` give 0, `d ≤ 0`
 /// gives the full disc area.
-pub fn circle_overlap_area(d: f64, r: f64) -> f64 {
+fn circle_overlap_area(d: f64, r: f64) -> f64 {
     if r <= 0.0 {
         return 0.0;
     }
@@ -114,7 +114,7 @@ pub fn circle_overlap_area(d: f64, r: f64) -> f64 {
 }
 
 /// Fraction of one coverage disc shared with the other (`0..=1`):
-/// [`circle_overlap_area`] normalised by the disc area. 1 for
+/// the two discs' lens area normalised by the disc area. 1 for
 /// co-located gateways, 0 once the centres are ≥ one diameter apart.
 ///
 /// ```
@@ -195,21 +195,6 @@ impl Testbed {
     pub fn walls(&self) -> &[Wall] {
         &self.walls
     }
-
-    /// Distance from a helper location to the tag (location 1).
-    pub fn distance_to_tag(&self, loc: TestbedLocation) -> f64 {
-        self.position(loc)
-            .distance(self.position(TestbedLocation::Loc1))
-    }
-
-    /// True if the path from `loc` to the tag is line-of-sight.
-    pub fn is_los(&self, loc: TestbedLocation) -> bool {
-        line_of_sight(
-            &self.walls,
-            self.position(loc),
-            self.position(TestbedLocation::Loc1),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -279,26 +264,33 @@ mod tests {
     fn testbed_distances_span_3_to_9_meters() {
         // The paper: helper locations are 3–9 m from the tag.
         let tb = Testbed::new();
-        for loc in TestbedLocation::HELPER_LOCATIONS {
-            let d = tb.distance_to_tag(loc);
-            assert!((2.5..=9.5).contains(&d), "{loc:?} at {d} m");
-        }
-        // Distances increase from location 2 to 5.
+        let tag = tb.position(TestbedLocation::Loc1);
         let d: Vec<f64> = TestbedLocation::HELPER_LOCATIONS
             .iter()
-            .map(|&l| tb.distance_to_tag(l))
+            .map(|&l| tb.position(l).distance(tag))
             .collect();
+        for (loc, d) in TestbedLocation::HELPER_LOCATIONS.iter().zip(&d) {
+            assert!((2.5..=9.5).contains(d), "{loc:?} at {d} m");
+        }
+        // Distances increase from location 2 to 5.
         assert!(d.windows(2).all(|w| w[0] < w[1]), "{d:?}");
     }
 
     #[test]
     fn testbed_location5_is_nlos_others_los() {
         let tb = Testbed::new();
-        assert!(tb.is_los(TestbedLocation::Loc2));
-        assert!(tb.is_los(TestbedLocation::Loc3));
-        assert!(tb.is_los(TestbedLocation::Loc4));
+        let los = |loc| {
+            line_of_sight(
+                tb.walls(),
+                tb.position(loc),
+                tb.position(TestbedLocation::Loc1),
+            )
+        };
+        assert!(los(TestbedLocation::Loc2));
+        assert!(los(TestbedLocation::Loc3));
+        assert!(los(TestbedLocation::Loc4));
         assert!(
-            !tb.is_los(TestbedLocation::Loc5),
+            !los(TestbedLocation::Loc5),
             "loc 5 must be in the adjacent room"
         );
     }

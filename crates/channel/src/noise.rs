@@ -26,7 +26,7 @@ impl Default for NoiseConfig {
 
 impl NoiseConfig {
     /// Noise power (dBm) in a bandwidth of `bw_hz`.
-    pub fn noise_dbm(&self, bw_hz: f64) -> f64 {
+    fn noise_dbm(&self, bw_hz: f64) -> f64 {
         KT_DBM_PER_HZ + 10.0 * bw_hz.log10() + self.noise_figure_db
     }
 

@@ -102,7 +102,7 @@ impl InterferenceConfig {
 
     /// Added noise per subcarrier (mW) while active, for `n_subcarriers`
     /// sharing the band.
-    pub fn per_subcarrier_mw(&self, n_subcarriers: usize) -> f64 {
+    fn per_subcarrier_mw(&self, n_subcarriers: usize) -> f64 {
         dbm_to_mw(self.power_dbm) / n_subcarriers.max(1) as f64
     }
 }

@@ -45,7 +45,7 @@ impl DownlinkEncoderConfig {
     }
 
     /// How many bits fit in one CTS_to_SELF reservation.
-    pub fn bits_per_reservation(&self) -> usize {
+    fn bits_per_reservation(&self) -> usize {
         ((MAX_NAV_US - self.guard_us) / self.bit_duration_us) as usize
     }
 }

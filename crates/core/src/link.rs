@@ -872,7 +872,7 @@ impl DownlinkConfig {
     /// realisation (Rician, as every placement in a real room sits in a
     /// different multipath fade — this is what spreads the Fig. 17 BER
     /// curves over tens of centimetres instead of a hard cliff).
-    pub fn rx_mw(&self) -> f64 {
+    fn rx_mw(&self) -> f64 {
         let pl = bs_channel::pathloss::LogDistance {
             exponent: bs_channel::calib::PATHLOSS_EXPONENT,
             freq_hz: bs_channel::pathloss::WIFI_CH6_HZ,

@@ -35,6 +35,7 @@
 //! whatever the config asks for.
 
 use bs_dsp::obs::{NullRecorder, Recorder};
+use bs_dsp::rng::Fnv1a64;
 use bs_dsp::SimRng;
 use std::cmp::Ordering;
 
@@ -158,15 +159,10 @@ impl InventoryResult {
 /// collide in *every* round whenever the frame size is ≤ 2^k. A property
 /// test caught exactly this with addresses 0 and 16.
 fn slot_of(address: u8, round_seed: u64, frame_size: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in [address, 0x5A]
-        .iter()
-        .copied()
-        .chain(round_seed.to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut fnv = Fnv1a64::new();
+    fnv.write(&[address, 0x5A]);
+    fnv.write_u64(round_seed);
+    let mut h = fnv.finish();
     // MurmurHash3 finaliser: full avalanche before the modulo.
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -692,22 +688,16 @@ mod tests {
 
     /// FNV-1a over every field of each result, in run order.
     fn digest(results: &[InventoryResult]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a64::new();
         for r in results {
-            eat(&(r.identified.len() as u64).to_le_bytes());
-            eat(&r.identified);
-            eat(&r.rounds.to_le_bytes());
-            eat(&r.slots.to_le_bytes());
-            eat(&r.collisions.to_le_bytes());
-            eat(&r.final_q.to_le_bytes());
+            h.write_u64(r.identified.len() as u64);
+            h.write(&r.identified);
+            h.write(&r.rounds.to_le_bytes());
+            h.write_u64(r.slots);
+            h.write_u64(r.collisions);
+            h.write(&r.final_q.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::link::{
 };
 use crate::phy::{run_downlink_frame_with, run_uplink_with, PhyConfig};
 use crate::protocol::{Ack, Query, RetryPolicy};
-use crate::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use bs_channel::faults::FaultPlan;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_dsp::SimRng;
@@ -107,13 +106,6 @@ impl ReaderConfig {
         self
     }
 
-    /// Sets the long-range fallback code length (default: 20; 1 disables
-    /// the fallback).
-    pub fn with_fallback_code_length(mut self, l: usize) -> Self {
-        self.fallback_code_length = l;
-        self
-    }
-
     /// Sets the injected fault plan (default: [`FaultPlan::none`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -136,13 +128,6 @@ impl ReaderConfig {
     /// Sets the PHY mode (default: [`PhyConfig::Presence`]).
     pub fn with_phy(mut self, phy: PhyConfig) -> Self {
         self.phy = phy;
-        self
-    }
-
-    /// Arms the tag energy co-simulation (default: `None`, an immortal
-    /// tag).
-    pub fn with_tag_energy(mut self, energy: EnergyConfig) -> Self {
-        self.tag_energy = Some(energy);
         self
     }
 }
@@ -193,16 +178,10 @@ impl Reader {
         &self.cfg
     }
 
-    /// The simulated tag's capacitor, if the energy co-simulation is
-    /// armed — what an experiment inspects for brownout/recovery counts.
-    pub fn tag_capacitor(&self) -> Option<&Capacitor> {
-        self.tag_cap.as_ref()
-    }
-
     /// Lets simulated wall-clock pass between queries: the tag harvests
     /// (at listening load when its policy keeps the rx chain on) and the
     /// capacitor state machine runs. A no-op for energy-less sessions.
-    pub fn idle_us(&mut self, span_us: u64) {
+    fn idle_us(&mut self, span_us: u64) {
         let listening = self.tag_can_listen();
         self.advance_tag(span_us, if listening { LISTEN_LOAD_UW } else { 0.0 });
     }
@@ -429,28 +408,6 @@ impl Reader {
         })
     }
 
-    /// The uplink decoder this session would apply to a plain
-    /// (uncoded) `payload_bits`-bit response: the §5 rate selection and
-    /// the CSI/RSSI measurement mapping are exactly what the link layer's
-    /// decode path uses, so a capture decoded through this decoder
-    /// matches the session's own decoding bit for bit.
-    ///
-    /// This is a presence-PHY instrument — the codeword mode has no
-    /// CSI/RSSI capture to re-decode — so it always mirrors the
-    /// presence-configured session.
-    pub fn response_decoder(&self, payload_bits: usize) -> UplinkDecoder {
-        let bit_rate = crate::protocol::select_bit_rate(
-            self.cfg.helper_pps,
-            self.cfg.pkts_per_bit,
-            self.cfg.rate_margin,
-        );
-        let dcfg = match self.cfg.measurement {
-            Measurement::Csi => UplinkDecoderConfig::csi(bit_rate, payload_bits),
-            Measurement::Rssi => UplinkDecoderConfig::rssi(bit_rate, payload_bits),
-        };
-        UplinkDecoder::new(dcfg)
-    }
-
     /// One uplink exchange at the current deployment geometry.
     ///
     /// Every retry/fallback attempt is a *fresh* capture (new seed, new
@@ -634,27 +591,13 @@ mod tests {
     }
 
     #[test]
-    fn response_decoder_mirrors_session_rate_and_measurement() {
-        use crate::link::Measurement;
-        use crate::protocol::select_bit_rate;
-        use crate::uplink::Combining;
-        let cfg = ReaderConfig::default();
-        let rate = select_bit_rate(cfg.helper_pps, cfg.pkts_per_bit, cfg.rate_margin);
-        let csi = Reader::new(cfg.clone(), 1).response_decoder(16);
-        assert_eq!(csi.config().payload_bits, 16);
-        assert_eq!(csi.config().bit_duration_us, (1_000_000 / rate).max(1));
-        assert_eq!(csi.config().combining, Combining::Mrc);
-        let rssi = Reader::new(cfg.with_measurement(Measurement::Rssi), 1).response_decoder(16);
-        assert_eq!(rssi.config().combining, Combining::BestSingle);
-    }
-
-    #[test]
     fn builders_configure_session() {
+        use crate::link::Measurement;
         let cfg = ReaderConfig::default()
             .with_distance_m(1.1)
-            .with_fallback_code_length(40);
+            .with_measurement(Measurement::Rssi);
         assert_eq!(cfg.tag_distance_m, 1.1);
-        assert_eq!(cfg.fallback_code_length, 40);
+        assert_eq!(cfg.measurement, Measurement::Rssi);
     }
 
     #[test]
@@ -663,7 +606,10 @@ mod tests {
         let p = payload(24);
         let mut bare = Reader::new(ReaderConfig::default(), 1);
         let mut powered = Reader::new(
-            ReaderConfig::default().with_tag_energy(EnergyConfig::always_powered()),
+            ReaderConfig {
+                tag_energy: Some(EnergyConfig::always_powered()),
+                ..ReaderConfig::default()
+            },
             1,
         );
         let a = bare.query(0x07, &p).expect("bare query failed");
@@ -679,14 +625,17 @@ mod tests {
         use bs_dsp::obs::MemRecorder;
         use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
         let mut r = Reader::new(
-            ReaderConfig::default().with_tag_energy(EnergyConfig {
-                capacitor: CapacitorConfig {
-                    initial_fraction: 0.0,
-                    ..CapacitorConfig::default()
-                },
-                harvest_uw: 0.0,
-                policy: EnergyPolicy::SleepUntilCharged,
-            }),
+            ReaderConfig {
+                tag_energy: Some(EnergyConfig {
+                    capacitor: CapacitorConfig {
+                        initial_fraction: 0.0,
+                        ..CapacitorConfig::default()
+                    },
+                    harvest_uw: 0.0,
+                    policy: EnergyPolicy::SleepUntilCharged,
+                }),
+                ..ReaderConfig::default()
+            },
             1,
         );
         let mut rec = MemRecorder::new();
@@ -710,20 +659,23 @@ mod tests {
         // Start flat with a strong harvest: early polls miss, and after
         // enough idle time the tag wakes and answers.
         let mut r = Reader::new(
-            ReaderConfig::default().with_tag_energy(EnergyConfig {
-                capacitor: CapacitorConfig {
-                    initial_fraction: 0.0,
-                    ..CapacitorConfig::default()
-                },
-                harvest_uw: 60.0,
-                policy: EnergyPolicy::SleepUntilCharged,
-            }),
+            ReaderConfig {
+                tag_energy: Some(EnergyConfig {
+                    capacitor: CapacitorConfig {
+                        initial_fraction: 0.0,
+                        ..CapacitorConfig::default()
+                    },
+                    harvest_uw: 60.0,
+                    policy: EnergyPolicy::SleepUntilCharged,
+                }),
+                ..ReaderConfig::default()
+            },
             1,
         );
         assert!(r.query(0x07, &payload(8)).is_err(), "flat tag must miss");
         // ~3 s at ~59 µW net fills well past the 120 µJ wake threshold.
         r.idle_us(3_000_000);
-        assert_eq!(r.tag_capacitor().unwrap().state(), EnergyState::Awake);
+        assert_eq!(r.tag_cap.as_ref().unwrap().state(), EnergyState::Awake);
         let out = r
             .query(0x07, &payload(8))
             .expect("recovered tag must answer");

@@ -94,19 +94,6 @@ impl UplinkDecoderConfig {
         self.search_bits = bits;
         self
     }
-
-    /// Sets the channel-combining mode (default: [`Combining::Mrc`] for
-    /// CSI, [`Combining::BestSingle`] for RSSI).
-    pub fn with_combining(mut self, combining: Combining) -> Self {
-        self.combining = combining;
-        self
-    }
-
-    /// Enables or disables the µ ± σ/2 hysteresis slicer (default: on).
-    pub fn with_hysteresis(mut self, on: bool) -> Self {
-        self.use_hysteresis = on;
-        self
-    }
 }
 
 /// One selected channel with its combining weight.
@@ -951,8 +938,14 @@ mod tests {
             for cfg in [
                 UplinkDecoderConfig::csi(100, 90),
                 UplinkDecoderConfig::rssi(100, 90),
-                UplinkDecoderConfig::csi(100, 90).with_combining(Combining::EqualGain),
-                UplinkDecoderConfig::csi(100, 90).with_hysteresis(false),
+                UplinkDecoderConfig {
+                    combining: Combining::EqualGain,
+                    ..UplinkDecoderConfig::csi(100, 90)
+                },
+                UplinkDecoderConfig {
+                    use_hysteresis: false,
+                    ..UplinkDecoderConfig::csi(100, 90)
+                },
                 UplinkDecoderConfig::csi(100, 90).with_search_bits(5),
             ] {
                 let dec = UplinkDecoder::new(cfg);

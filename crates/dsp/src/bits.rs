@@ -51,7 +51,7 @@ pub fn crc8(data: &[u8]) -> u8 {
 ///
 /// # Panics
 /// Panics if lengths differ.
-pub fn hamming(a: &[bool], b: &[bool]) -> usize {
+fn hamming(a: &[bool], b: &[bool]) -> usize {
     assert_eq!(a.len(), b.len(), "hamming distance needs equal lengths");
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }

@@ -24,17 +24,6 @@ pub const BARKER11: [i8; 11] = [1, 1, 1, -1, -1, -1, 1, -1, -1, 1, -1];
 /// The 7-chip Barker code.
 pub const BARKER7: [i8; 7] = [1, 1, 1, -1, -1, 1, -1];
 
-/// Returns the Barker code of the given length, if one exists.
-/// Defined lengths: 7, 11, 13.
-pub fn barker(len: usize) -> Option<&'static [i8]> {
-    match len {
-        7 => Some(&BARKER7),
-        11 => Some(&BARKER11),
-        13 => Some(&BARKER13),
-        _ => None,
-    }
-}
-
 /// A pair of mutually-orthogonal ±1 codes of equal length, representing the
 /// tag's one and zero bits on the long-range uplink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,16 +214,6 @@ pub mod gf256 {
         EXP[255 - LOG[a as usize] as usize]
     }
 
-    /// `a` raised to the (possibly negative) power `n`.
-    #[inline]
-    pub fn pow(a: u8, n: i32) -> u8 {
-        if a == 0 {
-            return if n == 0 { 1 } else { 0 };
-        }
-        let l = i64::from(LOG[a as usize]) * i64::from(n);
-        EXP[l.rem_euclid(255) as usize]
-    }
-
     /// `α^i` for any integer exponent (taken mod 255).
     #[inline]
     pub fn alpha_pow(i: i32) -> u8 {
@@ -279,27 +258,6 @@ pub mod gf256 {
     }
 }
 
-/// Autocorrelation peak-to-max-sidelobe ratio of a ±1 code — a quality
-/// metric used in tests and available to callers tuning preambles.
-pub fn sidelobe_ratio(code: &[i8]) -> f64 {
-    let n = code.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut max_side = 0i64;
-    for lag in 1..n {
-        let s: i64 = (0..n - lag)
-            .map(|i| i64::from(code[i]) * i64::from(code[i + lag]))
-            .sum();
-        max_side = max_side.max(s.abs());
-    }
-    if max_side == 0 {
-        f64::INFINITY
-    } else {
-        n as f64 / max_side as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,14 +266,6 @@ mod tests {
     fn barker13_is_13_chips_of_pm1() {
         assert_eq!(BARKER13.len(), 13);
         assert!(BARKER13.iter().all(|&c| c == 1 || c == -1));
-    }
-
-    #[test]
-    fn barker_lookup() {
-        assert_eq!(barker(13), Some(&BARKER13[..]));
-        assert_eq!(barker(11), Some(&BARKER11[..]));
-        assert_eq!(barker(7), Some(&BARKER7[..]));
-        assert_eq!(barker(5), None);
     }
 
     #[test]
@@ -333,7 +283,17 @@ mod tests {
 
     #[test]
     fn barker13_sidelobe_ratio_is_13() {
-        assert_eq!(sidelobe_ratio(&BARKER13), 13.0);
+        // Peak 13 over a largest sidelobe of exactly 1.
+        let n = BARKER13.len();
+        let max_side = (1..n)
+            .map(|lag| {
+                (0..n - lag)
+                    .map(|i| i32::from(BARKER13[i]) * i32::from(BARKER13[i + lag]))
+                    .sum::<i32>()
+                    .abs()
+            })
+            .max();
+        assert_eq!(max_side, Some(1));
     }
 
     #[test]
@@ -445,13 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn sidelobe_ratio_edge_cases() {
-        assert_eq!(sidelobe_ratio(&[]), 0.0);
-        // A length-2 orthogonal-ish code [1, -1]: lag-1 autocorr = -1.
-        assert_eq!(sidelobe_ratio(&[1, -1]), 2.0);
-    }
-
-    #[test]
     fn gf256_tables_are_consistent() {
         // α^0 = 1, tables round-trip, and the doubled antilog half
         // mirrors the first.
@@ -504,10 +457,7 @@ mod tests {
 
     #[test]
     fn gf256_pow_edge_cases() {
-        assert_eq!(gf256::pow(0, 0), 1);
-        assert_eq!(gf256::pow(0, 5), 0);
-        assert_eq!(gf256::pow(2, 255), 1); // α has order 255
-        assert_eq!(gf256::pow(2, -1), gf256::inv(2));
+        assert_eq!(gf256::alpha_pow(0), 1);
         assert_eq!(gf256::alpha_pow(-1), gf256::inv(2));
         assert_eq!(gf256::alpha_pow(255), 1);
     }

@@ -64,7 +64,7 @@ impl Complex {
 
     /// Multiplicative inverse. Returns `NaN` components for zero input,
     /// mirroring `f64` division semantics.
-    pub fn recip(self) -> Self {
+    fn recip(self) -> Self {
         let d = self.norm_sq();
         Complex::new(self.re / d, -self.im / d)
     }

@@ -68,23 +68,6 @@ pub struct PreambleHit {
     pub score: f64,
 }
 
-/// Finds the first window whose *normalised* correlation with the preamble
-/// exceeds `threshold`. This is the reader's "wait for an incoming
-/// transmission" loop (§3.2).
-pub fn find_preamble(signal: &[f64], preamble: &[i8], threshold: f64) -> Option<PreambleHit> {
-    let l = preamble.len();
-    if signal.len() < l || l == 0 {
-        return None;
-    }
-    for start in 0..=signal.len() - l {
-        let score = normalized(&signal[start..start + l], preamble);
-        if score >= threshold {
-            return Some(PreambleHit { start, score });
-        }
-    }
-    None
-}
-
 /// Finds the best-scoring window over the whole stream (used when the
 /// approximate location is known and we want the exact alignment).
 pub fn best_alignment(signal: &[f64], preamble: &[i8]) -> Option<PreambleHit> {
@@ -195,8 +178,8 @@ mod tests {
     #[test]
     fn find_preamble_locates_code_in_noise() {
         // Normalised correlation is scale-invariant, so short codes can tie
-        // with lucky noise; a 13-chip Barker code at threshold 0.9 makes a
-        // false hit before the true location vanishingly unlikely.
+        // with lucky noise; a 13-chip Barker code makes a noise window that
+        // outscores the true location vanishingly unlikely.
         use crate::codes::BARKER13;
         use crate::SimRng;
         let mut rng = SimRng::new(3).stream("corr-test");
@@ -204,7 +187,7 @@ mod tests {
         for (i, &c) in BARKER13.iter().enumerate() {
             sig[100 + i] += f64::from(c);
         }
-        let hit = find_preamble(&sig, &BARKER13, 0.9).expect("preamble not found");
+        let hit = best_alignment(&sig, &BARKER13).expect("preamble not found");
         assert_eq!(hit.start, 100);
         assert!(hit.score > 0.9);
     }
@@ -214,9 +197,11 @@ mod tests {
         use crate::SimRng;
         let mut rng = SimRng::new(4).stream("corr-noise");
         let sig: Vec<f64> = (0..300).map(|_| rng.gaussian(0.0, 1.0)).collect();
-        // A threshold of 0.95 on a length-7 code is nearly impossible to hit
-        // by chance in 300 samples.
-        assert!(find_preamble(&sig, &BARKER7, 0.97).is_none());
+        // A score of 0.97 on a length-7 code is nearly impossible to reach
+        // by chance in 300 samples, so a detection threshold there finds
+        // nothing.
+        let best = best_alignment(&sig, &BARKER7).unwrap();
+        assert!(best.score < 0.97, "noise scored {}", best.score);
     }
 
     #[test]

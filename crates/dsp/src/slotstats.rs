@@ -12,28 +12,22 @@
 //! * [`SlotPartition`] cuts the timestamp axis into fixed-width slots
 //!   anchored at a base time, in one O(packets + slots) pass. Every slot
 //!   becomes a `Range<usize>` of packet indices.
-//! * [`SlotStats`] layers per-slot `(count, Σx, Σx², variance)` for one
-//!   channel over a partition, plus prefix sums for O(1) window
-//!   aggregates.
+//! * [`SlotStats`] layers per-slot `(count, Σx, variance)` for one
+//!   channel over a partition.
 //!
 //! # Bit-exactness contract
 //!
 //! The decoders that consume this index are required to be
 //! *output-preserving* against their straight-line reference
 //! implementations, down to the last ulp. Floating-point addition is not
-//! associative, so prefix-sum differencing is **not** bit-exact against a
-//! freshly accumulated window sum. The per-slot quantities therefore
-//! follow the exact accumulation order of the naive code:
+//! associative, so the per-slot quantities follow the exact accumulation
+//! order of the naive code:
 //!
 //! * [`SlotStats::sum`]/[`SlotStats::mean`] accumulate each slot from a
 //!   fresh `0.0` in packet order — identical to a naive
 //!   "`sums[slot] += x[p]`" scan.
 //! * [`SlotStats::variance`] runs the same Welford recurrence as
 //!   [`crate::stats::variance`] over the slot's packets in order.
-//! * Only the `window_*` prefix queries trade exactness for O(1) lookups;
-//!   `window_count` stays exact (integer), the floating-point
-//!   `window_sum`/`window_sum_sq` are documented as aggregates for
-//!   scoring/diagnostics, not for decode decisions.
 
 use crate::stats::Running;
 use std::ops::Range;
@@ -188,16 +182,12 @@ impl SlotPartition {
 }
 
 /// Per-slot statistics of one channel over a [`SlotPartition`]:
-/// `(count, Σx, Σx²)` and the within-slot population variance, plus
-/// prefix sums for O(1) window aggregates.
+/// `(count, Σx)` and the within-slot population variance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotStats {
     count: Vec<u32>,
     sum: Vec<f64>,
     var: Vec<f64>,
-    prefix_count: Vec<u64>,
-    prefix_sum: Vec<f64>,
-    prefix_sum_sq: Vec<f64>,
 }
 
 impl SlotStats {
@@ -218,9 +208,6 @@ impl SlotStats {
             count: Vec::new(),
             sum: Vec::new(),
             var: Vec::new(),
-            prefix_count: vec![0],
-            prefix_sum: vec![0.0],
-            prefix_sum_sq: vec![0.0],
         };
         stats.extend(partition, values, 0);
         stats
@@ -229,10 +216,9 @@ impl SlotStats {
     /// Incrementally re-derives the statistics for slots `from_slot..`
     /// after the partition grew (see [`SlotPartition::extend`]); slots
     /// below `from_slot` are untouched. Because every per-slot quantity
-    /// is a fresh left fold over its own contiguous slice, and the
-    /// prefix sums extend by the same `prefix[k+1] = prefix[k] + s`
-    /// recurrence as a full build, the result is **bitwise identical**
-    /// to a fresh [`SlotStats::build`] over the grown inputs.
+    /// is a fresh left fold over its own contiguous slice, the result is
+    /// **bitwise identical** to a fresh [`SlotStats::build`] over the
+    /// grown inputs.
     ///
     /// ```
     /// use bs_dsp::slotstats::{SlotPartition, SlotStats};
@@ -251,34 +237,22 @@ impl SlotStats {
         self.count.truncate(from);
         self.sum.truncate(from);
         self.var.truncate(from);
-        self.prefix_count.truncate(from + 1);
-        self.prefix_sum.truncate(from + 1);
-        self.prefix_sum_sq.truncate(from + 1);
         self.count.reserve(n - from);
         self.sum.reserve(n - from);
         self.var.reserve(n - from);
-        self.prefix_count.reserve(n - from);
-        self.prefix_sum.reserve(n - from);
-        self.prefix_sum_sq.reserve(n - from);
         for k in from..n {
             let slice = &values[partition.slot_range(k)];
             // Fresh accumulators per slot, packet order: bit-exact with a
             // naive "sums[slot] += x" scan.
             let mut s = 0.0;
-            let mut sq = 0.0;
             let mut w = Running::new();
             for &x in slice {
                 s += x;
-                sq += x * x;
                 w.push(x);
             }
             self.count.push(slice.len() as u32);
             self.sum.push(s);
             self.var.push(w.population_variance());
-            self.prefix_count
-                .push(self.prefix_count[k] + slice.len() as u64);
-            self.prefix_sum.push(self.prefix_sum[k] + s);
-            self.prefix_sum_sq.push(self.prefix_sum_sq[k] + sq);
         }
     }
 
@@ -302,25 +276,6 @@ impl SlotStats {
     /// [`crate::stats::variance`] exactly). 0 for slots with < 2 packets.
     pub fn variance(&self, k: usize) -> f64 {
         self.var[k]
-    }
-
-    /// Exact packet count over a slot window (prefix-differenced; integer
-    /// arithmetic, so exact).
-    pub fn window_count(&self, slots: Range<usize>) -> u64 {
-        self.prefix_count[slots.end] - self.prefix_count[slots.start]
-    }
-
-    /// Σx over a slot window via prefix differencing. O(1), but **not**
-    /// bit-exact against a direct in-order accumulation; use for scoring
-    /// and diagnostics, not for decode decisions.
-    pub fn window_sum(&self, slots: Range<usize>) -> f64 {
-        self.prefix_sum[slots.end] - self.prefix_sum[slots.start]
-    }
-
-    /// Σx² over a slot window via prefix differencing; same caveat as
-    /// [`Self::window_sum`].
-    pub fn window_sum_sq(&self, slots: Range<usize>) -> f64 {
-        self.prefix_sum_sq[slots.end] - self.prefix_sum_sq[slots.start]
     }
 }
 
@@ -416,20 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn window_aggregates() {
-        let (t_us, xs) = synth(400, 200, 3);
-        let part = SlotPartition::build(&t_us, 0, 2_000, 30);
-        let stats = SlotStats::build(&part, &xs);
-        let direct_count: u64 = (5..19).map(|k| u64::from(stats.count(k))).sum();
-        assert_eq!(stats.window_count(5..19), direct_count);
-        let direct_sum: f64 = (5..19).map(|k| stats.sum(k)).sum();
-        assert!((stats.window_sum(5..19) - direct_sum).abs() < 1e-9);
-        let empty = stats.window_count(7..7);
-        assert_eq!(empty, 0);
-        assert_eq!(stats.window_sum(7..7), 0.0);
-    }
-
-    #[test]
     fn empty_and_out_of_range_slots() {
         let t_us = vec![100, 200, 300];
         let xs = vec![1.0, 2.0, 3.0];
@@ -454,7 +395,10 @@ mod tests {
         assert_eq!(part.n_slots(), 3);
         assert_eq!(part.coverage_len(), 0);
         let stats = SlotStats::build(&part, &[]);
-        assert_eq!(stats.window_count(0..3), 0);
+        for k in 0..3 {
+            assert_eq!(stats.count(k), 0);
+            assert_eq!(stats.mean(k), None);
+        }
     }
 
     #[test]
@@ -483,10 +427,6 @@ mod tests {
                 assert_eq!(stats.sum(k).to_bits(), fresh.sum(k).to_bits());
                 assert_eq!(stats.variance(k).to_bits(), fresh.variance(k).to_bits());
             }
-            assert_eq!(
-                stats.window_sum(0..slots).to_bits(),
-                fresh.window_sum(0..slots).to_bits()
-            );
         }
     }
 

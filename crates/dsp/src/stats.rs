@@ -56,15 +56,6 @@ impl Running {
         }
     }
 
-    /// Sample variance (divides by `n-1`; 0 if fewer than two samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -306,7 +297,7 @@ impl Histogram {
     }
 
     /// Width of one bin.
-    pub fn bin_width(&self) -> f64 {
+    fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
@@ -342,7 +333,7 @@ impl Histogram {
     }
 
     /// Probability mass per bin (sums to ≤ 1).
-    pub fn pmf(&self) -> Vec<f64> {
+    fn pmf(&self) -> Vec<f64> {
         if self.total == 0 {
             return vec![0.0; self.counts.len()];
         }
@@ -386,7 +377,6 @@ mod tests {
         r.push(42.0);
         assert_eq!(r.mean(), 42.0);
         assert_eq!(r.population_variance(), 0.0);
-        assert_eq!(r.sample_variance(), 0.0);
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl TransportConfig {
         self
     }
 
-    /// Sets the per-segment payload size (builder style).
-    pub fn with_seg_payload_bytes(mut self, bytes: usize) -> Self {
-        self.seg_payload_bytes = bytes.clamp(1, 255);
-        self
-    }
-
     /// Sets the retry policy (builder style).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -285,7 +279,7 @@ impl Transfer {
 /// transport's safe path around [`Query::to_frame`]'s
 /// `UnsupportedRate` error when rate adaptation lands between the four
 /// §7.2 operating points.
-pub fn nearest_supported_rate(bps: u64) -> u64 {
+fn nearest_supported_rate(bps: u64) -> u64 {
     *SUPPORTED_RATES_BPS
         .iter()
         .min_by_key(|&&r| r.abs_diff(bps))
@@ -968,7 +962,10 @@ mod tests {
     fn wire_segments_counts_what_the_session_numbers() {
         bs_dsp::testkit::check("arq-wire-segments", 200, |g| {
             let len = g.usize_in(0, 3_000);
-            let mut cfg = TransportConfig::default().with_seg_payload_bytes(g.usize_in(1, 256));
+            let mut cfg = TransportConfig {
+                seg_payload_bytes: g.usize_in(1, 256),
+                ..TransportConfig::default()
+            };
             if g.bool() {
                 cfg = cfg.with_fec(crate::fec::FecConfig::fixed(
                     g.usize_in(1, 65),

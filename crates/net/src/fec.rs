@@ -528,17 +528,6 @@ impl GroupCoder {
         }
     }
 
-    /// Data segments (before parity).
-    pub fn data_total(&self) -> u16 {
-        self.data_total
-    }
-
-    /// Wire segments (data + parity) — the `total` every segment
-    /// carries.
-    pub fn wire_total(&self) -> u16 {
-        self.wire_total
-    }
-
     /// Number of groups.
     pub fn groups(&self) -> usize {
         self.groups
@@ -939,11 +928,11 @@ mod tests {
         // last group 1 data; wire span 4*6 - 3 + ... = 13 + 8 = 21.
         let cfg = FecConfig::fixed(4, 2);
         let c = GroupCoder::for_message(100, 8, cfg);
-        assert_eq!(c.data_total(), 13);
+        assert_eq!(c.data_total, 13);
         assert_eq!(c.groups(), 4);
-        assert_eq!(c.wire_total(), 13 + 4 * 2);
+        assert_eq!(c.wire_total, 13 + 4 * 2);
         // Span accounting covers every seq exactly once.
-        let mut covered = vec![false; c.wire_total() as usize];
+        let mut covered = vec![false; c.wire_total as usize];
         for g in 0..c.groups() {
             let (first, d, p) = c.group_span(g);
             for s in first..first + (d + p) as u16 {
@@ -1001,8 +990,8 @@ mod tests {
         let cfg = FecConfig::fixed(6, 3);
         let c = GroupCoder::for_message(msg.len(), 16, cfg);
         let segs = c.encode_message(5, &msg);
-        assert_eq!(segs.len(), c.wire_total() as usize);
-        let mut rx = Reassembler::new(5, c.wire_total());
+        assert_eq!(segs.len(), c.wire_total as usize);
+        let mut rx = Reassembler::new(5, c.wire_total);
         // Drop up to p slots per group (data or parity, mixed), deliver
         // the rest.
         let mut rng = SimRng::new(77).stream("fec-drop");
@@ -1044,7 +1033,7 @@ mod tests {
         let cfg = FecConfig::fixed(4, 1);
         let c = GroupCoder::for_message(msg.len(), 16, cfg); // 4 data, 1 group? 64/16=4 → 1 group +1 parity
         let segs = c.encode_message(1, &msg);
-        let mut rx = Reassembler::new(1, c.wire_total());
+        let mut rx = Reassembler::new(1, c.wire_total);
         // Deliver only half: too many holes.
         rx.accept(&segs[0]);
         rx.accept(&segs[1]);
@@ -1067,10 +1056,10 @@ mod tests {
         let msg: Vec<u8> = (0..17).map(|i| i as u8 + 1).collect();
         let cfg = FecConfig::fixed(8, 2);
         let c = GroupCoder::for_message(msg.len(), 16, cfg);
-        assert_eq!(c.data_total(), 2);
+        assert_eq!(c.data_total, 2);
         assert_eq!(c.groups(), 1);
         let segs = c.encode_message(2, &msg);
-        let mut rx = Reassembler::new(2, c.wire_total());
+        let mut rx = Reassembler::new(2, c.wire_total);
         // Lose both data segments; the two parity segments must rebuild
         // them (the 1-byte second segment exercises the len column).
         rx.accept(&segs[2]);
@@ -1086,7 +1075,7 @@ mod tests {
         let msg = vec![1u8; 32];
         let c = GroupCoder::for_message(msg.len(), 16, FecConfig::fixed(2, 1));
         let segs = c.encode_message(0, &msg);
-        let mut rx = Reassembler::new(0, c.wire_total());
+        let mut rx = Reassembler::new(0, c.wire_total);
         for s in &segs {
             rx.accept(s);
         }

@@ -52,6 +52,7 @@ use crate::gateway::{
 };
 use bs_channel::geometry::coverage_overlap;
 use bs_dsp::par::{map_indexed, ChunkPanic};
+use bs_dsp::rng::Fnv1a64;
 use bs_dsp::stats::percentile_many;
 use bs_dsp::SimRng;
 use bs_tag::energy::{Capacitor, CapacitorConfig, EnergyConfig, EnergyPolicy, LISTEN_LOAD_UW};
@@ -497,31 +498,6 @@ impl FleetRun {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-/// FNV-1a 64 over the per-tag records.
-fn digest_records(records: &[TagRecord]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for t in records {
-        eat(t.tag as u64);
-        eat(t.gateway as u64);
-        eat(t.handoffs as u64);
-        eat(t.delivered_bytes);
-        eat(t.complete_epochs as u64);
-        eat(t.truncated_epochs as u64);
-        eat(t.last_latency_us);
-        eat(t.brownouts as u64);
-        eat(t.recoveries as u64);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------
@@ -1154,7 +1130,22 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
     let delivered_bytes: u64 = tag_records.iter().map(|t| t.delivered_bytes).sum();
     let shares: Vec<u64> = tag_records.iter().map(|t| t.delivered_bytes).collect();
     let ps = percentile_many(&latencies, &[50.0, 90.0, 99.0]);
-    let digest = digest_records(&tag_records);
+    let mut digest = Fnv1a64::new();
+    for t in &tag_records {
+        for v in [
+            t.tag as u64,
+            t.gateway as u64,
+            t.handoffs as u64,
+            t.delivered_bytes,
+            t.complete_epochs as u64,
+            t.truncated_epochs as u64,
+            t.last_latency_us,
+            t.brownouts as u64,
+            t.recoveries as u64,
+        ] {
+            digest.write_u64(v);
+        }
+    }
     Ok(FleetRun {
         gateways: cfg.gateways as u32,
         tags: n_tags as u32,
@@ -1179,7 +1170,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         latency_us_p50: ps[0],
         latency_us_p90: ps[1],
         latency_us_p99: ps[2],
-        digest,
+        digest: digest.finish(),
         tag_records,
         shard_reports,
     })

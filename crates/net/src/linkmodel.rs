@@ -259,18 +259,28 @@ impl SimLink {
     /// recharge per control exchange. The trace and the Bernoulli draws
     /// derive from independent substreams of `seed`.
     ///
-    /// # Panics
-    /// Panics if `horizon_us` is zero.
+    /// # Errors
+    /// [`SimLinkError::InvalidConfig`] if `horizon_us` is zero or a
+    /// `traffic` field is out of its domain
+    /// ([`WildTraffic::invalid_field`]).
     pub fn from_traffic(
         traffic: &WildTraffic,
         horizon_us: u64,
         faults: impl Borrow<FaultPlan>,
         seed: u64,
-    ) -> Self {
+    ) -> Result<Self, SimLinkError> {
+        if horizon_us == 0 {
+            return Err(SimLinkError::InvalidConfig {
+                field: "horizon_us",
+            });
+        }
+        if let Some(field) = traffic.invalid_field() {
+            return Err(SimLinkError::InvalidConfig { field });
+        }
         let faults = faults.borrow();
         let mut gen_rng = SimRng::new(seed ^ faults.seed.rotate_left(17)).stream("net-traffic-gen");
         let arrivals = traffic.arrivals(horizon_us, &mut gen_rng);
-        Self::from_arrivals(arrivals, horizon_us, faults, seed)
+        Ok(Self::from_arrivals(arrivals, horizon_us, faults, seed))
     }
 
     /// A traffic-driven link over an explicit arrival trace (must be
@@ -316,6 +326,30 @@ impl SimLink {
         self.helper.as_ref().map_or(&[], |h| &h.arrivals)
     }
 }
+
+/// Why [`SimLink::from_traffic`] rejects its inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SimLinkError {
+    /// The horizon is zero, or a [`WildTraffic`] field is out of its
+    /// domain (see [`WildTraffic::invalid_field`]).
+    InvalidConfig {
+        /// `horizon_us`, or the rejected [`WildTraffic`] field.
+        field: &'static str,
+    },
+}
+
+impl std::fmt::Display for SimLinkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimLinkError::InvalidConfig { field } => {
+                write!(f, "traffic link field {field} is out of its domain")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimLinkError {}
 
 impl SegmentLink for SimLink {
     fn now_us(&self) -> u64 {
@@ -442,8 +476,7 @@ impl PhyLink {
 
     fn next_seed(&mut self) -> u64 {
         self.attempt += 1;
-        self.seed
-            .wrapping_add(self.attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        SimRng::run_seed(self.seed, self.attempt)
     }
 }
 
@@ -626,7 +659,8 @@ mod tests {
     fn wild_traffic_starves_some_segments() {
         let mut rec = NullRecorder;
         let mut link =
-            SimLink::from_traffic(&WildTraffic::wild(), 600_000_000, FaultPlan::none(), 7);
+            SimLink::from_traffic(&WildTraffic::wild(), 600_000_000, FaultPlan::none(), 7)
+                .expect("valid traffic");
         let fates: Vec<SegmentFate> = (0..200)
             .map(|_| link.send_segment(&seg(1), &mut rec))
             .collect();
@@ -643,7 +677,8 @@ mod tests {
     fn traced_simlink_is_deterministic_and_composes_faults() {
         let plan = FaultPlan::preset("loss", 0.6, 21).unwrap();
         let run = |seed| {
-            let mut link = SimLink::from_traffic(&WildTraffic::default(), 60_000_000, &plan, seed);
+            let mut link = SimLink::from_traffic(&WildTraffic::default(), 60_000_000, &plan, seed)
+                .expect("valid traffic");
             let mut rec = NullRecorder;
             (0..100)
                 .map(|_| link.send_segment(&seg(0), &mut rec))
@@ -653,12 +688,49 @@ mod tests {
         assert_ne!(run(3), run(4), "different seeds should diverge");
         // With a loss plan armed, Bernoulli losses fire on top of
         // starvation.
-        let mut link = SimLink::from_traffic(&WildTraffic::default(), 60_000_000, plan, 3);
+        let mut link = SimLink::from_traffic(&WildTraffic::default(), 60_000_000, plan, 3)
+            .expect("valid traffic");
         let mut rec = NullRecorder;
         for _ in 0..200 {
             link.send_segment(&seg(0), &mut rec);
         }
         assert!(link.take_degradation().fired("packet-loss"));
+    }
+
+    #[test]
+    fn bad_traffic_is_a_typed_error_not_a_panic_or_a_hang() {
+        let invalid = |traffic: WildTraffic, horizon_us| match SimLink::from_traffic(
+            &traffic,
+            horizon_us,
+            FaultPlan::none(),
+            1,
+        ) {
+            Err(SimLinkError::InvalidConfig { field }) => field,
+            Ok(_) => panic!("accepted {traffic:?} over {horizon_us} µs"),
+        };
+        let ok = WildTraffic::default();
+        assert_eq!(invalid(ok, 0), "horizon_us");
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let t = WildTraffic {
+                gap_alpha: alpha,
+                ..ok
+            };
+            assert_eq!(invalid(t, 1_000_000), "gap_alpha");
+        }
+        for xmin in [0.0, -5.0, f64::NAN] {
+            let t = WildTraffic {
+                gap_xmin_us: xmin,
+                ..ok
+            };
+            assert_eq!(invalid(t, 1_000_000), "gap_xmin_us");
+        }
+        for active in [f64::NAN, -1.0, f64::INFINITY] {
+            let t = WildTraffic {
+                mean_active_us: active,
+                ..ok
+            };
+            assert_eq!(invalid(t, 1_000_000), "mean_active_us");
+        }
     }
 
     #[test]

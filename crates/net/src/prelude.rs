@@ -19,8 +19,7 @@
 //! `tests/golden/prelude_api.txt`, reblessed with `GOLDEN_BLESS=1`).
 
 pub use crate::arq::{
-    nearest_supported_rate, run_transfer, run_transfer_with, RoundOutcome, Transfer,
-    TransportConfig, TransportSession,
+    run_transfer, run_transfer_with, RoundOutcome, Transfer, TransportConfig, TransportSession,
 };
 pub use crate::fec::{FecConfig, FecError, GroupCoder, ReedSolomon, RepairOutcome};
 pub use crate::fleet::{
@@ -32,7 +31,7 @@ pub use crate::gateway::{
     TagEnergyOutcome, TagOutcome, TagProfile,
 };
 pub use crate::linkmodel::{PhyLink, SegmentFate, SegmentLink, SimLink};
-pub use crate::seg::{scramble, segment_message, Accept, Reassembler, Segment, SegmentError};
+pub use crate::seg::{segment_message, Accept, Reassembler, Segment, SegmentError};
 pub use bs_channel::faults::FaultPlan;
 pub use bs_wifi::traffic::{RateEstimator, TrafficStats, WildTraffic};
 pub use wifi_backscatter::protocol::{RetryPolicy, WindowAck};
@@ -78,13 +77,11 @@ pub const NET_PRELUDE_MANIFEST: &[&str] = &[
     "TransportSession",
     "WildTraffic",
     "WindowAck",
-    "nearest_supported_rate",
     "run_fleet",
     "run_gateway",
     "run_gateway_with",
     "run_transfer",
     "run_transfer_with",
-    "scramble",
     "segment_message",
 ];
 

@@ -89,7 +89,8 @@ impl<'a> Segment<'a> {
     }
 
     /// Serialises to on-air bits (MSB-first per byte), whitened by
-    /// [`scramble`], the form the tag actually backscatters.
+    /// the 802.11 additive scrambler, the form the tag actually
+    /// backscatters.
     pub fn to_bits(&self) -> Vec<bool> {
         let mut bits = bytes_to_bits(&self.to_bytes());
         scramble(&mut bits);
@@ -141,7 +142,7 @@ impl<'a> Segment<'a> {
     }
 
     /// Wire size in bytes of a segment carrying `payload_len` bytes.
-    pub fn wire_bytes(payload_len: usize) -> usize {
+    fn wire_bytes(payload_len: usize) -> usize {
         SEGMENT_OVERHEAD_BYTES + payload_len
     }
 
@@ -159,7 +160,7 @@ impl<'a> Segment<'a> {
 /// scrambling keeps the backscattered stream DC-balanced exactly the way
 /// the Wi-Fi frames the tag piggybacks on are. XOR with a fixed
 /// keystream is its own inverse, so the same call descrambles.
-pub fn scramble(bits: &mut [bool]) {
+fn scramble(bits: &mut [bool]) {
     let mut state: u8 = 0x5D;
     for b in bits {
         let feedback = ((state >> 6) ^ (state >> 3)) & 1;

@@ -255,18 +255,6 @@ impl Capacitor {
         self.step_state()
     }
 
-    /// Overwrites the stored charge (clamped to capacity) and re-derives
-    /// the state — used by the fleet engine to persist a tag's energy
-    /// across epochs without replaying the whole history.
-    pub fn set_charge_uj(&mut self, uj: f64) -> EnergyState {
-        self.charge_uj = if uj.is_finite() {
-            uj.clamp(0.0, self.capacity_uj())
-        } else {
-            0.0
-        };
-        self.step_state()
-    }
-
     fn step_state(&mut self) -> EnergyState {
         let capacity = self.capacity_uj();
         let wake = self.cfg.wake_fraction * capacity;
@@ -416,14 +404,17 @@ mod tests {
         // Inside the band (between 10 % and 60 %): an Awake tag stays
         // Awake, a Charging tag stays Charging.
         let mut awake = Capacitor::new(CapacitorConfig::default());
-        awake.set_charge_uj(0.3 * awake.capacity_uj());
+        assert_eq!(awake.state(), EnergyState::Awake);
+        awake.spend(awake.charge_uj() - 0.3 * awake.capacity_uj());
         assert_eq!(awake.state(), EnergyState::Awake);
 
         let mut cold = Capacitor::new(CapacitorConfig {
             initial_fraction: 0.0,
             ..CapacitorConfig::default()
         });
-        cold.set_charge_uj(0.3 * cold.capacity_uj());
+        // One second of harvest that nets 30 % of capacity.
+        let harvest_uw = 0.3 * cold.capacity_uj() + cold.config().leakage_uw;
+        cold.advance(1e6, harvest_uw, 0.0);
         assert_eq!(cold.state(), EnergyState::Charging);
     }
 

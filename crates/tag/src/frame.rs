@@ -30,7 +30,7 @@ pub fn uplink_preamble() -> Vec<bool> {
 
 /// The uplink postamble: the reversed preamble, giving the reader a second
 /// timing anchor at the end of the frame.
-pub fn uplink_postamble() -> Vec<bool> {
+fn uplink_postamble() -> Vec<bool> {
     let mut p = uplink_preamble();
     p.reverse();
     p

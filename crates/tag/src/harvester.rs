@@ -127,7 +127,7 @@ impl TvTower {
     /// Incident power (dBm) at `distance_m` from the tower (free space plus
     /// the small tag-integrated TV antenna's ≈3 dBi gain — well below a
     /// full-size UHF dipole, since the tag is credit-card sized).
-    pub fn incident_dbm(&self, distance_m: f64) -> f64 {
+    fn incident_dbm(&self, distance_m: f64) -> f64 {
         const TV_ANTENNA_GAIN_DBI: f64 = 3.0;
         self.erp_dbm - free_space_db(distance_m, self.freq_hz) + TV_ANTENNA_GAIN_DBI
     }

@@ -101,7 +101,7 @@ impl EnergyLedger {
 
     /// Mean power over the accounted elapsed time, µW. Returns 0 if no
     /// time has been accounted.
-    pub fn mean_uw(&self) -> f64 {
+    fn mean_uw(&self) -> f64 {
         let elapsed = self.elapsed_us();
         if elapsed == 0.0 {
             0.0

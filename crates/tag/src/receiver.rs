@@ -149,7 +149,7 @@ impl ReceiverCircuit {
 
 /// The run-length signature of the downlink preamble: lengths (in bits) of
 /// its alternating runs, starting with the leading run of ones.
-pub fn preamble_run_lengths() -> Vec<u64> {
+fn preamble_run_lengths() -> Vec<u64> {
     let mut runs = Vec::new();
     let mut current = DOWNLINK_PREAMBLE[0];
     let mut len = 0u64;
@@ -201,7 +201,7 @@ impl PreambleMatcher {
 
     /// Creates a matcher with an explicit run-duration tolerance (fraction
     /// of a bit).
-    pub fn with_tolerance(bit_us: f64, tolerance: f64) -> Self {
+    fn with_tolerance(bit_us: f64, tolerance: f64) -> Self {
         assert!(bit_us > 0.0);
         let needed = preamble_run_lengths().len() + 1;
         PreambleMatcher {
@@ -220,7 +220,7 @@ impl PreambleMatcher {
     /// the final run's *starting* transition anchors the end of the
     /// preamble, so a match is reported on the transition that begins the
     /// run *after* the preamble's last run.
-    pub fn on_transition(&mut self, t_us: u64, level: bool) -> Option<PreambleMatch> {
+    fn on_transition(&mut self, t_us: u64, level: bool) -> Option<PreambleMatch> {
         self.wakeups += 1;
         self.history.push((t_us, level));
         if self.history.len() > self.needed {

@@ -66,17 +66,6 @@ impl Station {
             kind: FrameKind::Data,
         }
     }
-
-    /// A beaconing AP: 50-byte beacons at 6 Mbps (beacons go out at a base
-    /// rate on real networks).
-    pub fn beaconing(arrivals: Vec<u64>) -> Self {
-        Station {
-            arrivals,
-            payload_bytes: 50,
-            rate_mbps: 6.0,
-            kind: FrameKind::Beacon,
-        }
-    }
 }
 
 /// One frame as it appeared on the air.
@@ -342,8 +331,13 @@ mod tests {
 
     #[test]
     fn beacons_go_out_on_schedule() {
-        let arrivals = traffic::beacons(102_400, 1_024_000);
-        let ap = Station::beaconing(arrivals);
+        // A beaconing AP: 50-byte beacons at the 6 Mbps base rate.
+        let ap = Station {
+            arrivals: traffic::beacons(102_400, 1_024_000),
+            payload_bytes: 50,
+            rate_mbps: 6.0,
+            kind: FrameKind::Beacon,
+        };
         let (timeline, stats) = medium(8).simulate(&[ap], 1_024_000);
         assert_eq!(stats.delivered, 10);
         for (i, t) in timeline.iter().enumerate() {

@@ -25,7 +25,7 @@ pub const INTEL5300_ANTENNAS: usize = 3;
 /// [−28, −26, ..., −2, −1? ] — we use the symmetric grid
 /// −28, −26, …, −2, +2, …, +28 minus one bin to land on exactly 30 entries,
 /// keeping the grid symmetric and DC-free.
-pub fn csi_subchannel_bins() -> Vec<i32> {
+fn csi_subchannel_bins() -> Vec<i32> {
     // 15 bins on each side: -29 + 2k for k in 1..=14 gives -27..-1; use
     // odd bins ±1, ±3, ..., ±29 → 30 bins, symmetric, DC-free, spanning
     // the occupied band.

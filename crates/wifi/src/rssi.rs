@@ -53,15 +53,6 @@ impl RssiExtractor {
         }
     }
 
-    /// Creates an extractor with custom quantisation/jitter (for ablation).
-    pub fn with_params(rng: SimRng, quant_db: f64, jitter_db: f64) -> Self {
-        RssiExtractor {
-            rng,
-            quant_db,
-            jitter_db,
-        }
-    }
-
     /// Measures per-antenna RSSI for one received packet.
     pub fn measure(&mut self, snap: &ChannelSnapshot, timestamp_us: u64) -> RssiMeasurement {
         self.measure_with(snap, timestamp_us, &mut NullRecorder)
@@ -168,7 +159,11 @@ mod tests {
         let offs = offsets();
         let a = s.snapshot(0.0, TagState::Reflect, &offs);
         let b = s.snapshot(0.0, TagState::Absorb, &offs);
-        let mut ex = RssiExtractor::with_params(SimRng::new(6), 0.0, 0.0);
+        let mut ex = RssiExtractor {
+            rng: SimRng::new(6),
+            quant_db: 0.0,
+            jitter_db: 0.0,
+        };
         let ra = ex.measure(&a, 0).rssi_dbm[0];
         let rb = ex.measure(&b, 0).rssi_dbm[0];
         assert!((ra - rb).abs() > 0.05, "differential {} dB", ra - rb);

@@ -19,9 +19,6 @@
 //!
 //! * the coarse symbol clock ([`SYMBOL_US`]) and how many symbols a
 //!   frame of a given airtime carries;
-//! * the codeword translation itself ([`translate`] /
-//!   [`observed_flip`]) — a phase flip toggles the phase MSB of the
-//!   4-bit CCK codeword index;
 //! * the flip-decision error model ([`flip_error_prob`] over
 //!   [`residue_excess_db`]): the tag's reflected sideband must clear
 //!   the receiver's residue floor, and the margin falls with
@@ -38,10 +35,6 @@ use crate::frame::airtime_us;
 /// per-rate bookkeeping.
 pub const SYMBOL_US: u64 = 4;
 
-/// The phase MSB of the 4-bit CCK codeword index: a π phase flip by the
-/// tag lands the symbol on the codeword with this bit toggled.
-pub const PHASE_FLIP_MASK: u8 = 0x8;
-
 /// Symbols carried by `duration_us` of airtime.
 pub fn symbols_in(duration_us: u64) -> u64 {
     duration_us / SYMBOL_US
@@ -51,27 +44,6 @@ pub fn symbols_in(duration_us: u64) -> u64 {
 /// — [`crate::frame::airtime_us`] quantised to the symbol clock.
 pub fn data_frame_symbols(payload_bytes: usize, rate_mbps: f64) -> u64 {
     symbols_in(airtime_us(payload_bytes, rate_mbps))
-}
-
-/// The codeword the air carries when the helper transmits `codeword`
-/// (a 4-bit CCK index) and the tag's switch state applies (`flip`) or
-/// does not apply a π phase shift. Translation is an involution: two
-/// flips restore the original.
-pub fn translate(codeword: u8, flip: bool) -> u8 {
-    debug_assert!(codeword < 16, "CCK codeword index is 4 bits");
-    if flip {
-        codeword ^ PHASE_FLIP_MASK
-    } else {
-        codeword
-    }
-}
-
-/// The receiver's flip decision: compare the demodulated codeword
-/// against the one the helper actually sent (known from decoding the
-/// frame itself) and report whether the tag's phase flip separates
-/// them.
-pub fn observed_flip(tx_codeword: u8, rx_codeword: u8) -> bool {
-    (tx_codeword ^ rx_codeword) & PHASE_FLIP_MASK != 0
 }
 
 /// Margin (dB) of the tag's reflected sideband over the receiver's
@@ -109,25 +81,6 @@ mod tests {
         assert_eq!(data_frame_symbols(1000, 54.0), 42);
         assert_eq!(symbols_in(0), 0);
         assert_eq!(symbols_in(SYMBOL_US * 7 + 3), 7);
-    }
-
-    #[test]
-    fn translation_is_an_involution_and_stays_in_the_codebook() {
-        for cw in 0u8..16 {
-            assert_eq!(translate(translate(cw, true), true), cw);
-            assert_eq!(translate(cw, false), cw);
-            assert!(translate(cw, true) < 16);
-            assert_ne!(translate(cw, true), cw, "flip must move the codeword");
-        }
-    }
-
-    #[test]
-    fn observed_flip_recovers_the_tag_bit() {
-        for cw in 0u8..16 {
-            for flip in [false, true] {
-                assert_eq!(observed_flip(cw, translate(cw, flip)), flip);
-            }
-        }
     }
 
     #[test]

@@ -163,6 +163,41 @@ echo "== energy conformance (always-powered bit-identity, brownout physics, awar
 # stays byte-identical across worker counts with the model armed.
 cargo test --release -q -p bs-net --test energy_conformance
 
+echo "== experiments quick pinned figure by figure =="
+# `experiments quick` prints the same bytes under any --jobs; the digest
+# of each `# === <figure> ===` section is pinned in
+# tests/golden/experiments_quick.txt, so a change to any figure's output
+# fails here and names the figure. Re-bless intentionally with
+# GOLDEN_BLESS=1 (as for golden_decode) and say so in CHANGES.md.
+section_digests() {
+    # One "<digest>  <header>" line per section of stdin; lines before the
+    # first header form a section of their own.
+    local header="(before the first figure)" body="" line
+    while IFS= read -r line; do
+        if [[ $line == "# === "* ]]; then
+            [ -n "$body" ] && printf '%s  %s\n' "$(printf '%s' "$body" | sha256sum | cut -c1-16)" "$header"
+            header=$line
+            body=""
+        fi
+        body+="$line"$'\n'
+    done
+    [ -n "$body" ] && printf '%s  %s\n' "$(printf '%s' "$body" | sha256sum | cut -c1-16)" "$header"
+}
+QUICK_GOLDEN=tests/golden/experiments_quick.txt
+quick_digests=$(target/release/experiments quick --jobs 2 | section_digests)
+if [ -n "${GOLDEN_BLESS:-}" ]; then
+    printf '%s\n' "$quick_digests" > "$QUICK_GOLDEN"
+    echo "blessed $QUICK_GOLDEN"
+else
+    changed=$(comm -3 <(sort "$QUICK_GOLDEN") <(printf '%s\n' "$quick_digests" | sort) |
+        sed -E 's/^[[:space:]]*[0-9a-f]+  //' | sort -u)
+    if [ -n "$changed" ]; then
+        echo "error: experiments quick output differs from $QUICK_GOLDEN in:" >&2
+        printf '  %s\n' "$changed" >&2
+        exit 1
+    fi
+fi
+
 echo "== examples run clean =="
 for ex in $EXAMPLES; do
     echo "-- example: ${ex#*:}"

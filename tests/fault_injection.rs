@@ -17,6 +17,7 @@
 
 use bs_channel::faults::{FaultPlan, PRESET_SCENARIOS};
 use bs_dsp::bits::BerCounter;
+use bs_dsp::SimRng;
 use wifi_backscatter::error::SessionError;
 use wifi_backscatter::link::{
     DegradationReport, LinkConfig, Measurement, MitigationPolicy, UplinkRun,
@@ -56,7 +57,7 @@ fn sweep_point(
     let mut detected = 0;
     let mut report = DegradationReport::default();
     for r in 0..runs {
-        let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let run_seed = SimRng::run_seed(seed, r);
         let run = run_uplink(&faulted_cfg(scenario, severity, mitigated, run_seed));
         ber.merge(&run.ber);
         detected += u64::from(run.detected);

@@ -24,6 +24,7 @@
 
 use bs_channel::faults::FaultPlan;
 use bs_dsp::obs::{MemRecorder, NullRecorder};
+use bs_dsp::rng::Fnv1a64;
 use bs_net::prelude::*;
 use wifi_backscatter::protocol::RetryPolicy;
 
@@ -61,6 +62,7 @@ fn wild_link(severity: f64, seed: u64) -> SimLink {
         wild_plan(severity, seed),
         seed,
     )
+    .expect("valid traffic")
 }
 
 /// The transport config both arms share: a wide window (the RF-powered
@@ -203,7 +205,8 @@ fn adaptive_rule_disables_fec_on_benign_traffic_bit_for_bit() {
         ..WildTraffic::default()
     };
     let seed = 11u64;
-    let probe = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
+    let probe = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed)
+        .expect("valid traffic");
     let stats = RateEstimator::new().measure(probe.arrivals(), HORIZON_US);
     let fec = FecConfig::for_traffic(&stats);
     assert!(
@@ -212,9 +215,11 @@ fn adaptive_rule_disables_fec_on_benign_traffic_bit_for_bit() {
     );
 
     let msg = message(1024, 7);
-    let mut plain_link = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
+    let mut plain_link = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed)
+        .expect("valid traffic");
     let plain = run_transfer(&msg, wild_config(seed), &mut plain_link);
-    let mut fec_link = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed);
+    let mut fec_link = SimLink::from_traffic(&benign, HORIZON_US, wild_plan(0.3, seed), seed)
+        .expect("valid traffic");
     let coded = run_transfer(&msg, wild_config(seed).with_fec(fec), &mut fec_link);
     assert_eq!(
         plain, coded,
@@ -226,11 +231,9 @@ fn adaptive_rule_disables_fec_on_benign_traffic_bit_for_bit() {
 /// FNV-1a 64 over the `Debug` rendering of a [`Transfer`]: every field,
 /// the delivered bytes and the degradation report included.
 fn transfer_digest(t: &Transfer) -> u64 {
-    format!("{t:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+    let mut h = Fnv1a64::new();
+    h.write(format!("{t:?}").as_bytes());
+    h.finish()
 }
 
 #[test]

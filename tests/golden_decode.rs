@@ -15,6 +15,7 @@
 
 use bs_channel::faults::FaultPlan;
 use bs_dsp::correlate::{best_alignment, peak, sliding};
+use bs_dsp::rng::Fnv1a64;
 use bs_dsp::slicer::{majority, sign_decision, vote_bit, Decision, HysteresisSlicer};
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 use wifi_backscatter::phy::run_uplink;
@@ -197,24 +198,18 @@ fn golden_uplink_decode_chain() {
 /// to 7 significant digits; this digest catches a change to any measured
 /// value down to its last bit.
 fn capture_digest(bundle: &wifi_backscatter::SeriesBundle) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(bundle.packets() as u64);
-    eat(bundle.channels() as u64);
+    let mut h = Fnv1a64::new();
+    h.write_u64(bundle.packets() as u64);
+    h.write_u64(bundle.channels() as u64);
     for &t in bundle.t_us() {
-        eat(t);
+        h.write_u64(t);
     }
     for c in 0..bundle.channels() {
         for v in bundle.channel(c) {
-            eat(v.to_bits());
+            h.write_u64(v.to_bits());
         }
     }
-    h
+    h.finish()
 }
 
 /// Bit-exact raw captures (the measured series before any decoding) at

@@ -16,6 +16,7 @@
 
 use bs_channel::faults::{Fault, FaultPlan};
 use bs_dsp::obs::{MemRecorder, NullRecorder, ObsReport};
+use bs_dsp::rng::Fnv1a64;
 use bs_net::prelude::*;
 
 /// A deterministic test message that is not byte-repetitive.
@@ -205,11 +206,9 @@ fn obs_report_carries_retx_counters_and_spans() {
 /// FNV-1a 64 over the `Debug` rendering of a [`Transfer`]: every field,
 /// the delivered bytes and the degradation report included.
 fn transfer_digest(t: &Transfer) -> u64 {
-    format!("{t:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+    let mut h = Fnv1a64::new();
+    h.write(format!("{t:?}").as_bytes());
+    h.finish()
 }
 
 #[test]
