@@ -6,7 +6,7 @@ use bs_channel::fading::{FadingConfig, SlowFading};
 use bs_channel::geometry::{line_of_sight, path_wall_loss_db, Point, Wall};
 use bs_channel::multipath::{Multipath, MultipathConfig};
 use bs_channel::pathloss::{db_to_linear, linear_to_db, LogDistance, WIFI_CH6_HZ};
-use bs_channel::scene::{Scene, SceneConfig};
+use bs_channel::scene::{ChannelSnapshot, InterferenceConfig, Scene, SceneConfig, SceneStep};
 use bs_dsp::testkit::check;
 use bs_dsp::SimRng;
 
@@ -150,5 +150,72 @@ fn scene_snapshot_deterministic() {
         let sa = a.snapshot(0.0, TagState::Reflect, &f);
         let sb = b.snapshot(0.0, TagState::Reflect, &f);
         assert_eq!(sa.h, sb.h);
+    });
+}
+
+/// Every bit of a snapshot: its channel, powers, time, shape and state.
+fn snapshot_bits(s: &ChannelSnapshot) -> (Vec<u64>, usize, TagState) {
+    let scalars = [s.tx_mw_per_subcarrier, s.noise_mw_per_subcarrier, s.time_s];
+    let bits = (s.h.iter().flat_map(|c| [c.re, c.im]))
+        .chain(scalars)
+        .map(f64::to_bits)
+        .collect();
+    (bits, s.antennas, s.tag_state)
+}
+
+/// `Scene::snapshot` is its serial step followed by the pure fill, bit
+/// for bit, also in the order a capture runs them: every step first,
+/// then each fill from a cloned table into one reused snapshot.
+#[test]
+fn snapshot_is_its_step_then_a_fill() {
+    check("scene-step-then-fill", 64, |g| {
+        let seed = g.case().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut cfg = SceneConfig::uplink(g.f64_in(0.05, 3.0));
+        let antennas = g.usize_in(1, 5);
+        cfg.reader_antennas = antennas;
+        if g.bool() {
+            cfg.fading = FadingConfig::static_channel();
+        }
+        if g.bool() {
+            cfg.interference = Some(InterferenceConfig::microwave_oven());
+        }
+        let offsets = g.vec_f64(-10e6, 10e6, 1, 31);
+        let mut t_s = 0.0;
+        let plan: Vec<(f64, TagState)> = (0..g.usize_in(1, 40))
+            .map(|_| {
+                // Some packets share an instant.
+                if g.bool() {
+                    t_s += g.f64_in(0.0, 0.05);
+                }
+                let state = if g.bool() {
+                    TagState::Reflect
+                } else {
+                    TagState::Absorb
+                };
+                (t_s, state)
+            })
+            .collect();
+        let mut whole = Scene::new(cfg.clone(), &SimRng::new(seed));
+        let mut split = Scene::new(cfg, &SimRng::new(seed));
+        let steps: Vec<SceneStep> = plan.iter().map(|&(t, s)| split.step(t, s)).collect();
+        let table = split.table(&offsets).clone();
+        let mut reused = table.snapshot(&steps[steps.len() - 1]);
+        for (k, (&(t, state), step)) in plan.iter().zip(&steps).enumerate() {
+            let want = whole.snapshot(t, state, &offsets);
+            let shape = (want.antennas, want.h.len());
+            assert_eq!(shape, (antennas, antennas * offsets.len()));
+            assert_eq!(
+                (want.time_s.to_bits(), want.tag_state),
+                (t.to_bits(), state)
+            );
+            assert_eq!(
+                snapshot_bits(&table.snapshot(step)),
+                snapshot_bits(&want),
+                "case {} packet {k}",
+                g.case()
+            );
+            table.fill(step, &mut reused);
+            assert_eq!(snapshot_bits(&reused), snapshot_bits(&want));
+        }
     });
 }

@@ -21,11 +21,12 @@ use crate::phy::PhyConfig;
 use crate::series::{SeriesBundle, SlotIndex};
 use crate::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use bs_channel::faults::{FaultEvents, FaultPlan};
-use bs_channel::scene::{ChannelSnapshot, Scene, SceneConfig};
+use bs_channel::scene::{Scene, SceneConfig, SceneStep};
+use bs_channel::TagState;
 use bs_dsp::bits::BerCounter;
 use bs_dsp::codes::OrthogonalPair;
 use bs_dsp::obs::{NullRecorder, Recorder};
-use bs_dsp::par::for_each_chunk_mut;
+use bs_dsp::par::pipeline;
 use bs_dsp::SimRng;
 use bs_tag::envelope::{EnvelopeConfig, EnvelopeModel};
 use bs_tag::frame::{DownlinkFrame, UplinkFrame};
@@ -474,12 +475,8 @@ fn capture(
     }
     let mut scene = Scene::new(scene_cfg, &root.stream("scene"));
     let offsets = csi_subchannel_offsets();
-    // One snapshot per packet, in packet order: the scene's fading
-    // advances with time.
-    let mut snapshot = |t_us: u64| {
-        let state = modulator.state_at(tag_clock(t_us));
-        scene.snapshot(t_us as f64 / 1e6, state, &offsets)
-    };
+    // The tag's state at a packet's MAC time, read on the tag's clock.
+    let state_at = |t_us: u64| modulator.state_at(tag_clock(t_us));
     let bundle = match cfg.measurement {
         Measurement::Csi => {
             let csi_cfg = if cfg.ideal_csi {
@@ -493,7 +490,9 @@ fn capture(
             let sweep = CsiSweep {
                 ex: CsiExtractor::new(csi_cfg, root.stream("csi")),
                 packets: &packets,
-                snapshot: &mut snapshot,
+                scene: &mut scene,
+                offsets: &offsets,
+                state_at: &state_at,
                 frozen: &|t_us| degrade && plan.sensor_frozen_at(t_us),
             };
             measure_csi(sweep, &mut events, rec)
@@ -506,9 +505,14 @@ fn capture(
                 events.fire("sensor-degradation");
             }
             let mut ex = RssiExtractor::new(root.stream("rssi"));
+            // One snapshot per packet, in packet order: the scene's
+            // fading advances with time.
             let ms: Vec<_> = packets
                 .iter()
-                .map(|&t_us| ex.measure_with(&snapshot(t_us), t_us, rec))
+                .map(|&t_us| {
+                    let snap = scene.snapshot(t_us as f64 / 1e6, state_at(t_us), &offsets);
+                    ex.measure_with(&snap, t_us, rec)
+                })
                 .collect();
             SeriesBundle::from_rssi(&ms)
         }
@@ -529,24 +533,24 @@ fn capture(
     }
 }
 
-/// Packets per batch of a [`CsiSweep`]: enough to keep every worker
-/// busy between two joins, few enough that the batch buffers stay near
-/// 0.5 MB.
-const CSI_BATCH: usize = 256;
-
 /// The CSI half of a capture: the extractor at the first packet, each
-/// packet's MAC timestamp, its snapshot (taken in packet order), and
-/// whether a sensor fault freezes the report at that time.
+/// packet's MAC timestamp, the scene with the subcarrier offsets and the
+/// tag's state at a packet's time, and whether a sensor fault freezes
+/// the report at that time.
 struct CsiSweep<'a> {
     ex: CsiExtractor,
     packets: &'a [u64],
-    snapshot: &'a mut dyn FnMut(u64) -> ChannelSnapshot,
+    scene: &'a mut Scene,
+    offsets: &'a [f64],
+    state_at: &'a dyn Fn(u64) -> TagState,
     frozen: &'a dyn Fn(u64) -> bool,
 }
 
-/// One packet of a sweep's batch between its serial and parallel pass.
+/// One packet between the sweep's serial and parallel stage: its time,
+/// its [`SceneStep`] and the extractor's position, with no heap.
 struct Pending {
-    snap: ChannelSnapshot,
+    t_us: u64,
+    step: SceneStep,
     /// The extractor positioned at this packet; `None` for a frozen
     /// packet, whose report repeats the last fresh one.
     fresh: Option<CsiExtractor>,
@@ -554,83 +558,79 @@ struct Pending {
 
 impl CsiSweep<'_> {
     /// Measures every packet and builds the bundle on up to `jobs`
-    /// workers, bit for bit what [`CsiExtractor::measure_with`] per
-    /// packet and [`SeriesBundle::from_csi`] build (DESIGN.md §5 "A
-    /// capture on every core").
+    /// threads, bit for bit what [`Scene::snapshot`] and
+    /// [`CsiExtractor::measure_with`] per packet and
+    /// [`SeriesBundle::from_csi`] build (DESIGN.md §5 "A capture on every
+    /// core").
     ///
-    /// Batch by batch, a serial pass takes each snapshot and keeps it,
-    /// keeps the extractor's position and moves it past the packet with
-    /// [`CsiExtractor::skip_with`], which draws every uniform and records
-    /// every counter but computes nothing. A parallel pass then resumes
-    /// each fresh packet's stream with [`CsiExtractor::measure_into`],
-    /// writing its row in place. Last, the rows are pushed in order, a
-    /// frozen packet repeating the last fresh row, across batches too.
+    /// A [`pipeline`] streams the packets. On the calling thread, in
+    /// packet order, each packet's [`Scene::step`] advances the fading,
+    /// the sensor freeze is decided, and the extractor's position is kept
+    /// and moved past the packet with [`CsiExtractor::skip_with`], which
+    /// draws every uniform and records every counter but computes
+    /// nothing. On any thread, a fresh packet's channel is filled from a
+    /// copy of the scene's [`bs_channel::scene::ChannelTable`] into that
+    /// thread's snapshot, and [`CsiExtractor::measure_into`] resumes the
+    /// packet's stream and writes its row in place. Back on the calling
+    /// thread the rows go into the bundle in order, a frozen packet
+    /// repeating the last fresh row.
     fn run(self, jobs: usize, events: &mut FaultEvents, rec: &mut dyn Recorder) -> SeriesBundle {
         let CsiSweep {
             mut ex,
             packets,
-            snapshot,
+            scene,
+            offsets,
+            state_at,
             frozen,
         } = self;
-        let jobs = if packets.len() < CSI_BATCH { 1 } else { jobs };
-        let batch_len = CSI_BATCH.min(packets.len());
-        // Values per packet, from the first snapshot.
-        let mut width = 0;
-        let mut bundle = SeriesBundle::new(0);
-        // Batch buffers, reused: pending packets, timestamps, rows.
-        let mut pending: Vec<Pending> = Vec::with_capacity(batch_len);
-        let mut t_us: Vec<u64> = Vec::with_capacity(batch_len);
-        let mut rows: Vec<f64> = Vec::new();
-        let mut last_fresh: Vec<f64> = Vec::new();
-        for batch in packets.chunks(CSI_BATCH) {
-            pending.clear();
-            t_us.clear();
-            for &t in batch {
-                let snap = snapshot(t);
+        let step = |scene: &mut Scene, t_us: u64| scene.step(t_us as f64 / 1e6, state_at(t_us));
+        let Some(&t0) = packets.first() else {
+            return SeriesBundle::new(0);
+        };
+        // The first packet's snapshot sizes the rows; `skip_with` reads
+        // only its shape, which every packet shares.
+        let mut first = Some(step(scene, t0));
+        let table = scene.table(offsets).clone();
+        let shape = table.snapshot(first.as_ref().expect("stepped above"));
+        let width = shape.h.len();
+        let mut bundle = SeriesBundle::with_capacity(width, packets.len());
+        let mut last_fresh = vec![0.0; width];
+        let measured = pipeline(
+            jobs,
+            packets.len(),
+            width,
+            |i| {
+                let t_us = packets[i];
+                let step = first.take().unwrap_or_else(|| step(scene, t_us));
                 // A frozen report repeats the last fresh one, so the
                 // first packet is always fresh.
-                let first = bundle.packets() + pending.len() == 0;
-                if first {
-                    width = snap.h.len();
-                    bundle = SeriesBundle::with_capacity(width, packets.len());
-                    rows.resize(width * batch_len, 0.0);
-                }
-                let stale = !first && frozen(t);
+                let stale = i > 0 && frozen(t_us);
                 if stale {
                     events.fire("sensor-degradation");
                     events.frozen_packets += 1;
                 }
                 let fresh = (!stale).then(|| ex.clone());
-                ex.skip_with(&snap, rec);
-                pending.push(Pending { snap, fresh });
-                t_us.push(t);
-            }
-
-            let rows = &mut rows[..batch.len() * width];
-            if width > 0 {
-                let measured = for_each_chunk_mut(jobs, rows, width, |i, row| {
-                    let p = &pending[i];
-                    if let Some(ex) = &p.fresh {
-                        ex.clone().measure_into(&p.snap, row);
-                    }
-                });
-                if let Err(p) = measured {
-                    panic!("{}", p.message);
+                ex.skip_with(&shape, rec);
+                Pending { t_us, step, fresh }
+            },
+            || shape.clone(),
+            |snap, p, row| {
+                if let Some(ex) = &mut p.fresh {
+                    table.fill(&p.step, snap);
+                    ex.measure_into(snap, row);
                 }
-            }
-            let mut src = last_fresh.as_slice();
-            let row_refs: Vec<&[f64]> = (pending.iter().enumerate())
-                .map(|(i, p)| {
-                    if p.fresh.is_some() {
-                        src = &rows[i * width..(i + 1) * width];
-                    }
-                    src
-                })
-                .collect();
-            bundle
-                .push_rows(&t_us, &row_refs)
-                .expect("inconsistent CSI measurements");
-            last_fresh = src.to_vec();
+            },
+            |p, row| {
+                if p.fresh.is_some() {
+                    last_fresh.copy_from_slice(row);
+                }
+                bundle
+                    .push(p.t_us, &last_fresh)
+                    .expect("inconsistent CSI measurements");
+            },
+        );
+        if let Err(p) = measured {
+            panic!("{}", p.message);
         }
         bundle
     }
@@ -1079,6 +1079,10 @@ mod tests {
     use bs_dsp::obs::MemRecorder;
     use bs_wifi::CsiMeasurement;
 
+    /// 256 packets: a whole number of the runtime's chunks, so the batch
+    /// boundaries these tests cross are chunk boundaries as well.
+    const CSI_BATCH: usize = 256;
+
     /// What a sweep yields, bit for bit: the timestamps, every channel's
     /// values as bits, the fault events and the recorder's JSON.
     type Outcome = (Vec<u64>, Vec<Vec<u64>>, FaultEvents, String);
@@ -1101,14 +1105,17 @@ mod tests {
         let CsiSweep {
             mut ex,
             packets,
-            snapshot,
+            scene,
+            offsets,
+            state_at,
             frozen,
         } = sweep;
         let mut last: Option<CsiMeasurement> = None;
         let ms: Vec<_> = packets
             .iter()
             .map(|&t| {
-                let fresh = ex.measure_with(&snapshot(t), t, rec);
+                let snap = scene.snapshot(t as f64 / 1e6, state_at(t), offsets);
+                let fresh = ex.measure_with(&snap, t, rec);
                 if frozen(t) {
                     if let Some(prev) = &last {
                         events.fire("sensor-degradation");
@@ -1218,19 +1225,19 @@ mod tests {
     fn sweep_at(n: u64, jobs: Option<usize>) -> Outcome {
         let offsets = csi_subchannel_offsets();
         let mut scene = Scene::new(SceneConfig::uplink(0.3), &SimRng::new(7));
-        let mut snapshot = |t: u64| {
-            let state = if (t / 4000) % 2 == 0 {
-                TagState::Absorb
-            } else {
-                TagState::Reflect
-            };
-            scene.snapshot(t as f64 / 1e6, state, &offsets)
-        };
         let packets: Vec<u64> = (0..n).map(|i| i * 1000).collect();
         let sweep = CsiSweep {
             ex: CsiExtractor::intel5300(SimRng::new(8)),
             packets: &packets,
-            snapshot: &mut snapshot,
+            scene: &mut scene,
+            offsets: &offsets,
+            state_at: &|t| {
+                if (t / 4000) % 2 == 0 {
+                    TagState::Absorb
+                } else {
+                    TagState::Reflect
+                }
+            },
             frozen: &|t| t % 5000 < 2000,
         };
         let (mut events, mut rec) = (FaultEvents::default(), MemRecorder::new());

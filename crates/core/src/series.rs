@@ -100,27 +100,6 @@ impl SeriesBundle {
         Ok(())
     }
 
-    /// Appends one packet per row of `rows`, stamped with the matching
-    /// entry of `t_us`: each row runs [`Self::push`]'s check in order,
-    /// then the values go in column by column. A refused row stores
-    /// nothing of the whole call.
-    ///
-    /// # Panics
-    /// Panics if `t_us` and `rows` differ in length.
-    pub(crate) fn push_rows(&mut self, t_us: &[u64], rows: &[&[f64]]) -> Result<(), SeriesError> {
-        assert_eq!(t_us.len(), rows.len(), "one timestamp per row");
-        let mut last = self.t_us.last().copied();
-        for (p, (&t, row)) in t_us.iter().zip(rows).enumerate() {
-            check(self.packets() + p, last, t, row.len(), self.channels())?;
-            last = Some(t);
-        }
-        self.t_us.extend_from_slice(t_us);
-        for (c, column) in self.series.iter_mut().enumerate() {
-            column.extend(rows.iter().map(|row| row[c]));
-        }
-        Ok(())
-    }
-
     /// Builds a bundle from whole columns (`series[channel][packet]`),
     /// for synthetic and sliced bundles. Rejects exactly what pushing the
     /// rows one at a time would, with the same error at the first bad
@@ -604,29 +583,6 @@ mod tests {
         assert_eq!(b, before);
         assert_eq!(b.push(200, &[2.0]), Ok(()));
         assert_eq!(b.channel(0), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn push_rows_matches_push_and_refuses_whole() {
-        let (a, b, c) = ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]);
-        let mut pushed = SeriesBundle::new(2);
-        for (t, row) in [(10, &a), (20, &b), (20, &c)] {
-            pushed.push(t, row).unwrap();
-        }
-        let mut bulk = SeriesBundle::new(2);
-        bulk.push_rows(&[10], &[&a]).unwrap();
-        bulk.push_rows(&[20, 20], &[&b, &c]).unwrap();
-        assert_eq!(bulk, pushed);
-        let before = bulk.clone();
-        assert_eq!(
-            bulk.push_rows(&[30, 25], &[&a, &b]),
-            Err(SeriesError::Backwards { packet: 4 })
-        );
-        assert_eq!(
-            bulk.push_rows(&[30, 40], &[&a, &[1.0]]),
-            Err(SeriesError::Width { packet: 4 })
-        );
-        assert_eq!(bulk, before);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! chunk) the same loop runs inline on the calling thread, and so does a
 //! call made from inside a worker: when the outer map already has every
 //! core busy, a nested one would only add threads that fight for them.
-//! [`for_each_chunk_mut`] is the same map over disjoint mutable chunks
-//! of one slice, for work that fills a buffer in place.
+//! [`pipeline`] is the streaming form for work with a serial part: the
+//! calling thread produces items in order while the workers fill each
+//! item's row, and takes the rows back in order.
 //!
 //! Every chunk runs under [`std::panic::catch_unwind`], inline and
 //! threaded alike, so a panic comes back as a typed [`ChunkPanic`]
@@ -29,10 +30,11 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 thread_local! {
     /// Set on the threads [`map_indexed`] spawns, so nested calls run inline.
@@ -75,7 +77,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     if jobs <= 1 || n <= 1 || IN_WORKER.get() {
-        return (0..n).map(|i| run_chunk(&f, i)).collect();
+        return (0..n).map(|i| run_chunk(i, || f(i))).collect();
     }
     let workers = jobs.min(n);
     let cursor = AtomicUsize::new(0);
@@ -93,7 +95,7 @@ where
                         if i >= n {
                             break;
                         }
-                        let out = run_chunk(f, i);
+                        let out = run_chunk(i, || f(i));
                         if out.is_err() {
                             cursor.fetch_max(n, Ordering::Relaxed);
                         }
@@ -129,51 +131,270 @@ where
         .collect())
 }
 
-/// Runs `f(i, chunk)` for the `i`th chunk of `data.chunks_mut(chunk_len)`,
-/// each exactly once, on up to `jobs` workers: [`map_indexed`] over the
-/// chunks, with the same scheduling, nesting and panic contract. Chunks
-/// below the first panicking one have been written; the rest of `data`
-/// is unspecified.
+/// Items a [`pipeline`] hands to a thread at a time: about 0.6 ms of a
+/// capture's CSI math, so the queue's lock is taken a few thousand
+/// times a second at most. On two cores 16 measured slower, 32 to 256
+/// alike.
+const PIPELINE_CHUNK: usize = 64;
+
+/// Streams items `0..n` through three stages on up to `jobs` threads.
+/// `produce(i)` makes item `i` on the calling thread, in index order;
+/// `work(scratch, item, row)` fills the item's row of `width` values on
+/// any thread; `consume(item, row)` takes each item back on the calling
+/// thread, in index order again. So the serial `produce` of later items
+/// overlaps the parallel `work` on earlier ones.
+///
+/// [`map_indexed`]'s contract carries over. With `jobs <= 1`, at most
+/// one chunk (64 items), or inside a worker, the three calls run inline,
+/// item by item. `work` runs under `catch_unwind` on every thread, the
+/// calling one included, and a panic comes back as the [`ChunkPanic`]
+/// of the lowest item whose `work` panicked: every item below it has
+/// been consumed, and none at or above it.
+///
+/// The threads are spawned once per call and take items in chunks of 64
+/// from one queue, in index order. The calling thread produces chunks
+/// while at most two per thread are in flight; while it waits for the
+/// next chunk in order, it runs `work` on queued ones itself. Each
+/// thread makes its `scratch` once, and chunk buffers are reused, so a
+/// call allocates the same few buffers whatever `n` is.
 ///
 /// ```
-/// use bs_dsp::par::for_each_chunk_mut;
+/// use bs_dsp::par::pipeline;
 ///
-/// let mut rows = vec![0usize; 12];
-/// for_each_chunk_mut(2, &mut rows, 3, |i, row| row.fill(i)).unwrap();
-/// assert_eq!(rows, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
+/// let mut rows = Vec::new();
+/// pipeline(
+///     2,
+///     100,
+///     3,
+///     |i| i,
+///     || (),
+///     |_, &mut i, row: &mut [usize]| row.fill(i * i),
+///     |&i, row| rows.push((i, row.to_vec())),
+/// )
+/// .unwrap();
+/// assert_eq!(rows.len(), 100);
+/// assert_eq!(rows[7], (7, vec![49; 3]));
 /// ```
 ///
 /// # Errors
-/// [`ChunkPanic`] naming the lowest-index chunk whose `f` panicked.
-///
-/// # Panics
-/// Panics if `chunk_len` is 0, as [`slice::chunks_mut`] does.
-pub fn for_each_chunk_mut<T, F>(
+/// [`ChunkPanic`] naming the lowest item whose `work` panicked; a panic
+/// in `produce`, `scratch` or `consume` unwinds as usual.
+pub fn pipeline<I, T, S>(
     jobs: usize,
-    data: &mut [T],
-    chunk_len: usize,
-    f: F,
+    n: usize,
+    width: usize,
+    mut produce: impl FnMut(usize) -> I,
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, &mut I, &mut [T]) + Sync,
+    mut consume: impl FnMut(&I, &[T]),
 ) -> Result<(), ChunkPanic>
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    I: Send,
+    T: Clone + Default + Send,
 {
-    // Each chunk is claimed once, so its lock is never contended; it
-    // only hands the one `&mut` across to whichever worker claims it.
-    let chunks: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk_len).map(Mutex::new).collect();
-    map_indexed(jobs, chunks.len(), |i| {
-        f(
-            i,
-            &mut chunks[i]
-                .lock()
-                .expect("a chunk is claimed once, so never poisoned"),
-        );
+    if jobs <= 1 || n <= PIPELINE_CHUNK || IN_WORKER.get() {
+        let (mut scratch, mut row) = (scratch(), vec![T::default(); width]);
+        for i in 0..n {
+            let mut item = produce(i);
+            run_chunk(i, || work(&mut scratch, &mut item, &mut row))?;
+            consume(&item, &row);
+        }
+        return Ok(());
+    }
+    let threads = jobs.min(n.div_ceil(PIPELINE_CHUNK));
+    let queue = ChunkQueue::new();
+    let (queue, scratch, work) = (&queue, &scratch, &work);
+    std::thread::scope(|scope| {
+        let _close = CloseOnDrop(queue);
+        for _ in 1..threads {
+            scope.spawn(move || {
+                IN_WORKER.set(true);
+                let mut scratch = scratch();
+                while let Some(mut chunk) = queue.claim() {
+                    chunk.run(&mut scratch, width, work);
+                    queue.finish(chunk);
+                }
+            });
+        }
+        // The calling thread runs `work` too, so calls nested in it run
+        // inline as on any worker.
+        IN_WORKER.set(true);
+        let mut own_scratch = scratch();
+        let mut spare: Vec<Chunk<I, T>> = Vec::new();
+        let (mut produced, mut consumed, mut in_flight) = (0, 0, 0);
+        while consumed < n {
+            if produced < n && in_flight < 2 * threads {
+                let mut chunk = spare.pop().unwrap_or_else(Chunk::new);
+                let len = PIPELINE_CHUNK.min(n - produced);
+                chunk.refill(produced, len, width, &mut produce);
+                produced += len;
+                in_flight += 1;
+                queue.submit(chunk);
+                continue;
+            }
+            let mut chunk = queue.take_in_order(consumed, |c| c.run(&mut own_scratch, width, work));
+            in_flight -= 1;
+            let clean = (chunk.panic.as_ref()).map_or(chunk.items.len(), |p| p.chunk - chunk.first);
+            for (j, item) in chunk.items[..clean].iter().enumerate() {
+                consume(item, &chunk.rows[j * width..(j + 1) * width]);
+            }
+            if let Some(p) = chunk.panic.take() {
+                return Err(p);
+            }
+            consumed += clean;
+            spare.push(chunk);
+        }
+        Ok(())
     })
-    .map(drop)
 }
 
-fn run_chunk<T>(f: &impl Fn(usize) -> T, i: usize) -> Result<T, ChunkPanic> {
-    catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| ChunkPanic {
+/// Up to [`PIPELINE_CHUNK`] consecutive items of a [`pipeline`], with
+/// their rows.
+struct Chunk<I, T> {
+    /// Index of the first item.
+    first: usize,
+    items: Vec<I>,
+    /// `items.len()` rows of the pipeline's width, back to back.
+    rows: Vec<T>,
+    /// The first item whose `work` panicked; the items after it are not
+    /// worked.
+    panic: Option<ChunkPanic>,
+}
+
+impl<I, T: Clone + Default> Chunk<I, T> {
+    fn new() -> Self {
+        Chunk {
+            first: 0,
+            items: Vec::with_capacity(PIPELINE_CHUNK),
+            rows: Vec::new(),
+            panic: None,
+        }
+    }
+
+    /// Reuses the buffers for items `first..first + len`.
+    fn refill(&mut self, first: usize, len: usize, width: usize, produce: impl FnMut(usize) -> I) {
+        self.first = first;
+        self.panic = None;
+        self.items.clear();
+        self.items.extend((first..first + len).map(produce));
+        self.rows.resize(len * width, T::default());
+    }
+
+    /// Runs `work` on each item in turn, up to the first that panics.
+    /// A thread takes chunks in index order, so whatever a panic leaves
+    /// in its `scratch` only reaches items that are never consumed.
+    fn run<S>(&mut self, scratch: &mut S, width: usize, work: &impl Fn(&mut S, &mut I, &mut [T])) {
+        for (j, item) in self.items.iter_mut().enumerate() {
+            let row = &mut self.rows[j * width..(j + 1) * width];
+            if let Err(p) = run_chunk(self.first + j, || work(scratch, item, row)) {
+                self.panic = Some(p);
+                return;
+            }
+        }
+    }
+}
+
+/// The queue between a [`pipeline`]'s calling thread and its helpers.
+struct ChunkQueue<I, T> {
+    state: Mutex<QueueState<I, T>>,
+    /// Signalled when a chunk is queued or the queue closes; helpers
+    /// wait on it.
+    queued: Condvar,
+    /// Signalled when a helper finishes a chunk; the calling thread
+    /// waits on it.
+    finished: Condvar,
+}
+
+struct QueueState<I, T> {
+    /// Chunks not yet claimed, in index order.
+    todo: VecDeque<Chunk<I, T>>,
+    /// Chunks worked and not yet taken, in any order.
+    done: Vec<Chunk<I, T>>,
+    /// Set when the calling thread stops; helpers then exit.
+    closed: bool,
+}
+
+const QUEUE_LOCK: &str = "no thread panics while it holds the chunk queue";
+
+impl<I, T> ChunkQueue<I, T> {
+    fn new() -> Self {
+        ChunkQueue {
+            state: Mutex::new(QueueState {
+                todo: VecDeque::new(),
+                done: Vec::new(),
+                closed: false,
+            }),
+            queued: Condvar::new(),
+            finished: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState<I, T>> {
+        self.state.lock().expect(QUEUE_LOCK)
+    }
+
+    fn submit(&self, chunk: Chunk<I, T>) {
+        self.lock().todo.push_back(chunk);
+        self.queued.notify_one();
+    }
+
+    /// The next queued chunk, waiting for one; `None` once closed.
+    fn claim(&self) -> Option<Chunk<I, T>> {
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(chunk) = state.todo.pop_front() {
+                return Some(chunk);
+            }
+            state = self.queued.wait(state).expect(QUEUE_LOCK);
+        }
+    }
+
+    fn finish(&self, chunk: Chunk<I, T>) {
+        self.lock().done.push(chunk);
+        self.finished.notify_one();
+    }
+
+    /// The chunk starting at item `first` once it is worked, running
+    /// `run` on queued chunks while it waits.
+    fn take_in_order(&self, first: usize, mut run: impl FnMut(&mut Chunk<I, T>)) -> Chunk<I, T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(k) = state.done.iter().position(|c| c.first == first) {
+                return state.done.swap_remove(k);
+            }
+            if let Some(mut chunk) = state.todo.pop_front() {
+                drop(state);
+                run(&mut chunk);
+                state = self.lock();
+                state.done.push(chunk);
+            } else {
+                state = self.finished.wait(state).expect(QUEUE_LOCK);
+            }
+        }
+    }
+}
+
+/// Closes a [`pipeline`]'s queue however its calling thread leaves the
+/// scope (done, a panicking `work`, or a panic in `produce` or
+/// `consume`), so the helpers exit and the scope can join them.
+struct CloseOnDrop<'a, I, T>(&'a ChunkQueue<I, T>);
+
+impl<I, T> Drop for CloseOnDrop<'_, I, T> {
+    fn drop(&mut self) {
+        IN_WORKER.set(false);
+        // Setting the flag leaves the state valid whatever was poisoned.
+        (self.0.state.lock())
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.0.queued.notify_all();
+    }
+}
+
+fn run_chunk<T>(i: usize, f: impl FnOnce() -> T) -> Result<T, ChunkPanic> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| ChunkPanic {
         chunk: i,
         message: panic_message(payload.as_ref()),
     })
@@ -192,6 +413,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Receiver};
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_index_order_for_any_jobs() {
@@ -247,37 +470,216 @@ mod tests {
         }
     }
 
+    /// What a pipeline of `n` items, each `width` values wide, consumes
+    /// on `jobs` threads: every item with its row, in consumption order.
+    fn pipeline_at(jobs: usize, n: usize, width: usize) -> Vec<(usize, Vec<usize>)> {
+        let mut out = Vec::new();
+        pipeline(
+            jobs,
+            n,
+            width,
+            |i| i,
+            Vec::new,
+            |scratch: &mut Vec<usize>, &mut i, row| {
+                scratch.clear();
+                scratch.extend((0..width).map(|k| i * 100 + k));
+                row.copy_from_slice(scratch);
+            },
+            |&i, row| out.push((i, row.to_vec())),
+        )
+        .unwrap();
+        out
+    }
+
     #[test]
     fn chunks_are_written_in_place_for_any_jobs() {
-        for jobs in [1, 2, 3, 8] {
-            let mut data = vec![0usize; 23];
-            for_each_chunk_mut(jobs, &mut data, 5, |i, chunk| {
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    *v = i * 5 + k;
+        let chunk = PIPELINE_CHUNK;
+        for n in [0, 1, chunk, chunk + 1, 20 * chunk + 7] {
+            for width in [0, 1, 5] {
+                let want: Vec<(usize, Vec<usize>)> = (0..n)
+                    .map(|i| (i, (0..width).map(|k| i * 100 + k).collect()))
+                    .collect();
+                for jobs in [1, 2, 3, 8] {
+                    assert!(
+                        pipeline_at(jobs, n, width) == want,
+                        "{n} items of width {width}, jobs {jobs}"
+                    );
                 }
-            })
-            .unwrap();
-            assert_eq!(data, (0..23).collect::<Vec<_>>(), "jobs {jobs}");
+            }
         }
-        for_each_chunk_mut(2, &mut [0u8; 0], 4, |_, _| unreachable!()).unwrap();
+    }
+
+    /// Waits for a signal from another thread; a missing one fails the
+    /// test instead of hanging it.
+    fn await_signal(rx: &Receiver<()>, what: &str) {
+        rx.recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("no signal: {what}"));
+    }
+
+    /// Runs two chunks on two threads, with the first chunk forced onto
+    /// the helper and held there until the calling thread has panicked
+    /// in the second. `work` panics at `caller_panic` when the calling
+    /// thread runs it, and at every item of `helper_panics` on the
+    /// helper. Returns the error and the items consumed.
+    fn forced_panics(caller_panic: usize, helper_panics: &[usize]) -> (ChunkPanic, Vec<usize>) {
+        let caller = std::thread::current().id();
+        let (started_tx, started_rx) = channel();
+        let (panicked_tx, panicked_rx) = channel();
+        let panicked_rx = Mutex::new(panicked_rx);
+        let mut consumed = Vec::new();
+        let err = pipeline(
+            2,
+            2 * PIPELINE_CHUNK,
+            1,
+            |i| {
+                // The calling thread waits here, so only the helper can
+                // have claimed the first chunk.
+                if i == PIPELINE_CHUNK {
+                    await_signal(&started_rx, "the helper claimed chunk 0");
+                }
+                i
+            },
+            || (),
+            |_, &mut i, row: &mut [usize]| {
+                let on_caller = std::thread::current().id() == caller;
+                if i == 0 {
+                    assert!(!on_caller, "chunk 0 ran on the calling thread");
+                    started_tx.send(()).expect("the test is listening");
+                    let rx = panicked_rx.lock().expect("one helper");
+                    await_signal(&rx, "the calling thread panicked");
+                }
+                if on_caller && i == caller_panic {
+                    panicked_tx.send(()).expect("the helper is listening");
+                    panic!("item {i} refused on the calling thread");
+                }
+                assert!(!helper_panics.contains(&i), "item {i} refused on a helper");
+                row[0] = i;
+            },
+            |&i, _| consumed.push(i),
+        )
+        .unwrap_err();
+        (err, consumed)
     }
 
     #[test]
     fn chunk_panics_name_the_lowest_chunk() {
-        for jobs in [1, 2, 8] {
-            let mut data = vec![0u32; 40];
-            let err = for_each_chunk_mut(jobs, &mut data, 2, |i, chunk| {
-                assert!(i < 7 || i % 7 != 0, "chunk {i} refused");
-                chunk.fill(1);
-            })
+        // On the calling thread alone.
+        let at = PIPELINE_CHUNK + 2;
+        let (err, consumed) = forced_panics(at, &[]);
+        assert_eq!(err.chunk, at);
+        assert_eq!(
+            err.message,
+            format!("item {at} refused on the calling thread")
+        );
+        assert_eq!(consumed, (0..at).collect::<Vec<_>>());
+        // On a helper too, later in time but lower in index: the helper's
+        // panic is the one reported.
+        let (err, consumed) = forced_panics(at, &[5, 9]);
+        assert_eq!(
+            (err.chunk, err.message.as_str()),
+            (5, "item 5 refused on a helper")
+        );
+        assert_eq!(consumed, (0..5).collect::<Vec<_>>());
+        // Inline, and at any jobs, for a work that panics wherever it runs.
+        for jobs in [1, 2, 3, 8] {
+            let mut consumed = 0;
+            let err = pipeline(
+                jobs,
+                10 * PIPELINE_CHUNK,
+                2,
+                |i| i,
+                || (),
+                |_, &mut i, _: &mut [u8]| assert!(i < 70 || i % 7 != 0, "item {i} refused"),
+                |_, _| consumed += 1,
+            )
             .unwrap_err();
             assert_eq!(
                 (err.chunk, err.message.as_str()),
-                (7, "chunk 7 refused"),
+                (70, "item 70 refused"),
                 "jobs {jobs}"
             );
-            assert!(data[..14].iter().all(|&v| v == 1), "jobs {jobs}");
+            assert_eq!(consumed, 70, "jobs {jobs}");
         }
+    }
+
+    #[test]
+    fn a_panicking_producer_or_consumer_unwinds_without_hanging() {
+        let n = 10 * PIPELINE_CHUNK;
+        for jobs in [1, 2, 8] {
+            let produce = catch_unwind(|| {
+                pipeline(
+                    jobs,
+                    n,
+                    1,
+                    |i| assert!(i != 100, "produce refused"),
+                    || (),
+                    |_, _, _: &mut [u8]| {},
+                    |_, _| {},
+                )
+            });
+            let consume = catch_unwind(|| {
+                pipeline(
+                    jobs,
+                    n,
+                    1,
+                    |i| i,
+                    || (),
+                    |_, _, _: &mut [u8]| {},
+                    |&i, _| assert!(i != 100, "consume refused"),
+                )
+            });
+            assert!(produce.is_err() && consume.is_err(), "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn pipelines_and_maps_nested_in_each_other_run_inline() {
+        let n = 10 * PIPELINE_CHUNK;
+        let outer = map_indexed(2, 4, |k| {
+            let me = std::thread::current().id();
+            let mut rows = Vec::new();
+            pipeline(
+                4,
+                n,
+                1,
+                |i| i,
+                || (),
+                |_, &mut i, row: &mut [usize]| {
+                    assert!(
+                        std::thread::current().id() == me,
+                        "a nested pipeline spawned"
+                    );
+                    row[0] = i + k;
+                },
+                |_, row| rows.push(row[0]),
+            )
+            .unwrap();
+            rows
+        })
+        .unwrap();
+        for (k, rows) in outer.into_iter().enumerate() {
+            assert_eq!(rows, (k..k + n).collect::<Vec<_>>());
+        }
+        let mut sums = Vec::new();
+        pipeline(
+            2,
+            n,
+            1,
+            |i| i,
+            || (),
+            |_, &mut i, row: &mut [usize]| {
+                let me = std::thread::current().id();
+                let ids = map_indexed(4, 3, |_| std::thread::current().id()).unwrap();
+                assert!(
+                    ids.iter().all(|&id| id == me),
+                    "a map nested in a pipeline spawned"
+                );
+                row[0] = map_indexed(4, 3, |j| i + j).unwrap().iter().sum();
+            },
+            |_, row| sums.push(row[0]),
+        )
+        .unwrap();
+        assert_eq!(sums, (0..n).map(|i| 3 * i + 3).collect::<Vec<_>>());
     }
 
     #[test]

@@ -734,6 +734,54 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_traffic_rates_are_refused_at_once() {
+        let invalid = |traffic: WildTraffic| match SimLink::from_traffic(
+            &traffic,
+            1_000_000,
+            FaultPlan::none(),
+            1,
+        ) {
+            Err(SimLinkError::InvalidConfig { field }) => field,
+            Ok(_) => panic!("accepted {traffic:?}"),
+        };
+        let ok = WildTraffic::default();
+        for pps in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let t = WildTraffic {
+                per_station_pps: pps,
+                ..ok
+            };
+            assert_eq!(invalid(t), "per_station_pps", "per_station_pps {pps}");
+            let t = WildTraffic {
+                capacity_pps: pps,
+                ..ok
+            };
+            assert_eq!(invalid(t), "capacity_pps", "capacity_pps {pps}");
+        }
+        // Both rates infinite: this used to push arrivals at t = 0 until
+        // memory ran out.
+        let flood = WildTraffic {
+            per_station_pps: f64::INFINITY,
+            capacity_pps: f64::INFINITY,
+            ..ok
+        };
+        assert_eq!(invalid(flood), "per_station_pps");
+        // Finite, but faster than the microsecond clock can tell apart.
+        let cap = bs_wifi::traffic::MAX_ARRIVAL_RATE_PPS;
+        let hot = WildTraffic {
+            stations: 10,
+            per_station_pps: cap,
+            capacity_pps: 2.0 * cap,
+            ..ok
+        };
+        assert_eq!(invalid(hot), "capacity_pps");
+        let at_cap = WildTraffic {
+            capacity_pps: cap,
+            ..hot
+        };
+        assert_eq!(at_cap.invalid_field(), None);
+    }
+
+    #[test]
     fn phylink_codeword_mode_delivers_segments() {
         // The full-PHY link routed through the codeword PHY still
         // satisfies the transport contract: close-range segments and

@@ -121,12 +121,16 @@ impl Medium {
         let mut stats = MacStats::default();
         // When the medium (including any NAV) becomes idle.
         let mut free_at: u64 = 0;
+        // Per-round buffers, reused: each station's earliest pending
+        // arrival, the contenders' backoff draws, the winners.
+        let mut pending: Vec<Option<u64>> = vec![None; n];
+        let mut draws: Vec<(usize, u64)> = Vec::with_capacity(n);
+        let mut winners: Vec<usize> = Vec::with_capacity(n);
 
         loop {
-            // Earliest pending arrival per station.
-            let pending: Vec<Option<u64>> = (0..n)
-                .map(|i| stations[i].arrivals.get(next_idx[i]).copied())
-                .collect();
+            for ((p, st), &k) in pending.iter_mut().zip(stations).zip(&next_idx) {
+                *p = st.arrivals.get(k).copied();
+            }
             let min_ready = match pending.iter().flatten().min() {
                 Some(&m) => m,
                 None => break,
@@ -137,26 +141,24 @@ impl Medium {
             // Contention begins after the medium has been idle for DIFS
             // following both the last transmission and the first arrival.
             let contention_start = free_at.max(min_ready) + self.cfg.difs_us;
-            // Stations whose frame arrived by the end of DIFS contend.
-            let contenders: Vec<usize> = (0..n)
-                .filter(|&i| matches!(pending[i], Some(t) if t <= contention_start))
-                .collect();
-            debug_assert!(!contenders.is_empty());
-
-            // Each contender draws a backoff slot count.
-            let draws: Vec<(usize, u64)> = contenders
-                .iter()
-                .map(|&i| {
+            // Stations whose frame arrived by the end of DIFS contend,
+            // each drawing a backoff slot count in station order.
+            draws.clear();
+            for (i, p) in pending.iter().enumerate() {
+                if matches!(p, Some(t) if *t <= contention_start) {
                     let cw = (self.cfg.cw_min << retries[i].min(10)).min(self.cfg.cw_max);
-                    (i, u64::from(self.rng.index(cw as usize + 1) as u32))
-                })
-                .collect();
-            let min_slot = draws.iter().map(|&(_, s)| s).min().unwrap();
-            let winners: Vec<usize> = draws
-                .iter()
-                .filter(|&&(_, s)| s == min_slot)
-                .map(|&(i, _)| i)
-                .collect();
+                    draws.push((i, u64::from(self.rng.index(cw as usize + 1) as u32)));
+                }
+            }
+            let min_slot = (draws.iter().map(|&(_, s)| s).min())
+                .expect("the station with the earliest arrival contends");
+            winners.clear();
+            winners.extend(
+                draws
+                    .iter()
+                    .filter(|&&(_, s)| s == min_slot)
+                    .map(|&(i, _)| i),
+            );
 
             let tx_start = contention_start + min_slot * self.cfg.slot_us;
             if tx_start >= until_us {

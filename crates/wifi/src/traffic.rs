@@ -211,6 +211,11 @@ pub fn apply_faults_with(
     out
 }
 
+/// The highest aggregate arrival rate a [`WildTraffic`] may reach: one
+/// arrival per microsecond, the resolution of its clock. Past it, arrivals
+/// pile onto the same instant; an infinite rate never moves the clock.
+pub const MAX_ARRIVAL_RATE_PPS: f64 = 1e6;
+
 /// The "wild" ambient-traffic model: what the helper network looks like
 /// when nobody is injecting packets for the tag's benefit.
 ///
@@ -294,14 +299,22 @@ impl WildTraffic {
     }
 
     /// The model's one validity rule: the first field outside its domain
-    /// — a `gap_alpha` or `gap_xmin_us` that is not finite and positive,
-    /// or a `mean_active_us` that is not finite and non-negative — or
-    /// `None`. [`Self::arrivals`] needs it: a non-positive gap parameter
-    /// fails the Pareto draw, and a NaN `mean_active_us` stalls its
-    /// clock for ever.
+    /// — a `per_station_pps`, `capacity_pps`, `gap_alpha` or
+    /// `gap_xmin_us` that is not finite and positive, a `mean_active_us`
+    /// that is not finite and non-negative, or a `capacity_pps` that lets
+    /// the aggregate rate exceed [`MAX_ARRIVAL_RATE_PPS`] — or `None`.
+    /// [`Self::arrivals`] needs it: a non-positive gap parameter fails the
+    /// Pareto draw, a NaN `mean_active_us` stalls its clock for ever, and
+    /// an unbounded rate keeps adding arrivals at one instant.
     pub fn invalid_field(&self) -> Option<&'static str> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
+        let peak_pps = (self.stations as f64 * self.per_station_pps).min(self.capacity_pps);
         [
+            ("per_station_pps", positive(self.per_station_pps)),
+            (
+                "capacity_pps",
+                positive(self.capacity_pps) && peak_pps <= MAX_ARRIVAL_RATE_PPS,
+            ),
             ("gap_alpha", positive(self.gap_alpha)),
             ("gap_xmin_us", positive(self.gap_xmin_us)),
             (

@@ -112,11 +112,13 @@ cargo test --release -q -p wifi-backscatter --test golden_decode
 cargo test --release -q -p wifi-backscatter --lib multitag
 # The threaded CSI capture with optimisations on: whole captures at
 # jobs 1, 2, 3 and 8 against the serial per-packet reference, the
-# skip/measure/in-place agreement property, and the runtime's nesting
-# and chunk contracts.
+# skip/measure/in-place agreement property, the runtime's nesting,
+# chunk and pipeline contracts, and a snapshot equal to its serial step
+# plus the workers' fill.
 cargo test --release -q -p wifi-backscatter --lib bit_identical_at_any_worker_count
 cargo test --release -q -p bs-wifi --test proptests csi_skip_and_in_place
 cargo test --release -q -p bs-dsp --lib par::
+cargo test --release -q -p bs-channel --test proptests snapshot_is_its_step_then_a_fill
 # The scene's snapshot layout and its tabulated responses: the
 # tabulated-snapshot-vs-formula bit test and the row-stride tests.
 cargo test --release -q -p bs-channel --lib scene::
