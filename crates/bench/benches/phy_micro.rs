@@ -32,7 +32,7 @@ fn smoke() -> BenchReport {
     // Codeword vs presence goodput at the nominal busy channel, benign
     // regime, same per-run seeds.
     let presence = phy_point(&PhyConfig::Presence, 3_000.0, RUNS, SEED);
-    let codeword = phy_point(&PhyConfig::codeword(), 3_000.0, RUNS, SEED);
+    let codeword = phy_point(&PhyConfig::Codeword, 3_000.0, RUNS, SEED);
     let ratio = codeword.goodput_bps / presence.goodput_bps.max(1e-9);
     let gate_speedup = presence.goodput_bps > 0.0 && ratio >= 10.0;
 
@@ -73,12 +73,12 @@ fn main() -> ExitCode {
     let mut codeword_cfg = LinkConfig::fig10(0.3, 200, 5, 5);
     codeword_cfg.helper_pps = 3_000.0;
     codeword_cfg.payload = payload.clone();
-    codeword_cfg.phy = PhyConfig::codeword();
+    codeword_cfg.phy = PhyConfig::Codeword;
     g.bench("uplink_codeword_64b", 5, 2, || run_uplink(&codeword_cfg));
 
     // One whole figure point per mode — the end-to-end unit the phy
     // figure measures.
-    let ns = measure_ns(3, 1, || phy_point(&PhyConfig::codeword(), 3_000.0, 1, SEED));
+    let ns = measure_ns(3, 1, || phy_point(&PhyConfig::Codeword, 3_000.0, 1, SEED));
     println!("phy_micro/point_codeword_3000pps  {ns:.0} ns/iter (3 samples)");
     ExitCode::SUCCESS
 }

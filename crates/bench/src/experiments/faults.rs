@@ -12,7 +12,7 @@
 use bs_channel::faults::FaultPlan;
 use bs_dsp::bits::BerCounter;
 use bs_dsp::SimRng;
-use wifi_backscatter::link::{DegradationReport, LinkConfig, Measurement, MitigationPolicy};
+use wifi_backscatter::link::{DegradationReport, LinkConfig, Measurement};
 use wifi_backscatter::phy::run_uplink;
 
 /// One measured `(scenario, severity, mitigated)` point.
@@ -41,11 +41,7 @@ fn fault_link_config(scenario: &str, severity: f64, mitigated: bool, seed: u64) 
     cfg.payload = (0..30).map(|i| (i * 7) % 5 < 2).collect();
     cfg.faults = FaultPlan::preset(scenario, severity, seed ^ 0xFA17)
         .unwrap_or_else(|| panic!("unknown fault scenario '{scenario}'"));
-    cfg.mitigations = if mitigated {
-        MitigationPolicy::all()
-    } else {
-        MitigationPolicy::none()
-    };
+    cfg.mitigations = mitigated;
     cfg
 }
 
@@ -110,7 +106,7 @@ mod tests {
         let on = fault_link_config("outage", 1.0, true, 5);
         assert_eq!(off.faults, on.faults);
         assert_eq!(off.seed, on.seed);
-        assert_eq!(off.mitigations, MitigationPolicy::none());
-        assert_eq!(on.mitigations, MitigationPolicy::all());
+        assert!(!off.mitigations);
+        assert!(on.mitigations);
     }
 }

@@ -184,7 +184,6 @@ pub fn fec_point(
         };
         let retry = RetryPolicy {
             budget_us: BUDGET_US,
-            ..RetryPolicy::default()
         };
         let cfg = TransportConfig::default()
             .with_window(WINDOW)

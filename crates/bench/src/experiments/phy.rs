@@ -98,7 +98,7 @@ pub fn phy_point(phy: &PhyConfig, helper_pps: f64, runs: u64, seed: u64) -> PhyP
         let mut cfg = LinkConfig::fig10(DISTANCE_M, bit_rate, 5, run_seed);
         cfg.helper_pps = helper_pps;
         cfg.payload = phy_payload();
-        cfg.phy = phy.clone();
+        cfg.phy = *phy;
         let run = run_uplink(&cfg);
         let g = run_goodput(&run);
         goodput_sum += g;
@@ -125,15 +125,15 @@ mod tests {
 
     #[test]
     fn phy_point_is_deterministic() {
-        let a = phy_point(&PhyConfig::codeword(), 3_000.0, 2, 5);
-        let b = phy_point(&PhyConfig::codeword(), 3_000.0, 2, 5);
+        let a = phy_point(&PhyConfig::Codeword, 3_000.0, 2, 5);
+        let b = phy_point(&PhyConfig::Codeword, 3_000.0, 2, 5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn codeword_outpaces_presence_at_nominal_cadence() {
         let p = phy_point(&PhyConfig::Presence, 3_000.0, 2, 7);
-        let c = phy_point(&PhyConfig::codeword(), 3_000.0, 2, 7);
+        let c = phy_point(&PhyConfig::Codeword, 3_000.0, 2, 7);
         assert_eq!(p.detected_runs, 2);
         assert_eq!(c.detected_runs, 2);
         assert!(
@@ -146,8 +146,8 @@ mod tests {
 
     #[test]
     fn codeword_rate_follows_helper_cadence() {
-        let slow = phy_point(&PhyConfig::codeword(), 500.0, 1, 9);
-        let fast = phy_point(&PhyConfig::codeword(), 12_000.0, 1, 9);
+        let slow = phy_point(&PhyConfig::Codeword, 500.0, 1, 9);
+        let fast = phy_point(&PhyConfig::Codeword, 12_000.0, 1, 9);
         assert!(fast.bit_rate_bps > slow.bit_rate_bps);
         assert!(fast.goodput_bps > slow.goodput_bps);
     }

@@ -884,7 +884,7 @@ fn phy_section(p: &mut Plan, seed: u64, e: &Effort) {
     );
     let runs = e.runs.min(3);
     for &pps in phy::HELPER_PPS {
-        for mode in [PhyConfig::Presence, PhyConfig::codeword()] {
+        for mode in [PhyConfig::Presence, PhyConfig::Codeword] {
             p.job(
                 s,
                 format!("{} pps={pps:.0}", mode.capabilities().name),

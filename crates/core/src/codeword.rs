@@ -66,47 +66,27 @@ pub fn helper_frame_symbols() -> u64 {
     data_frame_symbols(HELPER_FRAME_BYTES, HELPER_RATE_MBPS)
 }
 
-/// Shape of the codeword-translation uplink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodewordParams {
-    /// Times each on-air frame bit is repeated as a chip.
-    pub chips_per_bit: u32,
-    /// Helper symbols each chip is held for (the reader majority-votes
-    /// the per-symbol flip decisions inside a chip).
-    pub sym_per_chip: u32,
-    /// Barker-13 preamble mismatches the detector tolerates.
-    pub preamble_max_errors: usize,
-}
+/// Times each on-air frame bit is repeated as a chip.
+const CHIPS_PER_BIT: u32 = 2;
 
-impl Default for CodewordParams {
-    fn default() -> Self {
-        CodewordParams {
-            chips_per_bit: 2,
-            sym_per_chip: 2,
-            preamble_max_errors: 2,
-        }
-    }
-}
+/// Helper symbols each chip is held for (the reader majority-votes the
+/// per-symbol flip decisions inside a chip).
+const SYM_PER_CHIP: u32 = 2;
 
-impl CodewordParams {
-    /// Helper symbols consumed per tag bit.
-    pub fn syms_per_bit(&self) -> u64 {
-        u64::from(self.chips_per_bit.max(1)) * u64::from(self.sym_per_chip.max(1))
-    }
-}
+/// Barker-13 preamble mismatches the detector tolerates.
+const PREAMBLE_MAX_ERRORS: usize = 2;
+
+/// Helper symbols consumed per tag bit.
+pub(crate) const SYMS_PER_BIT: u64 = CHIPS_PER_BIT as u64 * SYM_PER_CHIP as u64;
 
 /// Runs one codeword-translation uplink frame exchange. See the module
 /// docs for which [`LinkConfig`] fields apply. Every RNG draw is
 /// independent of the recorder, so results are bit-identical whatever
 /// `rec` is.
-pub fn run_codeword_uplink_with(
-    cfg: &LinkConfig,
-    params: &CodewordParams,
-    rec: &mut dyn Recorder,
-) -> UplinkRun {
+pub fn run_codeword_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkRun {
     let root = SimRng::new(cfg.seed);
     let frame = UplinkFrame::new(cfg.payload.clone());
-    let modulator = CodewordModulator::new(&frame, params.chips_per_bit, params.sym_per_chip);
+    let modulator = CodewordModulator::new(&frame, CHIPS_PER_BIT, SYM_PER_CHIP);
     let total_chips = modulator.total_chips();
     let needed_syms = modulator.total_symbols();
     let spc = u64::from(modulator.sym_per_chip());
@@ -231,7 +211,7 @@ pub fn run_codeword_uplink_with(
     rec.add("phy.codeword.chip-erasures", chip_erasures as u64);
 
     // Bit = majority over its chips, ignoring erasures.
-    let cpb = params.chips_per_bit.max(1) as usize;
+    let cpb = CHIPS_PER_BIT as usize;
     let n_bits = UplinkFrame::on_air_len(frame.payload.len());
     let bits: Vec<Option<bool>> = (0..n_bits)
         .map(|i| {
@@ -251,15 +231,15 @@ pub fn run_codeword_uplink_with(
         })
         .collect();
 
-    // Detection: the decoded Barker-13 preamble must match within the
-    // configured tolerance (erasures count as mismatches).
+    // Detection: the decoded Barker-13 preamble must match within
+    // `PREAMBLE_MAX_ERRORS` (erasures count as mismatches).
     let preamble = uplink_preamble();
     let mismatches = preamble
         .iter()
         .enumerate()
         .filter(|&(i, &b)| bits.get(i).copied().flatten() != Some(b))
         .count();
-    let detected = mismatches <= params.preamble_max_errors;
+    let detected = mismatches <= PREAMBLE_MAX_ERRORS;
     let decoded: Vec<Option<bool>> = if detected {
         bits[preamble.len()..preamble.len() + cfg.payload.len()].to_vec()
     } else {
@@ -295,8 +275,7 @@ mod tests {
     #[test]
     fn roundtrips_in_the_benign_regime() {
         for seed in [3, 17, 91] {
-            let run =
-                run_codeword_uplink_with(&cfg(seed), &CodewordParams::default(), &mut NullRecorder);
+            let run = run_codeword_uplink_with(&cfg(seed), &mut NullRecorder);
             assert!(run.detected, "no detection at seed {seed}");
             assert_eq!(
                 run.ber.errors(),
@@ -314,7 +293,7 @@ mod tests {
         // conditioning lead alone.
         let mut c = cfg(5);
         c.helper_pps = 3_000.0;
-        let run = run_codeword_uplink_with(&c, &CodewordParams::default(), &mut NullRecorder);
+        let run = run_codeword_uplink_with(&c, &mut NullRecorder);
         assert!(run.detected);
         assert!(run.elapsed_us < 50_000, "elapsed {}", run.elapsed_us);
     }
@@ -323,7 +302,7 @@ mod tests {
     fn far_geometry_breaks_the_residue_decisions() {
         let mut c = cfg(11);
         c.scene = bs_channel::scene::SceneConfig::uplink(12.0);
-        let run = run_codeword_uplink_with(&c, &CodewordParams::default(), &mut NullRecorder);
+        let run = run_codeword_uplink_with(&c, &mut NullRecorder);
         assert!(
             !run.detected || run.ber.raw_ber() > 0.1,
             "12 m should be broken: ber {}",
@@ -339,10 +318,10 @@ mod tests {
         // cleanly.
         let mut c = cfg(23);
         c.background = vec![(2_000.0, 800)];
-        let blind = run_codeword_uplink_with(&c, &CodewordParams::default(), &mut NullRecorder);
+        let blind = run_codeword_uplink_with(&c, &mut NullRecorder);
         let mut all = c.clone();
         all.use_all_traffic = true;
-        let open = run_codeword_uplink_with(&all, &CodewordParams::default(), &mut NullRecorder);
+        let open = run_codeword_uplink_with(&all, &mut NullRecorder);
         assert!(open.detected);
         assert_eq!(open.ber.errors(), 0);
         let blind_erasures = blind.decoded.iter().filter(|b| b.is_none()).count();
@@ -354,12 +333,11 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let p = CodewordParams::default();
-        let a = run_codeword_uplink_with(&cfg(77), &p, &mut NullRecorder);
-        let b = run_codeword_uplink_with(&cfg(77), &p, &mut NullRecorder);
+        let a = run_codeword_uplink_with(&cfg(77), &mut NullRecorder);
+        let b = run_codeword_uplink_with(&cfg(77), &mut NullRecorder);
         assert_eq!(a.decoded, b.decoded);
         assert_eq!(a.elapsed_us, b.elapsed_us);
-        let c = run_codeword_uplink_with(&cfg(78), &p, &mut NullRecorder);
+        let c = run_codeword_uplink_with(&cfg(78), &mut NullRecorder);
         assert!(a.decoded != c.decoded || a.elapsed_us != c.elapsed_us);
     }
 }

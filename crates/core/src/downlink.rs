@@ -12,43 +12,15 @@ use crate::error as err;
 use bs_tag::frame::DownlinkFrame;
 use bs_wifi::frame::{FrameKind, StationId, WifiFrame, MAX_NAV_US};
 
-/// Downlink encoder configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DownlinkEncoderConfig {
-    /// Bit duration = marker packet duration = silence duration (µs).
-    /// Paper rates: 50 µs → 20 kbps, 100 µs → 10 kbps, 200 µs → 5 kbps.
-    pub bit_duration_us: u64,
-    /// The reader's station id on the medium.
-    pub reader: StationId,
-    /// Airtime of the CTS_to_SELF control frame itself (µs).
-    pub cts_duration_us: u64,
-    /// Guard silence between the CTS frame and the first data bit (µs),
-    /// letting the tag's comparator settle.
-    pub guard_us: u64,
-}
+/// The reader's station id on the medium.
+const READER: StationId = 0;
 
-impl DownlinkEncoderConfig {
-    /// A configuration at the given bit rate (bits/s).
-    pub fn at_rate(bit_rate_bps: u64, reader: StationId) -> Self {
-        assert!(bit_rate_bps > 0);
-        DownlinkEncoderConfig {
-            bit_duration_us: 1_000_000 / bit_rate_bps,
-            reader,
-            cts_duration_us: 30,
-            guard_us: 100,
-        }
-    }
+/// Airtime of the CTS_to_SELF control frame itself (µs).
+const CTS_DURATION_US: u64 = 30;
 
-    /// The downlink bit rate (bits/s).
-    pub fn bit_rate_bps(&self) -> u64 {
-        1_000_000 / self.bit_duration_us
-    }
-
-    /// How many bits fit in one CTS_to_SELF reservation.
-    fn bits_per_reservation(&self) -> usize {
-        ((MAX_NAV_US - self.guard_us) / self.bit_duration_us) as usize
-    }
-}
+/// Guard silence between the CTS frame and the first data bit (µs),
+/// letting the tag's comparator settle.
+const GUARD_US: u64 = 100;
 
 /// A fully-scheduled downlink transmission.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,19 +57,29 @@ impl DownlinkTransmission {
 /// The downlink encoder.
 #[derive(Debug, Clone, Copy)]
 pub struct DownlinkEncoder {
-    cfg: DownlinkEncoderConfig,
+    /// Bit duration = marker packet duration = silence duration (µs).
+    /// Paper rates: 50 µs → 20 kbps, 100 µs → 10 kbps, 200 µs → 5 kbps.
+    bit_duration_us: u64,
 }
 
 impl DownlinkEncoder {
-    /// Creates an encoder.
-    pub fn new(cfg: DownlinkEncoderConfig) -> Self {
-        assert!(cfg.bit_duration_us > 0);
-        DownlinkEncoder { cfg }
+    /// An encoder at `bit_rate_bps` (bits/s).
+    ///
+    /// # Panics
+    /// If the rate is 0 or above 1 Mbit/s (a bit shorter than 1 µs).
+    pub fn new(bit_rate_bps: u64) -> Self {
+        assert!(
+            (1..=1_000_000).contains(&bit_rate_bps),
+            "downlink rate {bit_rate_bps} bps outside 1..=1_000_000"
+        );
+        DownlinkEncoder {
+            bit_duration_us: 1_000_000 / bit_rate_bps,
+        }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> DownlinkEncoderConfig {
-        self.cfg
+    /// How many bits fit in one CTS_to_SELF reservation.
+    fn bits_per_reservation(&self) -> usize {
+        ((MAX_NAV_US - GUARD_US) / self.bit_duration_us) as usize
     }
 
     /// Encodes one frame into a scheduled transmission starting at
@@ -108,22 +90,22 @@ impl DownlinkEncoder {
         start_us: u64,
     ) -> Result<DownlinkTransmission, err::EncodeError> {
         let bits = frame.to_bits();
-        let capacity = self.cfg.bits_per_reservation();
+        let capacity = self.bits_per_reservation();
         if bits.len() > capacity {
             return Err(err::EncodeError::TooLongForReservation {
                 needed: bits.len(),
                 available: capacity,
             });
         }
-        let bit = self.cfg.bit_duration_us;
-        let nav = self.cfg.guard_us + bits.len() as u64 * bit;
+        let bit = self.bit_duration_us;
+        let nav = GUARD_US + bits.len() as u64 * bit;
         let mut frames = vec![WifiFrame {
             kind: FrameKind::CtsToSelf { nav_us: nav },
-            src: self.cfg.reader,
+            src: READER,
             timestamp_us: start_us,
-            duration_us: self.cfg.cts_duration_us,
+            duration_us: CTS_DURATION_US,
         }];
-        let data_start = start_us + self.cfg.cts_duration_us + self.cfg.guard_us;
+        let data_start = start_us + CTS_DURATION_US + GUARD_US;
         let mut bit_starts = Vec::with_capacity(bits.len());
         for (i, &b) in bits.iter().enumerate() {
             let t = data_start + i as u64 * bit;
@@ -131,7 +113,7 @@ impl DownlinkEncoder {
             if b {
                 frames.push(WifiFrame {
                     kind: FrameKind::DownlinkMarker,
-                    src: self.cfg.reader,
+                    src: READER,
                     timestamp_us: t,
                     duration_us: bit,
                 });
@@ -169,29 +151,22 @@ impl DownlinkEncoder {
 
 #[cfg(test)]
 mod tests {
-    use super::{DownlinkEncoder, DownlinkEncoderConfig};
+    use super::DownlinkEncoder;
     use crate::error::EncodeError;
     use bs_tag::frame::DownlinkFrame;
     use bs_wifi::frame::{FrameKind, MAX_NAV_US};
 
     fn encoder(rate: u64) -> DownlinkEncoder {
-        DownlinkEncoder::new(DownlinkEncoderConfig::at_rate(rate, 0))
+        DownlinkEncoder::new(rate)
     }
 
     #[test]
     fn rates_map_to_paper_bit_durations() {
-        assert_eq!(
-            DownlinkEncoderConfig::at_rate(20_000, 0).bit_duration_us,
-            50
-        );
-        assert_eq!(
-            DownlinkEncoderConfig::at_rate(10_000, 0).bit_duration_us,
-            100
-        );
-        assert_eq!(
-            DownlinkEncoderConfig::at_rate(5_000, 0).bit_duration_us,
-            200
-        );
+        let f = DownlinkFrame::new(vec![0xAA]);
+        for (rate, bit_us) in [(20_000, 50), (10_000, 100), (5_000, 200)] {
+            let tx = encoder(rate).encode(&f, 0).unwrap();
+            assert_eq!(tx.bit_starts_us[1] - tx.bit_starts_us[0], bit_us);
+        }
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! A downlink run wires the encoder ([`crate::downlink`]) through the
 //! tag-side envelope model and receiver circuit (`bs-tag`).
 
-use crate::downlink::{DownlinkEncoder, DownlinkEncoderConfig};
+use crate::downlink::DownlinkEncoder;
 use crate::longrange::{LongRangeConfig, LongRangeDecoder};
 use crate::phy::PhyConfig;
 use crate::series::{SeriesBundle, SlotIndex};
 use crate::uplink::{UplinkDecoder, UplinkDecoderConfig};
 use bs_channel::faults::{FaultEvents, FaultPlan};
-use bs_channel::scene::{Scene, SceneConfig, SceneStep};
+use bs_channel::scene::{ChannelSnapshot, Scene, SceneConfig, SceneStep};
 use bs_channel::TagState;
 use bs_dsp::bits::BerCounter;
 use bs_dsp::codes::OrthogonalPair;
@@ -43,44 +43,6 @@ pub enum Measurement {
     Csi,
     /// Per-antenna RSSI only (§3.3).
     Rssi,
-}
-
-/// Which of the link layer's fault mitigations are armed.
-///
-/// The mitigations compose; each engages only when its trigger condition
-/// is observed, and every engagement is recorded in the run's
-/// [`DegradationReport`]. With every flag off (the default) the link
-/// behaves exactly as it did before fault injection existed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MitigationPolicy {
-    /// Switch the reader to the §3.3 RSSI pipeline when the CSI feed is
-    /// degraded (the Intel tool's wedge-and-repeat failure leaves RSSI
-    /// flowing).
-    pub csi_fallback: bool,
-    /// Re-adapt the commanded packets-per-bit rate: proactively when the
-    /// measured packet cadence collapses below what §5 rate selection
-    /// assumed, and reactively (rate step-down retries) when decoded bits
-    /// come back starved.
-    pub rate_readapt: bool,
-    /// Re-scan the decode with candidate chip-clock stretch factors to
-    /// compensate tag oscillator drift.
-    pub drift_rescan: bool,
-}
-
-impl MitigationPolicy {
-    /// Every mitigation armed — what a robust production reader runs.
-    pub fn all() -> Self {
-        MitigationPolicy {
-            csi_fallback: true,
-            rate_readapt: true,
-            drift_rescan: true,
-        }
-    }
-
-    /// No mitigations (the pre-fault-injection behaviour).
-    pub fn none() -> Self {
-        MitigationPolicy::default()
-    }
 }
 
 /// What went wrong during a run and what the link layer did about it.
@@ -243,8 +205,11 @@ pub struct LinkConfig {
     pub csi_spurious_boost: f64,
     /// Injected faults; [`FaultPlan::none`] leaves the run untouched.
     pub faults: FaultPlan,
-    /// Which mitigations the reader arms against those faults.
-    pub mitigations: MitigationPolicy,
+    /// Arms the reader's fault mitigations — CSI→RSSI fallback, rate
+    /// re-adaptation, drift re-scan — each engaging only when its trigger
+    /// is observed and named in the [`DegradationReport`] (default: off,
+    /// the pre-fault-injection behaviour).
+    pub mitigations: bool,
     /// Which PHY mode runs the exchange (default:
     /// [`PhyConfig::Presence`], the paper's PHY).
     pub phy: PhyConfig,
@@ -268,7 +233,7 @@ impl LinkConfig {
             ideal_csi: false,
             csi_spurious_boost: 1.0,
             faults: FaultPlan::none(),
-            mitigations: MitigationPolicy::none(),
+            mitigations: false,
             phy: PhyConfig::Presence,
         }
     }
@@ -295,12 +260,6 @@ impl LinkConfig {
     /// Sets the injected fault plan (default: [`FaultPlan::none`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the armed mitigations (default: [`MitigationPolicy::none`]).
-    pub fn with_mitigations(mut self, mitigations: MitigationPolicy) -> Self {
-        self.mitigations = mitigations;
         self
     }
 
@@ -505,13 +464,20 @@ fn capture(
                 events.fire("sensor-degradation");
             }
             let mut ex = RssiExtractor::new(root.stream("rssi"));
-            // One snapshot per packet, in packet order: the scene's
-            // fading advances with time.
+            // One step per packet, in packet order (the scene's fading
+            // advances with time), filled into one reused snapshot: the
+            // same channel `Scene::snapshot` returns, bit for bit.
+            let mut snap: Option<ChannelSnapshot> = None;
             let ms: Vec<_> = packets
                 .iter()
                 .map(|&t_us| {
-                    let snap = scene.snapshot(t_us as f64 / 1e6, state_at(t_us), &offsets);
-                    ex.measure_with(&snap, t_us, rec)
+                    let step = scene.step(t_us as f64 / 1e6, state_at(t_us));
+                    let table = scene.table(&offsets);
+                    match snap.as_mut() {
+                        Some(s) => table.fill(&step, s),
+                        None => snap = Some(table.snapshot(&step)),
+                    }
+                    ex.measure_with(snap.as_ref().expect("filled above"), t_us, rec)
                 })
                 .collect();
             SeriesBundle::from_rssi(&ms)
@@ -721,9 +687,9 @@ const DRIFT_CANDIDATES: [f64; 7] = [0.0, 0.005, -0.005, 0.01, -0.01, 0.02, -0.02
 /// The presence/CSI uplink exchange — what [`crate::phy::run_uplink_with`]
 /// runs for [`PhyConfig::Presence`]: all capture and decode instrumentation,
 /// plus the link-level counters `link.retries` and
-/// `link.mitigations-engaged`, engaging whatever armed mitigations the
-/// observed degradation calls for. Every RNG draw is identical whatever
-/// the recorder.
+/// `link.mitigations-engaged`. With [`LinkConfig::mitigations`] on, it
+/// engages whatever mitigations the observed degradation calls for.
+/// Every RNG draw is identical whatever the recorder.
 pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkRun {
     let mut report = DegradationReport::default();
     let mut eff = cfg.clone();
@@ -731,10 +697,7 @@ pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> 
     // CSI→RSSI fallback: the reader knows its CSI tool is wedging (the
     // feed repeats stale reports), so it switches to the §3.3 RSSI
     // pipeline before capturing.
-    if eff.mitigations.csi_fallback
-        && eff.measurement == Measurement::Csi
-        && eff.faults.degrades_sensor()
-    {
+    if eff.mitigations && eff.measurement == Measurement::Csi && eff.faults.degrades_sensor() {
         eff.measurement = Measurement::Rssi;
         report.engage("csi-fallback");
     }
@@ -745,7 +708,7 @@ pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> 
     // Proactive re-adaptation: the delivered cadence is observable before
     // decoding; if it collapsed below what §5 rate selection assumed,
     // re-run the exchange at a chip rate the surviving cadence supports.
-    if eff.mitigations.rate_readapt && eff.code_length == 1 && eff.chip_rate_cps > 0 {
+    if eff.mitigations && eff.code_length == 1 && eff.chip_rate_cps > 0 {
         let target_ppb = eff.helper_pps / eff.chip_rate_cps as f64;
         let measured_pps = capture.pkts_per_chip * eff.chip_rate_cps as f64;
         if let Some(new_rate) =
@@ -761,15 +724,13 @@ pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> 
 
     // Drift re-scan: with a drift fault armed, decode under candidate
     // stretch factors and keep the best by observable criteria.
-    let stretches: &[f64] = if eff.mitigations.drift_rescan
-        && eff.code_length == 1
-        && eff.faults.clock_drift() != 0.0
-    {
-        report.engage("drift-rescan");
-        &DRIFT_CANDIDATES
-    } else {
-        &DRIFT_CANDIDATES[..1]
-    };
+    let stretches: &[f64] =
+        if eff.mitigations && eff.code_length == 1 && eff.faults.clock_drift() != 0.0 {
+            report.engage("drift-rescan");
+            &DRIFT_CANDIDATES
+        } else {
+            &DRIFT_CANDIDATES[..1]
+        };
     let decode_best =
         |cfg_eff: &LinkConfig, capture: &UplinkCapture, rec: &mut dyn Recorder| -> DecodeAttempt {
             // One slot index per capture: the stretch candidates all
@@ -793,7 +754,7 @@ pub(crate) fn presence_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> 
     // Reactive rate step-down: undetected or erasure-ridden decodes mean
     // the bits were starved of measurements; retry at half rate (bounded
     // attempts, floored) and keep the retry only if observably better.
-    if eff.mitigations.rate_readapt && eff.code_length == 1 {
+    if eff.mitigations && eff.code_length == 1 {
         let mut retries = 0u32;
         while retries < 2 && (!best.detected || best.erasures > 0) && eff.chip_rate_cps > 25 {
             retries += 1;
@@ -1006,7 +967,7 @@ pub(crate) fn presence_downlink_frame_with(
     }
 
     let root = SimRng::new(cfg.seed);
-    let encoder = DownlinkEncoder::new(DownlinkEncoderConfig::at_rate(cfg.bit_rate_bps, 0));
+    let encoder = DownlinkEncoder::new(cfg.bit_rate_bps);
     let tx = match encoder.encode(frame, 2_000) {
         Ok(tx) => tx,
         Err(_) => return (None, report),

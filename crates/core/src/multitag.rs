@@ -514,7 +514,7 @@ mod tests {
         let t = tags(4);
         let r = run_inventory(&t, InventoryConfig::default(), &mut rng(5));
         let presence = PhyConfig::Presence.capabilities();
-        let codeword = PhyConfig::codeword().capabilities();
+        let codeword = PhyConfig::Codeword.capabilities();
         assert_eq!(r.airtime_us(presence.inventory_slot_us), r.slots * 2_500);
         assert_eq!(r.airtime_us(codeword.inventory_slot_us), r.slots * 400);
         assert!(

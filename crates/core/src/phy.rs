@@ -32,7 +32,7 @@
 //! [`PhyCapabilities`] to select, re-adapt, and wire-encode rates.
 
 use crate::codeword::{
-    helper_frame_symbols, run_codeword_uplink_with, CodewordParams, CODEWORD_RATE_STEPS_BPS,
+    helper_frame_symbols, run_codeword_uplink_with, CODEWORD_RATE_STEPS_BPS, SYMS_PER_BIT,
 };
 use crate::link::{
     presence_downlink_ber_with, presence_downlink_frame_with, presence_uplink_with,
@@ -76,11 +76,11 @@ impl PhyCapabilities {
     /// ignored there and the ceiling is
     /// `margin · helper_pps · syms_per_frame / syms_per_bit`.
     pub fn select_rate_bps(&self, helper_pps: f64, pkts_per_bit: u32, margin: f64) -> u64 {
-        match &self.phy {
+        match self.phy {
             PhyConfig::Presence => select_bit_rate(helper_pps, pkts_per_bit, margin),
-            PhyConfig::Codeword(p) => {
+            PhyConfig::Codeword => {
                 let max_rate =
-                    margin * helper_pps * helper_frame_symbols() as f64 / p.syms_per_bit() as f64;
+                    margin * helper_pps * helper_frame_symbols() as f64 / SYMS_PER_BIT as f64;
                 self.rate_steps_bps
                     .iter()
                     .rev()
@@ -103,13 +103,13 @@ impl PhyCapabilities {
         measured_pps: f64,
         target_ppb: f64,
     ) -> Option<u64> {
-        match &self.phy {
+        match self.phy {
             PhyConfig::Presence => {
                 bs_wifi::rate_adapt::readapt_chip_rate(current_bps, measured_pps, target_ppb)
             }
-            PhyConfig::Codeword(p) => {
+            PhyConfig::Codeword => {
                 let expected_pps =
-                    current_bps as f64 * p.syms_per_bit() as f64 / helper_frame_symbols() as f64;
+                    current_bps as f64 * SYMS_PER_BIT as f64 / helper_frame_symbols() as f64;
                 if !cadence_collapsed(measured_pps, expected_pps) {
                     return None;
                 }
@@ -132,12 +132,12 @@ impl PhyCapabilities {
         bit_rate_bps: u64,
         code_length: usize,
     ) -> u64 {
-        match &self.phy {
+        match self.phy {
             PhyConfig::Presence => {
                 PRESENCE_RESPONSE_LEAD_US
                     + ((payload_bits + 13) * code_length) as u64 * 1_000_000 / bit_rate_bps.max(1)
             }
-            PhyConfig::Codeword(_) => {
+            PhyConfig::Codeword => {
                 UplinkFrame::on_air_len(payload_bits) as u64 * 1_000_000 / bit_rate_bps.max(1)
             }
         }
@@ -150,9 +150,9 @@ impl PhyCapabilities {
     /// helper's symbol train, so the field is vestigial and pins to the
     /// table's top entry to stay encodable.
     pub fn wire_rate_bps(&self, selected_bps: u64) -> u64 {
-        match &self.phy {
+        match self.phy {
             PhyConfig::Presence => selected_bps,
-            PhyConfig::Codeword(_) => *SUPPORTED_RATES_BPS
+            PhyConfig::Codeword => *SUPPORTED_RATES_BPS
                 .last()
                 .expect("supported rate table is non-empty"),
         }
@@ -162,34 +162,30 @@ impl PhyCapabilities {
 /// Which PHY mode a link/session/gateway runs — the value callers put in
 /// configs via `with_phy(...)`. [`PhyConfig::Presence`] is the default
 /// everywhere.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum PhyConfig {
     /// The paper's presence/CSI PHY (the baseline).
     #[default]
     Presence,
-    /// FreeRider-style codeword translation with the given shape.
-    Codeword(CodewordParams),
+    /// FreeRider-style codeword translation: each frame bit is two
+    /// chips, each chip held for two helper symbols.
+    Codeword,
 }
 
 impl PhyConfig {
-    /// Codeword translation at the default shape.
-    pub fn codeword() -> Self {
-        PhyConfig::Codeword(CodewordParams::default())
-    }
-
     /// The configured mode's capabilities; its `name` is the mode's
     /// stable identifier.
     pub fn capabilities(&self) -> PhyCapabilities {
         let (name, coded_fallback, rate_steps_bps, inventory_slot_us) = match self {
             PhyConfig::Presence => ("presence", true, SUPPORTED_RATES_BPS.to_vec(), 2_500),
-            PhyConfig::Codeword(_) => ("codeword", false, CODEWORD_RATE_STEPS_BPS.to_vec(), 400),
+            PhyConfig::Codeword => ("codeword", false, CODEWORD_RATE_STEPS_BPS.to_vec(), 400),
         };
         PhyCapabilities {
             name,
             coded_fallback,
             rate_steps_bps,
             inventory_slot_us,
-            phy: self.clone(),
+            phy: *self,
         }
     }
 }
@@ -204,9 +200,9 @@ pub fn run_uplink(cfg: &LinkConfig) -> UplinkRun {
 /// [`MemRecorder`](bs_dsp::obs::MemRecorder) and call `into_report()` to
 /// profile the exchange. The run is bit-identical whatever the recorder.
 pub fn run_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> UplinkRun {
-    match &cfg.phy {
+    match cfg.phy {
         PhyConfig::Presence => presence_uplink_with(cfg, rec),
-        PhyConfig::Codeword(p) => run_codeword_uplink_with(cfg, p, rec),
+        PhyConfig::Codeword => run_codeword_uplink_with(cfg, rec),
     }
 }
 
@@ -274,7 +270,7 @@ mod tests {
 
     #[test]
     fn codeword_capabilities_scale_with_symbol_supply() {
-        let caps = PhyConfig::codeword().capabilities();
+        let caps = PhyConfig::Codeword.capabilities();
         // 3 000 pps × 42 syms / 4 syms-per-bit × 0.8 margin = 25 200 →
         // top of the step table.
         assert_eq!(caps.select_rate_bps(3_000.0, 5, 0.8), 25_000);
@@ -288,7 +284,7 @@ mod tests {
 
     #[test]
     fn codeword_readapt_steps_down_its_own_table() {
-        let caps = PhyConfig::codeword().capabilities();
+        let caps = PhyConfig::Codeword.capabilities();
         // Healthy cadence: 10 000 bps needs ~952 pps; measuring that
         // exact supply is no collapse.
         assert_eq!(caps.readapt_rate(10_000, 952.0, 5.0), None);
@@ -300,7 +296,7 @@ mod tests {
 
     #[test]
     fn codeword_wire_rate_is_always_encodable() {
-        let caps = PhyConfig::codeword().capabilities();
+        let caps = PhyConfig::Codeword.capabilities();
         for r in CODEWORD_RATE_STEPS_BPS {
             let wire = caps.wire_rate_bps(r);
             assert!(SUPPORTED_RATES_BPS.contains(&wire));
@@ -310,7 +306,7 @@ mod tests {
     #[test]
     fn codeword_response_budget_has_no_conditioning_lead() {
         let p = PhyConfig::Presence.capabilities();
-        let c = PhyConfig::codeword().capabilities();
+        let c = PhyConfig::Codeword.capabilities();
         assert!(c.response_air_us(90, 25_000, 1) < 10_000);
         assert!(p.response_air_us(90, 1_000, 1) > 1_200_000);
     }
@@ -319,8 +315,8 @@ mod tests {
     fn config_routes_to_the_right_mode() {
         assert_eq!(PhyConfig::default(), PhyConfig::Presence);
         assert_eq!(PhyConfig::Presence.capabilities().name, "presence");
-        assert_eq!(PhyConfig::codeword().capabilities().name, "codeword");
+        assert_eq!(PhyConfig::Codeword.capabilities().name, "codeword");
         assert!(PhyConfig::Presence.capabilities().coded_fallback);
-        assert!(!PhyConfig::codeword().capabilities().coded_fallback);
+        assert!(!PhyConfig::Codeword.capabilities().coded_fallback);
     }
 }

@@ -15,11 +15,10 @@
 //! and must update the manifest (and the golden fixture) in the same
 //! commit.
 
-pub use crate::codeword::CodewordParams;
 pub use crate::error::{EncodeError, Error, ProtocolError, SessionError, TraceError};
 pub use crate::link::{
     capture_uplink, capture_uplink_with, DegradationReport, DownlinkConfig, DownlinkRun,
-    LinkConfig, Measurement, MitigationPolicy, UplinkCapture, UplinkRun,
+    LinkConfig, Measurement, UplinkCapture, UplinkRun,
 };
 pub use crate::longrange::{LongRangeConfig, LongRangeDecoder, LongRangeOutput};
 pub use crate::multitag::{
@@ -51,7 +50,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "BerCounter",
     "Capacitor",
     "CapacitorConfig",
-    "CodewordParams",
     "Combining",
     "DecodeOutput",
     "DegradationReport",
@@ -75,7 +73,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "LongRangeOutput",
     "Measurement",
     "MemRecorder",
-    "MitigationPolicy",
     "NullRecorder",
     "ObsReport",
     "PhyCapabilities",

@@ -206,52 +206,47 @@ impl WindowAck {
     }
 }
 
-/// Frame-level retry schedule: exponential backoff between attempts plus
-/// a per-session time budget. §4.1 says the reader "re-transmits its
-/// packet until it gets a response"; unbounded retransmission is how real
-/// deployments melt down under a persistent fault, so the session bounds
-/// it twice — per-stage attempt caps (in `ReaderConfig`) and this overall
-/// budget on accumulated airtime + backoff.
+/// Wait before the first retry (µs).
+const BASE_BACKOFF_US: u64 = 2_000;
+
+/// Multiplier applied to the backoff per subsequent retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Cap on any single backoff (µs).
+const MAX_BACKOFF_US: u64 = 64_000;
+
+/// Frame-level retry schedule: exponential backoff between attempts
+/// (2 ms, doubling, capped at 64 ms) plus a per-session time budget.
+/// §4.1 says the reader "re-transmits its packet until it gets a
+/// response"; unbounded retransmission is how real deployments melt down
+/// under a persistent fault, so the session bounds it twice — per-stage
+/// attempt caps (in `ReaderConfig`) and this overall budget on
+/// accumulated airtime + backoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Wait before the first retry (µs).
-    pub base_backoff_us: u64,
-    /// Multiplier applied to the backoff per subsequent retry.
-    pub backoff_factor: f64,
-    /// Cap on any single backoff (µs).
-    pub max_backoff_us: u64,
-    /// Total per-query budget (µs) across backoffs and estimated airtime;
-    /// once exceeded, no further attempts are started.
+    /// Total per-query budget (µs) across backoffs and estimated airtime
+    /// (default: 60 s); once exceeded, no further attempts are started.
     pub budget_us: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            base_backoff_us: 2_000,
-            backoff_factor: 2.0,
-            max_backoff_us: 64_000,
             budget_us: 60_000_000,
         }
     }
 }
 
 impl RetryPolicy {
-    /// Sets the total per-query budget (default: 60 s).
-    pub fn with_budget_us(mut self, us: u64) -> Self {
-        self.budget_us = us;
-        self
-    }
-
     /// Backoff before attempt number `attempt` (0-based; the initial
-    /// transmission waits nothing, retry `n` waits
-    /// `base · factor^(n-1)`, capped).
+    /// transmission waits nothing, retry `n` waits `2 ms · 2^(n-1)`,
+    /// capped at 64 ms).
     pub fn backoff_us(&self, attempt: u32) -> u64 {
         if attempt == 0 {
             return 0;
         }
-        let exp = self.backoff_factor.max(1.0).powi(attempt as i32 - 1);
-        let backoff = (self.base_backoff_us as f64 * exp).min(self.max_backoff_us as f64);
+        let exp = BACKOFF_FACTOR.powi(attempt as i32 - 1);
+        let backoff = (BASE_BACKOFF_US as f64 * exp).min(MAX_BACKOFF_US as f64);
         backoff as u64
     }
 
@@ -526,16 +521,13 @@ mod tests {
         assert_eq!(p.backoff_us(2), 4_000);
         assert_eq!(p.backoff_us(3), 8_000);
         // Far attempts hit the cap instead of overflowing.
-        assert_eq!(p.backoff_us(20), p.max_backoff_us);
-        assert_eq!(p.backoff_us(63), p.max_backoff_us);
+        assert_eq!(p.backoff_us(20), MAX_BACKOFF_US);
+        assert_eq!(p.backoff_us(63), MAX_BACKOFF_US);
     }
 
     #[test]
     fn budget_gates_attempts() {
-        let p = RetryPolicy {
-            budget_us: 10_000,
-            ..Default::default()
-        };
+        let p = RetryPolicy { budget_us: 10_000 };
         assert!(p.within_budget(0));
         assert!(p.within_budget(9_999));
         assert!(!p.within_budget(10_000));

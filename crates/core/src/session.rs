@@ -20,9 +20,7 @@
 //! that would change.
 
 use crate::error as err;
-use crate::link::{
-    DegradationReport, DownlinkConfig, LinkConfig, Measurement, MitigationPolicy, UplinkRun,
-};
+use crate::link::{DegradationReport, DownlinkConfig, LinkConfig, Measurement, UplinkRun};
 use crate::phy::{run_downlink_frame_with, run_uplink_with, PhyConfig};
 use crate::protocol::{Ack, Query, RetryPolicy};
 use bs_channel::faults::FaultPlan;
@@ -54,9 +52,6 @@ pub struct ReaderConfig {
     pub fallback_code_length: usize,
     /// Injected faults; [`FaultPlan::none`] leaves the session untouched.
     pub faults: FaultPlan,
-    /// Link-layer mitigations the reader arms (a production reader runs
-    /// them all; conformance tests switch them off to measure the gap).
-    pub mitigations: MitigationPolicy,
     /// Backoff schedule and time budget bounding the retry loops.
     pub retry: RetryPolicy,
     /// Which PHY mode the session's link exchanges run
@@ -85,7 +80,6 @@ impl Default for ReaderConfig {
             max_response_attempts: 3,
             fallback_code_length: 20,
             faults: FaultPlan::none(),
-            mitigations: MitigationPolicy::all(),
             retry: RetryPolicy::default(),
             phy: PhyConfig::Presence,
             tag_energy: None,
@@ -109,19 +103,6 @@ impl ReaderConfig {
     /// Sets the injected fault plan (default: [`FaultPlan::none`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the armed mitigations (default: [`MitigationPolicy::all`]).
-    pub fn with_mitigations(mut self, mitigations: MitigationPolicy) -> Self {
-        self.mitigations = mitigations;
-        self
-    }
-
-    /// Sets the retry backoff/budget policy (default:
-    /// [`RetryPolicy::default`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -434,8 +415,9 @@ impl Reader {
         cfg.payload = payload.to_vec();
         cfg.code_length = code_length;
         cfg.faults = self.cfg.faults.clone();
-        cfg.mitigations = self.cfg.mitigations;
-        cfg.phy = self.cfg.phy.clone();
+        // A session always arms the link's mitigations.
+        cfg.mitigations = true;
+        cfg.phy = self.cfg.phy;
         run_uplink_with(&cfg, rec)
     }
 
@@ -700,7 +682,7 @@ mod tests {
         let mut r = Reader::new(
             ReaderConfig {
                 helper_pps: 3_000.0,
-                phy: PhyConfig::codeword(),
+                phy: PhyConfig::Codeword,
                 ..Default::default()
             },
             11,
@@ -739,7 +721,7 @@ mod tests {
         });
         let mut r = Reader::new(
             ReaderConfig {
-                phy: PhyConfig::codeword(),
+                phy: PhyConfig::Codeword,
                 faults: outage,
                 fallback_code_length: 20, // would enable fallback on presence
                 ..Default::default()

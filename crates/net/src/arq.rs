@@ -33,6 +33,10 @@ use std::ops::Range;
 use wifi_backscatter::link::DegradationReport;
 use wifi_backscatter::protocol::{Query, RetryPolicy, WindowAck, SUPPORTED_RATES_BPS};
 
+/// ± fractional jitter on each retry backoff, drawn from the seeded
+/// timeout stream.
+const TIMEOUT_JITTER: f64 = 0.25;
+
 /// Transport knobs for one transfer.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
@@ -48,9 +52,6 @@ pub struct TransportConfig {
     pub retry: RetryPolicy,
     /// Hard cap on rounds, a backstop under pathological loss.
     pub max_rounds: u32,
-    /// ± fractional jitter on each backoff, drawn from the seeded
-    /// timeout stream (0 = none).
-    pub timeout_jitter: f64,
     /// Seed for the transport's own randomness (timeout jitter); kept
     /// separate from link and fault seeds.
     pub seed: u64,
@@ -68,7 +69,6 @@ impl Default for TransportConfig {
             seg_payload_bytes: 16,
             retry: RetryPolicy::default(),
             max_rounds: 4_096,
-            timeout_jitter: 0.25,
             seed: 1,
             fec: FecConfig::none(),
         }
@@ -536,8 +536,8 @@ impl<'m> TransportSession<'m> {
         // before every no-progress retry round.
         if self.failed_rounds > 0 {
             let base = self.cfg.retry.backoff_us(self.failed_rounds) as f64;
-            let jitter = 1.0 + self.cfg.timeout_jitter * (2.0 * self.rng.uniform() - 1.0);
-            let wait = (base * jitter.max(0.0)) as u64;
+            let jitter = 1.0 + TIMEOUT_JITTER * (2.0 * self.rng.uniform() - 1.0);
+            let wait = (base * jitter) as u64;
             link.advance_us(wait);
         }
 
@@ -837,7 +837,9 @@ mod tests {
             .with_severity(1.0);
         let mut link = SimLink::new(plan, 1);
         let cfg = TransportConfig {
-            retry: RetryPolicy::default().with_budget_us(2_000_000),
+            retry: RetryPolicy {
+                budget_us: 2_000_000,
+            },
             ..TransportConfig::default()
         };
         let t = run_transfer(&msg(64), cfg, &mut link);

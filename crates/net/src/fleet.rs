@@ -24,18 +24,18 @@
 //! # Sharding and determinism
 //!
 //! The flat per-entity control blocks (tag positions, associations,
-//! per-gateway rosters) are partitioned into contiguous **shards**,
-//! spread over workers by [`bs_dsp::par::map_indexed`]: one atomic
-//! cursor, results back in shard order, no mutexes or rwlocks on the hot
-//! path, and a panicking shard surfaces as
+//! per-gateway rosters) are partitioned into contiguous **shards**, one
+//! per gateway up to 16 — a count set by the population, never by the
+//! worker count — spread over workers by [`bs_dsp::par::map_indexed`]:
+//! one atomic cursor, results back in shard order, no mutexes or rwlocks
+//! on the hot path, and a panicking shard surfaces as
 //! [`FleetError::ShardPanicked`] rather than tearing down the caller.
 //! Every random draw descends from a stream keyed by the *entity's*
 //! coordinates (tag id, gateway id, epoch), never by the worker or shard
 //! that happened to compute it, and every cross-shard merge is applied in
 //! global id order. Consequently a fleet run is a pure function of
-//! the [`FleetConfig`] alone: byte-identical for any `jobs` count, and
-//! per-tag outcomes are invariant under the shard-count choice (the
-//! conformance suite pins both).
+//! the [`FleetConfig`] alone: byte-identical for any `jobs` count (the
+//! conformance suite pins it).
 //!
 //! ```
 //! use bs_net::fleet::{run_fleet, FleetConfig};
@@ -228,12 +228,6 @@ pub struct FleetConfig {
     /// How strongly neighbour coverage overlap raises severity:
     /// `severity_g = base + gain · Σ_n overlap(d_gn) · load_n`.
     pub interference_gain: f64,
-    /// Shard count for the flat control blocks (0 = auto: one shard
-    /// per gateway up to 16). Deliberately *not* derived from the
-    /// worker count, so the report is byte-identical for any `jobs`.
-    /// Shard choice groups the [`ShardReport`]s but never changes
-    /// per-tag outcomes.
-    pub shards: usize,
     /// Per-gateway template (transport, inventory, PHY, `max_cycles`,
     /// polling policy); seed and faults are overridden per gateway per
     /// epoch.
@@ -261,7 +255,6 @@ impl Default for FleetConfig {
             move_sigma_m: 15.0,
             faults: bs_channel::faults::FaultPlan::none(),
             interference_gain: 0.15,
-            shards: 0,
             gateway: GatewayConfig::default(),
             energy: None,
             seed: 1,
@@ -292,12 +285,6 @@ impl FleetConfig {
     /// Sets the epoch count (builder style).
     pub fn with_epochs(mut self, epochs: u32) -> Self {
         self.epochs = epochs;
-        self
-    }
-
-    /// Sets the shard count (builder style); 0 = one shard per worker.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -337,25 +324,8 @@ pub struct TagRecord {
     pub recoveries: u32,
 }
 
-/// Per-shard aggregate, mirroring the per-gateway truncation flag at
-/// the resolution the sharded engine actually ran.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Shard index.
-    pub shard: u32,
-    /// Gateways this shard owned.
-    pub gateways: u32,
-    /// Gateway-epochs in this shard that hit the `max_cycles` backstop
-    /// (mirrors [`GatewayRun::truncated`](crate::gateway::GatewayRun)).
-    pub truncated_gateway_epochs: u32,
-    /// Total airtime charged by this shard's gateways (µs).
-    pub airtime_us: u64,
-    /// Bytes delivered by this shard's gateways.
-    pub delivered_bytes: u64,
-}
-
-/// The fleet run report: flat per-tag records, per-shard aggregates,
-/// and the headline metrics (goodput, Jain fairness, latency tail).
+/// The fleet run report: flat per-tag records and the headline metrics
+/// (goodput, Jain fairness, latency tail).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRun {
     /// Gateways simulated.
@@ -364,12 +334,8 @@ pub struct FleetRun {
     pub tags: u32,
     /// Epochs simulated.
     pub epochs: u32,
-    /// Shards the control blocks were partitioned into.
-    pub shards: u32,
     /// Per-tag outcomes, in global tag-id order.
     pub tag_records: Vec<TagRecord>,
-    /// Per-shard aggregates, in shard order.
-    pub shard_reports: Vec<ShardReport>,
     /// Handoffs applied across the run.
     pub handoffs: u64,
     /// Handoffs denied by the per-gateway address-space cap.
@@ -378,7 +344,7 @@ pub struct FleetRun {
     pub delivered_bytes: u64,
     /// Every tag completed its upload in every epoch.
     pub all_complete: bool,
-    /// Gateway-epochs that hit the cycle backstop (sum over shards).
+    /// Gateway-epochs that hit the cycle backstop.
     pub truncated_gateway_epochs: u32,
     /// Poll slots scheduled fleet-wide (served rounds + wasted polls).
     pub polls: u64,
@@ -417,7 +383,6 @@ impl FleetRun {
         s.push_str(&format!("  \"gateways\": {},\n", self.gateways));
         s.push_str(&format!("  \"tags\": {},\n", self.tags));
         s.push_str(&format!("  \"epochs\": {},\n", self.epochs));
-        s.push_str(&format!("  \"shards\": {},\n", self.shards));
         s.push_str(&format!("  \"handoffs\": {},\n", self.handoffs));
         s.push_str(&format!(
             "  \"handoffs_denied\": {},\n",
@@ -455,24 +420,6 @@ impl FleetRun {
             self.latency_us_p99
         ));
         s.push_str(&format!("  \"digest\": \"{:016x}\",\n", self.digest));
-        s.push_str("  \"shard_reports\": [\n");
-        for (i, r) in self.shard_reports.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"shard\": {}, \"gateways\": {}, \"truncated_gateway_epochs\": {}, \
-                 \"airtime_us\": {}, \"delivered_bytes\": {}}}{}\n",
-                r.shard,
-                r.gateways,
-                r.truncated_gateway_epochs,
-                r.airtime_us,
-                r.delivered_bytes,
-                if i + 1 < self.shard_reports.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n");
         s.push_str("  \"tag_records\": [\n");
         for (i, t) in self.tag_records.iter().enumerate() {
             s.push_str(&format!(
@@ -503,6 +450,11 @@ impl FleetRun {
 // ---------------------------------------------------------------------
 // Sharding
 // ---------------------------------------------------------------------
+
+/// Most shards a run partitions its control blocks into: one per
+/// gateway up to this many. Deliberately *not* derived from the worker
+/// count, so the report is byte-identical for any `jobs`.
+const MAX_SHARDS: usize = 16;
 
 /// Splits `0..n` into `shards` contiguous ranges (first remainder
 /// shards are one longer).
@@ -717,7 +669,6 @@ struct TagBlock {
 struct GwEpochResult {
     truncated: bool,
     airtime_us: u64,
-    delivered_bytes: u64,
     polls: u64,
     missed_polls: u64,
     /// `(global tag id, delivered bytes, latency µs, complete, energy)`
@@ -785,11 +736,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
     }
 
     let jobs = jobs.max(1);
-    let shards = if cfg.shards == 0 {
-        cfg.gateways.min(16)
-    } else {
-        cfg.shards
-    };
+    let shards = cfg.gateways.min(MAX_SHARDS);
     let root = SimRng::new(cfg.seed);
     let topo = Topology::build(cfg, &root);
     let n_tags = cfg.total_tags();
@@ -869,13 +816,7 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
     let mut total_missed_polls = 0u64;
     let mut airtime_us = 0u64;
     let mut latencies: Vec<f64> = Vec::with_capacity(n_tags * cfg.epochs as usize);
-    let mut shard_truncated = vec![0u32; gw_shards.len()];
-    let mut shard_airtime = vec![0u64; gw_shards.len()];
-    let mut shard_delivered = vec![0u64; gw_shards.len()];
-    let mut gw_for_shard = vec![0u32; gw_shards.len()];
-    for (s, r) in gw_shards.iter().enumerate() {
-        gw_for_shard[s] = r.len() as u32;
-    }
+    let mut truncated_gateway_epochs = 0u32;
 
     for epoch in 0..cfg.epochs {
         // Phase 1+2: movement (from epoch 1) and handoff proposals,
@@ -966,7 +907,6 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
                         out.push(GwEpochResult {
                             truncated: false,
                             airtime_us: 0,
-                            delivered_bytes: 0,
                             polls: 0,
                             missed_polls: 0,
                             outcomes: Vec::new(),
@@ -1023,7 +963,6 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
                     out.push(GwEpochResult {
                         truncated: run.truncated,
                         airtime_us: run.airtime_us,
-                        delivered_bytes: run.tags.iter().map(|o| o.transfer.delivered_bytes).sum(),
                         polls: run.polls,
                         missed_polls: run.missed_polls,
                         outcomes,
@@ -1038,12 +977,10 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
             let shard = shard?;
             for (g, r) in gw_shards[s].clone().zip(shard) {
                 epoch_wall_us = epoch_wall_us.max(r.airtime_us);
-                shard_airtime[s] += r.airtime_us;
-                shard_delivered[s] += r.delivered_bytes;
                 total_polls += r.polls;
                 total_missed_polls += r.missed_polls;
                 if r.truncated {
-                    shard_truncated[s] += 1;
+                    truncated_gateway_epochs += 1;
                     for &(t, ..) in &r.outcomes {
                         blocks[t as usize].truncated_epochs += 1;
                     }
@@ -1118,15 +1055,6 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
             recoveries: b.recoveries,
         })
         .collect();
-    let shard_reports: Vec<ShardReport> = (0..gw_shards.len())
-        .map(|s| ShardReport {
-            shard: s as u32,
-            gateways: gw_for_shard[s],
-            truncated_gateway_epochs: shard_truncated[s],
-            airtime_us: shard_airtime[s],
-            delivered_bytes: shard_delivered[s],
-        })
-        .collect();
     let delivered_bytes: u64 = tag_records.iter().map(|t| t.delivered_bytes).sum();
     let shares: Vec<u64> = tag_records.iter().map(|t| t.delivered_bytes).collect();
     let ps = percentile_many(&latencies, &[50.0, 90.0, 99.0]);
@@ -1150,9 +1078,8 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         gateways: cfg.gateways as u32,
         tags: n_tags as u32,
         epochs: cfg.epochs,
-        shards: gw_shards.len() as u32,
         all_complete: tag_records.iter().all(|t| t.complete_epochs == cfg.epochs),
-        truncated_gateway_epochs: shard_truncated.iter().sum(),
+        truncated_gateway_epochs,
         handoffs: total_handoffs,
         handoffs_denied,
         polls: total_polls,
@@ -1172,7 +1099,6 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         latency_us_p99: ps[2],
         digest: digest.finish(),
         tag_records,
-        shard_reports,
     })
 }
 
@@ -1216,17 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_never_changes_per_tag_outcomes() {
-        let base = small().with_faults(FaultPlan::preset("loss", 0.6, 9).unwrap());
-        let one = run_fleet(&base.clone().with_shards(1), 2).unwrap();
-        let five = run_fleet(&base.with_shards(5), 2).unwrap();
-        assert_eq!(one.tag_records, five.tag_records);
-        assert_eq!(one.digest, five.digest);
-        // The shard grouping itself may differ — that is the point.
-        assert_ne!(one.shard_reports.len(), five.shard_reports.len());
-    }
-
-    #[test]
     fn mobility_produces_handoffs_and_caps_hold() {
         let cfg = FleetConfig {
             mobility: 0.9,
@@ -1267,7 +1182,7 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_mirrored_per_shard() {
+    fn truncation_is_reported_per_tag_and_per_run() {
         let cfg = FleetConfig {
             gateway: GatewayConfig {
                 max_cycles: 1,
@@ -1277,18 +1192,10 @@ mod tests {
             message_bytes: 400,
             epochs: 1,
             ..small()
-        }
-        .with_shards(3);
+        };
         let run = run_fleet(&cfg, 2).unwrap();
         assert!(run.truncated_gateway_epochs > 0);
-        assert_eq!(
-            run.truncated_gateway_epochs,
-            run.shard_reports
-                .iter()
-                .map(|s| s.truncated_gateway_epochs)
-                .sum::<u32>(),
-            "per-shard mirror must sum to the fleet total"
-        );
+        assert!(run.truncated_gateway_epochs <= cfg.gateways as u32);
         assert!(run.tag_records.iter().any(|t| t.truncated_epochs > 0));
         assert!(!run.all_complete);
     }

@@ -11,7 +11,7 @@
 //!    [`TransportSession`] + [`SimLink`], so loss on one tag's channel
 //!    never corrupts another's message;
 //! 3. **Deficit round-robin** — each scheduler cycle tops up every
-//!    incomplete tag's deficit by `quantum_bytes` and serves ARQ rounds
+//!    incomplete tag's deficit by a 64-byte quantum and serves ARQ rounds
 //!    while the deficit covers the round's payload bytes. A tag stuck
 //!    retransmitting drains its quantum like any other traffic, so it
 //!    cannot starve its neighbours (the scheduler invariant the
@@ -102,14 +102,16 @@ pub enum PollingPolicy {
     EnergyAware,
 }
 
+/// Deficit round-robin quantum: payload bytes added to each incomplete
+/// tag's deficit per scheduler cycle.
+const QUANTUM_BYTES: u64 = 64;
+
 /// Gateway configuration.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Template transport knobs; `tag_address` and `msg_id` are
     /// overridden per tag.
     pub transport: TransportConfig,
-    /// Deficit round-robin quantum (payload bytes added per cycle).
-    pub quantum_bytes: u64,
     /// Singulation parameters.
     pub inventory: InventoryConfig,
     /// Air-time charged per inventory slot (µs). [`Self::with_phy`]
@@ -142,7 +144,6 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             transport: TransportConfig::default(),
-            quantum_bytes: 64,
             inventory: InventoryConfig::default(),
             slot_us: PhyConfig::Presence.capabilities().inventory_slot_us,
             faults: FaultPlan::none(),
@@ -237,7 +238,7 @@ pub enum GatewayError {
         seg_payload_bytes: usize,
     },
     /// A scheduler knob has no meaning at its value: a zero
-    /// [`GatewayConfig::quantum_bytes`] or `transport.window`, a
+    /// `transport.window`, a
     /// [`GatewayConfig::rate_margin`] that is not finite and positive, or
     /// a `transport.fec` with parity whose group is outside
     /// [`crate::fec::FecConfig::fixed`]'s `1..=64` data and `0..=64` parity.
@@ -438,7 +439,7 @@ impl ServedTag<'_> {
 /// [`GatewayError::InvalidInventory`] if the inventory config's Q exceeds
 /// 15, [`GatewayError::InvalidTransport`] if the transport's segment
 /// payload is outside `1..=255` bytes, [`GatewayError::InvalidConfig`] if
-/// the quantum or window is zero, the rate margin is not finite and
+/// the window is zero, the rate margin is not finite and
 /// positive or the FEC group is out of its domain,
 /// [`GatewayError::InvalidEnergy`] if
 /// a profile's capacitor config or harvest power is invalid,
@@ -460,13 +461,11 @@ pub fn run_gateway_with(
     if let Err(TransportError::SegPayload { seg_payload_bytes }) = transport {
         return Err(GatewayError::InvalidTransport { seg_payload_bytes });
     }
-    // A zero quantum never funds a round, a zero window grants no
-    // segment per poll, a margin that is not finite and positive scales
-    // no rate, and an FEC group outside `FecConfig::fixed`'s domain
-    // divides by zero or overruns the window.
+    // A zero window grants no segment per poll, a margin that is not
+    // finite and positive scales no rate, and an FEC group outside
+    // `FecConfig::fixed`'s domain divides by zero or overruns the window.
     let margin = cfg.rate_margin;
     for (field, ok) in [
-        ("quantum_bytes", cfg.quantum_bytes > 0),
         ("transport.window", cfg.transport.window > 0),
         ("rate_margin", margin.is_finite() && margin > 0.0),
         ("transport.fec", transport.is_ok()),
@@ -583,7 +582,7 @@ pub fn run_gateway_with(
                 tag.deficit = 0; // done: a finished flow banks nothing
                 continue;
             }
-            tag.deficit += cfg.quantum_bytes;
+            tag.deficit += QUANTUM_BYTES;
             // Energy-aware backoff: a tag the scheduler has marked as
             // (probably) charging keeps banking quantum but is not
             // polled, so its silence costs no airtime.
@@ -643,7 +642,7 @@ pub fn run_gateway_with(
                 // halving against the presence floor whatever the PHY;
                 // the capabilities step down the configured mode's own
                 // rate table instead.
-                if tag.sent_bytes >= 4 * cfg.quantum_bytes {
+                if tag.sent_bytes >= 4 * QUANTUM_BYTES {
                     let delivery = tag.acked_bytes as f64 / tag.sent_bytes as f64;
                     let measured_pps = tag.profile.helper_pps * delivery;
                     if let Some(slower) = caps.readapt_rate(
@@ -843,10 +842,10 @@ mod tests {
         // codeword rate table (25 kbps at the nominal 3000 pps cadence,
         // not the presence table's 1 kbps cap), charge the codeword's
         // short singulation slots, and still deliver everything.
-        let cw = GatewayConfig::default().with_phy(PhyConfig::codeword());
+        let cw = GatewayConfig::default().with_phy(PhyConfig::Codeword);
         assert_eq!(
             cw.slot_us,
-            PhyConfig::codeword().capabilities().inventory_slot_us,
+            PhyConfig::Codeword.capabilities().inventory_slot_us,
             "with_phy must re-derive the inventory slot length"
         );
         let tags = fleet(3, 128);
@@ -1018,8 +1017,7 @@ mod tests {
         // division by zero.
         use crate::fec::FecConfig;
         type Set = fn(&mut GatewayConfig);
-        let cases: [(&str, Set); 9] = [
-            ("quantum_bytes", |c| c.quantum_bytes = 0),
+        let cases: [(&str, Set); 8] = [
             ("transport.window", |c| c.transport.window = 0),
             ("rate_margin", |c| c.rate_margin = f64::NAN),
             ("rate_margin", |c| c.rate_margin = f64::INFINITY),

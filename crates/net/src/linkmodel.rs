@@ -29,7 +29,7 @@ use bs_dsp::SimRng;
 use bs_tag::frame::DownlinkFrame;
 use bs_wifi::traffic::WildTraffic;
 use std::borrow::Borrow;
-use wifi_backscatter::link::{DegradationReport, DownlinkConfig, LinkConfig, MitigationPolicy};
+use wifi_backscatter::link::{DegradationReport, DownlinkConfig, LinkConfig};
 use wifi_backscatter::phy::{run_downlink_frame_with, run_uplink_with, PhyConfig};
 
 /// Downlink (reader→tag) bit rate of every link, bits/s: the paper's
@@ -501,7 +501,7 @@ impl SegmentLink for PhyLink {
     fn send_segment(&mut self, seg: &Segment, _rec: &mut dyn Recorder) -> SegmentFate {
         let bits = seg.to_bits();
         let air = segment_air_us(bits.len(), self.chip_rate_bps);
-        let cfg = LinkConfig::fig10(
+        let mut cfg = LinkConfig::fig10(
             self.distance_m,
             self.chip_rate_bps,
             PHY_PKTS_PER_BIT,
@@ -509,8 +509,8 @@ impl SegmentLink for PhyLink {
         )
         .with_payload(bits)
         .with_faults(self.faults.clone())
-        .with_mitigations(MitigationPolicy::all())
-        .with_phy(self.phy.clone());
+        .with_phy(self.phy);
+        cfg.mitigations = true;
         self.now_us += air + TURNAROUND_US;
         let run = run_uplink_with(&cfg, &mut bs_dsp::obs::NullRecorder);
         self.report.merge(&run.degradation);
@@ -788,7 +788,7 @@ mod tests {
         // control frames are delivered, and the run is deterministic in
         // the seed.
         let mut rec = NullRecorder;
-        let mut link = PhyLink::new(0.3, FaultPlan::none(), 33).with_phy(PhyConfig::codeword());
+        let mut link = PhyLink::new(0.3, FaultPlan::none(), 33).with_phy(PhyConfig::Codeword);
         for _ in 0..3 {
             assert_eq!(link.send_segment(&seg(0), &mut rec), SegmentFate::Delivered);
         }

@@ -23,7 +23,7 @@ pub use crate::arq::{
 };
 pub use crate::fec::{FecConfig, FecError, GroupCoder, ReedSolomon, RepairOutcome};
 pub use crate::fleet::{
-    run_fleet, FleetConfig, FleetEnergyConfig, FleetError, FleetRun, ShardReport, TagRecord,
+    run_fleet, FleetConfig, FleetEnergyConfig, FleetError, FleetRun, TagRecord,
     MAX_TAGS_PER_GATEWAY,
 };
 pub use crate::gateway::{
@@ -65,7 +65,6 @@ pub const NET_PRELUDE_MANIFEST: &[&str] = &[
     "SegmentError",
     "SegmentFate",
     "SegmentLink",
-    "ShardReport",
     "SimLink",
     "TagEnergyOutcome",
     "TagOutcome",

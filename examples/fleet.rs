@@ -25,8 +25,8 @@ fn main() {
     let wall = start.elapsed();
 
     println!(
-        "population: {} tags behind {} gateways ({} shards)",
-        run.tags, run.gateways, run.shards
+        "population: {} tags behind {} gateways",
+        run.tags, run.gateways
     );
     println!(
         "delivered:  {} bytes, all complete: {}, truncated gateway-epochs: {}",

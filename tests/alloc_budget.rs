@@ -8,7 +8,8 @@
 //! thread, with this binary's own counting allocator, and holds a
 //! gateway run to [`PER_TAG`] per identified tag plus [`PER_GATEWAY`],
 //! and a capture to [`PER_CAPTURE`] plus [`PER_THREAD`] per thread plus
-//! one per [`PACKETS_PER_ALLOC`] packets. So `cargo test` catches allocations creeping back into a
+//! one per [`PACKETS_PER_ALLOC`] packets; an RSSI capture makes one
+//! report per packet and nothing else per packet. So `cargo test` catches allocations creeping back into a
 //! per-tag or per-packet path, not only the `fleet_micro` smoke bench.
 
 use bs_channel::faults::FaultPlan;
@@ -18,7 +19,7 @@ use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use wifi_backscatter::link::{capture_uplink, LinkConfig};
+use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 
 /// Heap allocations (alloc, alloc_zeroed, realloc) made by any thread
 /// of this binary. The count publishes no other data, so `Relaxed`
@@ -191,6 +192,34 @@ const PER_THREAD: u64 = 9;
 /// streams and the MAC timeline double as they fill, and the bundle's
 /// columns are sized once, so this bounds growth, not a cost per packet.
 const PACKETS_PER_ALLOC: u64 = 256;
+
+/// Allocations per RSSI capture whatever its length: as for
+/// [`PER_CAPTURE`] but with no pipeline, so no thread or chunk buffers
+/// (≈72 measured), with the same headroom.
+const RSSI_PER_CAPTURE: u64 = 136;
+
+/// Allocations per packet of an RSSI capture: each measurement's own
+/// per-antenna buffer (the channel is filled into one reused snapshot).
+const RSSI_PER_PACKET: u64 = 1;
+
+#[test]
+fn an_rssi_capture_allocates_one_report_per_packet() {
+    let _alone = alone();
+    for ppb in [5, 10, 30] {
+        let cfg = LinkConfig::fig10(0.3, 100, ppb, 3).with_measurement(Measurement::Rssi);
+        let (allocs, capture) = counted(|| capture_uplink(&cfg));
+        let packets = capture.bundle.packets() as u64;
+        let budget = RSSI_PER_CAPTURE + RSSI_PER_PACKET * packets + packets / PACKETS_PER_ALLOC;
+        println!(
+            "rssi capture at {ppb} pkts/bit: {allocs} allocations, {packets} packets, \
+             budget {budget}"
+        );
+        assert!(
+            allocs <= budget,
+            "{allocs} allocations for {packets} packets, over budget"
+        );
+    }
+}
 
 #[test]
 fn a_capture_allocates_per_batch_not_per_packet() {

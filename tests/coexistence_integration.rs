@@ -7,7 +7,7 @@ use bs_tag::frame::UplinkFrame;
 use bs_tag::modulator::{Modulator, UplinkMode};
 use bs_wifi::frame::FrameKind;
 use bs_wifi::mac::{Medium, Station};
-use wifi_backscatter::downlink::{DownlinkEncoder, DownlinkEncoderConfig};
+use wifi_backscatter::downlink::DownlinkEncoder;
 use wifi_backscatter::link::LinkConfig;
 use wifi_backscatter::phy::run_uplink;
 
@@ -57,7 +57,7 @@ fn all_traffic_mode_gathers_more_packets() {
 #[test]
 fn downlink_reservation_keeps_silences_silent() {
     // Encode a frame; its CTS reserves the medium.
-    let encoder = DownlinkEncoder::new(DownlinkEncoderConfig::at_rate(20_000, 0));
+    let encoder = DownlinkEncoder::new(20_000);
     let frame = bs_tag::frame::DownlinkFrame::new(vec![0xAA, 0x55]);
     let tx = encoder.encode(&frame, 0).unwrap();
     let nav_us = tx.frames[0].nav_us();
@@ -161,7 +161,7 @@ fn uplink_survives_microwave_interference_at_close_range() {
 #[test]
 fn beacon_only_uplink_survives_helper_outages() {
     use bs_channel::faults::FaultPlan;
-    use wifi_backscatter::link::{Measurement, MitigationPolicy};
+    use wifi_backscatter::link::Measurement;
 
     let mut ber = BerCounter::new();
     let mut fired = false;
@@ -174,7 +174,7 @@ fn beacon_only_uplink_survives_helper_outages() {
         cfg.helper_pps = 60.0;
         cfg.payload = (0..16).map(|i| (i * 3) % 5 < 2).collect();
         cfg.faults = FaultPlan::preset("outage", 1.0, 870 + seed).unwrap();
-        cfg.mitigations = MitigationPolicy::all();
+        cfg.mitigations = true;
         let run = run_uplink(&cfg);
         assert!(run.detected, "seed {seed}: beacon-only link lost the frame");
         let d = &run.degradation;

@@ -19,9 +19,7 @@ use bs_channel::faults::{FaultPlan, PRESET_SCENARIOS};
 use bs_dsp::bits::BerCounter;
 use bs_dsp::SimRng;
 use wifi_backscatter::error::SessionError;
-use wifi_backscatter::link::{
-    DegradationReport, LinkConfig, Measurement, MitigationPolicy, UplinkRun,
-};
+use wifi_backscatter::link::{DegradationReport, LinkConfig, Measurement, UplinkRun};
 use wifi_backscatter::phy::run_uplink;
 use wifi_backscatter::protocol::RetryPolicy;
 use wifi_backscatter::session::{Reader, ReaderConfig};
@@ -35,11 +33,7 @@ fn faulted_cfg(scenario: &str, severity: f64, mitigated: bool, seed: u64) -> Lin
     cfg.payload = (0..30).map(|i| (i * 7) % 5 < 2).collect();
     cfg.faults = FaultPlan::preset(scenario, severity, seed ^ 0xFA17)
         .unwrap_or_else(|| panic!("unknown scenario '{scenario}'"));
-    cfg.mitigations = if mitigated {
-        MitigationPolicy::all()
-    } else {
-        MitigationPolicy::none()
-    };
+    cfg.mitigations = mitigated;
     cfg
 }
 
@@ -272,10 +266,7 @@ fn session_budget_exhaustion_fails_cleanly_not_slowly() {
     let cfg = ReaderConfig {
         tag_distance_m: 6.0,
         max_query_attempts: 30,
-        retry: RetryPolicy {
-            budget_us: 1,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { budget_us: 1 },
         ..ReaderConfig::default()
     };
     let mut reader = Reader::new(cfg, 9);
@@ -299,10 +290,10 @@ fn backoff_schedule_is_exponential_and_capped() {
         let b = retry.backoff_us(attempt);
         assert!(b >= prev, "backoff shrank at attempt {attempt}");
         assert!(
-            b <= retry.max_backoff_us,
-            "backoff over cap at attempt {attempt}"
+            b <= 64_000,
+            "backoff over the 64 ms cap at attempt {attempt}"
         );
         prev = b;
     }
-    assert_eq!(prev, retry.max_backoff_us, "cap never reached");
+    assert_eq!(prev, 64_000, "cap never reached");
 }

@@ -72,7 +72,6 @@ fn wild_link(severity: f64, seed: u64) -> SimLink {
 fn wild_config(seed: u64) -> TransportConfig {
     let retry = RetryPolicy {
         budget_us: 600_000_000,
-        ..RetryPolicy::default()
     };
     TransportConfig::default()
         .with_window(48)

@@ -42,7 +42,7 @@ fn codeword_phy_round_trips_random_payloads_benignly() {
         let mut cfg = LinkConfig::fig10(0.8, 100, 5, seed);
         cfg.helper_pps = 3_000.0;
         cfg.payload = payload.clone();
-        cfg.phy = PhyConfig::codeword();
+        cfg.phy = PhyConfig::Codeword;
         let run = run_uplink(&cfg);
         assert!(run.detected, "payload {i} not detected");
         assert_eq!(
@@ -59,12 +59,12 @@ fn both_modes_deterministic_under_fault_seeds() {
     let payload: Vec<bool> = (0..24).map(|i| i % 3 != 1).collect();
     for scenario in ["loss", "outage", "all"] {
         let plan = FaultPlan::preset(scenario, 0.8, 17).expect("preset exists");
-        for phy in [PhyConfig::Presence, PhyConfig::codeword()] {
+        for phy in [PhyConfig::Presence, PhyConfig::Codeword] {
             let mk = || {
                 let mut cfg = LinkConfig::fig10(0.4, 200, 5, 91);
                 cfg.payload = payload.clone();
                 cfg.faults = plan.clone();
-                cfg.phy = phy.clone();
+                cfg.phy = phy;
                 uplink_fingerprint(&run_uplink(&cfg))
             };
             assert_eq!(
@@ -79,7 +79,7 @@ fn both_modes_deterministic_under_fault_seeds() {
             // a fully-saturated fault case.
             let mut a = LinkConfig::fig10(0.4, 200, 5, 91);
             a.payload = payload.clone();
-            a.phy = phy.clone();
+            a.phy = phy;
             let mut b = a.clone();
             b.seed = 92;
             assert_ne!(
@@ -94,7 +94,7 @@ fn both_modes_deterministic_under_fault_seeds() {
 
 #[test]
 fn every_mode_selects_a_rate_from_its_own_table() {
-    for phy in [PhyConfig::Presence, PhyConfig::codeword()] {
+    for phy in [PhyConfig::Presence, PhyConfig::Codeword] {
         let caps = phy.capabilities();
         assert!(!caps.rate_steps_bps.is_empty());
         assert!(caps.select_rate_bps(3_000.0, 5, 0.8) >= *caps.rate_steps_bps.first().unwrap());
