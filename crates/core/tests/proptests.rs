@@ -7,7 +7,7 @@ use wifi_backscatter::error::SeriesError;
 use wifi_backscatter::longrange::{LongRangeConfig, LongRangeDecoder};
 use wifi_backscatter::multitag::{run_inventory, InventoryConfig, InventoryTag};
 use wifi_backscatter::protocol::{select_bit_rate, Query, SUPPORTED_RATES_BPS};
-use wifi_backscatter::series::SeriesBundle;
+use wifi_backscatter::series::{SeriesBundle, SlotIndex};
 use wifi_backscatter::trace;
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 
@@ -339,6 +339,96 @@ fn indexed_decode_matches_reference_on_random_bundles() {
 
         let lr = LongRangeDecoder::new(LongRangeConfig::new(4, 10_000, g.usize_in(1, 4)));
         assert_eq!(lr.decode_reference(&bundle, hint), lr.decode(&bundle, hint));
+    });
+}
+
+/// One query to a [`SlotIndex`]: a conditioning half-window, a channel
+/// and a slot window, asking for the slot means or the residual variance.
+#[derive(Debug, Clone, Copy)]
+struct SlotQuery {
+    half: usize,
+    channel: usize,
+    start_us: u64,
+    width_us: u64,
+    n_slots: usize,
+    means: bool,
+}
+
+/// A [`SlotQuery`]'s answer, every f64 as its bits.
+#[derive(Debug, PartialEq)]
+enum SlotAnswer {
+    Means(Option<Vec<u64>>),
+    Variance(u64),
+}
+
+fn ask(index: &mut SlotIndex<'_>, q: SlotQuery) -> SlotAnswer {
+    if q.means {
+        let means = index.slot_means(q.half, q.channel, q.start_us, q.width_us, q.n_slots);
+        SlotAnswer::Means(means.map(|m| m.iter().map(|x| x.to_bits()).collect()))
+    } else {
+        let var = index.residual_variance(q.half, q.channel, q.start_us, q.width_us, q.n_slots);
+        SlotAnswer::Variance(var.to_bits())
+    }
+}
+
+/// A shared slot index answers a random sequence of window queries —
+/// below, above and around earlier windows on the same slot phase, at
+/// mixed widths, under a second conditioning half-window, some after a
+/// pre-sizing `ensure_grid` — exactly as a fresh index answers each
+/// query alone.
+#[test]
+fn shared_slot_index_matches_a_fresh_index_per_query() {
+    check("slot-index-shared-vs-fresh", 64, |g| {
+        let channels = g.usize_in(1, 4);
+        let packets = g.usize_in(1, 300);
+        let mut t = g.usize_in(0, 5_000) as u64;
+        let t_us: Vec<u64> = (0..packets)
+            .map(|_| {
+                t += g.usize_in(1, 600) as u64;
+                t
+            })
+            .collect();
+        let series: Vec<Vec<f64>> = (0..channels)
+            .map(|_| (0..packets).map(|_| 9.0 + g.f64_in(-5.0, 5.0)).collect())
+            .collect();
+        let bundle = SeriesBundle::from_columns(t_us, series).unwrap();
+        let halves = [g.usize_in(0, 12), g.usize_in(0, 12)];
+        let widths = [g.usize_in(200, 3_000) as u64, g.usize_in(200, 3_000) as u64];
+        let mut shared = SlotIndex::new(&bundle);
+        let mut prev: Option<SlotQuery> = None;
+        for step in 0..g.usize_in(1, 16) {
+            let n_slots = g.usize_in(1, 30);
+            let mut q = SlotQuery {
+                half: halves[g.usize_in(0, 2)],
+                channel: g.usize_in(0, channels),
+                start_us: g.usize_in(0, 80_000) as u64,
+                width_us: widths[g.usize_in(0, 2)],
+                n_slots,
+                means: g.bool(),
+            };
+            if let Some(p) = prev.filter(|_| g.usize_in(0, 4) > 0) {
+                // Same width and slot phase as the previous window, moved
+                // below it, above it or out around both of its ends.
+                q.width_us = p.width_us;
+                let shift = p.width_us * g.usize_in(1, 25) as u64;
+                q.start_us = match g.usize_in(0, 3) {
+                    0 => p.start_us.saturating_sub(shift),
+                    1 => p.start_us + shift,
+                    _ => {
+                        q.n_slots = p.n_slots + 2 * (shift / p.width_us) as usize;
+                        p.start_us.saturating_sub(shift)
+                    }
+                };
+            }
+            if g.usize_in(0, 4) == 0 {
+                let end = q.start_us + g.usize_in(0, 40) as u64 * q.width_us;
+                shared.ensure_grid(q.width_us, q.start_us, end);
+            }
+            let got = ask(&mut shared, q);
+            let want = ask(&mut SlotIndex::new(&bundle), q);
+            assert_eq!(got, want, "case {} step {step}: {q:?}", g.case());
+            prev = Some(q);
+        }
     });
 }
 
