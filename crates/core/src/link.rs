@@ -662,7 +662,6 @@ fn decode_capture(
             chip_duration_us: capture.chip_us,
             code: OrthogonalPair::new(cfg.code_length),
             payload_bits: cfg.payload.len(),
-            conditioning_window_us: 400_000,
             top_channels: 10,
         };
         match LongRangeDecoder::new(lcfg).decode_indexed(index, capture.start_us, rec) {
@@ -802,8 +801,6 @@ pub struct DownlinkConfig {
     pub distance_m: f64,
     /// Downlink bit rate (bits/s): 20 000, 10 000 or 5 000 in the paper.
     pub bit_rate_bps: u64,
-    /// Reader transmit power (dBm); the paper uses +16 dBm.
-    pub tx_dbm: f64,
     /// Master seed.
     pub seed: u64,
     /// Injected faults; [`FaultPlan::none`] leaves the run untouched.
@@ -816,7 +813,6 @@ impl DownlinkConfig {
         DownlinkConfig {
             distance_m,
             bit_rate_bps,
-            tx_dbm: bs_channel::calib::READER_TX_DBM,
             seed,
             faults: FaultPlan::none(),
         }
@@ -828,7 +824,8 @@ impl DownlinkConfig {
         self
     }
 
-    /// Received signal power at the tag (mW): transmit power through the
+    /// Received signal power at the tag (mW): the reader's transmit power
+    /// ([`bs_channel::calib::READER_TX_DBM`], the paper's +16 dBm) through the
     /// standard path-loss model times this run's small-scale fading
     /// realisation (Rician, as every placement in a real room sits in a
     /// different multipath fade — this is what spreads the Fig. 17 BER
@@ -849,7 +846,9 @@ impl DownlinkConfig {
             &mut mp_rng,
         );
         let fade = mp.response(0.0).norm_sq();
-        bs_channel::pathloss::dbm_to_mw(self.tx_dbm) * pl.power_gain(self.distance_m) * fade
+        bs_channel::pathloss::dbm_to_mw(bs_channel::calib::READER_TX_DBM)
+            * pl.power_gain(self.distance_m)
+            * fade
     }
 }
 

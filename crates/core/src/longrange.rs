@@ -10,10 +10,20 @@
 //! toggling its switch L× as often.
 
 use crate::series::{SeriesBundle, SlotIndex};
+use crate::uplink::frame_of;
 use bs_dsp::codes::OrthogonalPair;
 use bs_dsp::filter::condition;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_tag::frame::UplinkFrame;
+
+/// Conditioning window (µs), the plain decoder's default 400 ms.
+const CONDITIONING_WINDOW_US: u64 = 400_000;
+
+/// The conditioning half-window in packets at the bundle's median gap.
+fn conditioning_half_window(bundle: &SeriesBundle) -> usize {
+    let gap = bundle.median_gap_us().max(1);
+    ((CONDITIONING_WINDOW_US / 2) / gap).max(2) as usize
+}
 
 /// Long-range decoder configuration.
 #[derive(Debug, Clone)]
@@ -24,8 +34,6 @@ pub struct LongRangeConfig {
     pub code: OrthogonalPair,
     /// Expected payload length (bits).
     pub payload_bits: usize,
-    /// Conditioning window (µs), as in the plain decoder.
-    pub conditioning_window_us: u64,
     /// Channels combined per bit ("picks the Wi-Fi sub-channels that
     /// provide the maximum correlation peaks", §3.4).
     pub top_channels: usize,
@@ -41,7 +49,6 @@ impl LongRangeConfig {
             chip_duration_us: (1_000_000 / chip_rate_cps.max(1)).max(1),
             code: OrthogonalPair::new(l),
             payload_bits,
-            conditioning_window_us: 400_000,
             top_channels: 10,
         }
     }
@@ -144,8 +151,7 @@ impl LongRangeDecoder {
         }
         let t_lo = *bundle.t_us().first().unwrap_or(&0);
         let t_hi = *bundle.t_us().last().unwrap_or(&0);
-        let gap = bundle.median_gap_us().max(1);
-        let half = ((self.cfg.conditioning_window_us / 2) / gap).max(2) as usize;
+        let half = conditioning_half_window(bundle);
         let conditioned = index.conditioned(half);
 
         let preamble = bs_tag::frame::uplink_preamble();
@@ -213,11 +219,7 @@ impl LongRangeDecoder {
             bits.push(Some(combined > 0.0));
         }
         rec.span("uplink.correlate", t_lo, t_hi, visited);
-        let frame = if bits.iter().all(Option::is_some) {
-            Some(UplinkFrame::new(bits.iter().map(|b| b.unwrap()).collect()))
-        } else {
-            None
-        };
+        let frame = frame_of(&bits);
         Some(LongRangeOutput {
             bits,
             frame,
@@ -237,8 +239,7 @@ impl LongRangeDecoder {
         if bundle.packets() == 0 || bundle.channels() == 0 {
             return None;
         }
-        let gap = bundle.median_gap_us().max(1);
-        let half = ((self.cfg.conditioning_window_us / 2) / gap).max(2) as usize;
+        let half = conditioning_half_window(bundle);
         let conditioned: Vec<Vec<f64>> = (0..bundle.channels())
             .map(|c| condition(bundle.channel(c), half))
             .collect();
@@ -282,11 +283,7 @@ impl LongRangeDecoder {
                 .sum();
             bits.push(Some(combined > 0.0));
         }
-        let frame = if bits.iter().all(Option::is_some) {
-            Some(UplinkFrame::new(bits.iter().map(|b| b.unwrap()).collect()))
-        } else {
-            None
-        };
+        let frame = frame_of(&bits);
         Some(LongRangeOutput {
             bits,
             frame,
@@ -377,7 +374,6 @@ mod tests {
             chip_duration_us: chip_us,
             code: OrthogonalPair::new(l),
             payload_bits: payload,
-            conditioning_window_us: 400_000,
             top_channels: 6,
         }
     }

@@ -205,6 +205,9 @@ impl SeriesBundle {
 /// bit duration), the drift re-scan's stretched re-decodes (which share
 /// the conditioned series — conditioning depends only on the window and
 /// packet cadence, not the bit clock), and the long-range fallback.
+/// Every attempt on one capture conditions with the same half-window, so
+/// the index keeps one conditioned series; asking for another half-window
+/// replaces it and drops every grid's statistics.
 ///
 /// Everything served from the index is **bit-exact** against the naive
 /// full-scan formulations (see [`bs_dsp::slotstats`] for the contract):
@@ -212,27 +215,21 @@ impl SeriesBundle {
 #[derive(Debug)]
 pub struct SlotIndex<'a> {
     bundle: &'a SeriesBundle,
-    /// Conditioned series keyed by the conditioning half-window (packets).
-    cond: Vec<(usize, Rc<Vec<Vec<f64>>>)>,
+    /// The conditioning half-window (packets) and the series it yields.
+    cond: Option<(usize, Rc<Vec<Vec<f64>>>)>,
     grids: Vec<Grid>,
     visits: u64,
 }
 
 /// One slot grid: a fixed bit duration and slot phase (`base % width`)
-/// over the bundle's timestamp axis, with lazily built per-channel stats.
+/// over the bundle's timestamp axis, with per-channel statistics of the
+/// conditioned series built on first use.
 #[derive(Debug)]
 struct Grid {
     width_us: u64,
     residue_us: u64,
     partition: SlotPartition,
-    stats: Vec<StatsEntry>,
-}
-
-/// Per-channel statistics for one conditioning half-window over a grid.
-#[derive(Debug)]
-struct StatsEntry {
-    half: usize,
-    per_channel: Vec<Option<SlotStats>>,
+    stats: Vec<Option<SlotStats>>,
 }
 
 impl<'a> SlotIndex<'a> {
@@ -241,7 +238,7 @@ impl<'a> SlotIndex<'a> {
     pub fn new(bundle: &'a SeriesBundle) -> Self {
         SlotIndex {
             bundle,
-            cond: Vec::new(),
+            cond: None,
             grids: Vec::new(),
             visits: 0,
         }
@@ -261,10 +258,10 @@ impl<'a> SlotIndex<'a> {
     }
 
     /// The conditioned series for a given conditioning half-window
-    /// (packets), built once per distinct half-window and shared by every
-    /// decode attempt on this capture.
+    /// (packets), built once and shared by every decode attempt on this
+    /// capture. A different half-window replaces it.
     pub fn conditioned(&mut self, half: usize) -> Rc<Vec<Vec<f64>>> {
-        if let Some((_, c)) = self.cond.iter().find(|(h, _)| *h == half) {
+        if let Some((_, c)) = self.cond.as_ref().filter(|(h, _)| *h == half) {
             return Rc::clone(c);
         }
         let cond: Vec<Vec<f64>> = self
@@ -274,8 +271,11 @@ impl<'a> SlotIndex<'a> {
             .map(|s| condition(s, half))
             .collect();
         self.visits += (self.bundle.channels() * self.bundle.packets()) as u64;
+        for g in &mut self.grids {
+            g.stats.fill(None);
+        }
         let rc = Rc::new(cond);
-        self.cond.push((half, Rc::clone(&rc)));
+        self.cond = Some((half, Rc::clone(&rc)));
         rc
     }
 
@@ -291,8 +291,8 @@ impl<'a> SlotIndex<'a> {
     /// `start_us` to cover `[start_us, end_us)`. Callers that know their
     /// full query span up front (e.g. the alignment search, which asks
     /// about every candidate of a phase class) should call this once so
-    /// the per-channel statistics are built over the union coverage
-    /// instead of being rebuilt as the coverage grows.
+    /// the grid and its per-channel statistics are built once over the
+    /// whole span, not rebuilt when a later query reaches past it.
     pub fn ensure_grid(&mut self, width_us: u64, start_us: u64, end_us: u64) {
         self.grid_idx(width_us, start_us, end_us);
     }
@@ -309,9 +309,7 @@ impl<'a> SlotIndex<'a> {
         width_us: u64,
         n_slots: usize,
     ) -> Option<Vec<f64>> {
-        let (gi, k0) = self.stats_at(half, channel, start_us, width_us, n_slots);
-        let stats = self.grids[gi].stats_for(half, channel);
-        self.visits += n_slots as u64;
+        let (stats, k0) = self.stats_at(half, channel, start_us, width_us, n_slots);
         let mut means = Vec::with_capacity(n_slots);
         for k in k0..k0 + n_slots {
             means.push(stats.mean(k)?);
@@ -330,9 +328,7 @@ impl<'a> SlotIndex<'a> {
         width_us: u64,
         n_slots: usize,
     ) -> f64 {
-        let (gi, k0) = self.stats_at(half, channel, start_us, width_us, n_slots);
-        let stats = self.grids[gi].stats_for(half, channel);
-        self.visits += n_slots as u64;
+        let (stats, k0) = self.stats_at(half, channel, start_us, width_us, n_slots);
         let mut var_sum = 0.0;
         let mut n = 0usize;
         for k in k0..k0 + n_slots {
@@ -348,8 +344,9 @@ impl<'a> SlotIndex<'a> {
         }
     }
 
-    /// Ensures grid + per-channel stats exist for the query window and
-    /// returns `(grid index, first slot index of start_us)`.
+    /// The statistics of one conditioned channel on the grid covering the
+    /// query window, built on first use, and the slot index of `start_us`
+    /// in them; counts the window's slots as read.
     fn stats_at(
         &mut self,
         half: usize,
@@ -357,120 +354,56 @@ impl<'a> SlotIndex<'a> {
         start_us: u64,
         width_us: u64,
         n_slots: usize,
-    ) -> (usize, usize) {
-        // Materialise the conditioned series first (separate Rc, so the
-        // grid borrow below cannot alias it).
+    ) -> (&SlotStats, usize) {
+        // Condition first: a new half-window drops every grid's stats.
         let cond = self.conditioned(half);
         let end = start_us.saturating_add((n_slots as u64).saturating_mul(width_us));
         let gi = self.grid_idx(width_us, start_us, end);
-        let channels = self.bundle.channels();
-        let grid = &mut self.grids[gi];
-        let coverage = grid.partition.coverage_len() as u64;
-        let ei = match grid.stats.iter().position(|e| e.half == half) {
-            Some(i) => i,
-            None => {
-                grid.stats.push(StatsEntry {
-                    half,
-                    per_channel: vec![None; channels],
-                });
-                grid.stats.len() - 1
-            }
-        };
-        if grid.stats[ei].per_channel[channel].is_none() {
-            let built = SlotStats::build(&grid.partition, &cond[channel]);
-            grid.stats[ei].per_channel[channel] = Some(built);
-            self.visits += coverage;
-        }
-        let k0 = ((start_us - grid.partition.base_us()) / width_us) as usize;
-        (gi, k0)
+        self.visits += n_slots as u64;
+        let Grid {
+            partition, stats, ..
+        } = &mut self.grids[gi];
+        let k0 = ((start_us - partition.base_us()) / width_us) as usize;
+        let stats = stats[channel].get_or_insert_with(|| {
+            self.visits += partition.coverage_len() as u64;
+            SlotStats::build(partition, &cond[channel])
+        });
+        (stats, k0)
     }
 
-    /// Finds (or builds / extends) the grid for `width_us` and the phase
-    /// of `start_us`, covering at least `[start_us, end_us)`.
+    /// The grid for `width_us` and the phase of `start_us`, covering at
+    /// least `[start_us, end_us)`: built over that span on first use, and
+    /// rebuilt without statistics over the union of both spans when a
+    /// query reaches past it.
     fn grid_idx(&mut self, width_us: u64, start_us: u64, end_us: u64) -> usize {
         let residue = start_us % width_us;
-        let idx = self
+        let found = self
             .grids
             .iter()
             .position(|g| g.width_us == width_us && g.residue_us == residue);
-        match idx {
-            Some(i) => {
-                // Cheap Rc clones so built stats can be re-derived below
-                // without re-borrowing self.
-                let cond_cache = self.cond.clone();
-                let g = &mut self.grids[i];
-                let base = g.partition.base_us().min(start_us);
-                let cur_end = g
-                    .partition
-                    .base_us()
-                    .saturating_add((g.partition.n_slots() as u64).saturating_mul(width_us));
-                if base < g.partition.base_us() {
-                    // Coverage grew on the low side: the slot anchor
-                    // moved, so every slot re-bins — rebuild the
-                    // partition over the union and invalidate the
-                    // per-channel stats.
-                    let end = cur_end.max(end_us);
-                    let n_slots = (end - base).div_ceil(width_us) as usize;
-                    g.partition = SlotPartition::build(&self.bundle.t_us, base, width_us, n_slots);
-                    g.stats.clear();
-                    self.visits += g.partition.coverage_len() as u64;
-                } else if end_us > cur_end {
-                    // Coverage grew on the high side only: the anchor is
-                    // unchanged, so extend the partition incrementally
-                    // and re-derive just the changed tail of every built
-                    // per-channel statistic (bitwise identical to a full
-                    // rebuild — see SlotStats::extend).
-                    let n_slots = (end_us - base).div_ceil(width_us) as usize;
-                    let from = g.partition.extend(&self.bundle.t_us, n_slots);
-                    let tail_cov = if from < n_slots {
-                        (g.partition.slot_range(n_slots - 1).end
-                            - g.partition.slot_range(from).start) as u64
-                    } else {
-                        0
-                    };
-                    self.visits += tail_cov;
-                    for e in &mut g.stats {
-                        let cond = cond_cache
-                            .iter()
-                            .find(|(h, _)| *h == e.half)
-                            .map(|(_, c)| Rc::clone(c))
-                            .expect("stats were built from a cached conditioning");
-                        for (ch, slot) in e.per_channel.iter_mut().enumerate() {
-                            if let Some(stats) = slot {
-                                stats.extend(&g.partition, &cond[ch], from);
-                                self.visits += tail_cov;
-                            }
-                        }
-                    }
-                }
-                i
+        let (mut lo, mut hi) = (start_us, end_us.max(start_us));
+        if let Some(i) = found {
+            let p = &self.grids[i].partition;
+            let p_end = p
+                .base_us()
+                .saturating_add((p.n_slots() as u64).saturating_mul(width_us));
+            if p.base_us() <= lo && hi <= p_end {
+                return i;
             }
-            None => {
-                let n_slots = (end_us.max(start_us) - start_us).div_ceil(width_us) as usize;
-                let partition =
-                    SlotPartition::build(&self.bundle.t_us, start_us, width_us, n_slots);
-                self.visits += partition.coverage_len() as u64;
-                self.grids.push(Grid {
-                    width_us,
-                    residue_us: residue,
-                    partition,
-                    stats: Vec::new(),
-                });
-                self.grids.len() - 1
-            }
+            lo = lo.min(p.base_us());
+            hi = hi.max(p_end);
+            self.grids.swap_remove(i);
         }
-    }
-}
-
-impl Grid {
-    /// The built stats for (half, channel); callers must have gone
-    /// through [`SlotIndex::stats_at`] first.
-    fn stats_for(&self, half: usize, channel: usize) -> &SlotStats {
-        self.stats
-            .iter()
-            .find(|e| e.half == half)
-            .and_then(|e| e.per_channel[channel].as_ref())
-            .expect("stats_at builds before reads")
+        let n_slots = (hi - lo).div_ceil(width_us) as usize;
+        let partition = SlotPartition::build(&self.bundle.t_us, lo, width_us, n_slots);
+        self.visits += partition.coverage_len() as u64;
+        self.grids.push(Grid {
+            width_us,
+            residue_us: residue,
+            partition,
+            stats: vec![None; self.bundle.channels()],
+        });
+        self.grids.len() - 1
     }
 }
 

@@ -273,13 +273,12 @@ impl Reader {
                 rec.add("session.energy-missed-polls", 1);
                 continue;
             }
-            let dl = DownlinkConfig {
-                distance_m: self.cfg.tag_distance_m,
-                bit_rate_bps: self.cfg.downlink_bps,
-                tx_dbm: bs_channel::calib::READER_TX_DBM,
-                seed: self.rng.next_u64(),
-                faults: self.cfg.faults.clone(),
-            };
+            let dl = DownlinkConfig::fig17(
+                self.cfg.tag_distance_m,
+                self.cfg.downlink_bps,
+                self.rng.next_u64(),
+            )
+            .with_faults(self.cfg.faults.clone());
             let (got, dl_report) = run_downlink_frame_with(&dl, &query_frame, rec);
             report.merge(&dl_report);
             if let Some(frame) = got {
@@ -424,13 +423,12 @@ impl Reader {
     /// Sends the ACK (best effort; §4.1 notes it is a single short
     /// message) and reports what faults hit it.
     fn ack(&mut self, tag_address: u8, rec: &mut dyn Recorder) -> DegradationReport {
-        let dl = DownlinkConfig {
-            distance_m: self.cfg.tag_distance_m,
-            bit_rate_bps: self.cfg.downlink_bps,
-            tx_dbm: bs_channel::calib::READER_TX_DBM,
-            seed: self.rng.next_u64(),
-            faults: self.cfg.faults.clone(),
-        };
+        let dl = DownlinkConfig::fig17(
+            self.cfg.tag_distance_m,
+            self.cfg.downlink_bps,
+            self.rng.next_u64(),
+        )
+        .with_faults(self.cfg.faults.clone());
         let (_, report) = run_downlink_frame_with(&dl, &Ack { tag_address }.to_frame(), rec);
         report
     }

@@ -329,11 +329,7 @@ impl UplinkDecoder {
             bits.iter().filter(|b| b.is_none()).count() as u64,
         );
 
-        let frame = if bits.iter().all(Option::is_some) {
-            Some(UplinkFrame::new(bits.iter().map(|b| b.unwrap()).collect()))
-        } else {
-            None
-        };
+        let frame = frame_of(&bits);
 
         // Postamble check on the combined series: the anchor sits where
         // clock error has had the whole frame to accumulate, so it
@@ -441,11 +437,7 @@ impl UplinkDecoder {
             bits.push(majority(&decisions));
         }
 
-        let frame = if bits.iter().all(Option::is_some) {
-            Some(UplinkFrame::new(bits.iter().map(|b| b.unwrap()).collect()))
-        } else {
-            None
-        };
+        let frame = frame_of(&bits);
 
         // Postamble check on the combined series.
         let postamble: Vec<i8> = preamble.iter().rev().copied().collect();
@@ -488,32 +480,9 @@ impl UplinkDecoder {
             }
             ranked.push((i, corr.abs(), corr));
         }
-        if ranked.is_empty() {
-            return None;
-        }
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-        ranked.truncate(self.cfg.top_channels);
-
-        let channels: Vec<SelectedChannel> = ranked
-            .iter()
-            .map(|&(i, score, signed)| {
-                let var = index
-                    .residual_variance(half, i, start_us, bit, n_slots)
-                    .max(1e-6);
-                let polarity = if signed >= 0.0 { 1.0 } else { -1.0 };
-                let weight = match self.cfg.combining {
-                    Combining::Mrc => polarity / var,
-                    Combining::BestSingle | Combining::EqualGain => polarity,
-                };
-                SelectedChannel {
-                    index: i,
-                    score,
-                    weight,
-                }
-            })
-            .collect();
-        let mean_score = channels.iter().map(|c| c.score).sum::<f64>() / channels.len() as f64;
-        Some((channels, mean_score))
+        self.select(ranked, |i| {
+            index.residual_variance(half, i, start_us, bit, n_slots)
+        })
     }
 
     /// The conditioning half-window in packets, derived from the paper's
@@ -582,20 +551,29 @@ impl UplinkDecoder {
             }
             ranked.push((i, corr.abs(), corr));
         }
+        self.select(ranked, |i| {
+            self.residual_variance(bundle, &conditioned[i], start_us, n_slots)
+        })
+    }
+
+    /// Keeps the best-correlated of the `(index, |corr|, corr)` channels
+    /// and weights each by its polarity (over its noise variance, the
+    /// residual around the preamble's slot means, under MRC); returns
+    /// them with their mean score. `None` if no channel was ranked.
+    fn select(
+        &self,
+        mut ranked: Vec<(usize, f64, f64)>,
+        mut variance: impl FnMut(usize) -> f64,
+    ) -> Option<(Vec<SelectedChannel>, f64)> {
         if ranked.is_empty() {
             return None;
         }
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         ranked.truncate(self.cfg.top_channels);
-
-        // Noise variance per kept channel: residual around the slot means
-        // during the preamble.
         let channels: Vec<SelectedChannel> = ranked
             .iter()
             .map(|&(i, score, signed)| {
-                let var = self
-                    .residual_variance(bundle, &conditioned[i], start_us, n_slots)
-                    .max(1e-6);
+                let var = variance(i).max(1e-6);
                 let polarity = if signed >= 0.0 { 1.0 } else { -1.0 };
                 let weight = match self.cfg.combining {
                     Combining::Mrc => polarity / var,
@@ -644,6 +622,14 @@ impl UplinkDecoder {
             var_sum / n as f64
         }
     }
+}
+
+/// The payload as a frame; `None` if any bit was erased.
+pub(crate) fn frame_of(bits: &[Option<bool>]) -> Option<UplinkFrame> {
+    bits.iter()
+        .copied()
+        .collect::<Option<Vec<bool>>>()
+        .map(UplinkFrame::new)
 }
 
 /// Per-slot means of a *derived* series (e.g. the combined MRC series)

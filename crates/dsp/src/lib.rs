@@ -21,8 +21,7 @@
 //!   majority voting over the channel measurements of one bit.
 //! * [`slotstats`] — binned slot statistics over a timestamped packet
 //!   stream: the O(packets)-build, O(slots)-query index behind the
-//!   decoders' alignment search and MRC weighting, with incremental
-//!   extension and ring-buffer window statistics for streaming use.
+//!   decoders' alignment search and MRC weighting.
 //! * [`stream`] — the chunked vector kernels the decode hot path is
 //!   written in terms of.
 //! * [`bits`] — bit/byte packing, CRC-8 framing checks and bit-error-rate

@@ -1,17 +1,12 @@
 //! Binned slot statistics over a timestamped packet stream.
 //!
-//! The uplink decoders (§3.2 steps 2–4, §3.4) repeatedly need per-slot
-//! aggregates — packet counts, means, within-slot variances, chip
-//! correlations — over windows `[start_us, start_us + n·width_us)` of a
-//! time-sorted capture. Computed naively, every alignment candidate ×
-//! channel × window costs a full pass over the packet stream. The types
-//! here exploit the one structural fact that makes this cheap: the
-//! timestamp axis is **ascending**, so every time window is a contiguous
-//! packet-index range.
+//! The uplink decoders (§3.2 steps 2–4) need per-slot counts, means and
+//! within-slot variances over windows `[start_us, start_us + n·width_us)`
+//! of a time-sorted capture. The timestamp axis is **ascending**, so every
+//! window is a contiguous packet-index range:
 //!
-//! * [`SlotPartition`] cuts the timestamp axis into fixed-width slots
-//!   anchored at a base time, in one O(packets + slots) pass. Every slot
-//!   becomes a `Range<usize>` of packet indices.
+//! * [`SlotPartition`] cuts the axis into fixed-width slots anchored at a
+//!   base time, in one O(packets + slots) pass.
 //! * [`SlotStats`] layers per-slot `(count, Σx, variance)` for one
 //!   channel over a partition.
 //!
@@ -36,9 +31,7 @@ use std::ops::Range;
 /// slots: slot `k` covers `[base_us + k·width_us, base_us + (k+1)·width_us)`.
 ///
 /// Built in one merge pass; afterwards every slot is a contiguous
-/// packet-index [`Range`], shared by all channels of the bundle. A
-/// partition can also grow incrementally — see [`SlotPartition::extend`]
-/// — when packets arrive on the stream or a decoder widens its window.
+/// packet-index [`Range`], shared by all channels of the bundle.
 ///
 /// ```
 /// use bs_dsp::slotstats::SlotPartition;
@@ -51,14 +44,9 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotPartition {
     base_us: u64,
-    width_us: u64,
     /// `edges[k]` = first packet index with `t ≥ base_us + k·width_us`;
     /// length `n_slots + 1`.
     edges: Vec<usize>,
-    /// Packets of the timestamp axis seen at the last build/extend;
-    /// edges equal to this value point past all known data and may move
-    /// when the axis grows.
-    seen: usize,
 }
 
 impl SlotPartition {
@@ -78,78 +66,12 @@ impl SlotPartition {
             }
             edges.push(i);
         }
-        SlotPartition {
-            base_us,
-            width_us,
-            edges,
-            seen: t_us.len(),
-        }
-    }
-
-    /// Extends the partition incrementally: `t_us` is the same axis the
-    /// partition was built over with zero or more packets **appended**
-    /// (still ascending), and `n_slots` the same or larger slot count.
-    /// Only edges that could have moved — those pointing past the data
-    /// seen at the last build — are recomputed; the result is equal to a
-    /// fresh [`SlotPartition::build`] over the new inputs.
-    ///
-    /// Returns the index of the first slot whose packet range is new or
-    /// may have changed (`n_slots` if nothing changed), so per-channel
-    /// [`SlotStats`] layered on top can resume from there via
-    /// [`SlotStats::extend`].
-    ///
-    /// ```
-    /// use bs_dsp::slotstats::SlotPartition;
-    ///
-    /// let mut live = SlotPartition::build(&[100, 250], 100, 300, 1);
-    /// let grown = [100, 250, 400, 550];
-    /// let from = live.extend(&grown, 2);
-    /// assert_eq!(live, SlotPartition::build(&grown, 100, 300, 2));
-    /// assert!(from <= 1);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if the axis shrank or `n_slots` decreased.
-    pub fn extend(&mut self, t_us: &[u64], n_slots: usize) -> usize {
-        assert!(t_us.len() >= self.seen, "timestamp axis shrank");
-        let old_n = self.n_slots();
-        assert!(n_slots >= old_n, "slot count shrank");
-        let prev_seen = self.seen;
-        // An edge equal to `prev_seen` pointed past every packet the
-        // partition had seen; appended packets may fall before its
-        // boundary, so it (and everything after it) must be recomputed.
-        // Edges below `prev_seen` are pinned by an existing packet at or
-        // beyond their boundary and cannot move.
-        let first_movable = self
-            .edges
-            .iter()
-            .position(|&e| e == prev_seen)
-            .unwrap_or(self.edges.len());
-        self.edges.truncate(first_movable);
-        let mut i = self.edges.last().copied().unwrap_or(0);
-        for k in first_movable as u64..=n_slots as u64 {
-            let boundary = self.base_us.saturating_add(k.saturating_mul(self.width_us));
-            if k == 0 {
-                i = t_us.partition_point(|&t| t < boundary);
-            } else {
-                while i < t_us.len() && t_us[i] < boundary {
-                    i += 1;
-                }
-            }
-            self.edges.push(i);
-        }
-        self.seen = t_us.len();
-        first_movable.saturating_sub(1).min(old_n)
+        SlotPartition { base_us, edges }
     }
 
     /// The anchor time of slot 0.
     pub fn base_us(&self) -> u64 {
         self.base_us
-    }
-
-    /// The slot width in µs.
-    pub fn width_us(&self) -> u64 {
-        self.width_us
     }
 
     /// Number of slots.
@@ -163,15 +85,6 @@ impl SlotPartition {
     /// Panics if `k ≥ n_slots`.
     pub fn slot_range(&self, k: usize) -> Range<usize> {
         self.edges[k]..self.edges[k + 1]
-    }
-
-    /// The slot containing time `t_us`, if it falls inside the coverage.
-    pub fn slot_of(&self, t_us: u64) -> Option<usize> {
-        if t_us < self.base_us {
-            return None;
-        }
-        let k = ((t_us - self.base_us) / self.width_us) as usize;
-        (k < self.n_slots()).then_some(k)
     }
 
     /// Total packets covered by the partition (one pass's worth of work
@@ -204,43 +117,13 @@ impl SlotStats {
     /// assert_eq!(stats.mean(1), Some(5.0));
     /// ```
     pub fn build(partition: &SlotPartition, values: &[f64]) -> Self {
-        let mut stats = SlotStats {
-            count: Vec::new(),
-            sum: Vec::new(),
-            var: Vec::new(),
-        };
-        stats.extend(partition, values, 0);
-        stats
-    }
-
-    /// Incrementally re-derives the statistics for slots `from_slot..`
-    /// after the partition grew (see [`SlotPartition::extend`]); slots
-    /// below `from_slot` are untouched. Because every per-slot quantity
-    /// is a fresh left fold over its own contiguous slice, the result is
-    /// **bitwise identical** to a fresh [`SlotStats::build`] over the
-    /// grown inputs.
-    ///
-    /// ```
-    /// use bs_dsp::slotstats::{SlotPartition, SlotStats};
-    ///
-    /// let t_us = [100u64, 250, 400, 550];
-    /// let xs = [1.0, 3.0, 5.0, 7.0];
-    /// let mut part = SlotPartition::build(&t_us[..2], 100, 300, 1);
-    /// let mut stats = SlotStats::build(&part, &xs[..2]);
-    /// let from = part.extend(&t_us, 2);
-    /// stats.extend(&part, &xs, from);
-    /// assert_eq!(stats, SlotStats::build(&part, &xs));
-    /// ```
-    pub fn extend(&mut self, partition: &SlotPartition, values: &[f64], from_slot: usize) {
         let n = partition.n_slots();
-        let from = from_slot.min(n).min(self.count.len());
-        self.count.truncate(from);
-        self.sum.truncate(from);
-        self.var.truncate(from);
-        self.count.reserve(n - from);
-        self.sum.reserve(n - from);
-        self.var.reserve(n - from);
-        for k in from..n {
+        let mut stats = SlotStats {
+            count: Vec::with_capacity(n),
+            sum: Vec::with_capacity(n),
+            var: Vec::with_capacity(n),
+        };
+        for k in 0..n {
             let slice = &values[partition.slot_range(k)];
             // Fresh accumulators per slot, packet order: bit-exact with a
             // naive "sums[slot] += x" scan.
@@ -250,10 +133,11 @@ impl SlotStats {
                 s += x;
                 w.push(x);
             }
-            self.count.push(slice.len() as u32);
-            self.sum.push(s);
-            self.var.push(w.population_variance());
+            stats.count.push(slice.len() as u32);
+            stats.sum.push(s);
+            stats.var.push(w.population_variance());
         }
+        stats
     }
 
     /// Packet count of slot `k`.
@@ -338,9 +222,6 @@ mod tests {
                 .collect();
             let got: Vec<usize> = part.slot_range(k).collect();
             assert_eq!(got, want, "slot {k}");
-            for &p in &want {
-                assert_eq!(part.slot_of(t_us[p]), Some(k));
-            }
         }
     }
 
@@ -384,9 +265,6 @@ mod tests {
             assert!(part.slot_range(k).is_empty());
         }
         assert_eq!(part.coverage_len(), 0);
-        assert_eq!(part.slot_of(50), None);
-        assert_eq!(part.slot_of(1_000), Some(0));
-        assert_eq!(part.slot_of(1_200), None);
     }
 
     #[test]
@@ -405,55 +283,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_width_panics() {
         SlotPartition::build(&[0, 1], 0, 0, 1);
-    }
-
-    #[test]
-    fn extend_matches_fresh_build_bitwise() {
-        let (t_us, xs) = synth(600, 280, 4);
-        // Grow the stream and the slot count together in uneven steps,
-        // as a live session would.
-        let steps = [(50usize, 4usize), (51, 4), (200, 11), (400, 30), (600, 47)];
-        let (n0, s0) = steps[0];
-        let mut part = SlotPartition::build(&t_us[..n0], 7_000, 913, s0);
-        let mut stats = SlotStats::build(&part, &xs[..n0]);
-        for &(n, slots) in &steps[1..] {
-            let from = part.extend(&t_us[..n], slots);
-            stats.extend(&part, &xs[..n], from);
-            let fresh_part = SlotPartition::build(&t_us[..n], 7_000, 913, slots);
-            assert_eq!(part, fresh_part, "partition at n={n} slots={slots}");
-            let fresh = SlotStats::build(&fresh_part, &xs[..n]);
-            assert_eq!(stats, fresh, "stats PartialEq at n={n}");
-            for k in 0..slots {
-                assert_eq!(stats.sum(k).to_bits(), fresh.sum(k).to_bits());
-                assert_eq!(stats.variance(k).to_bits(), fresh.variance(k).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn extend_with_no_new_data_is_identity() {
-        let (t_us, xs) = synth(100, 300, 5);
-        let mut part = SlotPartition::build(&t_us, 0, 1_000, 10);
-        let before = part.clone();
-        let from = part.extend(&t_us, 10);
-        assert_eq!(part, before);
-        assert_eq!(from, 10, "nothing changed → first changed slot == n_slots");
-        let mut stats = SlotStats::build(&part, &xs);
-        let fresh = stats.clone();
-        stats.extend(&part, &xs, from);
-        assert_eq!(stats, fresh);
-    }
-
-    #[test]
-    fn extend_from_empty_partition() {
-        let (t_us, xs) = synth(120, 200, 6);
-        let mut part = SlotPartition::build(&[], 3_000, 500, 0);
-        let mut stats = SlotStats::build(&part, &[]);
-        let from = part.extend(&t_us, 25);
-        assert_eq!(from, 0);
-        assert_eq!(part, SlotPartition::build(&t_us, 3_000, 500, 25));
-        // A zero-slot build saw no slots; rebuild everything from 0.
-        stats.extend(&part, &xs, from);
-        assert_eq!(stats, SlotStats::build(&part, &xs));
     }
 }

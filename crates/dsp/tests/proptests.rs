@@ -7,7 +7,6 @@ use bs_dsp::complex::Complex;
 use bs_dsp::correlate;
 use bs_dsp::filter::{condition, moving_average};
 use bs_dsp::slicer::{majority, Decision};
-use bs_dsp::slotstats::{SlotPartition, SlotStats};
 use bs_dsp::stats::{mean, mean_abs, percentile, Histogram, Running};
 use bs_dsp::stream::axpy;
 use bs_dsp::testkit::check;
@@ -244,45 +243,6 @@ fn majority_matches_naive_count() {
             None
         };
         assert_eq!(majority(&decisions), expect);
-    });
-}
-
-// ---- slot statistics ----
-
-/// Growing a partition + stats incrementally in random steps lands on
-/// exactly the state a fresh batch build produces.
-#[test]
-fn slot_extend_matches_fresh_build_bitwise() {
-    check("slot-extend-rebuild", 128, |g| {
-        let n = g.usize_in(4, 120);
-        let width = 1 + g.usize_in(0, 900) as u64;
-        let base = g.usize_in(0, 2_000) as u64;
-        let mut t = 0u64;
-        let mut t_us = Vec::with_capacity(n);
-        for _ in 0..n {
-            t += 1 + g.usize_in(0, 300) as u64;
-            t_us.push(t);
-        }
-        let xs = g.vec_f64(-1e3, 1e3, n, n + 1);
-        // Random monotone growth schedule over (packets, slots).
-        let mut cut = g.usize_in(0, n);
-        let mut slots = g.usize_in(0, 20);
-        let mut part = SlotPartition::build(&t_us[..cut], base, width, slots);
-        let mut stats = SlotStats::build(&part, &xs[..cut]);
-        for _ in 0..3 {
-            cut = cut.max(g.usize_in(0, n + 1)).min(n);
-            slots = slots.max(g.usize_in(0, 40));
-            let from = part.extend(&t_us[..cut], slots);
-            stats.extend(&part, &xs[..cut], from);
-            let fresh_part = SlotPartition::build(&t_us[..cut], base, width, slots);
-            assert_eq!(part, fresh_part);
-            let fresh = SlotStats::build(&fresh_part, &xs[..cut]);
-            assert_eq!(stats, fresh);
-            for k in 0..slots {
-                assert_eq!(stats.sum(k).to_bits(), fresh.sum(k).to_bits());
-                assert_eq!(stats.variance(k).to_bits(), fresh.variance(k).to_bits());
-            }
-        }
     });
 }
 

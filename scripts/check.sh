@@ -114,6 +114,15 @@ cargo test --release -q -p wifi-backscatter --test golden_decode
 # the downlink encoder's schedule, each pinned by one digest.
 cargo test --release -q -p wifi-backscatter --test exchange_pins
 cargo test --release -q -p wifi-backscatter --lib multitag
+# The slot-statistics index against naive binning and the reference
+# decoders: the binning unit tests, the indexed-vs-reference decode
+# tests, and a shared index against a fresh one per query.
+cargo test --release -q -p bs-dsp --lib slotstats::
+cargo test --release -q -p wifi-backscatter --lib uplink::
+cargo test --release -q -p wifi-backscatter --lib longrange::
+cargo test --release -q -p wifi-backscatter --test proptests -- \
+    indexed_decode_matches_reference_on_random_bundles \
+    shared_slot_index_matches_a_fresh_index_per_query
 # The threaded CSI capture with optimisations on: whole captures at
 # jobs 1, 2, 3 and 8 against the serial per-packet reference, the
 # skip/measure/in-place agreement property, the runtime's nesting,

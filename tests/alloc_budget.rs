@@ -11,14 +11,21 @@
 //! one per [`PACKETS_PER_ALLOC`] packets; an RSSI capture makes one
 //! report per packet and nothing else per packet. So `cargo test` catches allocations creeping back into a
 //! per-tag or per-packet path, not only the `fleet_micro` smoke bench.
+//!
+//! The binary runs without libtest (`harness = false`): [`main`] runs
+//! the cases one after another on its own thread, so no harness thread
+//! allocates while a count runs. It prints libtest's report shapes and
+//! takes name filters, `--exact`, `--list` and `--format json`.
 
 use bs_channel::faults::FaultPlan;
 use bs_net::fec::FecConfig;
 use bs_net::gateway::{run_gateway, GatewayConfig, GatewayRun, PollingPolicy, TagProfile};
 use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 
 /// Heap allocations (alloc, alloc_zeroed, realloc) made by any thread
@@ -26,18 +33,6 @@ use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
 /// suffices; a reading after the counted call has joined its threads
 /// sees theirs.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Held by each test from its first line to its last, so no other test
-/// of this binary allocates while one counts. The harness's own thread
-/// can still add a few (it reports a finished test and starts the next);
-/// the budgets leave room for that, ≈12 at most in repeated runs.
-static ALONE: Mutex<()> = Mutex::new(());
-
-/// Takes [`ALONE`]; a test that failed while holding it leaves nothing
-/// the others rely on.
-fn alone() -> MutexGuard<'static, ()> {
-    ALONE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The system allocator, counting each allocation.
 struct CountingAlloc;
@@ -103,9 +98,7 @@ fn counted_gateway(tags: &[TagProfile], cfg: &GatewayConfig) -> (u64, GatewayRun
     counted(|| run_gateway(tags, cfg).expect("a valid roster"))
 }
 
-#[test]
 fn a_lossy_gateway_allocates_a_handful_per_tag() {
-    let _alone = alone();
     let tags = roster(200);
     let cfg = GatewayConfig::default()
         .with_faults(FaultPlan::preset("loss", 1.0, 17).expect("known preset"))
@@ -116,16 +109,14 @@ fn a_lossy_gateway_allocates_a_handful_per_tag() {
     assert!(run.tags.iter().any(|t| t.transfer.retransmissions > 0));
     let per_tag = PER_TAG + FAULTED_PER_TAG;
     let budget = per_tag * identified + PER_GATEWAY;
-    println!("loss roster: {allocs} allocations, {identified} tags, budget {budget}");
+    eprintln!("loss roster: {allocs} allocations, {identified} tags, budget {budget}");
     assert!(
         allocs <= budget,
         "{allocs} allocations for {identified} tags, over {per_tag}/tag + {PER_GATEWAY}"
     );
 }
 
-#[test]
 fn an_fec_gateway_allocates_a_handful_per_tag() {
-    let _alone = alone();
     let tags = roster(200);
     let cfg = GatewayConfig::default()
         .with_seed(5)
@@ -136,16 +127,14 @@ fn an_fec_gateway_allocates_a_handful_per_tag() {
     assert!(run.all_complete);
     let per_tag = PER_TAG + FEC_PER_TAG;
     let budget = per_tag * identified + PER_GATEWAY;
-    println!("fec roster: {allocs} allocations, {identified} tags, budget {budget}");
+    eprintln!("fec roster: {allocs} allocations, {identified} tags, budget {budget}");
     assert!(
         allocs <= budget,
         "{allocs} allocations for {identified} tags, over {per_tag}/tag + {PER_GATEWAY}"
     );
 }
 
-#[test]
 fn a_browning_out_gateway_allocates_nothing_per_missed_poll() {
-    let _alone = alone();
     // A 10 µF reservoir harvesting 5 µW against an 11 µW listen draw:
     // every tag browns out while it waits its turn, and naive polling
     // keeps polling it. A missed poll charges airtime and builds nothing.
@@ -169,7 +158,7 @@ fn a_browning_out_gateway_allocates_nothing_per_missed_poll() {
     assert!(identified > 150, "only {identified} of 200 tags identified");
     assert!(run.missed_polls > 0, "no tag browned out during service");
     let budget = PER_TAG * identified + PER_GATEWAY;
-    println!(
+    eprintln!(
         "energy roster: {allocs} allocations, {identified} tags, {} missed polls, budget {budget}",
         run.missed_polls
     );
@@ -202,15 +191,13 @@ const RSSI_PER_CAPTURE: u64 = 136;
 /// per-antenna buffer (the channel is filled into one reused snapshot).
 const RSSI_PER_PACKET: u64 = 1;
 
-#[test]
 fn an_rssi_capture_allocates_one_report_per_packet() {
-    let _alone = alone();
     for ppb in [5, 10, 30] {
         let cfg = LinkConfig::fig10(0.3, 100, ppb, 3).with_measurement(Measurement::Rssi);
         let (allocs, capture) = counted(|| capture_uplink(&cfg));
         let packets = capture.bundle.packets() as u64;
         let budget = RSSI_PER_CAPTURE + RSSI_PER_PACKET * packets + packets / PACKETS_PER_ALLOC;
-        println!(
+        eprintln!(
             "rssi capture at {ppb} pkts/bit: {allocs} allocations, {packets} packets, \
              budget {budget}"
         );
@@ -221,16 +208,14 @@ fn an_rssi_capture_allocates_one_report_per_packet() {
     }
 }
 
-#[test]
 fn a_capture_allocates_per_batch_not_per_packet() {
-    let _alone = alone();
     for ppb in [5, 10, 30] {
         let cfg = LinkConfig::fig10(0.3, 100, ppb, 3);
         let (allocs, capture) = counted(|| capture_uplink(&cfg));
         let packets = capture.bundle.packets() as u64;
         let threads = bs_dsp::par::available_jobs() as u64;
         let budget = PER_CAPTURE + PER_THREAD * threads + packets / PACKETS_PER_ALLOC;
-        println!(
+        eprintln!(
             "capture at {ppb} pkts/bit: {allocs} allocations, {packets} packets, budget {budget}"
         );
         assert!(
@@ -238,4 +223,80 @@ fn a_capture_allocates_per_batch_not_per_packet() {
             "{allocs} allocations for {packets} packets on {threads} threads, over budget"
         );
     }
+}
+
+/// Each case paired with its name.
+macro_rules! cases {
+    ($($case:ident),* $(,)?) => { &[$((stringify!($case), $case as fn())),*] };
+}
+
+/// Every case, in the order [`main`] runs them.
+const CASES: &[(&str, fn())] = cases![
+    a_lossy_gateway_allocates_a_handful_per_tag,
+    an_fec_gateway_allocates_a_handful_per_tag,
+    a_browning_out_gateway_allocates_nothing_per_missed_poll,
+    an_rssi_capture_allocates_one_report_per_packet,
+    a_capture_allocates_per_batch_not_per_packet,
+];
+
+/// Runs the selected cases in turn and reports them as libtest would;
+/// fails if any case panicked.
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    let (mut filters, mut exact, mut list, mut json) = (Vec::new(), false, false, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--exact" => exact = true,
+            "--list" => list = true,
+            "--format=json" => json = true,
+            "--format" => json = args.next().as_deref() == Some("json"),
+            "--test-threads" | "--color" | "-Z" | "--skip" => drop(args.next()),
+            _ if arg.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    let wanted = |name: &str| {
+        let hit = |f: &String| name == f || !exact && name.contains(f.as_str());
+        filters.is_empty() || filters.iter().any(hit)
+    };
+    let selected: Vec<_> = CASES.iter().filter(|(name, _)| wanted(name)).collect();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return ExitCode::SUCCESS;
+    }
+    let n = selected.len();
+    if json {
+        println!(r#"{{ "type": "suite", "event": "started", "test_count": {n} }}"#);
+    } else {
+        println!("\nrunning {n} tests");
+    }
+    let began = Instant::now();
+    let mut failed = 0;
+    for &&(name, case) in &selected {
+        let ok = catch_unwind(AssertUnwindSafe(case)).is_ok();
+        failed += usize::from(!ok);
+        if json {
+            let event = if ok { "ok" } else { "failed" };
+            println!(r#"{{ "type": "test", "name": "{name}", "event": "{event}" }}"#);
+        } else {
+            println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        }
+    }
+    let secs = began.elapsed().as_secs_f64();
+    let (passed, filtered) = (n - failed, CASES.len() - n);
+    if json {
+        let event = if failed == 0 { "ok" } else { "failed" };
+        println!(
+            r#"{{ "type": "suite", "event": "{event}", "passed": {passed}, "failed": {failed}, "ignored": 0, "measured": 0, "filtered_out": {filtered}, "exec_time": {secs} }}"#
+        );
+    } else {
+        println!(
+            "\ntest result: {}. {passed} passed; {failed} failed; 0 ignored; 0 measured; \
+             {filtered} filtered out; finished in {secs:.2}s\n",
+            if failed == 0 { "ok" } else { "FAILED" }
+        );
+    }
+    ExitCode::from(u8::from(failed > 0))
 }

@@ -104,7 +104,6 @@ fn long_range_streaming_matches_batch_on_golden_workload() {
         chip_duration_us: capture.chip_us,
         code: OrthogonalPair::new(cfg.code_length),
         payload_bits: cfg.payload.len(),
-        conditioning_window_us: 400_000,
         top_channels: 10,
     });
 
