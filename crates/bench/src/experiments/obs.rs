@@ -35,7 +35,7 @@ impl ObsPoint {
     /// Renders the per-stage table lines: one line per distinct stage with
     /// span count, total items and total simulated microseconds.
     pub fn stage_lines(&self) -> Vec<String> {
-        let mut stages: Vec<&str> = self.report.spans.iter().map(|s| s.stage.as_str()).collect();
+        let mut stages: Vec<&str> = self.report.spans.iter().map(|s| s.stage).collect();
         stages.sort_unstable();
         stages.dedup();
         stages

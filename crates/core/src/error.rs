@@ -61,11 +61,6 @@ pub enum TraceError {
         /// 1-based line number where order broke.
         line: usize,
     },
-    /// A v2 `#obs` sidecar line is malformed.
-    BadObsLine {
-        /// 1-based line number.
-        line: usize,
-    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -75,9 +70,6 @@ impl std::fmt::Display for TraceError {
             TraceError::BadLine { line } => write!(f, "malformed data on line {line}"),
             TraceError::UnsortedTimestamps { line } => {
                 write!(f, "timestamps go backwards at line {line}")
-            }
-            TraceError::BadObsLine { line } => {
-                write!(f, "malformed #obs sidecar on line {line}")
             }
         }
     }

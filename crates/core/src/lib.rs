@@ -46,9 +46,8 @@
 //!
 //! * [`multitag`] — EPC-Gen-2-style framed-slotted-ALOHA inventory for
 //!   identifying multiple tags before querying them individually (§2).
-//! * [`trace`] — capture save/load (v1 and the v2 format carrying
-//!   observability sidecars), splitting capture from offline decoding the
-//!   way the Intel CSI tool workflow does.
+//! * [`trace`] — capture save/load as plain text, splitting capture from
+//!   offline decoding the way the Intel CSI tool workflow does.
 //! * [`session`] — the high-level [`session::Reader`] API: rate
 //!   selection, query retransmission and the long-range fallback composed
 //!   into one call.

@@ -33,7 +33,6 @@ pub use crate::protocol::{
 };
 pub use crate::series::SeriesBundle;
 pub use crate::session::{QueryOutcome, Reader, ReaderConfig};
-pub use crate::trace::LoadedCapture;
 pub use crate::uplink::{Combining, DecodeOutput, UplinkDecoder, UplinkDecoderConfig};
 pub use bs_channel::faults::{FaultEvents, FaultPlan};
 pub use bs_dsp::bits::BerCounter;
@@ -67,7 +66,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "InventoryResult",
     "InventoryTag",
     "LinkConfig",
-    "LoadedCapture",
     "LongRangeConfig",
     "LongRangeDecoder",
     "LongRangeOutput",

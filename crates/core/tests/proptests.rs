@@ -80,66 +80,6 @@ fn trace_roundtrip_exact() {
     });
 }
 
-/// v2 traces round-trip the bundle *and* arbitrary observability
-/// sidecars exactly; v1 tooling (`from_text`) still reads the body.
-#[test]
-fn v2_trace_roundtrip_exact() {
-    use bs_dsp::obs::{MemRecorder, Recorder};
-    const STAGES: &[&str] = &[
-        "uplink.condition",
-        "uplink.align",
-        "uplink.combine",
-        "uplink.slice",
-        "downlink.envelope",
-        "tag.comparator",
-    ];
-    const COUNTERS: &[&str] = &[
-        "uplink.packets-binned",
-        "uplink.erasures",
-        "link.retries",
-        "tag.frames-ok",
-    ];
-    const GAUGES: &[&str] = &["uplink.preamble-score", "tag.energy-uj"];
-    check("v2-trace-roundtrip", 24, |g| {
-        let payload = g.vec_bool(1, 12);
-        let channels = g.usize_in(1, 4);
-        let bundle = clean_bundle(&payload, channels, 0.3);
-        let mut rec = MemRecorder::new();
-        for _ in 0..g.usize_in(0, 8) {
-            let start = g.usize_in(0, 1_000_000) as u64;
-            let dur = g.usize_in(0, 500_000) as u64;
-            let items = g.usize_in(0, 10_000) as u64;
-            rec.span(
-                STAGES[g.usize_in(0, STAGES.len() - 1)],
-                start,
-                start + dur,
-                items,
-            );
-        }
-        for _ in 0..g.usize_in(0, 6) {
-            rec.add(
-                COUNTERS[g.usize_in(0, COUNTERS.len() - 1)],
-                g.usize_in(0, usize::MAX >> 16) as u64,
-            );
-        }
-        for _ in 0..g.usize_in(0, 4) {
-            rec.gauge(GAUGES[g.usize_in(0, GAUGES.len() - 1)], g.f64_in(-1e6, 1e6));
-        }
-        let report = rec.into_report();
-        let text = trace::to_text_v2(&bundle, &report);
-        let cap = trace::load(&text).unwrap();
-        assert_eq!(cap.version, 2);
-        assert_eq!(cap.bundle, bundle);
-        if report.is_empty() {
-            assert!(cap.obs.is_none(), "empty report must load as None");
-        } else {
-            assert_eq!(cap.obs, Some(report));
-        }
-        // The v1 entry point still parses the v2 body, discarding sidecars.
-        assert_eq!(trace::from_text(&text).unwrap(), bundle);
-    });
-}
-
 /// Queries round-trip for any field values (within supported rates).
 #[test]
 fn query_roundtrip() {

@@ -19,7 +19,10 @@
 //!
 //! Armed recording uses [`MemRecorder`], which accumulates into an
 //! [`ObsReport`]: spans in emission order, counters and gauges in sorted
-//! (`BTreeMap`) order, so [`ObsReport::to_json`] is deterministic.
+//! (`BTreeMap`) order, so [`ObsReport::to_json`] is deterministic. Names
+//! are the `&'static str`s the instrumented code passes, stored as given:
+//! an armed recorder allocates only to grow its span list and maps, never
+//! to copy a name.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,10 +32,10 @@ use std::fmt::Write as _;
 /// `items` counts the discrete work units the stage processed (packets,
 /// envelope samples, candidate offsets, …) — a deterministic stand-in for
 /// cycle counters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Stage name, dotted-path style (`"uplink.align"`, `"tag.comparator"`).
-    pub stage: String,
+    pub stage: &'static str,
     /// Simulated start time of the stage's input window, µs.
     pub start_us: u64,
     /// Simulated end time of the stage's input window, µs.
@@ -111,7 +114,7 @@ impl Recorder for MemRecorder {
 
     fn span(&mut self, stage: &'static str, start_us: u64, end_us: u64, items: u64) {
         self.report.spans.push(Span {
-            stage: stage.to_string(),
+            stage,
             start_us,
             end_us,
             items,
@@ -119,11 +122,11 @@ impl Recorder for MemRecorder {
     }
 
     fn add(&mut self, counter: &'static str, delta: u64) {
-        *self.report.counters.entry(counter.to_string()).or_insert(0) += delta;
+        *self.report.counters.entry(counter).or_insert(0) += delta;
     }
 
     fn gauge(&mut self, gauge: &'static str, value: f64) {
-        self.report.gauges.insert(gauge.to_string(), value);
+        self.report.gauges.insert(gauge, value);
     }
 }
 
@@ -134,9 +137,9 @@ pub struct ObsReport {
     /// Completed stage spans, in the order they were emitted.
     pub spans: Vec<Span>,
     /// Monotonic event counts by name.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Last-written gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
+    pub gauges: BTreeMap<&'static str, f64>,
 }
 
 impl ObsReport {
@@ -167,7 +170,7 @@ impl ObsReport {
 
     /// Number of distinct stage names across all spans.
     pub fn distinct_stages(&self) -> usize {
-        let mut names: Vec<&str> = self.spans.iter().map(|s| s.stage.as_str()).collect();
+        let mut names: Vec<&str> = self.spans.iter().map(|s| s.stage).collect();
         names.sort_unstable();
         names.dedup();
         names.len()
@@ -176,13 +179,11 @@ impl ObsReport {
     /// Fold another report into this one: spans append, counters add,
     /// gauges take the other report's value (last write wins).
     pub fn merge(&mut self, other: &ObsReport) {
-        self.spans.extend(other.spans.iter().cloned());
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        self.spans.extend_from_slice(&other.spans);
+        for (&k, &v) in &other.counters {
+            *self.counters.entry(k).or_insert(0) += v;
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
+        self.gauges.extend(&other.gauges);
     }
 
     /// Deterministic JSON rendering:
@@ -204,7 +205,7 @@ impl ObsReport {
             let _ = write!(
                 out,
                 "{{\"stage\":{},\"start_us\":{},\"end_us\":{},\"items\":{}}}",
-                json_str(&s.stage),
+                json_str(s.stage),
                 s.start_us,
                 s.end_us,
                 s.items

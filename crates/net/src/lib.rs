@@ -48,6 +48,8 @@
 //! [`WindowAck`]: wifi_backscatter::protocol::WindowAck
 //! [`RetryPolicy`]: wifi_backscatter::protocol::RetryPolicy
 
+#![forbid(unsafe_code)]
+
 pub mod arq;
 pub mod fec;
 pub mod fleet;

@@ -19,7 +19,7 @@ fn print_report(title: &str, r: &ObsReport) {
         "{:<22} {:>6} {:>9} {:>10}",
         "stage", "spans", "items", "sim_us"
     );
-    let mut stages: Vec<&str> = r.spans.iter().map(|s| s.stage.as_str()).collect();
+    let mut stages: Vec<&str> = r.spans.iter().map(|s| s.stage).collect();
     stages.sort_unstable();
     stages.dedup();
     for stage in stages {

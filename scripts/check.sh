@@ -97,9 +97,12 @@ echo "== public-API drift gate + observability conformance =="
 # The preludes (core and bs-net) are the blessed API surface; both
 # manifests are pinned against tests/golden/prelude_api.txt (re-bless
 # intentionally with GOLDEN_BLESS=1). Observability must never perturb a
-# run.
+# run; the obs report's own unit tests and the one capture-trace format's
+# round trip and rejections run here too.
 cargo test --release -q -p wifi-backscatter --test api_snapshot
 cargo test --release -q -p wifi-backscatter --test obs_conformance
+cargo test --release -q -p bs-dsp --lib obs::
+cargo test --release -q -p wifi-backscatter --lib trace::
 
 echo "== golden / bit-identity (decode transcripts, raw-capture digests, inventory oracle) =="
 # The decode chain's fixtures under tests/golden/ and the FNV-1a digests
@@ -163,8 +166,10 @@ echo "== fleet conformance (jobs determinism, truncation/duplicate regressions, 
 # under any worker count, duplicate addresses rejected with a typed
 # error, and max_cycles truncation reported on the run and per tag.
 # With optimisations on: a gateway run stays within its per-tag
-# heap-allocation budget (plain ARQ under loss, and FEC), a capture
-# within its per-run budget (CSI) or one report per packet (RSSI),
+# heap-allocation budget (plain ARQ under loss, and FEC), an armed
+# run within a fixed few allocations of the plain one, a capture
+# within its per-run budget (CSI) or one report per packet (RSSI), a
+# whole uplink exchange or query within one capture plus one decode,
 # and the fleet report's latency
 # percentiles, found by selection, equal the sorted ones bit for bit.
 cargo test --release -q -p bs-net --test fleet_conformance

@@ -1,4 +1,5 @@
-//! Heap-allocation budgets of one gateway run and one uplink capture.
+//! Heap-allocation budgets of one gateway run, one uplink capture and
+//! one whole exchange.
 //!
 //! Serving a tag for one epoch (one tag-epoch) allocates a fixed handful
 //! of buffers — DESIGN.md §"What a tag-epoch allocates" lists them —
@@ -9,8 +10,12 @@
 //! gateway run to [`PER_TAG`] per identified tag plus [`PER_GATEWAY`],
 //! and a capture to [`PER_CAPTURE`] plus [`PER_THREAD`] per thread plus
 //! one per [`PACKETS_PER_ALLOC`] packets; an RSSI capture makes one
-//! report per packet and nothing else per packet. So `cargo test` catches allocations creeping back into a
-//! per-tag or per-packet path, not only the `fleet_micro` smoke bench.
+//! report per packet and nothing else per packet. A whole `run_uplink`
+//! exchange or `Reader::query` adds one decode, [`PER_DECODE`]. An armed
+//! gateway run may exceed the plain one by [`ARMED_GROWTH`] only, so
+//! recording never allocates per event. So `cargo test` catches
+//! allocations creeping back into a per-tag, per-packet or per-event
+//! path, not only the `fleet_micro` smoke bench.
 //!
 //! The binary runs without libtest (`harness = false`): [`main`] runs
 //! the cases one after another on its own thread, so no harness thread
@@ -18,8 +23,11 @@
 //! takes name filters, `--exact`, `--list` and `--format json`.
 
 use bs_channel::faults::FaultPlan;
+use bs_dsp::obs::MemRecorder;
 use bs_net::fec::FecConfig;
-use bs_net::gateway::{run_gateway, GatewayConfig, GatewayRun, PollingPolicy, TagProfile};
+use bs_net::gateway::{
+    run_gateway, run_gateway_with, GatewayConfig, GatewayRun, PollingPolicy, TagProfile,
+};
 use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,6 +35,8 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
+use wifi_backscatter::phy::run_uplink;
+use wifi_backscatter::session::{Reader, ReaderConfig};
 
 /// Heap allocations (alloc, alloc_zeroed, realloc) made by any thread
 /// of this binary. The count publishes no other data, so `Relaxed`
@@ -98,11 +108,16 @@ fn counted_gateway(tags: &[TagProfile], cfg: &GatewayConfig) -> (u64, GatewayRun
     counted(|| run_gateway(tags, cfg).expect("a valid roster"))
 }
 
+/// A gateway under the `loss` preset: ARQ retransmits for many tags.
+fn loss_gateway() -> GatewayConfig {
+    GatewayConfig::default()
+        .with_faults(FaultPlan::preset("loss", 1.0, 17).expect("known preset"))
+        .with_seed(5)
+}
+
 fn a_lossy_gateway_allocates_a_handful_per_tag() {
     let tags = roster(200);
-    let cfg = GatewayConfig::default()
-        .with_faults(FaultPlan::preset("loss", 1.0, 17).expect("known preset"))
-        .with_seed(5);
+    let cfg = loss_gateway();
     let (allocs, run) = counted_gateway(&tags, &cfg);
     let identified = run.tags.len() as u64;
     assert!(identified > 150, "only {identified} of 200 tags identified");
@@ -113,6 +128,35 @@ fn a_lossy_gateway_allocates_a_handful_per_tag() {
     assert!(
         allocs <= budget,
         "{allocs} allocations for {identified} tags, over {per_tag}/tag + {PER_GATEWAY}"
+    );
+}
+
+/// What arming a `MemRecorder` may add to a gateway run: the growth of
+/// the report's span list and of its counter and gauge maps. Names are
+/// stored as given, so nothing is allocated per event. Measured +13 on
+/// the 200-tag loss roster (+9 on a clean one): the span list's
+/// doublings and a few B-tree nodes. 16 leaves room for a few more
+/// doublings; copying one name per event would add thousands.
+const ARMED_GROWTH: u64 = 16;
+
+fn an_armed_gateway_allocates_only_to_grow_its_report() {
+    let tags = roster(200);
+    let cfg = loss_gateway();
+    let (plain_allocs, plain) = counted_gateway(&tags, &cfg);
+    let mut rec = MemRecorder::new();
+    let (armed_allocs, armed) =
+        counted(|| run_gateway_with(&tags, &cfg, &mut rec).expect("a valid roster"));
+    assert_eq!(armed, plain, "arming a recorder changed the run");
+    assert!(rec.report().spans.len() > 100, "too few spans to count");
+    let budget = plain_allocs + ARMED_GROWTH;
+    eprintln!(
+        "armed loss roster: {armed_allocs} allocations, plain {plain_allocs}, {} spans, \
+         budget {budget}",
+        rec.report().spans.len()
+    );
+    assert!(
+        armed_allocs <= budget,
+        "{armed_allocs} allocations armed, over {plain_allocs} plain + {ARMED_GROWTH}"
     );
 }
 
@@ -225,6 +269,48 @@ fn a_capture_allocates_per_batch_not_per_packet() {
     }
 }
 
+/// Allocations per decode of a 90-channel CSI bundle, whatever its
+/// length (≈2,070 measured): conditioning (≈540), per-channel slot
+/// statistics for each bit-phase class (≈540), one slot-mean vector
+/// per candidate offset and channel (810 at the default ±2 bits), the
+/// combined series and per-bit decision lists (≈170); DESIGN.md
+/// §"What a whole exchange allocates" has the table.
+const PER_DECODE: u64 = 2_200;
+
+/// What a query adds to its uplink exchange: the downlink frame's
+/// envelope and comparator, the session's bookkeeping and outcome.
+const PER_QUERY_LEG: u64 = 64;
+
+fn an_uplink_exchange_allocates_per_run_not_per_packet() {
+    let cfg = LinkConfig::fig10(0.3, 100, 10, 3);
+    let (allocs, run) = counted(|| run_uplink(&cfg));
+    assert!(run.detected, "the exchange found no frame");
+    let packets = run.packets_used as u64;
+    let threads = bs_dsp::par::available_jobs() as u64;
+    let budget = PER_CAPTURE + PER_DECODE + PER_THREAD * threads + packets / PACKETS_PER_ALLOC;
+    eprintln!("uplink exchange: {allocs} allocations, {packets} packets, budget {budget}");
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {packets} packets on {threads} threads, over budget"
+    );
+}
+
+fn a_query_allocates_per_exchange_not_per_packet() {
+    let payload: Vec<bool> = (0..24).map(|i| (i * 11) % 4 < 2).collect();
+    let mut reader = Reader::new(ReaderConfig::default(), 1);
+    let (allocs, out) = counted(|| reader.query(0x07, &payload));
+    let out = out.expect("a close-range query succeeds");
+    assert_eq!(out.payload, payload);
+    assert_eq!((out.query_attempts, out.response_attempts), (1, 1));
+    let threads = bs_dsp::par::available_jobs() as u64;
+    let budget = PER_CAPTURE + PER_DECODE + PER_QUERY_LEG + PER_THREAD * threads;
+    eprintln!("query: {allocs} allocations, budget {budget}");
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for one query on {threads} threads, over budget"
+    );
+}
+
 /// Each case paired with its name.
 macro_rules! cases {
     ($($case:ident),* $(,)?) => { &[$((stringify!($case), $case as fn())),*] };
@@ -233,10 +319,13 @@ macro_rules! cases {
 /// Every case, in the order [`main`] runs them.
 const CASES: &[(&str, fn())] = cases![
     a_lossy_gateway_allocates_a_handful_per_tag,
+    an_armed_gateway_allocates_only_to_grow_its_report,
     an_fec_gateway_allocates_a_handful_per_tag,
     a_browning_out_gateway_allocates_nothing_per_missed_poll,
     an_rssi_capture_allocates_one_report_per_packet,
     a_capture_allocates_per_batch_not_per_packet,
+    an_uplink_exchange_allocates_per_run_not_per_packet,
+    a_query_allocates_per_exchange_not_per_packet,
 ];
 
 /// Runs the selected cases in turn and reports them as libtest would;

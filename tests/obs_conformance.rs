@@ -95,7 +95,7 @@ fn full_stack_profile_meets_span_and_counter_floors() {
         r.distinct_stages() >= 8,
         "only {} distinct stages: {:?}",
         r.distinct_stages(),
-        r.spans.iter().map(|s| s.stage.as_str()).collect::<Vec<_>>()
+        r.spans.iter().map(|s| s.stage).collect::<Vec<_>>()
     );
     assert!(
         r.counters.len() >= 10,
@@ -130,17 +130,4 @@ fn armed_report_and_json_are_deterministic() {
     let b = full_stack_report(3);
     assert_eq!(a, b);
     assert_eq!(a.to_json(), b.to_json());
-}
-
-#[test]
-fn observed_report_travels_through_v2_traces() {
-    use wifi_backscatter::trace;
-    let cfg = uplink_cfg(31);
-    let (_, report) = observed_uplink(&cfg);
-    let capture = capture_uplink(&cfg);
-    let text = trace::to_text_v2(&capture.bundle, &report);
-    let loaded = trace::load(&text).expect("v2 trace parses");
-    assert_eq!(loaded.version, 2);
-    assert_eq!(loaded.bundle, capture.bundle);
-    assert_eq!(loaded.obs.as_ref(), Some(&report));
 }
