@@ -1,17 +1,16 @@
 //! Micro-benchmarks of the paper's core algorithms, isolated from the
 //! simulation substrate: signal conditioning, preamble correlation,
 //! majority slicing, the full MRC decoder (slot-indexed vs the
-//! straight-line reference) on a synthetic bundle, the streaming
-//! kernels and the live `SeriesBundle::push` path, the analog receiver
-//! circuit, and the DCF MAC.
+//! straight-line reference) on a synthetic bundle, the chunked kernels
+//! and `SeriesBundle::push`, the analog receiver circuit, and the DCF
+//! MAC.
 //!
 //! Run with `--json <path>` for the decode smoke bench instead: it
-//! builds a dense fig-10 workload, proves the slot-indexed decoder and
-//! decodes of a live-pushed bundle bit-identical to the reference,
-//! measures both paths, verifies the alignment search is O(packets)
-//! rather than O(candidates × packets) and that a live bundle holds one
-//! frame, and writes the evidence to `<path>` (see `scripts/check.sh
-//! --bench-smoke`). Exits non-zero if a gate fails.
+//! builds a dense fig-10 workload, proves the slot-indexed decoder
+//! bit-identical to the reference at two search widths, measures both,
+//! verifies the alignment search is O(packets) rather than
+//! O(candidates × packets), and writes the evidence to `<path>` (see
+//! `scripts/check.sh --bench-smoke`). Exits non-zero if a gate fails.
 
 use bs_bench::microbench::{measure_ns, Group};
 use bs_bench::object;
@@ -51,17 +50,14 @@ fn synth_bundle(seed: u64) -> SeriesBundle {
     SeriesBundle::from_columns(t_us, series).expect("synthetic columns are well formed")
 }
 
-/// `bundle` rebuilt the live way: every packet pushed on arrival, in
-/// bursts of `burst` packets.
-fn pushed(bundle: &SeriesBundle, burst: usize) -> SeriesBundle {
+/// `bundle` rebuilt the live way: every packet pushed on arrival.
+fn pushed(bundle: &SeriesBundle) -> SeriesBundle {
     let mut live = SeriesBundle::new(bundle.channels());
-    for at in (0..bundle.packets()).step_by(burst) {
-        for p in at..(at + burst).min(bundle.packets()) {
-            let row: Vec<f64> = (0..bundle.channels())
-                .map(|c| bundle.channel(c)[p])
-                .collect();
-            live.push(bundle.t_us()[p], &row).expect("packets ascend");
-        }
+    for (p, &t) in bundle.t_us().iter().enumerate() {
+        let row: Vec<f64> = (0..bundle.channels())
+            .map(|c| bundle.channel(c)[p])
+            .collect();
+        live.push(t, &row).expect("packets ascend");
     }
     live
 }
@@ -70,23 +66,18 @@ fn pushed(bundle: &SeriesBundle, burst: usize) -> SeriesBundle {
 /// `scripts/check.sh --bench-smoke`).
 ///
 /// `decode` is the one-line wrapper over `decode_indexed` with a fresh
-/// slot index, so one timing of it serves the indexed and stream gates.
+/// slot index, so its timing is the indexed path's.
 /// Gates (a `Fail` exits non-zero; EXPERIMENTS.md tables the schema):
-/// 1. `indexed_identical_to_reference` — bit for bit at search_bits 2;
+/// 1. `indexed_identical_to_reference` — bit for bit at search_bits 2
+///    and 8;
 /// 2. `indexed_fewer_passes_than_reference` — fewer
 ///    packet-stream-equivalents than the reference's candidates ×
-///    channels full scans, at search_bits 2 and 8;
+///    channels full scans, at search_bits 2 and 8 (the
+///    machine-independent backstop for gate 4);
 /// 3. `align_work_flat_in_candidates` — search_bits 2 → 8 (9 → 33
 ///    candidates) grows align-span work by < 1.5×, as a search that
 ///    re-scanned per candidate would not;
-/// 4. `streaming_identical_to_batch_and_reference` — `decode` of a
-///    bundle pushed packet by packet and one pushed in 64-packet
-///    bursts, batch and reference agree at search_bits 2 and 8;
-/// 5. `peak_resident_is_one_frame` — the per-packet live bundle's
-///    `packets()` is exactly the frame's packets;
-/// 6. `stream_fewer_passes_than_reference` — gate 2 at search_bits 8
-///    alone, the machine-independent backstop for gate 7;
-/// 7. `throughput_ge_2x` — reference ÷ `decode` wall time ≥ 2 at
+/// 4. `throughput_ge_2x` — reference ÷ `decode` wall time ≥ 2 at
 ///    search_bits 8, a same-process ratio (≈4× measured), so the floor
 ///    holds on any host. The 3× target is recorded, not gated.
 fn smoke() -> BenchReport {
@@ -106,31 +97,17 @@ fn smoke() -> BenchReport {
         UplinkDecoder::new(UplinkDecoderConfig::csi(100, payload_bits).with_search_bits(sb))
     };
 
-    // Identity at both ends of the candidate range, for the batch
-    // decoder and both arrival granularities of a live bundle.
+    // Identity at both ends of the candidate range.
     let mut gate_identical = true;
-    let mut gate_streaming = true;
-    let mut peak_resident = 0u64;
     for sb in [2u32, 8] {
         let dec = mk(sb);
         let reference = dec.decode_reference(&capture.bundle, capture.start_us);
-        let batch = dec.decode(&capture.bundle, capture.start_us);
         assert!(
             reference.is_some(),
             "smoke workload must decode (reference found no frame)"
         );
-        if sb == 2 {
-            gate_identical = reference == batch;
-        }
-
-        let by_packet = pushed(&capture.bundle, 1);
-        peak_resident = by_packet.packets() as u64;
-        let by_packet = dec.decode(&by_packet, capture.start_us);
-        let by_burst = dec.decode(&pushed(&capture.bundle, 64), capture.start_us);
-
-        gate_streaming &= by_packet == batch && by_burst == batch && batch == reference;
+        gate_identical &= reference == dec.decode(&capture.bundle, capture.start_us);
     }
-    let gate_resident = peak_resident == packets;
 
     // Time both paths at both ends of the candidate range. At
     // search_bits = 2 the shared stages (conditioning, combining,
@@ -174,8 +151,8 @@ fn smoke() -> BenchReport {
     let reference_passes_sb2 = candidates(2) * channels;
     let reference_passes_sb8 = candidates(8) * channels;
 
-    let gate_stream_fewer = indexed_passes_sb8 < reference_passes_sb8;
-    let gate_fewer = indexed_passes_sb2 < reference_passes_sb2 && gate_stream_fewer;
+    let gate_fewer =
+        indexed_passes_sb2 < reference_passes_sb2 && indexed_passes_sb8 < reference_passes_sb8;
     let gate_flat = (items_sb8 as f64) < 1.5 * (items_sb2 as f64);
 
     let search = |sb: u64, ref_ns: f64, idx_ns: f64, items: u64, idx: u64, rf: u64| {
@@ -195,11 +172,6 @@ fn smoke() -> BenchReport {
     report.field(
         "speedup_note",
         "reference/indexed at search_bits=8; gated at 2x, 3x is evidence",
-    );
-    report.field("peak_resident_packets", peak_resident);
-    report.field(
-        "resident_note",
-        "one frame per live bundle; push never evicts",
     );
     report.field("align_search", object! {
         "search_bits_2":
@@ -222,21 +194,6 @@ fn smoke() -> BenchReport {
             "align_work_flat_in_candidates",
             gate_flat,
             "align work grows with the candidate count",
-        ),
-        (
-            "streaming_identical_to_batch_and_reference",
-            gate_streaming,
-            "a decode path differs",
-        ),
-        (
-            "peak_resident_is_one_frame",
-            gate_resident,
-            "live bundle holds more or less than a frame",
-        ),
-        (
-            "stream_fewer_passes_than_reference",
-            gate_stream_fewer,
-            "passes not below the reference",
         ),
         (
             "throughput_ge_2x",
@@ -279,10 +236,10 @@ fn main() -> ExitCode {
     let ys: Vec<f64> = (0..4096).map(|_| rng.gaussian(0.0, 1.0)).collect();
     let mut acc = vec![0.0f64; 4096];
     g.bench("axpy_4096", 20, 50, || {
-        bs_dsp::stream::axpy(&mut acc, 0.37, &xs)
+        bs_dsp::kernels::axpy(&mut acc, 0.37, &xs)
     });
     g.bench("subtract_scale_4096", 20, 50, || {
-        bs_dsp::stream::scale_div(&bs_dsp::stream::subtract(&xs, &ys), 7.0)
+        bs_dsp::kernels::scale_div(&bs_dsp::kernels::subtract(&xs, &ys), 7.0)
     });
 
     let bundle = synth_bundle(3);
@@ -292,7 +249,7 @@ fn main() -> ExitCode {
         dec.decode_reference(&bundle, 0)
     });
 
-    g.bench("push_3000pkt_90ch", 10, 2, || pushed(&bundle, 1).packets());
+    g.bench("push_3000pkt_90ch", 10, 2, || pushed(&bundle).packets());
 
     {
         use bs_tag::envelope::{EnvelopeConfig, EnvelopeModel};

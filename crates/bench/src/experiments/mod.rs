@@ -14,7 +14,6 @@
 //! | [`fleet`] | fleet sweep: aggregate goodput, fairness and tail latency vs deployment population over `bs_net::fleet` |
 //! | [`phy`] | PHY mode sweep: tag goodput vs helper-traffic rate, presence vs codeword translation |
 //! | [`obs`] | stage profiling: per-stage spans/counters from armed-recorder runs |
-//! | [`stream`] | streaming-decode equivalence: batch vs chunked feed/finish, peak resident window |
 //! | [`energy`] | energy sweep: goodput, poll waste and brownout rate vs harvest regime × polling policy |
 
 pub mod ablation;
@@ -29,7 +28,6 @@ pub mod net;
 pub mod obs;
 pub mod phy;
 pub mod power;
-pub mod stream;
 pub mod uplink;
 
 /// Finds the fastest rate among `candidates` whose measured BER stays

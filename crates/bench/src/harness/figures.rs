@@ -19,7 +19,7 @@ use super::record::{JobOutput, RunRecord};
 use super::scheduler::Job;
 use crate::experiments::{
     ablation, ambient, coexistence, downlink, energy, faults, fec, fleet, net, obs, phy, power,
-    stream, uplink,
+    uplink,
 };
 
 /// How much work each figure does — the knobs the old `all`/`quick`
@@ -66,8 +66,8 @@ impl Effort {
 /// Every figure id the harness knows, in canonical output order.
 pub const ALL_FIGURES: &[&str] = &[
     "fig3", "fig4", "fig5", "fig6", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17",
-    "fig18", "fig19", "fig20", "power", "ablation", "faults", "obs", "net", "fec", "phy", "stream",
-    "fleet", "energy",
+    "fig18", "fig19", "fig20", "power", "ablation", "faults", "obs", "net", "fec", "phy", "fleet",
+    "energy",
 ];
 
 /// Lines computed from a section's finished records (Fig. 19's impact
@@ -158,7 +158,6 @@ pub fn plan(figs: &[String], effort: &Effort, seed: u64) -> Result<Plan, String>
             "net" => net_section(&mut p, seed, effort),
             "fec" => fec_section(&mut p, seed, effort),
             "phy" => phy_section(&mut p, seed, effort),
-            "stream" => stream_section(&mut p, seed),
             "fleet" => fleet_section(&mut p, seed, effort),
             "energy" => energy_section(&mut p, seed),
             other => {
@@ -1006,37 +1005,6 @@ fn energy_section(p: &mut Plan, seed: u64) {
                         ("missed_polls".into(), pt.missed_polls as f64),
                     ],
                     work_items: pt.tags as u64 * energy::EPOCHS as u64,
-                    ..JobOutput::default()
-                }
-            });
-        }
-    }
-}
-
-fn stream_section(p: &mut Plan, seed: u64) {
-    let s = p.section(
-        "stream",
-        vec![
-            "# === stream: streaming decode vs batch, same capture per measurement ===".into(),
-            "# measurement  chunk_packets  packets  peak_resident  identical  bit_errors".into(),
-        ],
-    );
-    for (kind, m) in [("csi", Measurement::Csi), ("rssi", Measurement::Rssi)] {
-        // 1 = per-packet, 64 = burst, 0 = the whole capture in one feed.
-        for chunk in [1usize, 64, 0] {
-            p.job(s, format!("{kind} chunk={chunk}"), seed, move || {
-                let pt = stream::stream_point(m, chunk, seed);
-                JobOutput {
-                    lines: vec![format!(
-                        "{kind}  {chunk}  {}  {}  {}  {}",
-                        pt.packets, pt.peak_resident, pt.identical, pt.bit_errors
-                    )],
-                    metrics: vec![
-                        ("identical".into(), if pt.identical { 1.0 } else { 0.0 }),
-                        ("peak_resident".into(), pt.peak_resident as f64),
-                        ("bit_errors".into(), pt.bit_errors as f64),
-                    ],
-                    work_items: pt.packets,
                     ..JobOutput::default()
                 }
             });

@@ -487,23 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_feed_matches_batch_decode_bit_for_bit() {
-        let payload: Vec<bool> = (0..10).map(|i| i % 3 != 0).collect();
-        let bundle = synth(&payload, 40, 0.2, 0.6, 333, 1_000, 41);
-        let dec = LongRangeDecoder::new(cfg(40, 1_000, 10));
-        let batch = dec.decode(&bundle, 0);
-        assert!(batch.is_some());
-        let mut live = SeriesBundle::new(bundle.channels());
-        for (p, &t) in bundle.t_us().iter().enumerate() {
-            let row: Vec<f64> = (0..bundle.channels())
-                .map(|c| bundle.channel(c)[p])
-                .collect();
-            assert_eq!(live.push(t, &row), Ok(()));
-        }
-        assert_eq!(dec.decode(&live, 0), batch);
-    }
-
-    #[test]
     fn indexed_decode_matches_reference_bit_for_bit() {
         let payload: Vec<bool> = (0..10).map(|i| i % 3 != 0).collect();
         for (l, gap, seed) in [(20usize, 333u64, 31u64), (60, 1_100, 32), (8, 4_500, 33)] {

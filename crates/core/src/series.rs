@@ -22,9 +22,10 @@ use std::rc::Rc;
 /// packets arrive through [`Self::push`]; a tag session is one bounded
 /// frame, so the bundle retains the session's packets and the decoder's
 /// `decode` runs once the frame window closes. Decoding the completed
-/// bundle is what makes streaming bit-identical to batch by construction:
-/// the decoder's normalisation scale and conditioning window are
-/// functions of the whole session (DESIGN.md §5 "Streaming decode").
+/// bundle is what makes live packets decode bit-identically to a batch
+/// capture by construction: the decoder's normalisation scale and
+/// conditioning window are functions of the whole session (DESIGN.md §5
+/// "Live packets").
 ///
 /// ```
 /// use wifi_backscatter::error::SeriesError;

@@ -283,7 +283,7 @@ impl UplinkDecoder {
         // bit-identical to `decode_reference`'s.
         let mut combined = vec![0.0f64; bundle.packets()];
         for c in &channels {
-            bs_dsp::stream::axpy(&mut combined, c.weight, &conditioned[c.index]);
+            bs_dsp::kernels::axpy(&mut combined, c.weight, &conditioned[c.index]);
         }
         rec.span("uplink.combine", t_lo, t_hi, bundle.packets() as u64);
 
@@ -958,26 +958,6 @@ mod tests {
             let reused = dec.decode_indexed(&mut shared, 100_000, &mut NullRecorder);
             assert_eq!(fresh, reused, "bit_us {bit_us}");
         }
-    }
-
-    #[test]
-    fn stream_feed_matches_batch_decode_bit_for_bit() {
-        // Pushing the packets one at a time as they arrive must produce
-        // exactly the batch decode() output.
-        let payload = payload_90();
-        let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 31);
-        let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
-        let batch = dec.decode(&bundle, 100_000);
-        assert!(batch.is_some());
-
-        let mut live = SeriesBundle::new(bundle.channels());
-        for (p, &t) in bundle.t_us().iter().enumerate() {
-            let row: Vec<f64> = (0..bundle.channels())
-                .map(|c| bundle.channel(c)[p])
-                .collect();
-            assert_eq!(live.push(t, &row), Ok(()));
-        }
-        assert_eq!(dec.decode(&live, 100_000), batch);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 ///
 /// The interior — every sample with a full window — is a flat
 /// `(prefix[i+half+1] - prefix[i-half]) / (2·half+1)` map, computed through
-/// the chunked kernels in [`crate::stream`] so the compiler can lane it;
+/// the chunked kernels in [`crate::kernels`] so the compiler can lane it;
 /// only the `2·half` edge samples take the scalar truncated-window path.
 /// Per element the arithmetic is identical either way, so the split is
 /// bit-invisible.
@@ -48,8 +48,8 @@ pub fn moving_average(xs: &[f64], half: usize) -> Vec<f64> {
     }
     if int_hi > int_lo {
         let n = int_hi - int_lo;
-        let diffs = crate::stream::subtract(&prefix[2 * half + 1..2 * half + 1 + n], &prefix[..n]);
-        out.extend(crate::stream::scale_div(&diffs, (2 * half + 1) as f64));
+        let diffs = crate::kernels::subtract(&prefix[2 * half + 1..2 * half + 1 + n], &prefix[..n]);
+        out.extend(crate::kernels::scale_div(&diffs, (2 * half + 1) as f64));
     }
     for i in int_hi.max(int_lo)..len {
         edge(&mut out, i);
@@ -66,18 +66,18 @@ pub fn moving_average(xs: &[f64], half: usize) -> Vec<f64> {
 /// input), rather than dividing by zero.
 ///
 /// The detrend and normalise maps run through the chunked
-/// [`crate::stream::subtract`] / [`crate::stream::scale_div`] kernels —
+/// [`crate::kernels::subtract`] / [`crate::kernels::scale_div`] kernels —
 /// element-for-element the same operations as the scalar loops they
 /// replaced, so conditioned output is bit-identical; the normalisation
 /// constant itself ([`crate::stats::mean_abs`]) stays a sequential fold.
 pub fn condition(xs: &[f64], half: usize) -> Vec<f64> {
     let ma = moving_average(xs, half);
-    let resid = crate::stream::subtract(xs, &ma);
+    let resid = crate::kernels::subtract(xs, &ma);
     let scale = crate::stats::mean_abs(&resid);
     if scale == 0.0 {
         return vec![0.0; xs.len()];
     }
-    crate::stream::scale_div(&resid, scale)
+    crate::kernels::scale_div(&resid, scale)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! * [`slotstats`] — binned slot statistics over a timestamped packet
 //!   stream: the O(packets)-build, O(slots)-query index behind the
 //!   decoders' alignment search and MRC weighting.
-//! * [`stream`] — the chunked vector kernels the decode hot path is
+//! * [`kernels`] — the chunked vector kernels the decode hot path is
 //!   written in terms of.
 //! * [`bits`] — bit/byte packing, CRC-8 framing checks and bit-error-rate
 //!   accounting used throughout the evaluation.
@@ -46,13 +46,13 @@ pub mod codes;
 pub mod complex;
 pub mod correlate;
 pub mod filter;
+pub mod kernels;
 pub mod obs;
 pub mod par;
 pub mod rng;
 pub mod slicer;
 pub mod slotstats;
 pub mod stats;
-pub mod stream;
 pub mod testkit;
 
 pub use complex::Complex;

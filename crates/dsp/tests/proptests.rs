@@ -6,9 +6,9 @@ use bs_dsp::codes::OrthogonalPair;
 use bs_dsp::complex::Complex;
 use bs_dsp::correlate;
 use bs_dsp::filter::{condition, moving_average};
+use bs_dsp::kernels::axpy;
 use bs_dsp::slicer::{majority, Decision};
 use bs_dsp::stats::{mean, mean_abs, percentile, Histogram, Running};
-use bs_dsp::stream::axpy;
 use bs_dsp::testkit::check;
 
 // ---- complex arithmetic ----
@@ -246,7 +246,7 @@ fn majority_matches_naive_count() {
     });
 }
 
-// ---- streaming primitives ----
+// ---- chunked kernels ----
 
 /// The chunked axpy kernel folds channels into the accumulator with the
 /// exact additions of the scalar per-element loop.

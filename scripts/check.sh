@@ -80,7 +80,7 @@ echo "== cargo test -q =="
 cargo test -q
 
 echo "== cargo test --doc (runnable API examples) =="
-# Every public item in the bs-dsp streaming/stats modules and the
+# Every public item in the bs-dsp kernels/stats modules and the
 # core SeriesBundle carries a runnable doc-example, and every Rust
 # snippet in README.md runs as a bs-bench doctest; keep them compiling
 # and passing like any other test.
@@ -119,13 +119,18 @@ cargo test --release -q -p wifi-backscatter --test exchange_pins
 cargo test --release -q -p wifi-backscatter --lib multitag
 # The slot-statistics index against naive binning and the reference
 # decoders: the binning unit tests, the indexed-vs-reference decode
-# tests, and a shared index against a fresh one per query.
+# tests, and a shared index against a fresh one per query. Live packets
+# reach the decoders only through SeriesBundle::push, so push-vs-batch
+# bundle equality (the series unit tests and the by-rows == by-columns
+# proptest) is what makes a live decode equal a batch one.
 cargo test --release -q -p bs-dsp --lib slotstats::
 cargo test --release -q -p wifi-backscatter --lib uplink::
 cargo test --release -q -p wifi-backscatter --lib longrange::
+cargo test --release -q -p wifi-backscatter --lib series::
 cargo test --release -q -p wifi-backscatter --test proptests -- \
     indexed_decode_matches_reference_on_random_bundles \
-    shared_slot_index_matches_a_fresh_index_per_query
+    shared_slot_index_matches_a_fresh_index_per_query \
+    series_bundle_rejects_exactly_the_malformed_inputs
 # The threaded CSI capture with optimisations on: whole captures at
 # jobs 1, 2, 3 and 8 against the serial per-packet reference, the
 # skip/measure/in-place agreement property, the runtime's nesting,

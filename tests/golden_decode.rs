@@ -163,6 +163,23 @@ fn golden_uplink_decode_chain() {
         let mut cfg = LinkConfig::fig10(0.1, 100, 10, 77);
         cfg.measurement = measurement;
         cfg.payload = payload.clone();
+
+        // The straight-line reference decodes the real capture to the
+        // same output as the slot-indexed decoder.
+        let capture = capture_uplink(&cfg);
+        let dcfg = match measurement {
+            Measurement::Csi => UplinkDecoderConfig::csi(100, payload.len()),
+            Measurement::Rssi => UplinkDecoderConfig::rssi(100, payload.len()),
+        };
+        let dec = UplinkDecoder::new(dcfg);
+        let indexed = dec.decode(&capture.bundle, capture.start_us);
+        assert!(indexed.is_some(), "{name} golden capture must decode");
+        assert_eq!(
+            indexed,
+            dec.decode_reference(&capture.bundle, capture.start_us),
+            "{name} decode drifted from decode_reference"
+        );
+
         let run = run_uplink(&cfg);
         out.push_str(&format!(
             "{name} run detected {} errors {} erasures {} bits {}\n",
