@@ -172,15 +172,26 @@ impl BenchReport {
 
 /// The evidence path of a smoke run: `Some` when the bench was started
 /// with `--json`, holding the argument after it or `BENCH_<name>.json`.
-/// `None` means plain micro mode.
+/// A relative path is taken from the workspace root, not from the
+/// package directory cargo runs a bench in. `None` means plain micro
+/// mode.
 pub fn json_path(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
+    json_path_from(&args, name)
+}
+
+/// [`json_path`] over the given command line.
+fn json_path_from(args: &[String], name: &str) -> Option<String> {
     let i = args.iter().position(|a| a == "--json")?;
-    Some(
-        args.get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| format!("BENCH_{name}.json")),
-    )
+    let file = args
+        .get(i + 1)
+        .cloned()
+        .unwrap_or_else(|| format!("BENCH_{name}.json"));
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("bs-bench sits two directories below the workspace root");
+    Some(root.join(file).to_string_lossy().into_owned())
 }
 
 /// Renders `v` at nesting depth `indent`. Objects and arrays put one
@@ -343,5 +354,34 @@ mod tests {
             report.to_json(),
             expected.replace("CORES", &available_jobs().to_string())
         );
+    }
+
+    #[test]
+    fn json_paths_resolve_against_the_workspace_root() {
+        let line = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
+        assert_eq!(
+            json_path_from(&line(&["fec_micro", "--bench"]), "fec"),
+            None
+        );
+        for (args, file) in [
+            (&["fec_micro", "--json"][..], "BENCH_fec.json"),
+            (
+                &["fec_micro", "--bench", "--json", "BENCH_x.json"][..],
+                "BENCH_x.json",
+            ),
+        ] {
+            let path = json_path_from(&line(args), "fec").expect("--json given");
+            let path = Path::new(&path);
+            assert_eq!(path.file_name().and_then(|f| f.to_str()), Some(file));
+            let dir = path.parent().expect("a directory");
+            assert!(
+                dir.join("Cargo.lock").is_file(),
+                "{path:?} is not at the root"
+            );
+        }
+        let absolute = std::env::temp_dir().join("BENCH_fec.json");
+        let absolute = absolute.to_str().expect("utf-8 temp path");
+        let args = line(&["fec_micro", "--json", absolute]);
+        assert_eq!(json_path_from(&args, "fec").as_deref(), Some(absolute));
     }
 }

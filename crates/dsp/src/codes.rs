@@ -220,16 +220,6 @@ pub mod gf256 {
         EXP[(i.rem_euclid(255)) as usize]
     }
 
-    /// Discrete log base α of a non-zero element.
-    ///
-    /// # Panics
-    /// Panics on `log(0)`.
-    #[inline]
-    pub fn log(a: u8) -> u8 {
-        assert!(a != 0, "GF(256) log of zero");
-        LOG[a as usize]
-    }
-
     /// Evaluates the polynomial `poly` (coefficients in descending
     /// degree order) at `x`, by Horner's rule.
     pub fn poly_eval(poly: &[u8], x: u8) -> u8 {
@@ -238,23 +228,6 @@ pub mod gf256 {
             y = add(mul(y, x), c);
         }
         y
-    }
-
-    /// Product of two polynomials (descending-order coefficients).
-    pub fn poly_mul(a: &[u8], b: &[u8]) -> Vec<u8> {
-        if a.is_empty() || b.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![0u8; a.len() + b.len() - 1];
-        for (i, &ca) in a.iter().enumerate() {
-            if ca == 0 {
-                continue;
-            }
-            for (j, &cb) in b.iter().enumerate() {
-                out[i + j] ^= mul(ca, cb);
-            }
-        }
-        out
     }
 }
 
@@ -464,14 +437,14 @@ mod tests {
 
     #[test]
     fn gf256_poly_eval_and_mul() {
-        // (x + 1)(x + 2) = x² + 3x + 2 in GF(256) (3 = 1 XOR 2).
-        let p = gf256::poly_mul(&[1, 1], &[1, 2]);
-        assert_eq!(p, vec![1, 3, 2]);
-        // Roots: x = 1 and x = 2.
-        assert_eq!(gf256::poly_eval(&p, 1), 0);
-        assert_eq!(gf256::poly_eval(&p, 2), 0);
+        // x² + 3x + 2 = (x + 1)(x + 2) in GF(256) (3 = 1 XOR 2): Horner
+        // agrees with the factored product everywhere.
+        let p = [1, 3, 2];
+        for x in 0..=255u8 {
+            let product = gf256::mul(gf256::add(x, 1), gf256::add(x, 2));
+            assert_eq!(gf256::poly_eval(&p, x), product, "x = {x}");
+        }
         assert_eq!(gf256::poly_eval(&[], 9), 0);
-        assert!(gf256::poly_mul(&[], &[1]).is_empty());
     }
 
     #[test]

@@ -164,14 +164,20 @@ echo "== fec conformance (cross-layer: dsp GF(256) -> net coder -> wild traffic)
 # The FEC path's contract: adaptive FEC never lowers goodput on paired
 # links, repairs are byte-perfect, transfers reproduce bit for bit with
 # the coder on, and the rate rule disables itself on benign traffic.
+# The erasure decoder's properties (fills any n-k erasures, detects a
+# wrong held symbol, never mutates on failure) and the group coder's
+# unit tests run with optimisations on too.
 cargo test --release -q -p bs-net --test fec_transport
+cargo test --release -q -p bs-net --test fec_proptests
+cargo test --release -q -p bs-net --lib fec::
 
 echo "== fleet conformance (jobs determinism, truncation/duplicate regressions, allocation budget, percentiles) =="
 # The sharded fleet engine's contract: byte-identical FleetRun JSON
 # under any worker count, duplicate addresses rejected with a typed
 # error, and max_cycles truncation reported on the run and per tag.
 # With optimisations on: a gateway run stays within its per-tag
-# heap-allocation budget (plain ARQ under loss, and FEC), an armed
+# heap-allocation budget (plain ARQ under loss, and FEC on a clean
+# link and under loss, with nothing allocated per codeword row), an armed
 # run within a fixed few allocations of the plain one, a capture
 # within its per-run budget (CSI) or one report per packet (RSSI), a
 # whole uplink exchange or query within one capture plus one decode,

@@ -7,15 +7,16 @@
 //! of packets in flight, never per packet — DESIGN.md §"What a capture
 //! allocates". This test counts every allocation a call makes, on every
 //! thread, with this binary's own counting allocator, and holds a
-//! gateway run to [`PER_TAG`] per identified tag plus [`PER_GATEWAY`],
-//! and a capture to [`PER_CAPTURE`] plus [`PER_THREAD`] per thread plus
-//! one per [`PACKETS_PER_ALLOC`] packets; an RSSI capture makes one
-//! report per packet and nothing else per packet. A whole `run_uplink`
-//! exchange or `Reader::query` adds one decode, [`PER_DECODE`]. An armed
-//! gateway run may exceed the plain one by [`ARMED_GROWTH`] only, so
-//! recording never allocates per event. So `cargo test` catches
-//! allocations creeping back into a per-tag, per-packet or per-event
-//! path, not only the `fleet_micro` smoke bench.
+//! gateway run to [`PER_TAG`] per identified tag plus [`PER_GATEWAY`]
+//! (plus [`PER_REPAIR`] per segment FEC repairs), and a capture to
+//! [`PER_CAPTURE`] plus [`PER_THREAD`] per thread plus one per
+//! [`PACKETS_PER_ALLOC`] packets; an RSSI capture makes one report per
+//! packet and nothing else per packet. A whole `run_uplink` exchange or
+//! `Reader::query` adds one decode, [`PER_DECODE`]. An armed gateway
+//! run may exceed the plain one by [`ARMED_GROWTH`] only, so recording
+//! never allocates per event. So `cargo test` catches allocations
+//! creeping back into a per-tag, per-packet, per-row or per-event path,
+//! not only the `fleet_micro` smoke bench.
 //!
 //! The binary runs without libtest (`harness = false`): [`main`] runs
 //! the cases one after another on its own thread, so no harness thread
@@ -178,6 +179,36 @@ fn an_fec_gateway_allocates_a_handful_per_tag() {
     );
 }
 
+/// What one group repair adds: the buffer its columns are gathered
+/// into, whatever the segment size. A repair fills at least one
+/// segment, so this is charged per repaired segment. Measured 1,761 on
+/// the 200-tag (8, 2) loss roster with 224 segments repaired, against
+/// a budget of 1,888; an allocation per codeword row would add 17 per
+/// repair at the default 16-byte segments (≈46,800 when every
+/// polynomial of the decode allocated).
+const PER_REPAIR: u64 = 1;
+
+fn an_fec_gateway_under_loss_allocates_per_repair_not_per_row() {
+    let tags = roster(200);
+    let cfg = loss_gateway().with_fec(FecConfig::fixed(8, 2));
+    let (allocs, run) = counted_gateway(&tags, &cfg);
+    let identified = run.tags.len() as u64;
+    assert!(identified > 150, "only {identified} of 200 tags identified");
+    let repairs: u64 = run.tags.iter().map(|t| t.transfer.fec_repairs).sum();
+    assert!(repairs > 100, "only {repairs} segments repaired");
+    let per_tag = PER_TAG + FAULTED_PER_TAG + FEC_PER_TAG;
+    let budget = per_tag * identified + PER_REPAIR * repairs + PER_GATEWAY;
+    eprintln!(
+        "fec loss roster: {allocs} allocations, {identified} tags, {repairs} repairs, \
+         budget {budget}"
+    );
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {identified} tags and {repairs} repairs, over \
+         {per_tag}/tag + {PER_REPAIR}/repair + {PER_GATEWAY}"
+    );
+}
+
 fn a_browning_out_gateway_allocates_nothing_per_missed_poll() {
     // A 10 µF reservoir harvesting 5 µW against an 11 µW listen draw:
     // every tag browns out while it waits its turn, and naive polling
@@ -321,6 +352,7 @@ const CASES: &[(&str, fn())] = cases![
     a_lossy_gateway_allocates_a_handful_per_tag,
     an_armed_gateway_allocates_only_to_grow_its_report,
     an_fec_gateway_allocates_a_handful_per_tag,
+    an_fec_gateway_under_loss_allocates_per_repair_not_per_row,
     a_browning_out_gateway_allocates_nothing_per_missed_poll,
     an_rssi_capture_allocates_one_report_per_packet,
     a_capture_allocates_per_batch_not_per_packet,
