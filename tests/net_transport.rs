@@ -232,6 +232,31 @@ fn simlink_transfers_under_fault_presets_are_pinned() {
 }
 
 #[test]
+fn lossy_gateway_run_is_pinned() {
+    // The 200-tag `loss` roster of `alloc_budget`, whole: every
+    // `TagOutcome` field, airtime, polls, cycles, fairness and the
+    // inventory, through the same `Debug` rendering as a transfer. The
+    // FleetRun digest sees a gateway only through the fields the fleet
+    // copies; this pins the rest of the run, so the per-tag seed
+    // derivation, the served-tag table and singulation cannot drift.
+    let tags: Vec<TagProfile> = (0..200)
+        .map(|i| TagProfile::new(i as u8 + 1, (0..48).map(|b| (b * 7 + i) as u8).collect()))
+        .collect();
+    let cfg = GatewayConfig::default()
+        .with_faults(FaultPlan::preset("loss", 1.0, 17).expect("known preset"))
+        .with_seed(5);
+    let run = run_gateway(&tags, &cfg).expect("a valid roster");
+    assert!(
+        run.tags.len() > 150,
+        "only {} tags identified",
+        run.tags.len()
+    );
+    let mut h = Fnv1a64::new();
+    h.write(format!("{run:?}").as_bytes());
+    assert_eq!(h.finish(), 0xbc22_db10_7567_49f0, "gateway run drifted");
+}
+
+#[test]
 fn full_phy_link_delivers_a_message_end_to_end() {
     // The slow path: every segment rides the real uplink DSP chain and
     // every poll the real downlink decoder.
