@@ -86,6 +86,7 @@ impl Xoshiro256PlusPlus {
     /// seeding recipe recommended by the xoshiro authors (and the one
     /// `rand 0.8` uses for `SmallRng::seed_from_u64`). SplitMix64 never
     /// yields four zero words, so the all-zero fixed point is unreachable.
+    #[inline]
     fn seed_from_u64(mut state: u64) -> Self {
         let mut s = [0u64; 4];
         for word in &mut s {
@@ -138,6 +139,7 @@ pub struct SimRng {
 
 impl SimRng {
     /// Creates the root stream from a master seed.
+    #[inline]
     pub fn new(master_seed: u64) -> Self {
         SimRng {
             seed: master_seed,
@@ -150,6 +152,7 @@ impl SimRng {
     /// The substream's seed depends only on this stream's seed and `name`,
     /// never on how many values have been drawn, so call order does not
     /// matter.
+    #[inline]
     pub fn stream(&self, name: &str) -> SimRng {
         let mut h = Fnv1a64::new();
         h.write(name.as_bytes());
@@ -158,6 +161,7 @@ impl SimRng {
 
     /// Derives an independent substream indexed by an integer (e.g. one
     /// stream per packet or per subcarrier).
+    #[inline]
     pub fn substream(&self, index: u64) -> SimRng {
         let mut h = Fnv1a64::new();
         h.write_u64(index);
@@ -172,6 +176,7 @@ impl SimRng {
     }
 
     /// The seed this stream was created from.
+    #[inline]
     pub fn seed(&self) -> u64 {
         self.seed
     }

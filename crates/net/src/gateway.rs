@@ -525,44 +525,49 @@ pub fn run_gateway_with(
     let inventory = run_inventory_with(&inv_tags, cfg.inventory, &mut inv_rng, rec);
     let mut clock_us = inventory.airtime_us(cfg.slot_us);
 
-    // Phase 2 — one transport session + link per discovered tag.
-    let mut served: Vec<ServedTag> = inventory
-        .identified
-        .iter()
-        .filter_map(|&addr| index_of[addr as usize].map(|i| &tags[i]))
-        .enumerate()
-        .map(|(i, profile)| {
-            // Audit note: initial rate selection used to call the
-            // presence-only `select_bit_rate`; the capabilities pick
-            // from the configured PHY's own rate table.
-            let chip_rate =
-                caps.select_rate_bps(profile.helper_pps, cfg.pkts_per_bit, cfg.rate_margin);
-            let link_seed = root.stream("gateway-link").substream(i as u64).seed();
-            let mut link = SimLink::new(&cfg.faults, link_seed);
-            link.set_chip_rate_bps(chip_rate);
-            link.advance_us(clock_us);
-            let tcfg = TransportConfig {
-                tag_address: profile.address,
-                msg_id: profile.address,
-                seed: root.stream("gateway-transport").substream(i as u64).seed(),
-                ..cfg.transport.clone()
-            };
-            ServedTag {
-                session: TransportSession::new(&profile.message, tcfg),
-                capacitor: profile.energy.map(|e| Capacitor::new(e.capacitor)),
-                profile,
-                link,
-                deficit: 0,
-                rounds_served: 0,
-                sent_bytes: 0,
-                acked_bytes: 0,
-                energy_at_us: 0,
-                missed_polls: 0,
-                consecutive_misses: 0,
-                skip_until_cycle: 0,
-            }
-        })
-        .collect();
+    // Phase 2 — one transport session + link per discovered tag, each
+    // seeded from its discovery index under the two per-gateway streams.
+    let link_streams = root.stream("gateway-link");
+    let transport_streams = root.stream("gateway-transport");
+    let mut served: Vec<ServedTag> = Vec::with_capacity(inventory.identified.len());
+    served.extend(
+        inventory
+            .identified
+            .iter()
+            .filter_map(|&addr| index_of[addr as usize].map(|i| &tags[i]))
+            .enumerate()
+            .map(|(i, profile)| {
+                // Audit note: initial rate selection used to call the
+                // presence-only `select_bit_rate`; the capabilities pick
+                // from the configured PHY's own rate table.
+                let chip_rate =
+                    caps.select_rate_bps(profile.helper_pps, cfg.pkts_per_bit, cfg.rate_margin);
+                let link_seed = link_streams.substream(i as u64).seed();
+                let mut link = SimLink::new(&cfg.faults, link_seed);
+                link.set_chip_rate_bps(chip_rate);
+                link.advance_us(clock_us);
+                let tcfg = TransportConfig {
+                    tag_address: profile.address,
+                    msg_id: profile.address,
+                    seed: transport_streams.substream(i as u64).seed(),
+                    ..cfg.transport.clone()
+                };
+                ServedTag {
+                    session: TransportSession::new(&profile.message, tcfg),
+                    capacitor: profile.energy.map(|e| Capacitor::new(e.capacitor)),
+                    profile,
+                    link,
+                    deficit: 0,
+                    rounds_served: 0,
+                    sent_bytes: 0,
+                    acked_bytes: 0,
+                    energy_at_us: 0,
+                    missed_polls: 0,
+                    consecutive_misses: 0,
+                    skip_until_cycle: 0,
+                }
+            }),
+    );
     // Tags listened through singulation; charge their supplies over it.
     for tag in &mut served {
         let load = tag.idle_load_uw();

@@ -25,7 +25,12 @@ declare -A REV=([base]="$BASE_REV" [head]="$(git rev-parse HEAD)")
 
 for side in base head; do
     # Fresh sources each time; the build dir survives, so an unchanged
-    # revision is not rebuilt (git archive keeps commit-time mtimes).
+    # revision is not rebuilt. git archive gives every file its commit
+    # time as mtime, so sources of an older revision than the one the
+    # build dir last held would look fresh to cargo, and the old binary
+    # would be measured. The build dir records the revision it was built
+    # from; on any other revision the sources are touched, which forces
+    # the rebuild.
     rm -rf "$WORK/$side"
     mkdir -p "$WORK/$side"
     git archive "${REV[$side]}" | tar -x -C "$WORK/$side"
@@ -33,8 +38,14 @@ for side in base head; do
         echo "error: ${REV[$side]} has no perfbench/run.py" >&2
         exit 2
     fi
+    built="$WORK/target-$side/built-rev"
+    if [ "$(cat "$built" 2>/dev/null)" != "${REV[$side]}" ]; then
+        rm -f "$built"
+        find "$WORK/$side" -type f -exec touch {} +
+    fi
     echo "== $side ${REV[$side]}: build + self-test =="
     (cd "$WORK/$side" && CARGO_TARGET_DIR="$WORK/target-$side" python3 perfbench/run.py --self-test)
+    echo "${REV[$side]}" > "$built"
 done
 
 read -r SECS WORKLOADS < <(python3 -c 'import json; s = json.load(open("BENCHMARK.json"))
