@@ -124,7 +124,7 @@ const MIN_PARALLEL_EFFICIENCY: f64 = 0.65;
 /// Ceiling on heap allocations per tag-epoch at jobs 1.
 const MAX_ALLOCS_PER_TAG_EPOCH: f64 = 14.0;
 
-/// The measured heap allocations per tag-epoch at jobs 1 (5.66),
+/// The measured heap allocations per tag-epoch at jobs 1 (5.60),
 /// rounded up: DESIGN.md §"What a tag-epoch allocates" names each.
 const ALLOCS_PER_TAG_EPOCH: f64 = 6.0;
 
