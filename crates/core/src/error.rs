@@ -1,6 +1,6 @@
 //! The unified error hierarchy for the crate.
 //!
-//! Every leaf error enum ([`SeriesError`], [`TraceError`],
+//! Every leaf error enum ([`SeriesError`], [`DecodeError`], [`TraceError`],
 //! [`SessionError`], [`EncodeError`], [`ProtocolError`]) is defined here
 //! and only here, wrapped by one top-level [`Error`] with `From` impls, so
 //! applications can hold a single error type:
@@ -45,6 +45,34 @@ impl std::fmt::Display for SeriesError {
 }
 
 impl std::error::Error for SeriesError {}
+
+/// Why a decoder refused a [`crate::series::SlotIndex`]: the index
+/// conditioned its channels once, with one half-window, and decoding
+/// them with another decoder's window would read the wrong series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The index was conditioned with another half-window than the
+    /// decoder's window yields on this capture.
+    HalfWindow {
+        /// The index's half-window (packets).
+        index: usize,
+        /// The decoder's half-window (packets).
+        decoder: usize,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::HalfWindow { index, decoder } => write!(
+                f,
+                "index conditioned with a {index}-packet half-window, decoder needs {decoder}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 /// Errors from parsing a capture trace (see [`crate::trace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,6 +199,8 @@ impl std::error::Error for ProtocolError {}
 pub enum Error {
     /// A packet broke a series bundle's invariant.
     Series(SeriesError),
+    /// A decoder refused a slot index.
+    Decode(DecodeError),
     /// Capture trace parsing failed.
     Trace(TraceError),
     /// A reader session gave up.
@@ -185,6 +215,7 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::Series(e) => write!(f, "series: {e}"),
+            Error::Decode(e) => write!(f, "decode: {e}"),
             Error::Trace(e) => write!(f, "trace: {e}"),
             Error::Session(e) => write!(f, "session: {e}"),
             Error::Encode(e) => write!(f, "encode: {e}"),
@@ -197,6 +228,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Series(e) => Some(e),
+            Error::Decode(e) => Some(e),
             Error::Trace(e) => Some(e),
             Error::Session(e) => Some(e),
             Error::Encode(e) => Some(e),
@@ -208,6 +240,12 @@ impl std::error::Error for Error {
 impl From<SeriesError> for Error {
     fn from(e: SeriesError) -> Self {
         Error::Series(e)
+    }
+}
+
+impl From<DecodeError> for Error {
+    fn from(e: DecodeError) -> Self {
+        Error::Decode(e)
     }
 }
 
@@ -243,6 +281,12 @@ mod tests {
     fn from_impls_wrap_each_leaf() {
         let b: Error = SeriesError::Backwards { packet: 1 }.into();
         assert_eq!(b, Error::Series(SeriesError::Backwards { packet: 1 }));
+        let d: Error = DecodeError::HalfWindow {
+            index: 2,
+            decoder: 3,
+        }
+        .into();
+        assert!(matches!(d, Error::Decode(_)));
         let t: Error = TraceError::BadHeader.into();
         assert_eq!(t, Error::Trace(TraceError::BadHeader));
         let s: Error = SessionError::TagUnresponsive { attempts: 2 }.into();

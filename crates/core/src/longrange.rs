@@ -9,20 +9,18 @@
 //! L ≈ 150 (Fig. 20) without the tag doing anything more expensive than
 //! toggling its switch L× as often.
 
-use crate::series::{SeriesBundle, SlotIndex};
+use crate::error::DecodeError;
+use crate::series::{SeriesBundle, SlotIndex, CONDITIONING_WINDOW_US};
 use crate::uplink::frame_of;
 use bs_dsp::codes::OrthogonalPair;
 use bs_dsp::filter::condition;
 use bs_dsp::obs::{NullRecorder, Recorder};
 use bs_tag::frame::UplinkFrame;
 
-/// Conditioning window (µs), the plain decoder's default 400 ms.
-const CONDITIONING_WINDOW_US: u64 = 400_000;
-
-/// The conditioning half-window in packets at the bundle's median gap.
+/// The conditioning half-window in packets at the bundle's median gap,
+/// for the plain decoder's default 400 ms window.
 fn conditioning_half_window(bundle: &SeriesBundle) -> usize {
-    let gap = bundle.median_gap_us().max(1);
-    ((CONDITIONING_WINDOW_US / 2) / gap).max(2) as usize
+    bundle.half_window(CONDITIONING_WINDOW_US)
 }
 
 /// Long-range decoder configuration.
@@ -120,8 +118,12 @@ impl LongRangeDecoder {
     /// the query, and chip-level alignment is maintained by the tag's bit
     /// clock). Live packets are pushed into a [`SeriesBundle`] and
     /// decoded here.
+    ///
+    /// The bundle is borrowed, so this conditions one copy of it (see
+    /// [`crate::uplink::UplinkDecoder::decode`]).
     pub fn decode(&self, bundle: &SeriesBundle, start_us: u64) -> Option<LongRangeOutput> {
-        self.decode_indexed(&mut SlotIndex::new(bundle), start_us, &mut NullRecorder)
+        let index = SlotIndex::new(bundle.clone(), conditioning_half_window(bundle));
+        self.decode_conditioned(&index, start_us, &mut NullRecorder)
     }
 
     /// [`Self::decode`] against a caller-owned [`SlotIndex`], sharing
@@ -131,8 +133,10 @@ impl LongRangeDecoder {
     /// correlations iterate exactly the window's packets — in packet
     /// order, keeping the accumulation bit-exact against
     /// [`Self::decode_reference`] — instead of scanning the whole stream
-    /// per (channel, bit, code). `None` if the bundle has no packets or
-    /// no channels.
+    /// per (channel, bit, code). `Ok(None)` if the bundle has no packets
+    /// or no channels, or no channel decodes the preamble. An index
+    /// conditioned with another half-window than the 400 ms window's is
+    /// refused with [`DecodeError::HalfWindow`].
     ///
     /// The recorder only observes: a `uplink.correlate` span over the
     /// bundle's simulated-time extent (items = packets visited by the
@@ -141,18 +145,34 @@ impl LongRangeDecoder {
     /// (`uplink.channels-kept`, `uplink.channels-dropped`).
     pub fn decode_indexed(
         &self,
-        index: &mut SlotIndex<'_>,
+        index: &mut SlotIndex,
+        start_us: u64,
+        rec: &mut dyn Recorder,
+    ) -> Result<Option<LongRangeOutput>, DecodeError> {
+        let decoder = conditioning_half_window(index.conditioned());
+        if index.half() != decoder {
+            return Err(DecodeError::HalfWindow {
+                index: index.half(),
+                decoder,
+            });
+        }
+        Ok(self.decode_conditioned(index, start_us, rec))
+    }
+
+    /// [`Self::decode_indexed`] on an index known to be conditioned with
+    /// the decoder's half-window.
+    fn decode_conditioned(
+        &self,
+        index: &SlotIndex,
         start_us: u64,
         rec: &mut dyn Recorder,
     ) -> Option<LongRangeOutput> {
-        let bundle = index.bundle();
+        let bundle = index.conditioned();
         if bundle.packets() == 0 || bundle.channels() == 0 {
             return None;
         }
         let t_lo = *bundle.t_us().first().unwrap_or(&0);
         let t_hi = *bundle.t_us().last().unwrap_or(&0);
-        let half = conditioning_half_window(bundle);
-        let conditioned = index.conditioned(half);
 
         let preamble = bs_tag::frame::uplink_preamble();
         let bit_us = self.cfg.code.len() as u64 * self.cfg.chip_duration_us;
@@ -169,7 +189,8 @@ impl LongRangeDecoder {
         // Rank channels by how well the *known preamble* decodes on them,
         // capturing each channel's polarity at the same time.
         let mut ranked: Vec<(usize, f64, f64)> = Vec::new(); // (idx, quality, polarity)
-        for (i, ch) in conditioned.iter().enumerate() {
+        for i in 0..bundle.channels() {
+            let ch = bundle.channel(i);
             let mut agree = 0.0;
             for (b, &bit) in preamble.iter().enumerate() {
                 let bit_start = start_us + b as u64 * bit_us;
@@ -213,7 +234,7 @@ impl LongRangeDecoder {
                 .map(|&(i, quality, pol)| {
                     quality
                         * pol
-                        * self.margin_in_range(bundle, &conditioned[i], range.clone(), bit_start)
+                        * self.margin_in_range(bundle, bundle.channel(i), range.clone(), bit_start)
                 })
                 .sum();
             bits.push(Some(combined > 0.0));

@@ -19,7 +19,8 @@
 //!    reject the Intel card's spurious jumps; a majority vote across the
 //!    packets of each timestamp-binned bit slot yields the bit.
 
-use crate::series::{SeriesBundle, SlotIndex};
+use crate::error::DecodeError;
+use crate::series::{SeriesBundle, SlotIndex, CONDITIONING_WINDOW_US};
 use bs_dsp::codes;
 use bs_dsp::filter::condition;
 use bs_dsp::obs::{NullRecorder, Recorder};
@@ -71,7 +72,7 @@ impl UplinkDecoderConfig {
             // yield 0 and trip the constructor assert.
             bit_duration_us: (1_000_000 / bit_rate_bps.max(1)).max(1),
             payload_bits,
-            conditioning_window_us: 400_000,
+            conditioning_window_us: CONDITIONING_WINDOW_US,
             top_channels: 10,
             search_bits: 2,
             min_preamble_score: 0.5,
@@ -171,9 +172,15 @@ impl UplinkDecoder {
     /// preamble correlation within ±`search_bits`. Packets that arrive
     /// live are pushed into a [`SeriesBundle`] and decoded here once the
     /// frame window closes.
+    ///
+    /// The bundle is borrowed, so this conditions one copy of it; a
+    /// caller done with its bundle hands it to a [`SlotIndex`] instead
+    /// and decodes with [`Self::decode_indexed`] in the capture's own
+    /// memory.
     pub fn decode(&self, bundle: &SeriesBundle, start_hint_us: u64) -> Option<DecodeOutput> {
-        self.decode_indexed(
-            &mut SlotIndex::new(bundle),
+        let half = self.conditioning_half_window(bundle);
+        self.decode_conditioned(
+            &mut SlotIndex::new(bundle.clone(), half),
             start_hint_us,
             &mut NullRecorder,
         )
@@ -184,8 +191,14 @@ impl UplinkDecoder {
     /// re-scan's stretch candidates, retry/fallback re-decodes) share the
     /// conditioned series and every slot-statistics build instead of
     /// re-scanning the packet stream per attempt. Output is bit-identical
-    /// to [`Self::decode_reference`]. `None` if the bundle has no packets
-    /// or no channels.
+    /// to [`Self::decode_reference`]. `Ok(None)` if the bundle has no
+    /// packets or no channels, or no frame was found.
+    ///
+    /// The index must have been conditioned with this decoder's
+    /// half-window on the capture (its conditioning window over the
+    /// median packet gap, [`SeriesBundle::half_window`]); any other index
+    /// is refused with [`DecodeError::HalfWindow`], since its series are
+    /// not the ones this decoder's pipeline conditions.
     ///
     /// The recorder only observes: stage spans (`uplink.condition`,
     /// `uplink.align`, `uplink.combine`, `uplink.slice` — bounded by the
@@ -199,12 +212,31 @@ impl UplinkDecoder {
     /// verify the search is O(packets), not O(candidates × packets).
     pub fn decode_indexed(
         &self,
-        index: &mut SlotIndex<'_>,
+        index: &mut SlotIndex,
+        start_hint_us: u64,
+        rec: &mut dyn Recorder,
+    ) -> Result<Option<DecodeOutput>, DecodeError> {
+        let decoder = self.conditioning_half_window(index.conditioned());
+        if index.half() != decoder {
+            return Err(DecodeError::HalfWindow {
+                index: index.half(),
+                decoder,
+            });
+        }
+        Ok(self.decode_conditioned(index, start_hint_us, rec))
+    }
+
+    /// [`Self::decode_indexed`] on an index known to be conditioned with
+    /// this decoder's half-window.
+    fn decode_conditioned(
+        &self,
+        index: &mut SlotIndex,
         start_hint_us: u64,
         rec: &mut dyn Recorder,
     ) -> Option<DecodeOutput> {
-        let bundle = index.bundle();
-        if bundle.packets() == 0 || bundle.channels() == 0 {
+        let bundle = index.conditioned();
+        let (packets, n_channels) = (bundle.packets(), bundle.channels());
+        if packets == 0 || n_channels == 0 {
             return None;
         }
         let t_lo = *bundle.t_us().first().unwrap_or(&0);
@@ -212,10 +244,9 @@ impl UplinkDecoder {
         let preamble: Vec<i8> = codes::BARKER13.to_vec();
         let total_bits = UplinkFrame::on_air_len(self.cfg.payload_bits);
 
-        // 1. Signal conditioning (cached in the index across attempts).
-        let half = self.conditioning_half_window(bundle);
-        let conditioned = index.conditioned(half);
-        rec.span("uplink.condition", t_lo, t_hi, bundle.channels() as u64);
+        // 1. Signal conditioning: done once, in place, when the index
+        // took the capture.
+        rec.span("uplink.condition", t_lo, t_hi, n_channels as u64);
 
         // 2. Alignment search + channel selection, served by the slot
         // index. Candidates are spaced by half a bit, so they fall into
@@ -251,9 +282,12 @@ impl UplinkDecoder {
         for &(_, lo, hi) in &classes {
             index.ensure_grid(bit, lo, hi);
         }
+        // One slot-mean buffer serves every candidate and channel.
+        let mut means = Vec::with_capacity(preamble.len());
         let mut best: Option<(u64, Vec<SelectedChannel>, f64)> = None;
         for &cand in &cands {
-            let Some((channels, score)) = self.rank_channels_indexed(index, half, cand, &preamble)
+            let Some((channels, score)) =
+                self.rank_channels_indexed(index, cand, &preamble, &mut means)
             else {
                 continue;
             };
@@ -269,7 +303,7 @@ impl UplinkDecoder {
         rec.add("uplink.channels-kept", channels.len() as u64);
         rec.add(
             "uplink.channels-dropped",
-            (bundle.channels() - channels.len()) as u64,
+            (n_channels - channels.len()) as u64,
         );
         rec.gauge("uplink.preamble-score", preamble_score);
         rec.gauge("uplink.mrc-weight-entropy", weight_entropy(&channels));
@@ -281,11 +315,12 @@ impl UplinkDecoder {
         // reference path computes — chunking unrolls across *packets*,
         // never reassociates across channels — so the combined series is
         // bit-identical to `decode_reference`'s.
-        let mut combined = vec![0.0f64; bundle.packets()];
+        let conditioned = index.conditioned();
+        let mut combined = vec![0.0f64; packets];
         for c in &channels {
-            bs_dsp::kernels::axpy(&mut combined, c.weight, &conditioned[c.index]);
+            bs_dsp::kernels::axpy(&mut combined, c.weight, conditioned.channel(c.index));
         }
-        rec.span("uplink.combine", t_lo, t_hi, bundle.packets() as u64);
+        rec.span("uplink.combine", t_lo, t_hi, packets as u64);
 
         // 4. Hysteresis + timestamp-binned majority voting. The frame's
         // packets are one contiguous index range on the ascending
@@ -459,37 +494,37 @@ impl UplinkDecoder {
 
     /// [`Self::rank_channels`] served by the slot index: identical
     /// selection, ranking and weighting, with the per-channel slot means
-    /// and residual variances read from cached statistics.
+    /// (read into `means`) and residual variances read from cached
+    /// statistics.
     fn rank_channels_indexed(
         &self,
-        index: &mut SlotIndex<'_>,
-        half: usize,
+        index: &mut SlotIndex,
         start_us: u64,
         preamble: &[i8],
+        means: &mut Vec<f64>,
     ) -> Option<(Vec<SelectedChannel>, f64)> {
         let n_slots = preamble.len();
         let bit = self.cfg.bit_duration_us;
         let mut ranked: Vec<(usize, f64, f64)> = Vec::new(); // (index, |corr|, signed)
-        for i in 0..index.bundle().channels() {
-            let Some(means) = index.slot_means(half, i, start_us, bit, n_slots) else {
+        for i in 0..index.conditioned().channels() {
+            let Some(means) = index.slot_means(i, start_us, bit, n_slots, means) else {
                 continue;
             };
-            let corr = bs_dsp::correlate::normalized(&means, preamble);
+            let corr = bs_dsp::correlate::normalized(means, preamble);
             if !corr.is_finite() {
                 continue;
             }
             ranked.push((i, corr.abs(), corr));
         }
         self.select(ranked, |i| {
-            index.residual_variance(half, i, start_us, bit, n_slots)
+            index.residual_variance(i, start_us, bit, n_slots)
         })
     }
 
     /// The conditioning half-window in packets, derived from the paper's
     /// 400 ms time window and the observed packet rate.
     fn conditioning_half_window(&self, bundle: &SeriesBundle) -> usize {
-        let gap = bundle.median_gap_us().max(1);
-        ((self.cfg.conditioning_window_us / 2) / gap).max(2) as usize
+        bundle.half_window(self.cfg.conditioning_window_us)
     }
 
     /// Per-slot mean of one conditioned channel over the preamble slots at
@@ -637,7 +672,7 @@ pub(crate) fn frame_of(bits: &[Option<bool>]) -> Option<UplinkFrame> {
 /// per-slot accumulation runs in packet order from a fresh 0.0, so the
 /// result is bit-exact against the reference full-scan binning.
 fn series_slot_means(
-    index: &SlotIndex<'_>,
+    index: &SlotIndex,
     series: &[f64],
     start_us: u64,
     width_us: u64,
@@ -949,15 +984,65 @@ mod tests {
         // same outputs as fresh per-decode indexes.
         let payload = payload_90();
         let (bundle, _) = synth_bundle(&payload, 20, 8, 0.5, 0.3, 333, 10_000, 100_000, 21);
-        let mut shared = crate::series::SlotIndex::new(&bundle);
+        let half = bundle.half_window(CONDITIONING_WINDOW_US);
+        let mut shared = SlotIndex::new(bundle.clone(), half);
         for bit_us in [10_000u64, 9_950, 10_050, 10_000] {
             let mut cfg = UplinkDecoderConfig::csi(100, 90);
             cfg.bit_duration_us = bit_us;
             let dec = UplinkDecoder::new(cfg);
             let fresh = dec.decode(&bundle, 100_000);
             let reused = dec.decode_indexed(&mut shared, 100_000, &mut NullRecorder);
-            assert_eq!(fresh, reused, "bit_us {bit_us}");
+            assert_eq!(Ok(fresh), reused, "bit_us {bit_us}");
         }
+    }
+
+    #[test]
+    fn an_index_conditioned_for_another_window_is_refused() {
+        // The index conditions once; a decoder with another window must
+        // refuse it, not decode series conditioned for someone else.
+        let payload = payload_90();
+        let (bundle, _) = synth_bundle(&payload, 10, 8, 0.5, 0.1, 333, 10_000, 100_000, 22);
+        let paper = bundle.half_window(CONDITIONING_WINDOW_US);
+        let mut index = SlotIndex::new(bundle.clone(), paper);
+        let mut cfg = UplinkDecoderConfig::csi(100, 90);
+        cfg.conditioning_window_us = 100_000;
+        let short = UplinkDecoder::new(cfg);
+        let want = bundle.half_window(100_000);
+        assert_ne!(want, paper);
+        let visits = index.visits();
+        assert_eq!(
+            short.decode_indexed(&mut index, 100_000, &mut NullRecorder),
+            Err(DecodeError::HalfWindow {
+                index: paper,
+                decoder: want,
+            })
+        );
+        assert_eq!(index.visits(), visits, "a refused index is not read");
+        // The same index still serves the decoder it was built for, and
+        // the long-range decoder's 400 ms window; a fresh index at the
+        // short window serves the short decoder.
+        let paper_dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
+        let out = paper_dec.decode_indexed(&mut index, 100_000, &mut NullRecorder);
+        assert_eq!(out, Ok(paper_dec.decode(&bundle, 100_000)));
+        assert!(out.unwrap().is_some());
+        let lr = crate::longrange::LongRangeDecoder::new(crate::longrange::LongRangeConfig::new(
+            4, 2_500, 90,
+        ));
+        assert!(lr
+            .decode_indexed(&mut index, 100_000, &mut NullRecorder)
+            .is_ok());
+        let mut short_index = SlotIndex::new(bundle.clone(), want);
+        assert_eq!(
+            short.decode_indexed(&mut short_index, 100_000, &mut NullRecorder),
+            Ok(short.decode(&bundle, 100_000))
+        );
+        assert_eq!(
+            lr.decode_indexed(&mut short_index, 100_000, &mut NullRecorder),
+            Err(DecodeError::HalfWindow {
+                index: want,
+                decoder: paper,
+            })
+        );
     }
 
     #[test]

@@ -282,11 +282,10 @@ fn indexed_decode_matches_reference_on_random_bundles() {
     });
 }
 
-/// One query to a [`SlotIndex`]: a conditioning half-window, a channel
-/// and a slot window, asking for the slot means or the residual variance.
+/// One query to a [`SlotIndex`]: a channel and a slot window, asking for
+/// the slot means or the residual variance.
 #[derive(Debug, Clone, Copy)]
 struct SlotQuery {
-    half: usize,
     channel: usize,
     start_us: u64,
     width_us: u64,
@@ -301,21 +300,23 @@ enum SlotAnswer {
     Variance(u64),
 }
 
-fn ask(index: &mut SlotIndex<'_>, q: SlotQuery) -> SlotAnswer {
+/// Asks `index` the query, reading slot means into `buf`.
+fn ask(index: &mut SlotIndex, q: SlotQuery, buf: &mut Vec<f64>) -> SlotAnswer {
     if q.means {
-        let means = index.slot_means(q.half, q.channel, q.start_us, q.width_us, q.n_slots);
+        let means = index.slot_means(q.channel, q.start_us, q.width_us, q.n_slots, buf);
         SlotAnswer::Means(means.map(|m| m.iter().map(|x| x.to_bits()).collect()))
     } else {
-        let var = index.residual_variance(q.half, q.channel, q.start_us, q.width_us, q.n_slots);
+        let var = index.residual_variance(q.channel, q.start_us, q.width_us, q.n_slots);
         SlotAnswer::Variance(var.to_bits())
     }
 }
 
 /// A shared slot index answers a random sequence of window queries —
 /// below, above and around earlier windows on the same slot phase, at
-/// mixed widths, under a second conditioning half-window, some after a
-/// pre-sizing `ensure_grid` — exactly as a fresh index answers each
-/// query alone.
+/// mixed widths, some after a pre-sizing `ensure_grid`, every slot-mean
+/// query through one reused buffer — exactly as a fresh index answers
+/// each query alone. Its in-place conditioned channels are, bit for bit,
+/// what the copying `condition` returns.
 #[test]
 fn shared_slot_index_matches_a_fresh_index_per_query() {
     check("slot-index-shared-vs-fresh", 64, |g| {
@@ -332,14 +333,27 @@ fn shared_slot_index_matches_a_fresh_index_per_query() {
             .map(|_| (0..packets).map(|_| 9.0 + g.f64_in(-5.0, 5.0)).collect())
             .collect();
         let bundle = SeriesBundle::from_columns(t_us, series).unwrap();
-        let halves = [g.usize_in(0, 12), g.usize_in(0, 12)];
+        let half = g.usize_in(0, 12);
         let widths = [g.usize_in(200, 3_000) as u64, g.usize_in(200, 3_000) as u64];
-        let mut shared = SlotIndex::new(&bundle);
+        let mut shared = SlotIndex::new(bundle.clone(), half);
+        for c in 0..channels {
+            let want: Vec<u64> = bs_dsp::filter::condition(bundle.channel(c), half)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let got: Vec<u64> = shared
+                .conditioned()
+                .channel(c)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, want, "case {} channel {c}", g.case());
+        }
+        let mut buf = Vec::new();
         let mut prev: Option<SlotQuery> = None;
         for step in 0..g.usize_in(1, 16) {
             let n_slots = g.usize_in(1, 30);
             let mut q = SlotQuery {
-                half: halves[g.usize_in(0, 2)],
                 channel: g.usize_in(0, channels),
                 start_us: g.usize_in(0, 80_000) as u64,
                 width_us: widths[g.usize_in(0, 2)],
@@ -364,8 +378,12 @@ fn shared_slot_index_matches_a_fresh_index_per_query() {
                 let end = q.start_us + g.usize_in(0, 40) as u64 * q.width_us;
                 shared.ensure_grid(q.width_us, q.start_us, end);
             }
-            let got = ask(&mut shared, q);
-            let want = ask(&mut SlotIndex::new(&bundle), q);
+            let got = ask(&mut shared, q, &mut buf);
+            let want = ask(
+                &mut SlotIndex::new(bundle.clone(), half),
+                q,
+                &mut Vec::new(),
+            );
             assert_eq!(got, want, "case {} step {step}: {q:?}", g.case());
             prev = Some(q);
         }

@@ -816,8 +816,10 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
         }
     }
     // The initial association may overflow a gateway's address space;
-    // spill the overflow to its home gateway in tag-id order (the same
-    // deterministic rule the handoff cap uses). Without an overflow the
+    // in tag-id order, a tag whose nearest gateway is full spills to its
+    // home gateway or, if that is full too, to the first gateway after
+    // its home in cyclic id order with room. One always has room:
+    // `tags_per_gateway ≤ MAX_TAGS_PER_GATEWAY`. Without an overflow the
     // pass would change nothing, so it runs only when one exists.
     if loads.iter().any(|&l| l > MAX_TAGS_PER_GATEWAY) {
         loads.fill(0);
@@ -826,9 +828,13 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
             if loads[g] < MAX_TAGS_PER_GATEWAY {
                 loads[g] += 1;
             } else {
-                let home = (t % cfg.gateways) as u32;
-                b.gateway = home;
-                loads[home as usize] += 1;
+                let home = t % cfg.gateways;
+                let open = (0..cfg.gateways)
+                    .map(|k| (home + k) % cfg.gateways)
+                    .find(|&g| loads[g] < MAX_TAGS_PER_GATEWAY)
+                    .expect("the fleet has room for every tag");
+                b.gateway = open as u32;
+                loads[open] += 1;
             }
         }
     }
@@ -1252,6 +1258,34 @@ mod tests {
         assert_eq!(loads, [230, 249, 231, 250]);
         assert_eq!(run.digest, 0xac53_9d7e_4488_64b4);
         assert_eq!(run, run_fleet(&cfg, 3).unwrap());
+    }
+
+    #[test]
+    fn a_full_home_spills_to_the_next_gateway_with_room() {
+        // Four gateways, 240 tags each, at a 60 m radius: on these seeds
+        // a tag whose nearest gateway is full also finds its home full.
+        // It goes to the next gateway with room, so no gateway passes the
+        // address cap and every run serves its roster at any jobs.
+        for seed in [1, 5, 6] {
+            let cfg = FleetConfig {
+                coverage_radius_m: 60.0,
+                epochs: 1,
+                seed,
+                ..FleetConfig::default().with_population(4, 240)
+            };
+            let run = run_fleet(&cfg, 1).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+            let mut loads = vec![0usize; cfg.gateways];
+            for t in &run.tag_records {
+                loads[t.gateway as usize] += 1;
+            }
+            assert!(
+                loads.iter().all(|&l| l <= MAX_TAGS_PER_GATEWAY),
+                "seed {seed}: loads {loads:?}"
+            );
+            assert_eq!(loads.iter().sum::<usize>(), 960, "seed {seed}");
+            let at_3 = run_fleet(&cfg, 3).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+            assert_eq!(run.to_json(), at_3.to_json(), "seed {seed}");
+        }
     }
 
     #[test]

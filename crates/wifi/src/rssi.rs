@@ -60,31 +60,49 @@ impl RssiExtractor {
 
     /// [`Self::measure`] plus observability: counts each measurement into
     /// `rec` (`wifi.rssi-measurements`). The measurement itself is
-    /// identical to [`Self::measure`].
+    /// identical to [`Self::measure`]; it is [`Self::measure_into`] on a
+    /// fresh row.
     pub fn measure_with(
         &mut self,
         snap: &ChannelSnapshot,
         timestamp_us: u64,
         rec: &mut dyn Recorder,
     ) -> RssiMeasurement {
-        rec.add("wifi.rssi-measurements", 1);
-        let rssi_dbm = (snap.rows().enumerate())
-            .map(|(ant, row)| {
-                // Total signal power across the band plus in-band noise.
-                let sig_mw = snap.rx_power_mw(ant);
-                let noise_mw = snap.noise_mw_per_subcarrier * row.len() as f64;
-                let raw_dbm = bs_channel::pathloss::mw_to_dbm(sig_mw + noise_mw);
-                let jittered = raw_dbm + self.rng.gaussian(0.0, self.jitter_db);
-                if self.quant_db > 0.0 {
-                    (jittered / self.quant_db).round() * self.quant_db
-                } else {
-                    jittered
-                }
-            })
-            .collect();
+        let mut rssi_dbm = vec![0.0; snap.antennas];
+        self.measure_into(snap, &mut rssi_dbm, rec);
         RssiMeasurement {
             timestamp_us,
             rssi_dbm,
+        }
+    }
+
+    /// The one RSSI measurement: writes one packet's per-antenna RSSI
+    /// (dBm, quantised) into `row`, one value per antenna in antenna
+    /// order, drawing the jitter in that order, and counts the
+    /// measurement into `rec` (`wifi.rssi-measurements`). A capture
+    /// reuses one row for every packet, so measuring allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `row` is not one value per antenna of `snap`.
+    pub fn measure_into(
+        &mut self,
+        snap: &ChannelSnapshot,
+        row: &mut [f64],
+        rec: &mut dyn Recorder,
+    ) {
+        assert_eq!(row.len(), snap.antennas, "one RSSI value per antenna");
+        rec.add("wifi.rssi-measurements", 1);
+        for ((ant, ch), out) in snap.rows().enumerate().zip(row) {
+            // Total signal power across the band plus in-band noise.
+            let sig_mw = snap.rx_power_mw(ant);
+            let noise_mw = snap.noise_mw_per_subcarrier * ch.len() as f64;
+            let raw_dbm = bs_channel::pathloss::mw_to_dbm(sig_mw + noise_mw);
+            let jittered = raw_dbm + self.rng.gaussian(0.0, self.jitter_db);
+            *out = if self.quant_db > 0.0 {
+                (jittered / self.quant_db).round() * self.quant_db
+            } else {
+                jittered
+            };
         }
     }
 }

@@ -124,6 +124,11 @@ cargo test --release -q -p wifi-backscatter --lib multitag
 # bundle equality (the series unit tests and the by-rows == by-columns
 # proptest) is what makes a live decode equal a batch one.
 cargo test --release -q -p bs-dsp --lib slotstats::
+# The one conditioning kernel (in place, bitwise the copying
+# formulation on random, empty, window-short, constant and NaN series)
+# and the chunked kernels the decoder combines with.
+cargo test --release -q -p bs-dsp --lib filter::
+cargo test --release -q -p bs-dsp --lib kernels::
 cargo test --release -q -p wifi-backscatter --lib uplink::
 cargo test --release -q -p wifi-backscatter --lib longrange::
 cargo test --release -q -p wifi-backscatter --lib series::
@@ -179,11 +184,15 @@ echo "== fleet conformance (jobs determinism, truncation/duplicate regressions, 
 # heap-allocation budget (plain ARQ under loss, and FEC on a clean
 # link and under loss, with nothing allocated per codeword row), an armed
 # run within a fixed few allocations of the plain one, a capture
-# within its per-run budget (CSI) or one report per packet (RSSI), a
+# within its per-run budget (CSI and RSSI, nothing per packet), a
 # whole uplink exchange or query within one capture plus one decode,
-# and the fleet report's latency
+# whose heap peak passes its capture's by at most an eighth of the
+# bundle, and the fleet report's latency
 # percentiles, found by selection, equal the sorted ones bit for bit.
+# A seeding overflow whose home gateway is full too spills to the next
+# gateway with room, so no gateway passes the address cap.
 cargo test --release -q -p bs-net --test fleet_conformance
+cargo test --release -q -p bs-net --lib fleet::tests::a_full_home_spills_to_the_next_gateway_with_room
 cargo test --release -q -p bs-net --test alloc_budget
 cargo test --release -q -p bs-dsp --lib stats::tests::selected_percentiles_equal_the_sorted_ones_bit_for_bit
 
