@@ -26,10 +26,12 @@
 //!    `"skipped: host busy (…)"` with the numbers;
 //! 5. heap allocations — one jobs-1 run of the acceptance point makes
 //!    at most [`MAX_ALLOCS_PER_TAG_EPOCH`] heap allocations per
-//!    tag-epoch, and at most [`ALLOCS_PER_TAG_EPOCH`] (the count since
-//!    a served tag's transport state stopped allocating per segment),
-//!    counted by this binary's own thread-local counting allocator (the
-//!    library's allocator is untouched).
+//!    tag-epoch, at most [`ALLOCS_PER_TAG_EPOCH`] (the count since a
+//!    served tag's transport state stopped allocating per segment) and
+//!    at most [`REUSED_ALLOCS_PER_TAG_EPOCH`] (the count since each
+//!    shard serves its gateways in reused state), counted by this
+//!    binary's own thread-local counting allocator (the library's
+//!    allocator is untouched).
 //!
 //! The scaling rows are sampled, not single shots: after the
 //! determinism runs (which double as the warm-up), the worker counts
@@ -127,6 +129,12 @@ const MAX_ALLOCS_PER_TAG_EPOCH: f64 = 14.0;
 /// The measured heap allocations per tag-epoch at jobs 1 (5.60),
 /// rounded up: DESIGN.md §"What a tag-epoch allocates" names each.
 const ALLOCS_PER_TAG_EPOCH: f64 = 6.0;
+
+/// Ceiling on heap allocations per tag-epoch at jobs 1 once every
+/// shard serves its gateways in one reused scratch: a tag-epoch
+/// allocates nothing of its own, and what is left is per gateway and
+/// per shard (DESIGN.md §"What a tag-epoch allocates").
+const REUSED_ALLOCS_PER_TAG_EPOCH: f64 = 1.0;
 
 /// How often [`with_foreign_wait`] reads the run queues.
 const WAIT_SAMPLE: Duration = Duration::from_millis(2);
@@ -363,6 +371,7 @@ fn smoke() -> BenchReport {
     for (gate, ceiling) in [
         ("allocs_per_tag_epoch_le_14", MAX_ALLOCS_PER_TAG_EPOCH),
         ("allocs_per_tag_epoch_le_6", ALLOCS_PER_TAG_EPOCH),
+        ("allocs_per_tag_epoch_le_1", REUSED_ALLOCS_PER_TAG_EPOCH),
     ] {
         report.gate(
             gate,

@@ -98,9 +98,8 @@ impl SlotPartition {
 /// `(count, Σx)` and the within-slot population variance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotStats {
-    count: Vec<u32>,
-    sum: Vec<f64>,
-    var: Vec<f64>,
+    /// `(count, Σx, variance)` per slot: one allocation per build.
+    slots: Vec<(u32, f64, f64)>,
 }
 
 impl SlotStats {
@@ -117,49 +116,43 @@ impl SlotStats {
     /// assert_eq!(stats.mean(1), Some(5.0));
     /// ```
     pub fn build(partition: &SlotPartition, values: &[f64]) -> Self {
-        let n = partition.n_slots();
-        let mut stats = SlotStats {
-            count: Vec::with_capacity(n),
-            sum: Vec::with_capacity(n),
-            var: Vec::with_capacity(n),
-        };
-        for k in 0..n {
-            let slice = &values[partition.slot_range(k)];
-            // Fresh accumulators per slot, packet order: bit-exact with a
-            // naive "sums[slot] += x" scan.
-            let mut s = 0.0;
-            let mut w = Running::new();
-            for &x in slice {
-                s += x;
-                w.push(x);
-            }
-            stats.count.push(slice.len() as u32);
-            stats.sum.push(s);
-            stats.var.push(w.population_variance());
-        }
-        stats
+        let slots = (0..partition.n_slots())
+            .map(|k| {
+                let slice = &values[partition.slot_range(k)];
+                // Fresh accumulators per slot, packet order: bit-exact
+                // with a naive "sums[slot] += x" scan.
+                let mut s = 0.0;
+                let mut w = Running::new();
+                for &x in slice {
+                    s += x;
+                    w.push(x);
+                }
+                (slice.len() as u32, s, w.population_variance())
+            })
+            .collect();
+        SlotStats { slots }
     }
 
     /// Packet count of slot `k`.
     pub fn count(&self, k: usize) -> u32 {
-        self.count[k]
+        self.slots[k].0
     }
 
     /// Σx of slot `k` (accumulated in packet order from 0.0).
     pub fn sum(&self, k: usize) -> f64 {
-        self.sum[k]
+        self.slots[k].1
     }
 
     /// Mean of slot `k`: `Σx / count` — `None` for an empty slot.
     pub fn mean(&self, k: usize) -> Option<f64> {
-        let c = self.count[k];
-        (c > 0).then(|| self.sum[k] / f64::from(c))
+        let (c, s, _) = self.slots[k];
+        (c > 0).then(|| s / f64::from(c))
     }
 
     /// Within-slot population variance of slot `k` (Welford, matching
     /// [`crate::stats::variance`] exactly). 0 for slots with < 2 packets.
     pub fn variance(&self, k: usize) -> f64 {
-        self.var[k]
+        self.slots[k].2
     }
 }
 

@@ -97,7 +97,7 @@ pub trait SegmentLink {
 /// when the link is built: the severity-scaled outage window and the
 /// frame-loss, segment-loss and duplication probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct FaultRates {
+pub(crate) struct FaultRates {
     /// Severity-scaled `(period_us, silent_us)` of an armed outage.
     outage_us: Option<(u64, u64)>,
     /// Per-control-frame loss probability.
@@ -112,7 +112,7 @@ struct FaultRates {
 }
 
 impl FaultRates {
-    fn of(faults: &FaultPlan) -> Self {
+    pub(crate) fn of(faults: &FaultPlan) -> Self {
         let sev = faults.severity.clamp(0.0, 1.0);
         let segment_loss = if sev <= 0.0 {
             0.0
@@ -251,7 +251,16 @@ impl SimLink {
     /// All randomness derives from `seed` (kept independent of the fault
     /// plan's own seed). Building one allocates nothing.
     pub fn new(faults: impl Borrow<FaultPlan>, seed: u64) -> Self {
-        Self::build(faults.borrow(), seed, "net-simlink", CTRL_OVERHEAD_US, None)
+        let faults = faults.borrow();
+        let rates = FaultRates::of(faults);
+        Self::build(
+            rates,
+            faults.seed,
+            seed,
+            "net-simlink",
+            CTRL_OVERHEAD_US,
+            None,
+        )
     }
 
     /// A link driven by `traffic`'s arrival process over one cyclic
@@ -299,19 +308,28 @@ impl SimLink {
             arrivals,
             horizon_us,
         };
-        Self::build(faults, seed, "net-trafficlink", RECHARGE_US, Some(trace))
+        let rates = FaultRates::of(faults);
+        Self::build(
+            rates,
+            faults.seed,
+            seed,
+            "net-trafficlink",
+            RECHARGE_US,
+            Some(trace),
+        )
     }
 
     fn build(
-        faults: &FaultPlan,
+        rates: FaultRates,
+        faults_seed: u64,
         seed: u64,
         stream: &str,
         ctrl_overhead_us: u64,
         helper: Option<HelperTrace>,
     ) -> Self {
         SimLink {
-            rng: SimRng::new(seed ^ faults.seed.rotate_left(17)).stream(stream),
-            rates: FaultRates::of(faults),
+            rng: SimRng::new(seed ^ faults_seed.rotate_left(17)).stream(stream),
+            rates,
             chip_rate_bps: 500,
             ctrl_overhead_us,
             helper,
@@ -320,11 +338,52 @@ impl SimLink {
         }
     }
 
+    /// Re-arms the link as [`SimLink::new`] builds it under a plan whose
+    /// rates ([`FaultRates::of`]) and seed are `rates` and
+    /// `faults_seed`: the gateway reads its plan once and re-arms every
+    /// tag's link from it. The degradation report is cleared in place,
+    /// so its name lists keep their capacity.
+    pub(crate) fn rearm(&mut self, rates: FaultRates, faults_seed: u64, seed: u64) {
+        let mut report = std::mem::take(&mut self.report);
+        clear_report(&mut report);
+        *self = SimLink {
+            report,
+            ..Self::build(
+                rates,
+                faults_seed,
+                seed,
+                "net-simlink",
+                CTRL_OVERHEAD_US,
+                None,
+            )
+        };
+    }
+
+    /// The degradation accounting since the last
+    /// [`SegmentLink::take_degradation`] or re-arm.
+    pub(crate) fn degradation(&self) -> &DegradationReport {
+        &self.report
+    }
+
     /// The helper-packet arrival trace this link replays; empty for a
     /// link built with [`SimLink::new`], which no trace gates.
     pub fn arrivals(&self) -> &[u64] {
         self.helper.as_ref().map_or(&[], |h| &h.arrivals)
     }
+}
+
+/// Empties `report` as [`DegradationReport::default`] would, keeping
+/// the capacity of its name lists.
+pub(crate) fn clear_report(report: &mut DegradationReport) {
+    let mut faults = std::mem::take(&mut report.faults_fired);
+    let mut mitigations = std::mem::take(&mut report.mitigations_engaged);
+    faults.clear();
+    mitigations.clear();
+    *report = DegradationReport {
+        faults_fired: faults,
+        mitigations_engaged: mitigations,
+        ..DegradationReport::default()
+    };
 }
 
 /// Why [`SimLink::from_traffic`] rejects its inputs.

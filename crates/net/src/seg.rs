@@ -251,17 +251,40 @@ impl Reassembler {
     /// knows the message sizes the buffer to, so it never regrows. With
     /// 0 the first arrival sizes it.
     pub fn with_capacity(msg_id: u8, total: u16, payload_bytes: usize) -> Self {
-        assert!(total >= 1, "a message has at least one segment");
+        let mut rx = Self::idle();
+        rx.reset(msg_id, total, payload_bytes);
+        rx
+    }
+
+    /// A reassembler expecting nothing, with no buffers: the state a
+    /// session is built in before [`Self::reset`] arms it.
+    pub(crate) fn idle() -> Self {
         Reassembler {
-            msg_id,
-            total,
-            buf: Vec::with_capacity(payload_bytes),
-            spans: vec![None; total as usize],
+            msg_id: 0,
+            total: 0,
+            buf: Vec::new(),
+            spans: Vec::new(),
             received: 0,
             cumulative: 0,
             duplicates: 0,
             mismatches: 0,
         }
+    }
+
+    /// Re-arms the reassembler as [`Self::with_capacity`] builds it,
+    /// keeping its buffers' capacity.
+    pub(crate) fn reset(&mut self, msg_id: u8, total: u16, payload_bytes: usize) {
+        assert!(total >= 1, "a message has at least one segment");
+        self.msg_id = msg_id;
+        self.total = total;
+        self.buf.clear();
+        self.buf.reserve(payload_bytes);
+        self.spans.clear();
+        self.spans.resize(total as usize, None);
+        self.received = 0;
+        self.cumulative = 0;
+        self.duplicates = 0;
+        self.mismatches = 0;
     }
 
     /// Offers one received segment.

@@ -190,9 +190,14 @@ echo "== fleet conformance (jobs determinism, truncation/duplicate regressions, 
 # bundle, and the fleet report's latency
 # percentiles, found by selection, equal the sorted ones bit for bit.
 # A seeding overflow whose home gateway is full too spills to the next
-# gateway with room, so no gateway passes the address cap.
+# gateway with room, so no gateway passes the address cap. One reused
+# gateway scratch serving rosters back to back (large and small, FEC on
+# and off, browning-out tags, loss and outage) reads exactly as fresh
+# gateway runs, and each further gateway a fleet shard serves through
+# it allocates per gateway, not per tag.
 cargo test --release -q -p bs-net --test fleet_conformance
 cargo test --release -q -p bs-net --lib fleet::tests::a_full_home_spills_to_the_next_gateway_with_room
+cargo test --release -q -p bs-net --lib gateway::tests::a_reused_scratch_serves_like_a_fresh_gateway
 cargo test --release -q -p bs-net --test alloc_budget
 cargo test --release -q -p bs-dsp --lib stats::tests::selected_percentiles_equal_the_sorted_ones_bit_for_bit
 
