@@ -1,70 +1,19 @@
-//! Micro-benchmarks of the paper's core algorithms, isolated from the
-//! simulation substrate: signal conditioning, preamble correlation,
-//! majority slicing, the full MRC decoder (slot-indexed vs the
-//! straight-line reference) on a synthetic bundle, the chunked kernels
-//! and `SeriesBundle::push`, the analog receiver circuit, and the DCF
-//! MAC.
+//! The decode smoke bench: it builds a dense fig-10 workload, proves
+//! the slot-indexed decoder bit-identical to the straight-line reference
+//! at two search widths, measures both, and verifies the alignment
+//! search is O(packets) rather than O(candidates × packets).
 //!
-//! Run with `--json <path>` for the decode smoke bench instead: it
-//! builds a dense fig-10 workload, proves the slot-indexed decoder
-//! bit-identical to the reference at two search widths, measures both,
-//! verifies the alignment search is O(packets) rather than
-//! O(candidates × packets), and writes the evidence to `<path>` (see
-//! `scripts/check.sh --bench-smoke`). Exits non-zero if a gate fails.
+//! With `--json [path]` it writes its evidence to `path` (default
+//! `BENCH_decode.json`; see `scripts/check.sh --bench-smoke`); without,
+//! it only prints its gates. Exits non-zero if a gate fails.
 
-use bs_bench::microbench::{measure_ns, Group};
+use bs_bench::microbench::measure_ns;
 use bs_bench::object;
 use bs_bench::report::{json_path, BenchReport, Verdict};
-use bs_dsp::codes::BARKER13;
-use bs_dsp::SimRng;
 use std::process::ExitCode;
 use wifi_backscatter::series::{SlotIndex, CONDITIONING_WINDOW_US};
 use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
-use wifi_backscatter::SeriesBundle;
 
-/// A 90-channel synthetic bundle mirroring a 3000-packet CSI capture.
-fn synth_bundle(seed: u64) -> SeriesBundle {
-    let mut rng = SimRng::new(seed).stream("bench-bundle");
-    let t_us: Vec<u64> = (0..3000u64).map(|i| i * 333).collect();
-    let bits: Vec<bool> = (0..116).map(|i| i % 3 == 0).collect();
-    let series: Vec<Vec<f64>> = (0..90)
-        .map(|c| {
-            let good = c < 12;
-            t_us.iter()
-                .map(|&t| {
-                    let slot = (t / 10_000) as usize;
-                    let level = if good {
-                        match bits.get(slot) {
-                            Some(&true) => 0.4,
-                            Some(&false) => -0.4,
-                            None => 0.0,
-                        }
-                    } else {
-                        0.0
-                    };
-                    9.0 + level + rng.gaussian(0.0, 0.5)
-                })
-                .collect()
-        })
-        .collect();
-    SeriesBundle::from_columns(t_us, series).expect("synthetic columns are well formed")
-}
-
-/// `bundle` rebuilt the live way: every packet pushed on arrival.
-fn pushed(bundle: &SeriesBundle) -> SeriesBundle {
-    let mut live = SeriesBundle::new(bundle.channels());
-    for (p, &t) in bundle.t_us().iter().enumerate() {
-        let row: Vec<f64> = (0..bundle.channels())
-            .map(|c| bundle.channel(c)[p])
-            .collect();
-        live.push(t, &row).expect("packets ascend");
-    }
-    live
-}
-
-/// The decode smoke bench behind `--json <path>` (wired into
-/// `scripts/check.sh --bench-smoke`).
-///
 /// `decode` conditions a clone of the bundle into a fresh slot index and
 /// runs the indexed path, so its timing is the indexed path's.
 /// Gates (a `Fail` exits non-zero; EXPERIMENTS.md tables the schema):
@@ -218,77 +167,5 @@ fn smoke() -> BenchReport {
 }
 
 fn main() -> ExitCode {
-    if let Some(path) = json_path("decode") {
-        return smoke().finish(&path);
-    }
-
-    let g = Group::new("decoder_micro");
-
-    let bundle = synth_bundle(1);
-    g.bench("condition_3000_samples", 20, 10, || {
-        bs_dsp::filter::condition(bundle.channel(0), 600)
-    });
-
-    let mut rng = SimRng::new(2).stream("bench-corr");
-    let signal: Vec<f64> = (0..3000).map(|_| rng.gaussian(0.0, 1.0)).collect();
-    g.bench("sliding_correlation_barker13", 20, 10, || {
-        bs_dsp::correlate::sliding(&signal, &BARKER13)
-    });
-
-    let xs: Vec<f64> = (0..4096).map(|_| rng.gaussian(0.0, 1.0)).collect();
-    let ys: Vec<f64> = (0..4096).map(|_| rng.gaussian(0.0, 1.0)).collect();
-    let mut acc = vec![0.0f64; 4096];
-    g.bench("axpy_4096", 20, 50, || {
-        bs_dsp::kernels::axpy(&mut acc, 0.37, &xs)
-    });
-    g.bench("subtract_scale_4096", 20, 50, || {
-        bs_dsp::kernels::scale_div(&bs_dsp::kernels::subtract(&xs, &ys), 7.0)
-    });
-
-    let bundle = synth_bundle(3);
-    let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 90));
-    g.bench("mrc_decode_90ch_3000pkt", 10, 2, || dec.decode(&bundle, 0));
-    g.bench("reference_decode_90ch_3000pkt", 10, 2, || {
-        dec.decode_reference(&bundle, 0)
-    });
-
-    g.bench("push_3000pkt_90ch", 10, 2, || pushed(&bundle).packets());
-
-    {
-        use bs_tag::envelope::{EnvelopeConfig, EnvelopeModel};
-        use bs_tag::receiver::{CircuitConfig, ReceiverCircuit};
-        let cfg = EnvelopeConfig::default();
-        let mut env = EnvelopeModel::new(cfg, SimRng::new(4).stream("bench-env"));
-        let trace = env.trace(100_000, |i| {
-            if (i / 50) % 2 == 0 {
-                cfg.noise_mw * 50.0
-            } else {
-                0.0
-            }
-        });
-        g.bench("receiver_circuit_100k_samples", 10, 2, || {
-            let mut circuit = ReceiverCircuit::new(CircuitConfig::default());
-            circuit.run(&trace)
-        });
-    }
-
-    {
-        use bs_wifi::mac::{Medium, Station};
-        g.bench("dcf_mac_1s_3_stations", 10, 1, || {
-            let rng = SimRng::new(5);
-            let stations: Vec<Station> = (0..3)
-                .map(|i| {
-                    let mut r = rng.stream("bench-mac").substream(i);
-                    Station::data(
-                        bs_wifi::traffic::poisson(800.0, 1_000_000, &mut r),
-                        1000,
-                        54.0,
-                    )
-                })
-                .collect();
-            let mut medium = Medium::with_seed(6);
-            medium.simulate(&stations, 1_000_000)
-        });
-    }
-    ExitCode::SUCCESS
+    smoke().finish(json_path("decode").as_deref())
 }

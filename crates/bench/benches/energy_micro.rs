@@ -1,8 +1,8 @@
-//! Micro-benchmarks of the energy co-simulation — the acceptance gates
-//! behind `--json <path>` (see `scripts/check.sh --bench-smoke`).
+//! The energy smoke bench: the energy co-simulation's acceptance gates.
 //!
-//! The smoke bench writes `BENCH_energy.json` and exits non-zero if a
-//! gate fails:
+//! With `--json [path]` it writes its evidence to `path` (default
+//! `BENCH_energy.json`; see `scripts/check.sh --bench-smoke`); without,
+//! it only prints its gates. Exits non-zero if a gate fails:
 //!
 //! 1. **always-powered bit-identity** — with the energy model armed in
 //!    always-powered mode, the golden fleet and gateway workloads
@@ -276,23 +276,5 @@ fn smoke() -> BenchReport {
 }
 
 fn main() -> ExitCode {
-    if let Some(path) = json_path("energy") {
-        return smoke().finish(&path);
-    }
-
-    // Plain micro mode: time the intermittent acceptance point at a few
-    // worker counts without gating.
-    for jobs in [1usize, 2, 4] {
-        let cfg = intermittent_fleet_cfg();
-        let t0 = Instant::now();
-        let run = run_fleet(&cfg, jobs).expect("acceptance population fits");
-        println!(
-            "energy_micro/intermittent_100k_tags jobs={jobs}  {:.0} ms  \
-             digest {:016x}  brownouts {}",
-            t0.elapsed().as_secs_f64() * 1e3,
-            run.digest,
-            run.brownouts
-        );
-    }
-    ExitCode::SUCCESS
+    smoke().finish(json_path("energy").as_deref())
 }

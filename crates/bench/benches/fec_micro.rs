@@ -1,12 +1,11 @@
-//! Micro-benchmarks of the FEC layer — GF(256) Reed–Solomon encode and
-//! decode throughput at the transport's pooled code shapes — plus the
-//! FEC smoke bench behind `--json <path>`.
+//! The FEC smoke bench: it replays the `fec` figure's wild-regime
+//! severity sweep with paired links (every coding scheme sees the
+//! identical arrival trace and fault stream per run) and times the
+//! pooled RS(96, 64) code's encode and its decode at all 32 erasures.
 //!
-//! The smoke bench replays the `fec` figure's wild-regime severity sweep
-//! with paired links (every coding scheme sees the identical arrival
-//! trace and fault stream per run) and writes the evidence to `<path>`
-//! (see `scripts/check.sh --bench-smoke`). Exits non-zero if a gate
-//! fails:
+//! With `--json [path]` it writes its evidence to `path` (default
+//! `BENCH_fec.json`; see `scripts/check.sh --bench-smoke`); without, it
+//! only prints its gates. Exits non-zero if a gate fails:
 //!
 //! 1. exactness — the (96, 64) pooled code fills exactly n−k = 32
 //!    erasures, bit for bit, across deterministic trials;
@@ -20,7 +19,7 @@
 //!    the channel doesn't need it).
 
 use bs_bench::experiments::fec::{fec_point, Coding, FIXED_GROUP_DATA, FIXED_GROUP_PARITY};
-use bs_bench::microbench::{measure_ns, Group};
+use bs_bench::microbench::measure_ns;
 use bs_bench::object;
 use bs_bench::report::{json_path, BenchReport, Value, Verdict};
 use bs_dsp::SimRng;
@@ -60,8 +59,27 @@ fn exactness_failures(trials: u64) -> u64 {
     failures
 }
 
-/// The FEC smoke bench behind `--json <path>` (wired into
-/// `scripts/check.sh --bench-smoke`).
+/// Median wall times of the pooled code's encode and of its decode with
+/// all n−k symbols erased, in ns. Ungated: they vary run to run.
+fn pooled_code_ns() -> (f64, f64) {
+    let rs = ReedSolomon::new(FIXED_GROUP_DATA + FIXED_GROUP_PARITY, FIXED_GROUP_DATA);
+    let mut rng = SimRng::new(7).stream("fec-bench-micro");
+    let data: Vec<u8> = (0..rs.k()).map(|_| rng.index(256) as u8).collect();
+    let encode_ns = measure_ns(20, 50, || rs.encode(&data));
+    let erased: Vec<usize> = (0..rs.parity_len()).map(|p| p * 2).collect();
+    let mut holed = rs.encode(&data);
+    for &p in &erased {
+        holed[p] = 0;
+    }
+    let decode_ns = measure_ns(20, 50, || {
+        let mut cw = holed.clone();
+        rs.decode(&mut cw, &erased)
+            .expect("decode at full erasure capacity")
+    });
+    (encode_ns, decode_ns)
+}
+
+/// The four gates and the pooled code's timings.
 fn smoke() -> BenchReport {
     // Gate 1: Reed–Solomon exactness at capacity.
     let exact_fail = exactness_failures(64);
@@ -133,6 +151,9 @@ fn smoke() -> BenchReport {
     report.field("paired_losses", paired_losses);
     report.field("repairs_total", repairs_total);
     report.field("decode_fails_total", decode_fails_total);
+    let (encode_ns, decode_ns) = pooled_code_ns();
+    report.field("rs96_64_encode_ns", encode_ns);
+    report.field("rs96_64_decode_32_erasures_ns", decode_ns);
     for (gate, ok, reason) in [
         (
             "rs_exact_at_capacity",
@@ -161,41 +182,5 @@ fn smoke() -> BenchReport {
 }
 
 fn main() -> ExitCode {
-    if let Some(path) = json_path("fec") {
-        return smoke().finish(&path);
-    }
-
-    let g = Group::new("fec_micro");
-    let mut rng = SimRng::new(7).stream("fec-bench-micro");
-
-    // The transport's pooled shape and a narrow per-group shape, clean
-    // and at full erasure capacity.
-    for (n, k) in [(96usize, 64usize), (10, 8)] {
-        let rs = ReedSolomon::new(n, k);
-        let data: Vec<u8> = (0..k).map(|_| rng.index(256) as u8).collect();
-        let clean = rs.encode(&data);
-        g.bench(&format!("encode_rs{n}_{k}"), 20, 50, || rs.encode(&data));
-
-        let e = rs.parity_len();
-        let erased: Vec<usize> = (0..e).map(|p| p * 2).collect();
-        let mut holed = clean.clone();
-        for &p in &erased {
-            holed[p] = 0;
-        }
-        g.bench(&format!("decode_clean_rs{n}_{k}"), 20, 50, || {
-            let mut cw = clean.clone();
-            rs.decode(&mut cw, &[]).expect("clean decode")
-        });
-        g.bench(&format!("decode_{e}era_rs{n}_{k}"), 20, 50, || {
-            let mut cw = holed.clone();
-            rs.decode(&mut cw, &erased)
-                .expect("decode at full erasure capacity")
-        });
-    }
-
-    // One whole adaptive transfer over the wild link — the end-to-end
-    // unit the fec figure measures per run.
-    let ns = measure_ns(5, 1, || fec_point("wild", Coding::Adaptive, 0.5, 1, SEED));
-    println!("fec_micro/transfer_wild_adaptive  {ns:.0} ns/iter (5 samples)");
-    ExitCode::SUCCESS
+    smoke().finish(json_path("fec").as_deref())
 }

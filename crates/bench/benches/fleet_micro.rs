@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the fleet engine — the 10⁵-tag acceptance point
-//! and the determinism/scaling smoke behind `--json <path>`.
+//! The fleet smoke bench: determinism, scaling and allocations at the
+//! 10⁵-tag acceptance deployment (500 gateways × 200 tags).
 //!
-//! The smoke bench runs the acceptance deployment (500 gateways ×
-//! 200 tags = 10⁵ tags) and writes the evidence to `<path>` (see
-//! `scripts/check.sh --bench-smoke`). Exits non-zero if a gate fails:
+//! With `--json [path]` it writes its evidence to `path` (default
+//! `BENCH_fleet.json`; see `scripts/check.sh --bench-smoke`); without,
+//! it only prints its gates. Exits non-zero if a gate fails:
 //!
 //! 1. jobs determinism — the full `FleetRun` JSON (per-tag records
 //!    included) is byte-identical across 1, 2 and 8 engine workers;
@@ -392,21 +392,5 @@ fn smoke() -> BenchReport {
 }
 
 fn main() -> ExitCode {
-    if let Some(path) = json_path("fleet") {
-        return smoke().finish(&path);
-    }
-
-    // Plain micro mode: time the acceptance point at a few worker
-    // counts without gating.
-    for jobs in [1usize, 2, 4] {
-        let cfg = acceptance_config();
-        let t0 = Instant::now();
-        let run = run_fleet(&cfg, jobs).expect("acceptance population fits");
-        println!(
-            "fleet_micro/accept_100k_tags jobs={jobs}  {:.0} ms  digest {:016x}",
-            t0.elapsed().as_secs_f64() * 1e3,
-            run.digest
-        );
-    }
-    ExitCode::SUCCESS
+    smoke().finish(json_path("fleet").as_deref())
 }

@@ -1,6 +1,6 @@
 //! # bs-bench — experiment harness for the Wi-Fi Backscatter reproduction
 //!
-//! Three layers:
+//! Four modules:
 //!
 //! * [`experiments`] — pure per-figure runners. Each figure has a
 //!   *per-point* function (one distance/rate/location, one seed) that the
@@ -10,8 +10,9 @@
 //!   into independent [`harness::Job`]s, runs them on a work-stealing
 //!   pool, and reassembles [`harness::RunRecord`]s into the exact serial
 //!   report (byte-identical for any `--jobs` count).
-//! * [`microbench`] — a tiny self-contained timing loop used by the
-//!   `microbench` binary (no external benchmarking framework).
+//! * [`microbench`] — the median-of-batches wall-clock timer the
+//!   `benches/*_micro.rs` smoke runs record with (no external
+//!   benchmarking framework).
 //! * [`report`] — the one writer of the smoke benches' `BENCH_*.json`
 //!   evidence, with `pass | fail | skipped` gates.
 //!

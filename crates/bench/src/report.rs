@@ -1,9 +1,10 @@
 //! The one writer of the smoke benches' `BENCH_*.json` evidence files.
 //!
-//! A smoke bench (`cargo bench -p bs-bench --bench <name> -- --json
-//! [path]`) fills a [`BenchReport`] with named fields and gates, each
+//! A smoke bench (`cargo bench -p bs-bench --bench <name> [-- --json
+//! [path]]`) fills a [`BenchReport`] with named fields and gates, each
 //! gate a [`Verdict`]: `Pass`, `Fail(reason)` or `Skipped(reason)`. A
 //! skipped gate is written as `"skipped: <reason>"`, never as a pass.
+//! Without `--json` the run prints its gates and writes no file.
 
 use crate::harness::record::json_number;
 use bs_dsp::obs::json_str;
@@ -104,6 +105,7 @@ impl fmt::Display for Verdict {
 /// The evidence of one smoke-bench run: fields, then gates.
 #[derive(Debug)]
 pub struct BenchReport {
+    bench: String,
     fields: Vec<(String, Value)>,
     gates: Vec<(String, Verdict)>,
 }
@@ -113,6 +115,7 @@ impl BenchReport {
     /// host's core count as its first two fields.
     pub fn new(bench: &str) -> Self {
         BenchReport {
+            bench: bench.to_string(),
             fields: vec![
                 ("bench".into(), bench.into()),
                 ("host_cores".into(), available_jobs().into()),
@@ -143,17 +146,22 @@ impl BenchReport {
         render(&Value::Object(members), 0, false) + "\n"
     }
 
-    /// Writes the report to `path`, then prints one line per gate.
-    /// Returns failure if the write failed or any gate is `Fail`.
-    pub fn finish(&self, path: &str) -> ExitCode {
-        let label = Path::new(path)
-            .file_stem()
-            .map_or(path.into(), |s| s.to_string_lossy());
-        let written = std::fs::write(path, self.to_json());
-        match &written {
-            Ok(()) => println!("{label}: wrote {path}"),
-            Err(e) => eprintln!("{label}: fail: writing {path}: {e}"),
-        }
+    /// Writes the report to `path` when one is given, then prints one
+    /// line per gate. Returns failure if the write failed or any gate is
+    /// `Fail`.
+    pub fn finish(&self, path: Option<&str>) -> ExitCode {
+        let label = match path.and_then(|p| Path::new(p).file_stem()) {
+            Some(stem) => stem.to_string_lossy(),
+            None => self.bench.as_str().into(),
+        };
+        let written = path.map_or(Ok(()), |path| {
+            let written = std::fs::write(path, self.to_json());
+            match &written {
+                Ok(()) => println!("{label}: wrote {path}"),
+                Err(e) => eprintln!("{label}: fail: writing {path}: {e}"),
+            }
+            written
+        });
         for (name, verdict) in &self.gates {
             println!("{label}: {name}: {verdict}");
         }
@@ -171,10 +179,11 @@ impl BenchReport {
 }
 
 /// The evidence path of a smoke run: `Some` when the bench was started
-/// with `--json`, holding the argument after it or `BENCH_<name>.json`.
-/// A relative path is taken from the workspace root, not from the
-/// package directory cargo runs a bench in. `None` means plain micro
-/// mode.
+/// with `--json`, holding the argument after it or, when there is none
+/// or it is another option (cargo appends `--bench` after the user's
+/// arguments), `BENCH_<name>.json`. A relative path is taken from the
+/// workspace root, not from the package directory cargo runs a bench
+/// in. `None` means the run prints its gates and writes no file.
 pub fn json_path(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     json_path_from(&args, name)
@@ -183,10 +192,10 @@ pub fn json_path(name: &str) -> Option<String> {
 /// [`json_path`] over the given command line.
 fn json_path_from(args: &[String], name: &str) -> Option<String> {
     let i = args.iter().position(|a| a == "--json")?;
-    let file = args
-        .get(i + 1)
-        .cloned()
-        .unwrap_or_else(|| format!("BENCH_{name}.json"));
+    let file = match args.get(i + 1) {
+        Some(arg) if !arg.starts_with("--") => arg.clone(),
+        _ => format!("BENCH_{name}.json"),
+    };
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -242,7 +251,7 @@ mod tests {
     fn finish_to_file(report: &BenchReport, test: &str) -> (ExitCode, String) {
         let file = format!("bs_bench_{}_{test}.json", std::process::id());
         let path = std::env::temp_dir().join(file);
-        let status = report.finish(path.to_str().expect("utf-8 temp path"));
+        let status = report.finish(Some(path.to_str().expect("utf-8 temp path")));
         let written = std::fs::read_to_string(&path).expect("report file written");
         std::fs::remove_file(&path).expect("remove scratch file");
         (status, written)
@@ -357,16 +366,28 @@ mod tests {
     }
 
     #[test]
+    fn without_a_path_the_gates_still_decide_the_run() {
+        let mut report = BenchReport::new("unit");
+        report.gate("holds", Verdict::Pass);
+        report.gate("idle", Verdict::Skipped("host has 2 core(s)".into()));
+        assert_eq!(report.finish(None), ExitCode::SUCCESS);
+        report.gate("breaks", Verdict::Fail("3 of 10 mismatched".into()));
+        assert_eq!(report.finish(None), ExitCode::FAILURE);
+    }
+
+    #[test]
     fn json_paths_resolve_against_the_workspace_root() {
         let line = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
+        // cargo runs a bench as `<bin> <user args> --bench`.
         assert_eq!(
             json_path_from(&line(&["fec_micro", "--bench"]), "fec"),
             None
         );
         for (args, file) in [
             (&["fec_micro", "--json"][..], "BENCH_fec.json"),
+            (&["fec_micro", "--json", "--bench"][..], "BENCH_fec.json"),
             (
-                &["fec_micro", "--bench", "--json", "BENCH_x.json"][..],
+                &["fec_micro", "--json", "BENCH_x.json", "--bench"][..],
                 "BENCH_x.json",
             ),
         ] {
@@ -381,7 +402,7 @@ mod tests {
         }
         let absolute = std::env::temp_dir().join("BENCH_fec.json");
         let absolute = absolute.to_str().expect("utf-8 temp path");
-        let args = line(&["fec_micro", "--json", absolute]);
+        let args = line(&["fec_micro", "--json", absolute, "--bench"]);
         assert_eq!(json_path_from(&args, "fec").as_deref(), Some(absolute));
     }
 }

@@ -1,17 +1,15 @@
-//! The unified error hierarchy for the crate.
-//!
-//! Every leaf error enum ([`SeriesError`], [`DecodeError`], [`TraceError`],
-//! [`SessionError`], [`EncodeError`], [`ProtocolError`]) is defined here
-//! and only here, wrapped by one top-level [`Error`] with `From` impls, so
-//! applications can hold a single error type:
+//! The crate's error types: one leaf enum per fallible domain
+//! ([`SeriesError`], [`DecodeError`], [`SessionError`], [`EncodeError`],
+//! [`ProtocolError`]), defined here and only here. Each fallible public
+//! API returns its own leaf, so a caller matches exactly the failures
+//! that call can have:
 //!
 //! ```
-//! use wifi_backscatter::error::Error;
+//! use wifi_backscatter::error::ProtocolError;
+//! use wifi_backscatter::protocol::Query;
 //!
-//! fn load(text: &str) -> Result<wifi_backscatter::SeriesBundle, Error> {
-//!     Ok(wifi_backscatter::trace::from_text(text)?) // TraceError → Error
-//! }
-//! assert!(load("not a capture").is_err());
+//! let q = Query { tag_address: 7, payload_bits: 16, bit_rate_bps: 123, code_length: 1 };
+//! assert_eq!(q.to_frame(), Err(ProtocolError::UnsupportedRate { bps: 123 }));
 //! ```
 
 /// Why a [`crate::series::SeriesBundle`] refused a packet: the decoders
@@ -73,37 +71,6 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Errors from parsing a capture trace (see [`crate::trace`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The header line is missing or wrong.
-    BadHeader,
-    /// A data line has the wrong number of fields or an unparsable value.
-    BadLine {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// Timestamps are not non-decreasing.
-    UnsortedTimestamps {
-        /// 1-based line number where order broke.
-        line: usize,
-    },
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::BadHeader => write!(f, "missing or invalid capture header"),
-            TraceError::BadLine { line } => write!(f, "malformed data on line {line}"),
-            TraceError::UnsortedTimestamps { line } => {
-                write!(f, "timestamps go backwards at line {line}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Errors a reader session can surface to the application (see
 /// [`crate::session`]).
@@ -189,150 +156,13 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// The crate-wide error type: every fallible public API converts into it
-/// via `?`.
-///
-/// Marked `#[non_exhaustive]`: future releases may add variants without a
-/// breaking change, so downstream matches need a wildcard arm.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Error {
-    /// A packet broke a series bundle's invariant.
-    Series(SeriesError),
-    /// A decoder refused a slot index.
-    Decode(DecodeError),
-    /// Capture trace parsing failed.
-    Trace(TraceError),
-    /// A reader session gave up.
-    Session(SessionError),
-    /// Downlink encoding failed.
-    Encode(EncodeError),
-    /// Protocol frame construction failed.
-    Protocol(ProtocolError),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::Series(e) => write!(f, "series: {e}"),
-            Error::Decode(e) => write!(f, "decode: {e}"),
-            Error::Trace(e) => write!(f, "trace: {e}"),
-            Error::Session(e) => write!(f, "session: {e}"),
-            Error::Encode(e) => write!(f, "encode: {e}"),
-            Error::Protocol(e) => write!(f, "protocol: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Series(e) => Some(e),
-            Error::Decode(e) => Some(e),
-            Error::Trace(e) => Some(e),
-            Error::Session(e) => Some(e),
-            Error::Encode(e) => Some(e),
-            Error::Protocol(e) => Some(e),
-        }
-    }
-}
-
-impl From<SeriesError> for Error {
-    fn from(e: SeriesError) -> Self {
-        Error::Series(e)
-    }
-}
-
-impl From<DecodeError> for Error {
-    fn from(e: DecodeError) -> Self {
-        Error::Decode(e)
-    }
-}
-
-impl From<TraceError> for Error {
-    fn from(e: TraceError) -> Self {
-        Error::Trace(e)
-    }
-}
-
-impl From<SessionError> for Error {
-    fn from(e: SessionError) -> Self {
-        Error::Session(e)
-    }
-}
-
-impl From<EncodeError> for Error {
-    fn from(e: EncodeError) -> Self {
-        Error::Encode(e)
-    }
-}
-
-impl From<ProtocolError> for Error {
-    fn from(e: ProtocolError) -> Self {
-        Error::Protocol(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn from_impls_wrap_each_leaf() {
-        let b: Error = SeriesError::Backwards { packet: 1 }.into();
-        assert_eq!(b, Error::Series(SeriesError::Backwards { packet: 1 }));
-        let d: Error = DecodeError::HalfWindow {
-            index: 2,
-            decoder: 3,
-        }
-        .into();
-        assert!(matches!(d, Error::Decode(_)));
-        let t: Error = TraceError::BadHeader.into();
-        assert_eq!(t, Error::Trace(TraceError::BadHeader));
-        let s: Error = SessionError::TagUnresponsive { attempts: 2 }.into();
-        assert!(matches!(s, Error::Session(_)));
-        let e: Error = EncodeError::TooLongForReservation {
-            needed: 10,
-            available: 5,
-        }
-        .into();
-        assert!(matches!(e, Error::Encode(_)));
-        let p: Error = ProtocolError::UnsupportedRate { bps: 123 }.into();
-        assert!(matches!(p, Error::Protocol(_)));
-    }
-
-    #[test]
     fn protocol_error_display_names_the_rate() {
-        let e = Error::from(ProtocolError::UnsupportedRate { bps: 123 });
-        let s = e.to_string();
-        assert!(s.starts_with("protocol:"), "{s}");
+        let s = ProtocolError::UnsupportedRate { bps: 123 }.to_string();
         assert!(s.contains("123"), "{s}");
-    }
-
-    #[test]
-    fn display_prefixes_the_domain() {
-        let e = Error::from(TraceError::BadLine { line: 3 });
-        let s = e.to_string();
-        assert!(s.starts_with("trace:"), "{s}");
-        assert!(s.contains('3'));
-    }
-
-    #[test]
-    fn source_exposes_the_leaf() {
-        use std::error::Error as _;
-        let e = Error::from(SessionError::ResponseGarbled { best_bit_errors: 1 });
-        assert!(e.source().unwrap().to_string().contains("garbled"));
-    }
-
-    #[test]
-    fn question_mark_converts() {
-        fn inner() -> Result<(), TraceError> {
-            Err(TraceError::BadHeader)
-        }
-        fn outer() -> Result<(), Error> {
-            inner()?;
-            Ok(())
-        }
-        assert_eq!(outer(), Err(Error::Trace(TraceError::BadHeader)));
     }
 }

@@ -46,8 +46,6 @@
 //!
 //! * [`multitag`] — EPC-Gen-2-style framed-slotted-ALOHA inventory for
 //!   identifying multiple tags before querying them individually (§2).
-//! * [`trace`] — capture save/load as plain text, splitting capture from
-//!   offline decoding the way the Intel CSI tool workflow does.
 //! * [`session`] — the high-level [`session::Reader`] API: rate
 //!   selection, query retransmission and the long-range fallback composed
 //!   into one call.
@@ -59,8 +57,8 @@
 //!   the zero-cost [`obs::Recorder`] trait. Every `run_*` entry point has a
 //!   `*_with` variant taking a recorder; pass an [`obs::MemRecorder`] and
 //!   call `into_report()` to get the profile.
-//! * [`error`] — the unified [`Error`] hierarchy, the one home of every
-//!   error type.
+//! * [`error`] — the one home of every error type: a leaf enum per
+//!   fallible domain, returned by that domain's APIs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +74,6 @@ pub mod prelude;
 pub mod protocol;
 pub mod series;
 pub mod session;
-pub mod trace;
 pub mod uplink;
 
 /// The deterministic observability layer (spans, counters, gauges),
@@ -84,7 +81,6 @@ pub mod uplink;
 /// one canonical path.
 pub use bs_dsp::obs;
 
-pub use error::Error;
 pub use link::{DownlinkRun, LinkConfig, UplinkRun};
 pub use series::SeriesBundle;
 pub use session::{Reader, ReaderConfig};

@@ -7,15 +7,16 @@
 //! Everything an application or experiment normally touches is here: the
 //! end-to-end `run_*` entry points and their recorder-threading `*_with`
 //! variants, the builder-style configs, the session [`Reader`], the
-//! unified [`Error`] and the observability types. Lower-level mechanisms (modulators, channel scenes, MAC
-//! internals) stay behind their module paths on purpose.
+//! error types and the observability types. Lower-level mechanisms
+//! (modulators, channel scenes, MAC internals) stay behind their module
+//! paths on purpose.
 //!
 //! The re-export list is pinned by [`PRELUDE_MANIFEST`] and guarded by the
 //! `api_snapshot` test: adding or removing a name here is an API change
 //! and must update the manifest (and the golden fixture) in the same
 //! commit.
 
-pub use crate::error::{EncodeError, Error, ProtocolError, SessionError, TraceError};
+pub use crate::error::{EncodeError, ProtocolError, SessionError};
 pub use crate::link::{
     capture_uplink, capture_uplink_with, DegradationReport, DownlinkConfig, DownlinkRun,
     LinkConfig, Measurement, UplinkCapture, UplinkRun,
@@ -59,7 +60,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "EnergyConfig",
     "EnergyPolicy",
     "EnergyState",
-    "Error",
     "FaultEvents",
     "FaultPlan",
     "InventoryConfig",
@@ -87,7 +87,6 @@ pub const PRELUDE_MANIFEST: &[&str] = &[
     "SessionError",
     "SimRng",
     "Span",
-    "TraceError",
     "UplinkCapture",
     "UplinkDecoder",
     "UplinkDecoderConfig",

@@ -8,7 +8,7 @@
 //! by a conservative margin so that bursty traffic rarely starves a bit of
 //! channel measurements (§5).
 
-use crate::error::{Error, ProtocolError};
+use crate::error::ProtocolError;
 use bs_tag::frame::DownlinkFrame;
 
 /// The uplink bit rates the prototype supports (§7.2 evaluates exactly
@@ -44,12 +44,11 @@ impl Query {
 
     /// Serialises into a downlink frame payload.
     ///
-    /// Fails with [`ProtocolError::UnsupportedRate`] (wrapped in the
-    /// unified [`Error`]) when `bit_rate_bps` is not one of
-    /// [`SUPPORTED_RATES_BPS`]: the wire format only has indices for
-    /// those four rates, and a transport probing rates must see an error,
-    /// not a reader crash.
-    pub fn to_frame(&self) -> Result<DownlinkFrame, Error> {
+    /// Fails with [`ProtocolError::UnsupportedRate`] when `bit_rate_bps`
+    /// is not one of [`SUPPORTED_RATES_BPS`]: the wire format only has
+    /// indices for those four rates, and a transport probing rates must
+    /// see an error, not a reader crash.
+    pub fn to_frame(&self) -> Result<DownlinkFrame, ProtocolError> {
         let mut frame = DownlinkFrame::new(Vec::with_capacity(Self::PAYLOAD_BYTES));
         self.write_frame(&mut frame)?;
         Ok(frame)
@@ -60,7 +59,7 @@ impl Query {
     ///
     /// # Errors
     /// As [`Self::to_frame`]; `frame` is left unchanged.
-    pub fn write_frame(&self, frame: &mut DownlinkFrame) -> Result<(), Error> {
+    pub fn write_frame(&self, frame: &mut DownlinkFrame) -> Result<(), ProtocolError> {
         let rate_idx = SUPPORTED_RATES_BPS
             .iter()
             .position(|&r| r == self.bit_rate_bps)
@@ -339,8 +338,8 @@ mod tests {
     }
 
     /// Regression: an unsupported rate used to panic the reader via
-    /// `expect("unsupported bit rate")`; it now surfaces through the
-    /// unified error type so transports can probe rates safely.
+    /// `expect("unsupported bit rate")`; it now surfaces as
+    /// [`ProtocolError`] so transports can probe rates safely.
     #[test]
     fn query_unsupported_rate_is_an_error_not_a_panic() {
         for bps in [0, 99, 123, 999, 1001, u64::MAX] {
@@ -351,7 +350,7 @@ mod tests {
                 code_length: 1,
             };
             match q.to_frame() {
-                Err(Error::Protocol(ProtocolError::UnsupportedRate { bps: got })) => {
+                Err(ProtocolError::UnsupportedRate { bps: got }) => {
                     assert_eq!(got, bps);
                 }
                 other => panic!("expected UnsupportedRate for {bps} bps, got {other:?}"),

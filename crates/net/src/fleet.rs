@@ -76,11 +76,12 @@ pub enum FleetError {
     NoGateways,
     /// The config asked for zero tags per gateway.
     NoTags,
-    /// A geometry, mobility or energy field is out of its domain: a
-    /// spacing or coverage radius that is not finite and positive, a
-    /// movement step, interference gain or `energy.ambient_uw` that is
-    /// not finite and non-negative, a mobility outside `[0, 1]`, or an
-    /// `energy.tx_power_dbm` that is not finite.
+    /// A field is out of its domain: zero epochs or message bytes (a
+    /// run that serves nothing), a spacing or coverage radius that is
+    /// not finite and positive, a movement step, interference gain or
+    /// `energy.ambient_uw` that is not finite and non-negative, a
+    /// mobility outside `[0, 1]`, or an `energy.tx_power_dbm` that is
+    /// not finite.
     InvalidConfig {
         /// The [`FleetConfig`] field that was rejected.
         field: &'static str,
@@ -726,8 +727,9 @@ fn tag_message(tag: u32, epoch: u32, bytes: usize, out: &mut Vec<u8>) {
 ///
 /// # Errors
 /// [`FleetError`] on an impossible population (zero gateways/tags, or a
-/// nominal roster beyond the link-layer address space), on geometry,
-/// mobility or energy out of its domain ([`FleetError::InvalidConfig`]), or
+/// nominal roster beyond the link-layer address space), on zero epochs or
+/// message bytes, or geometry, mobility or energy out of its domain
+/// ([`FleetError::InvalidConfig`]), or
 /// [`FleetError::ShardPanicked`] if a shard's work panicked.
 pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError> {
     if cfg.gateways == 0 {
@@ -747,6 +749,8 @@ pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError>
     let positive = |x: f64| x.is_finite() && x > 0.0;
     let non_negative = |x: f64| x.is_finite() && x >= 0.0;
     for (field, ok) in [
+        ("epochs", cfg.epochs > 0),
+        ("message_bytes", cfg.message_bytes > 0),
         ("gateway_spacing_m", positive(cfg.gateway_spacing_m)),
         ("coverage_radius_m", positive(cfg.coverage_radius_m)),
         ("mobility", (0.0..=1.0).contains(&cfg.mobility)),
@@ -1380,6 +1384,21 @@ mod tests {
         assert_eq!(
             run_fleet(&FleetConfig::default().with_population(4, 251), 1).unwrap_err(),
             FleetError::TooManyTagsPerGateway { requested: 251 }
+        );
+        let tiny = FleetConfig::default().with_population(4, 8);
+        assert_eq!(
+            run_fleet(&tiny.clone().with_epochs(0), 1).unwrap_err(),
+            FleetError::InvalidConfig { field: "epochs" }
+        );
+        let empty_messages = FleetConfig {
+            message_bytes: 0,
+            ..tiny
+        };
+        assert_eq!(
+            run_fleet(&empty_messages, 1).unwrap_err(),
+            FleetError::InvalidConfig {
+                field: "message_bytes"
+            }
         );
         assert!(
             FleetError::from(GatewayError::DuplicateAddress { address: 9 })

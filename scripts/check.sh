@@ -4,11 +4,12 @@
 #   --bench-smoke  additionally run the decode, fec, phy, fleet and
 #                  energy smoke benches in release, writing
 #                  BENCH_<name>.json at the repo root, and perfbench's
-#                  --self-test. Each bench's gates
-#                  are listed in the docs of its crates/bench/benches/
-#                  *_micro.rs; every gate reads "pass", "fail: <reason>"
-#                  or "skipped: <reason>", and any fail exits non-zero
-#                  after the file is written.
+#                  --self-test. A bench has one mode, its smoke run:
+#                  `-- --json [path]` only adds the evidence file. Each
+#                  bench's gates are listed in the docs of its
+#                  crates/bench/benches/*_micro.rs; every gate reads
+#                  "pass", "fail: <reason>" or "skipped: <reason>", and
+#                  any fail exits non-zero after the file is written.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,12 +98,10 @@ echo "== public-API drift gate + observability conformance =="
 # The preludes (core and bs-net) are the blessed API surface; both
 # manifests are pinned against tests/golden/prelude_api.txt (re-bless
 # intentionally with GOLDEN_BLESS=1). Observability must never perturb a
-# run; the obs report's own unit tests and the one capture-trace format's
-# round trip and rejections run here too.
+# run; the obs report's own unit tests run here too.
 cargo test --release -q -p wifi-backscatter --test api_snapshot
 cargo test --release -q -p wifi-backscatter --test obs_conformance
 cargo test --release -q -p bs-dsp --lib obs::
-cargo test --release -q -p wifi-backscatter --lib trace::
 
 echo "== golden / bit-identity (decode transcripts, raw-capture digests, inventory oracle) =="
 # The decode chain's fixtures under tests/golden/ and the FNV-1a digests
@@ -268,9 +267,7 @@ CARGO_TARGET_DIR="$PERFBENCH_TARGET" cargo build --release --offline \
 if [ "$BENCH_SMOKE" -eq 1 ]; then
     for b in $SMOKE_BENCHES; do
         echo "== bench smoke: ${b%%:*} -> BENCH_${b#*:}.json =="
-        # Absolute path: cargo runs bench binaries with CWD = the package
-        # dir, and the record belongs at the repo root.
-        cargo bench -q -p bs-bench --bench "${b%%:*}" -- --json "$PWD/BENCH_${b#*:}.json"
+        cargo bench -q -p bs-bench --bench "${b%%:*}" -- --json
     done
     echo "== perfbench self-test (pinned digests, replay identity) =="
     CARGO_TARGET_DIR="$PERFBENCH_TARGET" python3 perfbench/run.py --self-test

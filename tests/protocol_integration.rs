@@ -128,20 +128,25 @@ fn inventory_then_query_each_tag() {
     }
 }
 
-/// Captures round-trip through the trace format and decode identically —
-/// the capture/offline-decode split of the Intel CSI tool workflow.
+/// A capture rebuilt from its columns decodes identically — the
+/// capture/offline-decode split of the Intel CSI tool workflow — and the
+/// rebuilt capture still carries the payload.
 #[test]
 fn trace_roundtrip_preserves_decodability() {
     use wifi_backscatter::link::capture_uplink;
-    use wifi_backscatter::trace;
+    use wifi_backscatter::series::SeriesBundle;
     use wifi_backscatter::uplink::{UplinkDecoder, UplinkDecoderConfig};
 
     let mut cfg = LinkConfig::fig10(0.25, 100, 30, 930);
     cfg.payload = (0..20).map(|i| i % 4 < 2).collect();
     let cap = capture_uplink(&cfg);
 
-    let text = trace::to_text(&cap.bundle);
-    let restored = trace::from_text(&text).expect("trace parse failed");
+    let columns = (0..cap.bundle.channels())
+        .map(|c| cap.bundle.channel(c).to_vec())
+        .collect();
+    let restored = SeriesBundle::from_columns(cap.bundle.t_us().to_vec(), columns)
+        .expect("a capture's own columns are well formed");
+    assert_eq!(restored, cap.bundle);
 
     let dec = UplinkDecoder::new(UplinkDecoderConfig::csi(100, 20));
     let a = dec.decode(&cap.bundle, cap.start_us).expect("original");
