@@ -1,8 +1,9 @@
 //! FNV-1a digests of whole exchanges whose shape is fixed by private
 //! constants: the codeword uplink (chips per bit, symbols per chip,
 //! preamble tolerance), the reader session under every fault preset
-//! (retry backoff, armed mitigations), the mitigated uplink, and the
-//! downlink encoder's schedule (CTS airtime, guard, reader id).
+//! (retry backoff, armed mitigations), the mitigated uplink, the CSI
+//! uplink that steps its rate down once and twice, and the downlink
+//! encoder's schedule (CTS airtime, guard, reader id).
 //!
 //! Each test folds a deterministic transcript into one digest and
 //! compares it with the pinned value, so a change to any of those
@@ -79,6 +80,39 @@ fn mitigated_uplink_is_pinned_under_every_preset() {
         out += &uplink_line(scenario, &run_uplink(&cfg));
     }
     assert_pinned("mitigated uplink", &out, 0xea97_248d_f085_306b);
+}
+
+/// Mitigated CSI exchanges whose first decode fails, so the reader
+/// re-captures at half the chip rate (`retries_used` 1) or at half and
+/// then a quarter (`retries_used` 2): fault-free, under clock drift and
+/// under an interference burst. Each re-capture runs with the seed of
+/// the capture before it.
+#[test]
+fn stepped_down_uplink_is_pinned() {
+    let mut out = String::new();
+    let cases = [
+        ("none", 0.5, 3, 1),
+        ("none", 0.9, 1, 2),
+        ("drift", 0.5, 1, 1),
+        ("drift", 0.9, 4, 2),
+        ("burst", 0.5, 3, 1),
+        ("burst", 0.7, 1, 2),
+    ];
+    for (scenario, distance_m, seed, retries) in cases {
+        let mut cfg = LinkConfig::fig10(distance_m, 200, 5, seed)
+            .with_payload((0..24).map(|b| (b * 7) % 5 < 2).collect());
+        if scenario != "none" {
+            cfg.faults = FaultPlan::preset(scenario, 0.8, seed ^ 0xBEEF).expect("known preset");
+        }
+        cfg.mitigations = true;
+        let run = run_uplink(&cfg);
+        assert_eq!(
+            run.degradation.retries_used, retries,
+            "{scenario} at {distance_m} m, seed {seed}: step-downs"
+        );
+        out += &uplink_line(&format!("{scenario} d={distance_m} seed={seed}"), &run);
+    }
+    assert_pinned("stepped-down uplink", &out, 0x86c8_2c4c_4624_f552);
 }
 
 #[test]
