@@ -87,6 +87,14 @@ pub enum SessionError {
         /// Bit errors in the best attempt.
         best_bit_errors: u64,
     },
+    /// The [`crate::session::ReaderConfig`] field cannot drive a
+    /// session: a helper load that is not finite and positive, zero
+    /// packets per bit, a zero downlink rate, or a tag distance that is
+    /// not finite and non-negative. Refused before anything is sent.
+    InvalidConfig {
+        /// The field's name.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -97,6 +105,9 @@ impl std::fmt::Display for SessionError {
             }
             SessionError::ResponseGarbled { best_bit_errors } => {
                 write!(f, "response garbled ({best_bit_errors} bit errors at best)")
+            }
+            SessionError::InvalidConfig { field } => {
+                write!(f, "reader config field `{field}` is out of range")
             }
         }
     }

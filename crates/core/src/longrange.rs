@@ -122,7 +122,7 @@ impl LongRangeDecoder {
     /// The bundle is borrowed, so this conditions one copy of it (see
     /// [`crate::uplink::UplinkDecoder::decode`]).
     pub fn decode(&self, bundle: &SeriesBundle, start_us: u64) -> Option<LongRangeOutput> {
-        let index = SlotIndex::new(bundle.clone(), conditioning_half_window(bundle));
+        let index = SlotIndex::for_window(bundle.clone(), CONDITIONING_WINDOW_US);
         self.decode_conditioned(&index, start_us, &mut NullRecorder)
     }
 
@@ -149,7 +149,7 @@ impl LongRangeDecoder {
         start_us: u64,
         rec: &mut dyn Recorder,
     ) -> Result<Option<LongRangeOutput>, DecodeError> {
-        let decoder = conditioning_half_window(index.conditioned());
+        let decoder = index.half_window(CONDITIONING_WINDOW_US);
         if index.half() != decoder {
             return Err(DecodeError::HalfWindow {
                 index: index.half(),

@@ -197,9 +197,14 @@ impl SeriesBundle {
     /// at least 2. This is how the decoders turn the paper's 400 ms
     /// window into a packet count.
     pub fn half_window(&self, window_us: u64) -> usize {
-        let gap = self.median_gap_us().max(1);
-        ((window_us / 2) / gap).max(2) as usize
+        half_window_of(self.median_gap_us(), window_us)
     }
+}
+
+/// [`SeriesBundle::half_window`] of a bundle whose median packet gap is
+/// `gap_us`.
+fn half_window_of(gap_us: u64, window_us: u64) -> usize {
+    ((window_us / 2) / gap_us.max(1)).max(2) as usize
 }
 
 /// The paper's conditioning window (§3.2 step 1): 400 ms, in µs.
@@ -252,6 +257,9 @@ pub struct SlotIndex {
     bundle: SeriesBundle,
     /// The conditioning half-window (packets).
     half: usize,
+    /// The capture's median packet gap (µs), taken once when the index
+    /// is built: conditioning leaves the time axis as it is.
+    median_gap_us: u64,
     grids: Vec<Grid>,
     visits: u64,
 }
@@ -271,7 +279,20 @@ impl SlotIndex {
     /// Takes the capture and conditions every channel in place with
     /// half-window `half` (packets); the slot grids and their statistics
     /// are built lazily on first use and cached for the index's lifetime.
-    pub fn new(mut bundle: SeriesBundle, half: usize) -> Self {
+    pub fn new(bundle: SeriesBundle, half: usize) -> Self {
+        let gap = bundle.median_gap_us();
+        Self::build(bundle, half, gap)
+    }
+
+    /// Takes the capture and conditions it with the half-window of a
+    /// `window_us` moving average on it ([`SeriesBundle::half_window`]),
+    /// finding the median packet gap once for both.
+    pub(crate) fn for_window(bundle: SeriesBundle, window_us: u64) -> Self {
+        let gap = bundle.median_gap_us();
+        Self::build(bundle, half_window_of(gap, window_us), gap)
+    }
+
+    fn build(mut bundle: SeriesBundle, half: usize, median_gap_us: u64) -> Self {
         let mut prefix = Vec::new();
         for s in &mut bundle.series {
             condition_in_place(s, half, &mut prefix);
@@ -280,6 +301,7 @@ impl SlotIndex {
         SlotIndex {
             bundle,
             half,
+            median_gap_us,
             grids: Vec::new(),
             visits,
         }
@@ -295,6 +317,13 @@ impl SlotIndex {
     /// The conditioning half-window (packets) the index was built with.
     pub(crate) fn half(&self) -> usize {
         self.half
+    }
+
+    /// What [`SeriesBundle::half_window`] returns for the capture, from
+    /// the median gap the index was built with: a decoder checks its
+    /// window against the index without sorting the gaps again.
+    pub(crate) fn half_window(&self, window_us: u64) -> usize {
+        half_window_of(self.median_gap_us, window_us)
     }
 
     /// Work meter: packets scanned conditioning and building caches plus

@@ -88,6 +88,22 @@ impl Default for ReaderConfig {
 }
 
 impl ReaderConfig {
+    /// The first field no session can run with, if any: what
+    /// [`err::SessionError::InvalidConfig`] names.
+    fn invalid_field(&self) -> Option<&'static str> {
+        if !(self.helper_pps.is_finite() && self.helper_pps > 0.0) {
+            Some("helper_pps")
+        } else if self.pkts_per_bit == 0 {
+            Some("pkts_per_bit")
+        } else if self.downlink_bps == 0 {
+            Some("downlink_bps")
+        } else if !(self.tag_distance_m.is_finite() && self.tag_distance_m >= 0.0) {
+            Some("tag_distance_m")
+        } else {
+            None
+        }
+    }
+
     /// Sets the tag↔reader distance (default: 0.3 m).
     pub fn with_distance_m(mut self, m: f64) -> Self {
         self.tag_distance_m = m;
@@ -202,13 +218,18 @@ impl Reader {
     /// and uplink attempt, with session-level counters
     /// `session.query-attempts`, `session.response-attempts` and
     /// `session.fallback-engaged`. The session's decisions and RNG draws
-    /// are bit-identical whatever the recorder.
+    /// are bit-identical whatever the recorder. A config no session can
+    /// run with is refused with [`err::SessionError::InvalidConfig`]
+    /// before anything is sent or recorded.
     pub fn query_with(
         &mut self,
         tag_address: u8,
         tag_payload: &[bool],
         rec: &mut dyn Recorder,
     ) -> Result<QueryOutcome, err::SessionError> {
+        if let Some(field) = self.cfg.invalid_field() {
+            return Err(err::SessionError::InvalidConfig { field });
+        }
         // §5: pick the uplink rate from the network conditions — in the
         // configured PHY's own currency (packets per bit for presence,
         // symbols per bit for codeword translation). Audit note: this
@@ -390,12 +411,13 @@ impl Reader {
 
     /// One uplink exchange at the current deployment geometry.
     ///
-    /// Every retry/fallback attempt is a *fresh* capture (new seed, new
-    /// packets), so there is nothing to share between attempts here; the
-    /// per-capture [`crate::series::SlotIndex`] reuse — one conditioning
-    /// pass and one set of slot statistics serving every drift-stretch
-    /// re-decode of the same bundle — happens inside
-    /// [`run_uplink_with`]'s decode loop.
+    /// Every retry/fallback attempt here is a *fresh* capture (new seed,
+    /// new packets), so these attempts share nothing. Inside one
+    /// exchange, [`run_uplink_with`] shares what it can: one
+    /// [`crate::series::SlotIndex`] per capture serves every
+    /// drift-stretch re-decode of it, and a rate step-down re-captures
+    /// with the same seed, copying the rows the capture before it kept
+    /// wherever the tag's state is the same at both rates.
     fn run_response(
         &mut self,
         payload: &[bool],
@@ -541,9 +563,7 @@ mod tests {
             // Garbled uplink at 2.9 m is acceptable; unresponsive downlink
             // with 30 attempts would indicate a retry bug.
             Err(SessionError::ResponseGarbled { .. }) => {}
-            Err(e @ SessionError::TagUnresponsive { .. }) => {
-                panic!("downlink retries failed: {e}")
-            }
+            Err(e) => panic!("downlink retries failed: {e}"),
         }
     }
 
@@ -660,6 +680,49 @@ mod tests {
             .query(0x07, &payload(8))
             .expect("recovered tag must answer");
         assert_eq!(out.payload, payload(8));
+    }
+
+    #[test]
+    fn invalid_configs_are_refused_before_any_capture() {
+        use bs_dsp::obs::MemRecorder;
+        type Break = fn(&mut ReaderConfig);
+        let table: [(&str, Break); 9] = [
+            ("helper_pps", |c| c.helper_pps = f64::NAN),
+            ("helper_pps", |c| c.helper_pps = f64::INFINITY),
+            ("helper_pps", |c| c.helper_pps = 0.0),
+            ("helper_pps", |c| c.helper_pps = -5.0),
+            ("pkts_per_bit", |c| c.pkts_per_bit = 0),
+            ("downlink_bps", |c| c.downlink_bps = 0),
+            ("tag_distance_m", |c| c.tag_distance_m = f64::NAN),
+            ("tag_distance_m", |c| c.tag_distance_m = f64::INFINITY),
+            ("tag_distance_m", |c| c.tag_distance_m = -1.0),
+        ];
+        for (field, break_it) in table {
+            let mut cfg = ReaderConfig::default();
+            break_it(&mut cfg);
+            let mut rec = MemRecorder::new();
+            let got = Reader::new(cfg.clone(), 1).query_with(0x07, &payload(8), &mut rec);
+            assert_eq!(
+                got.err(),
+                Some(SessionError::InvalidConfig { field }),
+                "{cfg:?}"
+            );
+            let obs = rec.into_report();
+            assert!(obs.spans.is_empty(), "{field}: something ran: {obs:?}");
+            assert!(
+                SessionError::InvalidConfig { field }
+                    .to_string()
+                    .contains(field),
+                "{field}"
+            );
+        }
+        // The edges of each range still run.
+        let edge = ReaderConfig {
+            tag_distance_m: 0.0,
+            pkts_per_bit: 1,
+            ..ReaderConfig::default()
+        };
+        assert_eq!(edge.invalid_field(), None);
     }
 
     #[test]

@@ -178,9 +178,8 @@ impl UplinkDecoder {
     /// and decodes with [`Self::decode_indexed`] in the capture's own
     /// memory.
     pub fn decode(&self, bundle: &SeriesBundle, start_hint_us: u64) -> Option<DecodeOutput> {
-        let half = self.conditioning_half_window(bundle);
         self.decode_conditioned(
-            &mut SlotIndex::new(bundle.clone(), half),
+            &mut SlotIndex::for_window(bundle.clone(), self.cfg.conditioning_window_us),
             start_hint_us,
             &mut NullRecorder,
         )
@@ -216,7 +215,7 @@ impl UplinkDecoder {
         start_hint_us: u64,
         rec: &mut dyn Recorder,
     ) -> Result<Option<DecodeOutput>, DecodeError> {
-        let decoder = self.conditioning_half_window(index.conditioned());
+        let decoder = index.half_window(self.cfg.conditioning_window_us);
         if index.half() != decoder {
             return Err(DecodeError::HalfWindow {
                 index: index.half(),

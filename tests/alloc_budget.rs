@@ -35,12 +35,14 @@ use bs_net::gateway::{
     run_gateway, run_gateway_with, GatewayConfig, GatewayRun, PollingPolicy, TagProfile,
 };
 use bs_tag::energy::{CapacitorConfig, EnergyConfig, EnergyPolicy};
+use bs_tag::frame::UplinkFrame;
+use bs_tag::modulator::{Modulator, UplinkMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement};
+use wifi_backscatter::link::{capture_uplink, LinkConfig, Measurement, UplinkCapture};
 use wifi_backscatter::phy::run_uplink;
 use wifi_backscatter::session::{Reader, ReaderConfig};
 
@@ -389,16 +391,17 @@ fn a_capture_allocates_per_batch_not_per_packet() {
 }
 
 /// Allocations per decode of a 90-channel CSI bundle, whatever its
-/// length (359 measured): one `(count, Σx, variance)` array of slot
+/// length (358 measured): one `(count, Σx, variance)` array of slot
 /// statistics per channel and bit-phase class (≈180), the combined
 /// series, per-candidate rankings and per-bit decision lists (≈180).
-/// Conditioning allocates one prefix-sum scratch for all 90 channels
-/// and every candidate's slot means go into one reused buffer. The
-/// margin of 41 covers a few more candidates or grid rebuilds, not a
-/// buffer per channel (90), three per channel and class (the old
-/// layout, +360) or one per candidate and channel (810). DESIGN.md
-/// §"What a whole exchange allocates" has the table.
-const PER_DECODE: u64 = 400;
+/// Conditioning allocates one prefix-sum scratch for all 90 channels,
+/// the median packet gap is found once per capture, and every
+/// candidate's slot means go into one reused buffer. The margin of 22
+/// covers a few more candidates or grid rebuilds, not a buffer per
+/// channel (90), three per channel and class (the old layout, +360) or
+/// one per candidate and channel (810). DESIGN.md §"What a whole
+/// exchange allocates" has the table.
+const PER_DECODE: u64 = 380;
 
 /// What a query adds to its uplink exchange: the downlink frame's
 /// envelope and comparator, the session's bookkeeping and outcome.
@@ -436,6 +439,93 @@ fn a_query_allocates_per_exchange_not_per_packet() {
     assert!(
         allocs <= budget,
         "{allocs} allocations for one query on {threads} threads, over budget"
+    );
+}
+
+/// What a capture that keeps its rows for a rate step-down adds: the
+/// keep mask, the kept rows, and the tag's modulator at the step-down's
+/// rate with the frame bits it is built from. Measured 6 (12 over the
+/// two keeping captures below, 6 on a default query); 2 to spare, not
+/// a buffer per kept row.
+const PER_KEEP: u64 = 8;
+
+/// A mitigated CSI exchange whose first decode fails, so the reader
+/// re-captures it at half the chip rate (pinned in
+/// `tests/exchange_pins.rs`).
+fn stepped_down() -> LinkConfig {
+    let mut cfg =
+        LinkConfig::fig10(0.5, 200, 5, 3).with_payload((0..24).map(|b| (b * 7) % 5 < 2).collect());
+    cfg.mitigations = true;
+    cfg
+}
+
+/// Bytes a capture of `cfg` keeps for a re-capture at `next_cps`: one
+/// row per packet whose tag state is the same at both rates, plus every
+/// packet's time and keep flag. Exact for a fault-free plain capture.
+fn kept_bytes(cfg: &LinkConfig, capture: &UplinkCapture, next_cps: u64) -> u64 {
+    let frame = UplinkFrame::new(cfg.payload.clone());
+    let at = |cps| Modulator::from_chip_rate(&frame, cps, UplinkMode::Plain, capture.start_us);
+    let (now, next) = (at(cfg.chip_rate_cps), at(next_cps));
+    let b = &capture.bundle;
+    let kept = b
+        .t_us()
+        .iter()
+        .filter(|&&t| now.state_at(t) == next.state_at(t));
+    (kept.count() * b.channels() * 8 + b.packets() * 9) as u64
+}
+
+/// A step-down exchange allocates per capture as any exchange does,
+/// plus [`PER_KEEP`] per capture that keeps rows; its heap peaks in the
+/// half-rate capture, which holds the rows the first capture kept and
+/// keeps its own for a quarter-rate step, so its peak may pass that
+/// capture's by those rows' bytes and an eighth of its bundle only.
+fn a_stepped_down_exchange_allocates_per_capture_and_peaks_within_its_kept_rows() {
+    let cfg = stepped_down();
+    let (allocs, run) = counted(|| run_uplink(&cfg));
+    let retries = run.degradation.retries_used;
+    assert!(retries >= 1, "the exchange did not step down");
+    assert!(
+        !run.degradation.engaged("drift-rescan"),
+        "{:?}",
+        run.degradation
+    );
+    let captures = 1 + u64::from(retries);
+    let threads = bs_dsp::par::available_jobs() as u64;
+    let packets = run.packets_used as u64;
+    let per_capture = PER_CAPTURE + PER_DECODE + PER_KEEP + PER_THREAD * threads;
+    let budget = captures * per_capture + captures * packets / PACKETS_PER_ALLOC;
+    eprintln!("stepped-down exchange: {allocs} allocations, {captures} captures, budget {budget}");
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations for {captures} captures on {threads} threads, over budget"
+    );
+
+    let first = capture_uplink(&cfg);
+    let mut half = cfg.clone();
+    half.chip_rate_cps = cfg.chip_rate_cps / 2;
+    let (capture_peak, capture) = peak_of(|| capture_uplink(&half));
+    let b = &capture.bundle;
+    let bundle_bytes = (b.packets() * (b.channels() + 1) * 8) as u64;
+    let kept = kept_bytes(&cfg, &first, half.chip_rate_cps)
+        + kept_bytes(&half, &capture, half.chip_rate_cps / 2);
+    drop((first, capture));
+    let (run_peak, _) = peak_of(|| run_uplink(&cfg));
+    let budget = capture_peak + kept + bundle_bytes / DECODE_BUNDLE_FRACTION;
+    let mb = |x: u64| x as f64 / 1e6;
+    eprintln!(
+        "stepped-down exchange: peak {:.2} MB, half-rate capture_uplink peak {:.2} MB, \
+         kept rows {:.2} MB, bundle {:.2} MB, budget {:.2} MB",
+        mb(run_peak),
+        mb(capture_peak),
+        mb(kept),
+        mb(bundle_bytes),
+        mb(budget)
+    );
+    assert!(
+        run_peak <= budget,
+        "the step-down exchange peaks at {run_peak} bytes, over its half-rate capture's \
+         {capture_peak} plus {kept} bytes of kept rows and 1/{DECODE_BUNDLE_FRACTION} of \
+         the {bundle_bytes}-byte bundle"
     );
 }
 
@@ -508,6 +598,7 @@ const CASES: &[(&str, fn())] = cases![
     a_capture_allocates_per_batch_not_per_packet,
     an_uplink_exchange_allocates_per_run_not_per_packet,
     an_uplink_exchange_peaks_within_an_eighth_bundle_of_its_capture,
+    a_stepped_down_exchange_allocates_per_capture_and_peaks_within_its_kept_rows,
     a_query_allocates_per_exchange_not_per_packet,
 ];
 
