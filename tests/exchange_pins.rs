@@ -2,8 +2,8 @@
 //! constants: the codeword uplink (chips per bit, symbols per chip,
 //! preamble tolerance), the reader session under every fault preset
 //! (retry backoff, armed mitigations), the mitigated uplink, the CSI
-//! uplink that steps its rate down once and twice, and the downlink
-//! encoder's schedule (CTS airtime, guard, reader id).
+//! and the RSSI uplink that step their rate down once and twice, and the
+//! downlink encoder's schedule (CTS airtime, guard, reader id).
 //!
 //! Each test folds a deterministic transcript into one digest and
 //! compares it with the pinned value, so a change to any of those
@@ -113,6 +113,38 @@ fn stepped_down_uplink_is_pinned() {
         out += &uplink_line(&format!("{scenario} d={distance_m} seed={seed}"), &run);
     }
     assert_pinned("stepped-down uplink", &out, 0x86c8_2c4c_4624_f552);
+}
+
+/// Mitigated exchanges under the `sensor` preset, which wedges the CSI
+/// tool so the reader falls back to RSSI, whose first RSSI decode fails:
+/// the reader re-captures RSSI at half the chip rate (`retries_used` 1)
+/// or at half and then a quarter (`retries_used` 2), each re-capture
+/// with the seed of the capture before it.
+#[test]
+fn stepped_down_rssi_uplink_is_pinned() {
+    let mut out = String::new();
+    let cases = [
+        (0.1, 1, 1),
+        (0.2, 1, 2),
+        (0.2, 4, 1),
+        (0.3, 2, 2),
+        (0.4, 3, 1),
+        (0.4, 1, 2),
+    ];
+    for (distance_m, seed, retries) in cases {
+        let mut cfg = LinkConfig::fig10(distance_m, 200, 5, seed)
+            .with_payload((0..24).map(|b| (b * 7) % 5 < 2).collect());
+        cfg.faults = FaultPlan::preset("sensor", 0.8, seed ^ 0xBEEF).expect("known preset");
+        cfg.mitigations = true;
+        let run = run_uplink(&cfg);
+        assert!(run.degradation.engaged("csi-fallback"), "seed {seed}");
+        assert_eq!(
+            run.degradation.retries_used, retries,
+            "{distance_m} m, seed {seed}: step-downs"
+        );
+        out += &uplink_line(&format!("sensor d={distance_m} seed={seed}"), &run);
+    }
+    assert_pinned("stepped-down RSSI uplink", &out, 0x1bb7_f1f0_92f2_7565);
 }
 
 #[test]
