@@ -13,12 +13,12 @@
 //! *packet* rate, which is where the orders-of-magnitude goodput gap
 //! between the two PHY modes comes from.
 //!
-//! The simulation reuses the presence pipeline's traffic, fault and MAC
-//! stages verbatim (same generators, same fault decorators, same DCF
-//! medium) so both PHYs face the identical air. Downstream of the MAC it
-//! diverges: no Scene snapshots, no CSI/RSSI extractor — just per-symbol
-//! flip decisions with an error rate set by the deployment geometry
-//! ([`bs_wifi::symbol::residue_excess_db`]).
+//! The simulation runs the presence pipeline's traffic, fault and MAC
+//! stages (`link::helper_air`: same generators, same fault decorators,
+//! same DCF medium) so both PHYs face the identical air. Downstream of
+//! the MAC it diverges: no Scene snapshots, no CSI/RSSI extractor —
+//! just per-symbol flip decisions with an error rate set by the
+//! deployment geometry ([`bs_wifi::symbol::residue_excess_db`]).
 //!
 //! Semantics under the shared [`crate::link::LinkConfig`]:
 //!
@@ -36,14 +36,13 @@
 //!   drift in particular is moot because the helper's own symbol train
 //!   is the tag's clock.
 
-use crate::link::{DegradationReport, LinkConfig, UplinkRun};
+use crate::link::{helper_air, DegradationReport, LinkConfig, UplinkRun};
 use bs_channel::faults::FaultEvents;
 use bs_dsp::bits::BerCounter;
 use bs_dsp::obs::Recorder;
 use bs_dsp::SimRng;
 use bs_tag::codeword::CodewordModulator;
 use bs_tag::frame::{uplink_preamble, UplinkFrame};
-use bs_wifi::mac::{Medium, Station};
 use bs_wifi::symbol::{data_frame_symbols, flip_error_prob, residue_excess_db, symbols_in};
 
 /// The helper frame size the link simulations use (bytes).
@@ -97,44 +96,16 @@ pub fn run_codeword_uplink_with(cfg: &LinkConfig, rec: &mut dyn Recorder) -> Upl
     let syms_per_sec = (cfg.helper_pps * helper_frame_symbols() as f64).max(1.0);
     let duration_us = ((needed_syms as f64 / syms_per_sec) * 2e6) as u64 + 100_000;
 
-    // Traffic + MAC: the exact decorator chain of the presence capture,
-    // so a FaultPlan thins/duplicates arrivals identically for both PHYs.
-    let plan = &cfg.faults;
+    // Traffic + MAC through the presence capture's own front end, so a
+    // FaultPlan thins/duplicates arrivals identically for both PHYs.
     let mut events = FaultEvents::default();
-    let mut traffic_rng = root.stream("helper-traffic");
-    let mut stations = vec![Station::data(
-        bs_wifi::traffic::apply_faults_with(
-            bs_wifi::traffic::cbr(cfg.helper_pps, duration_us, &mut traffic_rng),
-            plan,
-            "helper",
-            &mut events,
-            rec,
-        ),
-        HELPER_FRAME_BYTES,
-        HELPER_RATE_MBPS,
-    )];
-    for (i, &(pps, bytes)) in cfg.background.iter().enumerate() {
-        let mut rng = root.stream("background").substream(i as u64);
-        stations.push(Station::data(
-            bs_wifi::traffic::apply_faults_with(
-                bs_wifi::traffic::poisson(pps, duration_us, &mut rng),
-                plan,
-                &format!("background-{i}"),
-                &mut events,
-                rec,
-            ),
-            bytes,
-            54.0,
-        ));
-    }
-    let mut medium = Medium::new(Default::default(), root.stream("mac"));
-    let (timeline, _) = medium.simulate(&stations, duration_us);
+    let timeline = helper_air(cfg, &root, duration_us, &mut events, rec);
     rec.span("phy.codeword.mac", 0, duration_us, timeline.len() as u64);
 
     // An interference burst raises the residue floor while it is active;
     // the other sensor faults target the Intel CSI tool and do not touch
     // this decode path. Clock drift is moot (symbol-clocked tag).
-    let intf = plan.interference();
+    let intf = cfg.faults.interference();
     if intf.is_some() {
         events.fire("interference-burst");
     }

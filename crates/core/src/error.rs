@@ -88,9 +88,11 @@ pub enum SessionError {
         best_bit_errors: u64,
     },
     /// The [`crate::session::ReaderConfig`] field cannot drive a
-    /// session: a helper load that is not finite and positive, zero
-    /// packets per bit, a zero downlink rate, or a tag distance that is
-    /// not finite and non-negative. Refused before anything is sent.
+    /// session: a helper load or rate margin that is not finite and
+    /// positive, a tag supply outside
+    /// [`bs_tag::energy::EnergyConfig::is_valid`], zero packets per bit,
+    /// a zero downlink rate, or a tag distance that is not finite and
+    /// non-negative. Refused before anything is sent.
     InvalidConfig {
         /// The field's name.
         field: &'static str,

@@ -34,12 +34,15 @@
 use crate::codeword::{
     helper_frame_symbols, run_codeword_uplink_with, CODEWORD_RATE_STEPS_BPS, SYMS_PER_BIT,
 };
+use crate::downlink::DownlinkEncoder;
 use crate::link::{
-    presence_downlink_ber_with, presence_downlink_frame_with, presence_uplink_with,
-    DegradationReport, DownlinkConfig, DownlinkRun, LinkConfig, UplinkRun,
+    envelope_receive, presence_uplink_with, DegradationReport, DownlinkConfig, DownlinkRun,
+    LinkConfig, UplinkRun,
 };
 use crate::protocol::{select_bit_rate, SUPPORTED_RATES_BPS};
+use bs_dsp::bits::BerCounter;
 use bs_dsp::obs::{NullRecorder, Recorder};
+use bs_dsp::SimRng;
 use bs_tag::frame::{DownlinkFrame, UplinkFrame};
 use bs_wifi::rate_adapt::cadence_collapsed;
 
@@ -212,13 +215,51 @@ pub fn run_downlink_ber(cfg: &DownlinkConfig, n_bits: usize) -> DownlinkRun {
     run_downlink_ber_with(cfg, n_bits, &mut NullRecorder)
 }
 
-/// [`run_downlink_ber`] with observability threaded through `rec`.
+/// [`run_downlink_ber`] with observability threaded through `rec`: a
+/// `downlink.envelope` span over the simulated trace, the tag comparator
+/// span and transition counter from
+/// [`ReceiverCircuit::run_with`](bs_tag::receiver::ReceiverCircuit::run_with),
+/// counters `downlink.bits-sent` / `downlink.bit-errors`, and the tag's
+/// energy ledger gauges (`tag.energy-uj`, `tag.mean-uw`) for the receive
+/// window. Every RNG draw is identical whatever the recorder.
 pub fn run_downlink_ber_with(
     cfg: &DownlinkConfig,
     n_bits: usize,
     rec: &mut dyn Recorder,
 ) -> DownlinkRun {
-    presence_downlink_ber_with(cfg, n_bits, rec)
+    let mut bit_rng = SimRng::new(cfg.seed).stream("dl-bits");
+    let bits: Vec<bool> = (0..n_bits).map(|_| bit_rng.chance(0.5)).collect();
+    let mut report = DegradationReport::default();
+    if cfg.faults.interference().is_some() {
+        report.fire("interference-burst");
+    }
+    // 1 µs samples, one bit per bit time.
+    let bit_samples = (1_000_000 / cfg.bit_rate_bps.max(1)) as usize;
+    let n_samples = bits.len() * bit_samples + 100;
+    rec.span("downlink.envelope", 0, n_samples as u64, n_samples as u64);
+    let lit = |i: usize| bits.get(i / bit_samples) == Some(&true);
+    let (comparator, mut dec) = envelope_receive(cfg, "dl-envelope", n_samples, lit, rec);
+    let decoded = dec.slice_bits(&comparator, 0.0, bits.len());
+
+    let mut ber = BerCounter::new();
+    ber.compare(&bits, &decoded);
+    rec.add("downlink.bits-sent", bits.len() as u64);
+    rec.add("downlink.bit-errors", ber.errors());
+
+    // The tag-side energy story of this receive window: analog rx front
+    // end on for the whole trace, one mid-bit sample per sliced bit, MCU
+    // otherwise asleep (§4.2's duty-cycled firmware).
+    let mut ledger = bs_tag::power::EnergyLedger::new();
+    ledger.analog(n_samples as f64, true, false);
+    ledger.samples(bits.len() as u64);
+    ledger.mcu_sleep(n_samples as f64);
+    ledger.record(rec);
+
+    DownlinkRun {
+        ber,
+        bits_sent: bits.len(),
+        degradation: report,
+    }
 }
 
 /// Sends one framed downlink message end-to-end on the shared envelope
@@ -229,13 +270,57 @@ pub fn run_downlink_frame(cfg: &DownlinkConfig, frame: &DownlinkFrame) -> Option
 
 /// [`run_downlink_frame`] with observability threaded through `rec`,
 /// plus the [`DegradationReport`] naming the faults that hit the
-/// exchange.
+/// exchange. An armed [`Fault::PacketLoss`] can swallow the whole short
+/// query burst (the frame-level loss the session layer retries around);
+/// an armed interference burst raises the envelope floor under the
+/// frame. Observability: a `downlink.encode` span over the
+/// transmission's on-air extent, the tag comparator instrumentation, and
+/// counters `downlink.frames-attempted` / `downlink.frames-recovered` /
+/// `downlink.frames-lost`. The exchange is bit-identical whatever the
+/// recorder.
+///
+/// [`Fault::PacketLoss`]: bs_channel::faults::Fault::PacketLoss
 pub fn run_downlink_frame_with(
     cfg: &DownlinkConfig,
     frame: &DownlinkFrame,
     rec: &mut dyn Recorder,
 ) -> (Option<DownlinkFrame>, DegradationReport) {
-    presence_downlink_frame_with(cfg, frame, rec)
+    let mut report = DegradationReport::default();
+    rec.add("downlink.frames-attempted", 1);
+    let loss = cfg.faults.frame_loss_prob();
+    if loss > 0.0 {
+        let mut rng = SimRng::new(cfg.seed ^ cfg.faults.seed).stream("dl-frame-loss");
+        if rng.chance(loss) {
+            report.fire("packet-loss");
+            report.packets_dropped += 1;
+            rec.add("downlink.frames-lost", 1);
+            return (None, report);
+        }
+    }
+    if cfg.faults.interference().is_some() {
+        report.fire("interference-burst");
+    }
+    let Ok(tx) = DownlinkEncoder::new(cfg.bit_rate_bps).encode(frame, 2_000) else {
+        return (None, report);
+    };
+    rec.span(
+        "downlink.encode",
+        2_000,
+        tx.end_us,
+        frame.payload.len() as u64,
+    );
+    let n_samples = (tx.end_us + 2_000) as usize;
+    let lit = |i: usize| tx.on_air(i as u64);
+    let (comparator, mut dec) = envelope_receive(cfg, "dl-frame-env", n_samples, lit, rec);
+    let got = dec
+        .decode_stream(&comparator, frame.payload.len())
+        .into_iter()
+        .next();
+    dec.stats.record(rec);
+    if got.is_some() {
+        rec.add("downlink.frames-recovered", 1);
+    }
+    (got, report)
 }
 
 #[cfg(test)]

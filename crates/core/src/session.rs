@@ -89,10 +89,16 @@ impl Default for ReaderConfig {
 
 impl ReaderConfig {
     /// The first field no session can run with, if any: what
-    /// [`err::SessionError::InvalidConfig`] names.
+    /// [`err::SessionError::InvalidConfig`] names. `rate_margin` and
+    /// `tag_energy` take the gateway's domains: a finite, positive
+    /// margin, and a supply inside [`EnergyConfig::is_valid`].
     fn invalid_field(&self) -> Option<&'static str> {
         if !(self.helper_pps.is_finite() && self.helper_pps > 0.0) {
             Some("helper_pps")
+        } else if !(self.rate_margin.is_finite() && self.rate_margin > 0.0) {
+            Some("rate_margin")
+        } else if self.tag_energy.is_some_and(|e| !e.is_valid()) {
+            Some("tag_energy")
         } else if self.pkts_per_bit == 0 {
             Some("pkts_per_bit")
         } else if self.downlink_bps == 0 {
@@ -161,10 +167,15 @@ pub struct Reader {
 }
 
 impl Reader {
-    /// Creates a session.
+    /// Creates a session. A supply outside [`EnergyConfig::is_valid`]
+    /// builds no capacitor, so this never panics; [`Self::query`]
+    /// refuses the config instead.
     pub fn new(cfg: ReaderConfig, seed: u64) -> Self {
         Reader {
-            tag_cap: cfg.tag_energy.map(|e| Capacitor::new(e.capacitor)),
+            tag_cap: cfg
+                .tag_energy
+                .filter(EnergyConfig::is_valid)
+                .map(|e| Capacitor::new(e.capacitor)),
             cfg,
             rng: SimRng::new(seed).stream("reader-session"),
         }
@@ -232,9 +243,8 @@ impl Reader {
         }
         // §5: pick the uplink rate from the network conditions — in the
         // configured PHY's own currency (packets per bit for presence,
-        // symbols per bit for codeword translation). Audit note: this
-        // used to call `select_bit_rate` directly, baking the presence
-        // step table into the session.
+        // symbols per bit for codeword translation), so no PHY's step
+        // table is baked into the session.
         let caps = self.cfg.phy.capabilities();
         let bit_rate = caps.select_rate_bps(
             self.cfg.helper_pps,
@@ -330,9 +340,8 @@ impl Reader {
             }
             response_attempts += 1;
             rec.add("session.response-attempts", 1);
-            // Audit note: the budget charge used to assume the presence
-            // capture's 1.2 s conditioning lead for every PHY; the
-            // capabilities now own the per-mode formula.
+            // The capabilities own the per-mode airtime formula: only
+            // the presence capture has a 1.2 s conditioning lead.
             let response_air_us = caps.response_air_us(tag_payload.len(), bit_rate, 1);
             waited_us += response_air_us;
             // A tag that cannot fund its transmitter stays silent for
@@ -370,11 +379,9 @@ impl Reader {
         }
 
         // Long-range fallback (§3.4), if this PHY has one, it is enabled,
-        // and the budget affords it. Audit note: the gate used to test
-        // only `fallback_code_length`, silently running the presence
-        // coded decoder whatever the PHY; orthogonal chip spreading is a
+        // and the budget affords it. Orthogonal chip spreading is a
         // presence-mode mechanism, so `PhyCapabilities::coded_fallback`
-        // now guards it.
+        // guards it, not `fallback_code_length` alone.
         if caps.coded_fallback
             && self.cfg.fallback_code_length > 1
             && retry.within_budget(waited_us)
@@ -685,12 +692,38 @@ mod tests {
     #[test]
     fn invalid_configs_are_refused_before_any_capture() {
         use bs_dsp::obs::MemRecorder;
+        use bs_tag::energy::EnergyConfig;
         type Break = fn(&mut ReaderConfig);
-        let table: [(&str, Break); 9] = [
+        let table: [(&str, Break); 18] = [
             ("helper_pps", |c| c.helper_pps = f64::NAN),
             ("helper_pps", |c| c.helper_pps = f64::INFINITY),
             ("helper_pps", |c| c.helper_pps = 0.0),
             ("helper_pps", |c| c.helper_pps = -5.0),
+            ("rate_margin", |c| c.rate_margin = f64::NAN),
+            ("rate_margin", |c| c.rate_margin = f64::INFINITY),
+            ("rate_margin", |c| c.rate_margin = 0.0),
+            ("rate_margin", |c| c.rate_margin = -0.5),
+            ("tag_energy", |c| {
+                let mut e = EnergyConfig::harvesting(60.0);
+                e.capacitor.capacitance_uf = 0.0;
+                c.tag_energy = Some(e);
+            }),
+            ("tag_energy", |c| {
+                let mut e = EnergyConfig::harvesting(60.0);
+                e.capacitor.brownout_fraction = e.capacitor.wake_fraction;
+                c.tag_energy = Some(e);
+            }),
+            ("tag_energy", |c| {
+                let mut e = EnergyConfig::harvesting(60.0);
+                e.capacitor.voltage = f64::NAN;
+                c.tag_energy = Some(e);
+            }),
+            ("tag_energy", |c| {
+                c.tag_energy = Some(EnergyConfig::harvesting(f64::NAN))
+            }),
+            ("tag_energy", |c| {
+                c.tag_energy = Some(EnergyConfig::harvesting(-1.0))
+            }),
             ("pkts_per_bit", |c| c.pkts_per_bit = 0),
             ("downlink_bps", |c| c.downlink_bps = 0),
             ("tag_distance_m", |c| c.tag_distance_m = f64::NAN),
@@ -720,9 +753,16 @@ mod tests {
         let edge = ReaderConfig {
             tag_distance_m: 0.0,
             pkts_per_bit: 1,
+            rate_margin: f64::MIN_POSITIVE,
+            tag_energy: Some(EnergyConfig::harvesting(0.0)),
             ..ReaderConfig::default()
         };
         assert_eq!(edge.invalid_field(), None);
+        let powered = ReaderConfig {
+            tag_energy: Some(EnergyConfig::always_powered()),
+            ..ReaderConfig::default()
+        };
+        assert_eq!(powered.invalid_field(), None);
     }
 
     #[test]

@@ -643,18 +643,15 @@ pub(crate) fn serve(
     // post-inventory profile lookup would silently serve the first
     // matching profile for every identification of that address. The
     // same pass builds that lookup: address -> roster index, and rejects
-    // a supply that `Capacitor::new` would panic on, a harvest that is
-    // not a finite, non-negative power, or a message the transport's
-    // check rejects.
+    // a supply outside `EnergyConfig::is_valid` (a capacitor that
+    // `Capacitor::new` would panic on, or a harvest that is not a finite,
+    // non-negative power), or a message the transport's check rejects.
     let mut index_of: [Option<usize>; 256] = [None; 256];
-    let valid_harvest = |uw: f64| uw.is_finite() && uw >= 0.0;
     for (i, t) in tags.iter().enumerate() {
         if index_of[t.address as usize].replace(i).is_some() {
             return Err(GatewayError::DuplicateAddress { address: t.address });
         }
-        if t.energy
-            .is_some_and(|e| !e.capacitor.is_valid() || !valid_harvest(e.harvest_uw))
-        {
+        if t.energy.is_some_and(|e| !e.is_valid()) {
             return Err(GatewayError::InvalidEnergy { address: t.address });
         }
         if cfg.transport.check(t.message.len()).is_err() {
@@ -672,12 +669,11 @@ pub(crate) fn serve(
     let caps = cfg.phy.capabilities();
 
     // Phase 1 — singulation: discover who is out there and in what
-    // order they will be served. Audit note: the inventory clock used to
-    // multiply slots by the raw config field inline; the accounting now
-    // goes through `InventoryResult::airtime_us` so the slot length can
-    // follow the PHY (see `GatewayConfig::with_phy`). A tag whose supply
-    // cannot fund a reply at cold start is silent through singulation:
-    // the reader never learns it exists.
+    // order they will be served. The inventory clock goes through
+    // `InventoryResult::airtime_us` so the slot length can follow the
+    // PHY (see `GatewayConfig::with_phy`). A tag whose supply cannot
+    // fund a reply at cold start is silent through singulation: the
+    // reader never learns it exists.
     inv_tags.clear();
     inv_tags.extend(tags.iter().map(|t| {
         let powered = t
@@ -728,9 +724,8 @@ pub(crate) fn serve(
             cfg.faults.seed,
             link_streams.substream(i as u64).seed(),
         );
-        // Audit note: initial rate selection used to call the
-        // presence-only `select_bit_rate`; the capabilities pick from
-        // the configured PHY's own rate table.
+        // The capabilities pick from the configured PHY's own rate
+        // table.
         tag.link.set_chip_rate_bps(caps.select_rate_bps(
             profile.helper_pps,
             cfg.pkts_per_bit,
@@ -816,11 +811,9 @@ pub(crate) fn serve(
                 // Reactive per-tag rate adaptation: the delivery ratio
                 // scales the §5 cadence estimate; a collapse steps the
                 // chip rate down (never up — the adapter is one-way,
-                // like the session's reactive mitigation). Audit note:
-                // this used to call `readapt_chip_rate` directly,
-                // halving against the presence floor whatever the PHY;
-                // the capabilities step down the configured mode's own
-                // rate table instead.
+                // like the session's reactive mitigation). The
+                // capabilities step down the configured mode's own rate
+                // table, so no PHY halves against the presence floor.
                 if tag.sent_bytes >= 4 * QUANTUM_BYTES {
                     let delivery = tag.acked_bytes as f64 / tag.sent_bytes as f64;
                     let measured_pps = tag.helper_pps * delivery;

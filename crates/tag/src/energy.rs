@@ -369,6 +369,13 @@ impl EnergyConfig {
         }
     }
 
+    /// True if a tag can run on this supply: a capacitor in
+    /// [`CapacitorConfig::is_valid`]'s domain and a harvest that is a
+    /// finite, non-negative power.
+    pub fn is_valid(&self) -> bool {
+        self.capacitor.is_valid() && self.harvest_uw.is_finite() && self.harvest_uw >= 0.0
+    }
+
     /// The immortal-tag config: behaviour is bit-identical to running
     /// with no energy model at all (the conformance suite pins this).
     pub fn always_powered() -> Self {

@@ -59,50 +59,76 @@ impl RssiExtractor {
     }
 
     /// [`Self::measure`] plus observability: counts each measurement into
-    /// `rec` (`wifi.rssi-measurements`). The measurement itself is
-    /// identical to [`Self::measure`]; it is [`Self::measure_into`] on a
-    /// fresh row.
+    /// `rec` (`wifi.rssi-measurements`). The measurement itself —
+    /// including every RNG draw — is identical to [`Self::measure`].
     pub fn measure_with(
         &mut self,
         snap: &ChannelSnapshot,
         timestamp_us: u64,
         rec: &mut dyn Recorder,
     ) -> RssiMeasurement {
-        let mut rssi_dbm = vec![0.0; snap.antennas];
-        self.measure_into(snap, &mut rssi_dbm, rec);
+        let mut rssi_dbm = Vec::with_capacity(snap.antennas);
+        self.packet::<true>(snap, rec, |dbm| rssi_dbm.push(dbm));
         RssiMeasurement {
             timestamp_us,
             rssi_dbm,
         }
     }
 
-    /// The one RSSI measurement: writes one packet's per-antenna RSSI
-    /// (dBm, quantised) into `row`, one value per antenna in antenna
-    /// order, drawing the jitter in that order, and counts the
-    /// measurement into `rec` (`wifi.rssi-measurements`). A capture
-    /// reuses one row for every packet, so measuring allocates nothing.
+    /// Moves the stream past one packet exactly as [`Self::measure_with`]
+    /// would, and records the same counter, without computing a single
+    /// RSSI. Together with [`Self::measure_into`] on a copy taken before
+    /// the call, this splits a sweep into a serial pass over the stream
+    /// and a parallel pass over the math.
+    pub fn skip_with(&mut self, snap: &ChannelSnapshot, rec: &mut dyn Recorder) {
+        self.packet::<false>(snap, rec, |_| {});
+    }
+
+    /// [`Self::measure`] written in place: writes one packet's
+    /// per-antenna RSSI into `row`, bit for bit the `rssi_dbm` that
+    /// `measure` returns.
     ///
     /// # Panics
     /// Panics if `row` is not one value per antenna of `snap`.
-    pub fn measure_into(
+    pub fn measure_into(&mut self, snap: &ChannelSnapshot, row: &mut [f64]) {
+        assert_eq!(row.len(), snap.antennas, "one RSSI value per antenna");
+        let mut slots = row.iter_mut();
+        self.packet::<true>(snap, &mut NullRecorder, |dbm| {
+            *slots.next().expect("sized above") = dbm;
+        });
+    }
+
+    /// The extractor's stream, at the position of its next packet.
+    pub fn rng(&self) -> &SimRng {
+        &self.rng
+    }
+
+    /// One packet's draws, in order: the only copy of the draw order.
+    /// Each antenna, in antenna order, draws one Gaussian jitter. With
+    /// `MEASURE`, `emit` gets each antenna's RSSI (dBm, quantised);
+    /// without it, only the uniforms are drawn, the channel is read for
+    /// its shape alone, and `emit` is never called.
+    fn packet<const MEASURE: bool>(
         &mut self,
         snap: &ChannelSnapshot,
-        row: &mut [f64],
         rec: &mut dyn Recorder,
+        mut emit: impl FnMut(f64),
     ) {
-        assert_eq!(row.len(), snap.antennas, "one RSSI value per antenna");
         rec.add("wifi.rssi-measurements", 1);
-        for ((ant, ch), out) in snap.rows().enumerate().zip(row) {
-            // Total signal power across the band plus in-band noise.
-            let sig_mw = snap.rx_power_mw(ant);
-            let noise_mw = snap.noise_mw_per_subcarrier * ch.len() as f64;
-            let raw_dbm = bs_channel::pathloss::mw_to_dbm(sig_mw + noise_mw);
-            let jittered = raw_dbm + self.rng.gaussian(0.0, self.jitter_db);
-            *out = if self.quant_db > 0.0 {
-                (jittered / self.quant_db).round() * self.quant_db
-            } else {
-                jittered
-            };
+        for (ant, ch) in snap.rows().enumerate() {
+            let u = self.rng.box_muller_uniforms();
+            if MEASURE {
+                // Total signal power across the band plus in-band noise.
+                let sig_mw = snap.rx_power_mw(ant);
+                let noise_mw = snap.noise_mw_per_subcarrier * ch.len() as f64;
+                let raw_dbm = bs_channel::pathloss::mw_to_dbm(sig_mw + noise_mw);
+                let jittered = raw_dbm + SimRng::box_muller(u, 0.0, self.jitter_db);
+                emit(if self.quant_db > 0.0 {
+                    (jittered / self.quant_db).round() * self.quant_db
+                } else {
+                    jittered
+                });
+            }
         }
     }
 }

@@ -10,6 +10,7 @@ use bs_wifi::csi::{CsiConfig, CsiExtractor};
 use bs_wifi::frame::{airtime_us, FrameKind, WifiFrame, MAX_NAV_US};
 use bs_wifi::mac::{all_delivered, MacConfig, Medium, Station};
 use bs_wifi::rate_adapt::{best_rate, mac_efficiency, RateAdapter, RATE_TABLE};
+use bs_wifi::rssi::RssiExtractor;
 use bs_wifi::traffic;
 
 // ---- frames ----
@@ -291,6 +292,63 @@ fn csi_skip_and_in_place_measure_agree_with_measure() {
             let got: Vec<u64> = in_place.iter().map(|a| a.to_bits()).collect();
             assert_eq!(got, want, "case {} packet {p}", g.case());
             let next = |ex: &CsiExtractor| ex.rng().clone().next_u64();
+            assert_eq!(
+                next(&skipped),
+                next(&measured),
+                "case {} packet {p}: skip",
+                g.case()
+            );
+            assert_eq!(
+                next(&written),
+                next(&measured),
+                "case {} packet {p}: in place",
+                g.case()
+            );
+        }
+        assert_eq!(
+            rec_skipped.report().to_json(),
+            rec_measured.report().to_json(),
+            "case {}",
+            g.case()
+        );
+    });
+}
+
+// ---- RSSI ----
+
+/// The RSSI draw-only pass and the in-place writer agree with
+/// `measure_with`, as the CSI ones do: the same stream position after
+/// every packet, the same counter, and the same values to the last bit,
+/// over random channels, antenna counts and powers.
+#[test]
+fn rssi_skip_and_in_place_measure_agree_with_measure() {
+    check("rssi-skip-measure", 96, |g| {
+        let antennas = g.usize_in(1, 5);
+        let subchannels = g.usize_in(1, 31);
+        let mut measured = RssiExtractor::new(SimRng::new(g.case() ^ 0x551));
+        let mut skipped = measured.clone();
+        let (mut rec_measured, mut rec_skipped) = (MemRecorder::new(), MemRecorder::new());
+        for p in 0..g.usize_in(1, 51) {
+            let scale = 10f64.powf(g.f64_in(-6.0, 0.0));
+            let snap = ChannelSnapshot {
+                h: (0..antennas * subchannels)
+                    .map(|_| Complex::new(g.f64_in(-scale, scale), g.f64_in(-scale, scale)))
+                    .collect(),
+                antennas,
+                tx_mw_per_subcarrier: g.f64_in(1e-3, 1.0),
+                noise_mw_per_subcarrier: g.f64_in(1e-12, 1e-6),
+                tag_state: TagState::Absorb,
+                time_s: 0.0,
+            };
+            let mut in_place = vec![f64::NAN; antennas];
+            let mut written = skipped.clone();
+            written.measure_into(&snap, &mut in_place);
+            skipped.skip_with(&snap, &mut rec_skipped);
+            let m = measured.measure_with(&snap, p as u64, &mut rec_measured);
+            let want: Vec<u64> = m.rssi_dbm.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = in_place.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "case {} packet {p}", g.case());
+            let next = |ex: &RssiExtractor| ex.rng().clone().next_u64();
             assert_eq!(
                 next(&skipped),
                 next(&measured),

@@ -112,9 +112,11 @@ echo "== golden / bit-identity (decode transcripts, raw-capture digests, invento
 # digest.
 cargo test --release -q -p wifi-backscatter --test golden_decode
 # Whole exchanges shaped by private constants: the codeword uplink, the
-# mitigated uplink, the CSI uplink that steps its rate down once and
-# twice, the reader session under every fault preset, and the downlink
-# encoder's schedule, each pinned by one digest.
+# mitigated uplink, the CSI and the RSSI uplink that step their rate
+# down once and twice (stepped_down_uplink_is_pinned,
+# stepped_down_rssi_uplink_is_pinned), the reader session under every
+# fault preset, and the downlink encoder's schedule, each pinned by one
+# digest.
 cargo test --release -q -p wifi-backscatter --test exchange_pins
 cargo test --release -q -p wifi-backscatter --lib multitag
 # The slot-statistics index against naive binning and the reference
@@ -136,15 +138,17 @@ cargo test --release -q -p wifi-backscatter --test proptests -- \
     indexed_decode_matches_reference_on_random_bundles \
     shared_slot_index_matches_a_fresh_index_per_query \
     series_bundle_rejects_exactly_the_malformed_inputs
-# The threaded CSI capture with optimisations on: whole captures at
-# jobs 1, 2, 3 and 8 against the serial per-packet reference, the
-# skip/measure/in-place agreement property, the runtime's nesting,
-# chunk and pipeline contracts, and a snapshot equal to its serial step
-# plus the workers' fill. A rate step-down re-capture that copies the
-# rows the capture before it kept equals one measured from scratch.
+# The threaded CSI and RSSI capture with optimisations on: whole
+# captures at jobs 1, 2, 3 and 8 against the serial per-packet
+# reference, the CSI and RSSI skip/measure/in-place agreement
+# properties, the runtime's nesting, chunk and pipeline contracts, and a
+# snapshot equal to its serial step plus the workers' fill. A rate
+# step-down re-capture (CSI or RSSI) that copies the rows the capture
+# before it kept equals one measured from scratch.
 cargo test --release -q -p wifi-backscatter --lib bit_identical_at_any_worker_count
 cargo test --release -q -p wifi-backscatter --lib reusing_recapture_equals_a_fresh_capture
 cargo test --release -q -p bs-wifi --test proptests csi_skip_and_in_place
+cargo test --release -q -p bs-wifi --test proptests rssi_skip_and_in_place
 cargo test --release -q -p bs-dsp --lib par::
 cargo test --release -q -p bs-channel --test proptests snapshot_is_its_step_then_a_fill
 # The scene's snapshot layout and its tabulated responses: the
